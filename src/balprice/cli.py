@@ -34,6 +34,7 @@ from .core import (
 )
 from .mechanism import (
     adaptive_adversary_welfare,
+    expected_posted_price_welfare,
     run_posted_price,
     worst_order_welfare,
 )
@@ -71,9 +72,10 @@ from .pricing import (
 from .serialize import Instance, SchemaError, dump_instance_file, load_instance_file
 from .stochastic import (
     ProductDistribution,
-    exact_ratio,
+    RatioEstimate,
     expected_opt,
     monte_carlo_ratio,
+    worst_order_expected_welfare,
 )
 
 RATIO_SCHEMA = "balprice.ratio.v1"
@@ -395,7 +397,6 @@ def _run_config(args, extra: dict) -> dict:
         "seed": getattr(args, "seed", None),
         "exact": getattr(args, "exact", None),
         "cap_feasible": getattr(args, "cap_feasible", None),
-        "jobs": getattr(args, "jobs", None),
         "output": getattr(args, "output", None),
     }
     config.update(extra)
@@ -498,7 +499,7 @@ def cmd_simulate(args) -> int:
         _emit_report(args, {"worst_order_welfare": w, "order": [i + 1 for i in order]})
         return 0
     if order_kind == "adversary":
-        w = adaptive_adversary_welfare(instance.env, rule, _distribution(instance))
+        w = adaptive_adversary_welfare(instance.env, rule, _distribution(instance), tie)
         print(f"adaptive-adversary expected welfare={w:g}")
         _emit_report(args, {"adaptive_adversary_welfare": w})
         return 0
@@ -516,34 +517,14 @@ def cmd_ratio(args) -> int:
     order_kind, perm = parse_order(args.order, instance.env.n)
     if args.exact or args.trials == 0:
         if order_kind == "adversary":
-            mech = adaptive_adversary_welfare(instance.env, rule, dist)
-            benchmark = expected_opt(instance.env, dist)
-            est_dict = {
-                "expected_mechanism_welfare": mech,
-                "expected_opt": benchmark,
-                "ratio": mech / benchmark,
-                "mode": "exact",
-                "trials": 0,
-                "seed": args.seed,
-                "ci95_halfwidth": 0.0,
-            }
+            mech = adaptive_adversary_welfare(instance.env, rule, dist, tie)
         elif order_kind == "all":
-            from .stochastic import worst_order_expected_welfare
-
             mech = worst_order_expected_welfare(instance.env, rule, dist, tie)
-            benchmark = expected_opt(instance.env, dist)
-            est_dict = {
-                "expected_mechanism_welfare": mech,
-                "expected_opt": benchmark,
-                "ratio": mech / benchmark,
-                "mode": "exact",
-                "trials": 0,
-                "seed": args.seed,
-                "ci95_halfwidth": 0.0,
-            }
+        elif order_kind == "fixed":
+            mech = expected_posted_price_welfare(instance.env, rule, dist, perm, tie)
         else:
-            est = exact_ratio(instance.env, rule, dist, order=perm, tie=tie)
-            est_dict = est.as_dict()
+            raise SchemaError("exact ratio supports fixed, all, or adversary orders")
+        est = RatioEstimate.of(mech, expected_opt(instance.env, dist), "exact")
     else:
         mode = {"fixed": "fixed", "random": "random"}.get(order_kind)
         if mode is None:
@@ -553,7 +534,7 @@ def cmd_ratio(args) -> int:
             order_mode=mode, trials=args.trials, seed=args.seed,
             tie=tie, fixed_order=perm,
         )
-        est_dict = est.as_dict()
+    est_dict = est.as_dict()
     print(
         f"ratio={est_dict['ratio']:.6g} welfare={est_dict['expected_mechanism_welfare']:.6g} "
         f"opt={est_dict['expected_opt']:.6g} mode={est_dict['mode']}"
@@ -653,7 +634,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--cap-feasible", dest="cap_feasible", type=int, default=_default_cap())
-    p.add_argument("--jobs", type=int, default=1, help="worker bound (advisory)")
     p.add_argument("-o", "--output", default=None)
 
 
@@ -678,7 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=("opt", "greedy"), default="opt")
     p.add_argument("--grid", default=None, help="comma-separated bid grid")
     p.add_argument("--cap-feasible", dest="cap_feasible", type=int, default=_default_cap())
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_permeability)
 
@@ -705,8 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be positive")
     try:
         return args.fn(args)
     except (SchemaError, PricingError, ValueError, KeyError, FileNotFoundError) as exc:

@@ -1,15 +1,21 @@
-"""Posted-price mechanism execution: sequential arrivals with utility-
-maximizing purchases, deterministic tie policies (including an exact
-adversarial one), worst-order and adaptive-adversary evaluation, and the
+"""Posted-price mechanism execution as one sequential game, and the
 better-of-two selector for unrestricted knapsack instances.
+
+Agents arrive in an order fixed in advance or chosen by an adaptive
+adversary, nature draws each arriving agent's valuation, and the agent buys
+a utility-maximizing menu entry, ties resolved by a named policy or
+adversarially.  ``OnlinePostedPriceRunner`` evaluates this game tree with one
+recursion memoized on (agents still to arrive, purchases so far).
+``run_posted_price``, ``expected_posted_price_welfare``,
+``adaptive_adversary_welfare`` and ``worst_order_welfare`` are configurations
+of it; on every one of them ``cap`` bounds the memo states.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .core import (
     DEFAULT_CAP,
@@ -89,6 +95,127 @@ def _pick(cands, tie: str):
     raise ValueError(f"unknown tie policy {tie}")
 
 
+def _members(left: int) -> list[int]:
+    """Agents in bitmask ``left``, ascending."""
+    return [i for i in range(left.bit_length()) if left >> i & 1]
+
+
+class _PointMass:
+    """The one-atom distribution of a realized profile."""
+
+    def __init__(self, profile: Sequence[Valuation]):
+        self._atoms = tuple(((v, 1.0),) for v in profile)
+
+    def atoms(self, i: int):
+        return self._atoms[i]
+
+
+class OnlinePostedPriceRunner:
+    """The posted-price game tree, evaluated by one memoized recursion.
+
+    Each state is (agents still to arrive, purchases so far), with three
+    kinds of node below it:
+
+    - arrival: the next agent of ``order``, or with ``order=None`` the
+      adversary's minimum over the agents still to arrive, chosen after
+      seeing realized valuations and purchases;
+    - nature: the arriving agent's atoms ``dist.atoms(i)``;
+    - tie: a named policy, or under ``adversarial_min_welfare`` the entry
+      minimizing expected continuation welfare (lexmin token unless another
+      is lower by more than ``TOL``).
+
+    Tie choices condition on realized history and the distribution, never
+    on unrealized future values.  (Resolving ties against the realized
+    future values instead is strictly stronger than any utility-maximizing
+    behaviour and genuinely breaks the welfare guarantees, because early
+    choices would leak later agents' values.)  On a one-atom distribution
+    the two coincide.  The memo is shared between the exact expectation and
+    sampled runs; ``cap`` bounds its states.
+    """
+
+    def __init__(self, env, prices, dist, order: Optional[Sequence[int]],
+                 tie: str = "adversarial_min_welfare", cap: int = 1_000_000):
+        if tie not in TIE_POLICIES:
+            raise ValueError(f"unknown tie policy {tie}")
+        self.env = env
+        self.prices = prices
+        self.dist = dist
+        self.order = None if order is None else _check_order(env.n, order)
+        self.tie = tie
+        self.cap = cap
+        self._memo: dict = {}
+        # a fixed order's next arrival, keyed by the agents still to arrive
+        self._next: dict[int, tuple[int]] = {}
+        left = self._everyone = (1 << env.n) - 1
+        for i in self.order or ():
+            self._next[left] = (i,)
+            left &= ~(1 << i)
+
+    def _choice(self, left: int, i: int, v, y: Allocation):
+        """Agent i's (token, payment) at history ``y`` with valuation ``v``,
+        the agents in bitmask ``left`` (i among them) yet to arrive."""
+        cands = _tied_candidates(self.prices, v, i, y)
+        if self.tie != "adversarial_min_welfare":
+            return _pick(cands, self.tie)
+        rest = left & ~(1 << i)
+        best, best_cand = math.inf, cands[0]
+        for tok, p in cands:
+            w = value(v, tok) + self._value(rest, replace_at(y, i, tok))
+            if w < best - TOL:
+                best, best_cand = w, (tok, p)
+        return best_cand
+
+    def _value(self, left: int, y: Allocation) -> float:
+        """Expected welfare still to come when the agents in bitmask ``left``
+        are yet to arrive and ``y`` holds the purchases so far."""
+        if not left:
+            return 0.0
+        key = (left, y)
+        if key in self._memo:
+            return self._memo[key]
+        if len(self._memo) > self.cap:
+            raise CapExceeded(len(self._memo), self.cap)
+        worst = math.inf
+        for i in self._next[left] if self.order is not None else _members(left):
+            rest = left & ~(1 << i)
+            total = 0.0
+            for v, prob in self.dist.atoms(i):
+                tok, _p = self._choice(left, i, v, y)
+                total += prob * (value(v, tok) + self._value(rest, replace_at(y, i, tok)))
+            worst = min(worst, total)
+        self._memo[key] = worst
+        return worst
+
+    def expected_welfare(self) -> float:
+        return self._value(self._everyone, self.env.null_allocation())
+
+    def run(self, profile: Sequence[Valuation]) -> MechanismTrace:
+        """One realized-profile execution in the fixed order with the online
+        tie policy."""
+        if self.order is None:
+            raise ValueError("a realized run needs a fixed arrival order")
+        y, left = self.env.null_allocation(), self._everyone
+        chosen: dict[int, tuple[object, float]] = {}
+        for i in self.order:
+            tok, p = self._choice(left, i, profile[i], y)
+            chosen[i] = (tok, p)
+            y, left = replace_at(y, i, tok), left & ~(1 << i)
+        outcomes = tuple(chosen[i][0] for i in range(self.env.n))
+        payments = tuple(chosen[i][1] for i in range(self.env.n))
+        utilities = tuple(
+            value(profile[i], outcomes[i]) - payments[i] for i in range(self.env.n)
+        )
+        return MechanismTrace(
+            order=self.order,
+            outcomes=outcomes,
+            payments=payments,
+            utilities=utilities,
+            welfare=welfare(profile, outcomes),
+            revenue=math.fsum(payments),
+            utility_sum=math.fsum(utilities),
+        )
+
+
 def run_posted_price(
     env: Environment,
     prices: PricingRule,
@@ -99,65 +226,16 @@ def run_posted_price(
     """Approach agents in ``order``; each buys a utility-maximizing entry from
     the menu of finitely-priced outcomes given prior purchases.
 
-    Under ``adversarial_min_welfare`` ties are resolved by exact recursion:
-    among an agent's utility maximizers, take the branch minimizing the final
-    total welfare (lexmin token on exact ties).  This is full-information
-    tie resolution over the given realized profile — the right semantics for
-    worst-order studies on deterministic instances; expectations over a
-    distribution must use OnlinePostedPriceRunner instead, whose tie choices
-    cannot see unrealized future values.
+    The evaluator runs on the profile's one-atom distribution, so under
+    ``adversarial_min_welfare`` each tie takes the branch minimizing the
+    final total welfare (lexmin token on exact ties).  This is
+    full-information tie resolution over the given realized profile — the
+    right semantics for worst-order studies on deterministic instances;
+    expectations over a distribution must use OnlinePostedPriceRunner on
+    that distribution instead, whose tie choices cannot see unrealized
+    future values.
     """
-    order = _check_order(env.n, order)
-    if tie not in TIE_POLICIES:
-        raise ValueError(f"unknown tie policy {tie}")
-
-    chosen: dict[int, tuple[object, float]] = {}
-    if tie == "adversarial_min_welfare":
-        memo: dict = {}
-
-        def future(pos: int, y: Allocation) -> float:
-            if pos == len(order):
-                return 0.0
-            key = (pos, y)
-            if key in memo:
-                return memo[key][0]
-            i = order[pos]
-            best_w, best_tok, best_p = math.inf, None, 0.0
-            for tok, p in _tied_candidates(prices, profile[i], i, y):
-                w = value(profile[i], tok) + future(pos + 1, replace_at(y, i, tok))
-                if w < best_w - TOL:
-                    best_w, best_tok, best_p = w, tok, p
-            memo[key] = (best_w, best_tok, best_p)
-            return best_w
-
-        y = env.null_allocation()
-        future(0, y)
-        for pos, i in enumerate(order):
-            _, tok, p = memo[(pos, y)]
-            chosen[i] = (tok, p)
-            y = replace_at(y, i, tok)
-    else:
-        y = env.null_allocation()
-        for i in order:
-            tok, p = _pick(_tied_candidates(prices, profile[i], i, y), tie)
-            chosen[i] = (tok, p)
-            y = replace_at(y, i, tok)
-
-    outcomes = tuple(chosen[i][0] for i in range(env.n))
-    payments = tuple(chosen[i][1] for i in range(env.n))
-    utilities = tuple(
-        value(profile[i], outcomes[i]) - payments[i] for i in range(env.n)
-    )
-    total = welfare(profile, outcomes)
-    return MechanismTrace(
-        order=order,
-        outcomes=outcomes,
-        payments=payments,
-        utilities=utilities,
-        welfare=total,
-        revenue=math.fsum(payments),
-        utility_sum=math.fsum(utilities),
-    )
+    return OnlinePostedPriceRunner(env, prices, _PointMass(profile), order, tie).run(profile)
 
 
 def verify_trace(env, prices, profile, trace: MechanismTrace) -> None:
@@ -184,97 +262,36 @@ def worst_order_welfare(
     prices,
     profile,
     tie: str = "adversarial_min_welfare",
-    cap: int = 40_320,
+    cap: int = 1_000_000,
 ) -> tuple[float, tuple[int, ...]]:
-    """Minimum trace welfare over all arrival permutations, with a witnessing
-    order (first minimizer in permutation order)."""
-    count = math.factorial(env.n)
-    if count > cap:
-        raise CapExceeded(count, cap)
-    best_w, best_order = math.inf, None
-    for order in itertools.permutations(range(env.n)):
-        trace = run_posted_price(env, prices, profile, order, tie)
-        if trace.welfare < best_w - TOL:
-            best_w, best_order = trace.welfare, order
-    return best_w, best_order
+    """Minimum trace welfare over all arrival permutations, with a witness:
+    the lexicographically first order that reaches the minimum.
 
-
-class OnlinePostedPriceRunner:
-    """Posted-price execution whose tie choices condition on realized history
-    and the distribution, never on unrealized future values.
-
-    Under the adversarial policy each agent's tied choice minimizes the
-    expected continuation welfare over future draws.  (Resolving ties against
-    the realized future values instead is strictly stronger than any
-    utility-maximizing behaviour and genuinely breaks the welfare guarantees,
-    because early choices would leak later agents' values.)  The continuation
-    memo is shared between the exact expectation and sampled runs.
+    On a realized profile the worst fixed order is the adaptive adversary's
+    value, so the minimum comes from the ``order=None`` evaluator.  The
+    witness walk then commits, position by position, the first agent from
+    whose arrival the minimum is still reachable.  It keeps every purchase
+    history the committed prefix reaches under some tie choice: following a
+    single tie choice can rule out the first minimizing order.  The reported
+    welfare is the witness trace's own.
     """
-
-    def __init__(self, env, prices, dist, order: Sequence[int],
-                 tie: str = "adversarial_min_welfare", cap: int = 1_000_000):
-        if tie not in TIE_POLICIES:
-            raise ValueError(f"unknown tie policy {tie}")
-        self.env = env
-        self.prices = prices
-        self.dist = dist
-        self.order = _check_order(env.n, order)
-        self.tie = tie
-        self.cap = cap
-        self._memo: dict = {}
-
-    def _choice(self, pos: int, i: int, v, y: Allocation):
-        cands = _tied_candidates(self.prices, v, i, y)
-        if self.tie != "adversarial_min_welfare":
-            return _pick(cands, self.tie)
-        best, best_cand = math.inf, cands[0]
-        for tok, p in cands:
-            w = value(v, tok) + self._solve(pos + 1, replace_at(y, i, tok))
-            if w < best - TOL:
-                best, best_cand = w, (tok, p)
-        return best_cand
-
-    def _solve(self, pos: int, y: Allocation) -> float:
-        if pos == len(self.order):
-            return 0.0
-        key = (pos, y)
-        if key in self._memo:
-            return self._memo[key]
-        if len(self._memo) > self.cap:
-            raise CapExceeded(len(self._memo), self.cap)
-        i = self.order[pos]
-        total = 0.0
-        for v, prob in self.dist.atoms(i):
-            tok, _p = self._choice(pos, i, v, y)
-            total += prob * (value(v, tok) + self._solve(pos + 1, replace_at(y, i, tok)))
-        self._memo[key] = total
-        return total
-
-    def expected_welfare(self) -> float:
-        return self._solve(0, self.env.null_allocation())
-
-    def run(self, profile: Sequence[Valuation]) -> MechanismTrace:
-        """One realized-profile execution with the online tie policy."""
-        y = self.env.null_allocation()
-        chosen: dict[int, tuple[object, float]] = {}
-        for pos, i in enumerate(self.order):
-            tok, p = self._choice(pos, i, profile[i], y)
-            chosen[i] = (tok, p)
-            y = replace_at(y, i, tok)
-        outcomes = tuple(chosen[i][0] for i in range(self.env.n))
-        payments = tuple(chosen[i][1] for i in range(self.env.n))
-        utilities = tuple(
-            value(profile[i], outcomes[i]) - payments[i] for i in range(self.env.n)
-        )
-        return MechanismTrace(
-            order=self.order,
-            outcomes=outcomes,
-            payments=payments,
-            utilities=utilities,
-            welfare=welfare(profile, outcomes),
-            revenue=math.fsum(payments),
-            utility_sum=math.fsum(utilities),
-        )
+    runner = OnlinePostedPriceRunner(env, prices, _PointMass(profile), None, tie, cap)
+    target = runner.expected_welfare()
+    left, witness = runner._everyone, []
+    frontier = {env.null_allocation()}
+    while left:
+        for i in _members(left):
+            rest, reached = left & ~(1 << i), set()
+            for y in frontier:
+                cands = _tied_candidates(prices, profile[i], i, y)
+                if tie != "adversarial_min_welfare":
+                    cands = [_pick(cands, tie)]
+                reached.update(replace_at(y, i, tok) for tok, _p in cands)
+            if any(welfare(profile, y) + runner._value(rest, y) <= target + TOL for y in reached):
+                break
+        witness.append(i)
+        left, frontier = rest, reached
+    return run_posted_price(env, prices, profile, witness, tie).welfare, tuple(witness)
 
 
 def expected_posted_price_welfare(
@@ -290,35 +307,13 @@ def expected_posted_price_welfare(
     return OnlinePostedPriceRunner(env, prices, dist, order, tie, cap).expected_welfare()
 
 
-def adaptive_adversary_welfare(env, prices, dist, cap: int = 1_000_000) -> float:
+def adaptive_adversary_welfare(
+    env, prices, dist, tie: str = "adversarial_min_welfare", cap: int = 1_000_000
+) -> float:
     """Exact minimax expected welfare: the adversary picks the next agent
-    after observing realized valuations and purchases; agents' tie choices
-    are also adversarial.  Memoized on (remaining agents, purchases)."""
-    memo: dict = {}
-
-    def solve(remaining: frozenset, y: Allocation) -> float:
-        if not remaining:
-            return 0.0
-        key = (remaining, y)
-        if key in memo:
-            return memo[key]
-        if len(memo) > cap:
-            raise CapExceeded(len(memo), cap)
-        worst = math.inf
-        for i in sorted(remaining):
-            rest = remaining - {i}
-            expect = 0.0
-            for v, prob in dist.atoms(i):
-                branch = math.inf
-                for tok, _p in _tied_candidates(prices, v, i, y):
-                    w = value(v, tok) + solve(rest, replace_at(y, i, tok))
-                    branch = min(branch, w)
-                expect += prob * branch
-            worst = min(worst, expect)
-        memo[key] = worst
-        return worst
-
-    return solve(frozenset(range(env.n)), env.null_allocation())
+    after observing realized valuations and purchases; agents break ties by
+    ``tie`` (by default also adversarially)."""
+    return OnlinePostedPriceRunner(env, prices, dist, None, tie, cap).expected_welfare()
 
 
 # ---------------------------------------------------------------------------

@@ -599,12 +599,6 @@ class FractionalSolution:
     weights: tuple[tuple[int, int, float], ...]  # (agent, bundle mask, weight)
     objective: float
 
-    def weight(self, i: int, mask: int) -> float:
-        for a, m, w in self.weights:
-            if a == i and m == mask:
-                return w
-        return 0.0
-
     def integral_allocation(self) -> Optional[Allocation]:
         alloc = [NULL] * self.env.n
         for a, m, w in self.weights:

@@ -105,6 +105,11 @@ def expected_opt(env: Environment, dist: ProductDistribution, cap: int = EXACT_S
     return exact_expectation(dist, lambda p: welfare(p, opt(env, p)), cap)
 
 
+class UndefinedRatio(ZeroDivisionError, ValueError):
+    """The expected optimum is zero, so no competitive ratio exists; an input
+    error (a ValueError) at the CLI."""
+
+
 @dataclass(frozen=True)
 class RatioEstimate:
     expected_mechanism_welfare: float
@@ -114,6 +119,14 @@ class RatioEstimate:
     trials: int = 0
     seed: int = 0
     ci95_halfwidth: float = 0.0
+
+    @classmethod
+    def of(cls, mech: float, benchmark: float, mode: str, **kwargs) -> "RatioEstimate":
+        """The estimate of ``mech / benchmark``: the one place a ratio is
+        divided."""
+        if benchmark <= TOL:
+            raise UndefinedRatio(f"expected optimum is {benchmark:g}; ratio undefined")
+        return cls(mech, benchmark, mech / benchmark, mode, **kwargs)
 
     def as_dict(self) -> dict:
         return {
@@ -141,10 +154,7 @@ def exact_ratio(
     if order is None:
         order = tuple(range(env.n))
     mech = expected_posted_price_welfare(env, prices, dist, order, tie)
-    benchmark = expected_opt(env, dist, cap)
-    if benchmark <= TOL:
-        raise ZeroDivisionError("expected optimum is zero; ratio undefined")
-    return RatioEstimate(mech, benchmark, mech / benchmark, mode="exact")
+    return RatioEstimate.of(mech, expected_opt(env, dist, cap), "exact")
 
 
 def _ratio_ci95(ws: list[float], os_: list[float]) -> float:
@@ -174,7 +184,6 @@ def monte_carlo_ratio(
     seed: int = 0,
     tie: str = "adversarial_min_welfare",
     fixed_order: Optional[Sequence[int]] = None,
-    order_samples: int = 20,
 ) -> RatioEstimate:
     """Sampled competitive ratio: per trial, draw a profile from its Philox
     stream, run the mechanism under the requested order mode, and accumulate
@@ -183,7 +192,7 @@ def monte_carlo_ratio(
     trials)."""
     if trials < 1:
         raise ValueError("at least one trial required")
-    if order_mode not in ("fixed", "random", "worst_sampled"):
+    if order_mode not in ("fixed", "random"):
         raise ValueError(f"unknown order mode {order_mode}")
     base_order = tuple(fixed_order) if fixed_order is not None else tuple(range(env.n))
 
@@ -201,26 +210,15 @@ def monte_carlo_ratio(
         profile = dist.sample(rng)
         if order_mode == "fixed":
             w = run(base_order, profile)
-        elif order_mode == "random":
-            w = run(tuple(int(i) for i in rng.permutation(env.n)), profile)
         else:
-            count = min(order_samples, math.factorial(env.n))
-            seen = set()
-            while len(seen) < count:
-                seen.add(tuple(int(i) for i in rng.permutation(env.n)))
-            w = min(run(order, profile) for order in sorted(seen))
+            w = run(tuple(int(i) for i in rng.permutation(env.n)), profile)
         ws.append(w)
         os_.append(welfare(profile, opt(env, profile)))
 
-    mech = math.fsum(ws) / trials
-    benchmark = math.fsum(os_) / trials
-    if benchmark <= TOL:
-        raise ZeroDivisionError("sampled expected optimum is zero; ratio undefined")
-    return RatioEstimate(
-        mech,
-        benchmark,
-        mech / benchmark,
-        mode="monte_carlo",
+    return RatioEstimate.of(
+        math.fsum(ws) / trials,
+        math.fsum(os_) / trials,
+        "monte_carlo",
         trials=trials,
         seed=seed,
         ci95_halfwidth=_ratio_ci95(ws, os_),
@@ -231,7 +229,12 @@ def worst_order_expected_welfare(
     env, prices, dist: ProductDistribution, tie: str = "adversarial_min_welfare",
     cap: int = EXACT_SUPPORT_CAP,
 ) -> float:
-    """Minimum over fixed arrival orders of the exact expected welfare."""
+    """Minimum over fixed arrival orders of the exact expected welfare.  The
+    loop stays over all n! orders, because unlike on a realized profile this
+    minimum is not the adaptive adversary's value; ``cap`` bounds n!."""
+    count = math.factorial(env.n)
+    if count > cap:
+        raise CapExceeded(count, cap)
     worst = math.inf
     for order in itertools.permutations(range(env.n)):
         worst = min(worst, expected_posted_price_welfare(env, prices, dist, order, tie))

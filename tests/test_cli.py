@@ -151,6 +151,88 @@ class TestSimulateCommand:
         assert doc["result"]["worst_order_welfare"] <= 1.0 + 1e-9
 
 
+    def test_tie_applies_under_adversary_order(self, tmp_path, capsys):
+        # on a realized profile the adaptive adversary's value is the worst
+        # fixed order's, under every tie policy
+        inst = tmp_path / "si.json"
+        inst.write_text(json.dumps({
+            "environment": {"kind": "single_item", "agents": 2},
+            "agents": [
+                {"kind": "scalar", "value": 1.0},
+                {"kind": "scalar", "value": 2.0},
+            ],
+        }))
+        values = {}
+        for order in ("all", "adversary"):
+            report = tmp_path / f"{order}.json"
+            code = run_cli(
+                ["simulate", "--instance", str(inst), "--pricing", "single-item",
+                 "--order", order, "--tie", "null", "-o", str(report)]
+            )
+            assert code == 0
+            result = json.loads(report.read_text())["result"]
+            values[order] = result.get("worst_order_welfare",
+                                       result.get("adaptive_adversary_welfare"))
+        assert values == {"all": 2.0, "adversary": 2.0}
+
+    def test_all_orders_past_eight_agents(self, tmp_path):
+        inst = tmp_path / "tp9.json"
+        run_cli(["catalog", "two-point", "--n", "9", "--seed", "0", "-o", str(inst)])
+        report = tmp_path / "worst.json"
+        code = run_cli(
+            ["simulate", "--instance", str(inst), "--pricing", "single-item",
+             "--order", "all", "-o", str(report)]
+        )
+        assert code == 0
+        assert sorted(json.loads(report.read_text())["result"]["order"]) == list(range(1, 10))
+
+
+class TestRatioErrors:
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--exact"],
+            ["--exact", "--order", "adversary"],
+            ["--exact", "--order", "all"],
+            ["--trials", "10"],
+        ],
+    )
+    def test_zero_expected_optimum_exit_2(self, tmp_path, capsys, flags):
+        inst = tmp_path / "zero.json"
+        inst.write_text(json.dumps({
+            "environment": {"kind": "single_item", "agents": 2},
+            "agents": [
+                {"kind": "scalar", "value": 0.0},
+                {"kind": "scalar", "value": 0.0},
+            ],
+        }))
+        code = run_cli(
+            ["ratio", "--instance", str(inst), "--pricing", "single-item",
+             "-o", str(tmp_path / "out.csv"), *flags]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: expected optimum is 0")
+        assert "Traceback" not in err
+
+    def test_all_orders_exact_cap_exit_3(self, tmp_path, capsys):
+        inst = tmp_path / "tp9.json"
+        run_cli(["catalog", "two-point", "--n", "9", "--seed", "0", "-o", str(inst)])
+        code = run_cli(
+            ["ratio", "--instance", str(inst), "--pricing", "single-item",
+             "--exact", "--order", "all", "-o", str(tmp_path / "out.csv")]
+        )
+        assert code == 3
+        assert "362880" in capsys.readouterr().err
+
+    def test_exact_random_order_exit_2(self, tight_instance, tmp_path):
+        code = run_cli(
+            ["ratio", "--instance", str(tight_instance), "--pricing", "single-item",
+             "--exact", "--order", "random", "-o", str(tmp_path / "out.csv")]
+        )
+        assert code == 2
+
+
 class TestPermeabilityCommand:
     def test_uniform_matroid_gamma_one(self, matroid_instance, capsys):
         assert run_cli(["permeability", "--instance", str(matroid_instance)]) == 0

@@ -1,6 +1,13 @@
-import pytest
+import itertools
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from balprice.catalog import gen_matroid, gen_two_point_single_item, gen_xos_random
 from balprice.core import (
+    TOL,
     AdditiveValuation,
     CombinatorialAuctionEnv,
     KnapsackEnv,
@@ -12,7 +19,10 @@ from balprice.core import (
     welfare,
 )
 from balprice.mechanism import (
+    TIE_POLICIES,
+    OnlinePostedPriceRunner,
     adaptive_adversary_welfare,
+    expected_posted_price_welfare,
     run_posted_price,
     two_mechanism_selector,
     verify_trace,
@@ -25,8 +35,10 @@ from balprice.pricing import (
     PricingRule,
     bundle_split_item_prices,
     expected_scaled_prices,
+    matroid_dynamic_prices,
     scaled_prices,
     single_item_prices,
+    xos_item_prices,
 )
 from balprice.stochastic import ProductDistribution
 
@@ -224,3 +236,101 @@ class TestWholeUnitPrices:
         rule = whole_unit_prices(env, 1.5)
         menu = rule.menu(0, env.null_allocation())
         assert [tok for tok, _ in menu] == [0.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# Differential checks of the game-tree evaluator against brute force
+# ---------------------------------------------------------------------------
+
+
+def permutation_worst_order(env, prices, profile, tie):
+    """Reference: trace welfare of every arrival permutation; the first one
+    whose welfare is the minimum is the witness."""
+    best_w, best_order = math.inf, None
+    for order in itertools.permutations(range(env.n)):
+        w = run_posted_price(env, prices, profile, order, tie).welfare
+        if w < best_w - TOL:
+            best_w, best_order = w, order
+    return best_w, best_order
+
+
+def catalog_case(kind, seed, size):
+    """A small catalog instance with its default construction, scaled over
+    its distribution as the CLI does; returns (env, rule, profile, dist)."""
+    if kind == "two-point":
+        inst = gen_two_point_single_item(n=size, seed=seed)
+        build = lambda p: single_item_prices(inst.env, p)
+    elif kind == "matroid":
+        inst = gen_matroid("uniform", seed=seed, rank=max(1, size // 2), ground=size)
+        build = lambda p: matroid_dynamic_prices(inst.env, p)
+    else:
+        inst = gen_xos_random(n=size, m=2, seed=seed)
+        build = lambda p: xos_item_prices(inst.env, p, opt(inst.env, p))
+    dist = inst.distribution or ProductDistribution.deterministic(inst.profile)
+    rule = expected_scaled_prices(
+        inst.env, dist, build, BalanceParams(alpha=1.0, beta=1.0)
+    )
+    return inst.env, rule, inst.profile, dist
+
+
+class TestEvaluatorAgainstBruteForce:
+    @given(
+        st.sampled_from(("two-point", "matroid", "xos")),
+        st.integers(min_value=0, max_value=31),
+        st.integers(min_value=2, max_value=5),
+        st.sampled_from(TIE_POLICIES),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_worst_order_matches_permutation_loop(self, kind, seed, size, tie):
+        if kind == "xos":
+            size = min(size, 4)  # XOS agents over two items: keep 4! orders
+        env, rule, profile, _ = catalog_case(kind, seed, size)
+        assert worst_order_welfare(env, rule, profile, tie) == permutation_worst_order(
+            env, rule, profile, tie
+        )
+
+    def test_uniform7_witness_keeps_every_tie_history(self):
+        # following one tie choice greedily gives (2,1,5,6,7,3,4) here
+        inst = gen_matroid("uniform", seed=1, rank=3, ground=7)
+        rule = expected_scaled_prices(
+            inst.env,
+            ProductDistribution.deterministic(inst.profile),
+            lambda p: matroid_dynamic_prices(inst.env, p),
+            BalanceParams(alpha=1.0, beta=1.0),
+        )
+        tie = "adversarial_min_welfare"
+        got = worst_order_welfare(inst.env, rule, inst.profile, tie)
+        assert got == permutation_worst_order(inst.env, rule, inst.profile, tie)
+        assert [i + 1 for i in got[1]] == [2, 1, 5, 3, 4, 6, 7]
+
+    @given(
+        st.integers(min_value=0, max_value=31),
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.permutations(range(n))
+        ),
+        st.sampled_from(TIE_POLICIES),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_expectation_is_the_mean_of_realized_runs(self, seed, order, tie):
+        env, rule, _, dist = catalog_case("two-point", seed, len(order))
+        runner = OnlinePostedPriceRunner(env, rule, dist, order, tie)
+        mean = math.fsum(prob * runner.run(p).welfare for p, prob in dist.profiles())
+        assert runner.expected_welfare() == pytest.approx(mean, abs=1e-9)
+
+    @given(
+        st.integers(min_value=0, max_value=31),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from(TIE_POLICIES),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_adaptive_at_most_every_fixed_order(self, seed, n, tie):
+        env, rule, profile, dist = catalog_case("two-point", seed, n)
+        for d, exact in ((dist, False), (ProductDistribution.deterministic(profile), True)):
+            best_fixed = min(
+                expected_posted_price_welfare(env, rule, d, order, tie)
+                for order in itertools.permutations(range(n))
+            )
+            adaptive = adaptive_adversary_welfare(env, rule, d, tie)
+            assert adaptive <= best_fixed + 1e-9
+            if exact:
+                assert adaptive == pytest.approx(best_fixed, abs=1e-9)

@@ -23,7 +23,6 @@ from .core import (
     Allocation,
     Environment,
     Valuation,
-    restrict,
     welfare,
 )
 from .oracle import ExchangeFamily, residual_opt
@@ -43,6 +42,10 @@ class BalanceReport:
     checked_allocations: int = 0
     checked_members: int = 0
     order_mode: str = "declared"
+    # largest exchange member's price sum over its residual optimum (0/0 is
+    # satisfied, positive/0 is inf): the smallest beta meeting condition (b);
+    # not part of the serialized result
+    max_b_ratio: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -78,6 +81,10 @@ class _PriceSums:
     conditioning allocation x, minimized or maximized over agent orders by a
     subset DP (the term for an agent depends on its predecessor set only).
 
+    A term depends on the predecessor mask only through mask & support(x), so
+    each restricted prefix of x is built once, on first use, and shared by
+    condition (a), every member's sum and the DP's term table.
+
     UNAVAILABLE entries poison the sum; they are reported as structural
     violations by the caller."""
 
@@ -85,10 +92,23 @@ class _PriceSums:
         self.prices = prices
         self.x = x
         self.n = n
+        self.supp = 0
+        for j, xj in enumerate(x):
+            if xj != NULL:
+                self.supp |= 1 << j
+        self._prefixes: dict[int, Allocation] = {}
+
+    def prefix(self, pred_mask: int) -> Allocation:
+        """x restricted to the agents in ``pred_mask``."""
+        key = pred_mask & self.supp
+        y = self._prefixes.get(key)
+        if y is None:
+            y = tuple(xj if key >> j & 1 else NULL for j, xj in enumerate(self.x))
+            self._prefixes[key] = y
+        return y
 
     def term(self, i: int, z_i, pred_mask: int):
-        cond = restrict(self.x, [j for j in range(self.n) if pred_mask >> j & 1])
-        return self.prices.price(i, z_i, cond)
+        return self.prices.price(i, z_i, self.prefix(pred_mask))
 
     def declared_order(self, z: Allocation, order: Sequence[int]):
         total, unavailable = 0.0, False
@@ -102,31 +122,15 @@ class _PriceSums:
             mask |= 1 << i
         return total, unavailable
 
-    def static_sum(self, z: Allocation):
-        """For static rules the conditioning prefix never changes a feasible
-        entry's price, so every order gives the same sum."""
-        total, unavailable = 0.0, False
-        for i in range(self.n):
-            p = self.term(i, z[i], 0)
-            if p is UNAVAILABLE:
-                unavailable = True
-            else:
-                total += p
-        return total, unavailable
-
     def extremal(self, z: Allocation, maximize: bool):
         """Min (or max) over all agent orders of the price sum for outcomes z
         conditioned on x-prefixes.  Returns (value, witness order, saw_unavailable).
 
-        The term for an agent depends on its predecessor set only through the
-        restriction of x, i.e. on pred_mask & support(x); terms are
-        precomputed per collapsed mask and the subset DP runs on floats.
-        UNAVAILABLE terms are treated as 0 in the sum but flagged."""
+        Terms are precomputed per collapsed mask (pred_mask & support(x)) and
+        the subset DP runs on floats.  UNAVAILABLE terms are treated as 0 in
+        the sum but flagged."""
         n = self.n
-        supp = 0
-        for j, xj in enumerate(self.x):
-            if xj != NULL:
-                supp |= 1 << j
+        supp = self.supp
         cond_masks = _submasks_of(supp)
         # term_table[i][collapsed mask] = (price, unavailable?)
         term_table: list[dict] = []
@@ -167,6 +171,30 @@ class _PriceSums:
         return sign * dp[full], tuple(reversed(order)), flag[full]
 
 
+class _StaticSums:
+    """Price sums for a static rule: p_i(z_i | ∅) for every agent, summed in
+    agent order.  The conditioning prefix never changes a feasible entry's
+    price, so every order gives the same sum and each (agent, outcome) term
+    is priced once."""
+
+    def __init__(self, prices: PricingRule, n: int):
+        self.prices = prices
+        self.null = (NULL,) * n
+        self._terms: dict = {}
+
+    def total(self, z: Allocation):
+        total, unavailable = 0.0, False
+        for i, z_i in enumerate(z):
+            p = self._terms.get((i, z_i))
+            if p is None:
+                p = self._terms[(i, z_i)] = self.prices.price(i, z_i, self.null)
+            if p is UNAVAILABLE:
+                unavailable = True
+            else:
+                total += p
+        return total, unavailable
+
+
 def _condition_bounds(params: BalanceParams, alg_w: float, residual_w: float):
     rhs_a = (alg_w - residual_w) / params.alpha
     if params.weak:
@@ -174,6 +202,26 @@ def _condition_bounds(params: BalanceParams, alg_w: float, residual_w: float):
     else:
         rhs_b = params.beta * residual_w
     return rhs_a, rhs_b
+
+
+def _score_members(members, price_sum, rhs_b: float, residual_w: float):
+    """Condition (b) over one exchange set: (min slack, max member-sum /
+    residual ratio, violations), where violations lists (member, lhs, order
+    witness, unavailable?, slack) for every member that has an UNAVAILABLE
+    entry or breaks the bound, in member order."""
+    min_slack, max_ratio, violations = math.inf, 0.0, []
+    for member in members:
+        lhs, wit, bad = price_sum(member)
+        slack = rhs_b - lhs
+        if slack < min_slack:
+            min_slack = slack
+        if lhs > TOL:
+            ratio = math.inf if residual_w <= TOL else lhs / residual_w
+            if ratio > max_ratio:
+                max_ratio = ratio
+        if bad or slack < -TOL:
+            violations.append((member, lhs, wit, bad, slack))
+    return min_slack, max_ratio, violations
 
 
 def _check(
@@ -188,12 +236,14 @@ def _check(
     cap: int,
     feasible: Optional[list] = None,
 ) -> BalanceReport:
+    """One walk over the feasible allocations.  For static rules condition
+    (b) depends on x only through its exchange set, so it is scored once per
+    ``members_key`` and replayed for every x that shares the key."""
     from .core import enumerate_feasible
 
     if order_mode not in ORDER_MODES:
         raise ValueError(f"unknown order mode {order_mode}")
-    if order is None:
-        order = tuple(range(env.n))
+    order = tuple(range(env.n)) if order is None else tuple(order)
     alg_w = welfare(profile, alg_alloc)
     report = BalanceReport(
         passed=True,
@@ -204,31 +254,37 @@ def _check(
     )
     if feasible is None:
         feasible = enumerate_feasible(env, cap)
-    members_cache: dict = {}
-    residual_cache: dict = {}
+    static = _StaticSums(prices, env.n) if prices.static else None
+    # members_key -> (members, residual optimum, cached condition-(b) score)
+    families: dict = {}
     for x in feasible:
         report.checked_allocations += 1
         fam_key = family.members_key(x)
-        if fam_key not in members_cache:
-            members_cache[fam_key] = family.members(x, cap)
-            residual_cache[fam_key] = welfare(
-                profile, residual_opt(env, profile, family, x, cap)
-            )
-        members = members_cache[fam_key]
-        residual_w = residual_cache[fam_key]
+        fam = families.get(fam_key)
+        if fam is None:
+            members = family.members(x, cap)
+            residual_w = welfare(profile, residual_opt(env, profile, family, x, cap))
+            fam = families[fam_key] = [members, residual_w, None]
+        members, residual_w, score = fam
         rhs_a, rhs_b = _condition_bounds(params, alg_w, residual_w)
-        sums = _PriceSums(prices, x, env.n)
 
-        def price_sum(z, maximize):
-            if prices.static:
-                total, bad = sums.static_sum(z)
-                return total, tuple(order), bad
+        sums = None if static is not None else _PriceSums(prices, x, env.n)
+
+        def price_sum(z, maximize=True):
+            if static is not None:
+                total, bad = static.total(z)
+                return total, order, bad
             if order_mode == "declared":
                 total, bad = sums.declared_order(z, order)
-                return total, tuple(order), bad
+                return total, order, bad
             return sums.extremal(z, maximize=maximize)
 
         lhs_a, wit_a, bad = price_sum(x, maximize=False)
+        if score is None:
+            score = _score_members(members, price_sum, rhs_b, residual_w)
+            if static is not None:
+                fam[2] = score
+
         if bad:
             report.structural_violations.append(("a", x, wit_a))
             report.passed = False
@@ -239,17 +295,17 @@ def _check(
             report.passed = False
             report.witnesses.append(("a", x, None, lhs_a, rhs_a, wit_a))
 
-        for member in members:
-            report.checked_members += 1
-            lhs_b, wit_b, bad = price_sum(member, maximize=True)
+        min_b, max_ratio, violations = score
+        report.checked_members += len(members)
+        if min_b < report.condition_b_min_slack:
+            report.condition_b_min_slack = min_b
+        if max_ratio > report.max_b_ratio:
+            report.max_b_ratio = max_ratio
+        for member, lhs_b, wit_b, bad, slack_b in violations:
+            report.passed = False
             if bad:
                 report.structural_violations.append(("b", x, member))
-                report.passed = False
-            slack_b = rhs_b - lhs_b
-            if slack_b < report.condition_b_min_slack:
-                report.condition_b_min_slack = slack_b
             if slack_b < -TOL:
-                report.passed = False
                 report.witnesses.append(("b", x, member, lhs_b, rhs_b, wit_b))
     if not feasible:
         report.condition_a_min_slack = 0.0
@@ -308,24 +364,10 @@ def minimal_beta(
     that the lower-bound condition already holds at alpha: the largest ratio
     of an exchange member's price sum to the residual optimum (0/0 counts as
     satisfied; positive/0 is unbounded)."""
-    from .core import enumerate_feasible
-
-    if order is None:
-        order = tuple(range(env.n))
-    best = 0.0
-    for x in enumerate_feasible(env, cap):
-        residual_w = welfare(profile, residual_opt(env, profile, family, x, cap))
-        sums = _PriceSums(prices, x, env.n)
-        for member in family.members(x, cap):
-            if order_mode == "declared":
-                lhs, bad = sums.declared_order(member, order)
-            else:
-                lhs, _, bad = sums.extremal(member, maximize=True)
-            if bad:
-                raise ValueError("unavailable entry in a condition sum")
-            if lhs <= TOL:
-                continue
-            if residual_w <= TOL:
-                return math.inf
-            best = max(best, lhs / residual_w)
-    return best
+    report = _check(
+        env, profile, prices, alg_alloc, family, BalanceParams(alpha=alpha, beta=1.0),
+        order, order_mode, cap,
+    )
+    if any(v[0] == "b" for v in report.structural_violations):
+        raise ValueError("unavailable entry in a condition sum")
+    return report.max_b_ratio

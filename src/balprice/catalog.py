@@ -78,7 +78,7 @@ def gen_common_outcome_instance(n: int = 3, k: int = 3, cap: int = 4096) -> Inst
     to one token and expects at most 1 + (n-1)/k."""
     total = k**n
     if total > cap:
-        raise CapExceeded(total, cap)
+        raise CapExceeded(total, cap, "common outcome tokens")
     tokens = tuple(range(1, total + 1))
     outcome_tokens = tuple((0,) + tokens for _ in range(n))
 

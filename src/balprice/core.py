@@ -45,10 +45,11 @@ UNAVAILABLE = Unavailable()
 
 
 class CapExceeded(Exception):
-    """Enumeration or search exceeded the configured resource cap."""
+    """Enumeration or search exceeded the configured resource cap; ``what``
+    names the things counted (feasible allocations, memo states, ...)."""
 
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"enumeration exceeded cap: {count} > {cap}")
+    def __init__(self, count: int, cap: int, what: str):
+        super().__init__(f"{what} exceeded cap: {count} > {cap}")
         self.count = count
         self.cap = cap
 
@@ -611,7 +612,7 @@ def enumerate_feasible(env: Environment, cap: int = DEFAULT_CAP) -> list[Allocat
         if i == n:
             out.append(tuple(cur))
             if len(out) > cap:
-                raise CapExceeded(len(out), cap)
+                raise CapExceeded(len(out), cap, "feasible allocations")
             return
         for tok in spaces[i]:
             cur[i] = tok

@@ -174,7 +174,7 @@ class OnlinePostedPriceRunner:
         if key in self._memo:
             return self._memo[key]
         if len(self._memo) > self.cap:
-            raise CapExceeded(len(self._memo), self.cap)
+            raise CapExceeded(len(self._memo), self.cap, "evaluator memo states")
         worst = math.inf
         for i in self._next[left] if self.order is not None else _members(left):
             rest = left & ~(1 << i)

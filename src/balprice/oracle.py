@@ -187,7 +187,7 @@ class ExchangeFamily:
                 y = tuple(yi if yi != null else NULL for yi in y)
                 out.append(y)
                 if len(out) > cap:
-                    raise CapExceeded(len(out), cap)
+                    raise CapExceeded(len(out), cap, "exchange members")
             return sorted(out, key=lambda a: tuple(_token_key(t) for t in a))
 
         raise AssertionError(self.kind)
@@ -235,7 +235,7 @@ def _enumerate_constrained(env, predicate, cap, frozen=frozenset()):
         if i == n:
             out.append(tuple(cur))
             if len(out) > cap:
-                raise CapExceeded(len(out), cap)
+                raise CapExceeded(len(out), cap, "exchange members")
             return
         for tok in spaces[i]:
             cur[i] = tok
@@ -495,7 +495,7 @@ def permeability(
     n = env.n
     total = len(grid) ** n
     if total > cap:
-        raise CapExceeded(total, cap)
+        raise CapExceeded(total, cap, "bid vectors")
 
     # per agent: supports of allocations excluding / including that agent
     without_i = [
@@ -615,8 +615,10 @@ def fractional_opt_config_lp(
 ) -> FractionalSolution:
     """Solve max sum v_i(S) x_{i,S} subject to per-agent and per-item unit
     caps over all (agent, bundle) pairs, by dense primal simplex."""
-    if env.items > 8 or env.n > 6:
-        raise CapExceeded(env.n * (1 << env.items), 6 * (1 << 8))
+    if env.items > 8:
+        raise CapExceeded(env.items, 8, "configuration LP items")
+    if env.n > 6:
+        raise CapExceeded(env.n, 6, "configuration LP agents")
     bundles = [m for m in range(1, 1 << env.items)]
     variables = [(i, m) for i in range(env.n) for m in bundles]
     c = np.array([value(profile[i], m) for i, m in variables])

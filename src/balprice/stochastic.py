@@ -62,7 +62,7 @@ class ProductDistribution:
     def profiles(self, cap: int = EXACT_SUPPORT_CAP):
         """All (profile, probability) pairs of the product support."""
         if self.support_size() > cap:
-            raise CapExceeded(self.support_size(), cap)
+            raise CapExceeded(self.support_size(), cap, "distribution support profiles")
         for combo in itertools.product(*self.supports):
             prob = math.prod(p for _, p in combo)
             yield tuple(v for v, _ in combo), prob
@@ -234,7 +234,7 @@ def worst_order_expected_welfare(
     minimum is not the adaptive adversary's value; ``cap`` bounds n!."""
     count = math.factorial(env.n)
     if count > cap:
-        raise CapExceeded(count, cap)
+        raise CapExceeded(count, cap, "agent orders")
     worst = math.inf
     for order in itertools.permutations(range(env.n)):
         worst = min(worst, expected_posted_price_welfare(env, prices, dist, order, tie))

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import subprocess
 import sys
@@ -231,6 +232,45 @@ class TestRatioErrors:
              "--exact", "--order", "random", "-o", str(tmp_path / "out.csv")]
         )
         assert code == 2
+
+
+class TestCapMessages:
+    """Exit 3 names what was counted past the cap."""
+
+    def test_balance_feasible_cap(self, matroid_instance, capsys):
+        code = run_cli(
+            ["balance", "--instance", str(matroid_instance), "--pricing", "matroid",
+             "--cap-feasible", "2"]
+        )
+        assert code == 3
+        assert "feasible allocations exceeded cap: 3 > 2" in capsys.readouterr().err
+
+    def test_exact_all_orders_cap(self, tmp_path, capsys):
+        inst = tmp_path / "tp9.json"
+        run_cli(["catalog", "two-point", "--n", "9", "--seed", "0", "-o", str(inst)])
+        code = run_cli(
+            ["ratio", "--instance", str(inst), "--pricing", "single-item",
+             "--exact", "--order", "all", "-o", str(tmp_path / "out.csv")]
+        )
+        assert code == 3
+        assert "agent orders exceeded cap: 362880 > 100000" in capsys.readouterr().err
+
+    def test_evaluator_memo_cap(self, tight_instance, monkeypatch, capsys):
+        import balprice.cli
+        from balprice.mechanism import adaptive_adversary_welfare
+
+        monkeypatch.setattr(
+            balprice.cli, "adaptive_adversary_welfare",
+            functools.partial(adaptive_adversary_welfare, cap=1),
+        )
+        code = run_cli(
+            ["simulate", "--instance", str(tight_instance), "--pricing", "single-item",
+             "--order", "adversary"]
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "evaluator memo states exceeded cap: 2 > 1" in err
+        assert "Traceback" not in err
 
 
 class TestPermeabilityCommand:

@@ -2,6 +2,7 @@ import pytest
 
 from balprice.core import (
     AdditiveValuation,
+    CapExceeded,
     CombinatorialAuctionEnv,
     ExplicitEnv,
     KnapsackEnv,
@@ -309,6 +310,17 @@ class TestConfigLp:
         sol = fractional_opt_config_lp(env, profile)
         integral = welfare(profile, opt(env, profile))
         assert sol.objective >= integral - 1e-9
+
+    @pytest.mark.parametrize(
+        "n,items,message",
+        [(7, 2, "configuration LP agents exceeded cap: 7 > 6"),
+         (2, 9, "configuration LP items exceeded cap: 9 > 8")],
+    )
+    def test_size_cap_names_the_bound(self, n, items, message):
+        env = CombinatorialAuctionEnv(n=n, items=items)
+        profile = tuple(AdditiveValuation((1.0,) * items) for _ in range(n))
+        with pytest.raises(CapExceeded, match=message):
+            fractional_opt_config_lp(env, profile)
 
     def test_fractional_lp_rule(self):
         env = CombinatorialAuctionEnv(n=2, items=2)

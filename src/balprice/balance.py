@@ -23,9 +23,10 @@ from .core import (
     Allocation,
     Environment,
     Valuation,
+    _submasks,
     welfare,
 )
-from .oracle import ExchangeFamily, residual_opt
+from .oracle import ExchangeFamily, argmax_first
 from .pricing import BalanceParams, PricingRule
 
 ORDER_MODES = ("declared", "all")
@@ -66,24 +67,15 @@ class BalanceReport:
         }
 
 
-def _submasks_of(mask: int) -> list[int]:
-    subs = [0]
-    m = mask
-    while m:
-        bit = m & -m
-        m ^= bit
-        subs.extend([s | bit for s in subs])
-    return subs
-
-
 class _PriceSums:
     """Price sums Σ_i p_i(z_i | x restricted to predecessors) for a fixed
     conditioning allocation x, minimized or maximized over agent orders by a
     subset DP (the term for an agent depends on its predecessor set only).
 
     A term depends on the predecessor mask only through mask & support(x), so
-    each restricted prefix of x is built once, on first use, and shared by
-    condition (a), every member's sum and the DP's term table.
+    each restricted prefix of x is built, and each (agent, outcome, prefix)
+    term priced, once on first use, and shared by condition (a) and every
+    member's sum.
 
     UNAVAILABLE entries poison the sum; they are reported as structural
     violations by the caller."""
@@ -97,6 +89,8 @@ class _PriceSums:
             if xj != NULL:
                 self.supp |= 1 << j
         self._prefixes: dict[int, Allocation] = {}
+        # (agent, outcome, pred_mask & support(x)) -> price, shared by all sums
+        self._terms: dict = {}
 
     def prefix(self, pred_mask: int) -> Allocation:
         """x restricted to the agents in ``pred_mask``."""
@@ -108,7 +102,11 @@ class _PriceSums:
         return y
 
     def term(self, i: int, z_i, pred_mask: int):
-        return self.prices.price(i, z_i, self.prefix(pred_mask))
+        key = (i, z_i, pred_mask & self.supp)
+        p = self._terms.get(key)
+        if p is None:
+            p = self._terms[key] = self.prices.price(i, z_i, self.prefix(pred_mask))
+        return p
 
     def declared_order(self, z: Allocation, order: Sequence[int]):
         total, unavailable = 0.0, False
@@ -126,49 +124,70 @@ class _PriceSums:
         """Min (or max) over all agent orders of the price sum for outcomes z
         conditioned on x-prefixes.  Returns (value, witness order, saw_unavailable).
 
-        Terms are precomputed per collapsed mask (pred_mask & support(x)) and
-        the subset DP runs on floats.  UNAVAILABLE terms are treated as 0 in
-        the sum but flagged."""
-        n = self.n
+        The subset DP runs over the live agents only, those with x_i or z_i
+        non-null.  An inert agent prices NULL at exactly 0.0 and conditions
+        no one, so dp[S] equals dp[S & live] in value and flag: a candidate
+        equal to the current optimum never moves the first-within-TOL scan.
+        The n-agent witness order replays that scan along one path down from
+        the full agent set.  UNAVAILABLE terms count 0 in the sum but are
+        flagged."""
         supp = self.supp
-        cond_masks = _submasks_of(supp)
-        # term_table[i][collapsed mask] = (price, unavailable?)
-        term_table: list[dict] = []
-        for i in range(n):
-            row = {}
-            for cm in cond_masks:
-                p = self.term(i, z[i], cm & ~(1 << i))
-                row[cm & ~(1 << i)] = (0.0, True) if p is UNAVAILABLE else (p, False)
-            term_table.append(row)
-
-        full = (1 << n) - 1
+        live = [i for i, z_i in enumerate(z) if supp >> i & 1 or z_i != NULL]
+        # the DP indexes live agents by rank: bit j of a compressed mask is
+        # agent live[j], and subs[c] is compressed mask c as an agent mask
+        subs = _submasks(sum(1 << i for i in live))
+        live_supp = sum(1 << j for j, i in enumerate(live) if supp >> i & 1)
         sign = -1.0 if maximize else 1.0
-        dp = [math.inf] * (full + 1)
+        # rows[j][c & live_supp] = (signed price, unavailable?) of agent
+        # live[j] after the agents of compressed mask c
+        rows: list[dict] = [{} for _ in live]
+
+        def term(j: int, c: int):
+            i = live[j]
+            p = self.term(i, z[i], subs[c])
+            t = rows[j][c & live_supp] = (0.0, True) if p is UNAVAILABLE else (sign * p, False)
+            return t
+
+        full = len(subs) - 1
+        dp = [0.0] * (full + 1)
         flag = [False] * (full + 1)
-        parent = [-1] * (full + 1)
-        dp[0] = 0.0
         for mask in range(1, full + 1):
-            best, best_i, best_flag = math.inf, -1, False
+            best, best_flag = math.inf, False
             m = mask
             while m:
                 bit = m & -m
-                i = bit.bit_length() - 1
                 m ^= bit
                 prev = mask ^ bit
-                p, bad = term_table[i][prev & supp & ~bit]
-                cand = dp[prev] + sign * p
+                j = bit.bit_length() - 1
+                t = rows[j].get(prev & live_supp) or term(j, prev)
+                cand = dp[prev] + t[0]
                 if cand < best - TOL:
-                    best, best_i, best_flag = cand, i, bad or flag[prev]
+                    best, best_flag = cand, t[1] or flag[prev]
             dp[mask] = best
-            parent[mask] = best_i
             flag[mask] = best_flag
+
+        # replay the scan over all n agents, last arrival first; an inert
+        # agent's candidate is dp[c], the optimum over the live agents left
+        rank = {i: j for j, i in enumerate(live)}
         order = []
-        mask = full
-        while mask:
-            i = parent[mask]
-            order.append(i)
-            mask ^= 1 << i
-        return sign * dp[full], tuple(reversed(order)), flag[full]
+        agents, c = list(range(self.n)), full
+        while agents:
+            best, best_i = math.inf, -1
+            for i in agents:
+                j = rank.get(i)
+                if j is None:
+                    cand = dp[c]
+                else:
+                    prev = c ^ 1 << j
+                    cand = dp[prev] + (rows[j].get(prev & live_supp) or term(j, prev))[0]
+                if cand < best - TOL:
+                    best, best_i = cand, i
+            order.append(best_i)
+            agents.remove(best_i)
+            if best_i in rank:
+                c ^= 1 << rank[best_i]
+        order.reverse()
+        return sign * dp[full], tuple(order), flag[full]
 
 
 class _StaticSums:
@@ -263,8 +282,8 @@ def _check(
         fam = families.get(fam_key)
         if fam is None:
             members = family.members(x, cap)
-            residual_w = welfare(profile, residual_opt(env, profile, family, x, cap))
-            fam = families[fam_key] = [members, residual_w, None]
+            residual = argmax_first(members, profile) if members else env.null_allocation()
+            fam = families[fam_key] = [members, welfare(profile, residual), None]
         members, residual_w, score = fam
         rhs_a, rhs_b = _condition_bounds(params, alg_w, residual_w)
 

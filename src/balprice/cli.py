@@ -97,13 +97,17 @@ def _default_cap() -> int:
 # ---------------------------------------------------------------------------
 
 
+def _env_family(instance: Instance) -> ExchangeFamily:
+    return default_family(instance.env)
+
+
 @dataclass(frozen=True)
 class Construction:
     name: str
     build: Callable[[Instance], Callable[[tuple], PricingRule]]
     params: Callable[[Instance], BalanceParams]
-    family: Callable[[Instance], ExchangeFamily]
     reference: Callable[[Instance, tuple], tuple]  # (env-aware) profile -> allocation
+    family: Callable[[Instance], ExchangeFamily] = _env_family
 
 
 def _need(env_cls, env, name):
@@ -206,7 +210,6 @@ def _registry(cap: int) -> dict[str, Construction]:
                 or (lambda p: single_item_prices(inst.env, p))
             ),
             params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
-            family=lambda inst: default_family(inst.env),
             reference=ref_opt,
         ),
         "intro-bundle": Construction(
@@ -218,7 +221,6 @@ def _registry(cap: int) -> dict[str, Construction]:
             params=lambda inst: BalanceParams(
                 alpha=float(inst.env.items), beta1=0.0, beta2=1.0
             ),
-            family=lambda inst: default_family(inst.env),
             reference=ref_opt,
         ),
         "xos": Construction(
@@ -228,7 +230,6 @@ def _registry(cap: int) -> dict[str, Construction]:
                 or (lambda p: xos_item_prices(inst.env, p, opt(inst.env, p, cap)))
             ),
             params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
-            family=lambda inst: default_family(inst.env),
             reference=ref_opt,
         ),
         "mph": Construction(
@@ -240,7 +241,6 @@ def _registry(cap: int) -> dict[str, Construction]:
             params=lambda inst: BalanceParams(
                 alpha=1.0, beta1=1.0, beta2=float(_mph_rank(inst) - 1)
             ),
-            family=lambda inst: default_family(inst.env),
             reference=ref_opt,
         ),
         "fractional-ca": Construction(
@@ -256,7 +256,6 @@ def _registry(cap: int) -> dict[str, Construction]:
             params=lambda inst: BalanceParams(
                 alpha=1.0, beta1=1.0, beta2=float(inst.env.items - 1)
             ),
-            family=lambda inst: default_family(inst.env),
             reference=ref_opt,
         ),
         "knapsack": Construction(
@@ -270,7 +269,6 @@ def _registry(cap: int) -> dict[str, Construction]:
                 )
             ),
             params=lambda inst: BalanceParams(alpha=2.0, beta=1.0),
-            family=lambda inst: default_family(inst.env),
             reference=ref_dp,
         ),
         "pip": Construction(
@@ -282,14 +280,12 @@ def _registry(cap: int) -> dict[str, Construction]:
             params=lambda inst: BalanceParams(
                 alpha=2.0, beta1=0.0, beta2=float(_pip_sparsity(inst.env))
             ),
-            family=lambda inst: default_family(inst.env),
             reference=ref_opt,
         ),
         "matroid": Construction(
             name="matroid",
             build=_matroid_constructor,
             params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
-            family=lambda inst: default_family(inst.env),
             reference=ref_opt,
         ),
         "warmup": Construction(
@@ -321,14 +317,12 @@ def _registry(cap: int) -> dict[str, Construction]:
             name="compose-add",
             build=_compose_add_constructor,
             params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
-            family=lambda inst: default_family(inst.env),
             reference=ref_opt,
         ),
         "compose-max": Construction(
             name="compose-max",
             build=_compose_max_constructor,
             params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
-            family=lambda inst: default_family(inst.env),
             reference=ref_opt,
         ),
     }
@@ -451,7 +445,10 @@ def cmd_balance(args) -> int:
         raise SchemaError("balance supports --order all or a fixed permutation")
     if args.order is None:
         # default: quantify over every indexing at desk scale
-        order_mode = "all" if instance.env.n <= 6 else "declared"
+        n = instance.env.n
+        order_mode = "all" if n <= 6 else "declared"
+        why = "n <= 6" if n <= 6 else "n > 6; pass --order all for every agent order"
+        print(f"order quantifier: {order_mode} (default for {n} agents, {why})", file=sys.stderr)
     else:
         order_mode = "all" if order_kind == "all" else "declared"
     check = check_weakly_balanced if params.weak else check_balanced

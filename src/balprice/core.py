@@ -337,15 +337,14 @@ class Matroid:
 
 
 def _submasks(mask: int) -> list[int]:
-    bits = bitmask_items(mask)
-    out = []
-    for r in range(len(bits) + 1):
-        for combo in itertools.combinations(bits, r):
-            m = 0
-            for b in combo:
-                m |= 1 << b
-            out.append(m)
-    return sorted(out)
+    """Every submask of ``mask`` in ascending order: entry c is the submask
+    whose k-th lowest bit of ``mask`` is set exactly when bit k of c is."""
+    subs = [0]
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        subs += [s | bit for s in subs]
+    return subs
 
 
 class EnvironmentBase:

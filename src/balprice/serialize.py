@@ -69,6 +69,24 @@ def _expect_keys(obj: dict, required: set, optional: set = frozenset(), what: st
         raise SchemaError(f"{what} has unknown keys {sorted(unknown)}")
 
 
+def _array(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
+def _number(conv, value, what: str):
+    """``conv`` (int or float) applied to a JSON scalar."""
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{what} must be a number, got {value!r}") from exc
+
+
+def _floats(values, what: str) -> tuple[float, ...]:
+    return tuple(_number(float, v, f"{what} entry") for v in _array(values, what))
+
+
 # ---------------------------------------------------------------------------
 # Valuations
 # ---------------------------------------------------------------------------
@@ -107,39 +125,47 @@ def decode_valuation(doc: dict) -> Valuation:
     kind = doc["kind"]
     if kind == "additive":
         _expect_keys(doc, {"kind", "values"}, what="additive valuation")
-        return AdditiveValuation(tuple(float(x) for x in doc["values"]))
+        return AdditiveValuation(_floats(doc["values"], "additive values"))
     if kind == "xos":
         _expect_keys(doc, {"kind", "clauses"}, what="xos valuation")
-        return XosValuation(tuple(tuple(float(x) for x in c) for c in doc["clauses"]))
+        return XosValuation(
+            tuple(_floats(c, "xos clause") for c in _array(doc["clauses"], "xos clauses"))
+        )
     if kind == "mph":
         _expect_keys(doc, {"kind", "clauses"}, what="mph valuation")
         clauses = []
-        for clause in doc["clauses"]:
+        for clause in _array(doc["clauses"], "mph clauses"):
             edges = []
-            for edge in clause:
+            for edge in _array(clause, "mph clause"):
                 _expect_keys(edge, {"items", "weight"}, what="hyperedge")
                 mask = 0
-                for j in edge["items"]:
-                    mask |= 1 << int(j)
-                edges.append((mask, float(edge["weight"])))
+                for j in _array(edge["items"], "hyperedge items"):
+                    mask |= 1 << _number(int, j, "hyperedge item")
+                edges.append((mask, _number(float, edge["weight"], "hyperedge weight")))
             clauses.append(tuple(edges))
         return MphValuation(tuple(clauses))
     if kind == "knapsack_threshold":
         _expect_keys(doc, {"kind", "value", "size"}, what="threshold valuation")
-        return ThresholdValuation(float(doc["value"]), float(doc["size"]))
+        return ThresholdValuation(
+            _number(float, doc["value"], "threshold value"),
+            _number(float, doc["size"], "threshold size"),
+        )
     if kind == "scalar":
         _expect_keys(doc, {"kind", "value"}, what="scalar valuation")
-        return ScalarValuation(float(doc["value"]))
+        return ScalarValuation(_number(float, doc["value"], "scalar value"))
     if kind == "table":
         _expect_keys(doc, {"kind", "entries"}, what="table valuation")
         entries = []
-        for e in doc["entries"]:
+        for e in _array(doc["entries"], "table entries"):
             _expect_keys(e, {"outcome", "value"}, what="table entry")
-            entries.append((_decode_token(e["outcome"]), float(e["value"])))
+            value = _number(float, e["value"], "table value")
+            entries.append((_decode_token(e["outcome"]), value))
         return TableValuation(tuple(entries))
     if kind == "product":
         _expect_keys(doc, {"kind", "parts"}, what="product valuation")
-        return MarketValuation(tuple(decode_valuation(p) for p in doc["parts"]))
+        return MarketValuation(
+            tuple(decode_valuation(p) for p in _array(doc["parts"], "product parts"))
+        )
     raise SchemaError(f"unknown valuation kind {kind!r}")
 
 
@@ -221,57 +247,85 @@ def decode_environment(doc: dict) -> Environment:
         "environment",
     )
     kind = doc["kind"]
+    n = _number(int, doc["agents"], "environment agents") if "agents" in doc else None
     if kind == "single_item":
         _expect_keys(doc, {"kind", "agents"}, what="single_item environment")
-        return SingleItemEnv(n=int(doc["agents"]))
+        return SingleItemEnv(n=n)
     if kind == "matroid":
         _expect_keys(doc, {"kind", "agents", "matroid", "elements"}, what="matroid environment")
         mdoc = doc["matroid"]
         _expect_keys(mdoc, {"kind"}, {"rank", "ground", "blocks", "capacities"}, "matroid")
         if mdoc["kind"] == "uniform":
-            matroid = Matroid.uniform(int(mdoc["rank"]), int(mdoc["ground"]))
+            matroid = Matroid.uniform(
+                _number(int, mdoc["rank"], "matroid rank"),
+                _number(int, mdoc["ground"], "matroid ground"),
+            )
         elif mdoc["kind"] == "partition":
-            matroid = Matroid.partition(mdoc["blocks"], mdoc["capacities"])
+            matroid = Matroid.partition(
+                [
+                    [_number(int, e, "partition element") for e in _array(b, "partition block")]
+                    for b in _array(mdoc["blocks"], "partition blocks")
+                ],
+                [_number(int, c, "partition capacity")
+                 for c in _array(mdoc["capacities"], "partition capacities")],
+            )
         elif mdoc["kind"] == "graphic_k4":
             matroid = Matroid.graphic_k4()
         else:
             raise SchemaError(f"unknown matroid kind {mdoc['kind']!r}")
-        elements = tuple(tuple(int(e) for e in owned) for owned in doc["elements"])
-        return MatroidEnv(n=int(doc["agents"]), matroid=matroid, elements=elements)
+        elements = tuple(
+            tuple(_number(int, e, "matroid element") for e in _array(owned, "agent elements"))
+            for owned in _array(doc["elements"], "matroid elements")
+        )
+        if len(elements) != n:
+            raise SchemaError(f"{len(elements)} element lists for {n} agents")
+        for owned in elements:
+            for e in owned:
+                if not 0 <= e < matroid.ground:
+                    raise SchemaError(
+                        f"matroid element {e} outside the ground set 0..{matroid.ground - 1}"
+                    )
+        return MatroidEnv(n=n, matroid=matroid, elements=elements)
     if kind in ("combinatorial_auction", "fractional_ca"):
         _expect_keys(doc, {"kind", "agents", "items"}, what="auction environment")
         return CombinatorialAuctionEnv(
-            n=int(doc["agents"]), items=int(doc["items"]),
+            n=n, items=_number(int, doc["items"], "auction items"),
             fractional=(kind == "fractional_ca"),
         )
     if kind == "knapsack":
         _expect_keys(doc, {"kind", "agents", "step"}, {"max_share"}, "knapsack environment")
         return KnapsackEnv(
-            n=int(doc["agents"]),
-            step=float(doc["step"]),
-            max_share=float(doc.get("max_share", 1.0)),
+            n=n,
+            step=_number(float, doc["step"], "knapsack step"),
+            max_share=_number(float, doc.get("max_share", 1.0), "knapsack max_share"),
         )
     if kind == "pip":
         _expect_keys(doc, {"kind", "agents", "matrix", "capacities"}, what="pip environment")
         return PipEnv(
-            n=int(doc["agents"]),
-            matrix=tuple(tuple(float(a) for a in row) for row in doc["matrix"]),
-            capacities=tuple(float(c) for c in doc["capacities"]),
+            n=n,
+            matrix=tuple(
+                _floats(row, "pip matrix row") for row in _array(doc["matrix"], "pip matrix")
+            ),
+            capacities=_floats(doc["capacities"], "pip capacities"),
         )
     if kind == "explicit":
         _expect_keys(doc, {"kind", "agents", "outcomes", "feasible"}, what="explicit environment")
         return ExplicitEnv(
-            n=int(doc["agents"]),
+            n=n,
             outcome_tokens=tuple(
-                tuple(_decode_token(t) for t in toks) for toks in doc["outcomes"]
+                tuple(_decode_token(t) for t in _array(toks, "agent outcomes"))
+                for toks in _array(doc["outcomes"], "explicit outcomes")
             ),
             feasible_set=frozenset(
-                tuple(_decode_token(t) for t in alloc) for alloc in doc["feasible"]
+                tuple(_decode_token(t) for t in _array(alloc, "feasible allocation"))
+                for alloc in _array(doc["feasible"], "explicit feasible set")
             ),
         )
     if kind == "product":
         _expect_keys(doc, {"kind", "markets"}, what="product environment")
-        return ProductEnv(markets=tuple(decode_environment(m) for m in doc["markets"]))
+        return ProductEnv(
+            markets=tuple(decode_environment(m) for m in _array(doc["markets"], "markets"))
+        )
     raise SchemaError(f"unknown environment kind {kind!r}")
 
 
@@ -287,17 +341,20 @@ def load_instance(text: str) -> Instance:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     _expect_keys(doc, {"environment", "agents"}, {"distribution"}, "instance")
     env = decode_environment(doc["environment"])
-    profile = tuple(decode_valuation(v) for v in doc["agents"])
+    profile = tuple(decode_valuation(v) for v in _array(doc["agents"], "agents"))
     if len(profile) != env.n:
         raise SchemaError(f"{len(profile)} agent records for {env.n} agents")
     dist = None
     if "distribution" in doc:
         supports = []
-        for atoms in doc["distribution"]:
+        for atoms in _array(doc["distribution"], "distribution"):
             decoded = []
-            for atom in atoms:
+            for atom in _array(atoms, "distribution support"):
                 _expect_keys(atom, {"valuation", "prob"}, what="distribution atom")
-                decoded.append((decode_valuation(atom["valuation"]), float(atom["prob"])))
+                decoded.append((
+                    decode_valuation(atom["valuation"]),
+                    _number(float, atom["prob"], "atom probability"),
+                ))
             supports.append(tuple(decoded))
         if len(supports) != env.n:
             raise SchemaError("distribution length differs from agent count")

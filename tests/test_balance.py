@@ -32,17 +32,29 @@ from balprice.core import (
 )
 from balprice.catalog import (
     gen_knapsack_random,
+    gen_matroid,
     gen_mph_random,
     gen_pip_random,
     gen_two_point_single_item,
     gen_xos_random,
 )
-from balprice.oracle import default_family, knapsack_dp, opt, residual_opt
+from balprice.oracle import (
+    OPT_RULE,
+    ExchangeFamily,
+    default_family,
+    knapsack_dp,
+    opt,
+    residual_opt,
+)
 from balprice.pricing import (
     BalanceParams,
+    PricingRule,
+    greedy_derived_prices,
     knapsack_prices,
     matroid_dynamic_prices,
+    monotone_critical_prices,
     mphk_item_prices,
+    opt_derived_prices,
     pip_prices,
     scaled_prices,
     single_item_prices,
@@ -267,6 +279,219 @@ class TestOrderDp:
                 order=order, order_mode="declared",
             )
             assert declared.passed
+
+
+# ---------------------------------------------------------------------------
+# All-orders DP over live agents against the full-width DP
+# ---------------------------------------------------------------------------
+
+
+def full_width_extremal(sums, z, maximize):
+    """Reference twin of ``_PriceSums.extremal``: the subset DP over all 2^n
+    predecessor sets, with every agent's term tabulated on every submask of
+    support(x), inert agents included."""
+    n, supp = sums.n, sums.supp
+    term_table = []
+    for i in range(n):
+        row = {}
+        for cm in range(1 << n):
+            if cm & ~supp:
+                continue
+            p = sums.term(i, z[i], cm & ~(1 << i))
+            row[cm & ~(1 << i)] = (0.0, True) if p is UNAVAILABLE else (p, False)
+        term_table.append(row)
+
+    full = (1 << n) - 1
+    sign = -1.0 if maximize else 1.0
+    dp = [math.inf] * (full + 1)
+    flag = [False] * (full + 1)
+    parent = [-1] * (full + 1)
+    dp[0] = 0.0
+    for mask in range(1, full + 1):
+        best, best_i, best_flag = math.inf, -1, False
+        m = mask
+        while m:
+            bit = m & -m
+            i = bit.bit_length() - 1
+            m ^= bit
+            prev = mask ^ bit
+            p, bad = term_table[i][prev & supp & ~bit]
+            cand = dp[prev] + sign * p
+            if cand < best - TOL:
+                best, best_i, best_flag = cand, i, bad or flag[prev]
+        dp[mask] = best
+        parent[mask] = best_i
+        flag[mask] = best_flag
+    order = []
+    mask = full
+    while mask:
+        i = parent[mask]
+        order.append(i)
+        mask ^= 1 << i
+    return sign * dp[full], tuple(reversed(order)), flag[full]
+
+
+MATROID_PRICINGS = ("matroid", "warmup", "alg1-greedy", "alg2-opt")
+
+
+def _matroid_priced(kind, ground, seed, pricing):
+    """(env, profile, rule, family) for a catalog matroid under one of the
+    dynamic price constructions, with the family the CLI certifies it on."""
+    if kind == "uniform":
+        inst = gen_matroid("uniform", seed=seed, rank=max(1, ground // 2), ground=ground)
+    elif kind == "partition":
+        inst = gen_matroid("partition", seed=seed, ground=ground)
+    else:
+        inst = gen_matroid("graphic_k4", seed=seed)
+    env, profile = inst.env, inst.profile
+    if pricing == "matroid":
+        return env, profile, matroid_dynamic_prices(env, profile), default_family(env)
+    build = {
+        "warmup": lambda: monotone_critical_prices(env, profile, OPT_RULE),
+        "alg1-greedy": lambda: greedy_derived_prices(env, profile),
+        "alg2-opt": lambda: opt_derived_prices(env, profile),
+    }[pricing]
+    return env, profile, build(), ExchangeFamily("canonical_contraction", env)
+
+
+def _assert_extremal_matches_twin(sums, z):
+    for maximize in (False, True):
+        live = sums.extremal(z, maximize)
+        twin = full_width_extremal(sums, z, maximize)
+        assert live == twin
+        assert repr(live) == repr(twin)
+
+
+def _live_mask(x, z):
+    return sum(1 << i for i in range(len(x)) if x[i] != 0 or z[i] != 0)
+
+
+def _is_interleaved(order, live):
+    """True when an inert agent sits between two live agents of ``order``."""
+    flags = [bool(live >> i & 1) for i in order]
+    first, last = flags.index(True), len(flags) - 1 - flags[::-1].index(True)
+    return not all(flags[first:last + 1])
+
+
+class TestLiveAgentDp:
+    @given(
+        st.sampled_from(["uniform", "partition", "graphic_k4"]),
+        st.integers(min_value=3, max_value=7),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(MATROID_PRICINGS),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_extremal_matches_full_width_twin(self, kind, ground, seed, pricing):
+        if pricing != "matroid":
+            # the reference-price constructions re-run opt per price miss
+            ground = min(ground, 4)
+            kind = "uniform" if kind == "graphic_k4" else kind
+        env, profile, rule, family = _matroid_priced(kind, ground, seed, pricing)
+        for x in enumerate_feasible(env):
+            sums = _PriceSums(rule, x, env.n)
+            for z in [x] + family.members(x):
+                _assert_extremal_matches_twin(sums, z)
+
+    @given(
+        st.sampled_from(["uniform", "partition"]),
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_extremal_matches_permutation_loop(self, kind, ground, seed):
+        env, profile, rule, family = _matroid_priced(kind, ground, seed, "matroid")
+        orders = list(itertools.permutations(range(env.n)))
+        for x in enumerate_feasible(env):
+            sums = _PriceSums(rule, x, env.n)
+            for z in [x] + family.members(x):
+                per_order = [sums.declared_order(z, order)[0] for order in orders]
+                for maximize, target in ((False, min(per_order)), (True, max(per_order))):
+                    value, witness, bad = sums.extremal(z, maximize)
+                    assert sorted(witness) == list(range(env.n))
+                    # the value is the witness order's own sum
+                    assert sums.declared_order(z, witness) == (value, bad)
+                    assert value == pytest.approx(target, abs=1e-7)
+
+    def test_fail_with_interleaved_witness_orders(self, monkeypatch):
+        env, profile, rule, family = _matroid_priced("uniform", 6, 3, "matroid")
+        params = BalanceParams(alpha=1.0, beta=0.5)
+        report = check_balanced(env, profile, rule, opt(env, profile), family, params)
+        monkeypatch.setattr(_PriceSums, "extremal", full_width_extremal)
+        twin = check_balanced(env, profile, rule, opt(env, profile), family, params)
+        assert report == twin
+        assert not report.passed
+        interleaved = [
+            w for w in report.witnesses
+            if w[0] == "b" and _is_interleaved(w[5], _live_mask(w[1], w[2]))
+        ]
+        assert interleaved
+
+    def test_unavailable_term_flag_carries_to_the_full_order(self):
+        # agent 2's entry is unavailable until agent 0's element is sold;
+        # agent 3 is inert for the (x, z) below
+        env = uniform_matroid_env(3, 4)
+        rule = PricingRule(
+            env, lambda i, x_i, y: UNAVAILABLE if i == 2 and not y[0] else 1.0,
+            static=False, anonymous=False,
+        )
+        sums = _PriceSums(rule, (bit(0), 0, 0, 0), env.n)
+        z = (0, bit(1), bit(2), 0)
+        _assert_extremal_matches_twin(sums, z)
+        # min: agent 2 before agent 0 saves a unit; the order ends on agent
+        # 0's finite term, so the flag comes from the predecessor set
+        value, witness, bad = sums.extremal(z, maximize=False)
+        assert (value, bad) == (1.0, True)
+        assert witness.index(2) < witness.index(0)
+        value, witness, bad = sums.extremal(z, maximize=True)
+        assert (value, bad) == (2.0, False)
+        assert witness.index(0) < witness.index(2)
+
+    def test_near_ties_resolve_like_twin(self):
+        # non-dyadic prices: sums along different orders differ by rounding
+        # only, which the first-within-TOL scan must treat as ties
+        env = uniform_matroid_env(4, 5)
+        rule = PricingRule(
+            env, lambda i, x_i, y: 0.1 * (i + 1) + 0.3 * sum(1 for t in y if t),
+            static=False, anonymous=False,
+        )
+        feasible = enumerate_feasible(env)
+        for x in feasible:
+            sums = _PriceSums(rule, x, env.n)
+            for z in feasible:
+                _assert_extremal_matches_twin(sums, z)
+
+    def test_work_counters_on_uniform_four_of_eight(self, monkeypatch):
+        env, profile, rule, family = _matroid_priced("uniform", 8, 0, "matroid")
+        feasible = enumerate_feasible(env)
+        keys = {family.members_key(x) for x in feasible}
+        bound = 0
+        for x in feasible:
+            supp = sum(1 for xi in x if xi != 0)
+            for z in [x] + family.members(x):
+                bound += bin(_live_mask(x, z)).count("1") << supp
+
+        member_calls = [0]
+        members = ExchangeFamily.members
+
+        def counted_members(self, x, cap):
+            member_calls[0] += 1
+            return members(self, x, cap)
+
+        price_calls = [0]
+        price = rule.price
+
+        def counted_price(i, x_i, y):
+            price_calls[0] += 1
+            return price(i, x_i, y)
+
+        monkeypatch.setattr(ExchangeFamily, "members", counted_members)
+        rule.price = counted_price
+        report = check_balanced(
+            env, profile, rule, opt(env, profile), family, BalanceParams(alpha=1.0, beta=1.0)
+        )
+        assert report.passed
+        assert member_calls[0] == len(keys)
+        assert price_calls[0] <= bound
 
 
 # ---------------------------------------------------------------------------

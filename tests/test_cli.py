@@ -87,11 +87,70 @@ class TestBalanceCommand:
         }))
         assert run_cli(["balance", "--instance", str(bad), "--pricing", "single-item"]) == 2
 
+    def test_default_order_quantifier_on_stderr(self, matroid_instance, tmp_path, capsys):
+        assert run_cli(
+            ["balance", "--instance", str(matroid_instance), "--pricing", "matroid"]
+        ) == 0
+        assert capsys.readouterr().err == (
+            "order quantifier: all (default for 4 agents, n <= 6)\n"
+        )
+        big = tmp_path / "u7.json"
+        run_cli(["catalog", "matroid", "--kind", "uniform", "--rank", "3", "--ground", "7",
+                 "-o", str(big)])
+        capsys.readouterr()
+        report = tmp_path / "report.json"
+        run_cli(["balance", "--instance", str(big), "--pricing", "matroid", "-o", str(report)])
+        err = capsys.readouterr().err
+        assert err.startswith("order quantifier: declared (default for 7 agents, n > 6")
+        assert err.count("\n") == 1
+        assert json.loads(report.read_text())["result"]["order_mode"] == "declared"
+        run_cli(["balance", "--instance", str(big), "--pricing", "matroid", "--order", "all"])
+        assert capsys.readouterr().err == ""
+
     def test_cap_exit_3(self, matroid_instance):
         assert run_cli(
             ["balance", "--instance", str(matroid_instance), "--pricing", "matroid",
              "--cap-feasible", "2"]
         ) == 3
+
+
+def _null_agent_count(doc):
+    doc["environment"]["agents"] = None
+
+
+def _null_agents(doc):
+    doc["agents"] = None
+
+
+def _null_additive_value(doc):
+    doc["agents"][0]["values"][1] = None
+
+
+def _element_outside_ground(doc):
+    doc["environment"]["elements"][0] = [9]
+
+
+class TestMalformedInstances:
+    """A malformed instance is bad input: exit 2 with a one-line error."""
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (_null_agent_count, "environment agents must be a number, got None"),
+            (_null_agents, "agents must be a JSON array, got None"),
+            (_null_additive_value, "additive values entry must be a number, got None"),
+            (_element_outside_ground, "matroid element 9 outside the ground set 0..3"),
+        ],
+        ids=["env-agents-null", "agents-null", "additive-value-null", "element-outside-ground"],
+    )
+    def test_exit_2_without_traceback(self, matroid_instance, tmp_path, capsys, mutate, message):
+        doc = json.loads(matroid_instance.read_text())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["balance", "--instance", str(bad), "--pricing", "matroid"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestRatioCommand:

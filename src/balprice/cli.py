@@ -39,10 +39,10 @@ from .mechanism import (
     worst_order_welfare,
 )
 from .oracle import (
-    AllocationRule,
     ExchangeFamily,
     GREEDY_RULE,
     OPT_RULE,
+    agent_value,
     default_family,
     fractional_opt_config_lp,
     greedy,
@@ -142,12 +142,10 @@ def _matroid_constructor(instance: Instance):
     return constructor
 
 
-def _measured_gamma(instance: Instance, rule: AllocationRule, cap: int) -> float:
+def _value_grid(instance: Instance) -> list[float]:
+    """Default bid grid: zero and every agent's own value."""
     env = instance.env
-    from .oracle import agent_value
-
-    grid = sorted({0.0} | {agent_value(env, instance.profile, i) for i in range(env.n)})
-    return permeability(env, rule, grid, cap)
+    return sorted({0.0} | {agent_value(env, instance.profile, i) for i in range(env.n)})
 
 
 def _compose_market_rule(market, profile_parts):
@@ -300,7 +298,7 @@ def _registry(cap: int) -> dict[str, Construction]:
             build=lambda inst: (lambda p: greedy_derived_prices(inst.env, p, cap=cap)),
             params=lambda inst: (
                 lambda g: BalanceParams(alpha=g, beta1=0.0, beta2=g)
-            )(_measured_gamma(inst, GREEDY_RULE, cap)),
+            )(permeability(inst.env, GREEDY_RULE, _value_grid(inst), cap)),
             family=lambda inst: ExchangeFamily("canonical_contraction", inst.env),
             reference=ref_greedy,
         ),
@@ -309,7 +307,7 @@ def _registry(cap: int) -> dict[str, Construction]:
             build=lambda inst: (lambda p: opt_derived_prices(inst.env, p, cap=cap)),
             params=lambda inst: (
                 lambda g: BalanceParams(alpha=1.0, beta1=0.0, beta2=g * g)
-            )(_measured_gamma(inst, OPT_RULE, cap)),
+            )(permeability(inst.env, OPT_RULE, _value_grid(inst), cap)),
             family=lambda inst: ExchangeFamily("canonical_contraction", inst.env),
             reference=ref_opt,
         ),
@@ -573,12 +571,7 @@ def cmd_permeability(args) -> int:
     if args.grid:
         grid = [float(tok) for tok in args.grid.split(",")]
     else:
-        from .oracle import agent_value
-
-        grid = sorted(
-            {0.0}
-            | {agent_value(instance.env, instance.profile, i) for i in range(instance.env.n)}
-        )
+        grid = _value_grid(instance)
     gamma = permeability(instance.env, rule, grid, cap)
     shown = "UNBOUNDED" if math.isinf(gamma) else f"{gamma:.6g}"
     print(f"permeability({args.rule}) >= {shown} on grid {grid}")

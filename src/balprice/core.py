@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 TOL = 1e-9
 
@@ -595,15 +595,29 @@ def _token_key(tok):
 DEFAULT_CAP = 200_000
 
 
-def enumerate_feasible(env: Environment, cap: int = DEFAULT_CAP) -> list[Allocation]:
-    """All feasible allocations in lexicographic token order (agent 0 most
-    significant).  Raises CapExceeded when the count passes ``cap``.
+def enumerate_feasible(
+    env: Environment,
+    cap: int = DEFAULT_CAP,
+    predicate: Optional[Callable[[Allocation], bool]] = None,
+    frozen: Collection[int] = (),
+    what: str = "feasible allocations",
+) -> list[Allocation]:
+    """All allocations satisfying ``predicate`` (default ``env.is_feasible``)
+    in lexicographic token order (agent 0 most significant), with the agents
+    in ``frozen`` held null.  Raises CapExceeded, counting ``what``, when the
+    count passes ``cap``.
 
-    Partial allocations are pruned via downward closure: a prefix with
-    trailing nulls that is already infeasible cannot be completed.
+    ``predicate`` must be downward closed: partial allocations are pruned
+    as soon as a prefix with trailing nulls fails it, since no completion
+    of that prefix can pass.
     """
     n = env.n
-    spaces = [sorted(env.agent_outcomes(i), key=_token_key) for i in range(n)]
+    if predicate is None:
+        predicate = env.is_feasible
+    spaces = [
+        (NULL,) if i in frozen else sorted(env.agent_outcomes(i), key=_token_key)
+        for i in range(n)
+    ]
     out: list[Allocation] = []
     cur: list = [NULL] * n
 
@@ -611,11 +625,11 @@ def enumerate_feasible(env: Environment, cap: int = DEFAULT_CAP) -> list[Allocat
         if i == n:
             out.append(tuple(cur))
             if len(out) > cap:
-                raise CapExceeded(len(out), cap, "feasible allocations")
+                raise CapExceeded(len(out), cap, what)
             return
         for tok in spaces[i]:
             cur[i] = tok
-            if env.is_feasible(tuple(cur)):
+            if predicate(tuple(cur)):
                 rec(i + 1)
         cur[i] = NULL
 

@@ -342,7 +342,6 @@ def whole_unit_prices(env: KnapsackEnv, price: float) -> PricingRule:
         env,
         finite,
         static=True,
-        anonymous=True,
         provenance={"construction": "whole-unit", "price": price},
     )
 

@@ -45,20 +45,8 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 
-def opt(env: Environment, profile: Sequence[Valuation], cap: int = DEFAULT_CAP) -> Allocation:
-    """Welfare-maximizing feasible allocation; ties go to the first maximizer
-    in lexicographic enumeration order."""
-    best: Optional[Allocation] = None
-    best_w = -math.inf
-    for alloc in enumerate_feasible(env, cap):
-        w = welfare(profile, alloc)
-        if w > best_w + TOL:
-            best, best_w = alloc, w
-    assert best is not None
-    return best
-
-
 def argmax_first(allocs: Sequence[Allocation], profile: Sequence[Valuation]) -> Allocation:
+    """Welfare-maximizing allocation in ``allocs``; ties go to the first."""
     best: Optional[Allocation] = None
     best_w = -math.inf
     for alloc in allocs:
@@ -68,6 +56,12 @@ def argmax_first(allocs: Sequence[Allocation], profile: Sequence[Valuation]) -> 
     if best is None:
         raise ValueError("empty allocation list")
     return best
+
+
+def opt(env: Environment, profile: Sequence[Valuation], cap: int = DEFAULT_CAP) -> Allocation:
+    """Welfare-maximizing feasible allocation; ties go to the first maximizer
+    in lexicographic enumeration order."""
+    return argmax_first(enumerate_feasible(env, cap), profile)
 
 
 def merge_over(x: Allocation, y: Allocation) -> Allocation:
@@ -144,34 +138,47 @@ class ExchangeFamily:
         # empty set: the residual optimum is 0 either way, the null member
         # is trivially exchange compatible, and products of per-market
         # families then decompose market by market.
+        env = self.env
         if self.kind == "single_item_gate":
             if any(xi != NULL for xi in x):
-                return [self.env.null_allocation()]
-            return enumerate_feasible(self.env, cap)
+                return [env.null_allocation()]
+            return enumerate_feasible(env, cap)
 
         if self.kind == "knapsack_threshold":
             if sum(x) < 0.5:  # strict; grid quantities are exact dyadics
-                return enumerate_feasible(self.env, cap)
-            return [self.env.null_allocation()]
+                return enumerate_feasible(env, cap)
+            return [env.null_allocation()]
 
         if self.kind == "pip_threshold":
-            env = self.env
             assert isinstance(env, PipEnv)
-            load = env.load(x)
-            caps = tuple(1.0 if l <= 0.5 + TOL else 0.0 for l in load)
-            out = []
-            for y in _enumerate_constrained(env, lambda a: _pip_within(env, a, caps), cap):
-                out.append(y)
-            return out
+            caps = tuple(1.0 if l <= 0.5 + TOL else 0.0 for l in env.load(x))
+            return enumerate_feasible(
+                env,
+                cap,
+                lambda y: all(l <= c + TOL for l, c in zip(env.load(y), caps)),
+                what="exchange members",
+            )
 
         if self.kind == "canonical_contraction":
-            return self._canonical_members(x, cap)
+            return enumerate_feasible(
+                env,
+                cap,
+                lambda y: env.is_feasible(merge_over(x, y)),
+                frozen=support(x),
+                what="exchange members",
+            )
 
         if self.kind == "item_disjoint":
-            return self._item_disjoint_members(x, cap)
+            used = allocated_items(x)
+            return enumerate_feasible(
+                env,
+                cap,
+                lambda y: not allocated_items(y) & used
+                and env.is_feasible(merge_union(env, x, y)),
+                what="exchange members",
+            )
 
         if self.kind == "product":
-            env = self.env
             assert isinstance(env, ProductEnv)
             per_market = [
                 fam.members(env.project(x, ell), cap)
@@ -191,60 +198,6 @@ class ExchangeFamily:
             return sorted(out, key=lambda a: tuple(_token_key(t) for t in a))
 
         raise AssertionError(self.kind)
-
-    def _canonical_members(self, x: Allocation, cap: int) -> list[Allocation]:
-        env = self.env
-        allocated = set(support(x))
-
-        def ok(partial: Allocation) -> bool:
-            return env.is_feasible(merge_over(x, partial))
-
-        out = []
-        for y in _enumerate_constrained(env, ok, cap, frozen=allocated):
-            out.append(y)
-        return out
-
-    def _item_disjoint_members(self, x: Allocation, cap: int) -> list[Allocation]:
-        env = self.env
-        used = allocated_items(x)
-
-        def ok(partial: Allocation) -> bool:
-            if allocated_items(partial) & used:
-                return False
-            return env.is_feasible(merge_union(env, x, partial))
-
-        return list(_enumerate_constrained(env, ok, cap))
-
-
-def _pip_within(env: PipEnv, alloc: Allocation, caps: tuple[float, ...]) -> bool:
-    return all(l <= c + TOL for l, c in zip(env.load(alloc), caps))
-
-
-def _enumerate_constrained(env, predicate, cap, frozen=frozenset()):
-    """DFS over the joint outcome space keeping allocations whose every prefix
-    satisfies ``predicate`` (predicates here are downward-closed)."""
-    n = env.n
-    spaces = [
-        (NULL,) if i in frozen else tuple(sorted(env.agent_outcomes(i), key=_token_key))
-        for i in range(n)
-    ]
-    out: list[Allocation] = []
-    cur: list = [NULL] * n
-
-    def rec(i: int) -> None:
-        if i == n:
-            out.append(tuple(cur))
-            if len(out) > cap:
-                raise CapExceeded(len(out), cap, "exchange members")
-            return
-        for tok in spaces[i]:
-            cur[i] = tok
-            if predicate(tuple(cur)):
-                rec(i + 1)
-        cur[i] = NULL
-
-    rec(0)
-    return out
 
 
 def default_family(env: Environment) -> ExchangeFamily:
@@ -365,23 +318,15 @@ def _greedy_matroid_elements(env: MatroidEnv, profile, fixed: Allocation) -> All
 class AllocationRule:
     """Named allocation rule; ``run`` maps (env, profile) to an allocation."""
 
-    kind: str  # opt_bruteforce | greedy_by_value | knapsack_dp | fractional_lp | fixed
-    fixed_alloc: Optional[Allocation] = None
+    kind: str  # opt_bruteforce | greedy_by_value | fractional_lp
 
     def run(self, env, profile, fixed: Optional[Allocation] = None, cap: int = DEFAULT_CAP):
-        if self.kind == "fixed":
-            assert self.fixed_alloc is not None
-            return self.fixed_alloc
         if self.kind == "opt_bruteforce":
             if fixed is None:
                 return opt(env, profile, cap)
             return contracted_opt(env, profile, fixed, cap)
         if self.kind == "greedy_by_value":
             return greedy(env, profile, fixed)
-        if self.kind == "knapsack_dp":
-            if fixed is not None:
-                raise TypeError("knapsack_dp does not support conditioning")
-            return knapsack_dp(env, profile)
         if self.kind == "fractional_lp":
             sol = fractional_opt_config_lp(env, profile)
             integral = sol.integral_allocation()
@@ -565,8 +510,11 @@ def knapsack_dp(env: KnapsackEnv, profile: Sequence[Valuation]) -> Allocation:
     for v in profile:
         if not isinstance(v, ThresholdValuation):
             raise TypeError("knapsack_dp requires threshold valuations")
-        u = math.ceil(v.size / env.step - TOL)
-        sizes.append(max(0, u))
+        # a demand above the capacity never fits, and its ceil may overflow
+        if v.size > 1.0 + TOL:
+            sizes.append(units + 1)
+        else:
+            sizes.append(max(0, math.ceil(v.size / env.step - TOL)))
         vals.append(v.value_at_size)
     # dp[c] = (best value, chosen agent set) using capacity c
     dp: list[tuple[float, tuple[int, ...]]] = [(0.0, ())] * (units + 1)

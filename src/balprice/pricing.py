@@ -44,7 +44,6 @@ from .oracle import (
     FractionalSolution,
     OPT_RULE,
     agent_value,
-    contracted_opt,
     critical_value,
     greedy,
     is_binary_env,
@@ -115,15 +114,11 @@ class PricingRule:
         finite_price: Callable[[int, object, Allocation], float],
         *,
         static: bool,
-        anonymous: bool,
-        item_linear: bool = False,
         provenance: Optional[dict] = None,
     ):
         self.env = env
         self._finite_price = finite_price
         self.static = static
-        self.anonymous = anonymous
-        self.item_linear = item_linear
         self.provenance = provenance or {}
         self._cache: dict = {}
 
@@ -160,8 +155,6 @@ def scaled_prices(rule: PricingRule, factor: float) -> PricingRule:
         rule.env,
         finite,
         static=rule.static,
-        anonymous=rule.anonymous,
-        item_linear=rule.item_linear,
         provenance=dict(rule.provenance, scale=factor),
     )
 
@@ -178,9 +171,7 @@ def _item_price_rule(env, per_item: Sequence[float], provenance: dict) -> Pricin
         return math.fsum(per_item[j] for j in bitmask_items(mask))
 
     provenance = dict(provenance, item_prices=list(per_item))
-    return PricingRule(
-        env, finite, static=True, anonymous=True, item_linear=True, provenance=provenance
-    )
+    return PricingRule(env, finite, static=True, provenance=provenance)
 
 
 def single_item_prices(env: SingleItemEnv, profile: Sequence[Valuation]) -> PricingRule:
@@ -196,7 +187,6 @@ def single_item_prices(env: SingleItemEnv, profile: Sequence[Valuation]) -> Pric
         env,
         finite,
         static=True,
-        anonymous=True,
         provenance={"construction": "single-item", "price": top},
     )
 
@@ -316,7 +306,6 @@ def knapsack_prices(env: KnapsackEnv, profile, alg_welfare: float) -> PricingRul
         env,
         finite,
         static=True,
-        anonymous=True,
         provenance={"construction": "knapsack", "per_unit": alg_welfare},
     )
 
@@ -347,7 +336,6 @@ def pip_prices(env: PipEnv, profile, alg_alloc: Allocation) -> PricingRule:
         env,
         finite,
         static=True,
-        anonymous=False,
         provenance={"construction": "pip", "constraint_prices": row_price},
     )
 
@@ -407,7 +395,6 @@ def matroid_dynamic_prices(env: MatroidEnv, profile) -> PricingRule:
         env,
         finite,
         static=False,
-        anonymous=False,
         provenance={"construction": "matroid", "element_values": element_vals},
     )
 
@@ -477,7 +464,6 @@ def monotone_critical_prices(
         env,
         finite,
         static=False,
-        anonymous=False,
         provenance={
             "construction": "warmup",
             "rule": rule.kind,
@@ -512,16 +498,11 @@ def _reference_prices(
     if not is_binary_env(env):
         raise PricingError("reference-allocation prices require a binary environment")
 
-    def run_rule(vals, fixed):
-        if rule.kind == "greedy_by_value":
-            return greedy(env, vals, fixed)
-        return contracted_opt(env, vals, fixed, cap)
-
     def finite(i, x_i, y):
         ref = alg_alloc
         vals = _zero_outside(env, profile, ref)
         for j in range(1, env.n + 1):
-            ref = run_rule(vals, prefix(y, j))
+            ref = rule.run(env, vals, prefix(y, j), cap)
             vals = _zero_outside(env, profile, ref)
         if ref[i] != NULL:
             return agent_value(env, profile, i)
@@ -532,7 +513,6 @@ def _reference_prices(
         env,
         finite,
         static=False,
-        anonymous=False,
         provenance={"construction": name, "base_allocation": list(alg_alloc)},
     )
 
@@ -567,7 +547,6 @@ def compose_max(
     profile,
     alg_alloc: Allocation,
     rule: Optional[AllocationRule] = None,
-    items: Optional[int] = None,
 ) -> PricingRule:
     """Price a max-of-simpler-valuations profile with the base construction
     applied to the supporting profile of the reference allocation.
@@ -576,8 +555,7 @@ def compose_max(
     reference rule is consistent; a welfare drop of the supporting profile
     under re-allocation is recorded as a provenance warning.
     """
-    if items is None:
-        items = getattr(env, "items", 0) or getattr(getattr(env, "matroid", None), "ground", 0)
+    items = getattr(env, "items", 0) or getattr(getattr(env, "matroid", None), "ground", 0)
     support_profile = tuple(
         supporting_valuation(v, x, items) for v, x in zip(profile, alg_alloc)
     )
@@ -589,15 +567,7 @@ def compose_max(
         drop = welfare(support_profile, alg_alloc) - welfare(support_profile, realloc)
         if drop > TOL:
             provenance["consistency_warning"] = drop
-    composed = PricingRule(
-        env,
-        base._finite_price,
-        static=base.static,
-        anonymous=base.anonymous,
-        item_linear=base.item_linear,
-        provenance=provenance,
-    )
-    return composed
+    return PricingRule(env, base._finite_price, static=base.static, provenance=provenance)
 
 
 def compose_add(product_env: ProductEnv, market_rules: Sequence[PricingRule]) -> PricingRule:
@@ -626,7 +596,6 @@ def compose_add(product_env: ProductEnv, market_rules: Sequence[PricingRule]) ->
         product_env,
         guarded,
         static=all(r.static for r in market_rules),
-        anonymous=all(r.anonymous for r in market_rules),
         provenance={
             "construction": "compose-add",
             "markets": [r.provenance.get("construction") for r in market_rules],
@@ -690,7 +659,6 @@ def expected_scaled_prices(
         env,
         finite,
         static=False,
-        anonymous=False,
         provenance={
             "construction": "expected-scaled",
             "delta": delta,

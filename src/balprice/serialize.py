@@ -17,6 +17,7 @@ from .core import (
     Environment,
     ExplicitEnv,
     KnapsackEnv,
+    MAX_ITEMS,
     MarketValuation,
     Matroid,
     MatroidEnv,
@@ -140,16 +141,19 @@ def decode_valuation(doc: dict) -> Valuation:
                 _expect_keys(edge, {"items", "weight"}, what="hyperedge")
                 mask = 0
                 for j in _array(edge["items"], "hyperedge items"):
-                    mask |= 1 << _number(int, j, "hyperedge item")
+                    j = _number(int, j, "hyperedge item")
+                    if not 0 <= j < MAX_ITEMS:
+                        raise SchemaError(f"hyperedge item {j} outside 0..{MAX_ITEMS - 1}")
+                    mask |= 1 << j
                 edges.append((mask, _number(float, edge["weight"], "hyperedge weight")))
             clauses.append(tuple(edges))
         return MphValuation(tuple(clauses))
     if kind == "knapsack_threshold":
         _expect_keys(doc, {"kind", "value", "size"}, what="threshold valuation")
-        return ThresholdValuation(
-            _number(float, doc["value"], "threshold value"),
-            _number(float, doc["size"], "threshold size"),
-        )
+        size = _number(float, doc["size"], "threshold size")
+        if not size >= 0:
+            raise SchemaError(f"threshold size must be non-negative, got {size!r}")
+        return ThresholdValuation(_number(float, doc["value"], "threshold value"), size)
     if kind == "scalar":
         _expect_keys(doc, {"kind", "value"}, what="scalar valuation")
         return ScalarValuation(_number(float, doc["value"], "scalar value"))
@@ -294,11 +298,13 @@ def decode_environment(doc: dict) -> Environment:
         )
     if kind == "knapsack":
         _expect_keys(doc, {"kind", "agents", "step"}, {"max_share"}, "knapsack environment")
-        return KnapsackEnv(
-            n=n,
-            step=_number(float, doc["step"], "knapsack step"),
-            max_share=_number(float, doc.get("max_share", 1.0), "knapsack max_share"),
-        )
+        step = _number(float, doc["step"], "knapsack step")
+        max_share = _number(float, doc.get("max_share", 1.0), "knapsack max_share")
+        if not step > 0:
+            raise SchemaError(f"knapsack step must be positive, got {step!r}")
+        if not 0 < max_share <= 1:
+            raise SchemaError(f"knapsack max_share must lie in (0, 1], got {max_share!r}")
+        return KnapsackEnv(n=n, step=step, max_share=max_share)
     if kind == "pip":
         _expect_keys(doc, {"kind", "agents", "matrix", "capacities"}, what="pip environment")
         return PipEnv(
@@ -334,6 +340,42 @@ def decode_environment(doc: dict) -> Environment:
 # ---------------------------------------------------------------------------
 
 
+def _check_width(v: Valuation, env: Environment) -> None:
+    """Item-indexed valuations must span exactly the auction's items or the
+    matroid's ground set."""
+    if isinstance(env, ProductEnv):
+        if isinstance(v, MarketValuation):
+            if len(v.parts) != len(env.markets):
+                raise SchemaError(
+                    f"product valuation has {len(v.parts)} parts for {len(env.markets)} markets"
+                )
+            for part, market in zip(v.parts, env.markets):
+                _check_width(part, market)
+        return
+    if isinstance(env, CombinatorialAuctionEnv):
+        width, unit = env.items, "items"
+    elif isinstance(env, MatroidEnv):
+        width, unit = env.matroid.ground, "ground elements"
+    else:
+        return
+    if isinstance(v, AdditiveValuation):
+        vectors = [("additive values", v.values)]
+    elif isinstance(v, XosValuation):
+        vectors = [("xos clause", c) for c in v.clauses]
+    else:
+        vectors = []
+    for what, vec in vectors:
+        if len(vec) != width:
+            raise SchemaError(f"{what} has {len(vec)} entries for {width} {unit}")
+    if isinstance(v, MphValuation):
+        for clause in v.clauses:
+            for edge, _ in clause:
+                if edge >> width:
+                    raise SchemaError(
+                        f"hyperedge item {edge.bit_length() - 1} outside {unit} 0..{width - 1}"
+                    )
+
+
 def load_instance(text: str) -> Instance:
     try:
         doc = json.loads(text)
@@ -344,6 +386,8 @@ def load_instance(text: str) -> Instance:
     profile = tuple(decode_valuation(v) for v in _array(doc["agents"], "agents"))
     if len(profile) != env.n:
         raise SchemaError(f"{len(profile)} agent records for {env.n} agents")
+    for v in profile:
+        _check_width(v, env)
     dist = None
     if "distribution" in doc:
         supports = []
@@ -351,10 +395,9 @@ def load_instance(text: str) -> Instance:
             decoded = []
             for atom in _array(atoms, "distribution support"):
                 _expect_keys(atom, {"valuation", "prob"}, what="distribution atom")
-                decoded.append((
-                    decode_valuation(atom["valuation"]),
-                    _number(float, atom["prob"], "atom probability"),
-                ))
+                v = decode_valuation(atom["valuation"])
+                _check_width(v, env)
+                decoded.append((v, _number(float, atom["prob"], "atom probability")))
             supports.append(tuple(decoded))
         if len(supports) != env.n:
             raise SchemaError("distribution length differs from agent count")

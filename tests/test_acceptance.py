@@ -403,8 +403,6 @@ def uniform_item_rule(env, price):
         env,
         lambda i, mask, y: price * bin(mask).count("1"),
         static=True,
-        anonymous=True,
-        item_linear=True,
         provenance={"construction": "uniform", "price": price},
     )
 
@@ -455,7 +453,6 @@ class TestCriterion5PaperInstances:
                 inst.env,
                 lambda i, tok, y, table=price_of: table[tok],
                 static=True,
-                anonymous=True,
                 provenance={"construction": "random-static", "trial": trial},
             )
             for tie in ("prefer_buy_lexmin", "adversarial_min_welfare"):

@@ -129,7 +129,7 @@ class TestSingleItemBalance:
         env = SingleItemEnv(n=2)
         profile = (ScalarValuation(0.0), ScalarValuation(0.0))
         rule = PricingRule(
-            env, lambda i, x, y: 1.0, static=True, anonymous=True,
+            env, lambda i, x, y: 1.0, static=True,
             provenance={"construction": "fixed"},
         )
         assert minimal_beta(
@@ -432,7 +432,7 @@ class TestLiveAgentDp:
         env = uniform_matroid_env(3, 4)
         rule = PricingRule(
             env, lambda i, x_i, y: UNAVAILABLE if i == 2 and not y[0] else 1.0,
-            static=False, anonymous=False,
+            static=False,
         )
         sums = _PriceSums(rule, (bit(0), 0, 0, 0), env.n)
         z = (0, bit(1), bit(2), 0)
@@ -452,7 +452,7 @@ class TestLiveAgentDp:
         env = uniform_matroid_env(4, 5)
         rule = PricingRule(
             env, lambda i, x_i, y: 0.1 * (i + 1) + 0.3 * sum(1 for t in y if t),
-            static=False, anonymous=False,
+            static=False,
         )
         feasible = enumerate_feasible(env)
         for x in feasible:

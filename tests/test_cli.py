@@ -130,27 +130,109 @@ def _element_outside_ground(doc):
     doc["environment"]["elements"][0] = [9]
 
 
+def _short_additive_values(doc):
+    doc["agents"][0]["values"] = [1.0]
+
+
+def _short_xos_clause(doc):
+    doc["agents"][0]["clauses"][0] = [1.0]
+
+
+def _hyperedge_outside_items(doc):
+    doc["agents"][0]["clauses"][0][0]["items"] = [0, 7]
+
+
+def _negative_hyperedge_item(doc):
+    doc["agents"][0]["clauses"][0][0]["items"] = [-1]
+
+
+def _negative_threshold_size(doc):
+    doc["agents"][0]["size"] = -1
+
+
+def _missing_market_parts(doc):
+    doc["agents"][0]["parts"] = []
+
+
+def _zero_step(doc):
+    doc["environment"]["step"] = 0
+
+
+def _huge_max_share(doc):
+    doc["environment"]["max_share"] = 1e308
+
+
+def _zero_max_share(doc):
+    doc["environment"]["max_share"] = 0
+
+
+# base instance -> (catalog arguments, pricing construction); the auctions have 4 items
+MALFORMED_BASES = {
+    "matroid": (["matroid", "--kind", "uniform", "--rank", "2", "--ground", "4", "--seed", "5"],
+                "matroid"),
+    "xos": (["xos", "--n", "3", "--m", "4"], "xos"),
+    "mph": (["mph", "--n", "3", "--m", "4"], "mph"),
+    "knapsack": (["knapsack", "--n", "3"], "knapsack"),
+    "product": (["product-single-items", "--n", "2"], "compose-add"),
+}
+
+
 class TestMalformedInstances:
     """A malformed instance is bad input: exit 2 with a one-line error."""
 
     @pytest.mark.parametrize(
-        "mutate,message",
+        "base,mutate,message",
         [
-            (_null_agent_count, "environment agents must be a number, got None"),
-            (_null_agents, "agents must be a JSON array, got None"),
-            (_null_additive_value, "additive values entry must be a number, got None"),
-            (_element_outside_ground, "matroid element 9 outside the ground set 0..3"),
+            ("matroid", _null_agent_count, "environment agents must be a number, got None"),
+            ("matroid", _null_agents, "agents must be a JSON array, got None"),
+            ("matroid", _null_additive_value, "additive values entry must be a number, got None"),
+            ("matroid", _element_outside_ground, "matroid element 9 outside the ground set 0..3"),
+            ("matroid", _short_additive_values,
+             "additive values has 1 entries for 4 ground elements"),
+            ("xos", _short_xos_clause, "xos clause has 1 entries for 4 items"),
+            ("mph", _hyperedge_outside_items, "hyperedge item 7 outside items 0..3"),
+            ("mph", _negative_hyperedge_item, "hyperedge item -1 outside 0..15"),
+            ("product", _missing_market_parts, "product valuation has 0 parts for 2 markets"),
+            ("knapsack", _negative_threshold_size,
+             "threshold size must be non-negative, got -1.0"),
+            ("knapsack", _huge_max_share, "knapsack max_share must lie in (0, 1], got 1e+308"),
+            ("knapsack", _zero_max_share, "knapsack max_share must lie in (0, 1], got 0.0"),
+            ("knapsack", _zero_step, "knapsack step must be positive, got 0.0"),
         ],
-        ids=["env-agents-null", "agents-null", "additive-value-null", "element-outside-ground"],
+        ids=["env-agents-null", "agents-null", "additive-value-null", "element-outside-ground",
+             "additive-values-short", "xos-clause-short", "hyperedge-outside-items",
+             "hyperedge-item-negative", "market-parts-missing", "threshold-size-negative",
+             "max-share-huge", "max-share-zero", "step-zero"],
     )
-    def test_exit_2_without_traceback(self, matroid_instance, tmp_path, capsys, mutate, message):
-        doc = json.loads(matroid_instance.read_text())
+    def test_exit_2_without_traceback(self, tmp_path, capsys, base, mutate, message):
+        argv, pricing = MALFORMED_BASES[base]
+        good = tmp_path / "good.json"
+        assert run_cli(["catalog", *argv, "-o", str(good)]) == 0
+        doc = json.loads(good.read_text())
         mutate(doc)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert run_cli(["balance", "--instance", str(bad), "--pricing", "matroid"]) == 2
+        assert run_cli(["balance", "--instance", str(bad), "--pricing", pricing]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_huge_threshold_size_never_fits(self, tmp_path):
+        """A demand far above the capacity is certified like any other demand
+        that cannot fit, instead of overflowing in the knapsack optimum."""
+        argv, pricing = MALFORMED_BASES["knapsack"]
+        good = tmp_path / "good.json"
+        assert run_cli(["catalog", *argv, "-o", str(good)]) == 0
+        results = []
+        for size in (1.5, 1e308):
+            doc = json.loads(good.read_text())
+            doc["agents"][0]["size"] = size
+            inst, report = tmp_path / "inst.json", tmp_path / "report.json"
+            inst.write_text(json.dumps(doc))
+            code = run_cli(["balance", "--instance", str(inst), "--pricing", pricing,
+                            "-o", str(report)])
+            results.append((code, json.loads(report.read_text())["result"]))
+        assert results[0] == results[1]
+        assert results[0][0] in (0, 1)
 
 
 class TestRatioCommand:

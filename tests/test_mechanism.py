@@ -55,8 +55,6 @@ def uniform_item_prices(env, price):
         env,
         lambda i, mask, y: price * bin(mask).count("1"),
         static=True,
-        anonymous=True,
-        item_linear=True,
         provenance={"construction": "uniform", "price": price},
     )
 
@@ -171,7 +169,7 @@ class TestAdaptiveAdversary:
             )
         )
         rule = PricingRule(
-            env, lambda i, x, y: 0.75, static=True, anonymous=True,
+            env, lambda i, x, y: 0.75, static=True,
             provenance={"construction": "fixed"},
         )
         # offering agent 0 first yields welfare 1 always; offering agent 1
@@ -184,7 +182,7 @@ class TestAdaptiveAdversary:
             (((ScalarValuation(2.0), 0.25), (ScalarValuation(0.0), 0.75)),)
         )
         rule = PricingRule(
-            env, lambda i, x, y: 1.0, static=True, anonymous=True,
+            env, lambda i, x, y: 1.0, static=True,
             provenance={"construction": "fixed"},
         )
         # buys only at value 2: welfare 2 w.p. 0.25

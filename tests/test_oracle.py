@@ -1,5 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from balprice.catalog import (
+    gen_knapsack_random,
+    gen_matroid,
+    gen_mph_random,
+    gen_pip_random,
+    gen_xos_random,
+)
 from balprice.core import (
     AdditiveValuation,
     CapExceeded,
@@ -9,8 +18,11 @@ from balprice.core import (
     Matroid,
     MatroidEnv,
     MphValuation,
+    NULL,
+    PipEnv,
     ScalarValuation,
     SingleItemEnv,
+    TOL,
     TableValuation,
     ThresholdValuation,
     UNAVAILABLE,
@@ -24,11 +36,14 @@ from balprice.oracle import (
     OPT_RULE,
     AllocationRule,
     ExchangeFamily,
+    allocated_items,
     critical_value,
     default_family,
     fractional_opt_config_lp,
     greedy,
     knapsack_dp,
+    merge_over,
+    merge_union,
     opt,
     permeability,
     residual_opt,
@@ -154,6 +169,79 @@ class TestResidualOpt:
         assert fam2.members((0, 1)) != []
         # agent 0 at level 1 loads 0.5 -> still admissible
         assert (1, 0) in fam2.members((0, 1))
+
+
+SEEDS = st.integers(min_value=0, max_value=10_000)
+AGENTS = st.integers(min_value=1, max_value=5)
+
+# catalog instances with at most 5 agents (the K4 matroid has its 6 edges)
+MEMBER_INSTANCES = st.one_of(
+    st.builds(lambda r, g, s: gen_matroid("uniform", seed=s, rank=min(r, g), ground=g),
+              st.integers(1, 4), AGENTS, SEEDS),
+    st.builds(lambda g, s: gen_matroid("partition", seed=s, ground=g),
+              st.integers(2, 5), SEEDS),
+    st.builds(lambda s: gen_matroid("graphic_k4", seed=s), SEEDS),
+    st.builds(lambda n, m, s: gen_xos_random(n=n, m=m, seed=s), AGENTS, st.integers(1, 3), SEEDS),
+    st.builds(lambda n, m, s: gen_mph_random(n=n, m=m, seed=s), AGENTS, st.integers(1, 3), SEEDS),
+    st.builds(lambda n, s: gen_pip_random(n=n, seed=s), AGENTS, SEEDS),
+    st.builds(lambda n, s: gen_knapsack_random(n=n, seed=s), st.integers(1, 4), SEEDS),
+)
+
+
+def predicate_kinds(env):
+    """The exchange-family kinds whose members come from a pruned DFS."""
+    if isinstance(env, PipEnv):
+        return ("pip_threshold", "canonical_contraction")
+    if isinstance(env, (MatroidEnv, CombinatorialAuctionEnv)):
+        return ("canonical_contraction", "item_disjoint")
+    return ("canonical_contraction",)
+
+
+def filtered_members(kind, env, x, feasible):
+    """Brute-force twin of ``ExchangeFamily.members``: every feasible
+    allocation, kept when it meets the kind's defining condition."""
+    if kind == "canonical_contraction":
+        def keep(y):
+            return all(y[i] == NULL for i in support(x)) and env.is_feasible(merge_over(x, y))
+    elif kind == "item_disjoint":
+        def keep(y):
+            return not allocated_items(y) & allocated_items(x) and env.is_feasible(
+                merge_union(env, x, y)
+            )
+    else:
+        caps = [1.0 if l <= 0.5 + TOL else 0.0 for l in env.load(x)]
+
+        def keep(y):
+            return all(l <= c + TOL for l, c in zip(env.load(y), caps))
+    return [y for y in feasible if keep(y)]
+
+
+class TestMemberEnumeration:
+    """Family members come from the one pruned DFS in ``enumerate_feasible``;
+    pruning on a prefix is exact only because each predicate is downward
+    closed, which filtering the full enumeration checks."""
+
+    @given(MEMBER_INSTANCES)
+    @settings(max_examples=40, deadline=None)
+    def test_members_equal_filtered_enumeration(self, inst):
+        env = inst.env
+        feasible = enumerate_feasible(env)
+        for kind in predicate_kinds(env):
+            family = ExchangeFamily(kind, env)
+            for x in feasible:
+                assert family.members(x) == filtered_members(kind, env, x, feasible)
+
+    @pytest.mark.parametrize(
+        "kind,env",
+        [
+            ("canonical_contraction", uniform_matroid_env(2, 4)),
+            ("item_disjoint", uniform_matroid_env(2, 4)),
+            ("pip_threshold", gen_pip_random(n=3, seed=0).env),
+        ],
+    )
+    def test_member_cap_names_exchange_members(self, kind, env):
+        with pytest.raises(CapExceeded, match=r"^exchange members exceeded cap: 3 > 2$"):
+            ExchangeFamily(kind, env).members(env.null_allocation(), cap=2)
 
 
 class TestGreedy:

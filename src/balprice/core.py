@@ -75,7 +75,14 @@ def support(alloc: Allocation) -> tuple[int, ...]:
 
 
 def bitmask_items(mask: int) -> tuple[int, ...]:
-    return tuple(j for j in range(MAX_ITEMS) if mask >> j & 1)
+    """Indices of the set bits among the low ``MAX_ITEMS`` bits, ascending."""
+    mask &= (1 << MAX_ITEMS) - 1
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def popcount(mask: int) -> int:
@@ -394,12 +401,13 @@ class MatroidEnv(EnvironmentBase):
                 if e in seen:
                     raise ValueError(f"element {e} owned by two agents")
                 seen.add(e)
+        # derived once; not a field, so equality, hashing and serialization
+        # see only the fields
+        masks = tuple(sum(1 << e for e in owned) for owned in self.elements)
+        object.__setattr__(self, "_agent_masks", masks)
 
     def agent_mask(self, i: int) -> int:
-        m = 0
-        for e in self.elements[i]:
-            m |= 1 << e
-        return m
+        return self._agent_masks[i]
 
     def agent_outcomes(self, i: int) -> tuple:
         return tuple(_submasks(self.agent_mask(i)))
@@ -411,8 +419,9 @@ class MatroidEnv(EnvironmentBase):
         return m
 
     def is_feasible(self, alloc: Allocation) -> bool:
+        masks = self._agent_masks
         for i, x in enumerate(alloc):
-            if x & ~self.agent_mask(i):
+            if x & ~masks[i]:
                 return False
         return self.matroid.independent(self.union_mask(alloc))
 

@@ -504,7 +504,9 @@ def knapsack_dp(env: KnapsackEnv, profile: Sequence[Valuation]) -> Allocation:
     subset with total demanded size at most 1, by units of the grid step."""
     if not isinstance(env, KnapsackEnv):
         raise TypeError("knapsack_dp requires a knapsack environment")
-    units = round(1.0 / env.step)
+    # whole steps that fit in the capacity; a step that does not divide 1
+    # leaves the remainder unused
+    units = math.floor(1.0 / env.step + TOL)
     sizes = []
     vals = []
     for v in profile:

@@ -353,15 +353,15 @@ def _matroid_element_values(env: MatroidEnv, profile) -> list[float]:
     return vals
 
 
-def _matroid_residual_value(env: MatroidEnv, element_vals, taken_mask: int) -> float:
-    """Max-weight independent extension of ``taken_mask`` (greedy, exact for
-    additive element values)."""
+def _matroid_residual_value(env: MatroidEnv, element_vals, order, taken_mask: int) -> float:
+    """Max-weight independent extension of ``taken_mask``: greedy over
+    ``order``, the positive-valued elements by decreasing value, ties by
+    index (exact for additive element values)."""
     chosen = taken_mask
     total = 0.0
-    order = sorted(range(env.matroid.ground), key=lambda e: (-element_vals[e], e))
     for e in order:
         b = 1 << e
-        if chosen & b or element_vals[e] <= TOL:
+        if chosen & b:
             continue
         if env.matroid.independent(chosen | b):
             chosen |= b
@@ -384,11 +384,23 @@ def matroid_dynamic_prices(env: MatroidEnv, profile) -> PricingRule:
                 "use compose_max for structured valuations"
             )
     element_vals = _matroid_element_values(env, profile)
+    order = [
+        e
+        for e in sorted(range(env.matroid.ground), key=lambda e: (-element_vals[e], e))
+        if element_vals[e] > TOL
+    ]
+    # R(mask) per sold element mask: at most 2^ground entries, held by this rule
+    residual: dict[int, float] = {}
+
+    def residual_value(mask: int) -> float:
+        if mask not in residual:
+            residual[mask] = _matroid_residual_value(env, element_vals, order, mask)
+        return residual[mask]
 
     def finite(i, x_i, y):
         taken = env.union_mask(y)
-        before = _matroid_residual_value(env, element_vals, taken)
-        after = _matroid_residual_value(env, element_vals, taken | x_i)
+        before = residual_value(taken)
+        after = residual_value(taken | x_i)
         return before - after
 
     return PricingRule(
@@ -498,12 +510,22 @@ def _reference_prices(
     if not is_binary_env(env):
         raise PricingError("reference-allocation prices require a binary environment")
 
-    def finite(i, x_i, y):
-        ref = alg_alloc
-        vals = _zero_outside(env, profile, ref)
-        for j in range(1, env.n + 1):
-            ref = rule.run(env, vals, prefix(y, j), cap)
+    # the nested reference chain per partial allocation y: one entry per y
+    # this rule prices, held by this rule
+    chains: dict = {}
+
+    def reference_chain(y: Allocation):
+        if y not in chains:
+            ref = alg_alloc
             vals = _zero_outside(env, profile, ref)
+            for j in range(1, env.n + 1):
+                ref = rule.run(env, vals, prefix(y, j), cap)
+                vals = _zero_outside(env, profile, ref)
+            chains[y] = ref, vals
+        return chains[y]
+
+    def finite(i, x_i, y):
+        ref, vals = reference_chain(y)
         if ref[i] != NULL:
             return agent_value(env, profile, i)
         t = critical_value(rule, env, vals, i, y, cap)
@@ -637,23 +659,35 @@ def expected_scaled_prices(
     else:
         raise PricingError(f"unknown mode {mode}")
 
-    rules: dict = {}
+    # each distinct support profile once, in order of first appearance;
+    # ``terms`` holds (profile slot, probability) in support order
+    slots: dict = {}
+    terms = [(slots.setdefault(profile, len(slots)), prob) for profile, prob in weighted]
+    distinct = list(slots)
+    finites: list = [None] * len(distinct)
 
-    def rule_for(profile) -> PricingRule:
-        if profile not in rules:
-            rules[profile] = constructor(profile)
-        return rules[profile]
+    def build(profile):
+        rule = constructor(profile)
+        if rule.env != env:
+            raise PricingError("per-profile rule is built on a different environment")
+        return rule._finite_price
 
     def finite(i, x_i, y):
-        acc = []
-        for profile, prob in weighted:
-            p = rule_for(profile).price(i, x_i, y)
+        # the outer price() has priced null, cleared slot i and checked
+        # feasibility on env, which every per-profile rule shares; rules are
+        # built at the first miss, so construction errors surface there
+        prices = []
+        for k, profile in enumerate(distinct):
+            f = finites[k]
+            if f is None:
+                f = finites[k] = build(profile)
+            p = f(i, x_i, y)
             if p is UNAVAILABLE:
                 raise AssertionError(
                     "per-profile price unavailable on a feasible entry"
                 )
-            acc.append(prob * p)
-        return delta * math.fsum(acc)
+            prices.append(p)
+        return delta * math.fsum(prob * prices[k] for k, prob in terms)
 
     return PricingRule(
         env,

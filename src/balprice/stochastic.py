@@ -20,10 +20,11 @@ from .core import (
     CapExceeded,
     Environment,
     Valuation,
+    enumerate_feasible,
     welfare,
 )
 from .mechanism import OnlinePostedPriceRunner, expected_posted_price_welfare
-from .oracle import opt
+from .oracle import argmax_first
 
 EXACT_SUPPORT_CAP = 100_000
 
@@ -102,7 +103,11 @@ def exact_expectation(
 
 
 def expected_opt(env: Environment, dist: ProductDistribution, cap: int = EXACT_SUPPORT_CAP) -> float:
-    return exact_expectation(dist, lambda p: welfare(p, opt(env, p)), cap)
+    """Exact expected optimum: ``opt``'s welfare on every support profile,
+    each taken over one feasible list enumerated for the call."""
+    profiles = list(dist.profiles(cap))
+    feasible = enumerate_feasible(env)
+    return math.fsum(prob * welfare(p, argmax_first(feasible, p)) for p, prob in profiles)
 
 
 class UndefinedRatio(ZeroDivisionError, ValueError):
@@ -197,6 +202,9 @@ def monte_carlo_ratio(
     base_order = tuple(fixed_order) if fixed_order is not None else tuple(range(env.n))
 
     runners: dict[tuple, OnlinePostedPriceRunner] = {}
+    feasible = enumerate_feasible(env)
+    # the optimum per distinct profile drawn; at most ``trials`` entries
+    optimum: dict[tuple, float] = {}
 
     def run(order, profile) -> float:
         if order not in runners:
@@ -213,7 +221,9 @@ def monte_carlo_ratio(
         else:
             w = run(tuple(int(i) for i in rng.permutation(env.n)), profile)
         ws.append(w)
-        os_.append(welfare(profile, opt(env, profile)))
+        if profile not in optimum:
+            optimum[profile] = welfare(profile, argmax_first(feasible, profile))
+        os_.append(optimum[profile])
 
     return RatioEstimate.of(
         math.fsum(ws) / trials,

@@ -16,9 +16,11 @@ from balprice.core import (
     ProductEnv,
     ScalarValuation,
     SingleItemEnv,
+    MAX_ITEMS,
     TableValuation,
     ThresholdValuation,
     XosValuation,
+    bitmask_items,
     check_downward_closed,
     enumerate_feasible,
     prefix,
@@ -96,6 +98,20 @@ class TestValuations:
         mph = MphValuation((clause,))
         xos = XosValuation((per_item,))
         assert value(mph, mask) == pytest.approx(value(xos, mask))
+
+
+class TestBitmaskItems:
+    @given(st.integers(min_value=-(1 << 20), max_value=1 << 20))
+    def test_matches_per_bit_comprehension(self, mask):
+        # the twin tests each of the low MAX_ITEMS bits, so higher bits and
+        # the sign of a negative mask's infinite two's-complement are ignored
+        twin = tuple(j for j in range(MAX_ITEMS) if mask >> j & 1)
+        assert bitmask_items(mask) == twin
+
+    def test_edges(self):
+        assert bitmask_items(0) == ()
+        assert bitmask_items(-1) == tuple(range(MAX_ITEMS))
+        assert bitmask_items((1 << MAX_ITEMS) | 0b101) == (0, 2)
 
 
 class TestFeasibility:

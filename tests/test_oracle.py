@@ -369,6 +369,34 @@ class TestKnapsackDp:
         grid_w = welfare(profile, opt(env, profile))
         assert dp_w == pytest.approx(grid_w)
 
+    def test_step_not_dividing_one(self):
+        # 1/0.375 is 2.67 steps: the capacity holds 2, so a 0.9 demand
+        # (3 steps, 1.125) cannot be served
+        env = KnapsackEnv(n=1, step=0.375)
+        profile = (ThresholdValuation(1.0, 0.9),)
+        alloc = knapsack_dp(env, profile)
+        assert env.is_feasible(alloc)
+        assert welfare(profile, alloc) == welfare(profile, opt(env, profile))
+
+    @given(
+        st.integers(min_value=2, max_value=9).flatmap(
+            lambda q: st.tuples(st.just(q), st.integers(min_value=1, max_value=2 * q))
+        ).filter(lambda qp: qp[0] % qp[1] != 0),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=16), st.integers(min_value=1, max_value=20)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_opt_on_steps_not_dividing_one(self, step_qp, demands):
+        q, p = step_qp
+        env = KnapsackEnv(n=len(demands), step=p / q)  # 1/step = q/p is not an integer
+        profile = tuple(ThresholdValuation(v / 8, s / 16) for v, s in demands)
+        alloc = knapsack_dp(env, profile)
+        assert env.is_feasible(alloc)
+        assert welfare(profile, alloc) == pytest.approx(welfare(profile, opt(env, profile)), abs=TOL)
+
 
 class TestConfigLp:
     def test_integral_instance(self):

@@ -255,9 +255,11 @@ def _check(
     cap: int,
     feasible: Optional[list] = None,
 ) -> BalanceReport:
-    """One walk over the feasible allocations.  For static rules condition
-    (b) depends on x only through its exchange set, so it is scored once per
-    ``members_key`` and replayed for every x that shares the key."""
+    """One walk over the feasible allocations, ``feasible`` when given (it
+    must be ``enumerate_feasible(env, cap)``).  Exchange members are filtered
+    from the same list, once per ``members_key``.  For static rules
+    condition (b) depends on x only through its exchange set, so it is
+    scored once per key and replayed for every x that shares the key."""
     from .core import enumerate_feasible
 
     if order_mode not in ORDER_MODES:
@@ -273,6 +275,8 @@ def _check(
     )
     if feasible is None:
         feasible = enumerate_feasible(env, cap)
+    if family.env == env:
+        family = family.over(feasible)
     static = _StaticSums(prices, env.n) if prices.static else None
     # members_key -> (members, residual optimum, cached condition-(b) score)
     families: dict = {}
@@ -344,11 +348,15 @@ def check_balanced(
     order: Optional[Sequence[int]] = None,
     order_mode: str = "all",
     cap: int = DEFAULT_CAP,
+    feasible: Optional[list] = None,
 ) -> BalanceReport:
-    """Certify the strong-form conditions at (alpha, beta)."""
+    """Certify the strong-form conditions at (alpha, beta); ``feasible``, when
+    given, is ``enumerate_feasible(env, cap)`` already in hand."""
     if params.weak:
         raise ValueError("strong-form check requires beta, not beta1/beta2")
-    return _check(env, profile, prices, alg_alloc, family, params, order, order_mode, cap)
+    return _check(
+        env, profile, prices, alg_alloc, family, params, order, order_mode, cap, feasible
+    )
 
 
 def check_weakly_balanced(
@@ -361,11 +369,15 @@ def check_weakly_balanced(
     order: Optional[Sequence[int]] = None,
     order_mode: str = "all",
     cap: int = DEFAULT_CAP,
+    feasible: Optional[list] = None,
 ) -> BalanceReport:
-    """Certify the weak-form conditions at (alpha, beta1, beta2)."""
+    """Certify the weak-form conditions at (alpha, beta1, beta2); ``feasible``
+    as in ``check_balanced``."""
     if not params.weak:
         raise ValueError("weak-form check requires beta1 and beta2")
-    return _check(env, profile, prices, alg_alloc, family, params, order, order_mode, cap)
+    return _check(
+        env, profile, prices, alg_alloc, family, params, order, order_mode, cap, feasible
+    )
 
 
 def minimal_beta(

@@ -30,6 +30,7 @@ from .core import (
     PipEnv,
     ProductEnv,
     SingleItemEnv,
+    enumerate_feasible,
     welfare,
 )
 from .mechanism import (
@@ -43,6 +44,7 @@ from .oracle import (
     GREEDY_RULE,
     OPT_RULE,
     agent_value,
+    argmax_first,
     default_family,
     fractional_opt_config_lp,
     greedy,
@@ -190,9 +192,33 @@ def _compose_max_constructor(instance: Instance):
     raise PricingError(f"compose-max does not apply to a {env.kind} environment")
 
 
-def _registry(cap: int) -> dict[str, Construction]:
+class _Registry(dict):
+    """Constructions by name, for one command.  They share one lazily
+    enumerated feasible list per environment, which lives as long as the
+    registry."""
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+        self._lists: dict = {}
+
+    def feasible(self, env) -> list:
+        """``enumerate_feasible(env, cap)``, enumerated on first use."""
+        out = self._lists.get(env)
+        if out is None:
+            out = self._lists[env] = enumerate_feasible(env, self.cap)
+        return out
+
+    def opt(self, env, profile):
+        """``opt(env, profile, cap)``, taken over the shared list."""
+        return argmax_first(self.feasible(env), profile)
+
+
+def _registry(cap: int) -> _Registry:
+    registry = _Registry(cap)
+
     def ref_opt(inst, profile):
-        return opt(inst.env, profile, cap)
+        return registry.opt(inst.env, profile)
 
     def ref_greedy(inst, profile):
         return greedy(inst.env, profile)
@@ -200,7 +226,7 @@ def _registry(cap: int) -> dict[str, Construction]:
     def ref_dp(inst, profile):
         return knapsack_dp(inst.env, profile)
 
-    return {
+    registry.update({
         "single-item": Construction(
             name="single-item",
             build=lambda inst: (
@@ -214,7 +240,7 @@ def _registry(cap: int) -> dict[str, Construction]:
             name="intro-bundle",
             build=lambda inst: (
                 _need(CombinatorialAuctionEnv, inst.env, "intro-bundle")
-                or (lambda p: bundle_split_item_prices(inst.env, p, opt(inst.env, p, cap)))
+                or (lambda p: bundle_split_item_prices(inst.env, p, registry.opt(inst.env, p)))
             ),
             params=lambda inst: BalanceParams(
                 alpha=float(inst.env.items), beta1=0.0, beta2=1.0
@@ -225,7 +251,7 @@ def _registry(cap: int) -> dict[str, Construction]:
             name="xos",
             build=lambda inst: (
                 _need(CombinatorialAuctionEnv, inst.env, "xos")
-                or (lambda p: xos_item_prices(inst.env, p, opt(inst.env, p, cap)))
+                or (lambda p: xos_item_prices(inst.env, p, registry.opt(inst.env, p)))
             ),
             params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
             reference=ref_opt,
@@ -234,7 +260,7 @@ def _registry(cap: int) -> dict[str, Construction]:
             name="mph",
             build=lambda inst: (
                 _need(CombinatorialAuctionEnv, inst.env, "mph")
-                or (lambda p: mphk_item_prices(inst.env, p, opt(inst.env, p, cap)))
+                or (lambda p: mphk_item_prices(inst.env, p, registry.opt(inst.env, p)))
             ),
             params=lambda inst: BalanceParams(
                 alpha=1.0, beta1=1.0, beta2=float(_mph_rank(inst) - 1)
@@ -273,7 +299,7 @@ def _registry(cap: int) -> dict[str, Construction]:
             name="pip",
             build=lambda inst: (
                 _need(PipEnv, inst.env, "pip")
-                or (lambda p: pip_prices(inst.env, p, opt(inst.env, p, cap)))
+                or (lambda p: pip_prices(inst.env, p, registry.opt(inst.env, p)))
             ),
             params=lambda inst: BalanceParams(
                 alpha=2.0, beta1=0.0, beta2=float(_pip_sparsity(inst.env))
@@ -304,7 +330,9 @@ def _registry(cap: int) -> dict[str, Construction]:
         ),
         "alg2-opt": Construction(
             name="alg2-opt",
-            build=lambda inst: (lambda p: opt_derived_prices(inst.env, p, cap=cap)),
+            build=lambda inst: (
+                lambda p: opt_derived_prices(inst.env, p, registry.opt(inst.env, p), cap=cap)
+            ),
             params=lambda inst: (
                 lambda g: BalanceParams(alpha=1.0, beta1=0.0, beta2=g * g)
             )(permeability(inst.env, OPT_RULE, _value_grid(inst), cap)),
@@ -323,7 +351,8 @@ def _registry(cap: int) -> dict[str, Construction]:
             params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
             reference=ref_opt,
         ),
-    }
+    })
+    return registry
 
 
 def resolve_params(args, construction: Construction, instance: Instance) -> BalanceParams:
@@ -431,7 +460,8 @@ def _scaled_rule(instance: Instance, construction: Construction, params, cap):
 def cmd_balance(args) -> int:
     cap = args.cap_feasible
     instance = load_instance_file(args.instance)
-    construction = _registry(cap)[args.pricing]
+    registry = _registry(cap)
+    construction = registry[args.pricing]
     params = resolve_params(args, construction, instance)
     constructor = construction.build(instance)
     profile = instance.profile
@@ -453,6 +483,7 @@ def cmd_balance(args) -> int:
     report = check(
         instance.env, profile, rule, reference, family, params,
         order=perm, order_mode=order_mode, cap=cap,
+        feasible=registry.feasible(instance.env),
     )
     verdict = "PASS" if report.passed else "FAIL"
     label = (

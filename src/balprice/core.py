@@ -22,6 +22,9 @@ Allocation = tuple
 
 MAX_ITEMS = 16
 
+# finest knapsack grid: a step below 1/MAX_GRID_UNITS is rejected
+MAX_GRID_UNITS = 1 << 16
+
 
 class Unavailable:
     """Marker for menu entries priced at infinity (infeasible purchases).
@@ -470,6 +473,14 @@ class KnapsackEnv(EnvironmentBase):
     max_share: float = 1.0
 
     kind = "knapsack"
+
+    def __post_init__(self):
+        # the outcome grid and the knapsack DP both have about 1/step entries;
+        # check before anything that size is built
+        if not self.step * MAX_GRID_UNITS >= 1.0:
+            raise ValueError(
+                f"knapsack step {self.step!r} gives more than {MAX_GRID_UNITS} grid units"
+            )
 
     def agent_outcomes(self, i: int) -> tuple:
         levels = round(self.max_share / self.step)

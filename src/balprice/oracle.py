@@ -8,6 +8,7 @@ tie-breaking, so downstream pricing rules are reproducible bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -69,9 +70,14 @@ def merge_over(x: Allocation, y: Allocation) -> Allocation:
     return tuple(xi if xi != NULL else yi for xi, yi in zip(x, y))
 
 
+_UNION_ENVS = (CombinatorialAuctionEnv, MatroidEnv, SingleItemEnv)
+# environment kinds whose feasibility is downward closed by construction
+_CLOSED_ENVS = _UNION_ENVS + (KnapsackEnv, PipEnv)
+
+
 def merge_union(env: Environment, x: Allocation, y: Allocation) -> Allocation:
     """Agent-wise union for set-valued outcome kinds."""
-    if isinstance(env, (CombinatorialAuctionEnv, MatroidEnv, SingleItemEnv)):
+    if isinstance(env, _UNION_ENVS):
         return tuple(xi | yi for xi, yi in zip(x, y))
     raise TypeError(f"union merge undefined for environment kind {env.kind}")
 
@@ -133,33 +139,79 @@ class ExchangeFamily:
             )
         return x
 
+    # the feasible list of ``over`` and a per-allocation table read off it;
+    # not fields, so equality and hashing see only kind, env and components
+    _feasible = None
+    _table = None
+
+    def over(self, feasible: list[Allocation]) -> "ExchangeFamily":
+        """A copy whose ``members`` filter ``feasible`` in list order instead
+        of running a pruned DFS; ``feasible`` must be
+        ``enumerate_feasible(env, cap)``.
+
+        Every member is itself feasible, and every kind's predicate is
+        downward closed, so filtering the lexicographic list gives the DFS's
+        members in the DFS's order.  Products, and explicit environments,
+        whose downward closure is not checked, keep the DFS."""
+        env = self.env
+        if not isinstance(env, _CLOSED_ENVS):
+            return self
+        if self.kind == "pip_threshold" and not isinstance(env, PipEnv):
+            return self  # the DFS's own check raises
+        if self.kind == "item_disjoint" and not isinstance(env, _UNION_ENVS):
+            return self  # merge_union raises on other kinds, as in the DFS
+        bound = dataclasses.replace(self)
+        object.__setattr__(bound, "_feasible", feasible)
+        if self.kind == "pip_threshold":
+            table = [env.load(y) for y in feasible]
+        elif self.kind == "item_disjoint":
+            masks = [allocated_items(y) for y in feasible]
+            table = (masks, set(masks))
+        else:
+            table = None
+        object.__setattr__(bound, "_table", table)
+        return bound
+
     def members(self, x: Allocation, cap: int = DEFAULT_CAP) -> list[Allocation]:
         # A closed exchange set is the singleton {all-null} rather than the
         # empty set: the residual optimum is 0 either way, the null member
         # is trivially exchange compatible, and products of per-market
         # families then decompose market by market.
         env = self.env
+        feasible = self._feasible
         if self.kind == "single_item_gate":
             if any(xi != NULL for xi in x):
                 return [env.null_allocation()]
-            return enumerate_feasible(env, cap)
+            return enumerate_feasible(env, cap) if feasible is None else list(feasible)
 
         if self.kind == "knapsack_threshold":
             if sum(x) < 0.5:  # strict; grid quantities are exact dyadics
-                return enumerate_feasible(env, cap)
+                return enumerate_feasible(env, cap) if feasible is None else list(feasible)
             return [env.null_allocation()]
 
         if self.kind == "pip_threshold":
             assert isinstance(env, PipEnv)
             caps = tuple(1.0 if l <= 0.5 + TOL else 0.0 for l in env.load(x))
+
+            def fits(load) -> bool:
+                return all(l <= c + TOL for l, c in zip(load, caps))
+
+            if feasible is not None:
+                return [y for y, load in zip(feasible, self._table) if fits(load)]
             return enumerate_feasible(
-                env,
-                cap,
-                lambda y: all(l <= c + TOL for l, c in zip(env.load(y), caps)),
-                what="exchange members",
+                env, cap, lambda y: fits(env.load(y)), what="exchange members"
             )
 
         if self.kind == "canonical_contraction":
+            if feasible is not None:
+                # x merged over a member is a listed z agreeing with x on
+                # supp(x); clearing those slots gives the member back
+                supp = support(x)
+                return [
+                    tuple(NULL if xi != NULL else zi for xi, zi in zip(x, z))
+                    for z in feasible
+                    if all(z[i] == x[i] for i in supp)
+                ]
             return enumerate_feasible(
                 env,
                 cap,
@@ -170,6 +222,14 @@ class ExchangeFamily:
 
         if self.kind == "item_disjoint":
             used = allocated_items(x)
+            if feasible is not None:
+                # on matroid, auction and single-item environments the union
+                # of disjoint feasible x and y is feasible exactly when its
+                # item set is some feasible allocation's item set
+                masks, unions = self._table
+                return [
+                    y for y, m in zip(feasible, masks) if not m & used and used | m in unions
+                ]
             return enumerate_feasible(
                 env,
                 cap,
@@ -501,12 +561,15 @@ def permeability(
 
 def knapsack_dp(env: KnapsackEnv, profile: Sequence[Valuation]) -> Allocation:
     """Exact optimum for threshold valuations: pick the value-maximal agent
-    subset with total demanded size at most 1, by units of the grid step."""
+    subset with total demanded size at most 1, by units of the grid step; a
+    demand above ``max_share`` is never served."""
     if not isinstance(env, KnapsackEnv):
         raise TypeError("knapsack_dp requires a knapsack environment")
     # whole steps that fit in the capacity; a step that does not divide 1
     # leaves the remainder unused
     units = math.floor(1.0 / env.step + TOL)
+    # whole steps one agent may hold
+    most = min(units, math.floor(env.max_share / env.step + TOL))
     sizes = []
     vals = []
     for v in profile:
@@ -521,7 +584,7 @@ def knapsack_dp(env: KnapsackEnv, profile: Sequence[Valuation]) -> Allocation:
     # dp[c] = (best value, chosen agent set) using capacity c
     dp: list[tuple[float, tuple[int, ...]]] = [(0.0, ())] * (units + 1)
     for i in range(env.n):
-        if vals[i] <= TOL or sizes[i] > units:
+        if vals[i] <= TOL or sizes[i] > most:
             continue
         nxt = dp[:]
         for c in range(sizes[i], units + 1):

@@ -84,8 +84,22 @@ def _number(conv, value, what: str):
         raise SchemaError(f"{what} must be a number, got {value!r}") from exc
 
 
+# Largest magnitude of a value, weight or probability.  Every sum the
+# program takes (welfare, price sums, expectations) has far fewer than 1e100
+# terms, and products of two such numbers stay below 1e200, so no ``fsum``
+# overflows.  Sizes, steps and shares are checked on their own.
+MAX_MAGNITUDE = 1e100
+
+
+def _bounded(value, what: str) -> float:
+    x = _number(float, value, what)
+    if not abs(x) <= MAX_MAGNITUDE:
+        raise SchemaError(f"{what} must have magnitude at most {MAX_MAGNITUDE:g}, got {x!r}")
+    return x
+
+
 def _floats(values, what: str) -> tuple[float, ...]:
-    return tuple(_number(float, v, f"{what} entry") for v in _array(values, what))
+    return tuple(_bounded(v, f"{what} entry") for v in _array(values, what))
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +159,7 @@ def decode_valuation(doc: dict) -> Valuation:
                     if not 0 <= j < MAX_ITEMS:
                         raise SchemaError(f"hyperedge item {j} outside 0..{MAX_ITEMS - 1}")
                     mask |= 1 << j
-                edges.append((mask, _number(float, edge["weight"], "hyperedge weight")))
+                edges.append((mask, _bounded(edge["weight"], "hyperedge weight")))
             clauses.append(tuple(edges))
         return MphValuation(tuple(clauses))
     if kind == "knapsack_threshold":
@@ -153,16 +167,16 @@ def decode_valuation(doc: dict) -> Valuation:
         size = _number(float, doc["size"], "threshold size")
         if not size >= 0:
             raise SchemaError(f"threshold size must be non-negative, got {size!r}")
-        return ThresholdValuation(_number(float, doc["value"], "threshold value"), size)
+        return ThresholdValuation(_bounded(doc["value"], "threshold value"), size)
     if kind == "scalar":
         _expect_keys(doc, {"kind", "value"}, what="scalar valuation")
-        return ScalarValuation(_number(float, doc["value"], "scalar value"))
+        return ScalarValuation(_bounded(doc["value"], "scalar value"))
     if kind == "table":
         _expect_keys(doc, {"kind", "entries"}, what="table valuation")
         entries = []
         for e in _array(doc["entries"], "table entries"):
             _expect_keys(e, {"outcome", "value"}, what="table entry")
-            value = _number(float, e["value"], "table value")
+            value = _bounded(e["value"], "table value")
             entries.append((_decode_token(e["outcome"]), value))
         return TableValuation(tuple(entries))
     if kind == "product":
@@ -397,7 +411,7 @@ def load_instance(text: str) -> Instance:
                 _expect_keys(atom, {"valuation", "prob"}, what="distribution atom")
                 v = decode_valuation(atom["valuation"])
                 _check_width(v, env)
-                decoded.append((v, _number(float, atom["prob"], "atom probability")))
+                decoded.append((v, _bounded(atom["prob"], "atom probability")))
             supports.append(tuple(decoded))
         if len(supports) != env.n:
             raise SchemaError("distribution length differs from agent count")

@@ -216,6 +216,43 @@ class TestMalformedInstances:
         assert run_cli(["balance", "--instance", str(bad), "--pricing", pricing]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "base,path,bad,message",
+        [
+            ("mph", ("agents", 0, "clauses", 0, 0, "weight"), 1e308,
+             "hyperedge weight must have magnitude at most 1e+100, got 1e+308"),
+            ("xos", ("agents", 0, "clauses", 0, 0), 1e308,
+             "xos clause entry must have magnitude at most 1e+100, got 1e+308"),
+            ("matroid", ("agents", 0, "values", 0), -1e101,
+             "additive values entry must have magnitude at most 1e+100, got -1e+101"),
+            ("knapsack", ("agents", 0, "value"), float("inf"),
+             "threshold value must have magnitude at most 1e+100, got inf"),
+            ("knapsack", ("environment", "step"), 1e-300,
+             "knapsack step 1e-300 gives more than 65536 grid units"),
+            ("knapsack", ("environment", "step"), 5e-324,
+             "knapsack step 5e-324 gives more than 65536 grid units"),
+        ],
+        ids=["mph-weight-1e308", "xos-value-1e308", "additive-value-huge",
+             "threshold-value-inf", "step-1e-300", "step-denormal"],
+    )
+    def test_out_of_range_number_exits_2(self, tmp_path, capsys, base, path, bad, message):
+        """Values past the magnitude bound would overflow a sum, and a step
+        past the grid bound would build a grid of any size: both are bad
+        input, rejected before any of that work."""
+        argv, pricing = MALFORMED_BASES[base]
+        good = tmp_path / "good.json"
+        assert run_cli(["catalog", *argv, "-o", str(good)]) == 0
+        doc = json.loads(good.read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = bad
+        inst = tmp_path / "bad.json"
+        inst.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["balance", "--instance", str(inst), "--pricing", pricing]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_huge_threshold_size_never_fits(self, tmp_path):
         """A demand far above the capacity is certified like any other demand
         that cannot fit, instead of overflowing in the knapsack optimum."""

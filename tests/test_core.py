@@ -16,6 +16,7 @@ from balprice.core import (
     ProductEnv,
     ScalarValuation,
     SingleItemEnv,
+    MAX_GRID_UNITS,
     MAX_ITEMS,
     TableValuation,
     ThresholdValuation,
@@ -198,6 +199,13 @@ class TestEnumeration:
     def test_knapsack_grid(self):
         env = KnapsackEnv(n=1, step=0.25)
         assert env.agent_outcomes(0) == (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    def test_knapsack_grid_past_the_bound_is_rejected(self):
+        # checked when the environment is built, before any grid exists
+        KnapsackEnv(n=1, step=1.0 / MAX_GRID_UNITS)
+        for step in (1e-300, 5e-324, 0.5 / MAX_GRID_UNITS):
+            with pytest.raises(ValueError, match=f"more than {MAX_GRID_UNITS} grid units"):
+                KnapsackEnv(n=1, step=step)
 
 
 class TestDownwardClosure:

@@ -398,6 +398,37 @@ class TestKnapsackDp:
         assert welfare(profile, alloc) == pytest.approx(welfare(profile, opt(env, profile)), abs=TOL)
 
 
+    def test_demand_above_max_share_is_not_served(self):
+        # 0.75 fits the capacity but not one agent's 0.5 share
+        env = KnapsackEnv(n=1, step=0.125, max_share=0.5)
+        profile = (ThresholdValuation(1.0, 0.75),)
+        alloc = knapsack_dp(env, profile)
+        assert env.is_feasible(alloc)
+        assert welfare(profile, alloc) == welfare(profile, opt(env, profile))
+
+    @given(
+        st.integers(min_value=2, max_value=9).flatmap(
+            lambda q: st.tuples(st.just(q), st.integers(min_value=1, max_value=q))
+        ),
+        st.integers(min_value=1, max_value=8).flatmap(
+            lambda b: st.tuples(st.integers(min_value=1, max_value=b), st.just(b))
+        ),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=16), st.integers(min_value=1, max_value=20)),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_opt_over_steps_and_shares(self, step_qp, share_ab, demands):
+        (q, p), (a, b) = step_qp, share_ab
+        env = KnapsackEnv(n=len(demands), step=p / q, max_share=a / b)
+        profile = tuple(ThresholdValuation(v / 8, s / 16) for v, s in demands)
+        alloc = knapsack_dp(env, profile)
+        assert env.is_feasible(alloc)
+        assert welfare(profile, alloc) == pytest.approx(welfare(profile, opt(env, profile)), abs=TOL)
+
+
 class TestConfigLp:
     def test_integral_instance(self):
         env = CombinatorialAuctionEnv(n=2, items=2)

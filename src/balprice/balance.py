@@ -24,6 +24,7 @@ from .core import (
     Environment,
     Valuation,
     _submasks,
+    enumerate_feasible,
     welfare,
 )
 from .oracle import ExchangeFamily, argmax_first
@@ -253,15 +254,11 @@ def _check(
     order: Optional[Sequence[int]],
     order_mode: str,
     cap: int,
-    feasible: Optional[list] = None,
 ) -> BalanceReport:
-    """One walk over the feasible allocations, ``feasible`` when given (it
-    must be ``enumerate_feasible(env, cap)``).  Exchange members are filtered
-    from the same list, once per ``members_key``.  For static rules
-    condition (b) depends on x only through its exchange set, so it is
-    scored once per key and replayed for every x that shares the key."""
-    from .core import enumerate_feasible
-
+    """One walk over the feasible allocations.  Exchange members are taken
+    once per ``members_key``.  For static rules condition (b) depends on x
+    only through its exchange set, so it is scored once per key and replayed
+    for every x that shares the key."""
     if order_mode not in ORDER_MODES:
         raise ValueError(f"unknown order mode {order_mode}")
     order = tuple(range(env.n)) if order is None else tuple(order)
@@ -273,10 +270,7 @@ def _check(
         condition_b_min_slack=math.inf,
         order_mode=order_mode,
     )
-    if feasible is None:
-        feasible = enumerate_feasible(env, cap)
-    if family.env == env:
-        family = family.over(feasible)
+    feasible = enumerate_feasible(env, cap)
     static = _StaticSums(prices, env.n) if prices.static else None
     # members_key -> (members, residual optimum, cached condition-(b) score)
     families: dict = {}
@@ -348,15 +342,11 @@ def check_balanced(
     order: Optional[Sequence[int]] = None,
     order_mode: str = "all",
     cap: int = DEFAULT_CAP,
-    feasible: Optional[list] = None,
 ) -> BalanceReport:
-    """Certify the strong-form conditions at (alpha, beta); ``feasible``, when
-    given, is ``enumerate_feasible(env, cap)`` already in hand."""
+    """Certify the strong-form conditions at (alpha, beta)."""
     if params.weak:
         raise ValueError("strong-form check requires beta, not beta1/beta2")
-    return _check(
-        env, profile, prices, alg_alloc, family, params, order, order_mode, cap, feasible
-    )
+    return _check(env, profile, prices, alg_alloc, family, params, order, order_mode, cap)
 
 
 def check_weakly_balanced(
@@ -369,15 +359,11 @@ def check_weakly_balanced(
     order: Optional[Sequence[int]] = None,
     order_mode: str = "all",
     cap: int = DEFAULT_CAP,
-    feasible: Optional[list] = None,
 ) -> BalanceReport:
-    """Certify the weak-form conditions at (alpha, beta1, beta2); ``feasible``
-    as in ``check_balanced``."""
+    """Certify the weak-form conditions at (alpha, beta1, beta2)."""
     if not params.weak:
         raise ValueError("weak-form check requires beta1 and beta2")
-    return _check(
-        env, profile, prices, alg_alloc, family, params, order, order_mode, cap, feasible
-    )
+    return _check(env, profile, prices, alg_alloc, family, params, order, order_mode, cap)
 
 
 def minimal_beta(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -30,7 +31,6 @@ from .core import (
     PipEnv,
     ProductEnv,
     SingleItemEnv,
-    enumerate_feasible,
     welfare,
 )
 from .mechanism import (
@@ -44,7 +44,6 @@ from .oracle import (
     GREEDY_RULE,
     OPT_RULE,
     agent_value,
-    argmax_first,
     default_family,
     fractional_opt_config_lp,
     greedy,
@@ -192,33 +191,9 @@ def _compose_max_constructor(instance: Instance):
     raise PricingError(f"compose-max does not apply to a {env.kind} environment")
 
 
-class _Registry(dict):
-    """Constructions by name, for one command.  They share one lazily
-    enumerated feasible list per environment, which lives as long as the
-    registry."""
-
-    def __init__(self, cap: int):
-        super().__init__()
-        self.cap = cap
-        self._lists: dict = {}
-
-    def feasible(self, env) -> list:
-        """``enumerate_feasible(env, cap)``, enumerated on first use."""
-        out = self._lists.get(env)
-        if out is None:
-            out = self._lists[env] = enumerate_feasible(env, self.cap)
-        return out
-
-    def opt(self, env, profile):
-        """``opt(env, profile, cap)``, taken over the shared list."""
-        return argmax_first(self.feasible(env), profile)
-
-
-def _registry(cap: int) -> _Registry:
-    registry = _Registry(cap)
-
+def _registry(cap: int) -> dict[str, Construction]:
     def ref_opt(inst, profile):
-        return registry.opt(inst.env, profile)
+        return opt(inst.env, profile, cap)
 
     def ref_greedy(inst, profile):
         return greedy(inst.env, profile)
@@ -226,7 +201,7 @@ def _registry(cap: int) -> _Registry:
     def ref_dp(inst, profile):
         return knapsack_dp(inst.env, profile)
 
-    registry.update({
+    return {
         "single-item": Construction(
             name="single-item",
             build=lambda inst: (
@@ -240,7 +215,7 @@ def _registry(cap: int) -> _Registry:
             name="intro-bundle",
             build=lambda inst: (
                 _need(CombinatorialAuctionEnv, inst.env, "intro-bundle")
-                or (lambda p: bundle_split_item_prices(inst.env, p, registry.opt(inst.env, p)))
+                or (lambda p: bundle_split_item_prices(inst.env, p, opt(inst.env, p, cap)))
             ),
             params=lambda inst: BalanceParams(
                 alpha=float(inst.env.items), beta1=0.0, beta2=1.0
@@ -251,7 +226,7 @@ def _registry(cap: int) -> _Registry:
             name="xos",
             build=lambda inst: (
                 _need(CombinatorialAuctionEnv, inst.env, "xos")
-                or (lambda p: xos_item_prices(inst.env, p, registry.opt(inst.env, p)))
+                or (lambda p: xos_item_prices(inst.env, p, opt(inst.env, p, cap)))
             ),
             params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
             reference=ref_opt,
@@ -260,7 +235,7 @@ def _registry(cap: int) -> _Registry:
             name="mph",
             build=lambda inst: (
                 _need(CombinatorialAuctionEnv, inst.env, "mph")
-                or (lambda p: mphk_item_prices(inst.env, p, registry.opt(inst.env, p)))
+                or (lambda p: mphk_item_prices(inst.env, p, opt(inst.env, p, cap)))
             ),
             params=lambda inst: BalanceParams(
                 alpha=1.0, beta1=1.0, beta2=float(_mph_rank(inst) - 1)
@@ -299,7 +274,7 @@ def _registry(cap: int) -> _Registry:
             name="pip",
             build=lambda inst: (
                 _need(PipEnv, inst.env, "pip")
-                or (lambda p: pip_prices(inst.env, p, registry.opt(inst.env, p)))
+                or (lambda p: pip_prices(inst.env, p, opt(inst.env, p, cap)))
             ),
             params=lambda inst: BalanceParams(
                 alpha=2.0, beta1=0.0, beta2=float(_pip_sparsity(inst.env))
@@ -331,7 +306,7 @@ def _registry(cap: int) -> _Registry:
         "alg2-opt": Construction(
             name="alg2-opt",
             build=lambda inst: (
-                lambda p: opt_derived_prices(inst.env, p, registry.opt(inst.env, p), cap=cap)
+                lambda p: opt_derived_prices(inst.env, p, opt(inst.env, p, cap), cap=cap)
             ),
             params=lambda inst: (
                 lambda g: BalanceParams(alpha=1.0, beta1=0.0, beta2=g * g)
@@ -351,8 +326,7 @@ def _registry(cap: int) -> _Registry:
             params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
             reference=ref_opt,
         ),
-    })
-    return registry
+    }
 
 
 def resolve_params(args, construction: Construction, instance: Instance) -> BalanceParams:
@@ -460,8 +434,7 @@ def _scaled_rule(instance: Instance, construction: Construction, params, cap):
 def cmd_balance(args) -> int:
     cap = args.cap_feasible
     instance = load_instance_file(args.instance)
-    registry = _registry(cap)
-    construction = registry[args.pricing]
+    construction = _registry(cap)[args.pricing]
     params = resolve_params(args, construction, instance)
     constructor = construction.build(instance)
     profile = instance.profile
@@ -483,7 +456,6 @@ def cmd_balance(args) -> int:
     report = check(
         instance.env, profile, rule, reference, family, params,
         order=perm, order_mode=order_mode, cap=cap,
-        feasible=registry.feasible(instance.env),
     )
     verdict = "PASS" if report.passed else "FAIL"
     label = (
@@ -654,7 +626,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--cap-feasible", dest="cap_feasible", type=int, default=_default_cap())
+    p.add_argument("--cap-feasible", dest="cap_feasible", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
 
 
@@ -678,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--rule", choices=("opt", "greedy"), default="opt")
     p.add_argument("--grid", default=None, help="comma-separated bid grid")
-    p.add_argument("--cap-feasible", dest="cap_feasible", type=int, default=_default_cap())
+    p.add_argument("--cap-feasible", dest="cap_feasible", type=int, default=None)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_permeability)
 
@@ -702,10 +674,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        if hasattr(args, "cap_feasible") and args.cap_feasible is None:
+            args.cap_feasible = _default_cap()
         return args.fn(args)
     except (SchemaError, PricingError, ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,8 +3,9 @@
 Allocations are plain tuples of per-agent outcome tokens.  The null outcome is
 always the numeric token ``0`` (the empty bitmask for set-valued kinds, the
 zero quantity for divisible kinds), so restriction and welfare arithmetic need
-no per-kind special cases.  All types here are immutable after construction
-and safe to share across workers.
+no per-kind special cases.  All types here are immutable after construction,
+apart from the feasible list an environment keeps once it is enumerated, and
+safe to share across workers.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 TOL = 1e-9
 
@@ -362,6 +363,9 @@ class EnvironmentBase:
 
     kind: str
     n: int
+    # the feasible list, kept by ``enumerate_feasible``; not a field, so
+    # equality, hashing and serialization see only the fields
+    _feasible = None
 
     def agent_outcomes(self, i: int) -> tuple:
         raise NotImplementedError
@@ -548,6 +552,15 @@ class ExplicitEnv(EnvironmentBase):
                 raise ValueError("every agent's outcome space must contain the null token 0")
         if self.null_allocation() not in self.feasible_set:
             raise ValueError("the all-null allocation must be feasible")
+        # downward closed: every one-slot drop of a listed allocation is
+        # listed, so by induction every restriction is
+        for alloc in self.feasible_set:
+            for i, x in enumerate(alloc):
+                if x != NULL and replace_at(alloc, i, NULL) not in self.feasible_set:
+                    raise ValueError(
+                        f"feasible set is not downward closed: {alloc} is listed "
+                        f"but {replace_at(alloc, i, NULL)} is not"
+                    )
 
     def agent_outcomes(self, i: int) -> tuple:
         return tuple(sorted(self.outcome_tokens[i], key=_token_key))
@@ -615,29 +628,25 @@ def _token_key(tok):
 DEFAULT_CAP = 200_000
 
 
-def enumerate_feasible(
-    env: Environment,
-    cap: int = DEFAULT_CAP,
-    predicate: Optional[Callable[[Allocation], bool]] = None,
-    frozen: Collection[int] = (),
-    what: str = "feasible allocations",
-) -> list[Allocation]:
-    """All allocations satisfying ``predicate`` (default ``env.is_feasible``)
-    in lexicographic token order (agent 0 most significant), with the agents
-    in ``frozen`` held null.  Raises CapExceeded, counting ``what``, when the
-    count passes ``cap``.
+def enumerate_feasible(env: Environment, cap: int = DEFAULT_CAP) -> tuple[Allocation, ...]:
+    """All feasible allocations in lexicographic token order (agent 0 most
+    significant).  Raises CapExceeded when the count passes ``cap``.
 
-    ``predicate`` must be downward closed: partial allocations are pruned
-    as soon as a prefix with trailing nulls fails it, since no completion
-    of that prefix can pass.
+    Feasibility must be downward closed: a partial allocation is pruned as
+    soon as it fails with trailing nulls, since no completion of it can pass.
+
+    The list is a property of the environment, so the first enumeration that
+    finishes within its cap is kept on ``env`` and later calls return it; a
+    call whose cap is below its length raises as the enumeration would.
     """
+    feasible = env._feasible
+    if feasible is not None:
+        if len(feasible) > cap:
+            raise CapExceeded(cap + 1, cap, "feasible allocations")
+        return feasible
     n = env.n
-    if predicate is None:
-        predicate = env.is_feasible
-    spaces = [
-        (NULL,) if i in frozen else sorted(env.agent_outcomes(i), key=_token_key)
-        for i in range(n)
-    ]
+    is_feasible = env.is_feasible
+    spaces = [sorted(env.agent_outcomes(i), key=_token_key) for i in range(n)]
     out: list[Allocation] = []
     cur: list = [NULL] * n
 
@@ -645,25 +654,15 @@ def enumerate_feasible(
         if i == n:
             out.append(tuple(cur))
             if len(out) > cap:
-                raise CapExceeded(len(out), cap, what)
+                raise CapExceeded(len(out), cap, "feasible allocations")
             return
         for tok in spaces[i]:
             cur[i] = tok
-            if predicate(tuple(cur)):
+            if is_feasible(tuple(cur)):
                 rec(i + 1)
         cur[i] = NULL
 
     rec(0)
-    return out
-
-
-def check_downward_closed(env: Environment, cap: int = DEFAULT_CAP) -> bool:
-    """Exhaustively verify that every restriction of a feasible allocation is
-    feasible (desk-scale environments only)."""
-    for alloc in enumerate_feasible(env, cap):
-        agents = support(alloc)
-        for r in range(len(agents) + 1):
-            for subset in itertools.combinations(agents, r):
-                if not env.is_feasible(restrict(alloc, subset)):
-                    return False
-    return True
+    feasible = tuple(out)
+    object.__setattr__(env, "_feasible", feasible)
+    return feasible

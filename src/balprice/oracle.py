@@ -8,7 +8,6 @@ tie-breaking, so downstream pricing rules are reproducible bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -66,20 +65,12 @@ def opt(env: Environment, profile: Sequence[Valuation], cap: int = DEFAULT_CAP) 
 
 
 def merge_over(x: Allocation, y: Allocation) -> Allocation:
-    """Overlay y onto x where x is null (used for contraction members)."""
+    """Overlay y onto x where x is null."""
     return tuple(xi if xi != NULL else yi for xi, yi in zip(x, y))
 
 
+# environment kinds whose outcomes are item masks, merged agent-wise by union
 _UNION_ENVS = (CombinatorialAuctionEnv, MatroidEnv, SingleItemEnv)
-# environment kinds whose feasibility is downward closed by construction
-_CLOSED_ENVS = _UNION_ENVS + (KnapsackEnv, PipEnv)
-
-
-def merge_union(env: Environment, x: Allocation, y: Allocation) -> Allocation:
-    """Agent-wise union for set-valued outcome kinds."""
-    if isinstance(env, _UNION_ENVS):
-        return tuple(xi | yi for xi, yi in zip(x, y))
-    raise TypeError(f"union merge undefined for environment kind {env.kind}")
 
 
 def allocated_items(x: Allocation) -> int:
@@ -139,104 +130,74 @@ class ExchangeFamily:
             )
         return x
 
-    # the feasible list of ``over`` and a per-allocation table read off it;
-    # not fields, so equality and hashing see only kind, env and components
-    _feasible = None
+    # rows read off the environment's feasible list, built on first use; not
+    # a field, so equality and hashing see only kind, env and components
     _table = None
 
-    def over(self, feasible: list[Allocation]) -> "ExchangeFamily":
-        """A copy whose ``members`` filter ``feasible`` in list order instead
-        of running a pruned DFS; ``feasible`` must be
-        ``enumerate_feasible(env, cap)``.
-
-        Every member is itself feasible, and every kind's predicate is
-        downward closed, so filtering the lexicographic list gives the DFS's
-        members in the DFS's order.  Products, and explicit environments,
-        whose downward closure is not checked, keep the DFS."""
-        env = self.env
-        if not isinstance(env, _CLOSED_ENVS):
-            return self
-        if self.kind == "pip_threshold" and not isinstance(env, PipEnv):
-            return self  # the DFS's own check raises
-        if self.kind == "item_disjoint" and not isinstance(env, _UNION_ENVS):
-            return self  # merge_union raises on other kinds, as in the DFS
-        bound = dataclasses.replace(self)
-        object.__setattr__(bound, "_feasible", feasible)
-        if self.kind == "pip_threshold":
-            table = [env.load(y) for y in feasible]
-        elif self.kind == "item_disjoint":
-            masks = [allocated_items(y) for y in feasible]
-            table = (masks, set(masks))
-        else:
-            table = None
-        object.__setattr__(bound, "_table", table)
-        return bound
+    def _rows(self, feasible):
+        """Pip loads per listed allocation, or item masks per listed
+        allocation with the set of them."""
+        if self._table is None:
+            if self.kind == "pip_threshold":
+                table = [self.env.load(y) for y in feasible]
+            else:
+                masks = [allocated_items(y) for y in feasible]
+                table = (masks, set(masks))
+            object.__setattr__(self, "_table", table)
+        return self._table
 
     def members(self, x: Allocation, cap: int = DEFAULT_CAP) -> list[Allocation]:
+        """The exchange set at x in the environment's list order: the feasible
+        allocations meeting the kind's condition, except for products, whose
+        members are every combination of their components' members.
+
+        Every kind's condition is downward closed, and the environment is, so
+        filtering the list gives exactly the allocations a DFS pruned by that
+        condition would."""
         # A closed exchange set is the singleton {all-null} rather than the
         # empty set: the residual optimum is 0 either way, the null member
         # is trivially exchange compatible, and products of per-market
         # families then decompose market by market.
         env = self.env
-        feasible = self._feasible
         if self.kind == "single_item_gate":
             if any(xi != NULL for xi in x):
                 return [env.null_allocation()]
-            return enumerate_feasible(env, cap) if feasible is None else list(feasible)
+            return list(enumerate_feasible(env, cap))
 
         if self.kind == "knapsack_threshold":
             if sum(x) < 0.5:  # strict; grid quantities are exact dyadics
-                return enumerate_feasible(env, cap) if feasible is None else list(feasible)
+                return list(enumerate_feasible(env, cap))
             return [env.null_allocation()]
 
         if self.kind == "pip_threshold":
             assert isinstance(env, PipEnv)
             caps = tuple(1.0 if l <= 0.5 + TOL else 0.0 for l in env.load(x))
-
-            def fits(load) -> bool:
-                return all(l <= c + TOL for l, c in zip(load, caps))
-
-            if feasible is not None:
-                return [y for y, load in zip(feasible, self._table) if fits(load)]
-            return enumerate_feasible(
-                env, cap, lambda y: fits(env.load(y)), what="exchange members"
-            )
+            feasible = enumerate_feasible(env, cap)
+            return [
+                y
+                for y, load in zip(feasible, self._rows(feasible))
+                if all(l <= c + TOL for l, c in zip(load, caps))
+            ]
 
         if self.kind == "canonical_contraction":
-            if feasible is not None:
-                # x merged over a member is a listed z agreeing with x on
-                # supp(x); clearing those slots gives the member back
-                supp = support(x)
-                return [
-                    tuple(NULL if xi != NULL else zi for xi, zi in zip(x, z))
-                    for z in feasible
-                    if all(z[i] == x[i] for i in supp)
-                ]
-            return enumerate_feasible(
-                env,
-                cap,
-                lambda y: env.is_feasible(merge_over(x, y)),
-                frozen=support(x),
-                what="exchange members",
-            )
+            # x merged over a member is a listed z agreeing with x on
+            # supp(x); clearing those slots gives the member back
+            supp = support(x)
+            return [
+                tuple(NULL if xi != NULL else zi for xi, zi in zip(x, z))
+                for z in enumerate_feasible(env, cap)
+                if all(z[i] == x[i] for i in supp)
+            ]
 
         if self.kind == "item_disjoint":
+            if not isinstance(env, _UNION_ENVS):
+                raise TypeError(f"union merge undefined for environment kind {env.kind}")
+            # the union of disjoint feasible x and y is feasible exactly when
+            # its item set is some feasible allocation's item set
             used = allocated_items(x)
-            if feasible is not None:
-                # on matroid, auction and single-item environments the union
-                # of disjoint feasible x and y is feasible exactly when its
-                # item set is some feasible allocation's item set
-                masks, unions = self._table
-                return [
-                    y for y, m in zip(feasible, masks) if not m & used and used | m in unions
-                ]
-            return enumerate_feasible(
-                env,
-                cap,
-                lambda y: not allocated_items(y) & used
-                and env.is_feasible(merge_union(env, x, y)),
-                what="exchange members",
-            )
+            feasible = enumerate_feasible(env, cap)
+            masks, unions = self._rows(feasible)
+            return [y for y, m in zip(feasible, masks) if not m & used and used | m in unions]
 
         if self.kind == "product":
             assert isinstance(env, ProductEnv)

@@ -31,7 +31,6 @@ from balprice.core import (
     ScalarValuation,
     SingleItemEnv,
     UNAVAILABLE,
-    check_downward_closed,
     enumerate_feasible,
     replace_at,
     welfare,
@@ -77,6 +76,8 @@ from balprice.stochastic import (
     monte_carlo_ratio,
     trial_rng,
 )
+
+from helpers import check_downward_closed
 
 EPS = 1e-9
 

@@ -16,12 +16,13 @@ from balprice.catalog import (
 from balprice.core import (
     CapExceeded,
     MphValuation,
-    check_downward_closed,
     welfare,
 )
 from balprice.oracle import opt
 from balprice.serialize import load_instance
 from balprice.stochastic import expected_opt
+
+from helpers import check_downward_closed
 
 
 class TestNamedInstances:

@@ -272,6 +272,23 @@ class TestMalformedInstances:
         assert results[0][0] in (0, 1)
 
 
+    def test_explicit_not_downward_closed_exits_2(self, tmp_path, capsys):
+        """Feasibility by list must be downward closed: (1, 1) without (0, 1)
+        would make OPT's welfare 0 while (1, 1) is listed as feasible."""
+        doc = {
+            "environment": {"kind": "explicit", "agents": 2, "outcomes": [[0, 1], [0, 1]],
+                            "feasible": [[0, 0], [1, 1]]},
+            "agents": [{"kind": "scalar", "value": 1.0}, {"kind": "scalar", "value": 1.0}],
+        }
+        inst = tmp_path / "explicit.json"
+        inst.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["balance", "--instance", str(inst), "--pricing", "warmup"]) == 2
+        assert capsys.readouterr().err == (
+            "error: feasible set is not downward closed: (1, 1) is listed but (0, 1) is not\n"
+        )
+
+
 class TestRatioCommand:
     def test_exact_tight_ratio(self, tight_instance, tmp_path, capsys):
         out = tmp_path / "ratio.csv"
@@ -449,6 +466,39 @@ class TestCapMessages:
         assert code == 3
         assert "evaluator memo states exceeded cap: 2 > 1" in err
         assert "Traceback" not in err
+
+
+class TestCapFromEnvironment:
+    """``BALPRICE_CAP`` sets the default cap; it is read on every call, inside
+    the error handling, while the parser is built once per process."""
+
+    def _balance(self, instance, report):
+        return run_cli(["balance", "--instance", str(instance), "--pricing", "matroid",
+                        "-o", str(report)])
+
+    def test_changed_cap_takes_effect_between_calls(self, matroid_instance, tmp_path, monkeypatch):
+        report = tmp_path / "report.json"
+        monkeypatch.setenv("BALPRICE_CAP", "2")
+        assert self._balance(matroid_instance, report) == 3
+        monkeypatch.setenv("BALPRICE_CAP", "1000")
+        assert self._balance(matroid_instance, report) in (0, 1)
+        assert json.loads(report.read_text())["config"]["cap_feasible"] == 1000
+        monkeypatch.delenv("BALPRICE_CAP")
+        assert self._balance(matroid_instance, report) in (0, 1)
+        assert json.loads(report.read_text())["config"]["cap_feasible"] == 200_000
+
+    def test_bad_cap_exits_2(self, matroid_instance, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BALPRICE_CAP", "abc")
+        capsys.readouterr()
+        assert self._balance(matroid_instance, tmp_path / "report.json") == 2
+        assert capsys.readouterr().err == "error: BALPRICE_CAP must be an integer, got 'abc'\n"
+
+    def test_parser_is_built_once(self, matroid_instance, tmp_path):
+        import balprice.cli
+
+        for _ in range(2):
+            self._balance(matroid_instance, tmp_path / "report.json")
+        assert balprice.cli._parser.cache_info().misses == 1
 
 
 class TestPermeabilityCommand:

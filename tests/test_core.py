@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import balprice.core
 from balprice.core import (
     NULL,
     AdditiveValuation,
@@ -22,7 +23,6 @@ from balprice.core import (
     ThresholdValuation,
     XosValuation,
     bitmask_items,
-    check_downward_closed,
     enumerate_feasible,
     prefix,
     restrict,
@@ -30,6 +30,10 @@ from balprice.core import (
     value,
     welfare,
 )
+
+from balprice.serialize import encode_environment
+
+from helpers import check_downward_closed, count_dfs_runs
 
 
 def bit(*items):
@@ -150,6 +154,15 @@ class TestFeasibility:
                 n=1, outcome_tokens=((1,),), feasible_set=frozenset({(1,)})
             )
 
+    def test_explicit_must_be_downward_closed(self):
+        tokens = ((0, 1), (0, 1))
+        with pytest.raises(ValueError, match=r"not downward closed: \(1, 1\) is listed"):
+            ExplicitEnv(n=2, outcome_tokens=tokens, feasible_set=frozenset({(0, 0), (1, 1)}))
+        env = ExplicitEnv(
+            n=2, outcome_tokens=tokens, feasible_set=frozenset({(0, 0), (1, 0), (0, 1), (1, 1)})
+        )
+        assert check_downward_closed(env)
+
 
 class TestWelfare:
     def test_all_null(self):
@@ -188,13 +201,42 @@ class TestEnumeration:
     def test_enumeration_deterministic_and_lexicographic(self):
         env = SingleItemEnv(n=2)
         allocs = enumerate_feasible(env)
-        assert allocs == [(0, 0), (0, 1), (1, 0)]
-        assert allocs == enumerate_feasible(env)
+        assert allocs == ((0, 0), (0, 1), (1, 0))
+        assert allocs == enumerate_feasible(SingleItemEnv(n=2))
 
     def test_cap(self):
         env = CombinatorialAuctionEnv(n=3, items=4)
         with pytest.raises(CapExceeded):
             enumerate_feasible(env, cap=10)
+
+    def test_list_is_kept_on_the_environment(self, monkeypatch):
+        env = MatroidEnv(n=3, matroid=Matroid.uniform(2, 3), elements=((0,), (1,), (2,)))
+        twin = MatroidEnv(n=3, matroid=Matroid.uniform(2, 3), elements=((0,), (1,), (2,)))
+        runs = count_dfs_runs(monkeypatch)
+        allocs = balprice.core.enumerate_feasible(env)
+        assert balprice.core.enumerate_feasible(env, cap=7) is allocs
+        assert runs[0] == 1
+        # equality, hashing and serialization see only the fields
+        assert env == twin and hash(env) == hash(twin)
+        assert encode_environment(env) == encode_environment(twin)
+
+    def test_kept_list_raises_as_the_enumeration_does(self):
+        env = CombinatorialAuctionEnv(n=2, items=2)
+        with pytest.raises(CapExceeded) as fresh:
+            enumerate_feasible(CombinatorialAuctionEnv(n=2, items=2), cap=5)
+        enumerate_feasible(env)
+        with pytest.raises(CapExceeded) as kept:
+            enumerate_feasible(env, cap=5)
+        assert str(kept.value) == str(fresh.value) == "feasible allocations exceeded cap: 6 > 5"
+        assert (kept.value.count, kept.value.cap) == (fresh.value.count, fresh.value.cap)
+
+    def test_list_over_its_cap_is_not_kept(self, monkeypatch):
+        env = CombinatorialAuctionEnv(n=2, items=2)
+        runs = count_dfs_runs(monkeypatch)
+        with pytest.raises(CapExceeded):
+            balprice.core.enumerate_feasible(env, cap=5)
+        assert len(balprice.core.enumerate_feasible(env)) == 9
+        assert runs[0] == 2
 
     def test_knapsack_grid(self):
         env = KnapsackEnv(n=1, step=0.25)

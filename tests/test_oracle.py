@@ -1,12 +1,18 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balprice.catalog import (
+    gen_common_outcome_instance,
+    gen_knapsack_mixed,
     gen_knapsack_random,
     gen_matroid,
     gen_mph_random,
     gen_pip_random,
+    gen_product_single_items,
+    gen_single_minded_triangle,
+    gen_two_point_single_item,
+    gen_unit_demand_vs_bundle,
     gen_xos_random,
 )
 from balprice.core import (
@@ -18,8 +24,8 @@ from balprice.core import (
     Matroid,
     MatroidEnv,
     MphValuation,
-    NULL,
     PipEnv,
+    ProductEnv,
     ScalarValuation,
     SingleItemEnv,
     TOL,
@@ -36,18 +42,17 @@ from balprice.oracle import (
     OPT_RULE,
     AllocationRule,
     ExchangeFamily,
-    allocated_items,
     critical_value,
     default_family,
     fractional_opt_config_lp,
     greedy,
     knapsack_dp,
-    merge_over,
-    merge_union,
     opt,
     permeability,
     residual_opt,
 )
+
+from helpers import brute_feasible, filtered_members, multi_element_matroid
 
 
 def bit(*items):
@@ -174,62 +179,60 @@ class TestResidualOpt:
 SEEDS = st.integers(min_value=0, max_value=10_000)
 AGENTS = st.integers(min_value=1, max_value=5)
 
-# catalog instances with at most 5 agents (the K4 matroid has its 6 edges)
-MEMBER_INSTANCES = st.one_of(
-    st.builds(lambda r, g, s: gen_matroid("uniform", seed=s, rank=min(r, g), ground=g),
+
+# an environment of every catalog kind, with at most 5 agents (the K4
+# matroid has its 6 edges), plus a multi-element matroid
+MEMBER_ENVS = st.one_of(
+    st.builds(lambda r, g, s: gen_matroid("uniform", seed=s, rank=min(r, g), ground=g).env,
               st.integers(1, 4), AGENTS, SEEDS),
-    st.builds(lambda g, s: gen_matroid("partition", seed=s, ground=g),
+    st.builds(lambda g, s: gen_matroid("partition", seed=s, ground=g).env,
               st.integers(2, 5), SEEDS),
-    st.builds(lambda s: gen_matroid("graphic_k4", seed=s), SEEDS),
-    st.builds(lambda n, m, s: gen_xos_random(n=n, m=m, seed=s), AGENTS, st.integers(1, 3), SEEDS),
-    st.builds(lambda n, m, s: gen_mph_random(n=n, m=m, seed=s), AGENTS, st.integers(1, 3), SEEDS),
-    st.builds(lambda n, s: gen_pip_random(n=n, seed=s), AGENTS, SEEDS),
-    st.builds(lambda n, s: gen_knapsack_random(n=n, seed=s), st.integers(1, 4), SEEDS),
+    st.builds(lambda s: gen_matroid("graphic_k4", seed=s).env, SEEDS),
+    st.just(multi_element_matroid()),
+    st.builds(lambda n, m, s: gen_xos_random(n=n, m=m, seed=s).env, AGENTS, st.integers(1, 3), SEEDS),
+    st.builds(lambda n, m, s: gen_mph_random(n=n, m=m, seed=s).env, AGENTS, st.integers(1, 3), SEEDS),
+    st.builds(lambda n, s: gen_pip_random(n=n, seed=s).env, AGENTS, SEEDS),
+    st.builds(lambda n, s: gen_knapsack_random(n=n, seed=s).env, st.integers(1, 4), SEEDS),
+    st.builds(lambda n, s: gen_knapsack_mixed(n=n, seed=s).env, st.integers(1, 3), SEEDS),
+    st.builds(lambda n, s: gen_two_point_single_item(n=n, seed=s).env, AGENTS, SEEDS),
+    st.builds(lambda n, s: gen_product_single_items(n=n, seed=s).env, st.integers(1, 3), SEEDS),
+    st.builds(lambda n, k: gen_common_outcome_instance(n=n, k=k).env,
+              st.integers(1, 3), st.integers(1, 3)),
+    st.just(gen_unit_demand_vs_bundle(d=3).env),
+    st.just(gen_single_minded_triangle().env),
 )
 
 
-def predicate_kinds(env):
-    """The exchange-family kinds whose members come from a pruned DFS."""
-    if isinstance(env, PipEnv):
-        return ("pip_threshold", "canonical_contraction")
-    if isinstance(env, (MatroidEnv, CombinatorialAuctionEnv)):
-        return ("canonical_contraction", "item_disjoint")
-    return ("canonical_contraction",)
-
-
-def filtered_members(kind, env, x, feasible):
-    """Brute-force twin of ``ExchangeFamily.members``: every feasible
-    allocation, kept when it meets the kind's defining condition."""
-    if kind == "canonical_contraction":
-        def keep(y):
-            return all(y[i] == NULL for i in support(x)) and env.is_feasible(merge_over(x, y))
-    elif kind == "item_disjoint":
-        def keep(y):
-            return not allocated_items(y) & allocated_items(x) and env.is_feasible(
-                merge_union(env, x, y)
-            )
-    else:
-        caps = [1.0 if l <= 0.5 + TOL else 0.0 for l in env.load(x)]
-
-        def keep(y):
-            return all(l <= c + TOL for l, c in zip(env.load(y), caps))
-    return [y for y in feasible if keep(y)]
+def families(env):
+    """A family of every kind that applies to ``env``."""
+    out = [ExchangeFamily("canonical_contraction", env), default_family(env)]
+    if isinstance(env, (MatroidEnv, CombinatorialAuctionEnv, SingleItemEnv)):
+        out.append(ExchangeFamily("item_disjoint", env))
+    if isinstance(env, ProductEnv):
+        out.append(ExchangeFamily("product", env, components=tuple(
+            ExchangeFamily("canonical_contraction", m) for m in env.markets
+        )))
+    return out
 
 
 class TestMemberEnumeration:
-    """Family members come from the one pruned DFS in ``enumerate_feasible``;
-    pruning on a prefix is exact only because each predicate is downward
-    closed, which filtering the full enumeration checks."""
+    """Family members are read off the environment's one feasible list; the
+    filter is exact only because each kind's condition and the environment
+    are downward closed, which the brute-force twin does not assume."""
 
-    @given(MEMBER_INSTANCES)
-    @settings(max_examples=40, deadline=None)
-    def test_members_equal_filtered_enumeration(self, inst):
-        env = inst.env
-        feasible = enumerate_feasible(env)
-        for kind in predicate_kinds(env):
-            family = ExchangeFamily(kind, env)
-            for x in feasible:
-                assert family.members(x) == filtered_members(kind, env, x, feasible)
+    @given(MEMBER_ENVS)
+    @example(gen_pip_random(n=5, seed=0).env)
+    @example(gen_matroid("graphic_k4", seed=0).env)
+    @example(gen_xos_random(n=3, m=3, seed=1).env)
+    @example(gen_knapsack_mixed(n=3, seed=2).env)
+    @example(gen_product_single_items(n=2, markets=3, seed=0).env)
+    @example(gen_common_outcome_instance(n=3, k=3).env)
+    @settings(max_examples=100, deadline=None)
+    def test_members_equal_filtered_enumeration(self, env):
+        assert list(enumerate_feasible(env)) == brute_feasible(env)
+        for family in families(env):
+            for x in enumerate_feasible(env):
+                assert family.members(x) == filtered_members(family, x)
 
     @pytest.mark.parametrize(
         "kind,env",
@@ -240,8 +243,14 @@ class TestMemberEnumeration:
         ],
     )
     def test_member_cap_names_exchange_members(self, kind, env):
-        with pytest.raises(CapExceeded, match=r"^exchange members exceeded cap: 3 > 2$"):
-            ExchangeFamily(kind, env).members(env.null_allocation(), cap=2)
+        """Only products count exchange members against the cap: a market's
+        list fits under it, while the combinations across two markets do
+        not."""
+        product = ProductEnv(markets=(env, env))
+        family = ExchangeFamily("product", product, components=(ExchangeFamily(kind, env),) * 2)
+        cap = len(enumerate_feasible(env))
+        with pytest.raises(CapExceeded, match=rf"^exchange members exceeded cap: {cap + 1} > {cap}$"):
+            family.members(product.null_allocation(), cap=cap)
 
 
 class TestGreedy:

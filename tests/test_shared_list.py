@@ -1,21 +1,18 @@
-"""One feasible list per balance job: exchange members filtered from it, OPT
-taken over it.
+"""One feasible list per environment: exchange members filtered from it,
+OPT taken over it, one DFS per job.
 
-Each fast path is checked against its brute-force twin, which stays here:
-the pruned member DFS of an unbound ``ExchangeFamily`` and a certifier walk
-that never binds its family.
+Each fast path is checked against its brute-force twin, kept in
+``helpers``: members by each family kind's defining condition over a
+cartesian enumeration, and a certifier walk whose exchange sets come from
+that twin.
 """
-
-import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import balprice.core
 from balprice.balance import check_balanced, check_weakly_balanced
 from balprice.catalog import (
-    gen_knapsack_mixed,
     gen_knapsack_random,
     gen_matroid,
     gen_mph_random,
@@ -25,14 +22,7 @@ from balprice.catalog import (
     gen_xos_random,
 )
 from balprice.cli import main
-from balprice.core import (
-    CombinatorialAuctionEnv,
-    Matroid,
-    MatroidEnv,
-    SingleItemEnv,
-    enumerate_feasible,
-    welfare,
-)
+from balprice.core import SingleItemEnv, enumerate_feasible, welfare
 from balprice.oracle import ExchangeFamily, default_family, knapsack_dp, opt
 from balprice.pricing import (
     BalanceParams,
@@ -44,59 +34,13 @@ from balprice.pricing import (
     xos_item_prices,
 )
 
+from helpers import count_dfs_runs, filtered_members, multi_element_matroid
+
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
 
-def multi_element_matroid():
-    """Three agents owning two elements each of a rank-3 uniform matroid, so
-    tokens are masks with more than one bit."""
-    return MatroidEnv(n=3, matroid=Matroid.uniform(3, 6), elements=((0, 1), (2, 3), (4, 5)))
-
-
-# catalog environments of every kind a family binds on, plus a product and a
-# multi-element matroid
-ENVS = st.one_of(
-    st.builds(lambda r, g, s: gen_matroid("uniform", seed=s, rank=min(r, g), ground=g).env,
-              st.integers(1, 4), st.integers(1, 6), SEEDS),
-    st.builds(lambda g, s: gen_matroid("partition", seed=s, ground=g).env,
-              st.integers(2, 6), SEEDS),
-    st.builds(lambda s: gen_matroid("graphic_k4", seed=s).env, SEEDS),
-    st.just(multi_element_matroid()),
-    st.builds(lambda n, m, s: gen_xos_random(n=n, m=m, seed=s).env,
-              st.integers(1, 4), st.integers(1, 3), SEEDS),
-    st.builds(lambda n, s: gen_pip_random(n=n, seed=s).env, st.integers(1, 6), SEEDS),
-    st.builds(lambda n, s: gen_knapsack_random(n=n, seed=s).env, st.integers(1, 4), SEEDS),
-    st.builds(lambda n, s: gen_knapsack_mixed(n=n, seed=s).env, st.integers(1, 3), SEEDS),
-    st.builds(lambda n: SingleItemEnv(n=n), st.integers(1, 6)),
-    st.builds(lambda n, s: gen_product_single_items(n=n, seed=s).env, st.integers(1, 3), SEEDS),
-)
-
-
-def family_kinds(env):
-    """Every exchange-family kind that applies to ``env``."""
-    kinds = ["canonical_contraction", default_family(env).kind]
-    if isinstance(env, (MatroidEnv, CombinatorialAuctionEnv, SingleItemEnv)):
-        kinds.append("item_disjoint")
-    return sorted(set(kinds))
-
-
-def family_of(kind, env):
-    if kind == "product":
-        return default_family(env)
-    return ExchangeFamily(kind, env)
-
-
 class TestBoundMembers:
-    @given(ENVS)
-    @settings(max_examples=80, deadline=None)
-    def test_bound_members_equal_dfs_members(self, env):
-        feasible = enumerate_feasible(env)
-        for kind in family_kinds(env):
-            family = family_of(kind, env)
-            bound = family.over(feasible)
-            assert bound == family and hash(bound) == hash(family)
-            for x in feasible:
-                assert bound.members(x) == family.members(x)
+    """Members bound to the environment's kept list."""
 
     @pytest.mark.parametrize(
         "env,kind",
@@ -112,22 +56,23 @@ class TestBoundMembers:
     )
     def test_bound_members_run_no_dfs(self, monkeypatch, env, kind):
         feasible = enumerate_feasible(env)
-        bound = ExchangeFamily(kind, env).over(feasible)
+        family = ExchangeFamily(kind, env)
+        runs = count_dfs_runs(monkeypatch)
+        assert sum(len(family.members(x)) for x in feasible) > len(feasible)
+        assert runs[0] == 0
 
-        def no_dfs(*args, **kwargs):
-            raise AssertionError("bound members ran the DFS")
-
-        monkeypatch.setattr("balprice.oracle.enumerate_feasible", no_dfs)
-        assert sum(len(bound.members(x)) for x in feasible) > len(feasible)
-
-    def test_products_keep_the_dfs(self):
-        env = gen_product_single_items(n=2, seed=0).env
+    def test_product_components_filter_their_markets_lists(self, monkeypatch):
+        env = gen_product_single_items(n=2, markets=3, seed=0).env
         family = default_family(env)
-        assert family.over(enumerate_feasible(env)) is family
+        feasible = enumerate_feasible(env)
+        runs = count_dfs_runs(monkeypatch)
+        for x in feasible:
+            assert family.members(x) == filtered_members(family, x)
+        assert runs[0] == len(env.markets)
 
 
 # ---------------------------------------------------------------------------
-# The certifier with and without a list, and with no binding at all
+# The certifier against a walk over brute-force exchange sets
 # ---------------------------------------------------------------------------
 
 
@@ -173,58 +118,61 @@ class TestCheckWithSharedList:
     @given(certify_cases())
     @settings(max_examples=40, deadline=None)
     def test_reports_equal_with_and_without_list(self, case):
+        """The walk reads exchange sets off the kept list; its twin takes
+        every exchange set from the brute-force filter, with no shared list,
+        and must give an equal report."""
         kind, n, seed, contraction = case
         env, profile, rule, alloc, params, order_mode = _case(kind, n, seed)
         family = ExchangeFamily("canonical_contraction", env) if contraction else default_family(env)
         check = check_weakly_balanced if params.weak else check_balanced
 
-        def run(**kwargs):
-            return check(env, profile, rule, alloc, family, params, order_mode=order_mode, **kwargs)
+        def run():
+            return check(env, profile, rule, alloc, family, params, order_mode=order_mode)
 
-        with_list = run(feasible=enumerate_feasible(env))
-        assert with_list == run()
-        # the brute-force twin: every exchange set from the pruned DFS
+        with_list = run()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ExchangeFamily, "over", lambda self, feasible: self)
+            mp.setattr(ExchangeFamily, "members", lambda self, x, cap=None: filtered_members(self, x))
             assert with_list == run()
 
 
 # ---------------------------------------------------------------------------
-# Work gate: one enumeration per balance job
+# Work gate: one DFS per job
 # ---------------------------------------------------------------------------
 
 
-def _count_calls(monkeypatch, name, orig):
-    """Count calls of ``orig`` under every balprice module name bound to it."""
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return orig(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name == "balprice" or mod_name.startswith("balprice."):
-            if getattr(mod, name, None) is orig:
-                monkeypatch.setattr(mod, name, counted)
-    return calls
+def _matroid(rank, ground, seed):
+    return ["matroid", "--kind", "uniform", "--rank", str(rank), "--ground", str(ground),
+            "--seed", str(seed)]
 
 
 @pytest.mark.parametrize(
     "catalog,pricing",
     [
         (["xos", "--n", "3", "--m", "4"], "xos"),
-        (["matroid", "--kind", "uniform", "--rank", "3", "--ground", "6", "--seed", "2"],
-         "matroid"),
+        (_matroid(3, 6, 2), "matroid"),
+        (_matroid(2, 5, 3), "warmup"),
+        (_matroid(2, 4, 0), "alg1-greedy"),
+        (_matroid(2, 4, 0), "alg2-opt"),
     ],
 )
 def test_balance_enumerates_once(tmp_path, monkeypatch, catalog, pricing):
+    """The construction, its parameters, the reference OPT, contracted OPT,
+    critical values and the walk all read one enumeration."""
     path = tmp_path / "inst.json"
     assert main(["catalog", *catalog, "-o", str(path)]) == 0
-    enumerations = _count_calls(monkeypatch, "enumerate_feasible", balprice.core.enumerate_feasible)
-    opts = _count_calls(monkeypatch, "opt", opt)
+    runs = count_dfs_runs(monkeypatch)
     assert main(["balance", "--instance", str(path), "--pricing", pricing]) in (0, 1)
-    assert enumerations[0] == 1
-    assert opts[0] == 0
+    assert runs[0] == 1
+
+
+def test_exact_ratio_enumerates_once(tmp_path, monkeypatch):
+    path = tmp_path / "inst.json"
+    assert main(["catalog", *_matroid(2, 5, 1), "-o", str(path)]) == 0
+    runs = count_dfs_runs(monkeypatch)
+    argv = ["ratio", "--instance", str(path), "--pricing", "matroid", "--exact",
+            "-o", str(tmp_path / "ratio.csv")]
+    assert main(argv) == 0
+    assert runs[0] == 1
 
 
 def test_over_cap_job_names_feasible_allocations(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from balprice.balance import check_balanced, check_weakly_balanced
 from balprice.catalog import (
+    gen_knapsack_mixed,
     gen_knapsack_random,
     gen_matroid,
     gen_mph_random,
@@ -22,7 +23,13 @@ from balprice.catalog import (
     gen_xos_random,
 )
 from balprice.cli import main
-from balprice.core import SingleItemEnv, enumerate_feasible, welfare
+from balprice.core import (
+    CombinatorialAuctionEnv,
+    MatroidEnv,
+    SingleItemEnv,
+    enumerate_feasible,
+    welfare,
+)
 from balprice.oracle import ExchangeFamily, default_family, knapsack_dp, opt
 from balprice.pricing import (
     BalanceParams,
@@ -39,8 +46,73 @@ from helpers import count_dfs_runs, filtered_members, multi_element_matroid
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
 
+def _builder(make):
+    """A strategy argument turned into a zero-argument builder, so a test
+    can build two equal environments that share no kept list."""
+    return lambda *args: (lambda: make(*args))
+
+
+# builders of catalog environments of every kind a family binds on, plus a
+# product and a multi-element matroid
+ENV_BUILDERS = st.one_of(
+    st.builds(_builder(lambda r, g, s: gen_matroid("uniform", seed=s, rank=min(r, g), ground=g).env),
+              st.integers(1, 4), st.integers(1, 6), SEEDS),
+    st.builds(_builder(lambda g, s: gen_matroid("partition", seed=s, ground=g).env),
+              st.integers(2, 6), SEEDS),
+    st.builds(_builder(lambda s: gen_matroid("graphic_k4", seed=s).env), SEEDS),
+    st.just(multi_element_matroid),
+    st.builds(_builder(lambda n, m, s: gen_xos_random(n=n, m=m, seed=s).env),
+              st.integers(1, 4), st.integers(1, 3), SEEDS),
+    st.builds(_builder(lambda n, s: gen_pip_random(n=n, seed=s).env), st.integers(1, 6), SEEDS),
+    st.builds(_builder(lambda n, s: gen_knapsack_random(n=n, seed=s).env), st.integers(1, 4), SEEDS),
+    st.builds(_builder(lambda n, s: gen_knapsack_mixed(n=n, seed=s).env), st.integers(1, 3), SEEDS),
+    st.builds(_builder(lambda n: SingleItemEnv(n=n)), st.integers(1, 6)),
+    st.builds(_builder(lambda n, s: gen_product_single_items(n=n, seed=s).env),
+              st.integers(1, 3), SEEDS),
+)
+
+
+def family_kinds(env):
+    """Every exchange-family kind that applies to ``env``."""
+    kinds = ["canonical_contraction", default_family(env).kind]
+    if isinstance(env, (MatroidEnv, CombinatorialAuctionEnv, SingleItemEnv)):
+        kinds.append("item_disjoint")
+    return sorted(set(kinds))
+
+
+def family_of(kind, env):
+    if kind == "product":
+        return default_family(env)
+    return ExchangeFamily(kind, env)
+
+
+def _kept_lists(env):
+    """The feasible lists kept on ``env`` and, for a product, its markets."""
+    return [env._feasible] + [m._feasible for m in getattr(env, "markets", ())]
+
+
 class TestBoundMembers:
     """Members bound to the environment's kept list."""
+
+    @given(ENV_BUILDERS)
+    @settings(max_examples=80, deadline=None)
+    def test_bound_members_equal_dfs_members(self, build):
+        """Members filtered from a kept list equal those of an equal
+        environment built anew, whose family must run its own DFS; the
+        kept list is not a field, so the two families are equal and hash
+        alike."""
+        env = build()
+        feasible = enumerate_feasible(env)
+        for kind in family_kinds(env):
+            family_of(kind, env).members(feasible[0])
+        fresh = build()
+        assert fresh is not env and all(kept is None for kept in _kept_lists(fresh))
+        for kind in family_kinds(env):
+            bound, unbound = family_of(kind, env), family_of(kind, fresh)
+            assert bound == unbound and hash(bound) == hash(unbound)
+            for x in feasible:
+                assert bound.members(x) == unbound.members(x)
+        assert enumerate_feasible(fresh) == feasible
 
     @pytest.mark.parametrize(
         "env,kind",

@@ -1,4 +1,4 @@
-"""Command-line front end: instance I/O, pricing-construction registry, and
+"""Command-line front end: instance I/O, the pricing-construction table, and
 the balance / simulate / ratio / permeability / catalog subcommands.
 
 Exit codes: 0 success or certification pass, 1 certification failure,
@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .balance import check_balanced, check_weakly_balanced
 from .catalog import GENERATORS
@@ -24,6 +24,7 @@ from .core import (
     AdditiveValuation,
     CapExceeded,
     CombinatorialAuctionEnv,
+    Environment,
     KnapsackEnv,
     MarketValuation,
     MatroidEnv,
@@ -31,6 +32,7 @@ from .core import (
     PipEnv,
     ProductEnv,
     SingleItemEnv,
+    enumerate_feasible,
     welfare,
 )
 from .mechanism import (
@@ -47,6 +49,7 @@ from .oracle import (
     default_family,
     fractional_opt_config_lp,
     greedy,
+    is_binary_env,
     knapsack_dp,
     opt,
     permeability,
@@ -94,26 +97,37 @@ def _default_cap() -> int:
 
 
 # ---------------------------------------------------------------------------
-# Pricing-construction registry
+# Pricing constructions
 # ---------------------------------------------------------------------------
-
-
-def _env_family(instance: Instance) -> ExchangeFamily:
-    return default_family(instance.env)
 
 
 @dataclass(frozen=True)
 class Construction:
-    name: str
-    build: Callable[[Instance], Callable[[tuple], PricingRule]]
-    params: Callable[[Instance], BalanceParams]
-    reference: Callable[[Instance, tuple], tuple]  # (env-aware) profile -> allocation
-    family: Callable[[Instance], ExchangeFamily] = _env_family
+    """A pricing construction: the environments it applies to (a class, a
+    tuple of classes, or a predicate on the environment), its rule for a
+    realized profile, its default balance parameters, its reference rule ALG
+    and its exchange-compatible family.  Calls that enumerate take ``cap``."""
+
+    applies: Union[type, tuple, Callable[[Environment], bool]]
+    rule: Callable[[Environment, tuple, int], PricingRule]
+    params: Callable[[Instance, int], BalanceParams]
+    reference: Callable[[Environment, tuple, int], tuple] = (
+        lambda env, profile, cap: opt(env, profile, cap)
+    )
+    family: Callable[[Environment], ExchangeFamily] = lambda env: default_family(env)
+
+    def applies_to(self, env: Environment) -> bool:
+        if isinstance(self.applies, (type, tuple)):
+            return isinstance(env, self.applies)
+        return self.applies(env)
 
 
-def _need(env_cls, env, name):
-    if not isinstance(env, env_cls):
-        raise PricingError(f"--pricing {name} does not apply to a {env.kind} environment")
+def _fixed(**values) -> Callable[[Instance, int], BalanceParams]:
+    return lambda instance, cap: BalanceParams(**values)
+
+
+def _canonical(env: Environment) -> ExchangeFamily:
+    return ExchangeFamily("canonical_contraction", env)
 
 
 def _mph_rank(instance: Instance) -> int:
@@ -124,218 +138,132 @@ def _mph_rank(instance: Instance) -> int:
     return max(ranks, default=1)
 
 
-def _pip_sparsity(env: PipEnv) -> int:
-    return max(env.column_sparsity(i) for i in range(env.n))
-
-
-def _matroid_constructor(instance: Instance):
-    env = instance.env
-    _need(MatroidEnv, env, "matroid")
-
-    def constructor(profile):
-        if all(isinstance(v, AdditiveValuation) for v in profile):
-            return matroid_dynamic_prices(env, profile)
-        base = greedy(env, profile)
-        return compose_max(
-            matroid_dynamic_prices, env, profile, base, rule=GREEDY_RULE
-        )
-
-    return constructor
-
-
 def _value_grid(instance: Instance) -> list[float]:
     """Default bid grid: zero and every agent's own value."""
     env = instance.env
     return sorted({0.0} | {agent_value(env, instance.profile, i) for i in range(env.n)})
 
 
-def _compose_market_rule(market, profile_parts):
+def _alg1_params(instance: Instance, cap: int) -> BalanceParams:
+    g = permeability(instance.env, GREEDY_RULE, _value_grid(instance), cap)
+    return BalanceParams(alpha=g, beta1=0.0, beta2=g)
+
+
+def _alg2_params(instance: Instance, cap: int) -> BalanceParams:
+    g = permeability(instance.env, OPT_RULE, _value_grid(instance), cap)
+    return BalanceParams(alpha=1.0, beta1=0.0, beta2=g * g)
+
+
+def _matroid_rule(env: MatroidEnv, profile, cap) -> PricingRule:
+    if all(isinstance(v, AdditiveValuation) for v in profile):
+        return matroid_dynamic_prices(env, profile)
+    base = greedy(env, profile)
+    return compose_max(matroid_dynamic_prices, env, profile, base, rule=GREEDY_RULE)
+
+
+def _compose_max_rule(env, profile, cap) -> PricingRule:
+    if isinstance(env, MatroidEnv):
+        return _matroid_rule(env, profile, cap)
+    alloc = opt(env, profile, cap)
+    return compose_max(
+        lambda e, p: xos_item_prices(e, p, alloc), env, profile, alloc, rule=OPT_RULE
+    )
+
+
+def _compose_market_rule(market, profile_parts, cap):
     if isinstance(market, SingleItemEnv):
         return single_item_prices(market, profile_parts)
     if isinstance(market, MatroidEnv):
         return matroid_dynamic_prices(market, profile_parts)
     if isinstance(market, CombinatorialAuctionEnv):
-        return xos_item_prices(market, profile_parts, opt(market, profile_parts))
+        return xos_item_prices(market, profile_parts, opt(market, profile_parts, cap))
     raise PricingError(f"compose-add has no default construction for {market.kind}")
 
 
-def _compose_add_constructor(instance: Instance):
-    env = instance.env
-    _need(ProductEnv, env, "compose-add")
-
-    def constructor(profile):
-        rules = []
-        for ell, market in enumerate(env.markets):
-            parts = tuple(
-                v.parts[ell] if isinstance(v, MarketValuation) else v for v in profile
-            )
-            rules.append(_compose_market_rule(market, parts))
-        return compose_add(env, rules)
-
-    return constructor
+def _compose_add_rule(env: ProductEnv, profile, cap) -> PricingRule:
+    rules = []
+    for ell, market in enumerate(env.markets):
+        parts = tuple(v.parts[ell] if isinstance(v, MarketValuation) else v for v in profile)
+        rules.append(_compose_market_rule(market, parts, cap))
+    return compose_add(env, rules)
 
 
-def _compose_max_constructor(instance: Instance):
-    env = instance.env
-    if isinstance(env, MatroidEnv):
-        return _matroid_constructor(instance)
-    if isinstance(env, CombinatorialAuctionEnv):
-        def constructor(profile):
-            alloc = opt(env, profile)
-            return compose_max(
-                lambda e, p: xos_item_prices(e, p, alloc), env, profile, alloc,
-                rule=OPT_RULE,
-            )
-
-        return constructor
-    raise PricingError(f"compose-max does not apply to a {env.kind} environment")
-
-
-def _registry(cap: int) -> dict[str, Construction]:
-    def ref_opt(inst, profile):
-        return opt(inst.env, profile, cap)
-
-    def ref_greedy(inst, profile):
-        return greedy(inst.env, profile)
-
-    def ref_dp(inst, profile):
-        return knapsack_dp(inst.env, profile)
-
-    return {
-        "single-item": Construction(
-            name="single-item",
-            build=lambda inst: (
-                _need(SingleItemEnv, inst.env, "single-item")
-                or (lambda p: single_item_prices(inst.env, p))
-            ),
-            params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
-            reference=ref_opt,
+CONSTRUCTIONS: dict[str, Construction] = {
+    "single-item": Construction(
+        SingleItemEnv,
+        lambda env, p, cap: single_item_prices(env, p),
+        _fixed(alpha=1.0, beta=1.0),
+    ),
+    "intro-bundle": Construction(
+        CombinatorialAuctionEnv,
+        lambda env, p, cap: bundle_split_item_prices(env, p, opt(env, p, cap)),
+        lambda inst, cap: BalanceParams(alpha=float(inst.env.items), beta1=0.0, beta2=1.0),
+    ),
+    "xos": Construction(
+        CombinatorialAuctionEnv,
+        lambda env, p, cap: xos_item_prices(env, p, opt(env, p, cap)),
+        _fixed(alpha=1.0, beta=1.0),
+    ),
+    "mph": Construction(
+        CombinatorialAuctionEnv,
+        lambda env, p, cap: mphk_item_prices(env, p, opt(env, p, cap)),
+        lambda inst, cap: BalanceParams(alpha=1.0, beta1=1.0, beta2=float(_mph_rank(inst) - 1)),
+    ),
+    "fractional-ca": Construction(
+        CombinatorialAuctionEnv,
+        lambda env, p, cap: fractional_ca_item_prices(env, p, fractional_opt_config_lp(env, p)),
+        lambda inst, cap: BalanceParams(alpha=1.0, beta1=1.0, beta2=float(inst.env.items - 1)),
+    ),
+    "knapsack": Construction(
+        KnapsackEnv,
+        lambda env, p, cap: knapsack_prices(env, p, welfare(p, knapsack_dp(env, p))),
+        _fixed(alpha=2.0, beta=1.0),
+        reference=lambda env, p, cap: knapsack_dp(env, p),
+    ),
+    "pip": Construction(
+        PipEnv,
+        lambda env, p, cap: pip_prices(env, p, opt(env, p, cap)),
+        lambda inst, cap: BalanceParams(
+            alpha=2.0, beta1=0.0,
+            beta2=float(max(inst.env.column_sparsity(i) for i in range(inst.env.n))),
         ),
-        "intro-bundle": Construction(
-            name="intro-bundle",
-            build=lambda inst: (
-                _need(CombinatorialAuctionEnv, inst.env, "intro-bundle")
-                or (lambda p: bundle_split_item_prices(inst.env, p, opt(inst.env, p, cap)))
-            ),
-            params=lambda inst: BalanceParams(
-                alpha=float(inst.env.items), beta1=0.0, beta2=1.0
-            ),
-            reference=ref_opt,
-        ),
-        "xos": Construction(
-            name="xos",
-            build=lambda inst: (
-                _need(CombinatorialAuctionEnv, inst.env, "xos")
-                or (lambda p: xos_item_prices(inst.env, p, opt(inst.env, p, cap)))
-            ),
-            params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
-            reference=ref_opt,
-        ),
-        "mph": Construction(
-            name="mph",
-            build=lambda inst: (
-                _need(CombinatorialAuctionEnv, inst.env, "mph")
-                or (lambda p: mphk_item_prices(inst.env, p, opt(inst.env, p, cap)))
-            ),
-            params=lambda inst: BalanceParams(
-                alpha=1.0, beta1=1.0, beta2=float(_mph_rank(inst) - 1)
-            ),
-            reference=ref_opt,
-        ),
-        "fractional-ca": Construction(
-            name="fractional-ca",
-            build=lambda inst: (
-                _need(CombinatorialAuctionEnv, inst.env, "fractional-ca")
-                or (
-                    lambda p: fractional_ca_item_prices(
-                        inst.env, p, fractional_opt_config_lp(inst.env, p)
-                    )
-                )
-            ),
-            params=lambda inst: BalanceParams(
-                alpha=1.0, beta1=1.0, beta2=float(inst.env.items - 1)
-            ),
-            reference=ref_opt,
-        ),
-        "knapsack": Construction(
-            name="knapsack",
-            build=lambda inst: (
-                _need(KnapsackEnv, inst.env, "knapsack")
-                or (
-                    lambda p: knapsack_prices(
-                        inst.env, p, welfare(p, knapsack_dp(inst.env, p))
-                    )
-                )
-            ),
-            params=lambda inst: BalanceParams(alpha=2.0, beta=1.0),
-            reference=ref_dp,
-        ),
-        "pip": Construction(
-            name="pip",
-            build=lambda inst: (
-                _need(PipEnv, inst.env, "pip")
-                or (lambda p: pip_prices(inst.env, p, opt(inst.env, p, cap)))
-            ),
-            params=lambda inst: BalanceParams(
-                alpha=2.0, beta1=0.0, beta2=float(_pip_sparsity(inst.env))
-            ),
-            reference=ref_opt,
-        ),
-        "matroid": Construction(
-            name="matroid",
-            build=_matroid_constructor,
-            params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
-            reference=ref_opt,
-        ),
-        "warmup": Construction(
-            name="warmup",
-            build=lambda inst: (lambda p: monotone_critical_prices(inst.env, p, OPT_RULE, cap=cap)),
-            params=lambda inst: BalanceParams(alpha=1.0, beta=3.0),
-            family=lambda inst: ExchangeFamily("canonical_contraction", inst.env),
-            reference=ref_opt,
-        ),
-        "alg1-greedy": Construction(
-            name="alg1-greedy",
-            build=lambda inst: (lambda p: greedy_derived_prices(inst.env, p, cap=cap)),
-            params=lambda inst: (
-                lambda g: BalanceParams(alpha=g, beta1=0.0, beta2=g)
-            )(permeability(inst.env, GREEDY_RULE, _value_grid(inst), cap)),
-            family=lambda inst: ExchangeFamily("canonical_contraction", inst.env),
-            reference=ref_greedy,
-        ),
-        "alg2-opt": Construction(
-            name="alg2-opt",
-            build=lambda inst: (
-                lambda p: opt_derived_prices(inst.env, p, opt(inst.env, p, cap), cap=cap)
-            ),
-            params=lambda inst: (
-                lambda g: BalanceParams(alpha=1.0, beta1=0.0, beta2=g * g)
-            )(permeability(inst.env, OPT_RULE, _value_grid(inst), cap)),
-            family=lambda inst: ExchangeFamily("canonical_contraction", inst.env),
-            reference=ref_opt,
-        ),
-        "compose-add": Construction(
-            name="compose-add",
-            build=_compose_add_constructor,
-            params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
-            reference=ref_opt,
-        ),
-        "compose-max": Construction(
-            name="compose-max",
-            build=_compose_max_constructor,
-            params=lambda inst: BalanceParams(alpha=1.0, beta=1.0),
-            reference=ref_opt,
-        ),
-    }
+    ),
+    "matroid": Construction(MatroidEnv, _matroid_rule, _fixed(alpha=1.0, beta=1.0)),
+    "warmup": Construction(
+        is_binary_env,
+        lambda env, p, cap: monotone_critical_prices(env, p, OPT_RULE, cap=cap),
+        _fixed(alpha=1.0, beta=3.0),
+        family=_canonical,
+    ),
+    "alg1-greedy": Construction(
+        is_binary_env,
+        lambda env, p, cap: greedy_derived_prices(env, p, cap=cap),
+        _alg1_params,
+        reference=lambda env, p, cap: greedy(env, p),
+        family=_canonical,
+    ),
+    "alg2-opt": Construction(
+        is_binary_env,
+        lambda env, p, cap: opt_derived_prices(env, p, opt(env, p, cap), cap=cap),
+        _alg2_params,
+        family=_canonical,
+    ),
+    "compose-add": Construction(ProductEnv, _compose_add_rule, _fixed(alpha=1.0, beta=1.0)),
+    "compose-max": Construction(
+        (MatroidEnv, CombinatorialAuctionEnv), _compose_max_rule, _fixed(alpha=1.0, beta=1.0)
+    ),
+}
 
 
-def resolve_params(args, construction: Construction, instance: Instance) -> BalanceParams:
+def resolve_params(args, construction: Construction, instance: Instance, cap: int) -> BalanceParams:
     """Flags override the construction's defaults; --beta selects the strong
-    form, --beta1/--beta2 the weak form."""
+    form, --beta1/--beta2 the weak form.  The defaults are computed only when
+    a flag leaves a value unset."""
     weak_flags = args.beta1 is not None or args.beta2 is not None
     if args.beta is not None and weak_flags:
         raise PricingError("give either --beta or --beta1/--beta2, not both")
-    defaults = construction.params(instance)
+    beta_given = args.beta is not None or weak_flags
+    defaults = None if args.alpha is not None and beta_given else construction.params(instance, cap)
     alpha = args.alpha if args.alpha is not None else defaults.alpha
     if args.beta is not None:
         return BalanceParams(alpha=alpha, beta=args.beta)
@@ -419,34 +347,47 @@ def _distribution(instance: Instance) -> ProductDistribution:
     return ProductDistribution.deterministic(instance.profile)
 
 
-def _scaled_rule(instance: Instance, construction: Construction, params, cap):
-    constructor = construction.build(instance)
-    return expected_scaled_prices(
-        instance.env, _distribution(instance), constructor, params, cap=cap
-    )
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_balance(args) -> int:
+def _job(args, scaled: bool):
+    """The steps balance, simulate and ratio share: load the instance, look up
+    the construction, check that it applies before anything reads the
+    environment, resolve the parameters and parse --order.  The job's rule is
+    the construction's rule on the realized profile, or with ``scaled`` its
+    scaled expectation over the instance's distribution."""
     cap = args.cap_feasible
     instance = load_instance_file(args.instance)
-    construction = _registry(cap)[args.pricing]
-    params = resolve_params(args, construction, instance)
-    constructor = construction.build(instance)
-    profile = instance.profile
-    rule = constructor(profile)
-    reference = construction.reference(instance, profile)
-    family = construction.family(instance)
-    order_kind, perm = parse_order(args.order, instance.env.n)
+    construction = CONSTRUCTIONS[args.pricing]
+    env = instance.env
+    if not construction.applies_to(env):
+        raise PricingError(f"--pricing {args.pricing} does not apply to a {env.kind} environment")
+    params = resolve_params(args, construction, instance, cap)
+    order_kind, perm = parse_order(args.order, env.n)
+
+    def constructor(profile):
+        return construction.rule(env, profile, cap)
+
+    if scaled:
+        rule = expected_scaled_prices(env, _distribution(instance), constructor, params, cap=cap)
+    else:
+        rule = constructor(instance.profile)
+    return instance, construction, params, rule, order_kind, perm
+
+
+def cmd_balance(args) -> int:
+    cap = args.cap_feasible
+    instance, construction, params, rule, order_kind, perm = _job(args, scaled=False)
+    env, profile = instance.env, instance.profile
+    reference = construction.reference(env, profile, cap)
+    family = construction.family(env)
     if order_kind in ("random", "adversary"):
         raise SchemaError("balance supports --order all or a fixed permutation")
     if args.order is None:
         # default: quantify over every indexing at desk scale
-        n = instance.env.n
+        n = env.n
         order_mode = "all" if n <= 6 else "declared"
         why = "n <= 6" if n <= 6 else "n > 6; pass --order all for every agent order"
         print(f"order quantifier: {order_mode} (default for {n} agents, {why})", file=sys.stderr)
@@ -454,7 +395,7 @@ def cmd_balance(args) -> int:
         order_mode = "all" if order_kind == "all" else "declared"
     check = check_weakly_balanced if params.weak else check_balanced
     report = check(
-        instance.env, profile, rule, reference, family, params,
+        env, profile, rule, reference, family, params,
         order=perm, order_mode=order_mode, cap=cap,
     )
     verdict = "PASS" if report.passed else "FAIL"
@@ -476,15 +417,11 @@ def cmd_balance(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cap = args.cap_feasible
-    instance = load_instance_file(args.instance)
-    construction = _registry(cap)[args.pricing]
-    params = resolve_params(args, construction, instance)
-    rule = _scaled_rule(instance, construction, params, cap)
+    instance, _, _, rule, order_kind, perm = _job(args, scaled=True)
+    env, profile = instance.env, instance.profile
     tie = TIE_BY_FLAG[args.tie]
-    order_kind, perm = parse_order(args.order, instance.env.n)
     if order_kind == "fixed":
-        trace = run_posted_price(instance.env, rule, instance.profile, perm, tie)
+        trace = run_posted_price(env, rule, profile, perm, tie)
         print(
             f"welfare={trace.welfare:g} revenue={trace.revenue:g} "
             f"order={[i + 1 for i in trace.order]}"
@@ -492,12 +429,12 @@ def cmd_simulate(args) -> int:
         _emit_report(args, {"trace": trace.as_dict()})
         return 0
     if order_kind == "all":
-        w, order = worst_order_welfare(instance.env, rule, instance.profile, tie)
+        w, order = worst_order_welfare(env, rule, profile, tie)
         print(f"worst-order welfare={w:g} order={[i + 1 for i in order]}")
         _emit_report(args, {"worst_order_welfare": w, "order": [i + 1 for i in order]})
         return 0
     if order_kind == "adversary":
-        w = adaptive_adversary_welfare(instance.env, rule, _distribution(instance), tie)
+        w = adaptive_adversary_welfare(env, rule, _distribution(instance), tie)
         print(f"adaptive-adversary expected welfare={w:g}")
         _emit_report(args, {"adaptive_adversary_welfare": w})
         return 0
@@ -505,30 +442,27 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ratio(args) -> int:
-    cap = args.cap_feasible
-    instance = load_instance_file(args.instance)
-    construction = _registry(cap)[args.pricing]
-    params = resolve_params(args, construction, instance)
-    rule = _scaled_rule(instance, construction, params, cap)
-    dist = _distribution(instance)
+    instance, _, _, rule, order_kind, perm = _job(args, scaled=True)
+    env, dist = instance.env, _distribution(instance)
     tie = TIE_BY_FLAG[args.tie]
-    order_kind, perm = parse_order(args.order, instance.env.n)
+    # OPT's feasible list is kept on env, so this counts it against the job's cap
+    enumerate_feasible(env, args.cap_feasible)
     if args.exact or args.trials == 0:
         if order_kind == "adversary":
-            mech = adaptive_adversary_welfare(instance.env, rule, dist, tie)
+            mech = adaptive_adversary_welfare(env, rule, dist, tie)
         elif order_kind == "all":
-            mech = worst_order_expected_welfare(instance.env, rule, dist, tie)
+            mech = worst_order_expected_welfare(env, rule, dist, tie)
         elif order_kind == "fixed":
-            mech = expected_posted_price_welfare(instance.env, rule, dist, perm, tie)
+            mech = expected_posted_price_welfare(env, rule, dist, perm, tie)
         else:
             raise SchemaError("exact ratio supports fixed, all, or adversary orders")
-        est = RatioEstimate.of(mech, expected_opt(instance.env, dist), "exact")
+        est = RatioEstimate.of(mech, expected_opt(env, dist), "exact")
     else:
         mode = {"fixed": "fixed", "random": "random"}.get(order_kind)
         if mode is None:
             raise SchemaError("sampled ratio supports fixed or random orders")
         est = monte_carlo_ratio(
-            instance.env, rule, dist,
+            env, rule, dist,
             order_mode=mode, trials=args.trials, seed=args.seed,
             tie=tie, fixed_order=perm,
         )
@@ -615,7 +549,7 @@ def cmd_catalog(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True, help="instance JSON path")
-    p.add_argument("--pricing", required=True, choices=sorted(_registry(1)))
+    p.add_argument("--pricing", required=True, choices=sorted(CONSTRUCTIONS))
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--beta1", type=float, default=None)

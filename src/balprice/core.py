@@ -547,9 +547,24 @@ class ExplicitEnv(EnvironmentBase):
     kind = "explicit"
 
     def __post_init__(self):
+        if len(self.outcome_tokens) != self.n:
+            raise ValueError(
+                f"explicit outcomes has {len(self.outcome_tokens)} token lists for {self.n} agents"
+            )
         for tokens in self.outcome_tokens:
             if NULL not in tokens:
                 raise ValueError("every agent's outcome space must contain the null token 0")
+        # a listed allocation outside the token spaces would pass is_feasible
+        # but never be enumerated, so OPT and the exchange sets would drop it
+        for alloc in self.feasible_set:
+            if len(alloc) != self.n:
+                raise ValueError(f"listed allocation {alloc} has {len(alloc)} entries for {self.n} agents")
+            for i, (x, tokens) in enumerate(zip(alloc, self.outcome_tokens)):
+                if x not in tokens:
+                    raise ValueError(
+                        f"listed allocation {alloc} gives agent {i} the token {x!r}, "
+                        f"outside its outcomes {tokens}"
+                    )
         if self.null_allocation() not in self.feasible_set:
             raise ValueError("the all-null allocation must be feasible")
         # downward closed: every one-slot drop of a listed allocation is

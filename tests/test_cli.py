@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from balprice.cli import main, parse_order
+from balprice.cli import CONSTRUCTIONS, main, parse_order
 from balprice.serialize import SchemaError
 
 
@@ -288,6 +288,31 @@ class TestMalformedInstances:
             "error: feasible set is not downward closed: (1, 1) is listed but (0, 1) is not\n"
         )
 
+    @pytest.mark.parametrize(
+        "outcomes,feasible,message",
+        [
+            ([[0, 1]], [[0, 0]], "explicit outcomes has 1 token lists for 2 agents"),
+            ([[0, 1], [0, 1]], [[0, 0], [2, 0], [0, 1]],
+             "listed allocation (2, 0) gives agent 0 the token 2, outside its outcomes (0, 1)"),
+        ],
+        ids=["outcomes-short", "token-outside-outcomes"],
+    )
+    def test_explicit_list_outside_token_spaces_exits_2(
+        self, tmp_path, capsys, outcomes, feasible, message
+    ):
+        """A listed allocation must lie in the agents' token spaces, or it
+        passes is_feasible but is never enumerated."""
+        doc = {
+            "environment": {"kind": "explicit", "agents": 2, "outcomes": outcomes,
+                            "feasible": feasible},
+            "agents": [{"kind": "scalar", "value": 1.0}, {"kind": "scalar", "value": 1.0}],
+        }
+        inst = tmp_path / "explicit.json"
+        inst.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run_cli(["balance", "--instance", str(inst), "--pricing", "warmup"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestRatioCommand:
     def test_exact_tight_ratio(self, tight_instance, tmp_path, capsys):
@@ -429,6 +454,112 @@ class TestRatioErrors:
         assert code == 2
 
 
+class TestRatioCap:
+    """The ratio command enumerates OPT's feasible list within --cap-feasible,
+    like balance does: uniform rank 3 on 6 elements has 42 allocations."""
+
+    @pytest.mark.parametrize("mode", [["--exact"], ["--trials", "50"]], ids=["exact", "sampled"])
+    def test_opt_enumeration_counts_against_cap(self, tmp_path, capsys, mode):
+        inst = tmp_path / "u36.json"
+        assert run_cli(["catalog", "matroid", "--kind", "uniform", "--rank", "3",
+                        "--ground", "6", "--seed", "1", "-o", str(inst)]) == 0
+        argv = ["ratio", "--instance", str(inst), "--pricing", "matroid", *mode,
+                "-o", str(tmp_path / "out.csv")]
+        capsys.readouterr()
+        assert run_cli([*argv, "--cap-feasible", "5"]) == 3
+        assert capsys.readouterr().err == (
+            "resource cap exceeded: feasible allocations exceeded cap: 6 > 5\n"
+        )
+        assert run_cli([*argv, "--cap-feasible", "42"]) == 0
+
+
+class TestParamsFromFlags:
+    def test_defaults_computed_only_for_unset_flags(self, tmp_path, capsys):
+        """alg1-greedy's default parameters scan 4^3 bid vectors for the
+        permeability; with every parameter given, that scan never runs."""
+        inst, report = tmp_path / "u13.json", tmp_path / "report.json"
+        assert run_cli(["catalog", "matroid", "--kind", "uniform", "--rank", "1",
+                        "--ground", "3", "--seed", "1", "-o", str(inst)]) == 0
+        argv = ["balance", "--instance", str(inst), "--pricing", "alg1-greedy",
+                "--beta1", "0", "--beta2", "1", "--cap-feasible", "10", "-o", str(report)]
+        assert run_cli([*argv, "--alpha", "1"]) in (0, 1)
+        params = json.loads(report.read_text())["result"]["params"]
+        assert params == {"alpha": 1.0, "beta": None, "beta1": 0.0, "beta2": 1.0}
+        capsys.readouterr()
+        assert run_cli(argv) == 3
+        assert "bid vectors exceeded cap: 64 > 10" in capsys.readouterr().err
+
+
+# key -> (catalog arguments, environment kind): one small instance per kind
+MATRIX_INSTANCES = {
+    "two-point": (["two-point", "--n", "3"], "single_item"),
+    "tight-prophet": (["tight-prophet"], "single_item"),
+    "matroid": (["matroid", "--kind", "uniform", "--rank", "1", "--ground", "3"], "matroid"),
+    "xos": (["xos", "--n", "2", "--m", "2"], "combinatorial_auction"),
+    "mph": (["mph", "--n", "2", "--m", "2"], "combinatorial_auction"),
+    "knapsack": (["knapsack", "--n", "2"], "knapsack"),
+    "pip": (["pip", "--n", "3"], "pip"),
+    "product": (["product-single-items", "--n", "2"], "product"),
+}
+# every agent of these instances has one non-null outcome; knapsack agents
+# have a grid of sizes, auction agents bundles, product agents per-market tuples
+BINARY_KINDS = {"single_item", "matroid", "pip"}
+APPLIES = {
+    "single-item": {"single_item"},
+    "intro-bundle": {"combinatorial_auction"},
+    "xos": {"combinatorial_auction"},
+    "mph": {"combinatorial_auction"},
+    "fractional-ca": {"combinatorial_auction"},
+    "knapsack": {"knapsack"},
+    "pip": {"pip"},
+    "matroid": {"matroid"},
+    "warmup": BINARY_KINDS,
+    "alg1-greedy": BINARY_KINDS,
+    "alg2-opt": BINARY_KINDS,
+    "compose-add": {"product"},
+    "compose-max": {"matroid", "combinatorial_auction"},
+}
+
+
+@pytest.fixture(scope="module")
+def matrix_instances(tmp_path_factory):
+    root = tmp_path_factory.mktemp("matrix")
+    paths = {}
+    for key, (argv, _) in MATRIX_INSTANCES.items():
+        paths[key] = root / f"{key}.json"
+        assert main(["catalog", *argv, "-o", str(paths[key])]) == 0
+    return paths
+
+
+class TestConstructionMatrix:
+    """Every construction through balance, simulate and ratio --exact on one
+    small instance per environment kind: no exception leaves main, and a
+    construction that does not apply exits 2 with one line naming both."""
+
+    def test_every_construction_listed(self):
+        assert set(APPLIES) == set(CONSTRUCTIONS)
+
+    @pytest.mark.parametrize(
+        "command,allowed",
+        [(["balance"], {0, 1, 2, 3}), (["simulate"], {0, 2, 3}), (["ratio", "--exact"], {0, 2, 3})],
+        ids=["balance", "simulate", "ratio-exact"],
+    )
+    @pytest.mark.parametrize("key", list(MATRIX_INSTANCES))
+    def test_exit_codes(self, matrix_instances, capsys, key, command, allowed):
+        kind = MATRIX_INSTANCES[key][1]
+        for name in sorted(CONSTRUCTIONS):
+            capsys.readouterr()
+            code = main([command[0], "--instance", str(matrix_instances[key]),
+                         "--pricing", name, *command[1:]])
+            err = capsys.readouterr().err
+            if kind in APPLIES[name]:
+                assert code in allowed, (name, code, err)
+            else:
+                assert (code, err) == (
+                    2, f"error: --pricing {name} does not apply to a {kind} environment\n"
+                ), name
+
+
 class TestCapMessages:
     """Exit 3 names what was counted past the cap."""
 
@@ -437,6 +568,17 @@ class TestCapMessages:
             ["balance", "--instance", str(matroid_instance), "--pricing", "matroid",
              "--cap-feasible", "2"]
         )
+        assert code == 3
+        assert "feasible allocations exceeded cap: 3 > 2" in capsys.readouterr().err
+
+    def test_simulate_compose_max_feasible_cap(self, tmp_path, capsys):
+        """compose-max on an auction takes OPT per profile, and that
+        enumeration counts against --cap-feasible like every other."""
+        inst = tmp_path / "xos.json"
+        assert run_cli(["catalog", "xos", "--n", "2", "--m", "2", "-o", str(inst)]) == 0
+        capsys.readouterr()
+        code = run_cli(["simulate", "--instance", str(inst), "--pricing", "compose-max",
+                        "--cap-feasible", "2"])
         assert code == 3
         assert "feasible allocations exceeded cap: 3 > 2" in capsys.readouterr().err
 

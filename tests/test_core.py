@@ -163,6 +163,24 @@ class TestFeasibility:
         )
         assert check_downward_closed(env)
 
+    def test_explicit_outcomes_one_list_per_agent(self):
+        with pytest.raises(ValueError) as exc:
+            ExplicitEnv(n=2, outcome_tokens=((0, 1),), feasible_set=frozenset({(0, 0)}))
+        assert str(exc.value) == "explicit outcomes has 1 token lists for 2 agents"
+
+    def test_explicit_listed_allocations_inside_token_spaces(self):
+        """(2, 0) would pass is_feasible but never be enumerated, so OPT and
+        every exchange set would drop it."""
+        tokens = ((0, 1), (0, 1))
+        with pytest.raises(ValueError) as exc:
+            ExplicitEnv(n=2, outcome_tokens=tokens, feasible_set=frozenset({(0, 0), (2, 0), (0, 1)}))
+        assert str(exc.value) == (
+            "listed allocation (2, 0) gives agent 0 the token 2, outside its outcomes (0, 1)"
+        )
+        with pytest.raises(ValueError) as exc:
+            ExplicitEnv(n=2, outcome_tokens=tokens, feasible_set=frozenset({(0, 0), (0, 0, 0)}))
+        assert str(exc.value) == "listed allocation (0, 0, 0) has 3 entries for 2 agents"
+
 
 class TestWelfare:
     def test_all_null(self):

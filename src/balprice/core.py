@@ -90,7 +90,7 @@ def bitmask_items(mask: int) -> tuple[int, ...]:
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .core import (
     KnapsackEnv,
     ThresholdValuation,
     Valuation,
-    _token_key,
     replace_at,
     value,
     welfare,
@@ -66,19 +65,6 @@ def _check_order(n: int, order: Sequence[int]) -> tuple[int, ...]:
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of {n} agents")
     return order
-
-
-def _tied_candidates(prices: PricingRule, v: Valuation, i: int, y: Allocation):
-    """Utility-maximizing menu entries for agent i, lexmin token first.
-    The null outcome is always purchasable at zero, so the best utility is
-    non-negative."""
-    menu = prices.menu(i, y)
-    best = max(value(v, tok) - p for tok, p in menu)
-    cands = [
-        (tok, p) for tok, p in menu if value(v, tok) - p >= best - TOL
-    ]
-    cands.sort(key=lambda tp: _token_key(tp[0]))
-    return cands
 
 
 def _pick(cands, tie: str):
@@ -122,7 +108,8 @@ class OnlinePostedPriceRunner:
     - nature: the arriving agent's atoms ``dist.atoms(i)``;
     - tie: a named policy, or under ``adversarial_min_welfare`` the entry
       minimizing expected continuation welfare (lexmin token unless another
-      is lower by more than ``TOL``).
+      is lower by more than ``TOL``).  A forced choice, with one
+      utility-maximizing entry, evaluates no continuation.
 
     Tie choices condition on realized history and the distribution, never
     on unrealized future values.  (Resolving ties against the realized
@@ -130,7 +117,9 @@ class OnlinePostedPriceRunner:
     behaviour and genuinely breaks the welfare guarantees, because early
     choices would leak later agents' values.)  On a one-atom distribution
     the two coincide.  The memo is shared between the exact expectation and
-    sampled runs; ``cap`` bounds its states.
+    sampled runs; ``cap`` bounds its states.  The entries an arrival may buy
+    come from the pricing rule's own memo (``PricingRule.best_entries``), so
+    every runner on one rule decides each (agent, valuation, history) once.
     """
 
     def __init__(self, env, prices, dist, order: Optional[Sequence[int]],
@@ -154,9 +143,11 @@ class OnlinePostedPriceRunner:
     def _choice(self, left: int, i: int, v, y: Allocation):
         """Agent i's (token, payment) at history ``y`` with valuation ``v``,
         the agents in bitmask ``left`` (i among them) yet to arrive."""
-        cands = _tied_candidates(self.prices, v, i, y)
+        cands = self.prices.best_entries(i, v, y)
         if self.tie != "adversarial_min_welfare":
             return _pick(cands, self.tie)
+        if len(cands) == 1:
+            return cands[0]
         rest = left & ~(1 << i)
         best, best_cand = math.inf, cands[0]
         for tok, p in cands:
@@ -283,7 +274,7 @@ def worst_order_welfare(
         for i in _members(left):
             rest, reached = left & ~(1 << i), set()
             for y in frontier:
-                cands = _tied_candidates(prices, profile[i], i, y)
+                cands = prices.best_entries(i, profile[i], y)
                 if tie != "adversarial_min_welfare":
                     cands = [_pick(cands, tie)]
                 reached.update(replace_at(y, i, tok) for tok, _p in cands)

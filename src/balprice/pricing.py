@@ -32,6 +32,7 @@ from .core import (
     SingleItemEnv,
     Valuation,
     XosValuation,
+    _token_key,
     bitmask_items,
     enumerate_feasible,
     prefix,
@@ -105,7 +106,9 @@ class PricingRule:
 
     ``finite_price`` is only consulted on entries feasible given the partial
     allocation y (with the agent's own slot cleared); infeasible entries are
-    UNAVAILABLE and the null outcome is free.
+    UNAVAILABLE and the null outcome is free.  ``_cache`` gains exactly one
+    entry per price miss; ``_entries`` holds the utility-maximizing entries
+    per (agent, valuation, partial allocation).
     """
 
     def __init__(
@@ -121,6 +124,7 @@ class PricingRule:
         self.static = static
         self.provenance = provenance or {}
         self._cache: dict = {}
+        self._entries: dict = {}
 
     def price(self, i: int, x_i, y: Allocation):
         if x_i == NULL:
@@ -142,6 +146,21 @@ class PricingRule:
             if p is not UNAVAILABLE:
                 out.append((tok, p))
         return out
+
+    def best_entries(self, i: int, v: Valuation, y: Allocation) -> tuple[tuple[object, float], ...]:
+        """Agent i's utility-maximizing menu entries at ``y`` under valuation
+        ``v``, lexmin token first, computed once per (i, v, y); valuations are
+        compared by equality.  The null outcome is always purchasable at zero,
+        so the best utility is non-negative."""
+        key = (i, v, y)
+        entries = self._entries.get(key)
+        if entries is None:
+            scored = [(tok, p, value(v, tok) - p) for tok, p in self.menu(i, y)]
+            best = max(u for _tok, _p, u in scored)
+            tied = [(tok, p) for tok, p, u in scored if u >= best - TOL]
+            tied.sort(key=lambda tp: _token_key(tp[0]))
+            entries = self._entries[key] = tuple(tied)
+        return entries
 
 
 def scaled_prices(rule: PricingRule, factor: float) -> PricingRule:

@@ -21,10 +21,9 @@ from .core import (
     Environment,
     Valuation,
     enumerate_feasible,
-    welfare,
+    value,
 )
 from .mechanism import OnlinePostedPriceRunner, expected_posted_price_welfare
-from .oracle import argmax_first
 
 EXACT_SUPPORT_CAP = 100_000
 
@@ -102,12 +101,42 @@ def exact_expectation(
     return math.fsum(prob * f(profile) for profile, prob in dist.profiles(cap))
 
 
+def _optimum_welfare(env: Environment) -> Callable[[tuple], float]:
+    """``opt``'s welfare as a function of the profile: the first maximizer
+    within ``TOL`` in the environment's feasible list, the same float as
+    ``welfare(p, argmax_first(feasible, p))``.  Each agent's column of
+    ``value(v, token)`` over the list is built once per distinct valuation
+    (compared by equality) and held by the returned function; ``fsum`` is
+    correctly rounded, so summing the columns gives each ``welfare`` float."""
+    feasible = enumerate_feasible(env)
+    token_columns = list(zip(*feasible))
+    tables: list[dict] = [{} for _ in token_columns]
+
+    def column(i: int, v: Valuation) -> tuple[float, ...]:
+        col = tables[i].get(v)
+        if col is None:
+            values = {tok: value(v, tok) for tok in token_columns[i]}
+            col = tables[i][v] = tuple(map(values.__getitem__, token_columns[i]))
+        return col
+
+    def best(profile) -> float:
+        if len(profile) != len(tables):
+            raise ValueError("profile and allocation lengths differ")
+        best_w = -math.inf
+        for w in map(math.fsum, zip(*(column(i, v) for i, v in enumerate(profile)))):
+            if w > best_w + TOL:
+                best_w = w
+        return best_w
+
+    return best
+
+
 def expected_opt(env: Environment, dist: ProductDistribution, cap: int = EXACT_SUPPORT_CAP) -> float:
     """Exact expected optimum: ``opt``'s welfare on every support profile,
     each taken over one feasible list enumerated for the call."""
     profiles = list(dist.profiles(cap))
-    feasible = enumerate_feasible(env)
-    return math.fsum(prob * welfare(p, argmax_first(feasible, p)) for p, prob in profiles)
+    best = _optimum_welfare(env)
+    return math.fsum(prob * best(p) for p, prob in profiles)
 
 
 class UndefinedRatio(ZeroDivisionError, ValueError):
@@ -202,7 +231,7 @@ def monte_carlo_ratio(
     base_order = tuple(fixed_order) if fixed_order is not None else tuple(range(env.n))
 
     runners: dict[tuple, OnlinePostedPriceRunner] = {}
-    feasible = enumerate_feasible(env)
+    best = _optimum_welfare(env)
     # the optimum per distinct profile drawn; at most ``trials`` entries
     optimum: dict[tuple, float] = {}
 
@@ -222,7 +251,7 @@ def monte_carlo_ratio(
             w = run(tuple(int(i) for i in rng.permutation(env.n)), profile)
         ws.append(w)
         if profile not in optimum:
-            optimum[profile] = welfare(profile, argmax_first(feasible, profile))
+            optimum[profile] = best(profile)
         os_.append(optimum[profile])
 
     return RatioEstimate.of(

@@ -7,6 +7,7 @@ condition), so the library's fast paths can be compared against them.
 
 import functools
 import itertools
+import math
 import sys
 
 import balprice.core
@@ -18,8 +19,13 @@ from balprice.core import (
     enumerate_feasible,
     restrict,
     support,
+    value,
+    welfare,
     _token_key,
 )
+from balprice.mechanism import OnlinePostedPriceRunner
+from balprice.oracle import argmax_first
+from balprice.stochastic import RatioEstimate, _ratio_ci95, trial_rng
 
 
 def check_downward_closed(env, cap=balprice.core.DEFAULT_CAP) -> bool:
@@ -118,3 +124,46 @@ def count_dfs_runs(monkeypatch) -> list:
             if getattr(mod, "enumerate_feasible", None) is orig:
                 monkeypatch.setattr(mod, "enumerate_feasible", counted)
     return runs
+
+
+def tied_candidates_twin(prices, v, i, y) -> list:
+    """Twin of ``PricingRule.best_entries`` without its memo: agent i's
+    utility-maximizing entries of a freshly built menu, lexmin token first."""
+    menu = prices.menu(i, y)
+    best = max(value(v, tok) - p for tok, p in menu)
+    cands = [(tok, p) for tok, p in menu if value(v, tok) - p >= best - TOL]
+    cands.sort(key=lambda tp: _token_key(tp[0]))
+    return cands
+
+
+def expected_opt_twin(env, dist) -> float:
+    """Twin of ``expected_opt``: the welfare of ``argmax_first`` over the
+    feasible list on every support profile."""
+    feasible = enumerate_feasible(env)
+    return math.fsum(prob * welfare(p, argmax_first(feasible, p)) for p, prob in dist.profiles())
+
+
+def monte_carlo_twin(env, prices, dist, order_mode, trials, seed, tie="adversarial_min_welfare"):
+    """Twin of ``monte_carlo_ratio`` as a plain loop over trials: each trial
+    draws its profile (then, in random order, its permutation) from its own
+    stream, runs a runner of its own, and takes ``argmax_first`` over the
+    feasible list for its optimum."""
+    feasible = enumerate_feasible(env)
+    ws, os_ = [], []
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        profile = dist.sample(rng)
+        if order_mode == "fixed":
+            order = tuple(range(env.n))
+        else:
+            order = tuple(int(i) for i in rng.permutation(env.n))
+        ws.append(OnlinePostedPriceRunner(env, prices, dist, order, tie).run(profile).welfare)
+        os_.append(welfare(profile, argmax_first(feasible, profile)))
+    return RatioEstimate.of(
+        math.fsum(ws) / trials,
+        math.fsum(os_) / trials,
+        "monte_carlo",
+        trials=trials,
+        seed=seed,
+        ci95_halfwidth=_ratio_ci95(ws, os_),
+    )

@@ -24,6 +24,7 @@ from balprice.core import (
     XosValuation,
     bitmask_items,
     enumerate_feasible,
+    popcount,
     prefix,
     restrict,
     support,
@@ -117,6 +118,15 @@ class TestBitmaskItems:
         assert bitmask_items(0) == ()
         assert bitmask_items(-1) == tuple(range(MAX_ITEMS))
         assert bitmask_items((1 << MAX_ITEMS) | 0b101) == (0, 2)
+
+
+class TestPopcount:
+    def test_matches_binary_digit_count(self):
+        # every mask in [-2^20, 2^20], negative ones included, against the
+        # count of ones in ``bin``'s signed-magnitude digits
+        lo, hi = -(1 << 20), 1 << 20
+        wrong = [m for m in range(lo, hi + 1) if popcount(m) != bin(m).count("1")]
+        assert wrong == []
 
 
 class TestFeasibility:

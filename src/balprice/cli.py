@@ -504,6 +504,11 @@ def _write_ratio_csv(args, est: dict) -> None:
 def cmd_permeability(args) -> int:
     cap = args.cap_feasible
     instance = load_instance_file(args.instance)
+    if not is_binary_env(instance.env):
+        raise PricingError(
+            f"permeability requires a binary single-parameter environment, "
+            f"not a {instance.env.kind} environment"
+        )
     rule = {"opt": OPT_RULE, "greedy": GREEDY_RULE}[args.rule]
     if args.grid:
         grid = [float(tok) for tok in args.grid.split(",")]

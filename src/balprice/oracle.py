@@ -29,7 +29,6 @@ from .core import (
     PipEnv,
     ProductEnv,
     SingleItemEnv,
-    TableValuation,
     ThresholdValuation,
     Valuation,
     _token_key,
@@ -278,13 +277,6 @@ def agent_value(env, profile, i) -> float:
     return value(profile[i], _binary_token(env, i))
 
 
-def binary_profile(env: Environment, bids: Sequence[float]) -> tuple[Valuation, ...]:
-    """Valuations worth ``bids[i]`` at agent i's single non-null token."""
-    return tuple(
-        TableValuation(((_binary_token(env, i), float(b)),)) for i, b in enumerate(bids)
-    )
-
-
 def greedy(env: Environment, profile: Sequence[Valuation], fixed: Optional[Allocation] = None):
     """Greedy allocation by non-increasing value, ties by agent index.
 
@@ -299,10 +291,13 @@ def greedy(env: Environment, profile: Sequence[Valuation], fixed: Optional[Alloc
         return _greedy_matroid_elements(env, profile, fixed)
     if not is_binary_env(env):
         raise TypeError(f"greedy undefined for environment kind {env.kind}")
-    vals = [agent_value(env, profile, i) for i in range(env.n)]
-    order = sorted(range(env.n), key=lambda i: (-vals[i], i))
+    return _greedy_binary(env, [agent_value(env, profile, i) for i in range(env.n)], fixed)
+
+
+def _greedy_binary(env: Environment, vals: Sequence[float], fixed: Allocation) -> Allocation:
+    """The binary greedy scan on the agents' values ``vals``."""
     chosen = list(env.null_allocation())
-    for i in order:
+    for i in sorted(range(env.n), key=lambda i: (-vals[i], i)):
         if fixed[i] != NULL or vals[i] <= TOL:
             continue
         chosen[i] = _binary_token(env, i)
@@ -368,6 +363,11 @@ def contracted_opt(env, profile, fixed: Allocation, cap: int = DEFAULT_CAP) -> A
     return residual_opt(env, profile, fam, fixed, cap)
 
 
+def _check_critical_rule(rule: AllocationRule) -> None:
+    if rule.kind not in (OPT_RULE.kind, GREEDY_RULE.kind):
+        raise ValueError(f"critical values undefined for rule {rule.kind}")
+
+
 def critical_value(
     rule: AllocationRule,
     env: Environment,
@@ -377,69 +377,47 @@ def critical_value(
     cap: int = DEFAULT_CAP,
 ):
     """Exact infimum bid at which ``agent`` wins under the rule in the
-    subinstance holding ``fixed`` allocated; UNAVAILABLE when no bid wins.
-
-    The win indicator is monotone in the agent's bid for both supported
-    rules, and constant between breakpoints, so the infimum is found by a
-    finite candidate scan with midpoint probes (open win regions included).
-    """
+    subinstance holding ``fixed`` allocated; UNAVAILABLE when no bid wins."""
     tok = _binary_token(env, agent)
+    _check_critical_rule(rule)
     if fixed[agent] != NULL or not env.is_feasible(replace_at(fixed, agent, tok)):
         return UNAVAILABLE
-    if rule.kind == "opt_bruteforce":
-        return _critical_value_opt(env, profile_others, agent, fixed, cap)
-    if rule.kind == "greedy_by_value":
-        return _critical_value_greedy(env, profile_others, agent, fixed)
-    raise ValueError(f"critical values undefined for rule {rule.kind}")
+    vals = [0.0 if j == agent else agent_value(env, profile_others, j) for j in range(env.n)]
+    return _critical_value(rule, env, vals, agent, fixed, cap)
 
 
-def _critical_value_opt(env, profile, agent, fixed, cap) -> float:
-    # externality: best residual welfare without the agent minus best with
-    # the agent forced in (counting only the others)
-    fam = ExchangeFamily("canonical_contraction", env)
-    tok = _binary_token(env, agent)
-    without_w = -math.inf
-    with_w = -math.inf
-    for y in fam.members(fixed, cap):
-        others = math.fsum(
-            value(profile[j], y[j]) for j in range(env.n) if j != agent
-        )
-        if y[agent] == NULL and others > without_w:
-            without_w = others
-        forced = replace_at(y, agent, tok)
-        if env.is_feasible(merge_over(fixed, forced)):
-            if others > with_w:
-                with_w = others
-    if with_w == -math.inf:
-        return UNAVAILABLE
-    return max(0.0, without_w - with_w)
+def _critical_value(rule, env, vals: Sequence[float], agent: int, fixed: Allocation, cap) -> float:
+    """The critical value of ``agent`` against the other agents' values
+    ``vals`` (the agent's own entry is ignored) with ``fixed`` allocated;
+    math.inf when no bid wins.
 
-
-def _critical_value_greedy(env, profile, agent, fixed) -> float:
-    others = sorted(
-        {
-            agent_value(env, profile, j)
-            for j in range(env.n)
-            if j != agent and agent_value(env, profile, j) > TOL
-        }
-    )
-    candidates = [0.0] + others
-
-    tok = _binary_token(env, agent)
-
-    def wins(bid: float) -> bool:
-        trial = list(profile)
-        trial[agent] = TableValuation(((tok, bid),))
-        out = greedy(env, tuple(trial), fixed)
-        return out[agent] != NULL
-
-    # probe just above each candidate: win regions are up-closed with the
-    # boundary at a candidate value
+    Under OPT it is the externality read off the kept feasible list: among
+    the sets holding ``fixed``, the others' best value in one leaving the
+    agent out minus their best in one holding the agent.  Under greedy the
+    win indicator is monotone in the bid and constant between the others'
+    values, so probing just above each candidate finds the infimum, open win
+    regions included."""
+    if rule.kind == OPT_RULE.kind:
+        held = support(fixed)
+        others = [j for j in range(env.n) if j != agent and fixed[j] == NULL]
+        without = with_ = -math.inf
+        for x in enumerate_feasible(env, cap):
+            if held and any(x[j] == NULL for j in held):
+                continue
+            w = math.fsum([vals[j] for j in others if x[j] != NULL])
+            if x[agent] == NULL:
+                without = max(without, w)
+            else:
+                with_ = max(with_, w)
+        return math.inf if with_ == -math.inf else max(0.0, without - with_)
+    candidates = [0.0] + sorted({v for j, v in enumerate(vals) if j != agent and v > TOL})
+    trial = list(vals)
     for idx, c in enumerate(candidates):
         upper = candidates[idx + 1] if idx + 1 < len(candidates) else c + 1.0
-        if wins((c + upper) / 2.0):
+        trial[agent] = (c + upper) / 2.0
+        if _greedy_binary(env, trial, fixed)[agent] != NULL:
             return c
-    return UNAVAILABLE
+    return math.inf
 
 
 def permeability(
@@ -455,60 +433,35 @@ def permeability(
     mass."""
     if not is_binary_env(env):
         raise TypeError("permeability requires a binary single-parameter environment")
+    _check_critical_rule(rule)
     grid = sorted(set(float(g) for g in value_grid))
-    feasible = enumerate_feasible(env, cap)
-    supports = [support(x) for x in feasible]
+    supports = [support(x) for x in enumerate_feasible(env, cap)]
     n = env.n
     total = len(grid) ** n
     if total > cap:
         raise CapExceeded(total, cap, "bid vectors")
+    null = env.null_allocation()
 
-    # per agent: supports of allocations excluding / including that agent
-    without_i = [
-        [s for x, s in zip(feasible, supports) if x[i] == NULL] for i in range(n)
-    ]
-    with_i = [
-        [s for x, s in zip(feasible, supports) if x[i] != NULL] for i in range(n)
-    ]
-
-    gamma = 1.0
+    # an agent's critical value depends only on the other agents' bids
     tau_cache: dict = {}
 
     def tau(i: int, bids) -> float:
-        key = (i, tuple(b for j, b in enumerate(bids) if j != i))
-        if key in tau_cache:
-            return tau_cache[key]
-        if rule.kind == "opt_bruteforce":
-            # externality against the other bids, computed on support lists
-            best_without = max(
-                (math.fsum(bids[j] for j in s) for s in without_i[i]), default=0.0
-            )
-            if not with_i[i]:
-                t = math.inf
-            else:
-                best_with = max(
-                    math.fsum(bids[j] for j in s if j != i) for s in with_i[i]
-                )
-                t = max(0.0, best_without - best_with)
-        else:
-            profile = binary_profile(env, bids)
-            t0 = critical_value(rule, env, profile, i, env.null_allocation())
-            t = math.inf if t0 is UNAVAILABLE else t0
-        tau_cache[key] = t
-        return t
+        key = (i, bids[:i] + bids[i + 1 :])
+        if key not in tau_cache:
+            tau_cache[key] = _critical_value(rule, env, bids, i, null, cap)
+        return tau_cache[key]
 
+    gamma = 1.0
     for bids in itertools.product(grid, repeat=n):
-        if rule.kind == "opt_bruteforce":
-            declared = max(
-                (math.fsum(bids[j] for j in s) for s in supports), default=0.0
-            )
+        if rule.kind == OPT_RULE.kind:
+            declared = max((math.fsum([bids[j] for j in s]) for s in supports), default=0.0)
         else:
-            won = rule.run(env, binary_profile(env, bids))
-            declared = math.fsum(bids[i] for i in support(won))
-        for s in supports:
-            num = math.fsum(tau(i, bids) for i in s)
-            if num <= TOL:
-                continue
+            declared = math.fsum([bids[i] for i in support(_greedy_binary(env, bids, null))])
+        taus = [tau(i, bids) for i in range(n)]
+        # rounded division by a positive float is monotone, so the largest
+        # numerator gives the largest ratio
+        num = max((math.fsum([taus[i] for i in s]) for s in supports), default=0.0)
+        if num > TOL:
             if declared <= TOL:
                 return math.inf
             gamma = max(gamma, num / declared)

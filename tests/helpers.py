@@ -14,9 +14,13 @@ import balprice.core
 from balprice.core import (
     NULL,
     TOL,
+    UNAVAILABLE,
+    CapExceeded,
     Matroid,
     MatroidEnv,
+    TableValuation,
     enumerate_feasible,
+    replace_at,
     restrict,
     support,
     value,
@@ -24,7 +28,14 @@ from balprice.core import (
     _token_key,
 )
 from balprice.mechanism import OnlinePostedPriceRunner
-from balprice.oracle import argmax_first
+from balprice.oracle import (
+    ExchangeFamily,
+    _binary_token,
+    agent_value,
+    argmax_first,
+    is_binary_env,
+    merge_over,
+)
 from balprice.stochastic import RatioEstimate, _ratio_ci95, trial_rng
 
 
@@ -167,3 +178,135 @@ def monte_carlo_twin(env, prices, dist, order_mode, trials, seed, tie="adversari
         seed=seed,
         ci95_halfwidth=_ratio_ci95(ws, os_),
     )
+
+
+def greedy_twin(env, profile, fixed):
+    """Twin of the binary branch of ``greedy``: agents by non-increasing
+    value, ties by index, each accepted when feasible with ``fixed`` and the
+    earlier acceptances."""
+    vals = [agent_value(env, profile, i) for i in range(env.n)]
+    order = sorted(range(env.n), key=lambda i: (-vals[i], i))
+    chosen = list(env.null_allocation())
+    for i in order:
+        if fixed[i] != NULL or vals[i] <= TOL:
+            continue
+        chosen[i] = _binary_token(env, i)
+        if not env.is_feasible(merge_over(fixed, tuple(chosen))):
+            chosen[i] = NULL
+    return tuple(chosen)
+
+
+def critical_value_opt_twin(env, profile, agent, fixed, cap=balprice.core.DEFAULT_CAP):
+    """Twin of the OPT critical value as a member walk: the best residual
+    welfare of the others without the agent minus their best with the agent
+    forced in, feasibility tested on each forced member."""
+    fam = ExchangeFamily("canonical_contraction", env)
+    tok = _binary_token(env, agent)
+    without_w = -math.inf
+    with_w = -math.inf
+    for y in fam.members(fixed, cap):
+        others = math.fsum(value(profile[j], y[j]) for j in range(env.n) if j != agent)
+        if y[agent] == NULL and others > without_w:
+            without_w = others
+        forced = replace_at(y, agent, tok)
+        if env.is_feasible(merge_over(fixed, forced)):
+            if others > with_w:
+                with_w = others
+    if with_w == -math.inf:
+        return UNAVAILABLE
+    return max(0.0, without_w - with_w)
+
+
+def critical_value_greedy_twin(env, profile, agent, fixed):
+    """Twin of the greedy critical value: a greedy run on a rebuilt profile
+    just above each of the others' values, lowest first."""
+    others = sorted(
+        {
+            agent_value(env, profile, j)
+            for j in range(env.n)
+            if j != agent and agent_value(env, profile, j) > TOL
+        }
+    )
+    candidates = [0.0] + others
+    tok = _binary_token(env, agent)
+
+    def wins(bid):
+        trial = list(profile)
+        trial[agent] = TableValuation(((tok, bid),))
+        return greedy_twin(env, tuple(trial), fixed)[agent] != NULL
+
+    for idx, c in enumerate(candidates):
+        upper = candidates[idx + 1] if idx + 1 < len(candidates) else c + 1.0
+        if wins((c + upper) / 2.0):
+            return c
+    return UNAVAILABLE
+
+
+def critical_value_twin(rule, env, profile, agent, fixed, cap=balprice.core.DEFAULT_CAP):
+    """Twin of ``critical_value`` for the OPT and greedy rules."""
+    tok = _binary_token(env, agent)
+    if fixed[agent] != NULL or not env.is_feasible(replace_at(fixed, agent, tok)):
+        return UNAVAILABLE
+    if rule.kind == "opt_bruteforce":
+        return critical_value_opt_twin(env, profile, agent, fixed, cap)
+    return critical_value_greedy_twin(env, profile, agent, fixed)
+
+
+def binary_profile(env, bids):
+    """Valuations worth ``bids[i]`` at agent i's single non-null token."""
+    return tuple(
+        TableValuation(((_binary_token(env, i), float(b)),)) for i, b in enumerate(bids)
+    )
+
+
+def permeability_twin(env, rule, value_grid, cap=balprice.core.DEFAULT_CAP):
+    """Twin of ``permeability`` over every grid bid vector and every feasible
+    set: the OPT critical value by the externality formula on support lists,
+    the greedy one through ``critical_value_twin``, and each set's ratio
+    taken on its own."""
+    if not is_binary_env(env):
+        raise TypeError("permeability requires a binary single-parameter environment")
+    grid = sorted(set(float(g) for g in value_grid))
+    feasible = enumerate_feasible(env, cap)
+    supports = [support(x) for x in feasible]
+    n = env.n
+    total = len(grid) ** n
+    if total > cap:
+        raise CapExceeded(total, cap, "bid vectors")
+    without_i = [[s for x, s in zip(feasible, supports) if x[i] == NULL] for i in range(n)]
+    with_i = [[s for x, s in zip(feasible, supports) if x[i] != NULL] for i in range(n)]
+    gamma = 1.0
+    tau_cache = {}
+
+    def tau(i, bids):
+        key = (i, tuple(b for j, b in enumerate(bids) if j != i))
+        if key in tau_cache:
+            return tau_cache[key]
+        if rule.kind == "opt_bruteforce":
+            best_without = max((math.fsum(bids[j] for j in s) for s in without_i[i]), default=0.0)
+            if not with_i[i]:
+                t = math.inf
+            else:
+                best_with = max(math.fsum(bids[j] for j in s if j != i) for s in with_i[i])
+                t = max(0.0, best_without - best_with)
+        else:
+            profile = binary_profile(env, bids)
+            t0 = critical_value_twin(rule, env, profile, i, env.null_allocation(), cap)
+            t = math.inf if t0 is UNAVAILABLE else t0
+        tau_cache[key] = t
+        return t
+
+    for bids in itertools.product(grid, repeat=n):
+        if rule.kind == "opt_bruteforce":
+            declared = max((math.fsum(bids[j] for j in s) for s in supports), default=0.0)
+        else:
+            won = greedy_twin(env, binary_profile(env, bids), env.null_allocation())
+            declared = math.fsum(bids[i] for i in support(won))
+        for s in supports:
+            num = math.fsum(tau(i, bids) for i in s)
+            if num <= TOL:
+                continue
+            if declared <= TOL:
+                return math.inf
+            gamma = max(gamma, num / declared)
+    return gamma

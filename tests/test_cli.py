@@ -649,6 +649,19 @@ class TestPermeabilityCommand:
         out = capsys.readouterr().out
         assert "permeability(opt)" in out
 
+    @pytest.mark.parametrize("rule", ["opt", "greedy"])
+    @pytest.mark.parametrize("grid", [[], ["--grid", "0,1"]], ids=["default-grid", "grid"])
+    def test_non_binary_environment_exits_2(self, tmp_path, capsys, rule, grid):
+        inst = tmp_path / "triangle.json"
+        assert run_cli(["catalog", "triangle", "-o", str(inst)]) == 0
+        capsys.readouterr()
+        assert run_cli(["permeability", "--instance", str(inst), "--rule", rule, *grid]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: permeability requires a binary single-parameter environment, "
+            "not a combinatorial_auction environment\n"
+        )
+
 
 class TestCatalogCommand:
     def test_emits_parseable_instance(self, tmp_path):

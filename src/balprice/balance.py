@@ -25,9 +25,8 @@ from .core import (
     Valuation,
     _submasks,
     enumerate_feasible,
-    welfare,
 )
-from .oracle import ExchangeFamily, argmax_first
+from .oracle import ExchangeFamily, _first_max, _listed_welfare
 from .pricing import BalanceParams, PricingRule
 
 ORDER_MODES = ("declared", "all")
@@ -258,11 +257,14 @@ def _check(
     """One walk over the feasible allocations.  Exchange members are taken
     once per ``members_key``.  For static rules condition (b) depends on x
     only through its exchange set, so it is scored once per key and replayed
-    for every x that shares the key."""
+    for every x that shares the key.  The reference allocation's welfare and
+    each key's residual optimum are read off the environment's welfare
+    column, which the rule's and the reference's ``opt`` calls share."""
     if order_mode not in ORDER_MODES:
         raise ValueError(f"unknown order mode {order_mode}")
     order = tuple(range(env.n)) if order is None else tuple(order)
-    alg_w = welfare(profile, alg_alloc)
+    feasible = enumerate_feasible(env, cap)
+    (alg_w,) = _listed_welfare(env, feasible, profile, [alg_alloc])
     report = BalanceReport(
         passed=True,
         params=params,
@@ -270,9 +272,8 @@ def _check(
         condition_b_min_slack=math.inf,
         order_mode=order_mode,
     )
-    feasible = enumerate_feasible(env, cap)
     static = _StaticSums(prices, env.n) if prices.static else None
-    # members_key -> (members, residual optimum, cached condition-(b) score)
+    # members_key -> (members, residual optimum's welfare, cached condition-(b) score)
     families: dict = {}
     for x in feasible:
         report.checked_allocations += 1
@@ -280,8 +281,9 @@ def _check(
         fam = families.get(fam_key)
         if fam is None:
             members = family.members(x, cap)
-            residual = argmax_first(members, profile) if members else env.null_allocation()
-            fam = families[fam_key] = [members, welfare(profile, residual), None]
+            ws = _listed_welfare(env, feasible, profile, members)
+            residual_w = ws[_first_max(ws)] if members else 0.0
+            fam = families[fam_key] = [members, residual_w, None]
         members, residual_w, score = fam
         rhs_a, rhs_b = _condition_bounds(params, alg_w, residual_w)
 

@@ -73,7 +73,7 @@ from .pricing import (
     single_item_prices,
     xos_item_prices,
 )
-from .serialize import Instance, SchemaError, dump_instance_file, load_instance_file
+from .serialize import Instance, SchemaError, _bounded, dump_instance_file, load_instance_file
 from .stochastic import (
     ProductDistribution,
     RatioEstimate,
@@ -511,7 +511,7 @@ def cmd_permeability(args) -> int:
         )
     rule = {"opt": OPT_RULE, "greedy": GREEDY_RULE}[args.rule]
     if args.grid:
-        grid = [float(tok) for tok in args.grid.split(",")]
+        grid = [_bounded(tok, "--grid entry") for tok in args.grid.split(",")]
     else:
         grid = _value_grid(instance)
     gamma = permeability(instance.env, rule, grid, cap)

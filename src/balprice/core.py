@@ -98,6 +98,34 @@ def popcount(mask: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _hash_once(cls):
+    """Compute the generated field hash of frozen dataclass ``cls`` once per
+    object: valuations key the pricing and optimum memos, and rehashing every
+    clause on each lookup dominates them.  The hash is the generated one,
+    kept outside the fields, so ``==``, ``repr`` and serialization do not
+    change; it is not pickled, since a field hash may differ between
+    processes."""
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class AdditiveValuation:
     """Per-item values; the value of a bitmask is the sum over its set bits."""
@@ -111,6 +139,7 @@ class AdditiveValuation:
         return math.fsum(self.values[j] for j in bitmask_items(x))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class XosValuation:
     """Maximum over additive clauses (each clause a per-item value vector)."""
@@ -139,6 +168,7 @@ class XosValuation:
 MphClause = tuple[tuple[int, float], ...]
 
 
+@_hash_once
 @dataclass(frozen=True)
 class MphValuation:
     """Maximum over positive-hypergraph clauses of bounded edge size."""
@@ -178,6 +208,7 @@ class MphValuation:
         return arg
 
 
+@_hash_once
 @dataclass(frozen=True)
 class ThresholdValuation:
     """All-or-nothing value for receiving at least ``size`` units."""
@@ -192,6 +223,7 @@ class ThresholdValuation:
         return self.value_at_size if q >= self.size - TOL else 0.0
 
 
+@_hash_once
 @dataclass(frozen=True)
 class ScalarValuation:
     """Linear value: outcome 1 is worth ``rate``; fractional levels scale."""
@@ -204,6 +236,7 @@ class ScalarValuation:
         return self.rate * float(x)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class TableValuation:
     """Explicit outcome-token -> value map; unknown tokens are a domain error."""
@@ -221,6 +254,7 @@ class TableValuation:
         raise KeyError(f"outcome {x!r} not in table valuation")
 
 
+@_hash_once
 @dataclass(frozen=True)
 class MarketValuation:
     """Additive across markets: the outcome is a tuple of per-market outcomes."""
@@ -363,9 +397,11 @@ class EnvironmentBase:
 
     kind: str
     n: int
-    # the feasible list, kept by ``enumerate_feasible``; not a field, so
-    # equality, hashing and serialization see only the fields
+    # the feasible list, kept by ``enumerate_feasible``, and the welfare
+    # column of the last profile asked over it (``oracle._welfare_column``);
+    # not fields, so equality, hashing and serialization see only the fields
     _feasible = None
+    _welfare = None
 
     def agent_outcomes(self, i: int) -> tuple:
         raise NotImplementedError

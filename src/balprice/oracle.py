@@ -44,23 +44,70 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 
-def argmax_first(allocs: Sequence[Allocation], profile: Sequence[Valuation]) -> Allocation:
-    """Welfare-maximizing allocation in ``allocs``; ties go to the first."""
-    best: Optional[Allocation] = None
-    best_w = -math.inf
-    for alloc in allocs:
-        w = welfare(profile, alloc)
+def _first_max(ws: Sequence[float]) -> int:
+    """Index of the first maximum within ``TOL`` in ``ws``."""
+    best, best_w = -1, -math.inf
+    for k, w in enumerate(ws):
         if w > best_w + TOL:
-            best, best_w = alloc, w
-    if best is None:
-        raise ValueError("empty allocation list")
+            best, best_w = k, w
     return best
+
+
+def _welfare_column(env: Environment, feasible, profile, tables=None) -> tuple[float, ...]:
+    """The welfare of every allocation in ``feasible``, the list that
+    ``enumerate_feasible`` keeps on ``env``, in list order.  Agent i's column
+    holds ``value(v_i, token)`` for its token in each listed allocation, from
+    one ``value`` call per distinct token, and each row is the ``fsum`` across
+    the columns; ``fsum`` is correctly rounded, so a row is the ``welfare``
+    float of its allocation.
+
+    ``env`` keeps, tied to ``feasible``, the list's token columns, its
+    positions (built by ``_listed_welfare``) and the welfare column of the
+    last profile asked, compared by equality.  ``tables``, one dict per
+    agent, keeps an agent's value column per distinct valuation across
+    profiles."""
+    profile = tuple(profile)
+    held = env._welfare
+    if held is None or held[0] is not feasible:
+        # [list, token columns, positions, profile, welfare column]
+        held = [feasible, tuple(zip(*feasible)), None, None, None]
+        object.__setattr__(env, "_welfare", held)
+    elif held[3] == profile:
+        return held[4]
+    if len(profile) != env.n:
+        raise ValueError("profile and allocation lengths differ")
+    columns = []
+    for i, (v, tokens) in enumerate(zip(profile, held[1])):
+        col = None if tables is None else tables[i].get(v)
+        if col is None:
+            values = {tok: value(v, tok) for tok in dict.fromkeys(tokens)}
+            col = tuple(map(values.__getitem__, tokens))
+            if tables is not None:
+                tables[i][v] = col
+        columns.append(col)
+    column = tuple(map(math.fsum, zip(*columns))) if columns else (0.0,) * len(feasible)
+    held[3], held[4] = profile, column
+    return column
+
+
+def _listed_welfare(env: Environment, feasible, profile, allocs) -> list[float]:
+    """The welfare of each of ``allocs``, read off the welfare column where it
+    is listed, as every feasible allocation is; ``welfare`` for any other."""
+    column = _welfare_column(env, feasible, profile)
+    held = env._welfare
+    if held[2] is None:
+        held[2] = {y: k for k, y in enumerate(feasible)}
+    positions = held[2]
+    return [
+        welfare(profile, y) if (k := positions.get(y)) is None else column[k] for y in allocs
+    ]
 
 
 def opt(env: Environment, profile: Sequence[Valuation], cap: int = DEFAULT_CAP) -> Allocation:
     """Welfare-maximizing feasible allocation; ties go to the first maximizer
     in lexicographic enumeration order."""
-    return argmax_first(enumerate_feasible(env, cap), profile)
+    feasible = enumerate_feasible(env, cap)
+    return feasible[_first_max(_welfare_column(env, feasible, profile))]
 
 
 def merge_over(x: Allocation, y: Allocation) -> Allocation:
@@ -249,7 +296,8 @@ def residual_opt(
     members = family.members(x, cap)
     if not members:
         return env.null_allocation()
-    return argmax_first(members, profile)
+    ws = _listed_welfare(env, enumerate_feasible(env, cap), profile, members)
+    return members[_first_max(ws)]
 
 
 # ---------------------------------------------------------------------------

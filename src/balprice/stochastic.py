@@ -21,9 +21,9 @@ from .core import (
     Environment,
     Valuation,
     enumerate_feasible,
-    value,
 )
 from .mechanism import OnlinePostedPriceRunner, expected_posted_price_welfare
+from .oracle import _first_max, _welfare_column
 
 EXACT_SUPPORT_CAP = 100_000
 
@@ -102,31 +102,16 @@ def exact_expectation(
 
 
 def _optimum_welfare(env: Environment) -> Callable[[tuple], float]:
-    """``opt``'s welfare as a function of the profile: the first maximizer
-    within ``TOL`` in the environment's feasible list, the same float as
-    ``welfare(p, argmax_first(feasible, p))``.  Each agent's column of
-    ``value(v, token)`` over the list is built once per distinct valuation
-    (compared by equality) and held by the returned function; ``fsum`` is
-    correctly rounded, so summing the columns gives each ``welfare`` float."""
+    """``opt``'s welfare as a function of the profile: the first maximum
+    within ``TOL`` of the welfare column over the environment's feasible
+    list.  The returned function holds each agent's value column per
+    distinct valuation (compared by equality) across the profiles asked."""
     feasible = enumerate_feasible(env)
-    token_columns = list(zip(*feasible))
-    tables: list[dict] = [{} for _ in token_columns]
-
-    def column(i: int, v: Valuation) -> tuple[float, ...]:
-        col = tables[i].get(v)
-        if col is None:
-            values = {tok: value(v, tok) for tok in token_columns[i]}
-            col = tables[i][v] = tuple(map(values.__getitem__, token_columns[i]))
-        return col
+    tables: list[dict] = [{} for _ in range(env.n)]
 
     def best(profile) -> float:
-        if len(profile) != len(tables):
-            raise ValueError("profile and allocation lengths differ")
-        best_w = -math.inf
-        for w in map(math.fsum, zip(*(column(i, v) for i, v in enumerate(profile)))):
-            if w > best_w + TOL:
-                best_w = w
-        return best_w
+        column = _welfare_column(env, feasible, profile, tables)
+        return column[_first_max(column)]
 
     return best
 

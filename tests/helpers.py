@@ -32,11 +32,23 @@ from balprice.oracle import (
     ExchangeFamily,
     _binary_token,
     agent_value,
-    argmax_first,
     is_binary_env,
     merge_over,
 )
 from balprice.stochastic import RatioEstimate, _ratio_ci95, trial_rng
+
+
+def argmax_first_twin(allocs, profile):
+    """Twin of the welfare column's argmax: the welfare of each allocation in
+    ``allocs`` computed on its own, the first maximum within ``TOL`` kept."""
+    best, best_w = None, -math.inf
+    for alloc in allocs:
+        w = welfare(profile, alloc)
+        if w > best_w + TOL:
+            best, best_w = alloc, w
+    if best is None:
+        raise ValueError("empty allocation list")
+    return best
 
 
 def check_downward_closed(env, cap=balprice.core.DEFAULT_CAP) -> bool:
@@ -148,16 +160,16 @@ def tied_candidates_twin(prices, v, i, y) -> list:
 
 
 def expected_opt_twin(env, dist) -> float:
-    """Twin of ``expected_opt``: the welfare of ``argmax_first`` over the
+    """Twin of ``expected_opt``: the welfare of ``argmax_first_twin`` over the
     feasible list on every support profile."""
     feasible = enumerate_feasible(env)
-    return math.fsum(prob * welfare(p, argmax_first(feasible, p)) for p, prob in dist.profiles())
+    return math.fsum(prob * welfare(p, argmax_first_twin(feasible, p)) for p, prob in dist.profiles())
 
 
 def monte_carlo_twin(env, prices, dist, order_mode, trials, seed, tie="adversarial_min_welfare"):
     """Twin of ``monte_carlo_ratio`` as a plain loop over trials: each trial
     draws its profile (then, in random order, its permutation) from its own
-    stream, runs a runner of its own, and takes ``argmax_first`` over the
+    stream, runs a runner of its own, and takes ``argmax_first_twin`` over the
     feasible list for its optimum."""
     feasible = enumerate_feasible(env)
     ws, os_ = [], []
@@ -169,7 +181,7 @@ def monte_carlo_twin(env, prices, dist, order_mode, trials, seed, tie="adversari
         else:
             order = tuple(int(i) for i in rng.permutation(env.n))
         ws.append(OnlinePostedPriceRunner(env, prices, dist, order, tie).run(profile).welfare)
-        os_.append(welfare(profile, argmax_first(feasible, profile)))
+        os_.append(welfare(profile, argmax_first_twin(feasible, profile)))
     return RatioEstimate.of(
         math.fsum(ws) / trials,
         math.fsum(os_) / trials,

@@ -662,6 +662,18 @@ class TestPermeabilityCommand:
             "not a combinatorial_auction environment\n"
         )
 
+    @pytest.mark.parametrize("grid", ["0,nan", "0,inf", "0,1e308,1.7e308", "0,abc"])
+    def test_bad_grid_entry_exits_2(self, matroid_instance, capsys, grid):
+        # an unbounded entry once gave nan in the grid (exit 0) or an
+        # OverflowError traceback (exit 1)
+        capsys.readouterr()
+        argv = ["permeability", "--instance", str(matroid_instance), "--grid", grid]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --grid entry must ")
+        assert captured.err.count("\n") == 1
+
 
 class TestCatalogCommand:
     def test_emits_parseable_instance(self, tmp_path):

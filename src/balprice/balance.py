@@ -23,7 +23,6 @@ from .core import (
     Allocation,
     Environment,
     Valuation,
-    _submasks,
     enumerate_feasible,
 )
 from .oracle import ExchangeFamily, _first_max, _listed_welfare
@@ -72,10 +71,11 @@ class _PriceSums:
     conditioning allocation x, minimized or maximized over agent orders by a
     subset DP (the term for an agent depends on its predecessor set only).
 
-    A term depends on the predecessor mask only through mask & support(x), so
-    each restricted prefix of x is built, and each (agent, outcome, prefix)
-    term priced, once on first use, and shared by condition (a) and every
-    member's sum.
+    A term depends on the predecessor mask only through mask & support(x).
+    One term table per x serves condition (a), every member's sum and every
+    witness replay: it maps (agent, outcome) to a list indexed by the prefix
+    compressed to support(x) (bit r set when the r-th agent of the support
+    precedes), each entry priced on first use.
 
     UNAVAILABLE entries poison the sum; they are reported as structural
     violations by the caller."""
@@ -85,28 +85,41 @@ class _PriceSums:
         self.x = x
         self.n = n
         self.supp = 0
+        # bits[i]: agent i's bit in a compressed prefix, 0 off the support
+        self._bits = [0] * n
+        r = 0
         for j, xj in enumerate(x):
             if xj != NULL:
                 self.supp |= 1 << j
-        self._prefixes: dict[int, Allocation] = {}
-        # (agent, outcome, pred_mask & support(x)) -> price, shared by all sums
-        self._terms: dict = {}
+                self._bits[j] = 1 << r
+                r += 1
+        self._prefixes: list = [None] * (1 << r)
+        self._table: dict = {}
 
-    def prefix(self, pred_mask: int) -> Allocation:
-        """x restricted to the agents in ``pred_mask``."""
-        key = pred_mask & self.supp
-        y = self._prefixes.get(key)
+    def _row(self, i: int, z_i) -> list:
+        row = self._table.get((i, z_i))
+        if row is None:
+            row = self._table[(i, z_i)] = [None] * len(self._prefixes)
+        return row
+
+    def _fill(self, row: list, i: int, z_i, k: int):
+        y = self._prefixes[k]
         if y is None:
-            y = tuple(xj if key >> j & 1 else NULL for j, xj in enumerate(self.x))
-            self._prefixes[key] = y
-        return y
+            y = self._prefixes[k] = tuple(
+                xj if k & b else NULL for xj, b in zip(self.x, self._bits)
+            )
+        p = row[k] = self.prices.price(i, z_i, y)
+        return p
 
     def term(self, i: int, z_i, pred_mask: int):
-        key = (i, z_i, pred_mask & self.supp)
-        p = self._terms.get(key)
-        if p is None:
-            p = self._terms[key] = self.prices.price(i, z_i, self.prefix(pred_mask))
-        return p
+        """p_i(z_i | x restricted to the agents in ``pred_mask``)."""
+        k = 0
+        for j, b in enumerate(self._bits):
+            if b and pred_mask >> j & 1:
+                k |= b
+        row = self._row(i, z_i)
+        p = row[k]
+        return self._fill(row, i, z_i, k) if p is None else p
 
     def declared_order(self, z: Allocation, order: Sequence[int]):
         total, unavailable = 0.0, False
@@ -120,35 +133,24 @@ class _PriceSums:
             mask |= 1 << i
         return total, unavailable
 
-    def extremal(self, z: Allocation, maximize: bool):
-        """Min (or max) over all agent orders of the price sum for outcomes z
-        conditioned on x-prefixes.  Returns (value, witness order, saw_unavailable).
-
-        The subset DP runs over the live agents only, those with x_i or z_i
-        non-null.  An inert agent prices NULL at exactly 0.0 and conditions
-        no one, so dp[S] equals dp[S & live] in value and flag: a candidate
-        equal to the current optimum never moves the first-within-TOL scan.
-        The n-agent witness order replays that scan along one path down from
-        the full agent set.  UNAVAILABLE terms count 0 in the sum but are
-        flagged."""
-        supp = self.supp
-        live = [i for i, z_i in enumerate(z) if supp >> i & 1 or z_i != NULL]
-        # the DP indexes live agents by rank: bit j of a compressed mask is
-        # agent live[j], and subs[c] is compressed mask c as an agent mask
-        subs = _submasks(sum(1 << i for i in live))
-        live_supp = sum(1 << j for j, i in enumerate(live) if supp >> i & 1)
+    def _dp(self, z: Allocation, maximize: bool):
+        """The subset DP on signed sums sign·Σ p over the live agents, those
+        with x_i or z_i non-null: (dp, flag, live, rows, sidx).  Bit j of a
+        DP mask is agent live[j], rows[j] is that agent's term list and
+        sidx[c] is DP mask c compressed to support(x).  An inert agent prices
+        NULL at exactly 0.0 and conditions no one, so dp[S] equals
+        dp[S & live] in value and flag.  UNAVAILABLE terms count 0 in the sum
+        but are flagged."""
+        supp, bits = self.supp, self._bits
+        live, rows, sidx = [], [], [0]
+        for i, z_i in enumerate(z):
+            if supp >> i & 1 or z_i != NULL:
+                live.append(i)
+                rows.append(self._row(i, z_i))
+                b = bits[i]
+                sidx += [k | b for k in sidx]
         sign = -1.0 if maximize else 1.0
-        # rows[j][c & live_supp] = (signed price, unavailable?) of agent
-        # live[j] after the agents of compressed mask c
-        rows: list[dict] = [{} for _ in live]
-
-        def term(j: int, c: int):
-            i = live[j]
-            p = self.term(i, z[i], subs[c])
-            t = rows[j][c & live_supp] = (0.0, True) if p is UNAVAILABLE else (sign * p, False)
-            return t
-
-        full = len(subs) - 1
+        full = len(sidx) - 1
         dp = [0.0] * (full + 1)
         flag = [False] * (full + 1)
         for mask in range(1, full + 1):
@@ -159,18 +161,41 @@ class _PriceSums:
                 m ^= bit
                 prev = mask ^ bit
                 j = bit.bit_length() - 1
-                t = rows[j].get(prev & live_supp) or term(j, prev)
-                cand = dp[prev] + t[0]
-                if cand < best - TOL:
-                    best, best_flag = cand, t[1] or flag[prev]
+                k = sidx[prev]
+                p = rows[j][k]
+                if p is None:
+                    i = live[j]
+                    p = self._fill(rows[j], i, z[i], k)
+                if p is UNAVAILABLE:
+                    if dp[prev] < best - TOL:
+                        best, best_flag = dp[prev], True
+                else:
+                    cand = dp[prev] + sign * p
+                    if cand < best - TOL:
+                        best, best_flag = cand, flag[prev]
             dp[mask] = best
             flag[mask] = best_flag
+        return dp, flag, live, rows, sidx
 
-        # replay the scan over all n agents, last arrival first; an inert
-        # agent's candidate is dp[c], the optimum over the live agents left
+    def extremal(self, z: Allocation, maximize: bool):
+        """Min (or max) over all agent orders of the price sum for outcomes z
+        conditioned on x-prefixes: (value, saw_unavailable).  ``witness``
+        gives an order that attains it."""
+        dp, flag, _, _, _ = self._dp(z, maximize)
+        return (-dp[-1] if maximize else dp[-1]), flag[-1]
+
+    def witness(self, z: Allocation, maximize: bool) -> tuple:
+        """The n-agent order whose sum ``extremal`` returns: the DP's
+        first-within-TOL scan replayed along one path down from the full
+        agent set, last arrival first.  An inert agent's candidate is dp[c],
+        the optimum over the live agents left, so it never moves the scan
+        past an equal live candidate.  The DP already priced every term the
+        replay reads."""
+        dp, _, live, rows, sidx = self._dp(z, maximize)
+        sign = -1.0 if maximize else 1.0
         rank = {i: j for j, i in enumerate(live)}
         order = []
-        agents, c = list(range(self.n)), full
+        agents, c = list(range(self.n)), len(dp) - 1
         while agents:
             best, best_i = math.inf, -1
             for i in agents:
@@ -179,7 +204,8 @@ class _PriceSums:
                     cand = dp[c]
                 else:
                     prev = c ^ 1 << j
-                    cand = dp[prev] + (rows[j].get(prev & live_supp) or term(j, prev))[0]
+                    p = rows[j][sidx[prev]]
+                    cand = dp[prev] + (0.0 if p is UNAVAILABLE else sign * p)
                 if cand < best - TOL:
                     best, best_i = cand, i
             order.append(best_i)
@@ -187,21 +213,28 @@ class _PriceSums:
             if best_i in rank:
                 c ^= 1 << rank[best_i]
         order.reverse()
-        return sign * dp[full], tuple(order), flag[full]
+        return tuple(order)
 
 
 class _StaticSums:
     """Price sums for a static rule: p_i(z_i | ∅) for every agent, summed in
     agent order.  The conditioning prefix never changes a feasible entry's
-    price, so every order gives the same sum and each (agent, outcome) term
-    is priced once."""
+    price, so every order gives the same sum; each (agent, outcome) term is
+    priced once and each allocation's sum is taken once."""
 
     def __init__(self, prices: PricingRule, n: int):
         self.prices = prices
         self.null = (NULL,) * n
         self._terms: dict = {}
+        self._totals: dict = {}
 
     def total(self, z: Allocation):
+        t = self._totals.get(z)
+        if t is None:
+            t = self._totals[z] = self._sum(z)
+        return t
+
+    def _sum(self, z: Allocation):
         total, unavailable = 0.0, False
         for i, z_i in enumerate(z):
             p = self._terms.get((i, z_i))
@@ -225,12 +258,12 @@ def _condition_bounds(params: BalanceParams, alg_w: float, residual_w: float):
 
 def _score_members(members, price_sum, rhs_b: float, residual_w: float):
     """Condition (b) over one exchange set: (min slack, max member-sum /
-    residual ratio, violations), where violations lists (member, lhs, order
-    witness, unavailable?, slack) for every member that has an UNAVAILABLE
-    entry or breaks the bound, in member order."""
+    residual ratio, violations), where violations lists (member, lhs,
+    unavailable?, slack) for every member that has an UNAVAILABLE entry or
+    breaks the bound, in member order."""
     min_slack, max_ratio, violations = math.inf, 0.0, []
     for member in members:
-        lhs, wit, bad = price_sum(member)
+        lhs, bad = price_sum(member)
         slack = rhs_b - lhs
         if slack < min_slack:
             min_slack = slack
@@ -239,7 +272,7 @@ def _score_members(members, price_sum, rhs_b: float, residual_w: float):
             if ratio > max_ratio:
                 max_ratio = ratio
         if bad or slack < -TOL:
-            violations.append((member, lhs, wit, bad, slack))
+            violations.append((member, lhs, bad, slack))
     return min_slack, max_ratio, violations
 
 
@@ -291,23 +324,29 @@ def _check(
 
         def price_sum(z, maximize=True):
             if static is not None:
-                total, bad = static.total(z)
-                return total, order, bad
+                return static.total(z)
             if order_mode == "declared":
-                total, bad = sums.declared_order(z, order)
-                return total, order, bad
-            return sums.extremal(z, maximize=maximize)
+                return sums.declared_order(z, order)
+            return sums.extremal(z, maximize)
 
-        lhs_a, wit_a, bad = price_sum(x, maximize=False)
+        def witness(z, maximize=True):
+            # replayed only for the entries the report records
+            if static is None and order_mode == "all":
+                return sums.witness(z, maximize)
+            return order
+
+        lhs_a, bad = price_sum(x, maximize=False)
         if score is None:
             score = _score_members(members, price_sum, rhs_b, residual_w)
             if static is not None:
                 fam[2] = score
 
+        slack_a = lhs_a - rhs_a
+        if bad or slack_a < -TOL:
+            wit_a = witness(x, maximize=False)
         if bad:
             report.structural_violations.append(("a", x, wit_a))
             report.passed = False
-        slack_a = lhs_a - rhs_a
         if slack_a < report.condition_a_min_slack:
             report.condition_a_min_slack = slack_a
         if slack_a < -TOL:
@@ -320,12 +359,12 @@ def _check(
             report.condition_b_min_slack = min_b
         if max_ratio > report.max_b_ratio:
             report.max_b_ratio = max_ratio
-        for member, lhs_b, wit_b, bad, slack_b in violations:
+        for member, lhs_b, bad, slack_b in violations:
             report.passed = False
             if bad:
                 report.structural_violations.append(("b", x, member))
             if slack_b < -TOL:
-                report.witnesses.append(("b", x, member, lhs_b, rhs_b, wit_b))
+                report.witnesses.append(("b", x, member, lhs_b, rhs_b, witness(member)))
     if not feasible:
         report.condition_a_min_slack = 0.0
         report.condition_b_min_slack = 0.0

@@ -410,7 +410,10 @@ def cmd_balance(args) -> int:
         f"slack_b={report.condition_b_min_slack:.3g} "
         f"checked {report.checked_allocations} allocations"
     )
-    for w in report.witnesses[:3]:
+    # slack: lhs - rhs for condition a, rhs - lhs for b; the sort is stable,
+    # so ties keep walk order
+    worst = sorted(report.witnesses, key=lambda w: w[3] - w[4] if w[0] == "a" else w[4] - w[3])
+    for w in worst[:3]:
         print(f"  worst witness: condition {w[0]} x={w[1]} member={w[2]} lhs={w[3]:.6g} rhs={w[4]:.6g}")
     _emit_report(args, report.as_dict())
     return 0 if report.passed else 1

@@ -25,6 +25,7 @@ from balprice.core import (
     support,
     value,
     welfare,
+    _submasks,
     _token_key,
 )
 from balprice.mechanism import OnlinePostedPriceRunner
@@ -322,3 +323,77 @@ def permeability_twin(env, rule, value_grid, cap=balprice.core.DEFAULT_CAP):
                 return math.inf
             gamma = max(gamma, num / declared)
     return gamma
+
+
+# The all-orders price sum as it was computed before witness orders were
+# replayed on demand: value, flag and full witness order from one call, the
+# order rebuilt eagerly for every sum.  ``self`` is a ``balance._PriceSums``;
+# the body reads its term table through ``term``.
+def eager_extremal(self, z, maximize: bool):
+    """Min (or max) over all agent orders of the price sum for outcomes z
+    conditioned on x-prefixes.  Returns (value, witness order, saw_unavailable).
+
+    The subset DP runs over the live agents only, those with x_i or z_i
+    non-null.  An inert agent prices NULL at exactly 0.0 and conditions
+    no one, so dp[S] equals dp[S & live] in value and flag: a candidate
+    equal to the current optimum never moves the first-within-TOL scan.
+    The n-agent witness order replays that scan along one path down from
+    the full agent set.  UNAVAILABLE terms count 0 in the sum but are
+    flagged."""
+    supp = self.supp
+    live = [i for i, z_i in enumerate(z) if supp >> i & 1 or z_i != NULL]
+    # the DP indexes live agents by rank: bit j of a compressed mask is
+    # agent live[j], and subs[c] is compressed mask c as an agent mask
+    subs = _submasks(sum(1 << i for i in live))
+    live_supp = sum(1 << j for j, i in enumerate(live) if supp >> i & 1)
+    sign = -1.0 if maximize else 1.0
+    # rows[j][c & live_supp] = (signed price, unavailable?) of agent
+    # live[j] after the agents of compressed mask c
+    rows: list[dict] = [{} for _ in live]
+
+    def term(j: int, c: int):
+        i = live[j]
+        p = self.term(i, z[i], subs[c])
+        t = rows[j][c & live_supp] = (0.0, True) if p is UNAVAILABLE else (sign * p, False)
+        return t
+
+    full = len(subs) - 1
+    dp = [0.0] * (full + 1)
+    flag = [False] * (full + 1)
+    for mask in range(1, full + 1):
+        best, best_flag = math.inf, False
+        m = mask
+        while m:
+            bit = m & -m
+            m ^= bit
+            prev = mask ^ bit
+            j = bit.bit_length() - 1
+            t = rows[j].get(prev & live_supp) or term(j, prev)
+            cand = dp[prev] + t[0]
+            if cand < best - TOL:
+                best, best_flag = cand, t[1] or flag[prev]
+        dp[mask] = best
+        flag[mask] = best_flag
+
+    # replay the scan over all n agents, last arrival first; an inert
+    # agent's candidate is dp[c], the optimum over the live agents left
+    rank = {i: j for j, i in enumerate(live)}
+    order = []
+    agents, c = list(range(self.n)), full
+    while agents:
+        best, best_i = math.inf, -1
+        for i in agents:
+            j = rank.get(i)
+            if j is None:
+                cand = dp[c]
+            else:
+                prev = c ^ 1 << j
+                cand = dp[prev] + (rows[j].get(prev & live_supp) or term(j, prev))[0]
+            if cand < best - TOL:
+                best, best_i = cand, i
+        order.append(best_i)
+        agents.remove(best_i)
+        if best_i in rank:
+            c ^= 1 << rank[best_i]
+    order.reverse()
+    return sign * dp[full], tuple(order), flag[full]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from balprice.balance import (
     BalanceReport,
     _PriceSums,
+    _StaticSums,
     check_balanced,
     check_weakly_balanced,
     minimal_beta,
@@ -60,6 +61,8 @@ from balprice.pricing import (
     single_item_prices,
     xos_item_prices,
 )
+
+from helpers import eager_extremal
 
 
 def bit(*items):
@@ -255,8 +258,8 @@ class TestOrderDp:
         rule = matroid_dynamic_prices(env, profile)
         for x in enumerate_feasible(env):
             sums = _PriceSums(rule, x, env.n)
-            lo_dp, _, _ = sums.extremal(x, maximize=False)
-            hi_dp, _, _ = sums.extremal(x, maximize=True)
+            lo_dp, _ = sums.extremal(x, maximize=False)
+            hi_dp, _ = sums.extremal(x, maximize=True)
             per_order = [
                 sums.declared_order(x, order)[0]
                 for order in itertools.permutations(range(env.n))
@@ -286,8 +289,14 @@ class TestOrderDp:
 # ---------------------------------------------------------------------------
 
 
+def all_orders(sums, z, maximize):
+    """(value, witness order, flag) from the value path and the replay."""
+    value, bad = sums.extremal(z, maximize)
+    return value, sums.witness(z, maximize), bad
+
+
 def full_width_extremal(sums, z, maximize):
-    """Reference twin of ``_PriceSums.extremal``: the subset DP over all 2^n
+    """Reference twin of ``all_orders``: the subset DP over all 2^n
     predecessor sets, with every agent's term tabulated on every submask of
     support(x), inert agents included."""
     n, supp = sums.n, sums.supp
@@ -354,12 +363,25 @@ def _matroid_priced(kind, ground, seed, pricing):
     return env, profile, build(), ExchangeFamily("canonical_contraction", env)
 
 
+def walk_through(monkeypatch, twin):
+    """Send every all-orders sum the walk takes, and every witness order it
+    records, through ``twin(sums, z, maximize) -> (value, order, flag)``."""
+
+    def value(sums, z, maximize):
+        v, _order, bad = twin(sums, z, maximize)
+        return v, bad
+
+    monkeypatch.setattr(_PriceSums, "extremal", value)
+    monkeypatch.setattr(_PriceSums, "witness", lambda sums, z, maximize: twin(sums, z, maximize)[1])
+
+
 def _assert_extremal_matches_twin(sums, z):
     for maximize in (False, True):
-        live = sums.extremal(z, maximize)
+        live = all_orders(sums, z, maximize)
         twin = full_width_extremal(sums, z, maximize)
         assert live == twin
         assert repr(live) == repr(twin)
+        assert repr(live) == repr(eager_extremal(sums, z, maximize))
 
 
 def _live_mask(x, z):
@@ -406,7 +428,7 @@ class TestLiveAgentDp:
             for z in [x] + family.members(x):
                 per_order = [sums.declared_order(z, order)[0] for order in orders]
                 for maximize, target in ((False, min(per_order)), (True, max(per_order))):
-                    value, witness, bad = sums.extremal(z, maximize)
+                    value, witness, bad = all_orders(sums, z, maximize)
                     assert sorted(witness) == list(range(env.n))
                     # the value is the witness order's own sum
                     assert sums.declared_order(z, witness) == (value, bad)
@@ -416,7 +438,7 @@ class TestLiveAgentDp:
         env, profile, rule, family = _matroid_priced("uniform", 6, 3, "matroid")
         params = BalanceParams(alpha=1.0, beta=0.5)
         report = check_balanced(env, profile, rule, opt(env, profile), family, params)
-        monkeypatch.setattr(_PriceSums, "extremal", full_width_extremal)
+        walk_through(monkeypatch, full_width_extremal)
         twin = check_balanced(env, profile, rule, opt(env, profile), family, params)
         assert report == twin
         assert not report.passed
@@ -439,10 +461,10 @@ class TestLiveAgentDp:
         _assert_extremal_matches_twin(sums, z)
         # min: agent 2 before agent 0 saves a unit; the order ends on agent
         # 0's finite term, so the flag comes from the predecessor set
-        value, witness, bad = sums.extremal(z, maximize=False)
+        value, witness, bad = all_orders(sums, z, maximize=False)
         assert (value, bad) == (1.0, True)
         assert witness.index(2) < witness.index(0)
-        value, witness, bad = sums.extremal(z, maximize=True)
+        value, witness, bad = all_orders(sums, z, maximize=True)
         assert (value, bad) == (2.0, False)
         assert witness.index(0) < witness.index(2)
 
@@ -492,6 +514,105 @@ class TestLiveAgentDp:
         assert report.passed
         assert member_calls[0] == len(keys)
         assert price_calls[0] <= bound
+
+
+def count_replays(monkeypatch) -> list:
+    """Count ``_PriceSums.witness`` calls in a one-element list."""
+    calls = [0]
+    witness = _PriceSums.witness
+
+    def counted(sums, z, maximize):
+        calls[0] += 1
+        return witness(sums, z, maximize)
+
+    monkeypatch.setattr(_PriceSums, "witness", counted)
+    return calls
+
+
+LAZY_PARAMS = [
+    BalanceParams(alpha=1.0, beta=0.25),
+    BalanceParams(alpha=1.0, beta=0.5),
+    BalanceParams(alpha=1.0, beta1=0.1, beta2=0.2),
+]
+
+
+def _check_either(env, profile, rule, family, params):
+    check = check_weakly_balanced if params.weak else check_balanced
+    return check(env, profile, rule, opt(env, profile), family, params)
+
+
+def _gated_unavailable_case():
+    """Agent 2's entry is unavailable until agent 0's element is sold, so
+    every condition-(a) sum of an x holding elements 0 and 2 is flagged in
+    the order that puts agent 2 first."""
+    env = uniform_matroid_env(3, 4)
+    rule = PricingRule(
+        env, lambda i, x_i, y: UNAVAILABLE if i == 2 and not y[0] else 1.0, static=False,
+    )
+    return env, element_profile(env, 3, 2, 1, 1), rule, default_family(env)
+
+
+def _assert_orders_reproduce_sums(report, rule, n):
+    """Each recorded order's own sum is the recorded lhs, and each
+    structural condition-(a) order meets the UNAVAILABLE entry."""
+    for cond, x, member, lhs, _rhs, order in report.witnesses:
+        z = x if cond == "a" else member
+        assert _PriceSums(rule, x, n).declared_order(z, order)[0] == lhs
+    for cond, x, order in report.structural_violations:
+        if cond == "a":
+            assert _PriceSums(rule, x, n).declared_order(x, order)[1]
+
+
+class TestLazyWitness:
+    """Witness orders are replayed only for recorded entries; every order
+    the report holds must be the one the eager replay gives."""
+
+    @given(
+        st.sampled_from(["uniform", "partition", "graphic_k4"]),
+        st.integers(min_value=4, max_value=6),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(["matroid", "warmup", "alg1-greedy"]),
+        st.sampled_from(LAZY_PARAMS),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_reports_match_eager_walk(self, kind, ground, seed, pricing, params):
+        env, profile, rule, family = _matroid_priced(kind, ground, seed, pricing)
+        fast = _check_either(env, profile, rule, family, params)
+        with pytest.MonkeyPatch.context() as mp:
+            walk_through(mp, eager_extremal)
+            twin = _check_either(env, profile, rule, family, params)
+        assert repr(fast) == repr(twin)
+        _assert_orders_reproduce_sums(fast, rule, env.n)
+
+    def test_structural_condition_a_orders_match_eager_walk(self, monkeypatch):
+        env, profile, rule, family = _gated_unavailable_case()
+        params = BalanceParams(alpha=1.0, beta=1.0)
+        replays = count_replays(monkeypatch)
+        fast = _check_either(env, profile, rule, family, params)
+        assert any(v[0] == "a" for v in fast.structural_violations)
+        assert replays[0] <= len(fast.witnesses) + len(fast.structural_violations)
+        walk_through(monkeypatch, eager_extremal)
+        twin = _check_either(env, profile, rule, family, params)
+        assert repr(fast) == repr(twin)
+        _assert_orders_reproduce_sums(fast, rule, env.n)
+
+    @pytest.mark.parametrize("kind,ground,pricing", [
+        ("uniform", 6, "matroid"), ("partition", 6, "matroid"), ("graphic_k4", 6, "warmup"),
+    ])
+    def test_replays_at_most_recorded_entries(self, monkeypatch, kind, ground, pricing):
+        env, profile, rule, family = _matroid_priced(kind, ground, 1, pricing)
+        replays = count_replays(monkeypatch)
+        report = _check_either(env, profile, rule, family, BalanceParams(alpha=1.0, beta=0.25))
+        recorded = len(report.witnesses) + len(report.structural_violations)
+        assert len(report.witnesses) > 10
+        assert 0 < replays[0] <= recorded
+
+    def test_passing_run_replays_nothing(self, monkeypatch):
+        env, profile, rule, family = _matroid_priced("uniform", 8, 0, "matroid")
+        replays = count_replays(monkeypatch)
+        report = _check_either(env, profile, rule, family, BalanceParams(alpha=1.0, beta=1.0))
+        assert report.passed
+        assert replays[0] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +778,35 @@ class TestStaticPerFamily:
         )
         assert report.checked_members > len(feasible)
         assert calls[0] <= len(pairs)
+
+
+    @given(
+        st.sampled_from(["knapsack", "xos", "pip"]),
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_each_allocation_summed_once(self, kind, n, seed):
+        env, profile, rule, alloc = _static_case(kind, n, seed)
+        asked, summed = set(), [0]
+        total, sum_terms = _StaticSums.total, _StaticSums._sum
+
+        def counted_total(sums, z):
+            asked.add(z)
+            return total(sums, z)
+
+        def counted_sum(sums, z):
+            summed[0] += 1
+            return sum_terms(sums, z)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_StaticSums, "total", counted_total)
+            mp.setattr(_StaticSums, "_sum", counted_sum)
+            check_balanced(
+                env, profile, rule, alloc, default_family(env), BalanceParams(alpha=2.0, beta=1.0)
+            )
+        assert asked
+        assert summed[0] <= len(asked)
 
 
 class TestMinimalBetaFromCheck:

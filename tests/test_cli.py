@@ -107,6 +107,40 @@ class TestBalanceCommand:
         run_cli(["balance", "--instance", str(big), "--pricing", "matroid", "--order", "all"])
         assert capsys.readouterr().err == ""
 
+    def test_prints_the_three_worst_witnesses(self, tmp_path, capsys, monkeypatch):
+        import balprice.cli
+
+        inst = tmp_path / "u.json"
+        run_cli(["catalog", "matroid", "--kind", "uniform", "--rank", "3", "--ground", "6",
+                 "--seed", "1", "-o", str(inst)])
+        reports = []
+        check = balprice.cli.check_balanced
+
+        def kept_check(*args, **kwargs):
+            reports.append(check(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(balprice.cli, "check_balanced", kept_check)
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        assert run_cli(["balance", "--instance", str(inst), "--pricing", "matroid",
+                        "--order", "all", "--beta", "0.25", "-o", str(out)]) == 1
+        printed = [line for line in capsys.readouterr().out.splitlines() if "worst witness" in line]
+        (report,) = reports
+        slack = {"a": lambda w: w[3] - w[4], "b": lambda w: w[4] - w[3]}
+        slacks = [slack[w[0]](w) for w in report.witnesses]
+        # the smallest slacks, ties in walk order
+        worst = sorted(range(len(slacks)), key=slacks.__getitem__)[:3]
+        assert worst != [0, 1, 2]
+        assert printed == [
+            f"  worst witness: condition {w[0]} x={w[1]} member={w[2]} lhs={w[3]:.6g} rhs={w[4]:.6g}"
+            for w in (report.witnesses[k] for k in worst)
+        ]
+        assert slacks[worst[0]] == report.condition_b_min_slack
+        result = json.loads(out.read_text())["result"]
+        assert result == json.loads(json.dumps(report.as_dict()))
+        assert len(result["witnesses"]) == 10 < len(report.witnesses)
+
     def test_cap_exit_3(self, matroid_instance):
         assert run_cli(
             ["balance", "--instance", str(matroid_instance), "--pricing", "matroid",

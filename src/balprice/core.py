@@ -325,6 +325,9 @@ class Matroid:
     def __post_init__(self):
         if self.ground > MAX_ITEMS:
             raise ValueError(f"at most {MAX_ITEMS} ground elements supported")
+        # each in-range mask's answer, at most 2^ground entries; not a field,
+        # so equality, hashing and serialization see only the fields
+        object.__setattr__(self, "_independent", {})
 
     @staticmethod
     def uniform(rank: int, ground: int) -> "Matroid":
@@ -345,8 +348,17 @@ class Matroid:
         return Matroid(kind="graphic_k4", ground=len(K4_EDGES))
 
     def independent(self, mask: int) -> bool:
-        if mask >> self.ground:
-            return False
+        """Whether the elements of ``mask`` are independent, answered once
+        per mask below 2^ground; a mask with a bit at or above ``ground`` is
+        dependent and is not stored."""
+        known = self._independent.get(mask)
+        if known is None:
+            if mask >> self.ground:
+                return False
+            known = self._independent[mask] = self._decide(mask)
+        return known
+
+    def _decide(self, mask: int) -> bool:
         if self.kind == "uniform":
             return popcount(mask) <= self.rank_bound
         if self.kind == "partition":

@@ -156,6 +156,18 @@ class OnlinePostedPriceRunner:
                 best, best_cand = w, (tok, p)
         return best_cand
 
+    def _closed(self, agents, y: Allocation) -> bool:
+        """Whether each of ``agents`` buys only null at ``y`` under every
+        atom.  Then no later arrival changes ``y``, so what is still to come
+        is worth exactly 0.0.  It asks ``best_entries`` only for keys the
+        full recursion at this state asks too."""
+        for i in agents:
+            for v, _prob in self.dist.atoms(i):
+                entries = self.prices.best_entries(i, v, y)
+                if len(entries) > 1 or entries[0][0] != NULL:
+                    return False
+        return True
+
     def _value(self, left: int, y: Allocation) -> float:
         """Expected welfare still to come when the agents in bitmask ``left``
         are yet to arrive and ``y`` holds the purchases so far."""
@@ -166,8 +178,15 @@ class OnlinePostedPriceRunner:
             return self._memo[key]
         if len(self._memo) > self.cap:
             raise CapExceeded(len(self._memo), self.cap, "evaluator memo states")
+        if self.order is None:
+            agents = _members(left)
+            if self._closed(agents, y):
+                self._memo[key] = 0.0
+                return 0.0
+        else:
+            agents = self._next[left]
         worst = math.inf
-        for i in self._next[left] if self.order is not None else _members(left):
+        for i in agents:
             rest = left & ~(1 << i)
             total = 0.0
             for v, prob in self.dist.atoms(i):
@@ -180,19 +199,23 @@ class OnlinePostedPriceRunner:
     def expected_welfare(self) -> float:
         return self._value(self._everyone, self.env.null_allocation())
 
-    def run(self, profile: Sequence[Valuation]) -> MechanismTrace:
-        """One realized-profile execution in the fixed order with the online
-        tie policy."""
+    def walk(self, profile: Sequence[Valuation]) -> tuple[Allocation, tuple[float, ...]]:
+        """The final allocation and each agent's payment of one
+        realized-profile execution in the fixed order with the online tie
+        policy, without building a trace."""
         if self.order is None:
             raise ValueError("a realized run needs a fixed arrival order")
         y, left = self.env.null_allocation(), self._everyone
-        chosen: dict[int, tuple[object, float]] = {}
+        payments = [0.0] * self.env.n
         for i in self.order:
-            tok, p = self._choice(left, i, profile[i], y)
-            chosen[i] = (tok, p)
+            tok, payments[i] = self._choice(left, i, profile[i], y)
             y, left = replace_at(y, i, tok), left & ~(1 << i)
-        outcomes = tuple(chosen[i][0] for i in range(self.env.n))
-        payments = tuple(chosen[i][1] for i in range(self.env.n))
+        return y, tuple(payments)
+
+    def run(self, profile: Sequence[Valuation]) -> MechanismTrace:
+        """One realized-profile execution in the fixed order with the online
+        tie policy."""
+        outcomes, payments = self.walk(profile)
         utilities = tuple(
             value(profile[i], outcomes[i]) - payments[i] for i in range(self.env.n)
         )

@@ -21,6 +21,7 @@ from .core import (
     Environment,
     Valuation,
     enumerate_feasible,
+    welfare,
 )
 from .mechanism import OnlinePostedPriceRunner, expected_posted_price_welfare
 from .oracle import _first_max, _welfare_column
@@ -87,8 +88,13 @@ class ProductDistribution:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Counter-based stream for one trial; streams never overlap across
-    trials and do not depend on draw order elsewhere."""
-    key = np.array([seed % 2**64, trial % 2**64], dtype=np.uint64)
+    trials and do not depend on draw order elsewhere.  The seed and the
+    trial index each fill one 64-bit word of the Philox key, so a value
+    outside [0, 2^64) is refused rather than reduced onto another stream."""
+    for name, k in (("seed", seed), ("trial index", trial)):
+        if not 0 <= k < 2**64:
+            raise ValueError(f"{name} {k} is outside [0, 2^64)")
+    key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -217,13 +223,19 @@ def monte_carlo_ratio(
 
     runners: dict[tuple, OnlinePostedPriceRunner] = {}
     best = _optimum_welfare(env)
-    # the optimum per distinct profile drawn; at most ``trials`` entries
+    # the optimum per distinct profile drawn, and the mechanism's welfare per
+    # distinct (order, profile) pair drawn, which a fixed-order run is a
+    # function of; at most ``trials`` entries each
     optimum: dict[tuple, float] = {}
+    realized: dict[tuple, float] = {}
 
     def run(order, profile) -> float:
-        if order not in runners:
-            runners[order] = OnlinePostedPriceRunner(env, prices, dist, order, tie)
-        return runners[order].run(profile).welfare
+        key = (order, profile)
+        if key not in realized:
+            if order not in runners:
+                runners[order] = OnlinePostedPriceRunner(env, prices, dist, order, tie)
+            realized[key] = welfare(profile, runners[order].walk(profile)[0])
+        return realized[key]
 
     ws: list[float] = []
     os_: list[float] = []

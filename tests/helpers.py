@@ -28,7 +28,7 @@ from balprice.core import (
     _submasks,
     _token_key,
 )
-from balprice.mechanism import OnlinePostedPriceRunner
+from balprice.mechanism import OnlinePostedPriceRunner, _members
 from balprice.oracle import (
     ExchangeFamily,
     _binary_token,
@@ -165,6 +165,53 @@ def expected_opt_twin(env, dist) -> float:
     feasible list on every support profile."""
     feasible = enumerate_feasible(env)
     return math.fsum(prob * welfare(p, argmax_first_twin(feasible, p)) for p, prob in dist.profiles())
+
+
+class UnprunedRunner(OnlinePostedPriceRunner):
+    """Twin of the evaluator without the closed-history cut: every state
+    below a history no later arrival can change is still visited."""
+
+    def _value(self, left, y):
+        if not left:
+            return 0.0
+        key = (left, y)
+        if key in self._memo:
+            return self._memo[key]
+        if len(self._memo) > self.cap:
+            raise CapExceeded(len(self._memo), self.cap, "evaluator memo states")
+        worst = math.inf
+        for i in self._next[left] if self.order is not None else _members(left):
+            rest = left & ~(1 << i)
+            total = 0.0
+            for v, prob in self.dist.atoms(i):
+                tok, _p = self._choice(left, i, v, y)
+                total += prob * (value(v, tok) + self._value(rest, replace_at(y, i, tok)))
+            worst = min(worst, total)
+        self._memo[key] = worst
+        return worst
+
+
+def independent_twin(matroid, mask) -> bool:
+    """Twin of ``Matroid.independent`` without its memo, each kind by its
+    definition; a K4 edge set is independent when it is a forest, that is
+    when every nonempty subset of it touches more vertices than it has
+    edges."""
+    if mask < 0 or mask >> matroid.ground:
+        return False
+    elems = [e for e in range(matroid.ground) if mask >> e & 1]
+    if matroid.kind == "uniform":
+        return len(elems) <= matroid.rank_bound
+    if matroid.kind == "partition":
+        return all(
+            sum(1 for e in block if e in elems) <= cap
+            for block, cap in zip(matroid.blocks, matroid.capacities)
+        )
+    for r in range(1, len(elems) + 1):
+        for edges in itertools.combinations(elems, r):
+            touched = {u for e in edges for u in balprice.core.K4_EDGES[e]}
+            if len(edges) >= len(touched):
+                return False
+    return True
 
 
 def monte_carlo_twin(env, prices, dist, order_mode, trials, seed, tie="adversarial_min_welfare"):

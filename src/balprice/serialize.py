@@ -84,6 +84,14 @@ def _number(conv, value, what: str):
         raise SchemaError(f"{what} must be a number, got {value!r}") from exc
 
 
+def _count(value, what: str) -> int:
+    """``int`` of a JSON scalar that must not be negative."""
+    k = _number(int, value, what)
+    if k < 0:
+        raise SchemaError(f"{what} must not be negative, got {value!r}")
+    return k
+
+
 # Largest magnitude of a value, weight or probability.  Every sum the
 # program takes (welfare, price sums, expectations) has far fewer than 1e100
 # terms, and products of two such numbers stay below 1e200, so no ``fsum``
@@ -273,18 +281,20 @@ def decode_environment(doc: dict) -> Environment:
         _expect_keys(doc, {"kind", "agents", "matroid", "elements"}, what="matroid environment")
         mdoc = doc["matroid"]
         _expect_keys(mdoc, {"kind"}, {"rank", "ground", "blocks", "capacities"}, "matroid")
+        # a negative rank or capacity would make even the empty set dependent,
+        # leaving no feasible outcome at all
         if mdoc["kind"] == "uniform":
             matroid = Matroid.uniform(
-                _number(int, mdoc["rank"], "matroid rank"),
-                _number(int, mdoc["ground"], "matroid ground"),
+                _count(mdoc["rank"], "matroid rank"),
+                _count(mdoc["ground"], "matroid ground"),
             )
         elif mdoc["kind"] == "partition":
             matroid = Matroid.partition(
                 [
-                    [_number(int, e, "partition element") for e in _array(b, "partition block")]
+                    [_count(e, "partition element") for e in _array(b, "partition block")]
                     for b in _array(mdoc["blocks"], "partition blocks")
                 ],
-                [_number(int, c, "partition capacity")
+                [_count(c, "partition capacity")
                  for c in _array(mdoc["capacities"], "partition capacities")],
             )
         elif mdoc["kind"] == "graphic_k4":

@@ -91,3 +91,20 @@ class TestInstanceCodec:
         env2 = PipEnv(n=2, matrix=((0.5, 0.25),), capacities=(1.0,))
         inst2 = Instance(env=env2, profile=(ScalarValuation(1.0), ScalarValuation(2.0)))
         assert load_instance(inst2.to_json()) == inst2
+
+    @pytest.mark.parametrize("matroid", [
+        {"kind": "partition", "blocks": [[0], [1]], "capacities": [-1, 1]},
+        {"kind": "partition", "blocks": [[0], [-1]], "capacities": [1, 1]},
+        {"kind": "uniform", "rank": -1, "ground": 2},
+        {"kind": "uniform", "rank": 1, "ground": -2},
+    ], ids=["capacity", "element", "rank", "ground"])
+    def test_negative_matroid_count_rejected(self, matroid):
+        # a negative rank or capacity leaves not even the empty set feasible
+        doc = {
+            "environment": {"kind": "matroid", "agents": 2, "matroid": matroid,
+                            "elements": [[0], [1]]},
+            "agents": [{"kind": "additive", "values": [1.0, 0.0]},
+                       {"kind": "additive", "values": [0.0, 2.0]}],
+        }
+        with pytest.raises(SchemaError, match="must not be negative"):
+            load_instance(json.dumps(doc))

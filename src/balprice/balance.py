@@ -23,9 +23,10 @@ from .core import (
     Allocation,
     Environment,
     Valuation,
+    _first_max,
     enumerate_feasible,
 )
-from .oracle import ExchangeFamily, _first_max, _listed_welfare
+from .oracle import ExchangeFamily, _listed_welfare
 from .pricing import BalanceParams, PricingRule
 
 ORDER_MODES = ("declared", "all")
@@ -77,13 +78,17 @@ class _PriceSums:
     compressed to support(x) (bit r set when the r-th agent of the support
     precedes), each entry priced on first use.
 
-    UNAVAILABLE entries poison the sum; they are reported as structural
-    violations by the caller."""
+    A declared-order sum adds the terms in the table's ``order`` and is
+    taken once per z.  UNAVAILABLE entries poison the sum; they are reported
+    as structural violations by the caller."""
 
-    def __init__(self, prices: PricingRule, x: Allocation, n: int):
+    def __init__(
+        self, prices: PricingRule, x: Allocation, n: int, order: Optional[Sequence[int]] = None
+    ):
         self.prices = prices
         self.x = x
         self.n = n
+        self.order = tuple(range(n)) if order is None else tuple(order)
         self.supp = 0
         # bits[i]: agent i's bit in a compressed prefix, 0 off the support
         self._bits = [0] * n
@@ -95,6 +100,7 @@ class _PriceSums:
                 r += 1
         self._prefixes: list = [None] * (1 << r)
         self._table: dict = {}
+        self._sums: dict = {}
 
     def _row(self, i: int, z_i) -> list:
         row = self._table.get((i, z_i))
@@ -121,17 +127,26 @@ class _PriceSums:
         p = row[k]
         return self._fill(row, i, z_i, k) if p is None else p
 
-    def declared_order(self, z: Allocation, order: Sequence[int]):
-        total, unavailable = 0.0, False
-        mask = 0
-        for i in order:
-            p = self.term(i, z[i], mask)
-            if p is UNAVAILABLE:
-                unavailable = True
-            else:
-                total += p
-            mask |= 1 << i
-        return total, unavailable
+    def declared_order(self, z: Allocation):
+        """Σ p_i(z_i | x restricted to the agents before i) in the table's
+        order: (sum, saw_unavailable), taken once per z."""
+        t = self._sums.get(z)
+        if t is None:
+            total, unavailable, k = 0.0, False, 0
+            table, bits = self._table, self._bits
+            for i in self.order:
+                z_i = z[i]
+                row = table.get((i, z_i)) or self._row(i, z_i)
+                p = row[k]
+                if p is None:
+                    p = self._fill(row, i, z_i, k)
+                if p is UNAVAILABLE:
+                    unavailable = True
+                else:
+                    total += p
+                k |= bits[i]
+            t = self._sums[z] = (total, unavailable)
+        return t
 
     def _dp(self, z: Allocation, maximize: bool):
         """The subset DP on signed sums sign·Σ p over the live agents, those
@@ -216,37 +231,6 @@ class _PriceSums:
         return tuple(order)
 
 
-class _StaticSums:
-    """Price sums for a static rule: p_i(z_i | ∅) for every agent, summed in
-    agent order.  The conditioning prefix never changes a feasible entry's
-    price, so every order gives the same sum; each (agent, outcome) term is
-    priced once and each allocation's sum is taken once."""
-
-    def __init__(self, prices: PricingRule, n: int):
-        self.prices = prices
-        self.null = (NULL,) * n
-        self._terms: dict = {}
-        self._totals: dict = {}
-
-    def total(self, z: Allocation):
-        t = self._totals.get(z)
-        if t is None:
-            t = self._totals[z] = self._sum(z)
-        return t
-
-    def _sum(self, z: Allocation):
-        total, unavailable = 0.0, False
-        for i, z_i in enumerate(z):
-            p = self._terms.get((i, z_i))
-            if p is None:
-                p = self._terms[(i, z_i)] = self.prices.price(i, z_i, self.null)
-            if p is UNAVAILABLE:
-                unavailable = True
-            else:
-                total += p
-        return total, unavailable
-
-
 def _condition_bounds(params: BalanceParams, alg_w: float, residual_w: float):
     rhs_a = (alg_w - residual_w) / params.alpha
     if params.weak:
@@ -288,11 +272,14 @@ def _check(
     cap: int,
 ) -> BalanceReport:
     """One walk over the feasible allocations.  Exchange members are taken
-    once per ``members_key``.  For static rules condition (b) depends on x
-    only through its exchange set, so it is scored once per key and replayed
-    for every x that shares the key.  The reference allocation's welfare and
-    each key's residual optimum are read off the environment's welfare
-    column, which the rule's and the reference's ``opt`` calls share."""
+    once per ``members_key``.  A static rule's terms do not depend on the
+    prefix, so one table conditioned on the null allocation sums every
+    allocation of the walk in agent order, and condition (b), which then
+    depends on x only through its exchange set, is scored once per key and
+    replayed for every x that shares the key.  The reference allocation's
+    welfare and each key's residual optimum are read off the environment's
+    welfare column, which the rule's and the reference's ``opt`` calls
+    share."""
     if order_mode not in ORDER_MODES:
         raise ValueError(f"unknown order mode {order_mode}")
     order = tuple(range(env.n)) if order is None else tuple(order)
@@ -305,7 +292,8 @@ def _check(
         condition_b_min_slack=math.inf,
         order_mode=order_mode,
     )
-    static = _StaticSums(prices, env.n) if prices.static else None
+    static = _PriceSums(prices, env.null_allocation(), env.n) if prices.static else None
+    all_orders = static is None and order_mode == "all"
     # members_key -> (members, residual optimum's welfare, cached condition-(b) score)
     families: dict = {}
     for x in feasible:
@@ -320,20 +308,14 @@ def _check(
         members, residual_w, score = fam
         rhs_a, rhs_b = _condition_bounds(params, alg_w, residual_w)
 
-        sums = None if static is not None else _PriceSums(prices, x, env.n)
+        sums = static if static is not None else _PriceSums(prices, x, env.n, order)
 
         def price_sum(z, maximize=True):
-            if static is not None:
-                return static.total(z)
-            if order_mode == "declared":
-                return sums.declared_order(z, order)
-            return sums.extremal(z, maximize)
+            return sums.extremal(z, maximize) if all_orders else sums.declared_order(z)
 
         def witness(z, maximize=True):
             # replayed only for the entries the report records
-            if static is None and order_mode == "all":
-                return sums.witness(z, maximize)
-            return order
+            return sums.witness(z, maximize) if all_orders else order
 
         lhs_a, bad = price_sum(x, maximize=False)
         if score is None:

@@ -48,6 +48,15 @@ class Unavailable:
 UNAVAILABLE = Unavailable()
 
 
+def _first_max(ws: Iterable[float]) -> int:
+    """Index of the first maximum within ``TOL`` in ``ws`` (-1 when empty)."""
+    best, best_w = -1, -math.inf
+    for k, w in enumerate(ws):
+        if w > best_w + TOL:
+            best, best_w = k, w
+    return best
+
+
 class CapExceeded(Exception):
     """Enumeration or search exceeded the configured resource cap; ``what``
     names the things counted (feasible allocations, memo states, ...)."""
@@ -156,12 +165,8 @@ class XosValuation:
 
     def supporting_clause(self, x) -> int:
         """Index of the first clause attaining the maximum on ``x``."""
-        best, arg = -1.0, 0
-        for idx, c in enumerate(self.clauses):
-            s = math.fsum(c[j] for j in bitmask_items(x))
-            if s > best + TOL:
-                best, arg = s, idx
-        return arg
+        items = bitmask_items(x)
+        return _first_max(math.fsum(c[j] for j in items) for c in self.clauses)
 
 
 # A hypergraph clause is a tuple of (edge bitmask, weight >= 0) pairs.
@@ -200,12 +205,8 @@ class MphValuation:
         return max(self.clause_value(i, x) for i in range(len(self.clauses)))
 
     def supporting_clause(self, x) -> int:
-        best, arg = -1.0, 0
-        for idx in range(len(self.clauses)):
-            s = self.clause_value(idx, x)
-            if s > best + TOL:
-                best, arg = s, idx
-        return arg
+        """Index of the first clause attaining the maximum on ``x``."""
+        return _first_max(self.clause_value(idx, x) for idx in range(len(self.clauses)))
 
 
 @_hash_once

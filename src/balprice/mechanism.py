@@ -28,6 +28,7 @@ from .core import (
     KnapsackEnv,
     ThresholdValuation,
     Valuation,
+    _first_max,
     replace_at,
     value,
     welfare,
@@ -396,11 +397,10 @@ def two_mechanism_selector(
     candidates = [0.0] + atoms
     for lo, hi in zip(atoms, atoms[1:]):
         candidates.append((lo + hi) / 2.0)
-    best_p, best_w = 0.0, -math.inf
-    for p in sorted(candidates):
-        w = adaptive_adversary_welfare(env, whole_unit_prices(env, p), dist)
-        if w > best_w + TOL:
-            best_p, best_w = p, w
+    candidates.sort()
+    ws = [adaptive_adversary_welfare(env, whole_unit_prices(env, p), dist) for p in candidates]
+    best = _first_max(ws)
+    best_p, best_w = candidates[best], ws[best]
 
     if per_unit_w >= best_w:
         return SelectorResult(

@@ -31,7 +31,7 @@ from .core import (
     SingleItemEnv,
     ThresholdValuation,
     Valuation,
-    _token_key,
+    _first_max,
     enumerate_feasible,
     replace_at,
     support,
@@ -42,15 +42,6 @@ from .core import (
 # ---------------------------------------------------------------------------
 # OPT and helpers
 # ---------------------------------------------------------------------------
-
-
-def _first_max(ws: Sequence[float]) -> int:
-    """Index of the first maximum within ``TOL`` in ``ws``."""
-    best, best_w = -1, -math.inf
-    for k, w in enumerate(ws):
-        if w > best_w + TOL:
-            best, best_w = k, w
-    return best
 
 
 def _welfare_column(env: Environment, feasible, profile, tables=None) -> tuple[float, ...]:
@@ -135,7 +126,6 @@ FAMILY_KINDS = (
     "item_disjoint",
     "knapsack_threshold",
     "pip_threshold",
-    "single_item_gate",
     "product",
 )
 
@@ -156,8 +146,6 @@ class ExchangeFamily:
     def members_key(self, x: Allocation):
         """Canonical key such that equal keys give equal member lists; lets
         callers deduplicate enumeration across conditioning allocations."""
-        if self.kind == "single_item_gate":
-            return any(xi != NULL for xi in x)
         if self.kind == "knapsack_threshold":
             return sum(x) < 0.5
         if self.kind == "pip_threshold":
@@ -194,8 +182,9 @@ class ExchangeFamily:
 
     def members(self, x: Allocation, cap: int = DEFAULT_CAP) -> list[Allocation]:
         """The exchange set at x in the environment's list order: the feasible
-        allocations meeting the kind's condition, except for products, whose
-        members are every combination of their components' members.
+        allocations meeting the kind's condition.  A product member is a
+        listed allocation whose every market projection is a member of that
+        market's component family at x's projection.
 
         Every kind's condition is downward closed, and the environment is, so
         filtering the list gives exactly the allocations a DFS pruned by that
@@ -205,11 +194,6 @@ class ExchangeFamily:
         # is trivially exchange compatible, and products of per-market
         # families then decompose market by market.
         env = self.env
-        if self.kind == "single_item_gate":
-            if any(xi != NULL for xi in x):
-                return [env.null_allocation()]
-            return list(enumerate_feasible(env, cap))
-
         if self.kind == "knapsack_threshold":
             if sum(x) < 0.5:  # strict; grid quantities are exact dyadics
                 return list(enumerate_feasible(env, cap))
@@ -248,34 +232,27 @@ class ExchangeFamily:
         if self.kind == "product":
             assert isinstance(env, ProductEnv)
             per_market = [
-                fam.members(env.project(x, ell), cap)
+                set(fam.members(env.project(x, ell), cap))
                 for ell, fam in enumerate(self.components)
             ]
-            out = []
-            null = (NULL,) * len(self.components)
-            for combo in itertools.product(*per_market):
-                y = tuple(
-                    tuple(combo[ell][i] for ell in range(len(self.components)))
-                    for i in range(env.n)
-                )
-                y = tuple(yi if yi != null else NULL for yi in y)
-                out.append(y)
-                if len(out) > cap:
-                    raise CapExceeded(len(out), cap, "exchange members")
-            return sorted(out, key=lambda a: tuple(_token_key(t) for t in a))
+            return [
+                y
+                for y in enumerate_feasible(env, cap)
+                if all(env.project(y, ell) in ms for ell, ms in enumerate(per_market))
+            ]
 
         raise AssertionError(self.kind)
 
 
 def default_family(env: Environment) -> ExchangeFamily:
-    """The family each pricing construction is certified against."""
-    if isinstance(env, SingleItemEnv):
-        return ExchangeFamily("single_item_gate", env)
+    """The family each pricing construction is certified against.  On a
+    single item the item-disjoint set is the whole list while the item is
+    unsold and only the null allocation once it is held."""
     if isinstance(env, KnapsackEnv):
         return ExchangeFamily("knapsack_threshold", env)
     if isinstance(env, PipEnv):
         return ExchangeFamily("pip_threshold", env)
-    if isinstance(env, (CombinatorialAuctionEnv, MatroidEnv)):
+    if isinstance(env, _UNION_ENVS):
         return ExchangeFamily("item_disjoint", env)
     if isinstance(env, ProductEnv):
         return ExchangeFamily(

@@ -20,11 +20,12 @@ from .core import (
     CapExceeded,
     Environment,
     Valuation,
+    _first_max,
     enumerate_feasible,
     welfare,
 )
 from .mechanism import OnlinePostedPriceRunner, expected_posted_price_welfare
-from .oracle import _first_max, _welfare_column
+from .oracle import _welfare_column
 
 EXACT_SUPPORT_CAP = 100_000
 
@@ -38,9 +39,10 @@ class ProductDistribution:
     def __post_init__(self):
         for i, atoms in enumerate(self.supports):
             total = math.fsum(p for _, p in atoms)
-            if abs(total - 1.0) > 1e-9:
+            # written so that a nan total or probability fails too
+            if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"agent {i} probabilities sum to {total}, not 1")
-            if any(p < -TOL for _, p in atoms):
+            if not all(p >= -TOL for _, p in atoms):
                 raise ValueError(f"agent {i} has a negative probability")
 
     @staticmethod

@@ -107,9 +107,6 @@ def filtered_members(family, x) -> list:
 
         def keep(y):
             return all(env.project(y, ell) in ms for ell, ms in enumerate(per_market))
-    elif kind == "single_item_gate":
-        def keep(y):
-            return not support(x) or y == null
     elif kind == "knapsack_threshold":
         def keep(y):
             return sum(x) < 0.5 or y == null

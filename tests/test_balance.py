@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from balprice.balance import (
     BalanceReport,
     _PriceSums,
-    _StaticSums,
     check_balanced,
     check_weakly_balanced,
     minimal_beta,
@@ -36,6 +35,7 @@ from balprice.catalog import (
     gen_matroid,
     gen_mph_random,
     gen_pip_random,
+    gen_product_single_items,
     gen_two_point_single_item,
     gen_xos_random,
 )
@@ -45,11 +45,11 @@ from balprice.oracle import (
     default_family,
     knapsack_dp,
     opt,
-    residual_opt,
 )
 from balprice.pricing import (
     BalanceParams,
     PricingRule,
+    compose_add,
     greedy_derived_prices,
     knapsack_prices,
     matroid_dynamic_prices,
@@ -62,7 +62,7 @@ from balprice.pricing import (
     xos_item_prices,
 )
 
-from helpers import eager_extremal
+from helpers import argmax_first_twin, eager_extremal, filtered_members
 
 
 def bit(*items):
@@ -261,7 +261,7 @@ class TestOrderDp:
             lo_dp, _ = sums.extremal(x, maximize=False)
             hi_dp, _ = sums.extremal(x, maximize=True)
             per_order = [
-                sums.declared_order(x, order)[0]
+                _PriceSums(rule, x, env.n, order).declared_order(x)[0]
                 for order in itertools.permutations(range(env.n))
             ]
             assert lo_dp == pytest.approx(min(per_order))
@@ -425,13 +425,14 @@ class TestLiveAgentDp:
         orders = list(itertools.permutations(range(env.n)))
         for x in enumerate_feasible(env):
             sums = _PriceSums(rule, x, env.n)
+            per_order_sums = [_PriceSums(rule, x, env.n, order) for order in orders]
             for z in [x] + family.members(x):
-                per_order = [sums.declared_order(z, order)[0] for order in orders]
+                per_order = [t.declared_order(z)[0] for t in per_order_sums]
                 for maximize, target in ((False, min(per_order)), (True, max(per_order))):
                     value, witness, bad = all_orders(sums, z, maximize)
                     assert sorted(witness) == list(range(env.n))
                     # the value is the witness order's own sum
-                    assert sums.declared_order(z, witness) == (value, bad)
+                    assert _PriceSums(rule, x, env.n, witness).declared_order(z) == (value, bad)
                     assert value == pytest.approx(target, abs=1e-7)
 
     def test_fail_with_interleaved_witness_orders(self, monkeypatch):
@@ -557,10 +558,10 @@ def _assert_orders_reproduce_sums(report, rule, n):
     structural condition-(a) order meets the UNAVAILABLE entry."""
     for cond, x, member, lhs, _rhs, order in report.witnesses:
         z = x if cond == "a" else member
-        assert _PriceSums(rule, x, n).declared_order(z, order)[0] == lhs
+        assert _PriceSums(rule, x, n, order).declared_order(z)[0] == lhs
     for cond, x, order in report.structural_violations:
         if cond == "a":
-            assert _PriceSums(rule, x, n).declared_order(x, order)[1]
+            assert _PriceSums(rule, x, n, order).declared_order(x)[1]
 
 
 class TestLazyWitness:
@@ -621,9 +622,10 @@ class TestLazyWitness:
 
 
 def per_x_static_check(env, profile, prices, alg_alloc, family, params):
-    """Brute-force twin of the static path: for every feasible x, price
-    every member of x's exchange set afresh, each term conditioned on the
-    null allocation and summed in agent order."""
+    """Brute-force twin of the static path: for every feasible x, take x's
+    exchange set from the family's defining condition and price every member
+    afresh, each term conditioned on the null allocation and summed in agent
+    order."""
     assert prices.static
     n = env.n
     order = tuple(range(n))
@@ -649,7 +651,8 @@ def per_x_static_check(env, profile, prices, alg_alloc, family, params):
     feasible = enumerate_feasible(env)
     for x in feasible:
         report.checked_allocations += 1
-        residual_w = welfare(profile, residual_opt(env, profile, family, x))
+        members = filtered_members(family, x)
+        residual_w = welfare(profile, argmax_first_twin(members, profile)) if members else 0.0
         rhs_a = (alg_w - residual_w) / params.alpha
         if params.weak:
             rhs_b = params.beta1 * residual_w + params.beta2 * alg_w
@@ -664,7 +667,7 @@ def per_x_static_check(env, profile, prices, alg_alloc, family, params):
         if slack_a < -TOL:
             report.passed = False
             report.witnesses.append(("a", x, None, lhs_a, rhs_a, order))
-        for member in family.members(x):
+        for member in members:
             report.checked_members += 1
             lhs_b, bad = static_sum(member)
             if bad:
@@ -709,7 +712,10 @@ def _static_case(kind, n, seed):
 
 
 def _assert_matches_twin(kind, n, seed, params):
-    env, profile, rule, alloc = _static_case(kind, n, seed)
+    return _assert_case_matches_twin(*_static_case(kind, n, seed), params)
+
+
+def _assert_case_matches_twin(env, profile, rule, alloc, params):
     family = default_family(env)
     check = check_weakly_balanced if params.weak else check_balanced
     fast = check(env, profile, rule, alloc, family, params)
@@ -750,6 +756,26 @@ class TestStaticPerFamily:
     def test_single_item_matches_per_x_loop(self, n, seed, params):
         _assert_matches_twin("two-point", n, seed, params)
 
+    @given(
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(STRONG),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_compose_add_on_product_matches_per_x_loop(self, n, markets, seed, params):
+        """Product exchange sets, filtered from the product list, against
+        the twin's market-by-market membership test."""
+        inst = gen_product_single_items(n=n, markets=markets, seed=seed)
+        env, profile = inst.env, inst.profile
+        rules = [
+            single_item_prices(market, tuple(v.parts[ell] for v in profile))
+            for ell, market in enumerate(env.markets)
+        ]
+        rule = compose_add(env, rules)
+        assert rule.static
+        _assert_case_matches_twin(env, profile, rule, opt(env, profile), params)
+
     def test_knapsack_one_two_fails_on_condition_a(self):
         report = _assert_matches_twin("knapsack", 4, 0, BalanceParams(alpha=1.0, beta=2.0))
         assert not report.passed
@@ -787,24 +813,33 @@ class TestStaticPerFamily:
     )
     @settings(max_examples=10, deadline=None)
     def test_each_allocation_summed_once(self, kind, n, seed):
+        """A static rule's walk builds one table, conditioned on the null
+        allocation, and that table sums each allocation it is asked once."""
         env, profile, rule, alloc = _static_case(kind, n, seed)
-        asked, summed = set(), [0]
-        total, sum_terms = _StaticSums.total, _StaticSums._sum
+        tables, asked, summed = [], set(), [0]
+        init, declared_order = _PriceSums.__init__, _PriceSums.declared_order
 
-        def counted_total(sums, z):
+        class CountedSums(dict):
+            def __setitem__(self, z, t):
+                summed[0] += 1
+                super().__setitem__(z, t)
+
+        def counted_init(sums, *args, **kwargs):
+            init(sums, *args, **kwargs)
+            sums._sums = CountedSums()
+            tables.append(sums.x)
+
+        def counted_declared_order(sums, z):
             asked.add(z)
-            return total(sums, z)
-
-        def counted_sum(sums, z):
-            summed[0] += 1
-            return sum_terms(sums, z)
+            return declared_order(sums, z)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_StaticSums, "total", counted_total)
-            mp.setattr(_StaticSums, "_sum", counted_sum)
+            mp.setattr(_PriceSums, "__init__", counted_init)
+            mp.setattr(_PriceSums, "declared_order", counted_declared_order)
             check_balanced(
                 env, profile, rule, alloc, default_family(env), BalanceParams(alpha=2.0, beta=1.0)
             )
+        assert tables == [env.null_allocation()]
         assert asked
         assert summed[0] <= len(asked)
 

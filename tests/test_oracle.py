@@ -243,14 +243,28 @@ class TestMemberEnumeration:
         ],
     )
     def test_member_cap_names_exchange_members(self, kind, env):
-        """Only products count exchange members against the cap: a market's
-        list fits under it, while the combinations across two markets do
-        not."""
+        """Product members are filtered from the product's own feasible
+        list, so the cap fires on that list: a market's list fits under it,
+        while the product of two markets does not."""
         product = ProductEnv(markets=(env, env))
         family = ExchangeFamily("product", product, components=(ExchangeFamily(kind, env),) * 2)
         cap = len(enumerate_feasible(env))
-        with pytest.raises(CapExceeded, match=rf"^exchange members exceeded cap: {cap + 1} > {cap}$"):
+        with pytest.raises(
+            CapExceeded, match=rf"^feasible allocations exceeded cap: {cap + 1} > {cap}$"
+        ):
             family.members(product.null_allocation(), cap=cap)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_single_item_sets_are_item_disjoint(self, n):
+        """On one item the default family is the item-disjoint one: only the
+        null allocation while the item is held, the whole list otherwise."""
+        env = SingleItemEnv(n=n)
+        family = default_family(env)
+        assert family.kind == "item_disjoint"
+        feasible = list(enumerate_feasible(env))
+        for x in feasible:
+            expected = [env.null_allocation()] if support(x) else feasible
+            assert family.members(x) == expected
 
 
 class TestGreedy:

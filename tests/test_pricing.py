@@ -14,6 +14,7 @@ from balprice.core import (
     ProductEnv,
     ScalarValuation,
     SingleItemEnv,
+    TOL,
     TableValuation,
     ThresholdValuation,
     UNAVAILABLE,
@@ -134,6 +135,25 @@ class TestXosItemPrices:
         profile = (XosValuation(((0.0, 0.0),)),)
         rule = xos_item_prices(env, profile, (bit(0, 1),))
         assert rule.price(0, bit(0), (0,)) == 0.0
+
+    def test_negative_clauses_support_the_maximum(self):
+        """A clause worth less than -1 is still a candidate: the supporting
+        clause is the one ``value`` takes, and its entry is the item's
+        price."""
+        env = CombinatorialAuctionEnv(n=1, items=1)
+        v = XosValuation(((-5.0,), (-2.0,)))
+        assert v.value(bit(0)) == -2.0
+        assert v.supporting_clause(bit(0)) == 1
+        rule = xos_item_prices(env, (v,), (bit(0),))
+        assert rule.provenance["item_prices"] == [-2.0]
+
+    def test_supporting_clause_first_maximum_within_tol(self):
+        v = XosValuation(((1.0, 0.0), (1.0 + TOL / 2, 0.0), (3.0, 0.0)))
+        assert v.supporting_clause(bit(0)) == 2
+        assert XosValuation(((1.0,), (1.0 + TOL / 2,))).supporting_clause(bit(0)) == 0
+        m = MphValuation((((bit(0), 1.0),), ((bit(0), 1.0 + TOL / 2),), ((bit(1), 2.0),)))
+        assert m.supporting_clause(bit(0)) == 0
+        assert m.supporting_clause(bit(0, 1)) == 2
 
     def test_supporting_clause_tie_first_wins(self):
         env = CombinatorialAuctionEnv(n=1, items=2)

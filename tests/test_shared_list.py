@@ -123,7 +123,7 @@ class TestBoundMembers:
             (gen_xos_random(n=3, m=3, seed=1).env, "item_disjoint"),
             (gen_pip_random(n=5, seed=2).env, "pip_threshold"),
             (gen_knapsack_random(n=3, seed=4).env, "knapsack_threshold"),
-            (SingleItemEnv(n=4), "single_item_gate"),
+            (SingleItemEnv(n=4), "item_disjoint"),
         ],
     )
     def test_bound_members_run_no_dfs(self, monkeypatch, env, kind):

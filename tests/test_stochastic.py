@@ -39,6 +39,13 @@ class TestProductDistribution:
         with pytest.raises(ValueError):
             ProductDistribution((((ScalarValuation(1.0), 0.5),),))
 
+    @pytest.mark.parametrize(
+        "probs", [(math.nan,), (1.0, math.nan), (math.nan, 0.5, 0.5), (0.5, 0.5, math.nan)]
+    )
+    def test_nan_probability_rejected(self, probs):
+        with pytest.raises(ValueError):
+            ProductDistribution(((tuple((ScalarValuation(float(k)), p) for k, p in enumerate(probs))),))
+
     def test_profiles_enumeration(self):
         _, dist = tight_two_point()
         profiles = list(dist.profiles())

@@ -117,16 +117,6 @@ class _PriceSums:
         p = row[k] = self.prices.price(i, z_i, y)
         return p
 
-    def term(self, i: int, z_i, pred_mask: int):
-        """p_i(z_i | x restricted to the agents in ``pred_mask``)."""
-        k = 0
-        for j, b in enumerate(self._bits):
-            if b and pred_mask >> j & 1:
-                k |= b
-        row = self._row(i, z_i)
-        p = row[k]
-        return self._fill(row, i, z_i, k) if p is None else p
-
     def declared_order(self, z: Allocation):
         """Σ p_i(z_i | x restricted to the agents before i) in the table's
         order: (sum, saw_unavailable), taken once per z."""

@@ -145,19 +145,6 @@ def gen_matroid(
     return _binary_matroid_instance(matroid, rng)
 
 
-def catalog_matroids(seed: int = 0) -> list[Instance]:
-    """The standard matroid roster used by the certification suites: uniform
-    ranks on grounds up to 6, a two-block partition, and the K4 cycle
-    matroid."""
-    return [
-        gen_matroid("uniform", seed=seed, rank=1, ground=3),
-        gen_matroid("uniform", seed=seed + 1, rank=2, ground=4),
-        gen_matroid("uniform", seed=seed + 2, rank=3, ground=5),
-        gen_matroid("partition", seed=seed + 3, ground=5),
-        gen_matroid("graphic_k4", seed=seed + 4),
-    ]
-
-
 def gen_knapsack_random(n: int = 3, seed: int = 0, step: float = 0.125) -> Instance:
     """Threshold demands of at most half the capacity, on the grid; the
     outcome space is capped at half the capacity accordingly."""

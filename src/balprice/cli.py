@@ -45,7 +45,9 @@ from .oracle import (
     ExchangeFamily,
     GREEDY_RULE,
     OPT_RULE,
+    agent_classes,
     agent_value,
+    bid_vector_count,
     default_family,
     fractional_opt_config_lp,
     greedy,
@@ -518,6 +520,11 @@ def cmd_permeability(args) -> int:
     else:
         grid = _value_grid(instance)
     gamma = permeability(instance.env, rule, grid, cap)
+    classes, g = agent_classes(instance.env, rule, cap), len(set(grid))
+    shown_classes = " ".join("{" + ",".join(map(str, c)) + "}" for c in classes)
+    print(f"permeability({args.rule}): agent classes {shown_classes}; "
+          f"{bid_vector_count(classes, g)} of {g ** instance.env.n} bid vectors, one per orbit",
+          file=sys.stderr)
     shown = "UNBOUNDED" if math.isinf(gamma) else f"{gamma:.6g}"
     print(f"permeability({args.rule}) >= {shown} on grid {grid}")
     _emit_report(args, {"gamma": None if math.isinf(gamma) else gamma,

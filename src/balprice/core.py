@@ -67,12 +67,6 @@ class CapExceeded(Exception):
         self.cap = cap
 
 
-def restrict(alloc: Allocation, agents: Iterable[int]) -> Allocation:
-    """Zero out every agent not in ``agents``."""
-    keep = set(agents)
-    return tuple(x if i in keep else NULL for i, x in enumerate(alloc))
-
-
 def prefix(alloc: Allocation, k: int) -> Allocation:
     """Zero out agents k, k+1, ..., n-1 (keep the first k)."""
     return alloc[:k] + (NULL,) * (len(alloc) - k)

@@ -253,25 +253,6 @@ def run_posted_price(
     return OnlinePostedPriceRunner(env, prices, _PointMass(profile), order, tie).run(profile)
 
 
-def verify_trace(env, prices, profile, trace: MechanismTrace) -> None:
-    """Re-derive the menus along the trace and assert the per-purchase
-    invariants: quoted payments, feasibility, individual rationality, and
-    that no unilateral alternative purchase beats the realized utility."""
-    y = env.null_allocation()
-    for i in trace.order:
-        tok = trace.outcomes[i]
-        quoted = prices.price(i, tok, y)
-        assert quoted is not UNAVAILABLE, "purchased an unavailable entry"
-        assert abs(quoted - trace.payments[i]) <= TOL, "payment differs from quote"
-        assert env.is_feasible(replace_at(y, i, tok)), "infeasible purchase"
-        u = value(profile[i], tok) - quoted
-        assert u >= -TOL, "individually irrational purchase"
-        for alt, p in prices.menu(i, y):
-            assert value(profile[i], alt) - p <= u + TOL, "better alternative existed"
-        y = replace_at(y, i, tok)
-    assert abs(trace.welfare - (trace.revenue + trace.utility_sum)) <= 1e-7
-
-
 def worst_order_welfare(
     env,
     prices,

@@ -445,6 +445,44 @@ def _critical_value(rule, env, vals: Sequence[float], agent: int, fixed: Allocat
     return math.inf
 
 
+def agent_classes(env: Environment, rule: AllocationRule, cap: int = DEFAULT_CAP):
+    """The agents in classes of interchangeable ones, in agent order.  Under
+    OPT, i and j are interchangeable when swapping them maps the kept list's
+    support sets onto themselves, checked on the list; the relation is
+    transitive, as (i k) = (i j)(j k)(i j).  Greedy breaks ties by agent
+    index, so under it each agent is a class of its own."""
+    if rule.kind != OPT_RULE.kind:
+        return [(i,) for i in range(env.n)]
+    sets = frozenset(sum(1 << j for j in support(x)) for x in enumerate_feasible(env, cap))
+
+    def swappable(i, j):
+        flip = 1 << i | 1 << j
+        return all((m ^ flip if (m >> i ^ m >> j) & 1 else m) in sets for m in sets)
+
+    classes = []
+    for i in range(env.n):
+        if not any(i in c for c in classes):
+            classes.append((i, *(j for j in range(i + 1, env.n) if swappable(i, j))))
+    return classes
+
+
+def bid_vector_count(classes, grid_size: int) -> int:
+    """The bid vectors non-decreasing within each class: one per orbit."""
+    return math.prod(math.comb(grid_size + len(c) - 1, len(c)) for c in classes)
+
+
+def _bid_vectors(classes, grid):
+    """Each bid vector non-decreasing within each class, with its bids per
+    class; the vector is one list, refilled in place."""
+    bids = [0.0] * sum(map(len, classes))
+    per_class = (itertools.combinations_with_replacement(grid, len(c)) for c in classes)
+    for parts in itertools.product(*per_class):
+        for c, part in zip(classes, parts):
+            for i, b in zip(c, part):
+                bids[i] = b
+        yield bids, parts
+
+
 def permeability(
     env: Environment,
     rule: AllocationRule,
@@ -455,34 +493,36 @@ def permeability(
     the rule's declared welfare, over all grid bid vectors.  A lower bound on
     the continuum quantity; at least 1 by convention.  Returns math.inf when
     some bid vector has zero declared welfare but positive critical-value
-    mass."""
+    mass.  One vector per orbit of ``agent_classes`` is scanned: a swap
+    within a class maps each ``fsum`` here and in the OPT critical value to
+    an ``fsum`` of the same multiset, which is correctly rounded alike."""
     if not is_binary_env(env):
         raise TypeError("permeability requires a binary single-parameter environment")
     _check_critical_rule(rule)
     grid = sorted(set(float(g) for g in value_grid))
     supports = [support(x) for x in enumerate_feasible(env, cap)]
-    n = env.n
-    total = len(grid) ** n
+    classes = agent_classes(env, rule, cap)
+    total = bid_vector_count(classes, len(grid))
     if total > cap:
         raise CapExceeded(total, cap, "bid vectors")
     null = env.null_allocation()
-
-    # an agent's critical value depends only on the other agents' bids
+    # an agent's critical value depends only on its class and the multiset
+    # of the other agents' bids in each class
     tau_cache: dict = {}
-
-    def tau(i: int, bids) -> float:
-        key = (i, bids[:i] + bids[i + 1 :])
-        if key not in tau_cache:
-            tau_cache[key] = _critical_value(rule, env, bids, i, null, cap)
-        return tau_cache[key]
-
+    taus = [0.0] * env.n
     gamma = 1.0
-    for bids in itertools.product(grid, repeat=n):
+    for bids, parts in _bid_vectors(classes, grid):
         if rule.kind == OPT_RULE.kind:
             declared = max((math.fsum([bids[j] for j in s]) for s in supports), default=0.0)
         else:
             declared = math.fsum([bids[i] for i in support(_greedy_binary(env, bids, null))])
-        taus = [tau(i, bids) for i in range(n)]
+        for k, (c, part) in enumerate(zip(classes, parts)):
+            for p, i in enumerate(c):
+                key = (k, parts[:k] + (part[:p] + part[p + 1 :],) + parts[k + 1 :])
+                t = tau_cache.get(key)
+                if t is None:
+                    t = tau_cache[key] = _critical_value(rule, env, bids, i, null, cap)
+                taus[i] = t
         # rounded division by a positive float is monotone, so the largest
         # numerator gives the largest ratio
         num = max((math.fsum([taus[i] for i in s]) for s in supports), default=0.0)

@@ -21,13 +21,13 @@ from balprice.core import (
     TableValuation,
     enumerate_feasible,
     replace_at,
-    restrict,
     support,
     value,
     welfare,
     _submasks,
     _token_key,
 )
+from balprice.catalog import gen_matroid
 from balprice.mechanism import OnlinePostedPriceRunner, _members
 from balprice.oracle import (
     ExchangeFamily,
@@ -50,6 +50,44 @@ def argmax_first_twin(allocs, profile):
     if best is None:
         raise ValueError("empty allocation list")
     return best
+
+
+def restrict(alloc, agents):
+    """Zero out every agent not in ``agents``."""
+    keep = set(agents)
+    return tuple(x if i in keep else NULL for i, x in enumerate(alloc))
+
+
+def catalog_matroids(seed=0) -> list:
+    """The standard matroid roster used by the certification suites: uniform
+    ranks on grounds up to 6, a two-block partition, and the K4 cycle
+    matroid."""
+    return [
+        gen_matroid("uniform", seed=seed, rank=1, ground=3),
+        gen_matroid("uniform", seed=seed + 1, rank=2, ground=4),
+        gen_matroid("uniform", seed=seed + 2, rank=3, ground=5),
+        gen_matroid("partition", seed=seed + 3, ground=5),
+        gen_matroid("graphic_k4", seed=seed + 4),
+    ]
+
+
+def verify_trace(env, prices, profile, trace) -> None:
+    """Re-derive the menus along the trace and assert the per-purchase
+    invariants: quoted payments, feasibility, individual rationality, and
+    that no unilateral alternative purchase beats the realized utility."""
+    y = env.null_allocation()
+    for i in trace.order:
+        tok = trace.outcomes[i]
+        quoted = prices.price(i, tok, y)
+        assert quoted is not UNAVAILABLE, "purchased an unavailable entry"
+        assert abs(quoted - trace.payments[i]) <= TOL, "payment differs from quote"
+        assert env.is_feasible(replace_at(y, i, tok)), "infeasible purchase"
+        u = value(profile[i], tok) - quoted
+        assert u >= -TOL, "individually irrational purchase"
+        for alt, p in prices.menu(i, y):
+            assert value(profile[i], alt) - p <= u + TOL, "better alternative existed"
+        y = replace_at(y, i, tok)
+    assert abs(trace.welfare - (trace.revenue + trace.utility_sum)) <= 1e-7
 
 
 def check_downward_closed(env, cap=balprice.core.DEFAULT_CAP) -> bool:
@@ -369,10 +407,22 @@ def permeability_twin(env, rule, value_grid, cap=balprice.core.DEFAULT_CAP):
     return gamma
 
 
+def price_term(sums, i, z_i, pred_mask):
+    """p_i(z_i | x restricted to the agents in ``pred_mask``), read from the
+    term table of ``sums``, a ``balance._PriceSums`` for that x."""
+    k = 0
+    for j, b in enumerate(sums._bits):
+        if b and pred_mask >> j & 1:
+            k |= b
+    row = sums._row(i, z_i)
+    p = row[k]
+    return sums._fill(row, i, z_i, k) if p is None else p
+
+
 # The all-orders price sum as it was computed before witness orders were
 # replayed on demand: value, flag and full witness order from one call, the
 # order rebuilt eagerly for every sum.  ``self`` is a ``balance._PriceSums``;
-# the body reads its term table through ``term``.
+# the body reads its term table through ``price_term``.
 def eager_extremal(self, z, maximize: bool):
     """Min (or max) over all agent orders of the price sum for outcomes z
     conditioned on x-prefixes.  Returns (value, witness order, saw_unavailable).
@@ -397,7 +447,7 @@ def eager_extremal(self, z, maximize: bool):
 
     def term(j: int, c: int):
         i = live[j]
-        p = self.term(i, z[i], subs[c])
+        p = price_term(self, i, z[i], subs[c])
         t = rows[j][c & live_supp] = (0.0, True) if p is UNAVAILABLE else (sign * p, False)
         return t
 

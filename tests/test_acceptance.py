@@ -11,7 +11,6 @@ import pytest
 
 from balprice.balance import check_balanced, check_weakly_balanced
 from balprice.catalog import (
-    catalog_matroids,
     gen_common_outcome_instance,
     gen_knapsack_mixed,
     gen_knapsack_random,
@@ -39,7 +38,6 @@ from balprice.mechanism import (
     expected_posted_price_welfare,
     run_posted_price,
     two_mechanism_selector,
-    verify_trace,
     worst_order_welfare,
 )
 from balprice.oracle import (
@@ -77,7 +75,7 @@ from balprice.stochastic import (
     trial_rng,
 )
 
-from helpers import check_downward_closed
+from helpers import catalog_matroids, check_downward_closed, verify_trace
 
 EPS = 1e-9
 

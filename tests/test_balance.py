@@ -27,7 +27,6 @@ from balprice.core import (
     UNAVAILABLE,
     ThresholdValuation,
     enumerate_feasible,
-    restrict,
     welfare,
 )
 from balprice.catalog import (
@@ -62,7 +61,7 @@ from balprice.pricing import (
     xos_item_prices,
 )
 
-from helpers import argmax_first_twin, eager_extremal, filtered_members
+from helpers import argmax_first_twin, eager_extremal, filtered_members, price_term, restrict
 
 
 def bit(*items):
@@ -306,7 +305,7 @@ def full_width_extremal(sums, z, maximize):
         for cm in range(1 << n):
             if cm & ~supp:
                 continue
-            p = sums.term(i, z[i], cm & ~(1 << i))
+            p = price_term(sums, i, z[i], cm & ~(1 << i))
             row[cm & ~(1 << i)] = (0.0, True) if p is UNAVAILABLE else (p, False)
         term_table.append(row)
 

@@ -2,7 +2,6 @@ import pytest
 
 from balprice.catalog import (
     GENERATORS,
-    catalog_matroids,
     gen_common_outcome_instance,
     gen_knapsack_random,
     gen_matroid,
@@ -22,7 +21,7 @@ from balprice.oracle import opt
 from balprice.serialize import load_instance
 from balprice.stochastic import expected_opt
 
-from helpers import check_downward_closed
+from helpers import catalog_matroids, check_downward_closed
 
 
 class TestNamedInstances:

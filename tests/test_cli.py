@@ -683,6 +683,25 @@ class TestPermeabilityCommand:
         out = capsys.readouterr().out
         assert "permeability(opt)" in out
 
+    def test_classes_and_scan_size_on_stderr(self, tmp_path, matroid_instance, capsys):
+        inst = tmp_path / "u6.json"
+        assert run_cli(["catalog", "matroid", "--kind", "uniform", "--rank", "3",
+                        "--ground", "6", "--seed", "1", "-o", str(inst)]) == 0
+        capsys.readouterr()
+        assert run_cli(["permeability", "--instance", str(inst)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "permeability(opt): agent classes {0,1,2,3,4,5}; "
+            "462 of 46656 bid vectors, one per orbit\n"
+        )
+        assert captured.out.startswith("permeability(opt) >= 1 on grid [0.0, 0.25, ")
+        argv = ["permeability", "--instance", str(matroid_instance), "--rule", "greedy"]
+        assert run_cli([*argv, "--grid", "0,1,1"]) == 0
+        assert capsys.readouterr().err == (
+            "permeability(greedy): agent classes {0} {1} {2} {3}; "
+            "16 of 16 bid vectors, one per orbit\n"
+        )
+
     @pytest.mark.parametrize("rule", ["opt", "greedy"])
     @pytest.mark.parametrize("grid", [[], ["--grid", "0,1"]], ids=["default-grid", "grid"])
     def test_non_binary_environment_exits_2(self, tmp_path, capsys, rule, grid):

@@ -26,7 +26,6 @@ from balprice.core import (
     enumerate_feasible,
     popcount,
     prefix,
-    restrict,
     support,
     value,
     welfare,
@@ -34,7 +33,7 @@ from balprice.core import (
 
 from balprice.serialize import encode_environment
 
-from helpers import check_downward_closed, count_dfs_runs
+from helpers import check_downward_closed, count_dfs_runs, restrict
 
 
 def bit(*items):

@@ -5,6 +5,8 @@ feasible list.  The twins in ``helpers`` are the member walk, the greedy run
 on rebuilt profiles and the grid^n scan that rates each feasible set on its
 own; every result must equal theirs by ``repr``."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -17,10 +19,13 @@ from balprice.core import (
     TableValuation,
     enumerate_feasible,
 )
+from balprice.cli import main as run_cli
 from balprice.oracle import (
     GREEDY_RULE,
     OPT_RULE,
     AllocationRule,
+    agent_classes,
+    agent_value,
     critical_value,
     permeability,
 )
@@ -54,6 +59,53 @@ def set_systems(draw):
     grid = draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=3))
     profile = tuple(TableValuation(((1, v),)) for v in values)
     return explicit_env(n, tops), profile, members, grid
+
+
+def permuted(mask, perm):
+    """The agent mask ``mask`` with agent j moved to perm[j]."""
+    return sum(1 << perm[j] for j in range(len(perm)) if mask >> j & 1)
+
+
+@st.composite
+def symmetric_set_systems(draw):
+    """A random binary set system with 2 to 5 agents, closed under the group
+    generated by one to three drawn permutations (random ones or
+    transpositions), and a bid grid."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    transposition = st.tuples(
+        st.integers(min_value=0, max_value=n - 1), st.integers(min_value=0, max_value=n - 1)
+    ).map(lambda ij: tuple({ij[0]: ij[1], ij[1]: ij[0]}.get(k, k) for k in range(n)))
+    gens = draw(st.lists(st.permutations(range(n)) | transposition, min_size=1, max_size=3))
+    tops = set(draw(st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=3)))
+    grown = set(tops)
+    while grown:
+        grown = {permuted(m, g) for m in grown for g in gens} - tops
+        tops |= grown
+    grid = draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=3))
+    return explicit_env(n, tuple(sorted(tops))), grid
+
+
+def classes_twin(env):
+    """The classes of agents i, j for which swapping them maps the feasible
+    list, as allocations, onto itself."""
+    feasible = set(enumerate_feasible(env))
+
+    def swaps(i, j):
+        return {tuple(x[{i: j, j: i}.get(k, k)] for k in range(env.n)) for x in feasible} == feasible
+
+    classes = []
+    for i in range(env.n):
+        if not any(i in c for c in classes):
+            classes.append(tuple(j for j in range(i, env.n) if swaps(i, j)))
+    return classes
+
+
+def uniform_3_of_6_case():
+    """Catalog uniform rank 3 on ground 6, seed 1, on the default grid of
+    zero and the agents' values: six interchangeable agents, six bids."""
+    inst = gen_matroid("uniform", seed=1, rank=3, ground=6)
+    env = inst.env
+    return env, sorted({0.0} | {agent_value(env, inst.profile, i) for i in range(env.n)})
 
 
 def catalog_case(kind, seed):
@@ -172,3 +224,115 @@ class TestRulesWithoutCriticalValues:
         assert len(enumerate_feasible(env)) > 10
         with pytest.raises(ValueError, match="^critical values undefined for rule fractional_lp$"):
             permeability(env, self.LP_RULE, range(10), cap=10)
+
+
+class TestAgentClasses:
+    def test_gamma_two_sets(self):
+        env = GAMMA_TWO[0]
+        assert agent_classes(env, OPT_RULE) == [(0, 1), (2,)]
+        assert agent_classes(env, GREEDY_RULE) == [(0,), (1,), (2,)]
+
+    @pytest.mark.parametrize("ground", [4, 5, 6])
+    def test_partition_classes_are_its_blocks(self, ground):
+        env = gen_matroid("partition", seed=ground, ground=ground).env
+        assert agent_classes(env, OPT_RULE) == list(env.matroid.blocks)
+
+    def test_uniform_and_k4(self):
+        env, _ = uniform_3_of_6_case()
+        assert agent_classes(env, OPT_RULE) == [tuple(range(6))]
+        # no transposition of two K4 edges maps every triangle onto one
+        k4 = gen_matroid("graphic_k4").env
+        assert agent_classes(k4, OPT_RULE) == [(i,) for i in range(6)]
+
+
+class TestSymmetricSetSystems:
+    @given(symmetric_set_systems())
+    @example((GAMMA_TWO[0], GAMMA_TWO[3]))
+    @settings(max_examples=40, deadline=None)
+    def test_classes_and_twin(self, case):
+        env, grid = case
+        assert agent_classes(env, OPT_RULE) == classes_twin(env)
+        for rule in RULES:
+            assert repr(permeability(env, rule, grid)) == repr(permeability_twin(env, rule, grid))
+
+
+class TestOrbitScanCount:
+    def count(self, monkeypatch, env, rule, grid):
+        """Run ``permeability``; return the bid vectors it scanned and its
+        oracle call count."""
+        scanned, calls = [], [0]
+        vectors, oracle = balprice.oracle._bid_vectors, balprice.oracle._critical_value
+
+        def counted_vectors(*args):
+            for bids, parts in vectors(*args):
+                scanned.append(tuple(bids))
+                yield bids, parts
+
+        def counted_oracle(*args):
+            calls[0] += 1
+            return oracle(*args)
+
+        monkeypatch.setattr(balprice.oracle, "_bid_vectors", counted_vectors)
+        monkeypatch.setattr(balprice.oracle, "_critical_value", counted_oracle)
+        permeability(env, rule, grid)
+        return scanned, calls[0]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            uniform_3_of_6_case(),
+            (GAMMA_TWO[0], (0.0, 0.7, 2.0)),
+            (catalog_case("partition", 5)[0], (0.0, 0.5, 1.0)),
+        ],
+        ids=["uniform-3-of-6", "gamma-two", "partition"],
+    )
+    def test_one_vector_per_orbit(self, monkeypatch, case):
+        env, grid = case
+        classes = agent_classes(env, OPT_RULE)
+        g = len(set(grid))
+        scanned, calls = self.count(monkeypatch, env, OPT_RULE, grid)
+        assert len(scanned) == len(set(scanned))
+        assert len(scanned) == math.prod(math.comb(g + len(c) - 1, len(c)) for c in classes)
+        for v in scanned:
+            assert all(list(v[i] for i in c) == sorted(v[i] for i in c) for c in classes)
+        keys = {
+            (k, tuple(tuple(sorted(v[j] for j in d if j != i)) for d in classes))
+            for v in scanned
+            for k, c in enumerate(classes)
+            for i in c
+        }
+        assert 0 < calls <= len(keys)
+
+    def test_uniform_3_of_6_scans_462(self, monkeypatch):
+        env, grid = uniform_3_of_6_case()
+        assert len(grid) ** env.n == 46656
+        scanned, _ = self.count(monkeypatch, env, OPT_RULE, grid)
+        assert len(scanned) == 462
+
+    def test_greedy_scans_every_vector(self, monkeypatch):
+        env, _ = catalog_case("uniform", 4)
+        grid = (0.0, 0.5, 1.0)
+        scanned, _ = self.count(monkeypatch, env, GREEDY_RULE, grid)
+        assert len(scanned) == len(grid) ** env.n
+
+
+class TestOrbitCap:
+    def test_cap_between_orbit_count_and_grid_power(self, tmp_path, capsys):
+        """Uniform rank 2 on ground 4 with 4 bids: 35 orbits, 256 vectors."""
+        inst = tmp_path / "u24.json"
+        assert run_cli(["catalog", "matroid", "--kind", "uniform", "--rank", "2",
+                        "--ground", "4", "--seed", "5", "-o", str(inst)]) == 0
+        env = gen_matroid("uniform", seed=5, rank=2, ground=4).env
+        grid = (0.0, 0.5, 1.0, 2.0)
+        assert repr(permeability(env, OPT_RULE, grid, cap=100)) == repr(
+            permeability_twin(env, OPT_RULE, grid)
+        )
+        with pytest.raises(balprice.oracle.CapExceeded, match="^bid vectors exceeded cap: 256 > 100$"):
+            permeability(env, GREEDY_RULE, grid, cap=100)
+        argv = ["permeability", "--instance", str(inst), "--grid", "0,0.5,1,2", "--cap-feasible", "100"]
+        capsys.readouterr()
+        assert run_cli([*argv, "--rule", "opt"]) == 0
+        assert run_cli([*argv, "--rule", "greedy"]) == 3
+        assert capsys.readouterr().err.endswith(
+            "resource cap exceeded: bid vectors exceeded cap: 256 > 100\n"
+        )

@@ -25,7 +25,6 @@ from balprice.mechanism import (
     expected_posted_price_welfare,
     run_posted_price,
     two_mechanism_selector,
-    verify_trace,
     whole_unit_prices,
     worst_order_welfare,
 )
@@ -41,6 +40,8 @@ from balprice.pricing import (
     xos_item_prices,
 )
 from balprice.stochastic import ProductDistribution
+
+from helpers import verify_trace
 
 
 def bit(*items):

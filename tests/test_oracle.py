@@ -52,7 +52,7 @@ from balprice.oracle import (
     residual_opt,
 )
 
-from helpers import brute_feasible, filtered_members, multi_element_matroid
+from helpers import brute_feasible, catalog_matroids, filtered_members, multi_element_matroid
 
 
 def bit(*items):
@@ -283,8 +283,6 @@ class TestGreedy:
             )
 
     def test_greedy_equals_opt_on_catalog_matroids(self):
-        from balprice.catalog import catalog_matroids
-
         for seed in range(5):
             for inst in catalog_matroids(seed=seed * 17):
                 g = welfare(inst.profile, greedy(inst.env, inst.profile))

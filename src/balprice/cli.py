@@ -516,11 +516,12 @@ def cmd_permeability(args) -> int:
         )
     rule = {"opt": OPT_RULE, "greedy": GREEDY_RULE}[args.rule]
     if args.grid:
-        grid = [_bounded(tok, "--grid entry") for tok in args.grid.split(",")]
+        # reported as scanned: the sorted distinct values
+        grid = sorted({_bounded(tok, "--grid entry") for tok in args.grid.split(",")})
     else:
         grid = _value_grid(instance)
     gamma = permeability(instance.env, rule, grid, cap)
-    classes, g = agent_classes(instance.env, rule, cap), len(set(grid))
+    classes, g = agent_classes(instance.env, rule, cap), len(grid)
     shown_classes = " ".join("{" + ",".join(map(str, c)) + "}" for c in classes)
     print(f"permeability({args.rule}): agent classes {shown_classes}; "
           f"{bid_vector_count(classes, g)} of {g ** instance.env.n} bid vectors, one per orbit",

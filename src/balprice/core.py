@@ -404,11 +404,13 @@ class EnvironmentBase:
 
     kind: str
     n: int
-    # the feasible list, kept by ``enumerate_feasible``, and the welfare
-    # column of the last profile asked over it (``oracle._welfare_column``);
-    # not fields, so equality, hashing and serialization see only the fields
+    # the feasible list, kept by ``enumerate_feasible``, the welfare column
+    # of the last profile asked over it (``oracle._welfare_column``), and a
+    # matroid's checked element values per (agent, valuation); not fields,
+    # so equality, hashing and serialization see only the fields
     _feasible = None
     _welfare = None
+    _element_columns = None
 
     def agent_outcomes(self, i: int) -> tuple:
         raise NotImplementedError

@@ -134,6 +134,8 @@ class OnlinePostedPriceRunner:
         self.tie = tie
         self.cap = cap
         self._memo: dict = {}
+        # per history, the agents known closed and known open there (bitmasks)
+        self._closure: dict[Allocation, list[int]] = {}
         # a fixed order's next arrival, keyed by the agents still to arrive
         self._next: dict[int, tuple[int]] = {}
         left = self._everyone = (1 << env.n) - 1
@@ -157,16 +159,22 @@ class OnlinePostedPriceRunner:
                 best, best_cand = w, (tok, p)
         return best_cand
 
-    def _closed(self, agents, y: Allocation) -> bool:
-        """Whether each of ``agents`` buys only null at ``y`` under every
-        atom.  Then no later arrival changes ``y``, so what is still to come
-        is worth exactly 0.0.  It asks ``best_entries`` only for keys the
-        full recursion at this state asks too."""
-        for i in agents:
+    def _closed(self, left: int, y: Allocation) -> bool:
+        """Whether each agent in bitmask ``left`` buys only null at ``y``
+        under every atom.  Then no later arrival changes ``y``, so what is
+        still to come is worth exactly 0.0.  Only agents not yet known closed
+        or open at ``y`` are scanned, so it asks ``best_entries`` only for
+        keys the full recursion at this state asks too."""
+        known = self._closure.setdefault(y, [0, 0])
+        if left & known[1]:
+            return False
+        for i in _members(left & ~known[0]):
             for v, _prob in self.dist.atoms(i):
                 entries = self.prices.best_entries(i, v, y)
                 if len(entries) > 1 or entries[0][0] != NULL:
+                    known[1] |= 1 << i
                     return False
+            known[0] |= 1 << i
         return True
 
     def _value(self, left: int, y: Allocation) -> float:
@@ -180,10 +188,10 @@ class OnlinePostedPriceRunner:
         if len(self._memo) > self.cap:
             raise CapExceeded(len(self._memo), self.cap, "evaluator memo states")
         if self.order is None:
-            agents = _members(left)
-            if self._closed(agents, y):
+            if self._closed(left, y):
                 self._memo[key] = 0.0
                 return 0.0
+            agents = _members(left)
         else:
             agents = self._next[left]
         worst = math.inf

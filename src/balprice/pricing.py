@@ -364,14 +364,6 @@ def pip_prices(env: PipEnv, profile, alg_alloc: Allocation) -> PricingRule:
 # ---------------------------------------------------------------------------
 
 
-def _matroid_element_values(env: MatroidEnv, profile) -> list[float]:
-    vals = [0.0] * env.matroid.ground
-    for i, owned in enumerate(env.elements):
-        for e in owned:
-            vals[e] = value(profile[i], 1 << e)
-    return vals
-
-
 def _matroid_residual_value(env: MatroidEnv, element_vals, order, taken_mask: int) -> float:
     """Max-weight independent extension of ``taken_mask``: greedy over
     ``order``, the positive-valued elements by decreasing value, ties by
@@ -394,15 +386,23 @@ def matroid_dynamic_prices(env: MatroidEnv, profile) -> PricingRule:
     route structured valuations through compose_max."""
     if not isinstance(env, MatroidEnv):
         raise PricingError("dynamic matroid prices require a matroid environment")
+    if env._element_columns is None:
+        object.__setattr__(env, "_element_columns", {})
+    columns = env._element_columns
+    element_vals = [0.0] * env.matroid.ground
     for i, v in enumerate(profile):
-        mask = env.agent_mask(i)
-        additive_sum = math.fsum(value(v, 1 << e) for e in env.elements[i])
-        if abs(value(v, mask) - additive_sum) > 1e-7:
-            raise PricingError(
-                "dynamic matroid prices require additive element values; "
-                "use compose_max for structured valuations"
-            )
-    element_vals = _matroid_element_values(env, profile)
+        column = columns.get((i, v))
+        if column is None:
+            column = tuple(value(v, 1 << e) for e in env.elements[i])
+            if abs(value(v, env.agent_mask(i)) - math.fsum(column)) > 1e-7:
+                raise PricingError(
+                    "dynamic matroid prices require additive element values; "
+                    "use compose_max for structured valuations"
+                )
+            # stored only once checked, so a non-additive valuation raises on every build
+            columns[i, v] = column
+        for e, x in zip(env.elements[i], column):
+            element_vals[e] = x
     order = [
         e
         for e in sorted(range(env.matroid.ground), key=lambda e: (-element_vals[e], e))

@@ -3,7 +3,9 @@ estimation of optimum and mechanism welfare, and competitive-ratio reports.
 
 Monte Carlo trials draw from counter-based Philox streams keyed by
 (seed, trial index), so estimates are bit-for-bit reproducible and
-independent of evaluation order or parallel schedule.
+independent of evaluation order or parallel schedule.  A run re-keys one
+Philox generator per trial (``trial_rngs``); a stream is its key, so no
+stream changes.
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ class ProductDistribution:
         """All (profile, probability) pairs of the product support."""
         if self.support_size() > cap:
             raise CapExceeded(self.support_size(), cap, "distribution support profiles")
-        for combo in itertools.product(*self.supports):
-            prob = math.prod(p for _, p in combo)
-            yield tuple(v for v, _ in combo), prob
+        values = [[v for v, _ in atoms] for atoms in self.supports]
+        probs = [[p for _, p in atoms] for atoms in self.supports]
+        yield from zip(itertools.product(*values), map(math.prod, itertools.product(*probs)))
 
     def sample(self, rng: np.random.Generator) -> tuple[Valuation, ...]:
         out = []
@@ -85,7 +87,7 @@ class ProductDistribution:
         return tuple(out)
 
     def sample_profiles(self, count: int, seed: int) -> list[tuple[Valuation, ...]]:
-        return [self.sample(trial_rng(seed, k)) for k in range(count)]
+        return [self.sample(rng) for rng in trial_rngs(seed, count)]
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -98,6 +100,20 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
             raise ValueError(f"{name} {k} is outside [0, 2^64)")
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def trial_rngs(seed: int, count: int):
+    """``trial_rng(seed, t)`` for t in range(count), as one generator
+    re-keyed per trial: key (seed, t), a zero counter and an empty buffer
+    are the same stream.  Each is valid until the next is drawn."""
+    if count > 0:
+        rng = trial_rng(seed, count - 1)  # checks the seed and the last index
+        bits = rng.bit_generator
+        state = bits.state
+        for t in range(count):
+            state["state"]["key"][1] = t
+            bits.state = state
+            yield rng
 
 
 def exact_expectation(
@@ -241,8 +257,7 @@ def monte_carlo_ratio(
 
     ws: list[float] = []
     os_: list[float] = []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
+    for rng in trial_rngs(seed, trials):
         profile = dist.sample(rng)
         if order_mode == "fixed":
             w = run(base_order, profile)

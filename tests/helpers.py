@@ -36,7 +36,8 @@ from balprice.oracle import (
     is_binary_env,
     merge_over,
 )
-from balprice.stochastic import RatioEstimate, _ratio_ci95, trial_rng
+from balprice.pricing import PricingError
+from balprice.stochastic import EXACT_SUPPORT_CAP, RatioEstimate, _ratio_ci95, trial_rng
 
 
 def argmax_first_twin(allocs, profile):
@@ -224,6 +225,47 @@ class UnprunedRunner(OnlinePostedPriceRunner):
             worst = min(worst, total)
         self._memo[key] = worst
         return worst
+
+
+class ScanningRunner(OnlinePostedPriceRunner):
+    """Twin of the evaluator's closed-history check without its per-history
+    bitmasks: every agent still to arrive is scanned at each state, in
+    ascending order, until one buys something under some atom."""
+
+    def _closed(self, left, y):
+        for i in _members(left):
+            for v, _prob in self.dist.atoms(i):
+                entries = self.prices.best_entries(i, v, y)
+                if len(entries) > 1 or entries[0][0] != NULL:
+                    return False
+        return True
+
+
+def profiles_twin(dist, cap=EXACT_SUPPORT_CAP):
+    """Twin of ``ProductDistribution.profiles``: one pass over the product of
+    the atoms, each profile and probability taken from its combination."""
+    if dist.support_size() > cap:
+        raise CapExceeded(dist.support_size(), cap, "distribution support profiles")
+    for combo in itertools.product(*dist.supports):
+        prob = math.prod(p for _, p in combo)
+        yield tuple(v for v, _ in combo), prob
+
+
+def matroid_element_values_twin(env, profile) -> list:
+    """Twin of the element values ``matroid_dynamic_prices`` reads, for one
+    profile: every agent's additivity check, then every element's value."""
+    for i, v in enumerate(profile):
+        additive_sum = math.fsum(value(v, 1 << e) for e in env.elements[i])
+        if abs(value(v, env.agent_mask(i)) - additive_sum) > 1e-7:
+            raise PricingError(
+                "dynamic matroid prices require additive element values; "
+                "use compose_max for structured valuations"
+            )
+    vals = [0.0] * env.matroid.ground
+    for i, owned in enumerate(env.elements):
+        for e in owned:
+            vals[e] = value(profile[i], 1 << e)
+    return vals
 
 
 def independent_twin(matroid, mask) -> bool:

@@ -702,6 +702,35 @@ class TestPermeabilityCommand:
             "16 of 16 bid vectors, one per orbit\n"
         )
 
+    def test_reports_the_grid_it_scanned(self, matroid_instance, tmp_path, capsys):
+        # a duplicated, unsorted grid is scanned as its sorted distinct
+        # values, and shown and written as such
+        report = tmp_path / "report.json"
+        argv = ["permeability", "--instance", str(matroid_instance), "--rule", "greedy"]
+        assert run_cli([*argv, "--grid", "1,0,1", "-o", str(report)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "permeability(greedy) >= 1 on grid [0.0, 1.0]\n"
+        assert "16 of 16 bid vectors" in captured.err
+        assert json.loads(report.read_text())["result"]["grid"] == [0.0, 1.0]
+
+    def test_sorted_distinct_grid_report_unchanged(self, matroid_instance, capsys):
+        argv = ["permeability", "--instance", str(matroid_instance), "--rule", "greedy",
+                "--grid", "0,0.5,1"]
+        assert run_cli(argv) == 0
+        config = (
+            '  "alpha": null,\n  "beta": null,\n  "beta1": null,\n  "beta2": null,\n'
+            '  "cap_feasible": 200000,\n  "exact": null,\n'
+            f'  "instance": {json.dumps(str(matroid_instance))},\n'
+            '  "order": null,\n  "output": null,\n  "pricing": null,\n  "seed": null,\n'
+            '  "subcommand": "permeability",\n  "tie": null,\n  "trials": null\n'
+        )
+        assert capsys.readouterr().out == (
+            "permeability(greedy) >= 1 on grid [0.0, 0.5, 1.0]\n"
+            '{\n "config": {\n' + config + ' },\n'
+            ' "result": {\n  "gamma": 1.0,\n  "grid": [\n   0.0,\n   0.5,\n   1.0\n  ],\n'
+            '  "unbounded": false\n },\n "schema": "balprice.report.v1"\n}\n'
+        )
+
     @pytest.mark.parametrize("rule", ["opt", "greedy"])
     @pytest.mark.parametrize("grid", [[], ["--grid", "0,1"]], ids=["default-grid", "grid"])
     def test_non_binary_environment_exits_2(self, tmp_path, capsys, rule, grid):

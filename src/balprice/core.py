@@ -421,18 +421,30 @@ class EnvironmentBase:
     def null_allocation(self) -> Allocation:
         return (NULL,) * self.n
 
+    # DFS step: a feasible allocation's state, null from agent i on, given
+    # agent i's ``tok`` (None if infeasible); by default the allocation itself.
+    start_state = property(null_allocation)
+
+    def extend(self, state, i: int, tok):
+        alloc = replace_at(state, i, tok)
+        return alloc if self.is_feasible(alloc) else None
+
 
 @dataclass(frozen=True)
 class SingleItemEnv(EnvironmentBase):
     n: int
 
     kind = "single_item"
+    start_state = 0  # the DFS state: the count of sold items
 
     def agent_outcomes(self, i: int) -> tuple:
         return (0, 1)
 
     def is_feasible(self, alloc: Allocation) -> bool:
         return sum(alloc) <= 1
+
+    def extend(self, count, i: int, tok):
+        return count + tok if count + tok <= 1 else None
 
 
 @dataclass(frozen=True)
@@ -445,6 +457,7 @@ class MatroidEnv(EnvironmentBase):
     elements: tuple[tuple[int, ...], ...]
 
     kind = "matroid"
+    start_state = 0  # the DFS state: the union mask
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -477,6 +490,11 @@ class MatroidEnv(EnvironmentBase):
                 return False
         return self.matroid.independent(self.union_mask(alloc))
 
+    def extend(self, union, i: int, tok):
+        union |= tok
+        ok = not tok & ~self._agent_masks[i] and self.matroid.independent(union)
+        return union if ok else None
+
     @property
     def binary(self) -> bool:
         return all(len(owned) == 1 for owned in self.elements)
@@ -489,6 +507,8 @@ class CombinatorialAuctionEnv(EnvironmentBase):
     n: int
     items: int
     fractional: bool = False
+
+    start_state = 0  # the DFS state: the used item mask
 
     def __post_init__(self):
         if self.items > MAX_ITEMS:
@@ -509,6 +529,9 @@ class CombinatorialAuctionEnv(EnvironmentBase):
             used |= x
         return True
 
+    def extend(self, used, i: int, tok):
+        return None if tok & used else used | tok
+
 
 @dataclass(frozen=True)
 class KnapsackEnv(EnvironmentBase):
@@ -522,6 +545,7 @@ class KnapsackEnv(EnvironmentBase):
     max_share: float = 1.0
 
     kind = "knapsack"
+    start_state = 0  # the DFS state: the running sum, started as ``sum`` starts
 
     def __post_init__(self):
         # the outcome grid and the knapsack DP both have about 1/step entries;
@@ -540,6 +564,10 @@ class KnapsackEnv(EnvironmentBase):
             return False
         return sum(alloc) <= 1.0 + TOL
 
+    def extend(self, total, i: int, tok):
+        total += tok
+        return total if tok <= self.max_share + TOL and total <= 1.0 + TOL else None
+
 
 @dataclass(frozen=True)
 class PipEnv(EnvironmentBase):
@@ -556,10 +584,10 @@ class PipEnv(EnvironmentBase):
             if len(row) != self.n:
                 raise ValueError("constraint row length != agent count")
             for a in row:
-                if a < -TOL or a > 0.5 + TOL:
+                if not -TOL <= a <= 0.5 + TOL:
                     raise ValueError(f"coefficient {a} outside [0, 1/2]")
         for c in self.capacities:
-            if abs(c - 1.0) > TOL:
+            if not abs(c - 1.0) <= TOL:
                 raise ValueError("capacities must be 1")
 
     @property
@@ -579,6 +607,18 @@ class PipEnv(EnvironmentBase):
 
     def is_feasible(self, alloc: Allocation) -> bool:
         return all(l <= c + TOL for l, c in zip(self.load(alloc), self.capacities))
+
+    start_state = property(lambda self: ((),) * self.rows)  # each row's nonzero load terms
+
+    def extend(self, rows, i: int, tok):
+        # only the rows agent i loads change; zero terms leave an fsum as it is
+        rows = list(rows)
+        for r, (row, c) in enumerate(zip(self.matrix, self.capacities)):
+            if row[i] * float(tok):
+                rows[r] += (row[i] * float(tok),)
+                if not math.fsum(rows[r]) <= c + TOL:
+                    return None
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -694,6 +734,8 @@ def enumerate_feasible(env: Environment, cap: int = DEFAULT_CAP) -> tuple[Alloca
 
     Feasibility must be downward closed: a partial allocation is pruned as
     soon as it fails with trailing nulls, since no completion of it can pass.
+    The DFS carries each kind's state one agent per level (``extend``), a null
+    token below agent 0 reusing its parent's verdict; ``is_feasible`` stays the spec.
 
     The list is a property of the environment, so the first enumeration that
     finishes within its cap is kept on ``env`` and later calls return it; a
@@ -705,24 +747,29 @@ def enumerate_feasible(env: Environment, cap: int = DEFAULT_CAP) -> tuple[Alloca
             raise CapExceeded(cap + 1, cap, "feasible allocations")
         return feasible
     n = env.n
-    is_feasible = env.is_feasible
+    extend = env.extend
     spaces = [sorted(env.agent_outcomes(i), key=_token_key) for i in range(n)]
     out: list[Allocation] = []
     cur: list = [NULL] * n
 
-    def rec(i: int) -> None:
+    def rec(i: int, state) -> None:
         if i == n:
             out.append(tuple(cur))
             if len(out) > cap:
                 raise CapExceeded(len(out), cap, "feasible allocations")
             return
         for tok in spaces[i]:
+            if i and tok == NULL:
+                nxt = state  # the parent's allocation, already feasible
+            else:
+                nxt = extend(state, i, tok)
+                if nxt is None:
+                    continue
             cur[i] = tok
-            if is_feasible(tuple(cur)):
-                rec(i + 1)
+            rec(i + 1, nxt)
         cur[i] = NULL
 
-    rec(0)
+    rec(0, env.start_state)
     feasible = tuple(out)
     object.__setattr__(env, "_feasible", feasible)
     return feasible

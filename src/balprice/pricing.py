@@ -673,6 +673,8 @@ def expected_scaled_prices(
     if mode == "exact":
         weighted = list(dist.profiles(cap))
     elif mode == "sampled":
+        if count < 1:
+            raise PricingError(f"sampled mode needs at least one draw, got count {count}")
         draws = dist.sample_profiles(count, seed)
         weighted = [(p, 1.0 / count) for p in draws]
     else:

@@ -123,6 +123,31 @@ def brute_feasible(env) -> list:
     return [a for a in itertools.product(*spaces) if env.is_feasible(a)]
 
 
+def dfs_feasible_twin(env, cap=balprice.core.DEFAULT_CAP) -> tuple:
+    """Twin of the DFS in ``enumerate_feasible`` before each kind carried its
+    own state: every node rebuilds its whole allocation, trailing nulls
+    included, and checks it with ``is_feasible``.  Keeps no list on ``env``."""
+    n = env.n
+    spaces = [sorted(env.agent_outcomes(i), key=_token_key) for i in range(n)]
+    out = []
+    cur = [NULL] * n
+
+    def rec(i):
+        if i == n:
+            out.append(tuple(cur))
+            if len(out) > cap:
+                raise CapExceeded(len(out), cap, "feasible allocations")
+            return
+        for tok in spaces[i]:
+            cur[i] = tok
+            if env.is_feasible(tuple(cur)):
+                rec(i + 1)
+        cur[i] = NULL
+
+    rec(0)
+    return tuple(out)
+
+
 def _items(alloc) -> int:
     mask = 0
     for a in alloc:

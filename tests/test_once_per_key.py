@@ -90,7 +90,17 @@ PARAMS = BalanceParams(alpha=1.0, beta=1.0)
 
 
 class TestSampledMode:
-    @pytest.mark.parametrize("count", [0, 1, 1000])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_counts_below_one_refused(self, count):
+        # an average over no draws would price every entry at 0.0
+        inst = gen_two_point_single_item(n=4, seed=3)
+        env, dist = inst.env, inst.distribution
+        with pytest.raises(PricingError, match=f"got count {count}"):
+            expected_scaled_prices(
+                env, dist, lambda p: single_item_prices(env, p), PARAMS, mode="sampled", count=count
+            )
+
+    @pytest.mark.parametrize("count", [1, 1000])
     def test_draws_match_one_stream_per_draw(self, count, monkeypatch):
         inst = gen_two_point_single_item(n=4, seed=3)
         env, dist, seed = inst.env, inst.distribution, 11

@@ -6,7 +6,9 @@ x itself against the welfare the reference rule loses to the exchange set at
 x, and condition (b) upper-bounds the price sum of every member of that
 exchange set.  Condition sums follow a declared agent indexing; the checker
 can also quantify over all indexings, which it does with a min/max subset
-dynamic program over predecessor sets rather than a factorial loop.
+dynamic program over predecessor sets rather than a factorial loop.  The
+DP's states are kept in layers, one per sign and priced allocation, so all
+the sums of one conditioning allocation compute each state once.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .core import (
     Valuation,
     _first_max,
     enumerate_feasible,
+    replace_at,
 )
 from .oracle import ExchangeFamily, _listed_welfare
 from .pricing import BalanceParams, PricingRule
@@ -76,7 +79,16 @@ class _PriceSums:
     One term table per x serves condition (a), every member's sum and every
     witness replay: it maps (agent, outcome) to a list indexed by the prefix
     compressed to support(x) (bit r set when the r-th agent of the support
-    precedes), each entry priced on first use.
+    precedes), each entry priced on first use.  A null outcome's list is
+    zeros, which is what ``PricingRule.price`` returns for it.
+
+    The all-orders DP is kept in layers, one per sign and priced allocation
+    w.  Entry k of w's layer is the DP state "the support agents in
+    compressed prefix k, plus every off-support agent with a non-null
+    outcome in w".  Off-support agents condition no one, so placing one of
+    them last steps to the layer of w with its outcome cleared, at the same
+    k.  Each layer is computed once per x, and the sums of the walk share
+    every layer they reach.
 
     A declared-order sum adds the terms in the table's ``order`` and is
     taken once per z.  UNAVAILABLE entries poison the sum; they are reported
@@ -101,11 +113,13 @@ class _PriceSums:
         self._prefixes: list = [None] * (1 << r)
         self._table: dict = {}
         self._sums: dict = {}
+        # per sign (min, max): priced allocation w -> its layer (dp, flag)
+        self._layers: tuple = ({}, {})
 
     def _row(self, i: int, z_i) -> list:
         row = self._table.get((i, z_i))
         if row is None:
-            row = self._table[(i, z_i)] = [None] * len(self._prefixes)
+            row = self._table[(i, z_i)] = [0.0 if z_i == NULL else None] * len(self._prefixes)
         return row
 
     def _fill(self, row: list, i: int, z_i, k: int):
@@ -138,85 +152,97 @@ class _PriceSums:
             t = self._sums[z] = (total, unavailable)
         return t
 
-    def _dp(self, z: Allocation, maximize: bool):
-        """The subset DP on signed sums sign·Σ p over the live agents, those
-        with x_i or z_i non-null: (dp, flag, live, rows, sidx).  Bit j of a
-        DP mask is agent live[j], rows[j] is that agent's term list and
-        sidx[c] is DP mask c compressed to support(x).  An inert agent prices
-        NULL at exactly 0.0 and conditions no one, so dp[S] equals
-        dp[S & live] in value and flag.  UNAVAILABLE terms count 0 in the sum
-        but are flagged."""
-        supp, bits = self.supp, self._bits
-        live, rows, sidx = [], [], [0]
-        for i, z_i in enumerate(z):
-            if supp >> i & 1 or z_i != NULL:
-                live.append(i)
-                rows.append(self._row(i, z_i))
-                b = bits[i]
-                sidx += [k | b for k in sidx]
+    def _layer(self, w: Allocation, maximize: bool):
+        """w's layer of the DP on signed sums sign·Σ p: (dp, flag), each
+        indexed by compressed prefix k.  A state's candidates are its agents
+        in index order: support agent j steps from k ^ bit_j in this layer,
+        off-support agent t from k in the layer of w with t cleared.  The
+        first candidate within TOL of the minimum is kept.  UNAVAILABLE
+        terms count 0 in the sum but are flagged."""
+        memo = self._layers[maximize]
+        layer = memo.get(w)
+        if layer is not None:
+            return layer
+        size = len(self._prefixes)
+        dp = [0.0] * size
+        flag = [False] * size
+        # (bit, term list, source dp, source flag, agent) per live agent;
+        # an off-support agent has bit 0, so its source state is k itself
+        cands = []
+        first = 1  # without an off-support agent, state 0 is the empty set
+        for i, w_i in enumerate(w):
+            b = self._bits[i]
+            if b:
+                cands.append((b, self._row(i, w_i), dp, flag, i))
+            elif w_i != NULL:
+                sub_dp, sub_flag = self._layer(replace_at(w, i, NULL), maximize)
+                cands.append((0, self._row(i, w_i), sub_dp, sub_flag, i))
+                first = 0
         sign = -1.0 if maximize else 1.0
-        full = len(sidx) - 1
-        dp = [0.0] * (full + 1)
-        flag = [False] * (full + 1)
-        for mask in range(1, full + 1):
+        for k in range(first, size):
             best, best_flag = math.inf, False
-            m = mask
-            while m:
-                bit = m & -m
-                m ^= bit
-                prev = mask ^ bit
-                j = bit.bit_length() - 1
-                k = sidx[prev]
-                p = rows[j][k]
+            for b, row, src, src_flag, i in cands:
+                if k & b != b:
+                    continue
+                prev = k ^ b
+                p = row[prev]
                 if p is None:
-                    i = live[j]
-                    p = self._fill(rows[j], i, z[i], k)
+                    p = self._fill(row, i, w[i], prev)
                 if p is UNAVAILABLE:
-                    if dp[prev] < best - TOL:
-                        best, best_flag = dp[prev], True
+                    if src[prev] < best - TOL:
+                        best, best_flag = src[prev], True
                 else:
-                    cand = dp[prev] + sign * p
+                    cand = src[prev] + sign * p
                     if cand < best - TOL:
-                        best, best_flag = cand, flag[prev]
-            dp[mask] = best
-            flag[mask] = best_flag
-        return dp, flag, live, rows, sidx
+                        best, best_flag = cand, src_flag[prev]
+            dp[k] = best
+            flag[k] = best_flag
+        layer = memo[w] = (dp, flag)
+        return layer
 
     def extremal(self, z: Allocation, maximize: bool):
         """Min (or max) over all agent orders of the price sum for outcomes z
         conditioned on x-prefixes: (value, saw_unavailable).  ``witness``
         gives an order that attains it."""
-        dp, flag, _, _, _ = self._dp(z, maximize)
+        dp, flag = self._layer(z, maximize)
         return (-dp[-1] if maximize else dp[-1]), flag[-1]
 
     def witness(self, z: Allocation, maximize: bool) -> tuple:
         """The n-agent order whose sum ``extremal`` returns: the DP's
         first-within-TOL scan replayed along one path down from the full
-        agent set, last arrival first.  An inert agent's candidate is dp[c],
-        the optimum over the live agents left, so it never moves the scan
-        past an equal live candidate.  The DP already priced every term the
-        replay reads."""
-        dp, _, live, rows, sidx = self._dp(z, maximize)
+        agent set, last arrival first.  An inert agent, off the support with
+        a null outcome, has the candidate dp[k], the optimum over the live
+        agents left, so it never moves the scan past an equal live
+        candidate.  The layers already priced every term the replay reads."""
         sign = -1.0 if maximize else 1.0
-        rank = {i: j for j, i in enumerate(live)}
+        bits, table = self._bits, self._table
+        w, k = z, len(self._prefixes) - 1
+        dp = self._layer(w, maximize)[0]
         order = []
-        agents, c = list(range(self.n)), len(dp) - 1
+        agents = list(range(self.n))
         while agents:
-            best, best_i = math.inf, -1
+            best, best_i, best_w = math.inf, -1, w
             for i in agents:
-                j = rank.get(i)
-                if j is None:
-                    cand = dp[c]
+                b, w_i = bits[i], w[i]
+                if b:
+                    prev, src, sub = k ^ b, dp, w
+                elif w_i != NULL:
+                    sub = replace_at(w, i, NULL)
+                    prev, src = k, self._layers[maximize][sub][0]
                 else:
-                    prev = c ^ 1 << j
-                    p = rows[j][sidx[prev]]
-                    cand = dp[prev] + (0.0 if p is UNAVAILABLE else sign * p)
+                    if dp[k] < best - TOL:
+                        best, best_i, best_w = dp[k], i, w
+                    continue
+                p = table[(i, w_i)][prev]
+                cand = src[prev] + (0.0 if p is UNAVAILABLE else sign * p)
                 if cand < best - TOL:
-                    best, best_i = cand, i
+                    best, best_i, best_w = cand, i, sub
             order.append(best_i)
             agents.remove(best_i)
-            if best_i in rank:
-                c ^= 1 << rank[best_i]
+            k &= ~bits[best_i]
+            if best_w is not w:
+                w = best_w
+                dp = self._layers[maximize][w][0]
         order.reverse()
         return tuple(order)
 

@@ -580,6 +580,10 @@ class PipEnv(EnvironmentBase):
     kind = "pip"
 
     def __post_init__(self):
+        if len(self.capacities) != len(self.matrix):
+            raise ValueError(
+                f"{len(self.capacities)} capacities for {len(self.matrix)} constraint rows"
+            )
         for row in self.matrix:
             if len(row) != self.n:
                 raise ValueError("constraint row length != agent count")

@@ -129,14 +129,18 @@ class PricingRule:
     def price(self, i: int, x_i, y: Allocation):
         if x_i == NULL:
             return 0.0
-        y = replace_at(y, i, NULL)
+        if y[i] is not NULL:
+            y = replace_at(y, i, NULL)
         key = (i, x_i, y)
-        if key not in self._cache:
+        # cached prices are floats or UNAVAILABLE, never None
+        p = self._cache.get(key)
+        if p is None:
             if not self.env.is_feasible(replace_at(y, i, x_i)):
-                self._cache[key] = UNAVAILABLE
+                p = UNAVAILABLE
             else:
-                self._cache[key] = self._finite_price(i, x_i, y)
-        return self._cache[key]
+                p = self._finite_price(i, x_i, y)
+            self._cache[key] = p
+        return p
 
     def menu(self, i: int, y: Allocation) -> list[tuple[object, float]]:
         """Purchasable (outcome, price) pairs for agent i given y."""

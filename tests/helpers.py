@@ -558,3 +558,84 @@ def eager_extremal(self, z, maximize: bool):
             c ^= 1 << rank[best_i]
     order.reverse()
     return sign * dp[full], tuple(order), flag[full]
+
+
+def subset_dp_twin(sums, z, maximize: bool):
+    """The all-orders DP as one full run per sum, over the live agents (those
+    with x_i or z_i non-null): (dp, flag, live, rows, sidx).  ``sums`` is a
+    ``balance._PriceSums``.  Bit j of a DP mask is agent live[j], rows[j] is
+    that agent's term list and sidx[c] is DP mask c compressed to
+    support(x).  An inert agent prices NULL at exactly 0.0 and conditions no
+    one, so dp[S] equals dp[S & live] in value and flag.  UNAVAILABLE terms
+    count 0 in the sum but are flagged."""
+    supp, bits = sums.supp, sums._bits
+    live, rows, sidx = [], [], [0]
+    for i, z_i in enumerate(z):
+        if supp >> i & 1 or z_i != NULL:
+            live.append(i)
+            rows.append(sums._row(i, z_i))
+            b = bits[i]
+            sidx += [k | b for k in sidx]
+    sign = -1.0 if maximize else 1.0
+    full = len(sidx) - 1
+    dp = [0.0] * (full + 1)
+    flag = [False] * (full + 1)
+    for mask in range(1, full + 1):
+        best, best_flag = math.inf, False
+        m = mask
+        while m:
+            bit = m & -m
+            m ^= bit
+            prev = mask ^ bit
+            j = bit.bit_length() - 1
+            k = sidx[prev]
+            p = rows[j][k]
+            if p is None:
+                i = live[j]
+                p = sums._fill(rows[j], i, z[i], k)
+            if p is UNAVAILABLE:
+                if dp[prev] < best - TOL:
+                    best, best_flag = dp[prev], True
+            else:
+                cand = dp[prev] + sign * p
+                if cand < best - TOL:
+                    best, best_flag = cand, flag[prev]
+        dp[mask] = best
+        flag[mask] = best_flag
+    return dp, flag, live, rows, sidx
+
+
+def extremal_twin(sums, z, maximize: bool):
+    """Twin of ``_PriceSums.extremal`` on ``subset_dp_twin``."""
+    dp, flag, _, _, _ = subset_dp_twin(sums, z, maximize)
+    return (-dp[-1] if maximize else dp[-1]), flag[-1]
+
+
+def witness_twin(sums, z, maximize: bool) -> tuple:
+    """Twin of ``_PriceSums.witness``: the first-within-TOL scan of
+    ``subset_dp_twin`` replayed over all n agents, last arrival first; an
+    inert agent's candidate is dp[c], the optimum over the live agents
+    left."""
+    dp, _, live, rows, sidx = subset_dp_twin(sums, z, maximize)
+    sign = -1.0 if maximize else 1.0
+    rank = {i: j for j, i in enumerate(live)}
+    order = []
+    agents, c = list(range(sums.n)), len(dp) - 1
+    while agents:
+        best, best_i = math.inf, -1
+        for i in agents:
+            j = rank.get(i)
+            if j is None:
+                cand = dp[c]
+            else:
+                prev = c ^ 1 << j
+                p = rows[j][sidx[prev]]
+                cand = dp[prev] + (0.0 if p is UNAVAILABLE else sign * p)
+            if cand < best - TOL:
+                best, best_i = cand, i
+        order.append(best_i)
+        agents.remove(best_i)
+        if best_i in rank:
+            c ^= 1 << rank[best_i]
+    order.reverse()
+    return tuple(order)

@@ -200,6 +200,11 @@ def _zero_max_share(doc):
     doc["environment"]["max_share"] = 0
 
 
+def _short_pip_capacities(doc):
+    # two constraint rows, one capacity: the second row would go unchecked
+    doc["environment"]["capacities"] = [1.0]
+
+
 # base instance -> (catalog arguments, pricing construction); the auctions have 4 items
 MALFORMED_BASES = {
     "matroid": (["matroid", "--kind", "uniform", "--rank", "2", "--ground", "4", "--seed", "5"],
@@ -208,6 +213,7 @@ MALFORMED_BASES = {
     "mph": (["mph", "--n", "3", "--m", "4"], "mph"),
     "knapsack": (["knapsack", "--n", "3"], "knapsack"),
     "product": (["product-single-items", "--n", "2"], "compose-add"),
+    "pip": (["pip", "--n", "3"], "pip"),
 }
 
 
@@ -232,11 +238,12 @@ class TestMalformedInstances:
             ("knapsack", _huge_max_share, "knapsack max_share must lie in (0, 1], got 1e+308"),
             ("knapsack", _zero_max_share, "knapsack max_share must lie in (0, 1], got 0.0"),
             ("knapsack", _zero_step, "knapsack step must be positive, got 0.0"),
+            ("pip", _short_pip_capacities, "1 capacities for 2 constraint rows"),
         ],
         ids=["env-agents-null", "agents-null", "additive-value-null", "element-outside-ground",
              "additive-values-short", "xos-clause-short", "hyperedge-outside-items",
              "hyperedge-item-negative", "market-parts-missing", "threshold-size-negative",
-             "max-share-huge", "max-share-zero", "step-zero"],
+             "max-share-huge", "max-share-zero", "step-zero", "pip-capacities-short"],
     )
     def test_exit_2_without_traceback(self, tmp_path, capsys, base, mutate, message):
         argv, pricing = MALFORMED_BASES[base]

@@ -153,6 +153,14 @@ class TestFeasibility:
         env2 = PipEnv(n=3, matrix=((0.5, 0.5, 0.5),), capacities=(1.0,))
         assert not env2.is_feasible((1, 1, 1))
 
+    def test_pip_needs_one_capacity_per_row(self):
+        # a row without a capacity would never be checked: (1, 1, 1) loads
+        # the second row to 1.5
+        with pytest.raises(ValueError, match="1 capacities for 2 constraint rows"):
+            PipEnv(n=3, matrix=((0.0, 0.0, 0.0), (0.5, 0.5, 0.5)), capacities=(1.0,))
+        with pytest.raises(ValueError, match="2 capacities for 1 constraint rows"):
+            PipEnv(n=3, matrix=((0.5, 0.5, 0.5),), capacities=(1.0, 1.0))
+
     def test_pip_rejects_large_coefficient(self):
         with pytest.raises(ValueError):
             PipEnv(n=1, matrix=((0.6,),), capacities=(1.0,))

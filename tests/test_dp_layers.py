@@ -1,0 +1,239 @@
+"""The all-orders certifier's DP layers against the one-run-per-sum twin.
+
+``_PriceSums`` keeps one DP layer per (sign, priced allocation) and shares
+it across every sum of one conditioning allocation x.  ``subset_dp_twin`` in
+helpers runs the whole subset DP over the live agents for each sum on its
+own.  Both scan candidates in agent order with the same additions and the
+same first-within-TOL rule, so values, flags and witness orders must agree
+to the bit.
+"""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from balprice.balance import _PriceSums, check_balanced
+from balprice.catalog import gen_matroid
+from balprice.core import (
+    NULL,
+    UNAVAILABLE,
+    AdditiveValuation,
+    ExplicitEnv,
+    KnapsackEnv,
+    enumerate_feasible,
+    replace_at,
+)
+from balprice.oracle import default_family, opt
+from balprice.pricing import BalanceParams, PricingRule, matroid_dynamic_prices
+
+from helpers import extremal_twin, multi_element_matroid, witness_twin
+
+SEEDS = st.integers(min_value=0, max_value=10_000)
+
+
+def _catalog_case(kind, ground, seed):
+    if kind == "uniform":
+        inst = gen_matroid("uniform", seed=seed, rank=max(1, ground // 2), ground=ground)
+    elif kind == "partition":
+        inst = gen_matroid("partition", seed=seed, ground=ground)
+    else:
+        inst = gen_matroid("graphic_k4", seed=seed)
+    env = inst.env
+    return env, matroid_dynamic_prices(env, inst.profile), default_family(env)
+
+
+def _multi_element_case(values):
+    env = multi_element_matroid()
+    profile = tuple(
+        AdditiveValuation(tuple(v if e in env.elements[i] else 0.0 for e, v in enumerate(values)))
+        for i in range(env.n)
+    )
+    return env, matroid_dynamic_prices(env, profile), default_family(env)
+
+
+def _assert_layers_match_twin(rule, env, x, zs, rnd):
+    """Ask every z of ``zs`` in a shuffled order, twice, of one layer memo;
+    each answer must be the twin's by ``repr``."""
+    sums = _PriceSums(rule, x, env.n)
+    twin = _PriceSums(rule, x, env.n)
+    asked = list(zs)
+    rnd.shuffle(asked)
+    for z in asked + asked:
+        for maximize in (False, True):
+            got = (sums.extremal(z, maximize), sums.witness(z, maximize))
+            want = (extremal_twin(twin, z, maximize), witness_twin(twin, z, maximize))
+            assert repr(got) == repr(want), (x, z, maximize)
+
+
+class TestLayersMatchTwin:
+    @given(
+        st.sampled_from(["uniform", "partition", "graphic_k4"]),
+        st.integers(min_value=3, max_value=7),
+        SEEDS,
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_catalog_matroids(self, kind, ground, seed, rnd):
+        env, rule, family = _catalog_case(kind, ground, seed)
+        for x in enumerate_feasible(env):
+            _assert_layers_match_twin(rule, env, x, [x] + family.members(x), rnd)
+
+    @given(
+        st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=6, max_size=6),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_multi_element_members_share_the_support(self, values, rnd):
+        env, rule, family = _multi_element_case(values)
+        shared = 0
+        for x in enumerate_feasible(env):
+            members = family.members(x)
+            shared += sum(
+                1 for z in members if any(x[i] != NULL and z[i] != NULL for i in range(env.n))
+            )
+            _assert_layers_match_twin(rule, env, x, [x] + members, rnd)
+        assert shared  # a member holding an agent of x's support
+
+    @given(
+        st.integers(min_value=2, max_value=4),
+        st.data(),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_explicit_environments_with_unavailable_entries(self, n, data, rnd):
+        tokens = tuple((0, 1, 2) for _ in range(n))
+        tops = data.draw(
+            st.lists(st.tuples(*(st.sampled_from((0, 1, 2)) for _ in range(n))), max_size=4)
+        )
+        # the downward closure of the drawn allocations
+        listed = {tuple(0 for _ in range(n))}
+        for top in tops:
+            for keep in itertools.product((False, True), repeat=n):
+                listed.add(tuple(t if k else NULL for t, k in zip(top, keep)))
+        env = ExplicitEnv(n=n, outcome_tokens=tokens, feasible_set=frozenset(listed))
+        # non-dyadic prices that grow with the prefix, and an entry gated on
+        # agent 0's outcome, so both kinds of UNAVAILABLE term occur
+        gate = data.draw(st.integers(1, n - 1))
+        rule = PricingRule(
+            env,
+            lambda i, x_i, y: UNAVAILABLE if i == gate and not y[0]
+            else 0.1 * (i + x_i) + 0.3 * sum(1 for t in y if t),
+            static=False,
+        )
+        feasible = enumerate_feasible(env)
+        everything = list(itertools.product((0, 1, 2), repeat=n))
+        for x in feasible:
+            # every allocation, listed or not: unlisted ones meet infeasible terms
+            _assert_layers_match_twin(rule, env, x, everything, rnd)
+
+
+class TestLayerMemo:
+    def test_missing_parents_are_computed_and_kept(self):
+        env, rule, family = _catalog_case("uniform", 6, 1)
+        x = next(a for a in enumerate_feasible(env) if sum(1 for t in a if t) == 1)
+        z = next(z for z in family.members(x) if sum(1 for t in z if t) >= 2)
+        sums = _PriceSums(rule, x, env.n)
+        sums.extremal(z, maximize=True)
+        memo = sums._layers[True]
+        off = [i for i, t in enumerate(z) if t != NULL and x[i] == NULL]
+        # every restriction of z's off-support agents has a layer
+        for drop in itertools.product((False, True), repeat=len(off)):
+            w = z
+            for i, d in zip(off, drop):
+                if d:
+                    w = replace_at(w, i, NULL)
+            assert len(memo[w][0]) == 1 << sum(1 for t in x if t != NULL)
+        assert not sums._layers[False]
+
+
+def _walk(monkeypatch, twin: bool):
+    """The catalog uniform rank 3, ground 6, seed 1 job under ``--order
+    all``: (report, rule, null-outcome price calls, layer entries)."""
+    inst = gen_matroid("uniform", seed=1, rank=3, ground=6)
+    env, profile = inst.env, inst.profile
+    rule = matroid_dynamic_prices(env, profile)
+    null_calls, entries = [0], [0]
+    price = rule.price
+
+    def counted_price(i, x_i, y):
+        null_calls[0] += x_i == NULL
+        return price(i, x_i, y)
+
+    rule.price = counted_price
+    layer = _PriceSums._layer
+
+    def counted_layer(sums, w, maximize):
+        if w not in sums._layers[maximize]:
+            entries[0] += len(sums._prefixes)
+        return layer(sums, w, maximize)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_PriceSums, "_layer", counted_layer)
+        if twin:
+            mp.setattr(_PriceSums, "extremal", extremal_twin)
+            mp.setattr(_PriceSums, "witness", witness_twin)
+        report = check_balanced(
+            env, profile, rule, opt(env, profile), default_family(env),
+            BalanceParams(alpha=1.0, beta=1.0),
+        )
+    return report, rule, null_calls[0], entries[0]
+
+
+class TestCounters:
+    def test_uniform_three_of_six(self, monkeypatch):
+        report, rule, null_calls, entries = _walk(monkeypatch, twin=False)
+        twin_report, twin_rule, _, _ = _walk(monkeypatch, twin=True)
+        assert repr(report.as_dict()) == repr(twin_report.as_dict())
+        assert report.max_b_ratio == twin_report.max_b_ratio
+        # a null outcome's row is zeros: the walk never prices it
+        assert null_calls == 0
+        # the same terms missed the rule's cache
+        assert len(rule._cache) == len(twin_rule._cache)
+        # one run per sum visited 2^|live| states; the layers visit fewer
+        env = rule.env
+        family = default_family(env)
+        one_run_per_sum = 0
+        for x in enumerate_feasible(env):
+            for maximize, zs in ((False, [x]), (True, family.members(x))):
+                for z in zs:
+                    live = sum(1 for i in range(env.n) if x[i] != NULL or z[i] != NULL)
+                    one_run_per_sum += 1 << live
+        assert one_run_per_sum == 1778
+        assert entries == 927
+
+
+class TestPriceClearsTheOwnSlot:
+    def _recording_rule(self, env):
+        seen = []
+
+        def finite(i, x_i, y):
+            seen.append(y)
+            return 1.0
+
+        return PricingRule(env, finite, static=False), seen
+
+    def test_knapsack_float_tokens(self):
+        env = KnapsackEnv(n=2, step=0.25, max_share=1.0)
+        rule, seen = self._recording_rule(env)
+        # agent 0's own slot holds 0.5: priced and keyed on the cleared slot
+        assert rule.price(0, 0.25, (0.5, 0.25)) == 1.0
+        assert repr(seen) == repr([(0, 0.25)])
+        assert repr(list(rule._cache)) == repr([(0, 0.25, (0, 0.25))])
+        # a float zero in the own slot is cleared to the null token too
+        assert rule.price(0, 0.5, (0.0, 0.25)) == 1.0
+        assert repr(seen[-1]) == repr((0, 0.25))
+        # the cleared slot and the null slot share one entry
+        assert rule.price(0, 0.25, (0, 0.25)) == 1.0
+        assert rule.price(0, 0.25, (0.75, 0.25)) == 1.0
+        assert len(seen) == 2 and len(rule._cache) == 2
+
+    def test_matroid_token_in_own_slot(self):
+        env, _, _ = _catalog_case("uniform", 4, 0)
+        rule, seen = self._recording_rule(env)
+        tok = 1 << env.elements[1][0]
+        y = (0, tok, 0, 0)
+        assert rule.price(1, tok, y) == 1.0
+        assert seen == [(0, 0, 0, 0)]
+        assert rule.price(1, tok, (0, 0, 0, 0)) == 1.0
+        assert len(seen) == 1

@@ -60,6 +60,7 @@ from .pricing import (
     BalanceParams,
     PricingError,
     PricingRule,
+    SupportForm,
     bundle_split_item_prices,
     compose_add,
     compose_max,
@@ -68,11 +69,13 @@ from .pricing import (
     greedy_derived_prices,
     knapsack_prices,
     matroid_dynamic_prices,
+    matroid_support_prices,
     monotone_critical_prices,
     mphk_item_prices,
     opt_derived_prices,
     pip_prices,
     single_item_prices,
+    single_item_support_prices,
     xos_item_prices,
 )
 from .serialize import Instance, SchemaError, _bounded, dump_instance_file, load_instance_file
@@ -107,8 +110,10 @@ def _default_cap() -> int:
 class Construction:
     """A pricing construction: the environments it applies to (a class, a
     tuple of classes, or a predicate on the environment), its rule for a
-    realized profile, its default balance parameters, its reference rule ALG
-    and its exchange-compatible family.  Calls that enumerate take ``cap``."""
+    realized profile, its default balance parameters, its reference rule ALG,
+    its exchange-compatible family, and optionally a support form of its rule
+    that prices the scaled expected rule's misses over a whole support at
+    once.  Calls that enumerate take ``cap``."""
 
     applies: Union[type, tuple, Callable[[Environment], bool]]
     rule: Callable[[Environment, tuple, int], PricingRule]
@@ -117,6 +122,7 @@ class Construction:
         lambda env, profile, cap: opt(env, profile, cap)
     )
     family: Callable[[Environment], ExchangeFamily] = lambda env: default_family(env)
+    support: Optional[SupportForm] = None
 
     def applies_to(self, env: Environment) -> bool:
         if isinstance(self.applies, (type, tuple)):
@@ -195,6 +201,7 @@ CONSTRUCTIONS: dict[str, Construction] = {
         SingleItemEnv,
         lambda env, p, cap: single_item_prices(env, p),
         _fixed(alpha=1.0, beta=1.0),
+        support=single_item_support_prices,
     ),
     "intro-bundle": Construction(
         CombinatorialAuctionEnv,
@@ -230,7 +237,9 @@ CONSTRUCTIONS: dict[str, Construction] = {
             beta2=float(max(inst.env.column_sparsity(i) for i in range(inst.env.n))),
         ),
     ),
-    "matroid": Construction(MatroidEnv, _matroid_rule, _fixed(alpha=1.0, beta=1.0)),
+    "matroid": Construction(
+        MatroidEnv, _matroid_rule, _fixed(alpha=1.0, beta=1.0), support=matroid_support_prices
+    ),
     "warmup": Construction(
         is_binary_env,
         lambda env, p, cap: monotone_critical_prices(env, p, OPT_RULE, cap=cap),
@@ -373,7 +382,10 @@ def _job(args, scaled: bool):
         return construction.rule(env, profile, cap)
 
     if scaled:
-        rule = expected_scaled_prices(env, _distribution(instance), constructor, params, cap=cap)
+        rule = expected_scaled_prices(
+            env, _distribution(instance), constructor, params, cap=cap,
+            support=construction.support,
+        )
     else:
         rule = constructor(instance.profile)
     return instance, construction, params, rule, order_kind, perm
@@ -461,7 +473,7 @@ def cmd_ratio(args) -> int:
             mech = expected_posted_price_welfare(env, rule, dist, perm, tie)
         else:
             raise SchemaError("exact ratio supports fixed, all, or adversary orders")
-        est = RatioEstimate.of(mech, expected_opt(env, dist), "exact")
+        est = RatioEstimate.of(mech, expected_opt(env, dist, args.cap_feasible), "exact")
     else:
         mode = {"fixed": "fixed", "random": "random"}.get(order_kind)
         if mode is None:

@@ -44,7 +44,7 @@ class ProductDistribution:
             # written so that a nan total or probability fails too
             if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"agent {i} probabilities sum to {total}, not 1")
-            if not all(p >= -TOL for _, p in atoms):
+            if not all(p >= 0.0 for _, p in atoms):
                 raise ValueError(f"agent {i} has a negative probability")
 
     @staticmethod

@@ -36,7 +36,7 @@ from balprice.oracle import (
     is_binary_env,
     merge_over,
 )
-from balprice.pricing import PricingError
+from balprice.pricing import PricingError, PricingRule
 from balprice.stochastic import EXACT_SUPPORT_CAP, RatioEstimate, _ratio_ci95, trial_rng
 
 
@@ -291,6 +291,51 @@ def matroid_element_values_twin(env, profile) -> list:
         for e in owned:
             vals[e] = value(profile[i], 1 << e)
     return vals
+
+
+def every_entry(env):
+    """Every (agent, outcome, partial allocation) the mechanisms can ask."""
+    for y in enumerate_feasible(env):
+        for i in range(env.n):
+            for x_i in env.agent_outcomes(i):
+                yield i, x_i, y
+
+
+def expected_scaled_twin(env, dist, constructor, params, mode="exact", count=10_000, seed=0,
+                         cap=EXACT_SUPPORT_CAP) -> PricingRule:
+    """Twin of ``expected_scaled_prices`` without support forms: every miss
+    calls each distinct support profile's own finite price, the rules built
+    at the first miss in slot order, and takes the scaled ``fsum`` of
+    probability times price in support order."""
+    delta = params.scale_factor()
+    if mode == "exact":
+        weighted = list(dist.profiles(cap))
+    else:
+        weighted = [(p, 1.0 / count) for p in dist.sample_profiles(count, seed)]
+    slots: dict = {}
+    terms = [(slots.setdefault(profile, len(slots)), prob) for profile, prob in weighted]
+    distinct = list(slots)
+    finites: list = [None] * len(distinct)
+
+    def build(profile):
+        rule = constructor(profile)
+        if rule.env != env:
+            raise PricingError("per-profile rule is built on a different environment")
+        return rule._finite_price
+
+    def finite(i, x_i, y):
+        prices = []
+        for k, profile in enumerate(distinct):
+            f = finites[k]
+            if f is None:
+                f = finites[k] = build(profile)
+            p = f(i, x_i, y)
+            if p is UNAVAILABLE:
+                raise AssertionError("per-profile price unavailable on a feasible entry")
+            prices.append(p)
+        return delta * math.fsum(prob * prices[k] for k, prob in terms)
+
+    return PricingRule(env, finite, static=False)
 
 
 def independent_twin(matroid, mask) -> bool:

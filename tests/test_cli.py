@@ -205,6 +205,12 @@ def _short_pip_capacities(doc):
     doc["environment"]["capacities"] = [1.0]
 
 
+def _negative_atom_probability(doc):
+    # the probabilities still sum to 1 within 1e-9, and the second is negative
+    doc["distribution"][0][0]["prob"] = 1.0 + 5e-10
+    doc["distribution"][0][1]["prob"] = -5e-10
+
+
 # base instance -> (catalog arguments, pricing construction); the auctions have 4 items
 MALFORMED_BASES = {
     "matroid": (["matroid", "--kind", "uniform", "--rank", "2", "--ground", "4", "--seed", "5"],
@@ -214,6 +220,7 @@ MALFORMED_BASES = {
     "knapsack": (["knapsack", "--n", "3"], "knapsack"),
     "product": (["product-single-items", "--n", "2"], "compose-add"),
     "pip": (["pip", "--n", "3"], "pip"),
+    "two-point": (["two-point", "--n", "2"], "single-item"),
 }
 
 
@@ -239,11 +246,13 @@ class TestMalformedInstances:
             ("knapsack", _zero_max_share, "knapsack max_share must lie in (0, 1], got 0.0"),
             ("knapsack", _zero_step, "knapsack step must be positive, got 0.0"),
             ("pip", _short_pip_capacities, "1 capacities for 2 constraint rows"),
+            ("two-point", _negative_atom_probability, "agent 0 has a negative probability"),
         ],
         ids=["env-agents-null", "agents-null", "additive-value-null", "element-outside-ground",
              "additive-values-short", "xos-clause-short", "hyperedge-outside-items",
              "hyperedge-item-negative", "market-parts-missing", "threshold-size-negative",
-             "max-share-huge", "max-share-zero", "step-zero", "pip-capacities-short"],
+             "max-share-huge", "max-share-zero", "step-zero", "pip-capacities-short",
+             "atom-probability-negative"],
     )
     def test_exit_2_without_traceback(self, tmp_path, capsys, base, mutate, message):
         argv, pricing = MALFORMED_BASES[base]
@@ -512,6 +521,28 @@ class TestRatioCap:
             "resource cap exceeded: feasible allocations exceeded cap: 6 > 5\n"
         )
         assert run_cli([*argv, "--cap-feasible", "42"]) == 0
+
+    def test_exact_expected_optimum_takes_the_job_cap(self, tmp_path, monkeypatch):
+        """The expected optimum enumerates the support under --cap-feasible,
+        as the scaled prices do, not under a cap of its own."""
+        import balprice.cli
+
+        caps = []
+        real = balprice.cli.expected_opt
+
+        def recording(env, dist, cap):
+            caps.append(cap)
+            return real(env, dist, cap)
+
+        monkeypatch.setattr(balprice.cli, "expected_opt", recording)
+        inst = tmp_path / "tp3.json"
+        assert run_cli(["catalog", "two-point", "--n", "3", "-o", str(inst)]) == 0
+        argv = ["ratio", "--instance", str(inst), "--pricing", "single-item", "--exact",
+                "-o", str(tmp_path / "out.csv")]
+        assert run_cli([*argv, "--cap-feasible", "150000"]) == 0
+        monkeypatch.setenv("BALPRICE_CAP", "8")
+        assert run_cli(argv) == 0
+        assert caps == [150000, 8]
 
 
 class TestParamsFromFlags:

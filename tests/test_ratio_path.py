@@ -1,12 +1,16 @@
 """The stochastic ratio path against its brute-force twins.
 
-``expected_scaled_prices`` hashes each support profile once and calls each
-profile's finite price directly; matroid prices memoise the residual optimum
-per sold mask; reference-allocation prices memoise their nested chain per
-partial allocation; ``expected_opt`` and ``monte_carlo_ratio`` take every
-optimum over one feasible list per call.  Each twin below is the code these
-replaced, kept here as the reference: results must be equal, by ``repr`` for
-prices and under ``==`` for ratio estimates.
+``expected_scaled_prices`` hashes each support profile once and, without a
+support form (as every call here is), prices a miss from a column of each
+profile's finite price, called directly; the support forms, which give that
+column for all profiles at once, are checked against
+``helpers.expected_scaled_twin`` in ``test_support_forms.py``.  Matroid
+prices memoise the residual optimum per sold mask; reference-allocation
+prices memoise their nested chain per partial allocation; ``expected_opt``
+and ``monte_carlo_ratio`` take every optimum over one feasible list per
+call.  Each twin below is the code these replaced, kept here as the
+reference: results must be equal, by ``repr`` for prices and under ``==``
+for ratio estimates.
 """
 
 import math
@@ -35,7 +39,6 @@ from balprice.core import (
     MatroidEnv,
     ScalarValuation,
     SingleItemEnv,
-    enumerate_feasible,
     prefix,
     replace_at,
     value,
@@ -71,6 +74,8 @@ from balprice.stochastic import (
     monte_carlo_ratio,
     trial_rng,
 )
+
+from helpers import every_entry
 
 PARAMS = BalanceParams(alpha=1.0, beta=1.0)
 
@@ -136,14 +141,6 @@ def stochastic_case(kind, seed):
             lambda p: knapsack_prices(env, p, welfare(p, knapsack_dp(env, p)))
         )
     raise ValueError(kind)
-
-
-def every_entry(env):
-    """Every (agent, outcome, partial allocation) the mechanisms can ask."""
-    for y in enumerate_feasible(env):
-        for i in range(env.n):
-            for x_i in env.agent_outcomes(i):
-                yield i, x_i, y
 
 
 def wrapper_twin(env, i, x_i, y, finite):

@@ -39,6 +39,21 @@ class TestProductDistribution:
         with pytest.raises(ValueError):
             ProductDistribution((((ScalarValuation(1.0), 0.5),),))
 
+    @pytest.mark.parametrize("neg", [-5e-10, -1e-300, -0.0 - 5e-324])
+    def test_negative_probability_refused(self, neg):
+        """Every probability is at least 0, however small the excess: the sum
+        still passes its 1e-9 check, so this is the check that refuses it."""
+        with pytest.raises(ValueError, match="agent 0 has a negative probability"):
+            ProductDistribution(
+                (((ScalarValuation(1.0), 1.0 - neg), (ScalarValuation(0.0), neg)),)
+            )
+
+    def test_zero_and_negative_zero_probabilities_load(self):
+        dist = ProductDistribution(
+            (((ScalarValuation(1.0), 1.0), (ScalarValuation(0.0), 0.0), (ScalarValuation(2.0), -0.0)),)
+        )
+        assert [p for _, p in dist.profiles()] == [1.0, 0.0, -0.0]
+
     @pytest.mark.parametrize(
         "probs", [(math.nan,), (1.0, math.nan), (math.nan, 0.5, 0.5), (0.5, 0.5, math.nan)]
     )

@@ -438,7 +438,9 @@ def _critical_value(rule, env, vals: Sequence[float], agent: int, fixed: Allocat
     candidates = [0.0] + sorted({v for j, v in enumerate(vals) if j != agent and v > TOL})
     trial = list(vals)
     for idx, c in enumerate(candidates):
-        upper = candidates[idx + 1] if idx + 1 < len(candidates) else c + 1.0
+        # past the last candidate, a probe above c by at least half of c's
+        # magnitude: c + 1.0 is c itself from 2^53 on
+        upper = candidates[idx + 1] if idx + 1 < len(candidates) else c + max(1.0, c)
         trial[agent] = (c + upper) / 2.0
         if _greedy_binary(env, trial, fixed)[agent] != NULL:
             return c

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter, mul
+from itertools import product
+from operator import getitem, itemgetter, mul
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -666,11 +666,63 @@ def compose_add(product_env: ProductEnv, market_rules: Sequence[PricingRule]) ->
 # ---------------------------------------------------------------------------
 
 
+class SupportTable:
+    """Distinct valuation profiles by atom index.  ``values[i]`` holds agent
+    i's distinct valuations in order of first appearance, and ``rows`` each
+    profile's index into them per agent.  Without ``rows`` the profiles are
+    every combination of the values, in ``itertools.product`` order (last
+    agent fastest).  Either way the first profile's indices are all 0."""
+
+    def __init__(self, values: tuple, rows: Optional[list] = None):
+        self.values = values
+        self.rows = rows
+
+    @classmethod
+    def listing(cls, profiles: Sequence[tuple]) -> "SupportTable":
+        """The table of the distinct ``profiles``, in their order."""
+        index: list[dict] = [{} for _ in profiles[0]]
+        rows = [
+            tuple(at.setdefault(v, len(at)) for at, v in zip(index, profile)) for profile in profiles
+        ]
+        return cls(tuple(map(tuple, index)), rows)
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self.values)) if self.rows is None else len(self.rows)
+
+    def profiles(self):
+        """The profiles, as valuation tuples."""
+        if self.rows is None:
+            return product(*self.values)
+        return (tuple(map(getitem, self.values, row)) for row in self.rows)
+
+    def column(self, i: int):
+        """Agent i's index in each profile, as a numpy array."""
+        import numpy as np
+
+        if self.rows is None:
+            sizes = list(map(len, self.values))
+            inner = np.repeat(np.arange(sizes[i]), math.prod(sizes[i + 1:]))
+            return np.tile(inner, math.prod(sizes[:i]))
+        return np.fromiter(map(itemgetter(i), self.rows), dtype=np.intp, count=len(self.rows))
+
+    def slots(self, index: Sequence[Sequence[int]]) -> list[int]:
+        """Each profile's position in a product table, for the combinations
+        of atoms in ``itertools.product`` order, given each atom's index
+        into its agent's values: the mixed-radix number of those indices."""
+        import numpy as np
+
+        slots = np.zeros(1, dtype=np.intp)
+        for vals, at in zip(self.values, index):
+            slots = np.add.outer(slots * len(vals), at).ravel()
+        return slots.tolist()
+
+
 # A support form prices one entry for every distinct support profile at
-# once: ``form(env, profiles)`` returns a column function (i, x_i, y) -> one
-# finite price per profile, float for float the price that profile's own rule
-# gives, or None where it does not apply to these profiles.
-SupportForm = Callable[[Environment, Sequence[tuple]], Optional[Callable]]
+# once: ``form(env, table)`` takes the profiles as a ``SupportTable`` and
+# returns a column function (i, x_i, y) -> one finite price per profile,
+# float for float the price that profile's own rule gives, or None where it
+# does not apply to these profiles.
+SupportForm = Callable[[Environment, SupportTable], Optional[Callable]]
 
 # Fewest distinct support profiles at which a support form prices the misses:
 # the matroid form's crossover, measured on uniform matroids of ground 6 and
@@ -680,15 +732,22 @@ SupportForm = Callable[[Environment, Sequence[tuple]], Optional[Callable]]
 SUPPORT_FORM_MIN_PROFILES = 32
 
 
-def single_item_support_prices(env: SingleItemEnv, profiles: Sequence[tuple]):
+def single_item_support_prices(env: SingleItemEnv, table: SupportTable):
     """Support form of ``single_item_prices``: every entry's column holds
     each profile's top value."""
     if not isinstance(env, SingleItemEnv):
         raise PricingError("single_item_prices requires a single-item environment")
-    # each distinct valuation valued once, in order of first appearance, so
-    # a valuation that cannot be valued fails where the first rule would
-    worth = {v: value(v, 1) for v in dict.fromkeys(chain.from_iterable(profiles))}
-    tops = [max(map(worth.__getitem__, profile)) for profile in profiles]
+    # each agent's distinct valuations valued once, the first profile's
+    # first, so a valuation that cannot be valued fails where the first rule
+    # would
+    first = [value(vals[0], 1) for vals in table.values]
+    worth = [[w, *(value(v, 1) for v in vals[1:])] for w, vals in zip(first, table.values)]
+    # max over the agents in order, as the rule's own max: the same float,
+    # signed zeros included
+    if table.rows is None:
+        tops = list(map(max, product(*worth)))
+    else:
+        tops = [max(map(getitem, worth, row)) for row in table.rows]
     return lambda i, x_i, y: tops
 
 
@@ -701,21 +760,18 @@ class _MatroidColumns:
     adds the same floats in the same order and every price is the float its
     own rule gives."""
 
-    def __init__(self, env: MatroidEnv, profiles: Sequence[tuple]):
+    def __init__(self, env: MatroidEnv, table: SupportTable):
         import numpy as np
 
         self._env = env
         ground = env.matroid.ground
-        # element values, one row per profile: each agent's distinct
-        # valuations looked up once, in order of first appearance
-        vals = np.zeros((len(profiles), ground))
+        # element values, one row per profile, gathered by each agent's
+        # index from its distinct valuations' values
+        vals = np.zeros((len(table), ground))
         for i, owned in enumerate(env.elements):
-            agent_vals = list(map(itemgetter(i), profiles))
-            row = {v: k for k, v in enumerate(dict.fromkeys(agent_vals))}
-            table = np.array([_element_values(env, i, v) for v in row], dtype=float)
-            vals[:, list(owned)] = table.reshape(len(row), len(owned))[
-                list(map(row.__getitem__, agent_vals))
-            ]
+            agent = table.values[i]
+            element = np.array([_element_values(env, i, v) for v in agent], dtype=float)
+            vals[:, list(owned)] = element.reshape(len(agent), len(owned))[table.column(i)]
         order = np.argsort(-vals, axis=1, kind="stable")
         # one row per greedy position, one entry per profile
         self._vals = np.take_along_axis(vals, order, axis=1).T.copy()
@@ -760,13 +816,13 @@ class _MatroidColumns:
         return (residual[taken] - residual[taken | x_i]).tolist()
 
 
-def matroid_support_prices(env: MatroidEnv, profiles: Sequence[tuple]):
+def matroid_support_prices(env: MatroidEnv, table: SupportTable):
     """Support form of ``matroid_dynamic_prices``, for profiles that are all
     additive (other profiles take ``compose_max`` and their own rules)."""
     _require_matroid(env)
-    if not all(isinstance(v, AdditiveValuation) for profile in profiles for v in profile):
+    if not all(isinstance(v, AdditiveValuation) for vals in table.values for v in vals):
         return None
-    return _MatroidColumns(env, profiles)
+    return _MatroidColumns(env, table)
 
 
 def expected_scaled_prices(
@@ -795,25 +851,40 @@ def expected_scaled_prices(
     ``SUPPORT_FORM_MIN_PROFILES`` distinct profiles, the form gives the
     column; otherwise (or where the form does not apply) each profile's own
     rule does.
+
+    Exact mode on a distribution with ``support_table`` reads its support by
+    atom index: the distinct profiles are every combination of the agents'
+    distinct valuations, and a support profile's slot is the mixed-radix
+    number of its atoms' indices, so no profile is hashed.  Sampled mode, and
+    a distribution that only lists its profiles, hash each profile to its
+    slot.
     """
     delta = params.scale_factor()
-    if mode == "exact":
-        weighted = list(dist.profiles(cap))
-    elif mode == "sampled":
-        if count < 1:
-            raise PricingError(f"sampled mode needs at least one draw, got count {count}")
-        draws = dist.sample_profiles(count, seed)
-        weighted = [(p, 1.0 / count) for p in draws]
+    if mode == "exact" and hasattr(dist, "support_table"):
+        table, index, probs = dist.support_table(cap)
+        probs = probs.tolist()
+        slot_of = table.slots(index) if len(table) < len(probs) else None
     else:
-        raise PricingError(f"unknown mode {mode}")
-
-    # each distinct support profile once, in order of first appearance; the
-    # support order's profile slots and probabilities
-    slots: dict = {}
-    slot_of = [slots.setdefault(profile, len(slots)) for profile, _ in weighted]
-    probs = [prob for _, prob in weighted]
-    distinct = list(slots)
-    finites: list = [None] * len(distinct)
+        if mode == "exact":
+            weighted = list(dist.profiles(cap))
+        elif mode == "sampled":
+            if count < 1:
+                raise PricingError(f"sampled mode needs at least one draw, got count {count}")
+            draws = dist.sample_profiles(count, seed)
+            weighted = [(p, 1.0 / count) for p in draws]
+        else:
+            raise PricingError(f"unknown mode {mode}")
+        # each distinct profile once, in order of first appearance
+        slots: dict = {}
+        slot_of = [slots.setdefault(profile, len(slots)) for profile, _ in weighted]
+        probs = [prob for _, prob in weighted]
+        table = SupportTable.listing(list(slots))
+        if len(slots) == len(weighted):
+            slot_of = None
+    # with ``slot_of`` None each support entry is its own slot, as slots are
+    # numbered in order of first appearance
+    distinct: list = []  # the profiles, listed once their own rules are needed
+    finites: list = [None] * len(table)
     source = None  # the column source, chosen at the first miss
 
     def build(profile):
@@ -825,6 +896,8 @@ def expected_scaled_prices(
     def per_profile_column(i, x_i, y):
         # the outer price() has priced null, cleared slot i and checked
         # feasibility on env, which every per-profile rule shares
+        if not distinct:
+            distinct.extend(table.profiles())
         prices = []
         for k, profile in enumerate(distinct):
             f = finites[k]
@@ -844,11 +917,13 @@ def expected_scaled_prices(
         nonlocal source
         if source is None:
             form = None
-            if support is not None and len(distinct) >= SUPPORT_FORM_MIN_PROFILES:
-                form = support(env, distinct)
+            if support is not None and len(table) >= SUPPORT_FORM_MIN_PROFILES:
+                form = support(env, table)
             source = form or per_profile_column
         column = source(i, x_i, y)
-        return delta * math.fsum(map(mul, probs, map(column.__getitem__, slot_of)))
+        if slot_of is not None:
+            column = map(column.__getitem__, slot_of)
+        return delta * math.fsum(map(mul, probs, column))
 
     return PricingRule(
         env,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -24,10 +25,12 @@ from .core import (
     Valuation,
     _first_max,
     enumerate_feasible,
+    value,
     welfare,
 )
 from .mechanism import OnlinePostedPriceRunner, expected_posted_price_welfare
 from .oracle import _welfare_column
+from .pricing import SUPPORT_FORM_MIN_PROFILES, SupportTable
 
 EXACT_SUPPORT_CAP = 100_000
 
@@ -64,13 +67,36 @@ class ProductDistribution:
             size *= len(atoms)
         return size
 
+    def _capped_size(self, cap: int) -> int:
+        size = self.support_size()
+        if size > cap:
+            raise CapExceeded(size, cap, "distribution support profiles")
+        return size
+
     def profiles(self, cap: int = EXACT_SUPPORT_CAP):
         """All (profile, probability) pairs of the product support."""
-        if self.support_size() > cap:
-            raise CapExceeded(self.support_size(), cap, "distribution support profiles")
+        self._capped_size(cap)
         values = [[v for v, _ in atoms] for atoms in self.supports]
         probs = [[p for _, p in atoms] for atoms in self.supports]
         yield from zip(itertools.product(*values), map(math.prod, itertools.product(*probs)))
+
+    def support_table(self, cap: int = EXACT_SUPPORT_CAP):
+        """The product support by atom index, without a profile tuple built
+        or hashed: (table, index, probs).  ``table`` is the ``SupportTable``
+        of every combination of each agent's distinct valuations (first
+        appearance first), ``index[i]`` each of agent i's atoms' index into
+        its valuations, and ``probs`` the numpy vector of the support
+        profiles' probabilities in ``profiles`` order, each multiplied left
+        to right as ``math.prod`` does."""
+        self._capped_size(cap)
+        values, index = [], []
+        probs = np.ones(1)
+        for atoms in self.supports:
+            at: dict = {}
+            index.append([at.setdefault(v, len(at)) for v, _ in atoms])
+            values.append(tuple(at))
+            probs = np.multiply.outer(probs, [p for _, p in atoms]).ravel()
+        return SupportTable(tuple(values)), index, probs
 
     def sample(self, rng: np.random.Generator) -> tuple[Valuation, ...]:
         out = []
@@ -125,12 +151,11 @@ def exact_expectation(
     return math.fsum(prob * f(profile) for profile, prob in dist.profiles(cap))
 
 
-def _optimum_welfare(env: Environment) -> Callable[[tuple], float]:
+def _optimum_welfare(env: Environment, feasible) -> Callable[[tuple], float]:
     """``opt``'s welfare as a function of the profile: the first maximum
-    within ``TOL`` of the welfare column over the environment's feasible
-    list.  The returned function holds each agent's value column per
+    within ``TOL`` of the welfare column over ``feasible``, the environment's
+    kept list.  The returned function holds each agent's value column per
     distinct valuation (compared by equality) across the profiles asked."""
-    feasible = enumerate_feasible(env)
     tables: list[dict] = [{} for _ in range(env.n)]
 
     def best(profile) -> float:
@@ -140,11 +165,70 @@ def _optimum_welfare(env: Environment) -> Callable[[tuple], float]:
     return best
 
 
+def _fixed_point_welfare(feasible, table: SupportTable, index):
+    """The welfare of every listed allocation on every profile of a product
+    support by atom index (``ProductDistribution.support_table``): one row
+    per allocation, one column per profile in ``profiles`` order.  None where
+    fixed point would not give ``fsum``'s floats.
+
+    Agent i's value column takes one ``value`` call per (distinct valuation,
+    distinct token).  Every entry is an integer multiple of 2^e, e the lowest
+    set bit over the entries, so the rows are summed exactly in int64, agent
+    by agent.  Converting an exact sum to float rounds correctly, as ``fsum``
+    does, and scaling it back by 2^e is exact outside the subnormal range: a
+    long accumulator cut down to the job's exponent span (Neal, "Fast exact
+    summation using small and large superaccumulators", arXiv 1505.05571).
+    None when an entry is not finite or is -0.0, when the span plus
+    ceil(log2 n) passes 62 bits, when a sum could pass the float range, or
+    when a welfare is subnormal."""
+    n = len(table.values)
+    columns = []
+    for vals, at, tokens in zip(table.values, index, zip(*feasible)):
+        distinct = list(dict.fromkeys(tokens))
+        position = list(map({tok: k for k, tok in enumerate(distinct)}.__getitem__, tokens))
+        worth = np.array([[value(v, tok) for tok in distinct] for v in vals], dtype=float)
+        # one row per allocation, one column per atom
+        columns.append(worth[np.ix_(at, position)].T)
+    flat = np.concatenate([c.ravel() for c in columns])
+    if not np.isfinite(flat).all() or np.signbit(flat[flat == 0]).any():
+        return None
+    nonzero = flat[flat != 0]
+    low = high = 0
+    if nonzero.size:
+        mantissa, exponent = np.frexp(nonzero)  # |x| < 2^exponent
+        ints = np.ldexp(mantissa, 53).astype(np.int64)
+        zeros = np.frexp((ints & -ints).astype(float))[1] - 1  # trailing zero bits
+        low, high = int((exponent - 53 + zeros).min()), int(exponent.max())
+    carry = (n - 1).bit_length()
+    if high - low + carry > 62 or high + carry >= sys.float_info.max_exp:
+        return None
+    sums = np.zeros((len(feasible), 1), dtype=np.int64)
+    for column in columns:
+        scaled = np.ldexp(column, -low).astype(np.int64)
+        sums = (sums[:, :, None] + scaled[:, None, :]).reshape(len(feasible), -1)
+    floats = np.ldexp(sums.astype(float), low)
+    if ((floats != 0) & (np.abs(floats) < sys.float_info.min)).any():
+        return None
+    return floats
+
+
 def expected_opt(env: Environment, dist: ProductDistribution, cap: int = EXACT_SUPPORT_CAP) -> float:
     """Exact expected optimum: ``opt``'s welfare on every support profile,
-    each taken over one feasible list enumerated for the call."""
+    each taken over one feasible list enumerated for the call.  From
+    ``SUPPORT_FORM_MIN_PROFILES`` support profiles up the welfare comes from
+    ``_fixed_point_welfare`` where it applies, and each profile's optimum
+    from ``_first_max``'s scan, one allocation at a time; otherwise each
+    profile's welfare column is taken on its own."""
+    if dist.support_size() >= SUPPORT_FORM_MIN_PROFILES:
+        table, index, probs = dist.support_table(cap)
+        rows = _fixed_point_welfare(enumerate_feasible(env), table, index)
+        if rows is not None:
+            best = rows[0]
+            for w in rows[1:]:
+                best = np.where(w > best + TOL, w, best)
+            return math.fsum((probs * best).tolist())
     profiles = list(dist.profiles(cap))
-    best = _optimum_welfare(env)
+    best = _optimum_welfare(env, enumerate_feasible(env))
     return math.fsum(prob * best(p) for p, prob in profiles)
 
 
@@ -240,7 +324,7 @@ def monte_carlo_ratio(
     base_order = tuple(fixed_order) if fixed_order is not None else tuple(range(env.n))
 
     runners: dict[tuple, OnlinePostedPriceRunner] = {}
-    best = _optimum_welfare(env)
+    best = _optimum_welfare(env, enumerate_feasible(env))
     # the optimum per distinct profile drawn, and the mechanism's welfare per
     # distinct (order, profile) pair drawn, which a fixed-order run is a
     # function of; at most ``trials`` entries each

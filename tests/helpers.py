@@ -221,11 +221,14 @@ def tied_candidates_twin(prices, v, i, y) -> list:
     return cands
 
 
-def expected_opt_twin(env, dist) -> float:
+def expected_opt_twin(env, dist, cap=EXACT_SUPPORT_CAP) -> float:
     """Twin of ``expected_opt``: the welfare of ``argmax_first_twin`` over the
-    feasible list on every support profile."""
+    feasible list on every support profile, each profile and its
+    probability from ``profiles_twin``."""
     feasible = enumerate_feasible(env)
-    return math.fsum(prob * welfare(p, argmax_first_twin(feasible, p)) for p, prob in dist.profiles())
+    return math.fsum(
+        prob * welfare(p, argmax_first_twin(feasible, p)) for p, prob in profiles_twin(dist, cap)
+    )
 
 
 class UnprunedRunner(OnlinePostedPriceRunner):
@@ -303,10 +306,12 @@ def every_entry(env):
 
 def expected_scaled_twin(env, dist, constructor, params, mode="exact", count=10_000, seed=0,
                          cap=EXACT_SUPPORT_CAP) -> PricingRule:
-    """Twin of ``expected_scaled_prices`` without support forms: every miss
-    calls each distinct support profile's own finite price, the rules built
-    at the first miss in slot order, and takes the scaled ``fsum`` of
-    probability times price in support order."""
+    """Twin of ``expected_scaled_prices`` without support forms or atom
+    indices: each support profile is hashed to its slot, one per distinct
+    profile in order of first appearance; every miss calls each distinct
+    profile's own finite price, the rules built at the first miss in slot
+    order, and takes the scaled ``fsum`` of probability times price in
+    support order."""
     delta = params.scale_factor()
     if mode == "exact":
         weighted = list(dist.profiles(cap))

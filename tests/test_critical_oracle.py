@@ -5,6 +5,7 @@ feasible list.  The twins in ``helpers`` are the member walk, the greedy run
 on rebuilt profiles and the grid^n scan that rates each feasible set on its
 own; every result must equal theirs by ``repr``."""
 
+import json
 import math
 
 import pytest
@@ -336,3 +337,30 @@ class TestOrbitCap:
         assert capsys.readouterr().err.endswith(
             "resource cap exceeded: bid vectors exceeded cap: 256 > 100\n"
         )
+
+
+class TestGreedyAtLargeMagnitudes:
+    """Past the last candidate c, greedy's probe bound was c + 1.0, which is c
+    itself from 2^53 on: the probe tied the other agent and lost on index, so
+    ``permeability --rule greedy --grid 0,1e16`` reported UNBOUNDED where OPT
+    reports 1.  The bound is now c + max(1.0, c)."""
+
+    @pytest.mark.parametrize("top", [1.0, 1e15, 1e16, 2.0**60], ids=["1", "1e15", "1e16", "2^60"])
+    def test_greedy_equals_opt_on_uniform_rank_one(self, top):
+        env = gen_matroid("uniform", seed=1, rank=1, ground=2).env
+        grid = (0.0, top)
+        assert permeability(env, GREEDY_RULE, grid) == permeability(env, OPT_RULE, grid) == 1.0
+        null = env.null_allocation()
+        for rule in RULES:
+            assert balprice.oracle._critical_value(rule, env, [top, 0.0], 1, null, 100) == top
+
+    @pytest.mark.parametrize("grid", ["0,1e16", "0,1152921504606846976"], ids=["1e16", "2^60"])
+    def test_cli_reports_one(self, tmp_path, grid):
+        inst, out = tmp_path / "uniform.json", tmp_path / "report.json"
+        assert run_cli(["catalog", "matroid", "--kind", "uniform", "--rank", "1",
+                        "--ground", "2", "--seed", "1", "-o", str(inst)]) == 0
+        for rule in ("greedy", "opt"):
+            argv = ["permeability", "--instance", str(inst), "--rule", rule, "--grid", grid]
+            assert run_cli([*argv, "-o", str(out)]) == 0
+            result = json.loads(out.read_text())["result"]
+            assert result["gamma"] == 1.0 and result["unbounded"] is False

@@ -175,7 +175,7 @@ class TestColumnsMatchPerProfileRules:
         supports[1] = ((supports[1][0][0], 0.5), (xos, 0.5))
         dist = ProductDistribution(tuple(supports))
         assert dist.support_size() >= CROSSOVER
-        assert pricing.matroid_support_prices(env, [p for p, _ in dist.profiles()]) is None
+        assert pricing.matroid_support_prices(env, dist.support_table()[0]) is None
         built: list = []
         rule = expected_scaled_prices(
             env, dist, counted_constructor(env, "matroid", built), PARAMS,

@@ -14,6 +14,7 @@ the sums of one conditioning allocation compute each state once.
 from __future__ import annotations
 
 import math
+from operator import add
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -90,9 +91,9 @@ class _PriceSums:
     k.  Each layer is computed once per x, and the sums of the walk share
     every layer they reach.
 
-    A declared-order sum adds the terms in the table's ``order`` and is
-    taken once per z.  UNAVAILABLE entries poison the sum; they are reported
-    as structural violations by the caller."""
+    A declared-order sum adds the terms in the table's ``order``.
+    UNAVAILABLE entries poison the sum; they are reported as structural
+    violations by the caller."""
 
     def __init__(
         self, prices: PricingRule, x: Allocation, n: int, order: Optional[Sequence[int]] = None
@@ -112,7 +113,6 @@ class _PriceSums:
                 r += 1
         self._prefixes: list = [None] * (1 << r)
         self._table: dict = {}
-        self._sums: dict = {}
         # per sign (min, max): priced allocation w -> its layer (dp, flag)
         self._layers: tuple = ({}, {})
 
@@ -133,24 +133,21 @@ class _PriceSums:
 
     def declared_order(self, z: Allocation):
         """Σ p_i(z_i | x restricted to the agents before i) in the table's
-        order: (sum, saw_unavailable), taken once per z."""
-        t = self._sums.get(z)
-        if t is None:
-            total, unavailable, k = 0.0, False, 0
-            table, bits = self._table, self._bits
-            for i in self.order:
-                z_i = z[i]
-                row = table.get((i, z_i)) or self._row(i, z_i)
-                p = row[k]
-                if p is None:
-                    p = self._fill(row, i, z_i, k)
-                if p is UNAVAILABLE:
-                    unavailable = True
-                else:
-                    total += p
-                k |= bits[i]
-            t = self._sums[z] = (total, unavailable)
-        return t
+        order: (sum, saw_unavailable)."""
+        total, unavailable, k = 0.0, False, 0
+        table, bits = self._table, self._bits
+        for i in self.order:
+            z_i = z[i]
+            row = table.get((i, z_i)) or self._row(i, z_i)
+            p = row[k]
+            if p is None:
+                p = self._fill(row, i, z_i, k)
+            if p is UNAVAILABLE:
+                unavailable = True
+            else:
+                total += p
+            k |= bits[i]
+        return total, unavailable
 
     def _layer(self, w: Allocation, maximize: bool):
         """w's layer of the DP on signed sums sign·Σ p: (dp, flag), each
@@ -247,23 +244,14 @@ class _PriceSums:
         return tuple(order)
 
 
-def _condition_bounds(params: BalanceParams, alg_w: float, residual_w: float):
-    rhs_a = (alg_w - residual_w) / params.alpha
-    if params.weak:
-        rhs_b = params.beta1 * residual_w + params.beta2 * alg_w
-    else:
-        rhs_b = params.beta * residual_w
-    return rhs_a, rhs_b
-
-
-def _score_members(members, price_sum, rhs_b: float, residual_w: float):
-    """Condition (b) over one exchange set: (min slack, max member-sum /
-    residual ratio, violations), where violations lists (member, lhs,
-    unavailable?, slack) for every member that has an UNAVAILABLE entry or
-    breaks the bound, in member order."""
+def _score_members(scored, rhs_b: float, residual_w: float):
+    """Condition (b) over one exchange set, given as (member, lhs,
+    unavailable?) triples: (min slack, max member-sum / residual ratio,
+    violations), where violations lists (member, lhs, unavailable?, slack)
+    for every member that has an UNAVAILABLE entry or breaks the bound, in
+    member order."""
     min_slack, max_ratio, violations = math.inf, 0.0, []
-    for member in members:
-        lhs, bad = price_sum(member)
+    for member, lhs, bad in scored:
         slack = rhs_b - lhs
         if slack < min_slack:
             min_slack = slack
@@ -274,6 +262,55 @@ def _score_members(members, price_sum, rhs_b: float, residual_w: float):
         if bad or slack < -TOL:
             violations.append((member, lhs, bad, slack))
     return min_slack, max_ratio, violations
+
+
+def _static_column(env: Environment, prices: PricingRule):
+    """A static rule's price sum and UNAVAILABLE flag for each allocation on
+    the environment's kept list, from one ``price`` call per distinct
+    non-null token of each agent at the null allocation.  Rows add from 0.0
+    in agent order, as ``declared_order`` does on the null table; an
+    UNAVAILABLE term adds 0.0, a no-op as such a sum is never -0.0."""
+    null, (feasible, tokens) = env.null_allocation(), env._welfare[:2]
+    col, flags = [0.0] * len(feasible), [False] * len(feasible)
+    for i, toks in enumerate(tokens):
+        terms = {tok: 0.0 if tok == NULL else prices.price(i, tok, null) for tok in dict.fromkeys(toks)}
+        for tok, p in terms.items():
+            if p is UNAVAILABLE:
+                terms[tok] = 0.0
+                flags = [f or t == tok for f, t in zip(flags, toks)]
+        col = list(map(add, col, map(terms.__getitem__, toks)))
+    return col, flags
+
+
+def _record(report: BalanceReport, x, lhs_a, bad, rhs_a, rhs_b, members, score, witness):
+    """Add x's condition (a) and its exchange set's condition-(b) score to
+    the report; ``witness(z, maximize)`` gives the order of each recorded
+    entry, replayed only for the entries the report records."""
+    report.checked_allocations += 1
+    slack_a = lhs_a - rhs_a
+    if bad or slack_a < -TOL:
+        wit_a = witness(x, False)
+    if bad:
+        report.structural_violations.append(("a", x, wit_a))
+        report.passed = False
+    if slack_a < report.condition_a_min_slack:
+        report.condition_a_min_slack = slack_a
+    if slack_a < -TOL:
+        report.passed = False
+        report.witnesses.append(("a", x, None, lhs_a, rhs_a, wit_a))
+
+    min_b, max_ratio, violations = score
+    report.checked_members += len(members)
+    if min_b < report.condition_b_min_slack:
+        report.condition_b_min_slack = min_b
+    if max_ratio > report.max_b_ratio:
+        report.max_b_ratio = max_ratio
+    for member, lhs_b, bad, slack_b in violations:
+        report.passed = False
+        if bad:
+            report.structural_violations.append(("b", x, member))
+        if slack_b < -TOL:
+            report.witnesses.append(("b", x, member, lhs_b, rhs_b, witness(member, True)))
 
 
 def _check(
@@ -287,15 +324,19 @@ def _check(
     order_mode: str,
     cap: int,
 ) -> BalanceReport:
-    """One walk over the feasible allocations.  Exchange members are taken
-    once per ``members_key``.  A static rule's terms do not depend on the
-    prefix, so one table conditioned on the null allocation sums every
-    allocation of the walk in agent order, and condition (b), which then
-    depends on x only through its exchange set, is scored once per key and
-    replayed for every x that shares the key.  The reference allocation's
-    welfare and each key's residual optimum are read off the environment's
-    welfare column, which the rule's and the reference's ``opt`` calls
-    share."""
+    """One walk over the feasible allocations.  Exchange members, their
+    residual optimum and the condition bounds are taken once per
+    ``members_key``; the reference allocation's welfare and each residual
+    optimum are read off the environment's welfare column.
+
+    A static rule's terms do not depend on the prefix, so its walk reads
+    each sum off one column (``_static_column``) and scores condition (b),
+    which then depends on x only through its exchange set, once per key.
+    Rounding is monotone for ``rhs_b - lhs`` and for ``lhs / residual_w``
+    with ``residual_w`` positive, so the largest member sum gives the
+    smallest slack and the largest ratio.  A key with an unlisted or flagged
+    member, or whose bound breaks, is scored member by member on the null
+    table, which lists the violations in member order."""
     if order_mode not in ORDER_MODES:
         raise ValueError(f"unknown order mode {order_mode}")
     order = tuple(range(env.n)) if order is None else tuple(order)
@@ -308,61 +349,59 @@ def _check(
         condition_b_min_slack=math.inf,
         order_mode=order_mode,
     )
-    static = _PriceSums(prices, env.null_allocation(), env.n) if prices.static else None
-    all_orders = static is None and order_mode == "all"
-    # members_key -> (members, residual optimum's welfare, cached condition-(b) score)
+    # members_key -> [members, residual optimum's welfare, rhs_a, rhs_b, static score]
     families: dict = {}
-    for x in feasible:
-        report.checked_allocations += 1
+
+    def exchange_set(x):
         fam_key = family.members_key(x)
         fam = families.get(fam_key)
         if fam is None:
             members = family.members(x, cap)
             ws = _listed_welfare(env, feasible, profile, members)
             residual_w = ws[_first_max(ws)] if members else 0.0
-            fam = families[fam_key] = [members, residual_w, None]
-        members, residual_w, score = fam
-        rhs_a, rhs_b = _condition_bounds(params, alg_w, residual_w)
+            rhs_a = (alg_w - residual_w) / params.alpha
+            if params.weak:
+                rhs_b = params.beta1 * residual_w + params.beta2 * alg_w
+            else:
+                rhs_b = params.beta * residual_w
+            fam = families[fam_key] = [members, residual_w, rhs_a, rhs_b, None]
+        return fam
 
-        sums = static if static is not None else _PriceSums(prices, x, env.n, order)
+    def declared(z, maximize):
+        return order
 
-        def price_sum(z, maximize=True):
-            return sums.extremal(z, maximize) if all_orders else sums.declared_order(z)
-
-        def witness(z, maximize=True):
-            # replayed only for the entries the report records
-            return sums.witness(z, maximize) if all_orders else order
-
-        lhs_a, bad = price_sum(x, maximize=False)
-        if score is None:
-            score = _score_members(members, price_sum, rhs_b, residual_w)
-            if static is not None:
-                fam[2] = score
-
-        slack_a = lhs_a - rhs_a
-        if bad or slack_a < -TOL:
-            wit_a = witness(x, maximize=False)
-        if bad:
-            report.structural_violations.append(("a", x, wit_a))
-            report.passed = False
-        if slack_a < report.condition_a_min_slack:
-            report.condition_a_min_slack = slack_a
-        if slack_a < -TOL:
-            report.passed = False
-            report.witnesses.append(("a", x, None, lhs_a, rhs_a, wit_a))
-
-        min_b, max_ratio, violations = score
-        report.checked_members += len(members)
-        if min_b < report.condition_b_min_slack:
-            report.condition_b_min_slack = min_b
-        if max_ratio > report.max_b_ratio:
-            report.max_b_ratio = max_ratio
-        for member, lhs_b, bad, slack_b in violations:
-            report.passed = False
-            if bad:
-                report.structural_violations.append(("b", x, member))
-            if slack_b < -TOL:
-                report.witnesses.append(("b", x, member, lhs_b, rhs_b, witness(member)))
+    if prices.static:
+        col, flags = _static_column(env, prices)
+        positions = env._welfare[2]
+        null_sums = _PriceSums(prices, env.null_allocation(), env.n)
+        for k, x in enumerate(feasible):
+            members, residual_w, rhs_a, rhs_b, score = fam = exchange_set(x)
+            if score is None:
+                at = list(map(positions.get, members))
+                if None not in at and not any(map(flags.__getitem__, at)):
+                    # with no members, top -inf scores (inf, 0.0, []) as none would
+                    top = max(map(col.__getitem__, at), default=-math.inf)
+                    if rhs_b - top >= -TOL:
+                        score = _score_members([(None, top, False)], rhs_b, residual_w)
+                if score is None:
+                    sums = null_sums.declared_order
+                    score = _score_members(((z, *sums(z)) for z in members), rhs_b, residual_w)
+                fam[4] = score
+            _record(report, x, col[k], flags[k], rhs_a, rhs_b, members, score, declared)
+    else:
+        for x in feasible:
+            members, residual_w, rhs_a, rhs_b, _ = exchange_set(x)
+            sums = _PriceSums(prices, x, env.n, order)
+            if order_mode == "all":
+                lhs_a, bad = sums.extremal(x, False)
+                scored = ((z, *sums.extremal(z, True)) for z in members)
+                witness = sums.witness
+            else:
+                lhs_a, bad = sums.declared_order(x)
+                scored = ((z, *sums.declared_order(z)) for z in members)
+                witness = declared
+            score = _score_members(scored, rhs_b, residual_w)
+            _record(report, x, lhs_a, bad, rhs_a, rhs_b, members, score, witness)
     if not feasible:
         report.condition_a_min_slack = 0.0
         report.condition_b_min_slack = 0.0

@@ -319,12 +319,28 @@ def greedy(env: Environment, profile: Sequence[Valuation], fixed: Optional[Alloc
     return _greedy_binary(env, [agent_value(env, profile, i) for i in range(env.n)], fixed)
 
 
-def _greedy_binary(env: Environment, vals: Sequence[float], fixed: Allocation) -> Allocation:
-    """The binary greedy scan on the agents' values ``vals``."""
+def _greedy_binary(
+    env: Environment, vals: Sequence[float], fixed: Allocation, memo: Optional[dict] = None
+) -> Allocation:
+    """The binary greedy scan on the agents' values ``vals``.  The scan reads
+    ``vals`` only through its ranking: the agents null in ``fixed`` with a
+    value above TOL, by (-value, index).  ``memo``, when given, keeps the
+    outcome per (fixed, ranking)."""
+    ranking = tuple(
+        i for i in sorted(range(env.n), key=lambda i: (-vals[i], i))
+        if fixed[i] == NULL and not vals[i] <= TOL
+    )
+    if memo is None:
+        return _greedy_scan(env, ranking, fixed)
+    out = memo.get((fixed, ranking))
+    if out is None:
+        out = memo[(fixed, ranking)] = _greedy_scan(env, ranking, fixed)
+    return out
+
+
+def _greedy_scan(env: Environment, ranking: tuple, fixed: Allocation) -> Allocation:
     chosen = list(env.null_allocation())
-    for i in sorted(range(env.n), key=lambda i: (-vals[i], i)):
-        if fixed[i] != NULL or vals[i] <= TOL:
-            continue
+    for i in ranking:
         chosen[i] = _binary_token(env, i)
         if not env.is_feasible(merge_over(fixed, tuple(chosen))):
             chosen[i] = NULL
@@ -411,10 +427,12 @@ def critical_value(
     return _critical_value(rule, env, vals, agent, fixed, cap)
 
 
-def _critical_value(rule, env, vals: Sequence[float], agent: int, fixed: Allocation, cap) -> float:
+def _critical_value(
+    rule, env, vals: Sequence[float], agent: int, fixed: Allocation, cap, memo=None
+) -> float:
     """The critical value of ``agent`` against the other agents' values
     ``vals`` (the agent's own entry is ignored) with ``fixed`` allocated;
-    math.inf when no bid wins.
+    math.inf when no bid wins.  ``memo`` is ``_greedy_binary``'s.
 
     Under OPT it is the externality read off the kept feasible list: among
     the sets holding ``fixed``, the others' best value in one leaving the
@@ -442,7 +460,7 @@ def _critical_value(rule, env, vals: Sequence[float], agent: int, fixed: Allocat
         # magnitude: c + 1.0 is c itself from 2^53 on
         upper = candidates[idx + 1] if idx + 1 < len(candidates) else c + max(1.0, c)
         trial[agent] = (c + upper) / 2.0
-        if _greedy_binary(env, trial, fixed)[agent] != NULL:
+        if _greedy_binary(env, trial, fixed, memo)[agent] != NULL:
             return c
     return math.inf
 
@@ -509,25 +527,34 @@ def permeability(
         raise CapExceeded(total, cap, "bid vectors")
     null = env.null_allocation()
     # an agent's critical value depends only on its class and the multiset
-    # of the other agents' bids in each class
+    # of the other agents' bids in each class; greedy's outcome depends on
+    # the bids only through its ranking, and the numerator only on the
+    # critical values
     tau_cache: dict = {}
+    greedy_memo: dict = {}
+    numerators: dict = {}
     taus = [0.0] * env.n
     gamma = 1.0
     for bids, parts in _bid_vectors(classes, grid):
         if rule.kind == OPT_RULE.kind:
             declared = max((math.fsum([bids[j] for j in s]) for s in supports), default=0.0)
         else:
-            declared = math.fsum([bids[i] for i in support(_greedy_binary(env, bids, null))])
+            declared = math.fsum([bids[i] for i in support(_greedy_binary(env, bids, null, greedy_memo))])
         for k, (c, part) in enumerate(zip(classes, parts)):
             for p, i in enumerate(c):
                 key = (k, parts[:k] + (part[:p] + part[p + 1 :],) + parts[k + 1 :])
                 t = tau_cache.get(key)
                 if t is None:
-                    t = tau_cache[key] = _critical_value(rule, env, bids, i, null, cap)
+                    t = tau_cache[key] = _critical_value(rule, env, bids, i, null, cap, greedy_memo)
                 taus[i] = t
         # rounded division by a positive float is monotone, so the largest
         # numerator gives the largest ratio
-        num = max((math.fsum([taus[i] for i in s]) for s in supports), default=0.0)
+        vec = tuple(taus)
+        num = numerators.get(vec)
+        if num is None:
+            num = numerators[vec] = max(
+                (math.fsum([taus[i] for i in s]) for s in supports), default=0.0
+            )
         if num > TOL:
             if declared <= TOL:
                 return math.inf

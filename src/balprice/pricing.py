@@ -886,6 +886,9 @@ def expected_scaled_prices(
     distinct: list = []  # the profiles, listed once their own rules are needed
     finites: list = [None] * len(table)
     source = None  # the column source, chosen at the first miss
+    # the last miss's column and its price: the single-item form returns one
+    # column object for every entry, so it is averaged once
+    last_column = last_price = None
 
     def build(profile):
         rule = constructor(profile)
@@ -914,16 +917,19 @@ def expected_scaled_prices(
     def finite(i, x_i, y):
         # rules and forms are built at the first miss, so construction errors
         # surface there
-        nonlocal source
+        nonlocal source, last_column, last_price
         if source is None:
             form = None
             if support is not None and len(table) >= SUPPORT_FORM_MIN_PROFILES:
                 form = support(env, table)
             source = form or per_profile_column
         column = source(i, x_i, y)
-        if slot_of is not None:
-            column = map(column.__getitem__, slot_of)
-        return delta * math.fsum(map(mul, probs, column))
+        if column is not last_column:
+            last_column = column
+            if slot_of is not None:
+                column = map(column.__getitem__, slot_of)
+            last_price = delta * math.fsum(map(mul, probs, column))
+        return last_price
 
     return PricingRule(
         env,

@@ -36,6 +36,7 @@ from balprice.oracle import (
     is_binary_env,
     merge_over,
 )
+from balprice.balance import BalanceReport
 from balprice.pricing import PricingError, PricingRule
 from balprice.stochastic import EXACT_SUPPORT_CAP, RatioEstimate, _ratio_ci95, trial_rng
 
@@ -689,3 +690,71 @@ def witness_twin(sums, z, maximize: bool) -> tuple:
             c ^= 1 << rank[best_i]
     order.reverse()
     return tuple(order)
+
+
+def per_x_static_check(env, profile, prices, alg_alloc, family, params):
+    """Brute-force twin of the static path: for every feasible x, take x's
+    exchange set from the family's defining condition and price every member
+    afresh, each term conditioned on the null allocation and summed in agent
+    order."""
+    assert prices.static
+    n = env.n
+    order = tuple(range(n))
+    alg_w = welfare(profile, alg_alloc)
+    report = BalanceReport(
+        passed=True,
+        params=params,
+        condition_a_min_slack=math.inf,
+        condition_b_min_slack=math.inf,
+        order_mode="all",
+    )
+
+    def static_sum(z):
+        total, bad = 0.0, False
+        for i in range(n):
+            p = prices.price(i, z[i], restrict(z, ()))
+            if p is UNAVAILABLE:
+                bad = True
+            else:
+                total += p
+        return total, bad
+
+    feasible = enumerate_feasible(env)
+    for x in feasible:
+        report.checked_allocations += 1
+        members = filtered_members(family, x)
+        residual_w = welfare(profile, argmax_first_twin(members, profile)) if members else 0.0
+        rhs_a = (alg_w - residual_w) / params.alpha
+        if params.weak:
+            rhs_b = params.beta1 * residual_w + params.beta2 * alg_w
+        else:
+            rhs_b = params.beta * residual_w
+        lhs_a, bad = static_sum(x)
+        if bad:
+            report.structural_violations.append(("a", x, order))
+            report.passed = False
+        slack_a = lhs_a - rhs_a
+        report.condition_a_min_slack = min(report.condition_a_min_slack, slack_a)
+        if slack_a < -TOL:
+            report.passed = False
+            report.witnesses.append(("a", x, None, lhs_a, rhs_a, order))
+        for member in members:
+            report.checked_members += 1
+            lhs_b, bad = static_sum(member)
+            if bad:
+                report.structural_violations.append(("b", x, member))
+                report.passed = False
+            slack_b = rhs_b - lhs_b
+            report.condition_b_min_slack = min(report.condition_b_min_slack, slack_b)
+            if slack_b < -TOL:
+                report.passed = False
+                report.witnesses.append(("b", x, member, lhs_b, rhs_b, order))
+            if lhs_b > TOL:
+                ratio = math.inf if residual_w <= TOL else lhs_b / residual_w
+                report.max_b_ratio = max(report.max_b_ratio, ratio)
+    if not feasible:
+        report.condition_a_min_slack = 0.0
+        report.condition_b_min_slack = 0.0
+    if report.condition_b_min_slack == math.inf:
+        report.condition_b_min_slack = 0.0
+    return report

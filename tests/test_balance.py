@@ -2,11 +2,11 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from balprice import balance
 from balprice.balance import (
-    BalanceReport,
     _PriceSums,
     check_balanced,
     check_weakly_balanced,
@@ -38,6 +38,7 @@ from balprice.catalog import (
     gen_two_point_single_item,
     gen_xos_random,
 )
+from balprice.mechanism import whole_unit_prices
 from balprice.oracle import (
     OPT_RULE,
     ExchangeFamily,
@@ -61,7 +62,7 @@ from balprice.pricing import (
     xos_item_prices,
 )
 
-from helpers import argmax_first_twin, eager_extremal, filtered_members, price_term, restrict
+from helpers import eager_extremal, per_x_static_check, price_term
 
 
 def bit(*items):
@@ -620,74 +621,6 @@ class TestLazyWitness:
 # ---------------------------------------------------------------------------
 
 
-def per_x_static_check(env, profile, prices, alg_alloc, family, params):
-    """Brute-force twin of the static path: for every feasible x, take x's
-    exchange set from the family's defining condition and price every member
-    afresh, each term conditioned on the null allocation and summed in agent
-    order."""
-    assert prices.static
-    n = env.n
-    order = tuple(range(n))
-    alg_w = welfare(profile, alg_alloc)
-    report = BalanceReport(
-        passed=True,
-        params=params,
-        condition_a_min_slack=math.inf,
-        condition_b_min_slack=math.inf,
-        order_mode="all",
-    )
-
-    def static_sum(z):
-        total, bad = 0.0, False
-        for i in range(n):
-            p = prices.price(i, z[i], restrict(z, ()))
-            if p is UNAVAILABLE:
-                bad = True
-            else:
-                total += p
-        return total, bad
-
-    feasible = enumerate_feasible(env)
-    for x in feasible:
-        report.checked_allocations += 1
-        members = filtered_members(family, x)
-        residual_w = welfare(profile, argmax_first_twin(members, profile)) if members else 0.0
-        rhs_a = (alg_w - residual_w) / params.alpha
-        if params.weak:
-            rhs_b = params.beta1 * residual_w + params.beta2 * alg_w
-        else:
-            rhs_b = params.beta * residual_w
-        lhs_a, bad = static_sum(x)
-        if bad:
-            report.structural_violations.append(("a", x, order))
-            report.passed = False
-        slack_a = lhs_a - rhs_a
-        report.condition_a_min_slack = min(report.condition_a_min_slack, slack_a)
-        if slack_a < -TOL:
-            report.passed = False
-            report.witnesses.append(("a", x, None, lhs_a, rhs_a, order))
-        for member in members:
-            report.checked_members += 1
-            lhs_b, bad = static_sum(member)
-            if bad:
-                report.structural_violations.append(("b", x, member))
-                report.passed = False
-            slack_b = rhs_b - lhs_b
-            report.condition_b_min_slack = min(report.condition_b_min_slack, slack_b)
-            if slack_b < -TOL:
-                report.passed = False
-                report.witnesses.append(("b", x, member, lhs_b, rhs_b, order))
-            if lhs_b > TOL:
-                ratio = math.inf if residual_w <= TOL else lhs_b / residual_w
-                report.max_b_ratio = max(report.max_b_ratio, ratio)
-    if not feasible:
-        report.condition_a_min_slack = 0.0
-        report.condition_b_min_slack = 0.0
-    if report.condition_b_min_slack == math.inf:
-        report.condition_b_min_slack = 0.0
-    return report
-
-
 def _static_case(kind, n, seed):
     """(env, profile, rule, reference allocation) for a catalog instance
     priced by its static construction."""
@@ -719,8 +652,13 @@ def _assert_case_matches_twin(env, profile, rule, alloc, params):
     check = check_weakly_balanced if params.weak else check_balanced
     fast = check(env, profile, rule, alloc, family, params)
     twin = per_x_static_check(env, profile, rule, alloc, family, params)
-    assert fast == twin
+    # by repr, so that a signed zero or an int in place of a float cannot slip through
+    assert repr(_report_fields(fast)) == repr(_report_fields(twin))
     return fast
+
+
+def _report_fields(report):
+    return report.as_dict(), report.witnesses, report.structural_violations, report.max_b_ratio
 
 
 STRONG = [BalanceParams(alpha=1.0, beta=1.0), BalanceParams(alpha=1.0, beta=0.5)]
@@ -812,35 +750,57 @@ class TestStaticPerFamily:
     )
     @settings(max_examples=10, deadline=None)
     def test_each_allocation_summed_once(self, kind, n, seed):
-        """A static rule's walk builds one table, conditioned on the null
-        allocation, and that table sums each allocation it is asked once."""
+        """A static rule's walk sums every listed allocation in one column,
+        and scores each exchange set by its largest entry.  The null table's
+        ``declared_order`` is asked only where condition (b) breaks, to list
+        the violations member by member."""
         env, profile, rule, alloc = _static_case(kind, n, seed)
-        tables, asked, summed = [], set(), [0]
+        columns, tables, asked = [], [], []
+        static_column = balance._static_column
         init, declared_order = _PriceSums.__init__, _PriceSums.declared_order
 
-        class CountedSums(dict):
-            def __setitem__(self, z, t):
-                summed[0] += 1
-                super().__setitem__(z, t)
+        def counted_column(*args):
+            columns.append(args)
+            return static_column(*args)
 
         def counted_init(sums, *args, **kwargs):
             init(sums, *args, **kwargs)
-            sums._sums = CountedSums()
             tables.append(sums.x)
 
         def counted_declared_order(sums, z):
-            asked.add(z)
+            asked.append(z)
             return declared_order(sums, z)
 
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(balance, "_static_column", counted_column)
             mp.setattr(_PriceSums, "__init__", counted_init)
             mp.setattr(_PriceSums, "declared_order", counted_declared_order)
-            check_balanced(
-                env, profile, rule, alloc, default_family(env), BalanceParams(alpha=2.0, beta=1.0)
+            report = check_balanced(
+                env, profile, rule, alloc, default_family(env), BalanceParams(alpha=2.0, beta=2.0)
             )
+        assert len(columns) == 1
         assert tables == [env.null_allocation()]
-        assert asked
-        assert summed[0] <= len(asked)
+        if not any(v[0] == "b" for v in report.witnesses + report.structural_violations):
+            assert asked == []
+
+    @given(
+        st.integers(min_value=3, max_value=5),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([0.5, 1.0, 4.0]),
+        st.sampled_from(STRONG + [BalanceParams(alpha=2.0, beta1=0.0, beta2=1.0)]),
+    )
+    @example(3, 0, 1.0, STRONG[0])
+    @settings(max_examples=8, deadline=None)
+    def test_whole_unit_knapsack_matches_per_x_loop(self, n, seed, price, params):
+        """Whole-unit prices are static and UNAVAILABLE on every partial
+        quantity: each allocation holding one is a structural violation,
+        and each exchange set holding one is scored member by member."""
+        inst = gen_knapsack_random(n=n, seed=seed)
+        alloc = knapsack_dp(inst.env, inst.profile)
+        rule = whole_unit_prices(inst.env, price)
+        assert rule.static
+        report = _assert_case_matches_twin(inst.env, inst.profile, rule, alloc, params)
+        assert {v[0] for v in report.structural_violations} == {"a", "b"}
 
 
 class TestMinimalBetaFromCheck:

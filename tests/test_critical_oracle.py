@@ -364,3 +364,56 @@ class TestGreedyAtLargeMagnitudes:
             assert run_cli([*argv, "-o", str(out)]) == 0
             result = json.loads(out.read_text())["result"]
             assert result["gamma"] == 1.0 and result["unbounded"] is False
+
+
+@st.composite
+def tied_grids(draw):
+    """A random binary set system with 2 to 5 agents and a bid grid holding
+    0, a value below ``TOL`` and one to two more: with more agents than
+    grid values, bid vectors tie."""
+    env, _, _, _ = draw(set_systems())
+    grid = [0.0, 1e-10] + draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=2))
+    return env, grid
+
+
+class TestGreedyMemo:
+    """Within one ``permeability`` call, the greedy scan runs once per
+    (fixed, ranking), the ranking being the agents it may accept in the
+    order it tries them, and the numerator once per critical-value vector."""
+
+    @given(tied_grids())
+    @example((explicit_env(3, (0b110, 0b001)), [0.0, 1e-10, 0.1]))  # gamma 2
+    @settings(max_examples=40, deadline=None)
+    def test_matches_twin(self, case):
+        env, grid = case
+        assert repr(permeability(env, GREEDY_RULE, grid)) == repr(
+            permeability_twin(env, GREEDY_RULE, grid)
+        )
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            (catalog_case("uniform", 4)[0], (0.0, 1e-10, 0.5, 1.0)),
+            (GAMMA_TWO[0], (0.0, 0.7, 2.0)),
+            (catalog_case("partition", 5)[0], (0.0, 0.5, 1.0)),
+        ],
+        ids=["uniform", "gamma-two", "partition"],
+    )
+    def test_one_scan_per_ranking(self, monkeypatch, case):
+        env, grid = case
+        scans, calls = [], [0]
+        scan, greedy_binary = balprice.oracle._greedy_scan, balprice.oracle._greedy_binary
+
+        def counted_scan(env, ranking, fixed):
+            scans.append((fixed, ranking))
+            return scan(env, ranking, fixed)
+
+        def counted_greedy(*args):
+            calls[0] += 1
+            return greedy_binary(*args)
+
+        monkeypatch.setattr(balprice.oracle, "_greedy_scan", counted_scan)
+        monkeypatch.setattr(balprice.oracle, "_greedy_binary", counted_greedy)
+        permeability(env, GREEDY_RULE, grid)
+        assert scans and len(scans) == len(set(scans))
+        assert len(scans) < calls[0]

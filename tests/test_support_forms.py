@@ -226,3 +226,39 @@ class TestWorkCounters:
         assert computed and max(Counter(computed).values()) == 1
         sold = {env.union_mask(y) for y in enumerate_feasible(env)}
         assert set(computed) <= sold
+
+
+class TestOneAveragePerColumn:
+    """The single-item form returns one column object for every entry, so
+    ``finite`` averages it at the first miss and reuses that price.  A form
+    that hands out a fresh copy of each column bypasses the reuse."""
+
+    @pytest.mark.parametrize("n,seed", [(5, 0), (6, 1), (8, 2), (10, 3)])
+    def test_prices_match_the_rule_without_reuse(self, monkeypatch, n, seed):
+        inst = gen_two_point_single_item(n=n, seed=seed)
+        env, dist = inst.env, inst.distribution
+        form = CONSTRUCTIONS["single-item"].support
+
+        def fresh_columns(env, table):
+            column = form(env, table)
+            return lambda i, x_i, y: list(column(i, x_i, y))
+
+        def constructor(profile):
+            return CONSTRUCTIONS["single-item"].rule(env, profile, DEFAULT_CAP)
+
+        products = [0]
+
+        def counted_mul(a, b):
+            products[0] += 1
+            return a * b
+
+        monkeypatch.setattr(pricing, "mul", counted_mul)
+        rule = expected_scaled_prices(env, dist, constructor, PARAMS, support=form)
+        bypassed = expected_scaled_prices(env, dist, constructor, PARAMS, support=fresh_columns)
+        assert dist.support_size() >= CROSSOVER
+        for i, x_i, y in every_entry(env):
+            assert repr(rule.price(i, x_i, y)) == repr(bypassed.price(i, x_i, y)), (i, x_i, y)
+        misses = sum(p is not pricing.UNAVAILABLE for p in bypassed._cache.values())
+        assert misses == n > 1
+        # one average for the reusing rule, one per miss for the other
+        assert products[0] == (1 + misses) * dist.support_size()

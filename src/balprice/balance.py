@@ -30,7 +30,7 @@ from .core import (
     enumerate_feasible,
     replace_at,
 )
-from .oracle import ExchangeFamily, _listed_welfare
+from .oracle import ExchangeFamily, _listed_welfare, fact
 from .pricing import BalanceParams, PricingRule
 
 ORDER_MODES = ("declared", "all")
@@ -270,9 +270,9 @@ def _static_column(env: Environment, prices: PricingRule):
     non-null token of each agent at the null allocation.  Rows add from 0.0
     in agent order, as ``declared_order`` does on the null table; an
     UNAVAILABLE term adds 0.0, a no-op as such a sum is never -0.0."""
-    null, (feasible, tokens) = env.null_allocation(), env._welfare[:2]
-    col, flags = [0.0] * len(feasible), [False] * len(feasible)
-    for i, toks in enumerate(tokens):
+    null, size = env.null_allocation(), len(fact(env, "feasible"))
+    col, flags = [0.0] * size, [False] * size
+    for i, toks in enumerate(fact(env, "tokens")):
         terms = {tok: 0.0 if tok == NULL else prices.price(i, tok, null) for tok in dict.fromkeys(toks)}
         for tok, p in terms.items():
             if p is UNAVAILABLE:
@@ -341,7 +341,7 @@ def _check(
         raise ValueError(f"unknown order mode {order_mode}")
     order = tuple(range(env.n)) if order is None else tuple(order)
     feasible = enumerate_feasible(env, cap)
-    (alg_w,) = _listed_welfare(env, feasible, profile, [alg_alloc])
+    (alg_w,) = _listed_welfare(env, profile, [alg_alloc])
     report = BalanceReport(
         passed=True,
         params=params,
@@ -357,7 +357,7 @@ def _check(
         fam = families.get(fam_key)
         if fam is None:
             members = family.members(x, cap)
-            ws = _listed_welfare(env, feasible, profile, members)
+            ws = _listed_welfare(env, profile, members)
             residual_w = ws[_first_max(ws)] if members else 0.0
             rhs_a = (alg_w - residual_w) / params.alpha
             if params.weak:
@@ -372,7 +372,7 @@ def _check(
 
     if prices.static:
         col, flags = _static_column(env, prices)
-        positions = env._welfare[2]
+        positions = fact(env, "positions")
         null_sums = _PriceSums(prices, env.null_allocation(), env.n)
         for k, x in enumerate(feasible):
             members, residual_w, rhs_a, rhs_b, score = fam = exchange_set(x)

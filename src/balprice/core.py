@@ -3,9 +3,8 @@
 Allocations are plain tuples of per-agent outcome tokens.  The null outcome is
 always the numeric token ``0`` (the empty bitmask for set-valued kinds, the
 zero quantity for divisible kinds), so restriction and welfare arithmetic need
-no per-kind special cases.  All types here are immutable after construction,
-apart from the feasible list an environment keeps once it is enumerated, and
-safe to share across workers.
+no per-kind special cases.  All types here are immutable after construction
+apart from their derived facts (``DerivedFacts``).
 """
 
 from __future__ import annotations
@@ -96,6 +95,30 @@ def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
+def _fields_state(self) -> dict:
+    """The pickled state: the instance dict less the derived facts and the
+    field hash, which may differ between processes."""
+    return {k: v for k, v in self.__dict__.items() if k not in ("_facts", "_hash")}
+
+
+class DerivedFacts:
+    """One store of facts derived from an object's fields: a dict made in
+    ``__new__`` (a class ``__getattr__`` making it on first read would slow
+    every attribute read), outside the dataclass fields, so ``==``, ``hash``
+    and ``repr`` see only the fields, and dropped on pickle and copy.  An
+    environment's store holds named tables of its feasible list, kept by
+    ``enumerate_feasible`` under ``"feasible"``; ``oracle.fact`` builds the
+    others.  A matroid's store is its one table, independence per mask, read
+    in one lookup.  Each table's bound is the one README's memo table states."""
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls)
+        object.__setattr__(self, "_facts", {})
+        return self
+
+    __getstate__ = _fields_state
+
+
 # ---------------------------------------------------------------------------
 # Valuations
 # ---------------------------------------------------------------------------
@@ -105,9 +128,7 @@ def _hash_once(cls):
     """Compute the generated field hash of frozen dataclass ``cls`` once per
     object: valuations key the pricing and optimum memos, and rehashing every
     clause on each lookup dominates them.  The hash is the generated one,
-    kept outside the fields, so ``==``, ``repr`` and serialization do not
-    change; it is not pickled, since a field hash may differ between
-    processes."""
+    kept outside the fields and not pickled."""
     field_hash = cls.__hash__
 
     def __hash__(self):
@@ -117,14 +138,9 @@ def _hash_once(cls):
             object.__setattr__(self, "_hash", h)
         return h
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
     cls._hash = None
     cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
+    cls.__getstate__ = _fields_state
     return cls
 
 
@@ -305,7 +321,7 @@ K4_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 @dataclass(frozen=True)
-class Matroid:
+class Matroid(DerivedFacts):
     """Independence oracle over a ground set of at most MAX_ITEMS elements.
 
     kind is one of uniform | partition | graphic_k4.
@@ -320,9 +336,6 @@ class Matroid:
     def __post_init__(self):
         if self.ground > MAX_ITEMS:
             raise ValueError(f"at most {MAX_ITEMS} ground elements supported")
-        # each in-range mask's answer, at most 2^ground entries; not a field,
-        # so equality, hashing and serialization see only the fields
-        object.__setattr__(self, "_independent", {})
 
     @staticmethod
     def uniform(rank: int, ground: int) -> "Matroid":
@@ -346,11 +359,11 @@ class Matroid:
         """Whether the elements of ``mask`` are independent, answered once
         per mask below 2^ground; a mask with a bit at or above ``ground`` is
         dependent and is not stored."""
-        known = self._independent.get(mask)
+        known = self._facts.get(mask)
         if known is None:
             if mask >> self.ground:
                 return False
-            known = self._independent[mask] = self._decide(mask)
+            known = self._facts[mask] = self._decide(mask)
         return known
 
     def _decide(self, mask: int) -> bool:
@@ -399,18 +412,11 @@ def _submasks(mask: int) -> list[int]:
     return subs
 
 
-class EnvironmentBase:
+class EnvironmentBase(DerivedFacts):
     """Shared behaviour: outcome-space access, enumeration, validation."""
 
     kind: str
     n: int
-    # the feasible list, kept by ``enumerate_feasible``, the welfare column
-    # of the last profile asked over it (``oracle._welfare_column``), and a
-    # matroid's checked element values per (agent, valuation); not fields,
-    # so equality, hashing and serialization see only the fields
-    _feasible = None
-    _welfare = None
-    _element_columns = None
 
     def agent_outcomes(self, i: int) -> tuple:
         raise NotImplementedError
@@ -466,8 +472,8 @@ class MatroidEnv(EnvironmentBase):
                 if e in seen:
                     raise ValueError(f"element {e} owned by two agents")
                 seen.add(e)
-        # derived once; not a field, so equality, hashing and serialization
-        # see only the fields
+        # not a field and kept on pickle; writing through ``__dict__`` would
+        # slow every attribute read of the object
         masks = tuple(sum(1 << e for e in owned) for owned in self.elements)
         object.__setattr__(self, "_agent_masks", masks)
 
@@ -742,10 +748,10 @@ def enumerate_feasible(env: Environment, cap: int = DEFAULT_CAP) -> tuple[Alloca
     token below agent 0 reusing its parent's verdict; ``is_feasible`` stays the spec.
 
     The list is a property of the environment, so the first enumeration that
-    finishes within its cap is kept on ``env`` and later calls return it; a
-    call whose cap is below its length raises as the enumeration would.
+    finishes within its cap is kept in ``env``'s store and later calls return
+    it; a call whose cap is below its length raises as the enumeration would.
     """
-    feasible = env._feasible
+    feasible = env._facts.get("feasible")
     if feasible is not None:
         if len(feasible) > cap:
             raise CapExceeded(cap + 1, cap, "feasible allocations")
@@ -774,6 +780,5 @@ def enumerate_feasible(env: Environment, cap: int = DEFAULT_CAP) -> tuple[Alloca
         cur[i] = NULL
 
     rec(0, env.start_state)
-    feasible = tuple(out)
-    object.__setattr__(env, "_feasible", feasible)
+    feasible = env._facts["feasible"] = tuple(out)
     return feasible

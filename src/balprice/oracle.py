@@ -44,31 +44,45 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 
-def _welfare_column(env: Environment, feasible, profile, tables=None) -> tuple[float, ...]:
-    """The welfare of every allocation in ``feasible``, the list that
-    ``enumerate_feasible`` keeps on ``env``, in list order.  Agent i's column
-    holds ``value(v_i, token)`` for its token in each listed allocation, from
-    one ``value`` call per distinct token, and each row is the ``fsum`` across
-    the columns; ``fsum`` is correctly rounded, so a row is the ``welfare``
-    float of its allocation.
+# builders of the tables ``fact`` keeps in an environment's store, given the
+# environment and its kept feasible list
+_FACTS = {
+    "tokens": lambda env, feasible: tuple(zip(*feasible)),
+    "positions": lambda env, feasible: {y: k for k, y in enumerate(feasible)},
+    "loads": lambda env, feasible: list(map(env.load, feasible)),
+    "item_masks": lambda env, feasible: list(map(allocated_items, feasible)),
+    "item_sets": lambda env, feasible: set(fact(env, "item_masks")),
+    "element_columns": lambda env, feasible: {},
+}
 
-    ``env`` keeps, tied to ``feasible``, the list's token columns, its
-    positions (built by ``_listed_welfare``) and the welfare column of the
-    last profile asked, compared by equality.  ``tables``, one dict per
-    agent, keeps an agent's value column per distinct valuation across
-    profiles."""
+
+def fact(env: Environment, name: str):
+    """Table ``name`` of ``env``'s store, built by ``_FACTS`` on first use."""
+    facts = env._facts
+    table = facts.get(name)
+    if table is None:
+        table = facts[name] = _FACTS[name](env, facts.get("feasible"))
+    return table
+
+
+def _welfare_column(env: Environment, profile, tables=None) -> tuple[float, ...]:
+    """The welfare of every allocation on the feasible list kept in ``env``'s
+    store, in list order.  Agent i's column holds ``value(v_i, token)`` for
+    its token in each listed allocation, from one ``value`` call per distinct
+    token, and each row is the ``fsum`` across the columns; ``fsum`` is
+    correctly rounded, so a row is the ``welfare`` float of its allocation.
+
+    The store keeps the column of the last profile asked, compared by
+    equality.  ``tables``, one dict per agent, keeps an agent's value column
+    per distinct valuation across profiles."""
     profile = tuple(profile)
-    held = env._welfare
-    if held is None or held[0] is not feasible:
-        # [list, token columns, positions, profile, welfare column]
-        held = [feasible, tuple(zip(*feasible)), None, None, None]
-        object.__setattr__(env, "_welfare", held)
-    elif held[3] == profile:
-        return held[4]
+    held = env._facts.get("welfare")
+    if held is not None and held[0] == profile:
+        return held[1]
     if len(profile) != env.n:
         raise ValueError("profile and allocation lengths differ")
     columns = []
-    for i, (v, tokens) in enumerate(zip(profile, held[1])):
+    for i, (v, tokens) in enumerate(zip(profile, fact(env, "tokens"))):
         col = None if tables is None else tables[i].get(v)
         if col is None:
             values = {tok: value(v, tok) for tok in dict.fromkeys(tokens)}
@@ -76,19 +90,16 @@ def _welfare_column(env: Environment, feasible, profile, tables=None) -> tuple[f
             if tables is not None:
                 tables[i][v] = col
         columns.append(col)
-    column = tuple(map(math.fsum, zip(*columns))) if columns else (0.0,) * len(feasible)
-    held[3], held[4] = profile, column
+    column = tuple(map(math.fsum, zip(*columns))) if columns else (0.0,) * len(env._facts["feasible"])
+    env._facts["welfare"] = (profile, column)
     return column
 
 
-def _listed_welfare(env: Environment, feasible, profile, allocs) -> list[float]:
+def _listed_welfare(env: Environment, profile, allocs) -> list[float]:
     """The welfare of each of ``allocs``, read off the welfare column where it
     is listed, as every feasible allocation is; ``welfare`` for any other."""
-    column = _welfare_column(env, feasible, profile)
-    held = env._welfare
-    if held[2] is None:
-        held[2] = {y: k for k, y in enumerate(feasible)}
-    positions = held[2]
+    column = _welfare_column(env, profile)
+    positions = fact(env, "positions")
     return [
         welfare(profile, y) if (k := positions.get(y)) is None else column[k] for y in allocs
     ]
@@ -98,7 +109,7 @@ def opt(env: Environment, profile: Sequence[Valuation], cap: int = DEFAULT_CAP) 
     """Welfare-maximizing feasible allocation; ties go to the first maximizer
     in lexicographic enumeration order."""
     feasible = enumerate_feasible(env, cap)
-    return feasible[_first_max(_welfare_column(env, feasible, profile))]
+    return feasible[_first_max(_welfare_column(env, profile))]
 
 
 def merge_over(x: Allocation, y: Allocation) -> Allocation:
@@ -149,9 +160,7 @@ class ExchangeFamily:
         if self.kind == "knapsack_threshold":
             return sum(x) < 0.5
         if self.kind == "pip_threshold":
-            env = self.env
-            assert isinstance(env, PipEnv)
-            return tuple(l <= 0.5 + TOL for l in env.load(x))
+            return tuple(l <= 0.5 + TOL for l in _load(self.env, x))
         if self.kind == "item_disjoint":
             # members depend on x only through the union of allocated items
             return allocated_items(x)
@@ -163,22 +172,6 @@ class ExchangeFamily:
                 for ell, fam in enumerate(self.components)
             )
         return x
-
-    # rows read off the environment's feasible list, built on first use; not
-    # a field, so equality and hashing see only kind, env and components
-    _table = None
-
-    def _rows(self, feasible):
-        """Pip loads per listed allocation, or item masks per listed
-        allocation with the set of them."""
-        if self._table is None:
-            if self.kind == "pip_threshold":
-                table = [self.env.load(y) for y in feasible]
-            else:
-                masks = [allocated_items(y) for y in feasible]
-                table = (masks, set(masks))
-            object.__setattr__(self, "_table", table)
-        return self._table
 
     def members(self, x: Allocation, cap: int = DEFAULT_CAP) -> list[Allocation]:
         """The exchange set at x in the environment's list order: the feasible
@@ -200,12 +193,11 @@ class ExchangeFamily:
             return [env.null_allocation()]
 
         if self.kind == "pip_threshold":
-            assert isinstance(env, PipEnv)
-            caps = tuple(1.0 if l <= 0.5 + TOL else 0.0 for l in env.load(x))
             feasible = enumerate_feasible(env, cap)
+            caps = tuple(1.0 if l <= 0.5 + TOL else 0.0 for l in _load(env, x))
             return [
                 y
-                for y, load in zip(feasible, self._rows(feasible))
+                for y, load in zip(feasible, fact(env, "loads"))
                 if all(l <= c + TOL for l, c in zip(load, caps))
             ]
 
@@ -226,7 +218,7 @@ class ExchangeFamily:
             # its item set is some feasible allocation's item set
             used = allocated_items(x)
             feasible = enumerate_feasible(env, cap)
-            masks, unions = self._rows(feasible)
+            masks, unions = fact(env, "item_masks"), fact(env, "item_sets")
             return [y for y, m in zip(feasible, masks) if not m & used and used | m in unions]
 
         if self.kind == "product":
@@ -242,6 +234,13 @@ class ExchangeFamily:
             ]
 
         raise AssertionError(self.kind)
+
+
+def _load(env: PipEnv, x: Allocation) -> tuple[float, ...]:
+    """x's packing loads, read off the listed loads where the environment's
+    kept list holds x."""
+    k = fact(env, "positions").get(x) if "feasible" in env._facts else None
+    return env.load(x) if k is None else fact(env, "loads")[k]
 
 
 def default_family(env: Environment) -> ExchangeFamily:
@@ -273,7 +272,8 @@ def residual_opt(
     members = family.members(x, cap)
     if not members:
         return env.null_allocation()
-    ws = _listed_welfare(env, enumerate_feasible(env, cap), profile, members)
+    enumerate_feasible(env, cap)
+    ws = _listed_welfare(env, profile, members)
     return members[_first_max(ws)]
 
 

@@ -48,6 +48,7 @@ from .oracle import (
     OPT_RULE,
     agent_value,
     critical_value,
+    fact,
     greedy,
     is_binary_env,
     opt,
@@ -388,11 +389,9 @@ def _matroid_residual_value(env: MatroidEnv, element_vals, order, taken_mask: in
 
 def _element_values(env: MatroidEnv, i: int, v) -> tuple:
     """Agent i's values of its own elements under ``v``, in ``env.elements``
-    order: computed once per (agent, valuation) and kept on the environment
-    once the additivity check passes."""
-    if env._element_columns is None:
-        object.__setattr__(env, "_element_columns", {})
-    columns = env._element_columns
+    order: computed once per (agent, valuation) and kept in the
+    environment's store once the additivity check passes."""
+    columns = fact(env, "element_columns")
     column = columns.get((i, v))
     if column is None:
         column = tuple(value(v, 1 << e) for e in env.elements[i])
@@ -852,35 +851,29 @@ def expected_scaled_prices(
     column; otherwise (or where the form does not apply) each profile's own
     rule does.
 
-    Exact mode on a distribution with ``support_table`` reads its support by
-    atom index: the distinct profiles are every combination of the agents'
-    distinct valuations, and a support profile's slot is the mixed-radix
-    number of its atoms' indices, so no profile is hashed.  Sampled mode, and
-    a distribution that only lists its profiles, hash each profile to its
-    slot.
+    Exact mode reads the support by atom index: the distinct profiles are
+    every combination of the agents' distinct valuations, and a support
+    profile's slot is the mixed-radix number of its atoms' indices, so no
+    profile is hashed.  Sampled mode hashes each draw to its slot.
     """
     delta = params.scale_factor()
-    if mode == "exact" and hasattr(dist, "support_table"):
+    if mode == "exact":
         table, index, probs = dist.support_table(cap)
         probs = probs.tolist()
         slot_of = table.slots(index) if len(table) < len(probs) else None
-    else:
-        if mode == "exact":
-            weighted = list(dist.profiles(cap))
-        elif mode == "sampled":
-            if count < 1:
-                raise PricingError(f"sampled mode needs at least one draw, got count {count}")
-            draws = dist.sample_profiles(count, seed)
-            weighted = [(p, 1.0 / count) for p in draws]
-        else:
-            raise PricingError(f"unknown mode {mode}")
+    elif mode == "sampled":
+        if count < 1:
+            raise PricingError(f"sampled mode needs at least one draw, got count {count}")
+        draws = dist.sample_profiles(count, seed)
         # each distinct profile once, in order of first appearance
         slots: dict = {}
-        slot_of = [slots.setdefault(profile, len(slots)) for profile, _ in weighted]
-        probs = [prob for _, prob in weighted]
+        slot_of = [slots.setdefault(profile, len(slots)) for profile in draws]
+        probs = [1.0 / count] * count
         table = SupportTable.listing(list(slots))
-        if len(slots) == len(weighted):
+        if len(slots) == count:
             slot_of = None
+    else:
+        raise PricingError(f"unknown mode {mode}")
     # with ``slot_of`` None each support entry is its own slot, as slots are
     # numbered in order of first appearance
     distinct: list = []  # the profiles, listed once their own rules are needed

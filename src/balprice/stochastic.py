@@ -151,15 +151,16 @@ def exact_expectation(
     return math.fsum(prob * f(profile) for profile, prob in dist.profiles(cap))
 
 
-def _optimum_welfare(env: Environment, feasible) -> Callable[[tuple], float]:
+def _optimum_welfare(env: Environment) -> Callable[[tuple], float]:
     """``opt``'s welfare as a function of the profile: the first maximum
-    within ``TOL`` of the welfare column over ``feasible``, the environment's
-    kept list.  The returned function holds each agent's value column per
-    distinct valuation (compared by equality) across the profiles asked."""
+    within ``TOL`` of the welfare column over the environment's list.  The
+    returned function holds each agent's value column per distinct
+    valuation (compared by equality) across the profiles asked."""
+    enumerate_feasible(env)
     tables: list[dict] = [{} for _ in range(env.n)]
 
     def best(profile) -> float:
-        column = _welfare_column(env, feasible, profile, tables)
+        column = _welfare_column(env, profile, tables)
         return column[_first_max(column)]
 
     return best
@@ -228,7 +229,7 @@ def expected_opt(env: Environment, dist: ProductDistribution, cap: int = EXACT_S
                 best = np.where(w > best + TOL, w, best)
             return math.fsum((probs * best).tolist())
     profiles = list(dist.profiles(cap))
-    best = _optimum_welfare(env, enumerate_feasible(env))
+    best = _optimum_welfare(env)
     return math.fsum(prob * best(p) for p, prob in profiles)
 
 
@@ -324,7 +325,7 @@ def monte_carlo_ratio(
     base_order = tuple(fixed_order) if fixed_order is not None else tuple(range(env.n))
 
     runners: dict[tuple, OnlinePostedPriceRunner] = {}
-    best = _optimum_welfare(env, enumerate_feasible(env))
+    best = _optimum_welfare(env)
     # the optimum per distinct profile drawn, and the mechanism's welfare per
     # distinct (order, profile) pair drawn, which a fixed-order run is a
     # function of; at most ``trials`` entries each

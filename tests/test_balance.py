@@ -670,6 +670,7 @@ class TestStaticPerFamily:
         st.integers(min_value=0, max_value=10_000),
         st.sampled_from([BalanceParams(alpha=2.0, beta=1.0), BalanceParams(alpha=1.0, beta=2.0)]),
     )
+    @example(2, 0, BalanceParams(alpha=2.0, beta=1.0))
     @settings(max_examples=10, deadline=None)
     def test_knapsack_matches_per_x_loop(self, n, seed, params):
         _assert_matches_twin("knapsack", n, seed, params)
@@ -680,6 +681,7 @@ class TestStaticPerFamily:
         st.integers(min_value=0, max_value=10_000),
         st.sampled_from(STRONG + [BalanceParams(alpha=2.0, beta1=0.0, beta2=1.0)]),
     )
+    @example("xos", 2, 0, STRONG[1])
     @settings(max_examples=30, deadline=None)
     def test_item_and_packing_prices_match_per_x_loop(self, kind, n, seed, params):
         _assert_matches_twin(kind, n, seed, params)

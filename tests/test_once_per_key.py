@@ -226,7 +226,7 @@ class TestElementColumns:
         holding = sum(2 for p in profiles if non_additive & set(p))
         assert raised == holding
         assert (raised > 0) == (index == 3)
-        assert set(env._element_columns) <= {
+        assert set(env._facts["element_columns"]) <= {
             (i, v) for i, pool in enumerate(pools) for v in pool if v not in non_additive
         }
         assert env == fresh and hash(env) == hash(fresh)

@@ -41,6 +41,7 @@ from balprice.pricing import (
     single_item_prices,
     xos_item_prices,
 )
+from balprice.stochastic import ProductDistribution
 
 
 def bit(*items):
@@ -393,27 +394,13 @@ class TestComposition:
                     assert composed.price(i, mask, y) == direct.price(i, mask, y)
 
 
-class DeterministicDist:
-    """Minimal product-distribution stub for the pricing-side transform."""
-
-    def __init__(self, profile):
-        self.profile = profile
-
-    def profiles(self, cap):
-        return [(self.profile, 1.0)]
-
-    def sample_profiles(self, count, seed):
-        return [self.profile] * count
-
-
 class TestExpectedScaledPrices:
     def test_deterministic_matches_scaled_base(self):
         env = SingleItemEnv(n=2)
         profile = (ScalarValuation(1.0), ScalarValuation(2.0))
         params = BalanceParams(alpha=1.0, beta=1.0)
-        rule = expected_scaled_prices(
-            env, DeterministicDist(profile), lambda p: single_item_prices(env, p), params
-        )
+        dist = ProductDistribution.deterministic(profile)
+        rule = expected_scaled_prices(env, dist, lambda p: single_item_prices(env, p), params)
         assert rule.price(0, 1, (0, 0)) == pytest.approx(1.0)  # 0.5 * 2
         assert rule.provenance["delta"] == pytest.approx(0.5)
 
@@ -421,12 +408,11 @@ class TestExpectedScaledPrices:
         env = SingleItemEnv(n=2)
         profile = (ScalarValuation(1.0), ScalarValuation(2.0))
         params = BalanceParams(alpha=1.0, beta=1.0)
-        exact = expected_scaled_prices(
-            env, DeterministicDist(profile), lambda p: single_item_prices(env, p), params
-        )
+        dist = ProductDistribution.deterministic(profile)
+        exact = expected_scaled_prices(env, dist, lambda p: single_item_prices(env, p), params)
         sampled = expected_scaled_prices(
             env,
-            DeterministicDist(profile),
+            dist,
             lambda p: single_item_prices(env, p),
             params,
             mode="sampled",

@@ -88,7 +88,7 @@ def family_of(kind, env):
 
 def _kept_lists(env):
     """The feasible lists kept on ``env`` and, for a product, its markets."""
-    return [env._feasible] + [m._feasible for m in getattr(env, "markets", ())]
+    return [e._facts.get("feasible") for e in (env, *getattr(env, "markets", ()))]
 
 
 class TestBoundMembers:

@@ -101,7 +101,7 @@ def explicit_cases(draw):
     return env, a, b, rule, STRONG, mixed_dist([a, b])
 
 
-def listed_welfare_twin(env, feasible, profile, allocs):
+def listed_welfare_twin(env, profile, allocs):
     """Twin of ``oracle._listed_welfare``: each welfare computed on its own."""
     return [welfare(profile, y) for y in allocs]
 
@@ -151,7 +151,7 @@ class TestDifferential:
         feasible = enumerate_feasible(env)
         clash = (1, 1, 0)  # two agents holding item 0 is not feasible
         assert clash not in feasible
-        got = oracle._listed_welfare(env, feasible, a, [clash, feasible[-1]])
+        got = oracle._listed_welfare(env, a, [clash, feasible[-1]])
         assert repr(got) == repr([welfare(a, clash), welfare(a, feasible[-1])])
 
 

@@ -334,11 +334,14 @@ def _check(
     which then depends on x only through its exchange set, once per key.
     Rounding is monotone for ``rhs_b - lhs`` and for ``lhs / residual_w``
     with ``residual_w`` positive, so the largest member sum gives the
-    smallest slack and the largest ratio.  A key with an unlisted or flagged
-    member, or whose bound breaks, is scored member by member on the null
-    table, which lists the violations in member order."""
+    smallest slack and the largest ratio.  A key with a flagged member, or
+    whose bound breaks, is scored member by member from the column, which
+    lists the violations in member order; every member is listed, as the
+    family must belong to ``env`` and every environment is downward closed."""
     if order_mode not in ORDER_MODES:
         raise ValueError(f"unknown order mode {order_mode}")
+    if family.env != env:
+        raise ValueError("the exchange family belongs to another environment")
     order = tuple(range(env.n)) if order is None else tuple(order)
     feasible = enumerate_feasible(env, cap)
     (alg_w,) = _listed_welfare(env, profile, [alg_alloc])
@@ -373,19 +376,17 @@ def _check(
     if prices.static:
         col, flags = _static_column(env, prices)
         positions = fact(env, "positions")
-        null_sums = _PriceSums(prices, env.null_allocation(), env.n)
         for k, x in enumerate(feasible):
             members, residual_w, rhs_a, rhs_b, score = fam = exchange_set(x)
             if score is None:
-                at = list(map(positions.get, members))
-                if None not in at and not any(map(flags.__getitem__, at)):
-                    # with no members, top -inf scores (inf, 0.0, []) as none would
-                    top = max(map(col.__getitem__, at), default=-math.inf)
-                    if rhs_b - top >= -TOL:
-                        score = _score_members([(None, top, False)], rhs_b, residual_w)
-                if score is None:
-                    sums = null_sums.declared_order
-                    score = _score_members(((z, *sums(z)) for z in members), rhs_b, residual_w)
+                at = list(map(positions.__getitem__, members))
+                # with no members, top -inf scores (inf, 0.0, []) as none would
+                top = max(map(col.__getitem__, at), default=-math.inf)
+                if rhs_b - top >= -TOL and not any(map(flags.__getitem__, at)):
+                    score = _score_members([(None, top, False)], rhs_b, residual_w)
+                else:
+                    scored = ((z, col[p], flags[p]) for z, p in zip(members, at))
+                    score = _score_members(scored, rhs_b, residual_w)
                 fam[4] = score
             _record(report, x, col[k], flags[k], rhs_a, rhs_b, members, score, declared)
     else:

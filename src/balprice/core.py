@@ -501,10 +501,6 @@ class MatroidEnv(EnvironmentBase):
         ok = not tok & ~self._agent_masks[i] and self.matroid.independent(union)
         return union if ok else None
 
-    @property
-    def binary(self) -> bool:
-        return all(len(owned) == 1 for owned in self.elements)
-
 
 @dataclass(frozen=True)
 class CombinatorialAuctionEnv(EnvironmentBase):
@@ -594,7 +590,7 @@ class PipEnv(EnvironmentBase):
             if len(row) != self.n:
                 raise ValueError("constraint row length != agent count")
             for a in row:
-                if not -TOL <= a <= 0.5 + TOL:
+                if not 0.0 <= a <= 0.5 + TOL:
                     raise ValueError(f"coefficient {a} outside [0, 1/2]")
         for c in self.capacities:
             if not abs(c - 1.0) <= TOL:

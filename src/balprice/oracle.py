@@ -52,7 +52,12 @@ _FACTS = {
     "loads": lambda env, feasible: list(map(env.load, feasible)),
     "item_masks": lambda env, feasible: list(map(allocated_items, feasible)),
     "item_sets": lambda env, feasible: set(fact(env, "item_masks")),
-    "element_columns": lambda env, feasible: {},
+    "greedy": lambda env, feasible: {},
+    # each agent's one non-null outcome; None where it has several or none
+    "binary_tokens": lambda env, feasible: [
+        toks[0] if len(toks) == 1 else None
+        for toks in ([t for t in env.agent_outcomes(i) if t != NULL] for i in range(env.n))
+    ],
 }
 
 
@@ -110,11 +115,6 @@ def opt(env: Environment, profile: Sequence[Valuation], cap: int = DEFAULT_CAP) 
     in lexicographic enumeration order."""
     feasible = enumerate_feasible(env, cap)
     return feasible[_first_max(_welfare_column(env, profile))]
-
-
-def merge_over(x: Allocation, y: Allocation) -> Allocation:
-    """Overlay y onto x where x is null."""
-    return tuple(xi if xi != NULL else yi for xi, yi in zip(x, y))
 
 
 # environment kinds whose outcomes are item masks, merged agent-wise by union
@@ -284,18 +284,15 @@ def residual_opt(
 
 def is_binary_env(env: Environment) -> bool:
     """True when every agent has exactly one non-null outcome (win or lose)."""
-    for i in range(env.n):
-        if sum(1 for t in env.agent_outcomes(i) if t != NULL) != 1:
-            return False
-    return True
+    return None not in fact(env, "binary_tokens")
 
 
 def _binary_token(env: Environment, i: int):
     """The non-null outcome of agent i in a binary or singleton-element env."""
-    toks = [t for t in env.agent_outcomes(i) if t != NULL]
-    if len(toks) != 1:
+    tok = fact(env, "binary_tokens")[i]
+    if tok is None:
         raise TypeError("environment is not binary single-parameter")
-    return toks[0]
+    return tok
 
 
 def agent_value(env, profile, i) -> float:
@@ -310,40 +307,54 @@ def greedy(env: Environment, profile: Sequence[Valuation], fixed: Optional[Alloc
     are skipped).  For multi-element matroid environments, repeatedly adds the
     element with the largest marginal gain.
     """
-    if fixed is None:
-        fixed = env.null_allocation()
-    if isinstance(env, MatroidEnv) and not env.binary:
+    # the binary outcome is stored per fixed allocation, so it is a tuple
+    fixed = env.null_allocation() if fixed is None else tuple(fixed)
+    if is_binary_env(env):
+        return _greedy_binary(env, [agent_value(env, profile, i) for i in range(env.n)], fixed)
+    if isinstance(env, MatroidEnv):
         return _greedy_matroid_elements(env, profile, fixed)
-    if not is_binary_env(env):
-        raise TypeError(f"greedy undefined for environment kind {env.kind}")
-    return _greedy_binary(env, [agent_value(env, profile, i) for i in range(env.n)], fixed)
+    raise TypeError(f"greedy undefined for environment kind {env.kind}")
 
 
-def _greedy_binary(
-    env: Environment, vals: Sequence[float], fixed: Allocation, memo: Optional[dict] = None
-) -> Allocation:
-    """The binary greedy scan on the agents' values ``vals``.  The scan reads
-    ``vals`` only through its ranking: the agents null in ``fixed`` with a
-    value above TOL, by (-value, index).  ``memo``, when given, keeps the
-    outcome per (fixed, ranking)."""
-    ranking = tuple(
-        i for i in sorted(range(env.n), key=lambda i: (-vals[i], i))
+def _ranking(vals: Sequence[float], fixed: Allocation) -> tuple:
+    """The agents the binary greedy scan tries, in its order: those null in
+    ``fixed`` with a value above TOL, by (-value, index)."""
+    return tuple(
+        # a stable sort in reverse keeps equal values in index order
+        i for i in sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
         if fixed[i] == NULL and not vals[i] <= TOL
     )
-    if memo is None:
-        return _greedy_scan(env, ranking, fixed)
-    out = memo.get((fixed, ranking))
+
+
+def _greedy_binary(env: Environment, vals: Sequence[float], fixed: Allocation) -> Allocation:
+    """The binary greedy scan on the agents' values ``vals``, which it reads
+    only through their ranking; the environment's store keeps the outcome
+    per (fixed, ranking)."""
+    ranking = _ranking(vals, fixed)
+    outcomes = fact(env, "greedy")
+    out = outcomes.get((fixed, ranking))
     if out is None:
-        out = memo[(fixed, ranking)] = _greedy_scan(env, ranking, fixed)
+        out = outcomes[fixed, ranking] = _greedy_scan(env, ranking, fixed)
     return out
 
 
+def _dfs_state(env: Environment, alloc: Allocation):
+    """``alloc``'s DFS state: its allocated agents joined to ``start_state``
+    one ``extend`` at a time; None when it is infeasible."""
+    state = env.start_state
+    for i in support(alloc):
+        if state is not None:
+            state = env.extend(state, i, alloc[i])
+    return state
+
+
 def _greedy_scan(env: Environment, ranking: tuple, fixed: Allocation) -> Allocation:
-    chosen = list(env.null_allocation())
+    chosen, state = list(env.null_allocation()), _dfs_state(env, fixed)
     for i in ranking:
-        chosen[i] = _binary_token(env, i)
-        if not env.is_feasible(merge_over(fixed, tuple(chosen))):
-            chosen[i] = NULL
+        tok = _binary_token(env, i)
+        nxt = None if state is None else env.extend(state, i, tok)
+        if nxt is not None:
+            state, chosen[i] = nxt, tok
     return tuple(chosen)
 
 
@@ -427,19 +438,18 @@ def critical_value(
     return _critical_value(rule, env, vals, agent, fixed, cap)
 
 
-def _critical_value(
-    rule, env, vals: Sequence[float], agent: int, fixed: Allocation, cap, memo=None
-) -> float:
+def _critical_value(rule, env, vals: Sequence[float], agent: int, fixed: Allocation, cap) -> float:
     """The critical value of ``agent`` against the other agents' values
     ``vals`` (the agent's own entry is ignored) with ``fixed`` allocated;
-    math.inf when no bid wins.  ``memo`` is ``_greedy_binary``'s.
+    math.inf when no bid wins.
 
     Under OPT it is the externality read off the kept feasible list: among
     the sets holding ``fixed``, the others' best value in one leaving the
-    agent out minus their best in one holding the agent.  Under greedy the
-    win indicator is monotone in the bid and constant between the others'
-    values, so probing just above each candidate finds the infimum, open win
-    regions included."""
+    agent out minus their best in one holding the agent.  Greedy is monotone,
+    so its critical value is a threshold (Myerson 1981): greedy decides the
+    others ranked above the agent without it, and what they take only grows
+    down the ranking, so the agent wins when ranked above the first other
+    after whose turn it no longer fits, whose value one scan reads."""
     if rule.kind == OPT_RULE.kind:
         held = support(fixed)
         others = [j for j in range(env.n) if j != agent and fixed[j] == NULL]
@@ -453,16 +463,14 @@ def _critical_value(
             else:
                 with_ = max(with_, w)
         return math.inf if with_ == -math.inf else max(0.0, without - with_)
-    candidates = [0.0] + sorted({v for j, v in enumerate(vals) if j != agent and v > TOL})
-    trial = list(vals)
-    for idx, c in enumerate(candidates):
-        # past the last candidate, a probe above c by at least half of c's
-        # magnitude: c + 1.0 is c itself from 2^53 on
-        upper = candidates[idx + 1] if idx + 1 < len(candidates) else c + max(1.0, c)
-        trial[agent] = (c + upper) / 2.0
-        if _greedy_binary(env, trial, fixed, memo)[agent] != NULL:
-            return c
-    return math.inf
+    tok = _binary_token(env, agent)
+    state, threshold = _dfs_state(env, fixed), math.inf
+    for j in _ranking(vals, replace_at(fixed, agent, tok)):
+        if state is None or env.extend(state, agent, tok) is None:
+            return threshold
+        nxt = env.extend(state, j, _binary_token(env, j))
+        state, threshold = state if nxt is None else nxt, vals[j]
+    return 0.0 if state is not None and env.extend(state, agent, tok) is not None else threshold
 
 
 def agent_classes(env: Environment, rule: AllocationRule, cap: int = DEFAULT_CAP):
@@ -527,11 +535,9 @@ def permeability(
         raise CapExceeded(total, cap, "bid vectors")
     null = env.null_allocation()
     # an agent's critical value depends only on its class and the multiset
-    # of the other agents' bids in each class; greedy's outcome depends on
-    # the bids only through its ranking, and the numerator only on the
+    # of the other agents' bids in each class, and the numerator only on the
     # critical values
     tau_cache: dict = {}
-    greedy_memo: dict = {}
     numerators: dict = {}
     taus = [0.0] * env.n
     gamma = 1.0
@@ -539,13 +545,13 @@ def permeability(
         if rule.kind == OPT_RULE.kind:
             declared = max((math.fsum([bids[j] for j in s]) for s in supports), default=0.0)
         else:
-            declared = math.fsum([bids[i] for i in support(_greedy_binary(env, bids, null, greedy_memo))])
+            declared = math.fsum([bids[i] for i in support(_greedy_binary(env, bids, null))])
         for k, (c, part) in enumerate(zip(classes, parts)):
             for p, i in enumerate(c):
                 key = (k, parts[:k] + (part[:p] + part[p + 1 :],) + parts[k + 1 :])
                 t = tau_cache.get(key)
                 if t is None:
-                    t = tau_cache[key] = _critical_value(rule, env, bids, i, null, cap, greedy_memo)
+                    t = tau_cache[key] = _critical_value(rule, env, bids, i, null, cap)
                 taus[i] = t
         # rounded division by a positive float is monotone, so the largest
         # numerator gives the largest ratio

@@ -48,7 +48,6 @@ from .oracle import (
     OPT_RULE,
     agent_value,
     critical_value,
-    fact,
     greedy,
     is_binary_env,
     opt,
@@ -389,19 +388,13 @@ def _matroid_residual_value(env: MatroidEnv, element_vals, order, taken_mask: in
 
 def _element_values(env: MatroidEnv, i: int, v) -> tuple:
     """Agent i's values of its own elements under ``v``, in ``env.elements``
-    order: computed once per (agent, valuation) and kept in the
-    environment's store once the additivity check passes."""
-    columns = fact(env, "element_columns")
-    column = columns.get((i, v))
-    if column is None:
-        column = tuple(value(v, 1 << e) for e in env.elements[i])
-        if abs(value(v, env.agent_mask(i)) - math.fsum(column)) > 1e-7:
-            raise PricingError(
-                "dynamic matroid prices require additive element values; "
-                "use compose_max for structured valuations"
-            )
-        # stored only once checked, so a non-additive valuation raises on every build
-        columns[i, v] = column
+    order, checked to add up to its value of all of them."""
+    column = tuple(value(v, 1 << e) for e in env.elements[i])
+    if abs(value(v, env.agent_mask(i)) - math.fsum(column)) > 1e-7:
+        raise PricingError(
+            "dynamic matroid prices require additive element values; "
+            "use compose_max for structured valuations"
+        )
     return column
 
 

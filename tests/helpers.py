@@ -34,7 +34,6 @@ from balprice.oracle import (
     _binary_token,
     agent_value,
     is_binary_env,
-    merge_over,
 )
 from balprice.balance import BalanceReport
 from balprice.pricing import PricingError, PricingRule
@@ -52,6 +51,11 @@ def argmax_first_twin(allocs, profile):
     if best is None:
         raise ValueError("empty allocation list")
     return best
+
+
+def merge_over(x, y):
+    """Overlay y onto x where x is null."""
+    return tuple(xi if xi != NULL else yi for xi, yi in zip(x, y))
 
 
 def restrict(alloc, agents):

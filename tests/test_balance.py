@@ -753,13 +753,13 @@ class TestStaticPerFamily:
     @settings(max_examples=10, deadline=None)
     def test_each_allocation_summed_once(self, kind, n, seed):
         """A static rule's walk sums every listed allocation in one column,
-        and scores each exchange set by its largest entry.  The null table's
-        ``declared_order`` is asked only where condition (b) breaks, to list
-        the violations member by member."""
+        and scores each exchange set from it: by its largest entry, or
+        member by member where condition (b) breaks.  It builds no
+        ``_PriceSums``."""
         env, profile, rule, alloc = _static_case(kind, n, seed)
-        columns, tables, asked = [], [], []
+        columns, tables = [], []
         static_column = balance._static_column
-        init, declared_order = _PriceSums.__init__, _PriceSums.declared_order
+        init = _PriceSums.__init__
 
         def counted_column(*args):
             columns.append(args)
@@ -769,21 +769,14 @@ class TestStaticPerFamily:
             init(sums, *args, **kwargs)
             tables.append(sums.x)
 
-        def counted_declared_order(sums, z):
-            asked.append(z)
-            return declared_order(sums, z)
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(balance, "_static_column", counted_column)
             mp.setattr(_PriceSums, "__init__", counted_init)
-            mp.setattr(_PriceSums, "declared_order", counted_declared_order)
-            report = check_balanced(
+            check_balanced(
                 env, profile, rule, alloc, default_family(env), BalanceParams(alpha=2.0, beta=2.0)
             )
         assert len(columns) == 1
-        assert tables == [env.null_allocation()]
-        if not any(v[0] == "b" for v in report.witnesses + report.structural_violations):
-            assert asked == []
+        assert tables == []
 
     @given(
         st.integers(min_value=3, max_value=5),
@@ -803,6 +796,39 @@ class TestStaticPerFamily:
         assert rule.static
         report = _assert_case_matches_twin(inst.env, inst.profile, rule, alloc, params)
         assert {v[0] for v in report.structural_violations} == {"a", "b"}
+
+    def test_flagged_member_scored_from_the_column(self):
+        """On the catalog knapsack, whole-unit prices are UNAVAILABLE on the
+        half units its outcomes stop at, so an exchange set holding a half
+        unit is scored member by member from the static column and its
+        flags: each flagged member is a structural violation, and the report
+        is the per-allocation twin's, with no ``_PriceSums`` built."""
+        inst = gen_knapsack_random(n=3, seed=0)
+        env, profile = inst.env, inst.profile
+        alloc = knapsack_dp(env, profile)
+        rule = whole_unit_prices(env, 1.0)
+        params = BalanceParams(alpha=2.0, beta=1.0)
+
+        def no_sums(sums, *args, **kwargs):
+            raise AssertionError("the static walk built a _PriceSums")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_PriceSums, "__init__", no_sums)
+            report = check_balanced(env, profile, rule, alloc, default_family(env), params)
+        twin = per_x_static_check(env, profile, rule, alloc, default_family(env), params)
+        assert repr(_report_fields(report)) == repr(_report_fields(twin))
+        _, flags = balance._static_column(env, rule)
+        positions = {y: k for k, y in enumerate(enumerate_feasible(env))}
+        flagged = [member for kind, _, member in report.structural_violations if kind == "b"]
+        assert flagged and all(flags[positions[member]] for member in flagged)
+
+
+def test_family_of_another_environment_refused():
+    # members are read off the checked environment's list by position
+    env, profile, rule, alloc = _static_case("knapsack", 3, 0)
+    other = default_family(gen_knapsack_random(n=4, seed=0).env)
+    with pytest.raises(ValueError, match="^the exchange family belongs to another environment$"):
+        check_balanced(env, profile, rule, alloc, other, BalanceParams(alpha=1.0, beta=1.0))
 
 
 class TestMinimalBetaFromCheck:

@@ -205,6 +205,12 @@ def _short_pip_capacities(doc):
     doc["environment"]["capacities"] = [1.0]
 
 
+def _negative_pip_coefficient(doc):
+    # within TOL of 0, and still a term that would make the feasible set not
+    # downward closed
+    doc["environment"]["matrix"][0][2] = -1e-9
+
+
 def _negative_atom_probability(doc):
     # the probabilities still sum to 1 within 1e-9, and the second is negative
     doc["distribution"][0][0]["prob"] = 1.0 + 5e-10
@@ -246,13 +252,14 @@ class TestMalformedInstances:
             ("knapsack", _zero_max_share, "knapsack max_share must lie in (0, 1], got 0.0"),
             ("knapsack", _zero_step, "knapsack step must be positive, got 0.0"),
             ("pip", _short_pip_capacities, "1 capacities for 2 constraint rows"),
+            ("pip", _negative_pip_coefficient, "coefficient -1e-09 outside [0, 1/2]"),
             ("two-point", _negative_atom_probability, "agent 0 has a negative probability"),
         ],
         ids=["env-agents-null", "agents-null", "additive-value-null", "element-outside-ground",
              "additive-values-short", "xos-clause-short", "hyperedge-outside-items",
              "hyperedge-item-negative", "market-parts-missing", "threshold-size-negative",
              "max-share-huge", "max-share-zero", "step-zero", "pip-capacities-short",
-             "atom-probability-negative"],
+             "pip-coefficient-negative", "atom-probability-negative"],
     )
     def test_exit_2_without_traceback(self, tmp_path, capsys, base, mutate, message):
         argv, pricing = MALFORMED_BASES[base]

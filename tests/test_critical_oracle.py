@@ -5,6 +5,7 @@ feasible list.  The twins in ``helpers`` are the member walk, the greedy run
 on rebuilt profiles and the grid^n scan that rates each feasible set on its
 own; every result must equal theirs by ``repr``."""
 
+import copy
 import json
 import math
 
@@ -343,7 +344,8 @@ class TestGreedyAtLargeMagnitudes:
     """Past the last candidate c, greedy's probe bound was c + 1.0, which is c
     itself from 2^53 on: the probe tied the other agent and lost on index, so
     ``permeability --rule greedy --grid 0,1e16`` reported UNBOUNDED where OPT
-    reports 1.  The bound is now c + max(1.0, c)."""
+    reports 1.  The critical value is now read off the ranking, with no
+    probe."""
 
     @pytest.mark.parametrize("top", [1.0, 1e15, 1e16, 2.0**60], ids=["1", "1e15", "1e16", "2^60"])
     def test_greedy_equals_opt_on_uniform_rank_one(self, top):
@@ -400,7 +402,9 @@ class TestGreedyMemo:
         ids=["uniform", "gamma-two", "partition"],
     )
     def test_one_scan_per_ranking(self, monkeypatch, case):
-        env, grid = case
+        # the environment's store keeps greedy outcomes across calls: count
+        # on a copy with an empty one
+        env, grid = copy.copy(case[0]), case[1]
         scans, calls = [], [0]
         scan, greedy_binary = balprice.oracle._greedy_scan, balprice.oracle._greedy_binary
 

@@ -40,8 +40,8 @@ from helpers import brute_feasible, dfs_feasible_twin
 # non-dyadic steps and shares below the capacity, so the running sum rounds
 KNAPSACK_STEPS = (0.1, 0.125, 0.2, 0.3, 1 / 3, 0.375, 0.5)
 KNAPSACK_SHARES = (0.35, 0.5, 0.7, 1.0)
-# zero terms of both signs, coefficients in [-TOL, 0), and both ends of the range
-PIP_COEFFS = (0.0, -0.0, -TOL, -5e-10, -1e-12, 0.1, 0.125, 0.25, 0.3, 1 / 3, 0.5, 0.5 + TOL)
+# zero terms of both signs and both ends of the range
+PIP_COEFFS = (0.0, -0.0, 0.1, 0.125, 0.25, 0.3, 1 / 3, 0.5, 0.5 + TOL)
 PIP_CAPS = (1.0, 1.0 - 5e-10, 1.0 + 5e-10)
 # product spaces are tested whole by the brute-force twin; keep them small
 MAX_PRODUCT = 1500
@@ -161,13 +161,18 @@ def test_matches_twin_and_brute_force(kind, data):
     assert repr(enumerate_feasible(env, cap)) == repr(want)
 
 
-def test_negative_coefficient_breaks_closure_as_the_twin_does():
-    # with agent 0's -TOL, agents 1 and 2 fit only together with agent 0: the
-    # family is not downward closed, and the DFS lists what the twin lists
-    env = PipEnv(n=3, matrix=((-TOL, 0.5 + TOL, 0.5 + TOL),), capacities=(1.0,))
-    assert not _downward_closed(brute_feasible.__wrapped__(env))
-    assert (1, 1, 1) in enumerate_feasible(env)
-    assert repr(enumerate_feasible(env)) == repr(dfs_feasible_twin(env))
+@pytest.mark.parametrize(
+    "coeff",
+    [-TOL, -5e-10, -1e-12, -math.ulp(0.0)],
+    ids=["minus-tol", "minus-half-tol", "minus-1e-12", "minus-ulp"],
+)
+def test_pip_refuses_negative_coefficients(coeff):
+    # a negative coefficient breaks downward closure: with agent 2's term,
+    # agents 0 and 1 would fit only together with agent 2
+    with pytest.raises(ValueError, match=r"outside \[0, 1/2\]$"):
+        PipEnv(n=3, matrix=((0.5 + 1e-9, 0.5 + 1e-9, coeff),), capacities=(1.0,))
+    env = PipEnv(n=3, matrix=((0.5 + 1e-9, 0.5 + 1e-9, -0.0),), capacities=(1.0,))
+    assert _downward_closed(enumerate_feasible(env))
 
 
 @pytest.mark.parametrize(

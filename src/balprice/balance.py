@@ -6,14 +6,16 @@ x itself against the welfare the reference rule loses to the exchange set at
 x, and condition (b) upper-bounds the price sum of every member of that
 exchange set.  Condition sums follow a declared agent indexing; the checker
 can also quantify over all indexings, which it does with a min/max subset
-dynamic program over predecessor sets rather than a factorial loop.  The
-DP's states are kept in layers, one per sign and priced allocation, so all
-the sums of one conditioning allocation compute each state once.
+dynamic program over predecessor sets rather than a factorial loop.  A DP
+state is fixed by the conditioning prefix and the outcomes priced so far,
+so one memo per sign serves every sum of a walk and computes each state
+once.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from operator import add
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -71,177 +73,150 @@ class BalanceReport:
         }
 
 
-class _PriceSums:
-    """Price sums Σ_i p_i(z_i | x restricted to predecessors) for a fixed
-    conditioning allocation x, minimized or maximized over agent orders by a
-    subset DP (the term for an agent depends on its predecessor set only).
+class _OrderSums:
+    """Price sums Σ_i p_i(z_i | x restricted to i's predecessors), minimized
+    or maximized over agent orders by a subset DP, with one memo per sign
+    shared by every (x, z) pair of a walk.
 
-    A term depends on the predecessor mask only through mask & support(x).
-    One term table per x serves condition (a), every member's sum and every
-    witness replay: it maps (agent, outcome) to a list indexed by the prefix
-    compressed to support(x) (bit r set when the r-th agent of the support
-    precedes), each entry priced on first use.  A null outcome's list is
-    zeros, which is what ``PricingRule.price`` returns for it.
+    A DP state is a pair (y, w): y is x restricted to the agents placed so
+    far, w the outcomes priced so far.  Its value, its UNAVAILABLE flag and
+    its first-within-TOL choice depend on nothing else, so the state recurs
+    under every x extending y.  Its candidates, in agent order, are each
+    placed agent a with y_a non-null, which steps to (y - a, w - a) and adds
+    p_a(w_a | y - a), and each placed agent a with y_a null and w_a non-null,
+    which steps to (y, w - a) and adds p_a(w_a | y).  A null outcome adds
+    0.0 unpriced.  UNAVAILABLE terms count 0 in the sum but are flagged.
 
-    The all-orders DP is kept in layers, one per sign and priced allocation
-    w.  Entry k of w's layer is the DP state "the support agents in
-    compressed prefix k, plus every off-support agent with a non-null
-    outcome in w".  Off-support agents condition no one, so placing one of
-    them last steps to the layer of w with its outcome cleared, at the same
-    k.  Each layer is computed once per x, and the sums of the walk share
-    every layer they reach.
+    States are keyed by the positions of y and w on the environment's kept
+    list, and ``cleared[a][k]`` is the position of entry k with agent a's
+    outcome cleared: environments are downward closed and every member of
+    an exchange set is listed, so every state is."""
 
-    A declared-order sum adds the terms in the table's ``order``.
-    UNAVAILABLE entries poison the sum; they are reported as structural
-    violations by the caller."""
-
-    def __init__(
-        self, prices: PricingRule, x: Allocation, n: int, order: Optional[Sequence[int]] = None
-    ):
+    def __init__(self, env: Environment, prices: PricingRule):
         self.prices = prices
-        self.x = x
-        self.n = n
-        self.order = tuple(range(n)) if order is None else tuple(order)
-        self.supp = 0
-        # bits[i]: agent i's bit in a compressed prefix, 0 off the support
-        self._bits = [0] * n
-        r = 0
-        for j, xj in enumerate(x):
-            if xj != NULL:
-                self.supp |= 1 << j
-                self._bits[j] = 1 << r
-                r += 1
-        self._prefixes: list = [None] * (1 << r)
-        self._table: dict = {}
-        # per sign (min, max): priced allocation w -> its layer (dp, flag)
-        self._layers: tuple = ({}, {})
+        self.feasible = feasible = fact(env, "feasible")
+        self.positions = positions = fact(env, "positions")
+        self.size = len(feasible)
+        self.cleared = [
+            [
+                k if t == NULL else positions[replace_at(y, a, NULL)]
+                for k, (y, t) in enumerate(zip(feasible, toks))
+            ]
+            for a, toks in enumerate(fact(env, "tokens"))
+        ]
+        # per sign (min, max): state key -> signed value, and the flagged keys
+        self._values: tuple = ({}, {})
+        self._flagged: tuple = (set(), set())
 
-    def _row(self, i: int, z_i) -> list:
-        row = self._table.get((i, z_i))
-        if row is None:
-            row = self._table[(i, z_i)] = [0.0 if z_i == NULL else None] * len(self._prefixes)
-        return row
-
-    def _fill(self, row: list, i: int, z_i, k: int):
-        y = self._prefixes[k]
-        if y is None:
-            y = self._prefixes[k] = tuple(
-                xj if k & b else NULL for xj, b in zip(self.x, self._bits)
-            )
-        p = row[k] = self.prices.price(i, z_i, y)
-        return p
-
-    def declared_order(self, z: Allocation):
-        """Σ p_i(z_i | x restricted to the agents before i) in the table's
-        order: (sum, saw_unavailable)."""
-        total, unavailable, k = 0.0, False, 0
-        table, bits = self._table, self._bits
-        for i in self.order:
-            z_i = z[i]
-            row = table.get((i, z_i)) or self._row(i, z_i)
-            p = row[k]
-            if p is None:
-                p = self._fill(row, i, z_i, k)
-            if p is UNAVAILABLE:
-                unavailable = True
-            else:
-                total += p
-            k |= bits[i]
-        return total, unavailable
-
-    def _layer(self, w: Allocation, maximize: bool):
-        """w's layer of the DP on signed sums sign·Σ p: (dp, flag), each
-        indexed by compressed prefix k.  A state's candidates are its agents
-        in index order: support agent j steps from k ^ bit_j in this layer,
-        off-support agent t from k in the layer of w with t cleared.  The
-        first candidate within TOL of the minimum is kept.  UNAVAILABLE
-        terms count 0 in the sum but are flagged."""
-        memo = self._layers[maximize]
-        layer = memo.get(w)
-        if layer is not None:
-            return layer
-        size = len(self._prefixes)
-        dp = [0.0] * size
-        flag = [False] * size
-        # (bit, term list, source dp, source flag, agent) per live agent;
-        # an off-support agent has bit 0, so its source state is k itself
-        cands = []
-        first = 1  # without an off-support agent, state 0 is the empty set
-        for i, w_i in enumerate(w):
-            b = self._bits[i]
-            if b:
-                cands.append((b, self._row(i, w_i), dp, flag, i))
-            elif w_i != NULL:
-                sub_dp, sub_flag = self._layer(replace_at(w, i, NULL), maximize)
-                cands.append((0, self._row(i, w_i), sub_dp, sub_flag, i))
-                first = 0
+    def _solve(self, py: int, pw: int, maximize: bool) -> float:
+        """The signed value min over orders of sign·Σ p of state (py, pw),
+        its missing sub-states solved first; the first candidate within TOL
+        of the minimum is kept, and the empty state is 0.0."""
+        values, flagged = self._values[maximize], self._flagged[maximize]
+        size, feasible, cleared, price = self.size, self.feasible, self.cleared, self.prices.price
         sign = -1.0 if maximize else 1.0
-        for k in range(first, size):
-            best, best_flag = math.inf, False
-            for b, row, src, src_flag, i in cands:
-                if k & b != b:
-                    continue
-                prev = k ^ b
-                p = row[prev]
-                if p is None:
-                    p = self._fill(row, i, w[i], prev)
-                if p is UNAVAILABLE:
-                    if src[prev] < best - TOL:
-                        best, best_flag = src[prev], True
-                else:
-                    cand = src[prev] + sign * p
-                    if cand < best - TOL:
-                        best, best_flag = cand, src_flag[prev]
-            dp[k] = best
-            flag[k] = best_flag
-        layer = memo[w] = (dp, flag)
-        return layer
+        best, best_key, best_bad = math.inf, -1, False
+        for a, (y_a, w_a) in enumerate(zip(feasible[py], feasible[pw])):
+            if y_a != NULL:
+                cy = cleared[a][py]
+            elif w_a != NULL:
+                cy = py
+            else:
+                continue
+            cw = cleared[a][pw]
+            sub = cy * size + cw
+            src = values.get(sub)
+            if src is None:
+                src = self._solve(cy, cw, maximize)
+            p = 0.0 if w_a == NULL else price(a, w_a, feasible[cy])
+            if p is UNAVAILABLE:
+                if src < best - TOL:
+                    best, best_key, best_bad = src, sub, True
+            else:
+                cand = src + sign * p
+                if cand < best - TOL:
+                    best, best_key, best_bad = cand, sub, False
+        if best_key < 0:
+            best = 0.0
+        key = py * size + pw
+        values[key] = best
+        if best_bad or best_key in flagged:
+            flagged.add(key)
+        return best
 
-    def extremal(self, z: Allocation, maximize: bool):
+    def extremal(self, x: Allocation, z: Allocation, maximize: bool):
         """Min (or max) over all agent orders of the price sum for outcomes z
         conditioned on x-prefixes: (value, saw_unavailable).  ``witness``
         gives an order that attains it."""
-        dp, flag = self._layer(z, maximize)
-        return (-dp[-1] if maximize else dp[-1]), flag[-1]
+        py, pw = self.positions[x], self.positions[z]
+        key = py * self.size + pw
+        v = self._values[maximize].get(key)
+        if v is None:
+            v = self._solve(py, pw, maximize)
+        return (-v if maximize else v), key in self._flagged[maximize]
 
-    def witness(self, z: Allocation, maximize: bool) -> tuple:
+    def witness(self, x: Allocation, z: Allocation, maximize: bool) -> tuple:
         """The n-agent order whose sum ``extremal`` returns: the DP's
-        first-within-TOL scan replayed along one path down from the full
-        agent set, last arrival first.  An inert agent, off the support with
-        a null outcome, has the candidate dp[k], the optimum over the live
-        agents left, so it never moves the scan past an equal live
-        candidate.  The layers already priced every term the replay reads."""
+        first-within-TOL scan replayed along one path down from (x, z), last
+        arrival first.  An inert agent, null in both y and w, has the current
+        state's own value as its candidate, so it never moves the scan past
+        an equal live candidate."""
+        self.extremal(x, z, maximize)
+        values = self._values[maximize]
+        size, feasible, cleared, price = self.size, self.feasible, self.cleared, self.prices.price
         sign = -1.0 if maximize else 1.0
-        bits, table = self._bits, self._table
-        w, k = z, len(self._prefixes) - 1
-        dp = self._layer(w, maximize)[0]
+        py, pw = self.positions[x], self.positions[z]
         order = []
-        agents = list(range(self.n))
+        agents = list(range(len(x)))
         while agents:
-            best, best_i, best_w = math.inf, -1, w
+            here = values[py * size + pw]
+            y, w = feasible[py], feasible[pw]
+            best, best_i, best_state = math.inf, -1, (py, pw)
             for i in agents:
-                b, w_i = bits[i], w[i]
-                if b:
-                    prev, src, sub = k ^ b, dp, w
+                y_i, w_i = y[i], w[i]
+                if y_i != NULL:
+                    cy = cleared[i][py]
                 elif w_i != NULL:
-                    sub = replace_at(w, i, NULL)
-                    prev, src = k, self._layers[maximize][sub][0]
+                    cy = py
                 else:
-                    if dp[k] < best - TOL:
-                        best, best_i, best_w = dp[k], i, w
+                    if here < best - TOL:
+                        best, best_i, best_state = here, i, (py, pw)
                     continue
-                p = table[(i, w_i)][prev]
-                cand = src[prev] + (0.0 if p is UNAVAILABLE else sign * p)
+                cw = cleared[i][pw]
+                p = 0.0 if w_i == NULL else price(i, w_i, feasible[cy])
+                cand = values[cy * size + cw] + (0.0 if p is UNAVAILABLE else sign * p)
                 if cand < best - TOL:
-                    best, best_i, best_w = cand, i, sub
+                    best, best_i, best_state = cand, i, (cy, cw)
             order.append(best_i)
             agents.remove(best_i)
-            k &= ~bits[best_i]
-            if best_w is not w:
-                w = best_w
-                dp = self._layers[maximize][w][0]
+            py, pw = best_state
         order.reverse()
         return tuple(order)
+
+
+def _declared_prefixes(x: Allocation, order: Sequence[int]) -> list:
+    """x restricted to the agents before each agent of ``order``, in order."""
+    prefixes, y = [], [NULL] * len(x)
+    for i in order:
+        prefixes.append(tuple(y))
+        y[i] = x[i]
+    return prefixes
+
+
+def _declared_sum(prices: PricingRule, order: Sequence[int], prefixes: list, z: Allocation):
+    """Σ p_i(z_i | prefix) over ``order`` and its ``prefixes``:
+    (sum, saw_unavailable).  A null outcome adds 0.0 unpriced."""
+    total, unavailable = 0.0, False
+    for i, y in zip(order, prefixes):
+        z_i = z[i]
+        if z_i == NULL:
+            continue
+        p = prices.price(i, z_i, y)
+        if p is UNAVAILABLE:
+            unavailable = True
+        else:
+            total += p
+    return total, unavailable
 
 
 def _score_members(scored, rhs_b: float, residual_w: float):
@@ -268,7 +243,7 @@ def _static_column(env: Environment, prices: PricingRule):
     """A static rule's price sum and UNAVAILABLE flag for each allocation on
     the environment's kept list, from one ``price`` call per distinct
     non-null token of each agent at the null allocation.  Rows add from 0.0
-    in agent order, as ``declared_order`` does on the null table; an
+    in agent order, as ``_declared_sum`` does on null prefixes; an
     UNAVAILABLE term adds 0.0, a no-op as such a sum is never -0.0."""
     null, size = env.null_allocation(), len(fact(env, "feasible"))
     col, flags = [0.0] * size, [False] * size
@@ -337,7 +312,11 @@ def _check(
     smallest slack and the largest ratio.  A key with a flagged member, or
     whose bound breaks, is scored member by member from the column, which
     lists the violations in member order; every member is listed, as the
-    family must belong to ``env`` and every environment is downward closed."""
+    family must belong to ``env`` and every environment is downward closed.
+
+    A dynamic rule's all-orders sums share one ``_OrderSums`` memo across
+    the walk; its declared-order sums ask the rule for each term at x's
+    prefixes, built once per x."""
     if order_mode not in ORDER_MODES:
         raise ValueError(f"unknown order mode {order_mode}")
     if family.env != env:
@@ -389,20 +368,22 @@ def _check(
                     score = _score_members(scored, rhs_b, residual_w)
                 fam[4] = score
             _record(report, x, col[k], flags[k], rhs_a, rhs_b, members, score, declared)
+    elif order_mode == "all":
+        sums = _OrderSums(env, prices)
+        for x in feasible:
+            members, residual_w, rhs_a, rhs_b, _ = exchange_set(x)
+            lhs_a, bad = sums.extremal(x, x, False)
+            scored = ((z, *sums.extremal(x, z, True)) for z in members)
+            score = _score_members(scored, rhs_b, residual_w)
+            _record(report, x, lhs_a, bad, rhs_a, rhs_b, members, score, partial(sums.witness, x))
     else:
         for x in feasible:
             members, residual_w, rhs_a, rhs_b, _ = exchange_set(x)
-            sums = _PriceSums(prices, x, env.n, order)
-            if order_mode == "all":
-                lhs_a, bad = sums.extremal(x, False)
-                scored = ((z, *sums.extremal(z, True)) for z in members)
-                witness = sums.witness
-            else:
-                lhs_a, bad = sums.declared_order(x)
-                scored = ((z, *sums.declared_order(z)) for z in members)
-                witness = declared
+            prefixes = _declared_prefixes(x, order)
+            lhs_a, bad = _declared_sum(prices, order, prefixes, x)
+            scored = ((z, *_declared_sum(prices, order, prefixes, z)) for z in members)
             score = _score_members(scored, rhs_b, residual_w)
-            _record(report, x, lhs_a, bad, rhs_a, rhs_b, members, score, witness)
+            _record(report, x, lhs_a, bad, rhs_a, rhs_b, members, score, declared)
     if not feasible:
         report.condition_a_min_slack = 0.0
         report.condition_b_min_slack = 0.0

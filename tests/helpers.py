@@ -13,6 +13,7 @@ import sys
 import balprice.core
 from balprice.core import (
     NULL,
+    AdditiveValuation,
     TOL,
     UNAVAILABLE,
     CapExceeded,
@@ -117,6 +118,15 @@ def multi_element_matroid():
     """Three agents owning two elements each of a rank-3 uniform matroid, so
     tokens are masks with more than one bit."""
     return MatroidEnv(n=3, matroid=Matroid.uniform(3, 6), elements=((0, 1), (2, 3), (4, 5)))
+
+
+def multi_element_profile(env, values):
+    """Additive valuations on ``env``'s ground set: agent i values element e
+    at values[e] when it owns e, else 0."""
+    return tuple(
+        AdditiveValuation(tuple(v if e in env.elements[i] else 0.0 for e, v in enumerate(values)))
+        for i in range(env.n)
+    )
 
 
 @functools.lru_cache(maxsize=8)
@@ -529,23 +539,17 @@ def permeability_twin(env, rule, value_grid, cap=balprice.core.DEFAULT_CAP):
     return gamma
 
 
-def price_term(sums, i, z_i, pred_mask):
-    """p_i(z_i | x restricted to the agents in ``pred_mask``), read from the
-    term table of ``sums``, a ``balance._PriceSums`` for that x."""
-    k = 0
-    for j, b in enumerate(sums._bits):
-        if b and pred_mask >> j & 1:
-            k |= b
-    row = sums._row(i, z_i)
-    p = row[k]
-    return sums._fill(row, i, z_i, k) if p is None else p
+def price_term(rule, x, i, z_i, pred_mask):
+    """p_i(z_i | x restricted to the agents in ``pred_mask``), asked of the
+    pricing rule itself."""
+    return rule.price(i, z_i, tuple(t if pred_mask >> j & 1 else NULL for j, t in enumerate(x)))
 
 
 # The all-orders price sum as it was computed before witness orders were
 # replayed on demand: value, flag and full witness order from one call, the
-# order rebuilt eagerly for every sum.  ``self`` is a ``balance._PriceSums``;
-# the body reads its term table through ``price_term``.
-def eager_extremal(self, z, maximize: bool):
+# order rebuilt eagerly for every sum.  ``self`` is a
+# ``balance._OrderSums``; the body reads only its pricing rule.
+def eager_extremal(self, x, z, maximize: bool):
     """Min (or max) over all agent orders of the price sum for outcomes z
     conditioned on x-prefixes.  Returns (value, witness order, saw_unavailable).
 
@@ -556,22 +560,19 @@ def eager_extremal(self, z, maximize: bool):
     The n-agent witness order replays that scan along one path down from
     the full agent set.  UNAVAILABLE terms count 0 in the sum but are
     flagged."""
-    supp = self.supp
-    live = [i for i, z_i in enumerate(z) if supp >> i & 1 or z_i != NULL]
+    rule = self.prices
+    live = [i for i, (x_i, z_i) in enumerate(zip(x, z)) if x_i != NULL or z_i != NULL]
     # the DP indexes live agents by rank: bit j of a compressed mask is
     # agent live[j], and subs[c] is compressed mask c as an agent mask
     subs = _submasks(sum(1 << i for i in live))
-    live_supp = sum(1 << j for j, i in enumerate(live) if supp >> i & 1)
     sign = -1.0 if maximize else 1.0
-    # rows[j][c & live_supp] = (signed price, unavailable?) of agent
-    # live[j] after the agents of compressed mask c
-    rows: list[dict] = [{} for _ in live]
 
     def term(j: int, c: int):
+        """(signed price, unavailable?) of agent live[j] after the agents
+        of compressed mask c."""
         i = live[j]
-        p = price_term(self, i, z[i], subs[c])
-        t = rows[j][c & live_supp] = (0.0, True) if p is UNAVAILABLE else (sign * p, False)
-        return t
+        p = price_term(rule, x, i, z[i], subs[c])
+        return (0.0, True) if p is UNAVAILABLE else (sign * p, False)
 
     full = len(subs) - 1
     dp = [0.0] * (full + 1)
@@ -583,8 +584,7 @@ def eager_extremal(self, z, maximize: bool):
             bit = m & -m
             m ^= bit
             prev = mask ^ bit
-            j = bit.bit_length() - 1
-            t = rows[j].get(prev & live_supp) or term(j, prev)
+            t = term(bit.bit_length() - 1, prev)
             cand = dp[prev] + t[0]
             if cand < best - TOL:
                 best, best_flag = cand, t[1] or flag[prev]
@@ -595,7 +595,7 @@ def eager_extremal(self, z, maximize: bool):
     # agent's candidate is dp[c], the optimum over the live agents left
     rank = {i: j for j, i in enumerate(live)}
     order = []
-    agents, c = list(range(self.n)), full
+    agents, c = list(range(len(x))), full
     while agents:
         best, best_i = math.inf, -1
         for i in agents:
@@ -604,7 +604,7 @@ def eager_extremal(self, z, maximize: bool):
                 cand = dp[c]
             else:
                 prev = c ^ 1 << j
-                cand = dp[prev] + (rows[j].get(prev & live_supp) or term(j, prev))[0]
+                cand = dp[prev] + term(j, prev)[0]
             if cand < best - TOL:
                 best, best_i = cand, i
         order.append(best_i)
@@ -615,24 +615,23 @@ def eager_extremal(self, z, maximize: bool):
     return sign * dp[full], tuple(order), flag[full]
 
 
-def subset_dp_twin(sums, z, maximize: bool):
+def subset_dp_twin(rule, x, z, maximize: bool):
     """The all-orders DP as one full run per sum, over the live agents (those
-    with x_i or z_i non-null): (dp, flag, live, rows, sidx).  ``sums`` is a
-    ``balance._PriceSums``.  Bit j of a DP mask is agent live[j], rows[j] is
-    that agent's term list and sidx[c] is DP mask c compressed to
-    support(x).  An inert agent prices NULL at exactly 0.0 and conditions no
-    one, so dp[S] equals dp[S & live] in value and flag.  UNAVAILABLE terms
-    count 0 in the sum but are flagged."""
-    supp, bits = sums.supp, sums._bits
-    live, rows, sidx = [], [], [0]
-    for i, z_i in enumerate(z):
-        if supp >> i & 1 or z_i != NULL:
-            live.append(i)
-            rows.append(sums._row(i, z_i))
-            b = bits[i]
-            sidx += [k | b for k in sidx]
+    with x_i or z_i non-null), every term asked of the pricing rule:
+    (dp, term, live).  Bit j of a DP mask is agent live[j], and ``term(j,
+    c)`` is that agent's price after the agents of DP mask c.  An inert
+    agent prices NULL at exactly 0.0 and conditions no one, so dp[S] equals
+    dp[S & live] in value and flag.  UNAVAILABLE terms count 0 in the sum
+    but are flagged."""
+    live = [i for i, (x_i, z_i) in enumerate(zip(x, z)) if x_i != NULL or z_i != NULL]
+    subs = _submasks(sum(1 << i for i in live))
+
+    def term(j: int, c: int):
+        i = live[j]
+        return price_term(rule, x, i, z[i], subs[c])
+
     sign = -1.0 if maximize else 1.0
-    full = len(sidx) - 1
+    full = len(subs) - 1
     dp = [0.0] * (full + 1)
     flag = [False] * (full + 1)
     for mask in range(1, full + 1):
@@ -642,12 +641,7 @@ def subset_dp_twin(sums, z, maximize: bool):
             bit = m & -m
             m ^= bit
             prev = mask ^ bit
-            j = bit.bit_length() - 1
-            k = sidx[prev]
-            p = rows[j][k]
-            if p is None:
-                i = live[j]
-                p = sums._fill(rows[j], i, z[i], k)
+            p = term(bit.bit_length() - 1, prev)
             if p is UNAVAILABLE:
                 if dp[prev] < best - TOL:
                     best, best_flag = dp[prev], True
@@ -657,25 +651,26 @@ def subset_dp_twin(sums, z, maximize: bool):
                     best, best_flag = cand, flag[prev]
         dp[mask] = best
         flag[mask] = best_flag
-    return dp, flag, live, rows, sidx
+    return dp, flag, term, live
 
 
-def extremal_twin(sums, z, maximize: bool):
-    """Twin of ``_PriceSums.extremal`` on ``subset_dp_twin``."""
-    dp, flag, _, _, _ = subset_dp_twin(sums, z, maximize)
+def extremal_twin(sums, x, z, maximize: bool):
+    """Twin of ``_OrderSums.extremal`` on ``subset_dp_twin``, reading only
+    the pricing rule of ``sums``."""
+    dp, flag, _, _ = subset_dp_twin(sums.prices, x, z, maximize)
     return (-dp[-1] if maximize else dp[-1]), flag[-1]
 
 
-def witness_twin(sums, z, maximize: bool) -> tuple:
-    """Twin of ``_PriceSums.witness``: the first-within-TOL scan of
+def witness_twin(sums, x, z, maximize: bool) -> tuple:
+    """Twin of ``_OrderSums.witness``: the first-within-TOL scan of
     ``subset_dp_twin`` replayed over all n agents, last arrival first; an
     inert agent's candidate is dp[c], the optimum over the live agents
     left."""
-    dp, _, live, rows, sidx = subset_dp_twin(sums, z, maximize)
+    dp, _, term, live = subset_dp_twin(sums.prices, x, z, maximize)
     sign = -1.0 if maximize else 1.0
     rank = {i: j for j, i in enumerate(live)}
     order = []
-    agents, c = list(range(sums.n)), len(dp) - 1
+    agents, c = list(range(len(x))), len(dp) - 1
     while agents:
         best, best_i = math.inf, -1
         for i in agents:
@@ -684,7 +679,7 @@ def witness_twin(sums, z, maximize: bool) -> tuple:
                 cand = dp[c]
             else:
                 prev = c ^ 1 << j
-                p = rows[j][sidx[prev]]
+                p = term(j, prev)
                 cand = dp[prev] + (0.0 if p is UNAVAILABLE else sign * p)
             if cand < best - TOL:
                 best, best_i = cand, i
@@ -694,6 +689,21 @@ def witness_twin(sums, z, maximize: bool) -> tuple:
             c ^= 1 << rank[best_i]
     order.reverse()
     return tuple(order)
+
+
+def declared_sum_twin(rule, x, z, order):
+    """Σ p_i(z_i | x restricted to the agents before i in ``order``), each
+    term asked of the pricing rule and added from 0.0 in order:
+    (sum, saw_unavailable)."""
+    total, unavailable, before = 0.0, False, 0
+    for i in order:
+        p = price_term(rule, x, i, z[i], before)
+        if p is UNAVAILABLE:
+            unavailable = True
+        else:
+            total += p
+        before |= 1 << i
+    return total, unavailable
 
 
 def per_x_static_check(env, profile, prices, alg_alloc, family, params):

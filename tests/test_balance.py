@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from balprice import balance
 from balprice.balance import (
-    _PriceSums,
+    _OrderSums,
     check_balanced,
     check_weakly_balanced,
     minimal_beta,
@@ -62,7 +62,16 @@ from balprice.pricing import (
     xos_item_prices,
 )
 
-from helpers import eager_extremal, per_x_static_check, price_term
+from helpers import (
+    declared_sum_twin,
+    eager_extremal,
+    extremal_twin,
+    multi_element_matroid,
+    multi_element_profile,
+    per_x_static_check,
+    price_term,
+    witness_twin,
+)
 
 
 def bit(*items):
@@ -256,12 +265,13 @@ class TestOrderDp:
         env = uniform_matroid_env(2, 3)
         profile = element_profile(env, 3, 2, 1)
         rule = matroid_dynamic_prices(env, profile)
-        for x in enumerate_feasible(env):
-            sums = _PriceSums(rule, x, env.n)
-            lo_dp, _ = sums.extremal(x, maximize=False)
-            hi_dp, _ = sums.extremal(x, maximize=True)
+        feasible = enumerate_feasible(env)
+        sums = _OrderSums(env, rule)
+        for x in feasible:
+            lo_dp, _ = sums.extremal(x, x, maximize=False)
+            hi_dp, _ = sums.extremal(x, x, maximize=True)
             per_order = [
-                _PriceSums(rule, x, env.n, order).declared_order(x)[0]
+                declared_sum_twin(rule, x, x, order)[0]
                 for order in itertools.permutations(range(env.n))
             ]
             assert lo_dp == pytest.approx(min(per_order))
@@ -289,24 +299,24 @@ class TestOrderDp:
 # ---------------------------------------------------------------------------
 
 
-def all_orders(sums, z, maximize):
+def all_orders(sums, x, z, maximize):
     """(value, witness order, flag) from the value path and the replay."""
-    value, bad = sums.extremal(z, maximize)
-    return value, sums.witness(z, maximize), bad
+    value, bad = sums.extremal(x, z, maximize)
+    return value, sums.witness(x, z, maximize), bad
 
 
-def full_width_extremal(sums, z, maximize):
+def full_width_extremal(sums, x, z, maximize):
     """Reference twin of ``all_orders``: the subset DP over all 2^n
     predecessor sets, with every agent's term tabulated on every submask of
-    support(x), inert agents included."""
-    n, supp = sums.n, sums.supp
+    support(x), inert agents included, and asked of the pricing rule."""
+    n, supp = len(x), sum(1 << i for i, t in enumerate(x) if t != 0)
     term_table = []
     for i in range(n):
         row = {}
         for cm in range(1 << n):
             if cm & ~supp:
                 continue
-            p = price_term(sums, i, z[i], cm & ~(1 << i))
+            p = price_term(sums.prices, x, i, z[i], cm & ~(1 << i))
             row[cm & ~(1 << i)] = (0.0, True) if p is UNAVAILABLE else (p, False)
         term_table.append(row)
 
@@ -365,23 +375,25 @@ def _matroid_priced(kind, ground, seed, pricing):
 
 def walk_through(monkeypatch, twin):
     """Send every all-orders sum the walk takes, and every witness order it
-    records, through ``twin(sums, z, maximize) -> (value, order, flag)``."""
+    records, through ``twin(sums, x, z, maximize) -> (value, order, flag)``."""
 
-    def value(sums, z, maximize):
-        v, _order, bad = twin(sums, z, maximize)
+    def value(sums, x, z, maximize):
+        v, _order, bad = twin(sums, x, z, maximize)
         return v, bad
 
-    monkeypatch.setattr(_PriceSums, "extremal", value)
-    monkeypatch.setattr(_PriceSums, "witness", lambda sums, z, maximize: twin(sums, z, maximize)[1])
+    monkeypatch.setattr(_OrderSums, "extremal", value)
+    monkeypatch.setattr(
+        _OrderSums, "witness", lambda sums, x, z, maximize: twin(sums, x, z, maximize)[1]
+    )
 
 
-def _assert_extremal_matches_twin(sums, z):
+def _assert_extremal_matches_twin(sums, x, z):
     for maximize in (False, True):
-        live = all_orders(sums, z, maximize)
-        twin = full_width_extremal(sums, z, maximize)
+        live = all_orders(sums, x, z, maximize)
+        twin = full_width_extremal(sums, x, z, maximize)
         assert live == twin
         assert repr(live) == repr(twin)
-        assert repr(live) == repr(eager_extremal(sums, z, maximize))
+        assert repr(live) == repr(eager_extremal(sums, x, z, maximize))
 
 
 def _live_mask(x, z):
@@ -409,10 +421,11 @@ class TestLiveAgentDp:
             ground = min(ground, 4)
             kind = "uniform" if kind == "graphic_k4" else kind
         env, profile, rule, family = _matroid_priced(kind, ground, seed, pricing)
-        for x in enumerate_feasible(env):
-            sums = _PriceSums(rule, x, env.n)
+        feasible = enumerate_feasible(env)
+        sums = _OrderSums(env, rule)
+        for x in feasible:
             for z in [x] + family.members(x):
-                _assert_extremal_matches_twin(sums, z)
+                _assert_extremal_matches_twin(sums, x, z)
 
     @given(
         st.sampled_from(["uniform", "partition"]),
@@ -423,16 +436,16 @@ class TestLiveAgentDp:
     def test_extremal_matches_permutation_loop(self, kind, ground, seed):
         env, profile, rule, family = _matroid_priced(kind, ground, seed, "matroid")
         orders = list(itertools.permutations(range(env.n)))
-        for x in enumerate_feasible(env):
-            sums = _PriceSums(rule, x, env.n)
-            per_order_sums = [_PriceSums(rule, x, env.n, order) for order in orders]
+        feasible = enumerate_feasible(env)
+        sums = _OrderSums(env, rule)
+        for x in feasible:
             for z in [x] + family.members(x):
-                per_order = [t.declared_order(z)[0] for t in per_order_sums]
+                per_order = [declared_sum_twin(rule, x, z, order)[0] for order in orders]
                 for maximize, target in ((False, min(per_order)), (True, max(per_order))):
-                    value, witness, bad = all_orders(sums, z, maximize)
+                    value, witness, bad = all_orders(sums, x, z, maximize)
                     assert sorted(witness) == list(range(env.n))
                     # the value is the witness order's own sum
-                    assert _PriceSums(rule, x, env.n, witness).declared_order(z) == (value, bad)
+                    assert declared_sum_twin(rule, x, z, witness) == (value, bad)
                     assert value == pytest.approx(target, abs=1e-7)
 
     def test_fail_with_interleaved_witness_orders(self, monkeypatch):
@@ -457,15 +470,16 @@ class TestLiveAgentDp:
             env, lambda i, x_i, y: UNAVAILABLE if i == 2 and not y[0] else 1.0,
             static=False,
         )
-        sums = _PriceSums(rule, (bit(0), 0, 0, 0), env.n)
-        z = (0, bit(1), bit(2), 0)
-        _assert_extremal_matches_twin(sums, z)
+        enumerate_feasible(env)
+        sums = _OrderSums(env, rule)
+        x, z = (bit(0), 0, 0, 0), (0, bit(1), bit(2), 0)
+        _assert_extremal_matches_twin(sums, x, z)
         # min: agent 2 before agent 0 saves a unit; the order ends on agent
         # 0's finite term, so the flag comes from the predecessor set
-        value, witness, bad = all_orders(sums, z, maximize=False)
+        value, witness, bad = all_orders(sums, x, z, maximize=False)
         assert (value, bad) == (1.0, True)
         assert witness.index(2) < witness.index(0)
-        value, witness, bad = all_orders(sums, z, maximize=True)
+        value, witness, bad = all_orders(sums, x, z, maximize=True)
         assert (value, bad) == (2.0, False)
         assert witness.index(0) < witness.index(2)
 
@@ -478,10 +492,10 @@ class TestLiveAgentDp:
             static=False,
         )
         feasible = enumerate_feasible(env)
+        sums = _OrderSums(env, rule)
         for x in feasible:
-            sums = _PriceSums(rule, x, env.n)
             for z in feasible:
-                _assert_extremal_matches_twin(sums, z)
+                _assert_extremal_matches_twin(sums, x, z)
 
     def test_work_counters_on_uniform_four_of_eight(self, monkeypatch):
         env, profile, rule, family = _matroid_priced("uniform", 8, 0, "matroid")
@@ -518,15 +532,15 @@ class TestLiveAgentDp:
 
 
 def count_replays(monkeypatch) -> list:
-    """Count ``_PriceSums.witness`` calls in a one-element list."""
+    """Count ``_OrderSums.witness`` calls in a one-element list."""
     calls = [0]
-    witness = _PriceSums.witness
+    witness = _OrderSums.witness
 
-    def counted(sums, z, maximize):
+    def counted(sums, x, z, maximize):
         calls[0] += 1
-        return witness(sums, z, maximize)
+        return witness(sums, x, z, maximize)
 
-    monkeypatch.setattr(_PriceSums, "witness", counted)
+    monkeypatch.setattr(_OrderSums, "witness", counted)
     return calls
 
 
@@ -553,15 +567,15 @@ def _gated_unavailable_case():
     return env, element_profile(env, 3, 2, 1, 1), rule, default_family(env)
 
 
-def _assert_orders_reproduce_sums(report, rule, n):
+def _assert_orders_reproduce_sums(report, rule):
     """Each recorded order's own sum is the recorded lhs, and each
     structural condition-(a) order meets the UNAVAILABLE entry."""
     for cond, x, member, lhs, _rhs, order in report.witnesses:
         z = x if cond == "a" else member
-        assert _PriceSums(rule, x, n, order).declared_order(z)[0] == lhs
+        assert declared_sum_twin(rule, x, z, order)[0] == lhs
     for cond, x, order in report.structural_violations:
         if cond == "a":
-            assert _PriceSums(rule, x, n, order).declared_order(x)[1]
+            assert declared_sum_twin(rule, x, x, order)[1]
 
 
 class TestLazyWitness:
@@ -583,7 +597,7 @@ class TestLazyWitness:
             walk_through(mp, eager_extremal)
             twin = _check_either(env, profile, rule, family, params)
         assert repr(fast) == repr(twin)
-        _assert_orders_reproduce_sums(fast, rule, env.n)
+        _assert_orders_reproduce_sums(fast, rule)
 
     def test_structural_condition_a_orders_match_eager_walk(self, monkeypatch):
         env, profile, rule, family = _gated_unavailable_case()
@@ -595,7 +609,7 @@ class TestLazyWitness:
         walk_through(monkeypatch, eager_extremal)
         twin = _check_either(env, profile, rule, family, params)
         assert repr(fast) == repr(twin)
-        _assert_orders_reproduce_sums(fast, rule, env.n)
+        _assert_orders_reproduce_sums(fast, rule)
 
     @pytest.mark.parametrize("kind,ground,pricing", [
         ("uniform", 6, "matroid"), ("partition", 6, "matroid"), ("graphic_k4", 6, "warmup"),
@@ -614,6 +628,56 @@ class TestLazyWitness:
         report = _check_either(env, profile, rule, family, BalanceParams(alpha=1.0, beta=1.0))
         assert report.passed
         assert replays[0] == 0
+
+
+def _assert_walk_matches_twin(env, profile, rule, family, beta):
+    """The walk's whole report, every witness order included, is the one the
+    same walk gives with ``extremal`` and ``witness`` sent to the
+    one-run-per-sum twins, which ask each term of the pricing rule."""
+    params = BalanceParams(alpha=1.0, beta=beta)
+
+    def walk():
+        r = check_balanced(env, profile, rule, opt(env, profile), family, params)
+        return repr((r.as_dict(), r.witnesses, r.structural_violations, r.max_b_ratio))
+
+    memo = walk()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_OrderSums, "extremal", extremal_twin)
+        mp.setattr(_OrderSums, "witness", witness_twin)
+        twin = walk()
+    assert memo == twin
+
+
+BETAS = st.sampled_from([1.0, 0.25])
+
+
+class TestWalkMatchesTwin:
+    @given(
+        st.sampled_from(["uniform", "partition", "graphic_k4"]),
+        st.integers(min_value=3, max_value=7),
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from(MATROID_PRICINGS),
+        BETAS,
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_catalog_matroids(self, kind, ground, seed, pricing, beta):
+        if pricing != "matroid":
+            # the reference-price constructions re-run opt per price miss
+            ground = min(ground, 4)
+        _assert_walk_matches_twin(*_matroid_priced(kind, ground, seed, pricing), beta)
+
+    @given(st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=6, max_size=6), BETAS)
+    @settings(max_examples=15, deadline=None)
+    def test_multi_element_matroid(self, values, beta):
+        # a support agent of x can hold a non-null outcome in a member
+        env = multi_element_matroid()
+        profile = multi_element_profile(env, values)
+        rule = matroid_dynamic_prices(env, profile)
+        _assert_walk_matches_twin(env, profile, rule, default_family(env), beta)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.25])
+    def test_gated_unavailable_entries(self, beta):
+        _assert_walk_matches_twin(*_gated_unavailable_case(), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -755,11 +819,11 @@ class TestStaticPerFamily:
         """A static rule's walk sums every listed allocation in one column,
         and scores each exchange set from it: by its largest entry, or
         member by member where condition (b) breaks.  It builds no
-        ``_PriceSums``."""
+        ``_OrderSums``."""
         env, profile, rule, alloc = _static_case(kind, n, seed)
         columns, tables = [], []
         static_column = balance._static_column
-        init = _PriceSums.__init__
+        init = _OrderSums.__init__
 
         def counted_column(*args):
             columns.append(args)
@@ -767,11 +831,11 @@ class TestStaticPerFamily:
 
         def counted_init(sums, *args, **kwargs):
             init(sums, *args, **kwargs)
-            tables.append(sums.x)
+            tables.append(sums.prices)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(balance, "_static_column", counted_column)
-            mp.setattr(_PriceSums, "__init__", counted_init)
+            mp.setattr(_OrderSums, "__init__", counted_init)
             check_balanced(
                 env, profile, rule, alloc, default_family(env), BalanceParams(alpha=2.0, beta=2.0)
             )
@@ -802,7 +866,7 @@ class TestStaticPerFamily:
         half units its outcomes stop at, so an exchange set holding a half
         unit is scored member by member from the static column and its
         flags: each flagged member is a structural violation, and the report
-        is the per-allocation twin's, with no ``_PriceSums`` built."""
+        is the per-allocation twin's, with no ``_OrderSums`` built."""
         inst = gen_knapsack_random(n=3, seed=0)
         env, profile = inst.env, inst.profile
         alloc = knapsack_dp(env, profile)
@@ -810,10 +874,10 @@ class TestStaticPerFamily:
         params = BalanceParams(alpha=2.0, beta=1.0)
 
         def no_sums(sums, *args, **kwargs):
-            raise AssertionError("the static walk built a _PriceSums")
+            raise AssertionError("the static walk built an _OrderSums")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(_PriceSums, "__init__", no_sums)
+            mp.setattr(_OrderSums, "__init__", no_sums)
             report = check_balanced(env, profile, rule, alloc, default_family(env), params)
         twin = per_x_static_check(env, profile, rule, alloc, default_family(env), params)
         assert repr(_report_fields(report)) == repr(_report_fields(twin))

@@ -1,11 +1,12 @@
-"""The all-orders certifier's DP layers against the one-run-per-sum twin.
+"""The all-orders certifier's DP memo against the one-run-per-sum twin.
 
-``_PriceSums`` keeps one DP layer per (sign, priced allocation) and shares
-it across every sum of one conditioning allocation x.  ``subset_dp_twin`` in
-helpers runs the whole subset DP over the live agents for each sum on its
-own.  Both scan candidates in agent order with the same additions and the
-same first-within-TOL rule, so values, flags and witness orders must agree
-to the bit.
+``_OrderSums`` keeps one memo per sign over (conditioning prefix, priced
+outcomes) pairs and shares it across every sum of a walk.
+``subset_dp_twin`` in helpers runs the whole subset DP over the live agents
+for each sum on its own, every term asked of the pricing rule.  Both scan
+candidates in agent order with the same additions and the same
+first-within-TOL rule, so values, flags and witness orders must agree to
+the bit.
 """
 
 import itertools
@@ -13,12 +14,11 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balprice.balance import _PriceSums, check_balanced
+from balprice.balance import _OrderSums, check_balanced
 from balprice.catalog import gen_matroid
 from balprice.core import (
     NULL,
     UNAVAILABLE,
-    AdditiveValuation,
     ExplicitEnv,
     KnapsackEnv,
     enumerate_feasible,
@@ -27,7 +27,7 @@ from balprice.core import (
 from balprice.oracle import default_family, opt
 from balprice.pricing import BalanceParams, PricingRule, matroid_dynamic_prices
 
-from helpers import extremal_twin, multi_element_matroid, witness_twin
+from helpers import extremal_twin, multi_element_matroid, multi_element_profile, witness_twin
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -45,24 +45,19 @@ def _catalog_case(kind, ground, seed):
 
 def _multi_element_case(values):
     env = multi_element_matroid()
-    profile = tuple(
-        AdditiveValuation(tuple(v if e in env.elements[i] else 0.0 for e, v in enumerate(values)))
-        for i in range(env.n)
-    )
+    profile = multi_element_profile(env, values)
     return env, matroid_dynamic_prices(env, profile), default_family(env)
 
 
-def _assert_layers_match_twin(rule, env, x, zs, rnd):
-    """Ask every z of ``zs`` in a shuffled order, twice, of one layer memo;
-    each answer must be the twin's by ``repr``."""
-    sums = _PriceSums(rule, x, env.n)
-    twin = _PriceSums(rule, x, env.n)
+def _assert_memo_matches_twin(sums, x, zs, rnd):
+    """Ask every (x, z) of ``zs`` in a shuffled order, twice, of the walk's
+    memo ``sums``; each answer must be the twin's by ``repr``."""
     asked = list(zs)
     rnd.shuffle(asked)
     for z in asked + asked:
         for maximize in (False, True):
-            got = (sums.extremal(z, maximize), sums.witness(z, maximize))
-            want = (extremal_twin(twin, z, maximize), witness_twin(twin, z, maximize))
+            got = (sums.extremal(x, z, maximize), sums.witness(x, z, maximize))
+            want = (extremal_twin(sums, x, z, maximize), witness_twin(sums, x, z, maximize))
             assert repr(got) == repr(want), (x, z, maximize)
 
 
@@ -76,8 +71,10 @@ class TestLayersMatchTwin:
     @settings(max_examples=12, deadline=None)
     def test_catalog_matroids(self, kind, ground, seed, rnd):
         env, rule, family = _catalog_case(kind, ground, seed)
-        for x in enumerate_feasible(env):
-            _assert_layers_match_twin(rule, env, x, [x] + family.members(x), rnd)
+        feasible = enumerate_feasible(env)
+        sums = _OrderSums(env, rule)
+        for x in feasible:
+            _assert_memo_matches_twin(sums, x, [x] + family.members(x), rnd)
 
     @given(
         st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=6, max_size=6),
@@ -87,12 +84,14 @@ class TestLayersMatchTwin:
     def test_multi_element_members_share_the_support(self, values, rnd):
         env, rule, family = _multi_element_case(values)
         shared = 0
-        for x in enumerate_feasible(env):
+        feasible = enumerate_feasible(env)
+        sums = _OrderSums(env, rule)
+        for x in feasible:
             members = family.members(x)
             shared += sum(
                 1 for z in members if any(x[i] != NULL and z[i] != NULL for i in range(env.n))
             )
-            _assert_layers_match_twin(rule, env, x, [x] + members, rnd)
+            _assert_memo_matches_twin(sums, x, [x] + members, rnd)
         assert shared  # a member holding an agent of x's support
 
     @given(
@@ -122,75 +121,85 @@ class TestLayersMatchTwin:
             static=False,
         )
         feasible = enumerate_feasible(env)
-        everything = list(itertools.product((0, 1, 2), repeat=n))
+        sums = _OrderSums(env, rule)
         for x in feasible:
-            # every allocation, listed or not: unlisted ones meet infeasible terms
-            _assert_layers_match_twin(rule, env, x, everything, rnd)
+            # every listed allocation, the memo's domain: a prefix of x with
+            # another's outcome can be unlisted, so infeasible terms occur
+            _assert_memo_matches_twin(sums, x, feasible, rnd)
 
 
 class TestLayerMemo:
     def test_missing_parents_are_computed_and_kept(self):
         env, rule, family = _catalog_case("uniform", 6, 1)
-        x = next(a for a in enumerate_feasible(env) if sum(1 for t in a if t) == 1)
+        feasible = enumerate_feasible(env)
+        x = next(a for a in feasible if sum(1 for t in a if t) == 1)
         z = next(z for z in family.members(x) if sum(1 for t in z if t) >= 2)
-        sums = _PriceSums(rule, x, env.n)
-        sums.extremal(z, maximize=True)
-        memo = sums._layers[True]
+        sums = _OrderSums(env, rule)
+        sums.extremal(x, z, maximize=True)
+        memo = sums._values[True]
+        positions = {y: k for k, y in enumerate(feasible)}
+        supp = [i for i, t in enumerate(x) if t != NULL]
         off = [i for i, t in enumerate(z) if t != NULL and x[i] == NULL]
-        # every restriction of z's off-support agents has a layer
-        for drop in itertools.product((False, True), repeat=len(off)):
-            w = z
-            for i, d in zip(off, drop):
-                if d:
-                    w = replace_at(w, i, NULL)
-            assert len(memo[w][0]) == 1 << sum(1 for t in x if t != NULL)
-        assert not sums._layers[False]
+        # every state below (x, z) is kept: x restricted to some support
+        # agents, z to those agents plus some off-support agents
+        states = set()
+        for keep in itertools.product((False, True), repeat=len(supp) + len(off)):
+            y, w = x, z
+            for i, k in zip(supp + off, keep):
+                if not k:
+                    y, w = replace_at(y, i, NULL), replace_at(w, i, NULL)
+            states.add(positions[y] * len(feasible) + positions[w])
+        assert states <= set(memo)
+        assert len(memo) == len(states) == 1 << len(supp) + len(off)
+        assert not sums._values[False]
 
 
 def _walk(monkeypatch, twin: bool):
     """The catalog uniform rank 3, ground 6, seed 1 job under ``--order
-    all``: (report, rule, null-outcome price calls, layer entries)."""
+    all``: (report, rule, price calls, null-outcome price calls, memo
+    states)."""
     inst = gen_matroid("uniform", seed=1, rank=3, ground=6)
     env, profile = inst.env, inst.profile
     rule = matroid_dynamic_prices(env, profile)
-    null_calls, entries = [0], [0]
+    calls, null_calls, states = [0], [0], [0]
     price = rule.price
 
     def counted_price(i, x_i, y):
+        calls[0] += 1
         null_calls[0] += x_i == NULL
         return price(i, x_i, y)
 
     rule.price = counted_price
-    layer = _PriceSums._layer
+    solve = _OrderSums._solve
 
-    def counted_layer(sums, w, maximize):
-        if w not in sums._layers[maximize]:
-            entries[0] += len(sums._prefixes)
-        return layer(sums, w, maximize)
+    def counted_solve(sums, py, pw, maximize):
+        states[0] += 1
+        return solve(sums, py, pw, maximize)
 
     with monkeypatch.context() as mp:
-        mp.setattr(_PriceSums, "_layer", counted_layer)
+        mp.setattr(_OrderSums, "_solve", counted_solve)
         if twin:
-            mp.setattr(_PriceSums, "extremal", extremal_twin)
-            mp.setattr(_PriceSums, "witness", witness_twin)
+            mp.setattr(_OrderSums, "extremal", extremal_twin)
+            mp.setattr(_OrderSums, "witness", witness_twin)
         report = check_balanced(
             env, profile, rule, opt(env, profile), default_family(env),
             BalanceParams(alpha=1.0, beta=1.0),
         )
-    return report, rule, null_calls[0], entries[0]
+    return report, rule, calls[0], null_calls[0], states[0]
 
 
 class TestCounters:
     def test_uniform_three_of_six(self, monkeypatch):
-        report, rule, null_calls, entries = _walk(monkeypatch, twin=False)
-        twin_report, twin_rule, _, _ = _walk(monkeypatch, twin=True)
+        report, rule, calls, null_calls, states = _walk(monkeypatch, twin=False)
+        twin_report, twin_rule, _, _, _ = _walk(monkeypatch, twin=True)
         assert repr(report.as_dict()) == repr(twin_report.as_dict())
         assert report.max_b_ratio == twin_report.max_b_ratio
-        # a null outcome's row is zeros: the walk never prices it
+        # a null outcome adds 0.0 unpriced: the walk never prices it
         assert null_calls == 0
         # the same terms missed the rule's cache
-        assert len(rule._cache) == len(twin_rule._cache)
-        # one run per sum visited 2^|live| states; the layers visit fewer
+        assert len(rule._cache) == len(twin_rule._cache) == 96
+        # one run per sum visited 2^|live| states; the memo computes one
+        # state per checked sum, each once across the walk
         env = rule.env
         family = default_family(env)
         one_run_per_sum = 0
@@ -200,7 +209,10 @@ class TestCounters:
                     live = sum(1 for i in range(env.n) if x[i] != NULL or z[i] != NULL)
                     one_run_per_sum += 1 << live
         assert one_run_per_sum == 1778
-        assert entries == 927
+        assert (report.checked_allocations, report.checked_members) == (42, 233)
+        assert states == 275 == report.checked_allocations + report.checked_members
+        # the per-x layers asked the rule 612 times
+        assert calls <= 612
 
 
 class TestPriceClearsTheOwnSlot:

@@ -8,11 +8,14 @@
 - ``Matroid.independent`` answers each in-range mask once per matroid.
 
 Each fast path is compared against its twin in ``helpers``; results must be
-equal by ``repr``.  The exit-code fuzz covers the subcommands on this path.
+equal by ``repr``.  The exit-code fuzz covers the subcommands on this path,
+and ``balance`` and ``permeability`` on catalog documents whose values are
+scaled across [1e-100, 1e99].
 """
 
 import contextlib
 import copy
+import io
 import json
 import math
 import os
@@ -24,7 +27,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import balprice.mechanism
-from balprice.catalog import gen_matroid, gen_two_point_single_item
+from balprice.catalog import (
+    gen_knapsack_random,
+    gen_matroid,
+    gen_mph_random,
+    gen_pip_random,
+    gen_two_point_single_item,
+    gen_xos_random,
+)
 from balprice.cli import main
 from balprice.core import Matroid
 from balprice.mechanism import (
@@ -309,3 +319,76 @@ class TestExitCodeFuzz:
             for run in RUNS:
                 argv = [run[0], "--instance", path, "--pricing", PRICING[name], *run[1:]]
                 assert main(argv) == 0, argv
+
+
+# balance and permeability on catalog documents, values scaled by 10^k
+CERTIFY_DOCS = {
+    name: (json.loads(inst.to_json()), pricing)
+    for name, inst, pricing in (
+        ("matroid-uniform", gen_matroid("uniform", seed=1, rank=2, ground=4), "matroid"),
+        ("matroid-partition", gen_matroid("partition", seed=1, ground=4), "matroid"),
+        ("knapsack", gen_knapsack_random(n=3, seed=1), "knapsack"),
+        ("xos", gen_xos_random(n=3, m=3, seed=1), "xos"),
+        ("mph", gen_mph_random(n=3, m=3, seed=1), "mph"),
+        ("pip", gen_pip_random(n=4, seed=1), "pip"),
+    )
+}
+
+
+def _scale_values(node, factor):
+    """``node`` with every number a valuation holds times ``factor``; item
+    lists and knapsack sizes are not values."""
+    if isinstance(node, dict):
+        return {
+            k: v if k in ("items", "size") else _scale_values(v, factor) for k, v in node.items()
+        }
+    if isinstance(node, list):
+        return [_scale_values(v, factor) for v in node]
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        return node * factor
+    return node
+
+
+def _certify_runs(n: int):
+    """balance in a declared order and in all orders, each at the
+    construction's parameters and at beta 0.25, and permeability under
+    both rules."""
+    declared = ",".join(str(i) for i in range(n, 0, -1))
+    return (
+        ("balance", "--order", declared),
+        ("balance", "--order", declared, "--beta", "0.25"),
+        ("balance", "--order", "all"),
+        ("balance", "--order", "all", "--beta", "0.25"),
+        ("permeability", "--rule", "opt"),
+        ("permeability", "--rule", "greedy"),
+    )
+
+
+class TestCertifyExitCodeFuzz:
+    @given(st.sampled_from(sorted(CERTIFY_DOCS)), st.integers(min_value=-100, max_value=99))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_balance_and_permeability_exit_0_1_2_or_3(self, name, k):
+        doc, pricing = CERTIFY_DOCS[name]
+        doc = dict(doc, agents=_scale_values(doc["agents"], 10.0 ** k))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "instance.json")
+            out = os.path.join(tmp, "report.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for run in _certify_runs(doc["environment"]["agents"]):
+                argv = [run[0], "--instance", path, *run[1:], "-o", out]
+                if run[0] == "balance":
+                    argv += ["--pricing", pricing]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                assert "Traceback" not in err.getvalue(), argv
+                if code == 1:
+                    # exit 1 only from a balance report that says FAIL
+                    assert run[0] == "balance", argv
+                    with open(out, encoding="utf-8") as fh:
+                        assert json.load(fh)["result"]["passed"] is False, argv
+                else:
+                    assert code in (0, 2, 3), argv
+                if os.path.exists(out):
+                    os.remove(out)

@@ -1,4 +1,4 @@
-"""Brute-force twins and checks shared by the tests.
+"""Brute-force twins, checks and instance builders shared by the tests.
 
 The twins here recompute what the library computes by the most direct means
 available (full cartesian enumeration, each family kind's defining
@@ -8,6 +8,7 @@ condition), so the library's fast paths can be compared against them.
 import functools
 import itertools
 import math
+import random
 import sys
 
 import balprice.core
@@ -17,6 +18,7 @@ from balprice.core import (
     TOL,
     UNAVAILABLE,
     CapExceeded,
+    KnapsackEnv,
     Matroid,
     MatroidEnv,
     TableValuation,
@@ -28,17 +30,56 @@ from balprice.core import (
     _submasks,
     _token_key,
 )
-from balprice.catalog import gen_matroid
-from balprice.mechanism import OnlinePostedPriceRunner, _members
+from balprice.catalog import (
+    gen_knapsack_random,
+    gen_matroid,
+    gen_mph_random,
+    gen_pip_random,
+    gen_product_single_items,
+    gen_two_point_single_item,
+    gen_xos_random,
+)
+from balprice.mechanism import OnlinePostedPriceRunner, _members, whole_unit_prices
 from balprice.oracle import (
+    OPT_RULE,
     ExchangeFamily,
     _binary_token,
     agent_value,
+    default_family,
     is_binary_env,
+    knapsack_dp,
+    opt,
 )
 from balprice.balance import BalanceReport
-from balprice.pricing import PricingError, PricingRule
-from balprice.stochastic import EXACT_SUPPORT_CAP, RatioEstimate, _ratio_ci95, trial_rng
+from balprice.pricing import (
+    PricingError,
+    PricingRule,
+    compose_add,
+    greedy_derived_prices,
+    knapsack_prices,
+    matroid_dynamic_prices,
+    monotone_critical_prices,
+    mphk_item_prices,
+    opt_derived_prices,
+    pip_prices,
+    single_item_prices,
+    xos_item_prices,
+)
+from balprice.stochastic import (
+    EXACT_SUPPORT_CAP,
+    ProductDistribution,
+    RatioEstimate,
+    _ratio_ci95,
+    trial_rng,
+)
+
+
+def bit(*items) -> int:
+    """The mask of ``items``."""
+    m = 0
+    for j in items:
+        m |= 1 << j
+    return m
 
 
 def argmax_first_twin(allocs, profile):
@@ -112,6 +153,126 @@ def check_downward_closed(env, cap=balprice.core.DEFAULT_CAP) -> bool:
                 if not env.is_feasible(restrict(alloc, subset)):
                     return False
     return True
+
+
+def uniform_matroid_env(rank, n):
+    """A uniform matroid of rank ``rank`` on n elements, one per agent."""
+    return MatroidEnv(
+        n=n, matroid=Matroid.uniform(rank, n), elements=tuple((i,) for i in range(n))
+    )
+
+
+def element_profile(env, *vals):
+    """Agent i worth vals[i] at its single element's mask."""
+    return tuple(
+        TableValuation(((1 << env.elements[i][0], float(v)),)) for i, v in enumerate(vals)
+    )
+
+
+def two_point_matroid(kind, seed, ground=6, rank=3, key=None):
+    """A catalog matroid, one element per agent, where each agent draws a
+    high or a low value on the 1/8 grid, from ``random.Random(key)``
+    (``random.Random(seed)`` when ``key`` is None): (env, distribution)."""
+    env = gen_matroid(kind, seed=seed, rank=rank, ground=ground).env
+    g = env.matroid.ground
+    rng = random.Random(seed if key is None else key)
+    supports = []
+    for i in range(env.n):
+        hi, lo, p = rng.randint(4, 16) / 8, rng.randint(0, 3) / 8, rng.randint(1, 7) / 8
+        atom = lambda v: AdditiveValuation(tuple(v if e == i else 0.0 for e in range(g)))
+        supports.append(((atom(hi), p), (atom(lo), 1.0 - p)))
+    return env, ProductDistribution(tuple(supports))
+
+
+MATROID_PRICINGS = ("matroid", "warmup", "alg1-greedy", "alg2-opt")
+
+
+def matroid_priced(kind, ground, seed, pricing):
+    """(env, profile, rule, family) for a catalog matroid under one of the
+    dynamic price constructions, with the family the CLI certifies it on."""
+    if kind == "uniform":
+        inst = gen_matroid("uniform", seed=seed, rank=max(1, ground // 2), ground=ground)
+    elif kind == "partition":
+        inst = gen_matroid("partition", seed=seed, ground=ground)
+    else:
+        inst = gen_matroid("graphic_k4", seed=seed)
+    env, profile = inst.env, inst.profile
+    if pricing == "matroid":
+        return env, profile, matroid_dynamic_prices(env, profile), default_family(env)
+    build = {
+        "warmup": lambda: monotone_critical_prices(env, profile, OPT_RULE),
+        "alg1-greedy": lambda: greedy_derived_prices(env, profile),
+        "alg2-opt": lambda: opt_derived_prices(env, profile),
+    }[pricing]
+    return env, profile, build(), ExchangeFamily("canonical_contraction", env)
+
+
+def multi_element_priced(values):
+    """Agents owning two elements each of a uniform matroid of rank the
+    number of agents, so an exchange member can give an agent of x's
+    support another non-null outcome."""
+    n = len(values) // 2
+    env = MatroidEnv(
+        n=n, matroid=Matroid.uniform(n, 2 * n), elements=tuple((2 * i, 2 * i + 1) for i in range(n))
+    )
+    profile = multi_element_profile(env, values)
+    return env, profile, matroid_dynamic_prices(env, profile), default_family(env)
+
+
+def gated_unavailable_case():
+    """Agent 2's entry is unavailable until agent 0's element is sold, so
+    every condition-(a) sum of an x holding elements 0 and 2 is flagged in
+    the order that puts agent 2 first: (env, profile, rule, family)."""
+    env = uniform_matroid_env(3, 4)
+    rule = PricingRule(
+        env, lambda i, x_i, y: UNAVAILABLE if i == 2 and not y[0] else 1.0, static=False,
+    )
+    return env, element_profile(env, 3, 2, 1, 1), rule, default_family(env)
+
+
+def added_single_item_prices(env, profile, alloc):
+    """Single-item prices of each market of a product, added up."""
+    rules = [
+        single_item_prices(market, tuple(v.parts[ell] for v in profile))
+        for ell, market in enumerate(env.markets)
+    ]
+    return compose_add(env, rules)
+
+
+STATIC_KINDS = {
+    "two-point": (gen_two_point_single_item, lambda env, p, _: single_item_prices(env, p)),
+    "compose-add": (gen_product_single_items, added_single_item_prices),
+    "xos": (gen_xos_random, xos_item_prices),
+    "mph": (gen_mph_random, mphk_item_prices),
+    "pip": (gen_pip_random, pip_prices),
+}
+
+
+def static_case(kind, n, seed, **sizes):
+    """(env, profile, rule, reference allocation) for a catalog instance
+    priced by a static construction, ``sizes`` passed to its generator.
+    ``knapsack`` and ``whole-unit`` prices take the knapsack optimum's
+    welfare, or ``price``, as reference, on the catalog knapsack or on one
+    with step ``step``."""
+    if kind in ("knapsack", "whole-unit"):
+        price, step = sizes.pop("price", None), sizes.pop("step", None)
+        inst = gen_knapsack_random(n=n, seed=seed, **sizes)
+        env, profile = (inst.env if step is None else KnapsackEnv(n=n, step=step)), inst.profile
+        alloc = knapsack_dp(env, profile)
+        ref = welfare(profile, alloc) if price is None else price
+        if kind == "knapsack":
+            return env, profile, knapsack_prices(env, profile, ref), alloc
+        return env, profile, whole_unit_prices(env, ref), alloc
+    gen, construct = STATIC_KINDS[kind]
+    inst = gen(n=n, seed=seed, **sizes)
+    alloc = opt(inst.env, inst.profile)
+    return inst.env, inst.profile, construct(inst.env, inst.profile, alloc), alloc
+
+
+def report_fields(report):
+    """What a certifier report must reproduce: its serialized dict, every
+    witness and structural violation, and its largest condition-(b) ratio."""
+    return report.as_dict(), report.witnesses, report.structural_violations, report.max_b_ratio
 
 
 def multi_element_matroid():

@@ -22,25 +22,15 @@ from balprice.core import (
     PipEnv,
     ScalarValuation,
     SingleItemEnv,
-    TableValuation,
     TOL,
     UNAVAILABLE,
     ThresholdValuation,
     enumerate_feasible,
     welfare,
 )
-from balprice.catalog import (
-    gen_knapsack_random,
-    gen_matroid,
-    gen_mph_random,
-    gen_pip_random,
-    gen_product_single_items,
-    gen_two_point_single_item,
-    gen_xos_random,
-)
+from balprice.catalog import gen_knapsack_random
 from balprice.mechanism import whole_unit_prices
 from balprice.oracle import (
-    OPT_RULE,
     ExchangeFamily,
     default_family,
     knapsack_dp,
@@ -49,48 +39,28 @@ from balprice.oracle import (
 from balprice.pricing import (
     BalanceParams,
     PricingRule,
-    compose_add,
-    greedy_derived_prices,
     knapsack_prices,
     matroid_dynamic_prices,
-    monotone_critical_prices,
     mphk_item_prices,
-    opt_derived_prices,
     pip_prices,
     scaled_prices,
     single_item_prices,
-    xos_item_prices,
 )
 
 from helpers import (
+    MATROID_PRICINGS,
+    bit,
     declared_sum_twin,
     eager_extremal,
-    extremal_twin,
-    multi_element_matroid,
-    multi_element_profile,
+    element_profile,
+    gated_unavailable_case,
+    matroid_priced,
     per_x_static_check,
     price_term,
-    witness_twin,
+    report_fields,
+    static_case,
+    uniform_matroid_env,
 )
-
-
-def bit(*items):
-    m = 0
-    for j in items:
-        m |= 1 << j
-    return m
-
-
-def uniform_matroid_env(rank, n):
-    return MatroidEnv(
-        n=n, matroid=Matroid.uniform(rank, n), elements=tuple((i,) for i in range(n))
-    )
-
-
-def element_profile(env, *vals):
-    return tuple(
-        TableValuation(((1 << env.elements[i][0], float(v)),)) for i, v in enumerate(vals)
-    )
 
 
 class TestSingleItemBalance:
@@ -350,29 +320,6 @@ def full_width_extremal(sums, x, z, maximize):
     return sign * dp[full], tuple(reversed(order)), flag[full]
 
 
-MATROID_PRICINGS = ("matroid", "warmup", "alg1-greedy", "alg2-opt")
-
-
-def _matroid_priced(kind, ground, seed, pricing):
-    """(env, profile, rule, family) for a catalog matroid under one of the
-    dynamic price constructions, with the family the CLI certifies it on."""
-    if kind == "uniform":
-        inst = gen_matroid("uniform", seed=seed, rank=max(1, ground // 2), ground=ground)
-    elif kind == "partition":
-        inst = gen_matroid("partition", seed=seed, ground=ground)
-    else:
-        inst = gen_matroid("graphic_k4", seed=seed)
-    env, profile = inst.env, inst.profile
-    if pricing == "matroid":
-        return env, profile, matroid_dynamic_prices(env, profile), default_family(env)
-    build = {
-        "warmup": lambda: monotone_critical_prices(env, profile, OPT_RULE),
-        "alg1-greedy": lambda: greedy_derived_prices(env, profile),
-        "alg2-opt": lambda: opt_derived_prices(env, profile),
-    }[pricing]
-    return env, profile, build(), ExchangeFamily("canonical_contraction", env)
-
-
 def walk_through(monkeypatch, twin):
     """Send every all-orders sum the walk takes, and every witness order it
     records, through ``twin(sums, x, z, maximize) -> (value, order, flag)``."""
@@ -420,7 +367,7 @@ class TestLiveAgentDp:
             # the reference-price constructions re-run opt per price miss
             ground = min(ground, 4)
             kind = "uniform" if kind == "graphic_k4" else kind
-        env, profile, rule, family = _matroid_priced(kind, ground, seed, pricing)
+        env, profile, rule, family = matroid_priced(kind, ground, seed, pricing)
         feasible = enumerate_feasible(env)
         sums = _OrderSums(env, rule)
         for x in feasible:
@@ -434,7 +381,7 @@ class TestLiveAgentDp:
     )
     @settings(max_examples=15, deadline=None)
     def test_extremal_matches_permutation_loop(self, kind, ground, seed):
-        env, profile, rule, family = _matroid_priced(kind, ground, seed, "matroid")
+        env, profile, rule, family = matroid_priced(kind, ground, seed, "matroid")
         orders = list(itertools.permutations(range(env.n)))
         feasible = enumerate_feasible(env)
         sums = _OrderSums(env, rule)
@@ -449,7 +396,7 @@ class TestLiveAgentDp:
                     assert value == pytest.approx(target, abs=1e-7)
 
     def test_fail_with_interleaved_witness_orders(self, monkeypatch):
-        env, profile, rule, family = _matroid_priced("uniform", 6, 3, "matroid")
+        env, profile, rule, family = matroid_priced("uniform", 6, 3, "matroid")
         params = BalanceParams(alpha=1.0, beta=0.5)
         report = check_balanced(env, profile, rule, opt(env, profile), family, params)
         walk_through(monkeypatch, full_width_extremal)
@@ -498,7 +445,7 @@ class TestLiveAgentDp:
                 _assert_extremal_matches_twin(sums, x, z)
 
     def test_work_counters_on_uniform_four_of_eight(self, monkeypatch):
-        env, profile, rule, family = _matroid_priced("uniform", 8, 0, "matroid")
+        env, profile, rule, family = matroid_priced("uniform", 8, 0, "matroid")
         feasible = enumerate_feasible(env)
         keys = {family.members_key(x) for x in feasible}
         bound = 0
@@ -556,17 +503,6 @@ def _check_either(env, profile, rule, family, params):
     return check(env, profile, rule, opt(env, profile), family, params)
 
 
-def _gated_unavailable_case():
-    """Agent 2's entry is unavailable until agent 0's element is sold, so
-    every condition-(a) sum of an x holding elements 0 and 2 is flagged in
-    the order that puts agent 2 first."""
-    env = uniform_matroid_env(3, 4)
-    rule = PricingRule(
-        env, lambda i, x_i, y: UNAVAILABLE if i == 2 and not y[0] else 1.0, static=False,
-    )
-    return env, element_profile(env, 3, 2, 1, 1), rule, default_family(env)
-
-
 def _assert_orders_reproduce_sums(report, rule):
     """Each recorded order's own sum is the recorded lhs, and each
     structural condition-(a) order meets the UNAVAILABLE entry."""
@@ -591,7 +527,7 @@ class TestLazyWitness:
     )
     @settings(max_examples=20, deadline=None)
     def test_reports_match_eager_walk(self, kind, ground, seed, pricing, params):
-        env, profile, rule, family = _matroid_priced(kind, ground, seed, pricing)
+        env, profile, rule, family = matroid_priced(kind, ground, seed, pricing)
         fast = _check_either(env, profile, rule, family, params)
         with pytest.MonkeyPatch.context() as mp:
             walk_through(mp, eager_extremal)
@@ -600,7 +536,7 @@ class TestLazyWitness:
         _assert_orders_reproduce_sums(fast, rule)
 
     def test_structural_condition_a_orders_match_eager_walk(self, monkeypatch):
-        env, profile, rule, family = _gated_unavailable_case()
+        env, profile, rule, family = gated_unavailable_case()
         params = BalanceParams(alpha=1.0, beta=1.0)
         replays = count_replays(monkeypatch)
         fast = _check_either(env, profile, rule, family, params)
@@ -615,7 +551,7 @@ class TestLazyWitness:
         ("uniform", 6, "matroid"), ("partition", 6, "matroid"), ("graphic_k4", 6, "warmup"),
     ])
     def test_replays_at_most_recorded_entries(self, monkeypatch, kind, ground, pricing):
-        env, profile, rule, family = _matroid_priced(kind, ground, 1, pricing)
+        env, profile, rule, family = matroid_priced(kind, ground, 1, pricing)
         replays = count_replays(monkeypatch)
         report = _check_either(env, profile, rule, family, BalanceParams(alpha=1.0, beta=0.25))
         recorded = len(report.witnesses) + len(report.structural_violations)
@@ -623,61 +559,11 @@ class TestLazyWitness:
         assert 0 < replays[0] <= recorded
 
     def test_passing_run_replays_nothing(self, monkeypatch):
-        env, profile, rule, family = _matroid_priced("uniform", 8, 0, "matroid")
+        env, profile, rule, family = matroid_priced("uniform", 8, 0, "matroid")
         replays = count_replays(monkeypatch)
         report = _check_either(env, profile, rule, family, BalanceParams(alpha=1.0, beta=1.0))
         assert report.passed
         assert replays[0] == 0
-
-
-def _assert_walk_matches_twin(env, profile, rule, family, beta):
-    """The walk's whole report, every witness order included, is the one the
-    same walk gives with ``extremal`` and ``witness`` sent to the
-    one-run-per-sum twins, which ask each term of the pricing rule."""
-    params = BalanceParams(alpha=1.0, beta=beta)
-
-    def walk():
-        r = check_balanced(env, profile, rule, opt(env, profile), family, params)
-        return repr((r.as_dict(), r.witnesses, r.structural_violations, r.max_b_ratio))
-
-    memo = walk()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_OrderSums, "extremal", extremal_twin)
-        mp.setattr(_OrderSums, "witness", witness_twin)
-        twin = walk()
-    assert memo == twin
-
-
-BETAS = st.sampled_from([1.0, 0.25])
-
-
-class TestWalkMatchesTwin:
-    @given(
-        st.sampled_from(["uniform", "partition", "graphic_k4"]),
-        st.integers(min_value=3, max_value=7),
-        st.integers(min_value=0, max_value=10_000),
-        st.sampled_from(MATROID_PRICINGS),
-        BETAS,
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_catalog_matroids(self, kind, ground, seed, pricing, beta):
-        if pricing != "matroid":
-            # the reference-price constructions re-run opt per price miss
-            ground = min(ground, 4)
-        _assert_walk_matches_twin(*_matroid_priced(kind, ground, seed, pricing), beta)
-
-    @given(st.lists(st.floats(0.0, 10.0, allow_nan=False), min_size=6, max_size=6), BETAS)
-    @settings(max_examples=15, deadline=None)
-    def test_multi_element_matroid(self, values, beta):
-        # a support agent of x can hold a non-null outcome in a member
-        env = multi_element_matroid()
-        profile = multi_element_profile(env, values)
-        rule = matroid_dynamic_prices(env, profile)
-        _assert_walk_matches_twin(env, profile, rule, default_family(env), beta)
-
-    @pytest.mark.parametrize("beta", [1.0, 0.25])
-    def test_gated_unavailable_entries(self, beta):
-        _assert_walk_matches_twin(*_gated_unavailable_case(), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -685,100 +571,21 @@ class TestWalkMatchesTwin:
 # ---------------------------------------------------------------------------
 
 
-def _static_case(kind, n, seed):
-    """(env, profile, rule, reference allocation) for a catalog instance
-    priced by its static construction."""
-    if kind == "knapsack":
-        inst = gen_knapsack_random(n=n, seed=seed)
-        alloc = knapsack_dp(inst.env, inst.profile)
-        rule = knapsack_prices(inst.env, inst.profile, welfare(inst.profile, alloc))
-        return inst.env, inst.profile, rule, alloc
-    if kind == "two-point":
-        inst = gen_two_point_single_item(n=n, seed=seed)
-        alloc = opt(inst.env, inst.profile)
-        return inst.env, inst.profile, single_item_prices(inst.env, inst.profile), alloc
-    gen, construct = {
-        "xos": (gen_xos_random, xos_item_prices),
-        "mph": (gen_mph_random, mphk_item_prices),
-        "pip": (gen_pip_random, pip_prices),
-    }[kind]
-    inst = gen(n=n, seed=seed)
-    alloc = opt(inst.env, inst.profile)
-    return inst.env, inst.profile, construct(inst.env, inst.profile, alloc), alloc
-
-
 def _assert_matches_twin(kind, n, seed, params):
-    return _assert_case_matches_twin(*_static_case(kind, n, seed), params)
-
-
-def _assert_case_matches_twin(env, profile, rule, alloc, params):
+    env, profile, rule, alloc = static_case(kind, n, seed)
     family = default_family(env)
     check = check_weakly_balanced if params.weak else check_balanced
     fast = check(env, profile, rule, alloc, family, params)
     twin = per_x_static_check(env, profile, rule, alloc, family, params)
     # by repr, so that a signed zero or an int in place of a float cannot slip through
-    assert repr(_report_fields(fast)) == repr(_report_fields(twin))
+    assert repr(report_fields(fast)) == repr(report_fields(twin))
     return fast
-
-
-def _report_fields(report):
-    return report.as_dict(), report.witnesses, report.structural_violations, report.max_b_ratio
 
 
 STRONG = [BalanceParams(alpha=1.0, beta=1.0), BalanceParams(alpha=1.0, beta=0.5)]
 
 
 class TestStaticPerFamily:
-    @given(
-        st.integers(min_value=2, max_value=5),
-        st.integers(min_value=0, max_value=10_000),
-        st.sampled_from([BalanceParams(alpha=2.0, beta=1.0), BalanceParams(alpha=1.0, beta=2.0)]),
-    )
-    @example(2, 0, BalanceParams(alpha=2.0, beta=1.0))
-    @settings(max_examples=10, deadline=None)
-    def test_knapsack_matches_per_x_loop(self, n, seed, params):
-        _assert_matches_twin("knapsack", n, seed, params)
-
-    @given(
-        st.sampled_from(["xos", "mph", "pip"]),
-        st.integers(min_value=2, max_value=6),
-        st.integers(min_value=0, max_value=10_000),
-        st.sampled_from(STRONG + [BalanceParams(alpha=2.0, beta1=0.0, beta2=1.0)]),
-    )
-    @example("xos", 2, 0, STRONG[1])
-    @settings(max_examples=30, deadline=None)
-    def test_item_and_packing_prices_match_per_x_loop(self, kind, n, seed, params):
-        _assert_matches_twin(kind, n, seed, params)
-
-    @given(
-        st.integers(min_value=1, max_value=6),
-        st.integers(min_value=0, max_value=10_000),
-        st.sampled_from(STRONG),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_single_item_matches_per_x_loop(self, n, seed, params):
-        _assert_matches_twin("two-point", n, seed, params)
-
-    @given(
-        st.integers(min_value=2, max_value=3),
-        st.integers(min_value=2, max_value=3),
-        st.integers(min_value=0, max_value=10_000),
-        st.sampled_from(STRONG),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_compose_add_on_product_matches_per_x_loop(self, n, markets, seed, params):
-        """Product exchange sets, filtered from the product list, against
-        the twin's market-by-market membership test."""
-        inst = gen_product_single_items(n=n, markets=markets, seed=seed)
-        env, profile = inst.env, inst.profile
-        rules = [
-            single_item_prices(market, tuple(v.parts[ell] for v in profile))
-            for ell, market in enumerate(env.markets)
-        ]
-        rule = compose_add(env, rules)
-        assert rule.static
-        _assert_case_matches_twin(env, profile, rule, opt(env, profile), params)
-
     def test_knapsack_one_two_fails_on_condition_a(self):
         report = _assert_matches_twin("knapsack", 4, 0, BalanceParams(alpha=1.0, beta=2.0))
         assert not report.passed
@@ -790,7 +597,7 @@ class TestStaticPerFamily:
         assert sum(w[0] == "b" for w in report.witnesses) > 10
 
     def test_each_static_term_priced_once(self):
-        env, profile, rule, alloc = _static_case("knapsack", 4, 0)
+        env, profile, rule, alloc = static_case("knapsack", 4, 0)
         feasible = enumerate_feasible(env)
         pairs = {(i, x[i]) for x in feasible for i in range(env.n)}
         calls = [0]
@@ -820,7 +627,7 @@ class TestStaticPerFamily:
         and scores each exchange set from it: by its largest entry, or
         member by member where condition (b) breaks.  It builds no
         ``_OrderSums``."""
-        env, profile, rule, alloc = _static_case(kind, n, seed)
+        env, profile, rule, alloc = static_case(kind, n, seed)
         columns, tables = [], []
         static_column = balance._static_column
         init = _OrderSums.__init__
@@ -850,15 +657,16 @@ class TestStaticPerFamily:
     )
     @example(3, 0, 1.0, STRONG[0])
     @settings(max_examples=8, deadline=None)
-    def test_whole_unit_knapsack_matches_per_x_loop(self, n, seed, price, params):
+    def test_whole_unit_knapsack_flags_both_conditions(self, n, seed, price, params):
         """Whole-unit prices are static and UNAVAILABLE on every partial
         quantity: each allocation holding one is a structural violation,
-        and each exchange set holding one is scored member by member."""
-        inst = gen_knapsack_random(n=n, seed=seed)
-        alloc = knapsack_dp(inst.env, inst.profile)
-        rule = whole_unit_prices(inst.env, price)
+        and so is each exchange member holding one.  The ``static-walk``
+        entry of ``twins.TWINS`` compares these reports with the
+        per-allocation twin."""
+        env, profile, rule, alloc = static_case("whole-unit", n, seed, price=price)
         assert rule.static
-        report = _assert_case_matches_twin(inst.env, inst.profile, rule, alloc, params)
+        check = check_weakly_balanced if params.weak else check_balanced
+        report = check(env, profile, rule, alloc, default_family(env), params)
         assert {v[0] for v in report.structural_violations} == {"a", "b"}
 
     def test_flagged_member_scored_from_the_column(self):
@@ -880,7 +688,7 @@ class TestStaticPerFamily:
             mp.setattr(_OrderSums, "__init__", no_sums)
             report = check_balanced(env, profile, rule, alloc, default_family(env), params)
         twin = per_x_static_check(env, profile, rule, alloc, default_family(env), params)
-        assert repr(_report_fields(report)) == repr(_report_fields(twin))
+        assert repr(report_fields(report)) == repr(report_fields(twin))
         _, flags = balance._static_column(env, rule)
         positions = {y: k for k, y in enumerate(enumerate_feasible(env))}
         flagged = [member for kind, _, member in report.structural_violations if kind == "b"]
@@ -889,7 +697,7 @@ class TestStaticPerFamily:
 
 def test_family_of_another_environment_refused():
     # members are read off the checked environment's list by position
-    env, profile, rule, alloc = _static_case("knapsack", 3, 0)
+    env, profile, rule, alloc = static_case("knapsack", 3, 0)
     other = default_family(gen_knapsack_random(n=4, seed=0).env)
     with pytest.raises(ValueError, match="^the exchange family belongs to another environment$"):
         check_balanced(env, profile, rule, alloc, other, BalanceParams(alpha=1.0, beta=1.0))
@@ -902,7 +710,7 @@ class TestMinimalBetaFromCheck:
     )
     def test_check_at_minimal_beta_meets_condition_b(self, kind, n):
         for seed in range(4):
-            env, profile, rule, alloc = _static_case(kind, n, seed)
+            env, profile, rule, alloc = static_case(kind, n, seed)
             family = default_family(env)
             beta = minimal_beta(env, profile, rule, alloc, family, alpha=1.0)
             if math.isinf(beta):
@@ -918,3 +726,13 @@ class TestMinimalBetaFromCheck:
             assert report.max_b_ratio == beta
             assert report.condition_b_min_slack >= -TOL
             assert not any(v[0] == "b" for v in report.structural_violations)
+
+    def test_member_sum_within_tol_of_zero_pays_nothing(self):
+        # every price is at most 1e-9 on a reference welfare of 1e-9, and the
+        # residual optimum is 0: a member sum in (0, TOL] counts as no
+        # payment, so 0/0 is satisfied and beta 0 suffices
+        env = KnapsackEnv(n=2, step=0.5, max_share=0.5)
+        profile = (ThresholdValuation(0.0, 0.5), ThresholdValuation(0.0, 0.5))
+        rule = knapsack_prices(env, profile, 1e-9)
+        alloc = knapsack_dp(env, profile)
+        assert minimal_beta(env, profile, rule, alloc, default_family(env), alpha=2.0) == 0.0

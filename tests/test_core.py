@@ -33,14 +33,7 @@ from balprice.core import (
 
 from balprice.serialize import encode_environment
 
-from helpers import check_downward_closed, count_dfs_runs, restrict
-
-
-def bit(*items):
-    m = 0
-    for j in items:
-        m |= 1 << j
-    return m
+from helpers import bit, check_downward_closed, count_dfs_runs, restrict
 
 
 class TestValuations:

@@ -37,8 +37,8 @@ from balprice.stochastic import (
     worst_order_expected_welfare,
 )
 
-from helpers import expected_opt_twin, monte_carlo_twin, tied_candidates_twin
-from test_ratio_path import stochastic_case, two_point_matroid
+from helpers import expected_opt_twin, monte_carlo_twin, tied_candidates_twin, two_point_matroid
+from test_ratio_path import stochastic_case
 
 PARAMS = BalanceParams(alpha=1.0, beta=1.0)
 

@@ -27,26 +27,9 @@ from balprice.core import (
 from balprice.oracle import default_family, opt
 from balprice.pricing import BalanceParams, PricingRule, matroid_dynamic_prices
 
-from helpers import extremal_twin, multi_element_matroid, multi_element_profile, witness_twin
+from helpers import extremal_twin, matroid_priced, multi_element_priced, witness_twin
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
-
-
-def _catalog_case(kind, ground, seed):
-    if kind == "uniform":
-        inst = gen_matroid("uniform", seed=seed, rank=max(1, ground // 2), ground=ground)
-    elif kind == "partition":
-        inst = gen_matroid("partition", seed=seed, ground=ground)
-    else:
-        inst = gen_matroid("graphic_k4", seed=seed)
-    env = inst.env
-    return env, matroid_dynamic_prices(env, inst.profile), default_family(env)
-
-
-def _multi_element_case(values):
-    env = multi_element_matroid()
-    profile = multi_element_profile(env, values)
-    return env, matroid_dynamic_prices(env, profile), default_family(env)
 
 
 def _assert_memo_matches_twin(sums, x, zs, rnd):
@@ -70,7 +53,7 @@ class TestLayersMatchTwin:
     )
     @settings(max_examples=12, deadline=None)
     def test_catalog_matroids(self, kind, ground, seed, rnd):
-        env, rule, family = _catalog_case(kind, ground, seed)
+        env, _, rule, family = matroid_priced(kind, ground, seed, "matroid")
         feasible = enumerate_feasible(env)
         sums = _OrderSums(env, rule)
         for x in feasible:
@@ -82,7 +65,7 @@ class TestLayersMatchTwin:
     )
     @settings(max_examples=15, deadline=None)
     def test_multi_element_members_share_the_support(self, values, rnd):
-        env, rule, family = _multi_element_case(values)
+        env, _, rule, family = multi_element_priced(values)
         shared = 0
         feasible = enumerate_feasible(env)
         sums = _OrderSums(env, rule)
@@ -130,7 +113,7 @@ class TestLayersMatchTwin:
 
 class TestLayerMemo:
     def test_missing_parents_are_computed_and_kept(self):
-        env, rule, family = _catalog_case("uniform", 6, 1)
+        env, _, rule, family = matroid_priced("uniform", 6, 1, "matroid")
         feasible = enumerate_feasible(env)
         x = next(a for a in feasible if sum(1 for t in a if t) == 1)
         z = next(z for z in family.members(x) if sum(1 for t in z if t) >= 2)
@@ -241,7 +224,7 @@ class TestPriceClearsTheOwnSlot:
         assert len(seen) == 2 and len(rule._cache) == 2
 
     def test_matroid_token_in_own_slot(self):
-        env, _, _ = _catalog_case("uniform", 4, 0)
+        env = matroid_priced("uniform", 4, 0, "matroid")[0]
         rule, seen = self._recording_rule(env)
         tok = 1 << env.elements[1][0]
         y = (0, tok, 0, 0)

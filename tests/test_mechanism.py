@@ -41,14 +41,7 @@ from balprice.pricing import (
 )
 from balprice.stochastic import ProductDistribution
 
-from helpers import verify_trace
-
-
-def bit(*items):
-    m = 0
-    for j in items:
-        m |= 1 << j
-    return m
+from helpers import bit, verify_trace
 
 
 def uniform_item_prices(env, price):

@@ -29,7 +29,6 @@ from balprice.core import (
     ScalarValuation,
     SingleItemEnv,
     TOL,
-    TableValuation,
     ThresholdValuation,
     UNAVAILABLE,
     enumerate_feasible,
@@ -52,31 +51,19 @@ from balprice.oracle import (
     residual_opt,
 )
 
-from helpers import brute_feasible, catalog_matroids, filtered_members, multi_element_matroid
-
-
-def bit(*items):
-    m = 0
-    for j in items:
-        m |= 1 << j
-    return m
-
-
-def uniform_matroid_env(rank, n):
-    return MatroidEnv(
-        n=n, matroid=Matroid.uniform(rank, n), elements=tuple((i,) for i in range(n))
-    )
+from helpers import (
+    bit,
+    brute_feasible,
+    catalog_matroids,
+    element_profile,
+    filtered_members,
+    multi_element_matroid,
+    uniform_matroid_env,
+)
 
 
 def scalar_profile(*vals):
     return tuple(ScalarValuation(v) for v in vals)
-
-
-def element_profile(env, *vals):
-    # value v_i for agent i's single element mask
-    return tuple(
-        TableValuation(((1 << env.elements[i][0], float(v)),)) for i, v in enumerate(vals)
-    )
 
 
 # The four single-minded bidders on three items: three pair bidders at 2 and

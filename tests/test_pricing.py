@@ -7,15 +7,12 @@ from balprice.core import (
     AdditiveValuation,
     CombinatorialAuctionEnv,
     KnapsackEnv,
-    Matroid,
-    MatroidEnv,
     MphValuation,
     PipEnv,
     ProductEnv,
     ScalarValuation,
     SingleItemEnv,
     TOL,
-    TableValuation,
     ThresholdValuation,
     UNAVAILABLE,
     XosValuation,
@@ -43,24 +40,7 @@ from balprice.pricing import (
 )
 from balprice.stochastic import ProductDistribution
 
-
-def bit(*items):
-    m = 0
-    for j in items:
-        m |= 1 << j
-    return m
-
-
-def uniform_matroid_env(rank, n):
-    return MatroidEnv(
-        n=n, matroid=Matroid.uniform(rank, n), elements=tuple((i,) for i in range(n))
-    )
-
-
-def element_profile(env, *vals):
-    return tuple(
-        TableValuation(((1 << env.elements[i][0], float(v)),)) for i, v in enumerate(vals)
-    )
+from helpers import bit, element_profile, uniform_matroid_env
 
 
 class TestBalanceParams:

@@ -75,7 +75,7 @@ from balprice.stochastic import (
     trial_rng,
 )
 
-from helpers import every_entry
+from helpers import every_entry, two_point_matroid
 
 PARAMS = BalanceParams(alpha=1.0, beta=1.0)
 
@@ -83,20 +83,6 @@ PARAMS = BalanceParams(alpha=1.0, beta=1.0)
 # ---------------------------------------------------------------------------
 # Instances: (env, distribution, per-profile constructor)
 # ---------------------------------------------------------------------------
-
-
-def two_point_matroid(kind, seed, ground=6, rank=3):
-    """A catalog matroid, one element per agent, where each agent draws a
-    high or a low value on the 1/8 grid."""
-    env = gen_matroid(kind, seed=seed, rank=rank, ground=ground).env
-    g = env.matroid.ground
-    rng = random.Random(seed)
-    supports = []
-    for i in range(env.n):
-        hi, lo, p = rng.randint(4, 16) / 8, rng.randint(0, 3) / 8, rng.randint(1, 7) / 8
-        atom = lambda v: AdditiveValuation(tuple(v if e == i else 0.0 for e in range(g)))
-        supports.append(((atom(hi), p), (atom(lo), 1.0 - p)))
-    return env, ProductDistribution(tuple(supports))
 
 
 def mixed_dist(profiles):

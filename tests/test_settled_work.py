@@ -46,9 +46,14 @@ from balprice.pricing import matroid_dynamic_prices, single_item_prices
 from balprice.serialize import Instance, encode_environment
 from balprice.stochastic import monte_carlo_ratio, trial_rng
 
-from helpers import UnprunedRunner, independent_twin, monte_carlo_twin, multi_element_matroid
+from helpers import (
+    UnprunedRunner,
+    independent_twin,
+    monte_carlo_twin,
+    multi_element_matroid,
+    two_point_matroid,
+)
 from test_decisions import KINDS, case, scaled
-from test_ratio_path import two_point_matroid
 
 
 @contextlib.contextmanager

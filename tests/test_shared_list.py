@@ -16,32 +16,22 @@ from balprice.catalog import (
     gen_knapsack_mixed,
     gen_knapsack_random,
     gen_matroid,
-    gen_mph_random,
     gen_pip_random,
     gen_product_single_items,
-    gen_two_point_single_item,
     gen_xos_random,
 )
 from balprice.cli import main
-from balprice.core import (
-    CombinatorialAuctionEnv,
-    MatroidEnv,
-    SingleItemEnv,
-    enumerate_feasible,
-    welfare,
-)
-from balprice.oracle import ExchangeFamily, default_family, knapsack_dp, opt
-from balprice.pricing import (
-    BalanceParams,
-    knapsack_prices,
-    matroid_dynamic_prices,
-    mphk_item_prices,
-    pip_prices,
-    single_item_prices,
-    xos_item_prices,
-)
+from balprice.core import CombinatorialAuctionEnv, MatroidEnv, SingleItemEnv, enumerate_feasible
+from balprice.oracle import ExchangeFamily, default_family, opt
+from balprice.pricing import BalanceParams
 
-from helpers import count_dfs_runs, filtered_members, multi_element_matroid
+from helpers import (
+    count_dfs_runs,
+    filtered_members,
+    matroid_priced,
+    multi_element_matroid,
+    static_case,
+)
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -148,32 +138,24 @@ class TestBoundMembers:
 # ---------------------------------------------------------------------------
 
 
+# (balance parameters, order mode) each kind is certified with
+CERTIFIED = {
+    "matroid": (BalanceParams(alpha=1.0, beta=1.0), "all"),
+    "knapsack": (BalanceParams(alpha=2.0, beta=1.0), "all"),
+    "single-item": (BalanceParams(alpha=1.0, beta=1.0), "all"),
+    "xos": (BalanceParams(alpha=1.0, beta=1.0), "declared"),
+    "mph": (BalanceParams(alpha=1.0, beta1=1.0, beta2=1.0), "declared"),
+    "pip": (BalanceParams(alpha=2.0, beta1=0.0, beta2=2.0), "declared"),
+}
+
+
 def _case(kind, n, seed):
     """(env, profile, rule, reference allocation, params, order mode) for a
     catalog instance under the construction the CLI certifies it with."""
-    strong = BalanceParams(alpha=1.0, beta=1.0)
     if kind == "matroid":
-        inst = gen_matroid("uniform", seed=seed, rank=max(1, n // 2), ground=n)
-        rule = matroid_dynamic_prices(inst.env, inst.profile)
-        return inst.env, inst.profile, rule, opt(inst.env, inst.profile), strong, "all"
-    if kind == "knapsack":
-        inst = gen_knapsack_random(n=n, seed=seed)
-        alloc = knapsack_dp(inst.env, inst.profile)
-        rule = knapsack_prices(inst.env, inst.profile, welfare(inst.profile, alloc))
-        return inst.env, inst.profile, rule, alloc, BalanceParams(alpha=2.0, beta=1.0), "all"
-    if kind == "single-item":
-        inst = gen_two_point_single_item(n=n, seed=seed)
-        rule = single_item_prices(inst.env, inst.profile)
-        return inst.env, inst.profile, rule, opt(inst.env, inst.profile), strong, "all"
-    gen, construct, params = {
-        "xos": (gen_xos_random, xos_item_prices, strong),
-        "mph": (gen_mph_random, mphk_item_prices, BalanceParams(alpha=1.0, beta1=1.0, beta2=1.0)),
-        "pip": (gen_pip_random, pip_prices, BalanceParams(alpha=2.0, beta1=0.0, beta2=2.0)),
-    }[kind]
-    inst = gen(n=n, seed=seed)
-    alloc = opt(inst.env, inst.profile)
-    rule = construct(inst.env, inst.profile, alloc)
-    return inst.env, inst.profile, rule, alloc, params, "declared"
+        env, profile, rule, _ = matroid_priced("uniform", n, seed, "matroid")
+        return (env, profile, rule, opt(env, profile), *CERTIFIED[kind])
+    return (*static_case({"single-item": "two-point"}.get(kind, kind), n, seed), *CERTIFIED[kind])
 
 
 AGENTS = {"matroid": 6, "xos": 4, "mph": 4, "pip": 6, "knapsack": 4, "single-item": 6}

@@ -5,7 +5,9 @@ distinct support profiles.  With a construction's support form and at least
 ``SUPPORT_FORM_MIN_PROFILES`` distinct profiles the form gives the column;
 otherwise each profile's own rule does.  ``helpers.expected_scaled_twin`` is
 the per-profile average the forms replaced: every price must equal it by
-``repr``, on every entry the mechanisms can ask.
+``repr``, on every entry the mechanisms can ask.  The ``support-columns``
+entry of ``twins.TWINS`` makes that comparison on drawn exact and sampled
+cases; the tests here check when a form is taken and the work it saves.
 """
 
 import random
@@ -18,89 +20,21 @@ from hypothesis import strategies as st
 from balprice import pricing
 from balprice.catalog import gen_matroid, gen_two_point_single_item
 from balprice.cli import CONSTRUCTIONS
-from balprice.core import (
-    DEFAULT_CAP,
-    AdditiveValuation,
-    Matroid,
-    MatroidEnv,
-    ScalarValuation,
-    XosValuation,
-    enumerate_feasible,
-)
+from balprice.core import DEFAULT_CAP, XosValuation, enumerate_feasible
 from balprice.mechanism import adaptive_adversary_welfare, expected_posted_price_welfare
-from balprice.pricing import SUPPORT_FORM_MIN_PROFILES, BalanceParams, expected_scaled_prices
+from balprice.pricing import expected_scaled_prices
 from balprice.stochastic import ProductDistribution
 
 from helpers import every_entry, expected_scaled_twin
-
-PARAMS = BalanceParams(alpha=1.0, beta=1.0)
-CROSSOVER = SUPPORT_FORM_MIN_PROFILES
-
-
-def matroid_env(kind, seed):
-    """A catalog matroid with one element per agent, or agents that own
-    several elements of a uniform matroid."""
-    if kind == "multi-element":
-        return MatroidEnv(n=3, matroid=Matroid.uniform(3, 6), elements=((0, 1), (2, 5), (3, 4)))
-    matroid_kind = {"k4": "graphic_k4"}.get(kind, kind)
-    return gen_matroid(matroid_kind, seed=seed, rank=2 + seed % 2, ground=5 + seed % 3).env
-
-
-def additive_atom(env, i, rng, top=12):
-    """Agent i's values on its own elements, on the 1/3 grid from -1/3 up to
-    ``top`` / 3, or 1e-12, which is below ``TOL``: the default grid is coarse,
-    so ties occur, and thirds are inexact, so a sum depends on the order of
-    its additions.  The greedy skips the negative and tiny values."""
-
-    def element_value():
-        return 1e-12 if rng.random() < 0.1 else rng.randint(-1, top) / 3
-
-    owned = env.elements[i]
-    g = env.matroid.ground
-    return AdditiveValuation(tuple(element_value() if e in owned else 0.0 for e in range(g)))
-
-
-def distinct_atoms(make, count, rng):
-    """``count`` distinct atoms from ``make(rng)``, each of probability 1/count."""
-    atoms: dict = {}
-    while len(atoms) < count:
-        atoms.setdefault(make(rng), None)
-    return tuple((v, 1.0 / count) for v in atoms)
-
-
-def sized_dist(env, make, size, rng):
-    """Exactly ``size`` distinct support profiles: agent 0 carries ``size``
-    atoms, drawn from 4 * ``size`` + 1 grid values, and every other agent
-    one."""
-    supports = [distinct_atoms(lambda r: make(env, 0, r, top=4 * size), size, rng)]
-    supports += [((make(env, i, rng), 1.0),) for i in range(1, env.n)]
-    return ProductDistribution(tuple(supports))
-
-
-def two_point_dist(env, make, rng):
-    """Every agent draws one of two atoms: a product support of 2^n profiles."""
-    supports = []
-    for i in range(env.n):
-        atoms = distinct_atoms(lambda r: make(env, i, r), 2, rng)
-        p = rng.randint(1, 7) / 8
-        supports.append(((atoms[0][0], p), (atoms[1][0], 1.0 - p)))
-    return ProductDistribution(tuple(supports))
-
-
-def case(kind, seed, size):
-    """(env, dist, construction name) with ``size`` distinct profiles, or a
-    two-point product support for ``size`` None."""
-    rng = random.Random(seed)
-    if kind == "single-item":
-        inst = gen_two_point_single_item(n=6, seed=seed)
-        if size is None:
-            return inst.env, inst.distribution, "single-item"
-        scalar = lambda env, i, r, top=64: ScalarValuation(r.randint(0, top) / 8)
-        return inst.env, sized_dist(inst.env, scalar, size, rng), "single-item"
-    env = matroid_env(kind, seed)
-    if size is None:
-        return env, two_point_dist(env, additive_atom, rng), "matroid"
-    return env, sized_dist(env, additive_atom, size, rng), "matroid"
+from twins import (
+    CROSSOVER,
+    PARAMS,
+    SUPPORT_KINDS,
+    additive_atom,
+    matroid_env,
+    support_case,
+    two_point_dist,
+)
 
 
 def counted_constructor(env, name, built):
@@ -115,35 +49,32 @@ def counted_constructor(env, name, built):
 
 class TestColumnsMatchPerProfileRules:
     @given(
-        st.sampled_from(("uniform", "partition", "k4", "multi-element", "single-item")),
+        SUPPORT_KINDS,
         st.integers(min_value=0, max_value=31),
         st.sampled_from((CROSSOVER - 1, CROSSOVER, None)),
     )
     @settings(max_examples=40, deadline=None)
     def test_exact_mode(self, kind, seed, size):
-        env, dist, name = case(kind, seed, size)
+        env, dist, name = support_case(kind, seed, size)
         built: list = []
         rule = expected_scaled_prices(
             env, dist, counted_constructor(env, name, built), PARAMS,
             support=CONSTRUCTIONS[name].support,
         )
-        twin = expected_scaled_twin(
-            env, dist, lambda p: CONSTRUCTIONS[name].rule(env, p, DEFAULT_CAP), PARAMS
-        )
-        distinct = len(set(p for p, _ in dist.profiles()))
         for i, x_i, y in every_entry(env):
-            assert repr(rule.price(i, x_i, y)) == repr(twin.price(i, x_i, y)), (i, x_i, y)
+            rule.price(i, x_i, y)
+        distinct = len(set(p for p, _ in dist.profiles()))
         # the form prices every miss from the crossover on, and only from there
         assert (built == []) == (distinct >= CROSSOVER)
 
     @given(
-        st.sampled_from(("uniform", "partition", "k4", "multi-element", "single-item")),
+        SUPPORT_KINDS,
         st.integers(min_value=0, max_value=31),
         st.sampled_from((CROSSOVER - 1, CROSSOVER + 20, 120)),
     )
     @settings(max_examples=30, deadline=None)
     def test_sampled_mode_with_repeated_draws(self, kind, seed, count):
-        env, dist, name = case(kind, seed, None)
+        env, dist, name = support_case(kind, seed, None)
         draws = dist.sample_profiles(count, seed)
         assert len(set(draws)) < count  # draws repeat, so slots are shared
         built: list = []
@@ -151,12 +82,8 @@ class TestColumnsMatchPerProfileRules:
             env, dist, counted_constructor(env, name, built), PARAMS,
             mode="sampled", count=count, seed=seed, support=CONSTRUCTIONS[name].support,
         )
-        twin = expected_scaled_twin(
-            env, dist, lambda p: CONSTRUCTIONS[name].rule(env, p, DEFAULT_CAP), PARAMS,
-            mode="sampled", count=count, seed=seed,
-        )
         for i, x_i, y in every_entry(env):
-            assert repr(rule.price(i, x_i, y)) == repr(twin.price(i, x_i, y)), (i, x_i, y)
+            rule.price(i, x_i, y)
         assert (built == []) == (len(set(draws)) >= CROSSOVER)
 
     @pytest.mark.parametrize("seed", [1, 2, 4, 5])  # ground 6 or 7

@@ -61,6 +61,7 @@ from helpers import (
     static_case,
     uniform_matroid_env,
 )
+from twins import WALK
 
 
 class TestSingleItemBalance:
@@ -564,6 +565,15 @@ class TestLazyWitness:
         report = _check_either(env, profile, rule, family, BalanceParams(alpha=1.0, beta=1.0))
         assert report.passed
         assert replays[0] == 0
+
+
+class TestWalkMatchesTwin:
+    """The other all-orders walk cases are parts of ``twins.WALK``."""
+
+    @pytest.mark.parametrize("beta", [1.0, 0.25])
+    def test_gated_unavailable_entries(self, beta):
+        case = ("gated", beta)
+        assert repr(WALK.fast(case)) == repr(WALK.twin(case))
 
 
 # ---------------------------------------------------------------------------

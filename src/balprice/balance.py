@@ -302,7 +302,9 @@ def _check(
     """One walk over the feasible allocations.  Exchange members, their
     residual optimum and the condition bounds are taken once per
     ``members_key``; the reference allocation's welfare and each residual
-    optimum are read off the environment's welfare column.
+    optimum are read off the environment's welfare column.  The feasible
+    list and every exchange set of a listed x hold the null allocation, so
+    none is empty.
 
     A static rule's terms do not depend on the prefix, so its walk reads
     each sum off one column (``_static_column``) and scores condition (b),
@@ -340,7 +342,7 @@ def _check(
         if fam is None:
             members = family.members(x, cap)
             ws = _listed_welfare(env, profile, members)
-            residual_w = ws[_first_max(ws)] if members else 0.0
+            residual_w = ws[_first_max(ws)]
             rhs_a = (alg_w - residual_w) / params.alpha
             if params.weak:
                 rhs_b = params.beta1 * residual_w + params.beta2 * alg_w
@@ -359,8 +361,7 @@ def _check(
             members, residual_w, rhs_a, rhs_b, score = fam = exchange_set(x)
             if score is None:
                 at = list(map(positions.__getitem__, members))
-                # with no members, top -inf scores (inf, 0.0, []) as none would
-                top = max(map(col.__getitem__, at), default=-math.inf)
+                top = max(map(col.__getitem__, at))
                 if rhs_b - top >= -TOL and not any(map(flags.__getitem__, at)):
                     score = _score_members([(None, top, False)], rhs_b, residual_w)
                 else:
@@ -384,11 +385,8 @@ def _check(
             scored = ((z, *_declared_sum(prices, order, prefixes, z)) for z in members)
             score = _score_members(scored, rhs_b, residual_w)
             _record(report, x, lhs_a, bad, rhs_a, rhs_b, members, score, declared)
-    if not feasible:
-        report.condition_a_min_slack = 0.0
-        report.condition_b_min_slack = 0.0
     if report.condition_b_min_slack == math.inf:
-        report.condition_b_min_slack = 0.0  # no exchange members anywhere
+        report.condition_b_min_slack = 0.0  # every member's slack was NaN
     return report
 
 

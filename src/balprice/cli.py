@@ -309,6 +309,19 @@ def parse_order(raw: Optional[str], n: int):
     return "fixed", perm
 
 
+# per job: the order kinds it accepts, and how its refusal names them
+ORDER_KINDS = {
+    "balance": (("fixed", "all"), "--order all or a fixed permutation"),
+    "simulate": (("fixed", "all", "adversary"), "fixed, all, or adversary orders"),
+    "exact ratio": (("fixed", "all", "adversary"), "fixed, all, or adversary orders"),
+    "sampled ratio": (("fixed", "random"), "fixed or random orders"),
+}
+
+
+def _exact_ratio(args) -> bool:
+    return args.exact or args.trials == 0
+
+
 TIE_BY_FLAG = {
     "null": "prefer_null",
     "buy": "prefer_buy_lexmin",
@@ -366,7 +379,8 @@ def _distribution(instance: Instance) -> ProductDistribution:
 def _job(args, scaled: bool):
     """The steps balance, simulate and ratio share: load the instance, look up
     the construction, check that it applies before anything reads the
-    environment, resolve the parameters and parse --order.  The job's rule is
+    environment, parse --order and refuse an order kind the job does not
+    accept (``ORDER_KINDS``), then resolve the parameters.  The job's rule is
     the construction's rule on the realized profile, or with ``scaled`` its
     scaled expectation over the instance's distribution."""
     cap = args.cap_feasible
@@ -375,8 +389,14 @@ def _job(args, scaled: bool):
     env = instance.env
     if not construction.applies_to(env):
         raise PricingError(f"--pricing {args.pricing} does not apply to a {env.kind} environment")
-    params = resolve_params(args, construction, instance, cap)
     order_kind, perm = parse_order(args.order, env.n)
+    job = args.command
+    if job == "ratio":
+        job = "exact ratio" if _exact_ratio(args) else "sampled ratio"
+    accepted, named = ORDER_KINDS[job]
+    if order_kind not in accepted:
+        raise SchemaError(f"{job} supports {named}")
+    params = resolve_params(args, construction, instance, cap)
 
     def constructor(profile):
         return construction.rule(env, profile, cap)
@@ -397,8 +417,6 @@ def cmd_balance(args) -> int:
     env, profile = instance.env, instance.profile
     reference = construction.reference(env, profile, cap)
     family = construction.family(env)
-    if order_kind in ("random", "adversary"):
-        raise SchemaError("balance supports --order all or a fixed permutation")
     if args.order is None:
         # default: quantify over every indexing at desk scale
         n = env.n
@@ -450,12 +468,10 @@ def cmd_simulate(args) -> int:
         print(f"worst-order welfare={w:g} order={[i + 1 for i in order]}")
         _emit_report(args, {"worst_order_welfare": w, "order": [i + 1 for i in order]})
         return 0
-    if order_kind == "adversary":
-        w = adaptive_adversary_welfare(env, rule, _distribution(instance), tie)
-        print(f"adaptive-adversary expected welfare={w:g}")
-        _emit_report(args, {"adaptive_adversary_welfare": w})
-        return 0
-    raise SchemaError("simulate supports fixed, all, or adversary orders")
+    w = adaptive_adversary_welfare(env, rule, _distribution(instance), tie)
+    print(f"adaptive-adversary expected welfare={w:g}")
+    _emit_report(args, {"adaptive_adversary_welfare": w})
+    return 0
 
 
 def cmd_ratio(args) -> int:
@@ -464,23 +480,18 @@ def cmd_ratio(args) -> int:
     tie = TIE_BY_FLAG[args.tie]
     # OPT's feasible list is kept on env, so this counts it against the job's cap
     enumerate_feasible(env, args.cap_feasible)
-    if args.exact or args.trials == 0:
+    if _exact_ratio(args):
         if order_kind == "adversary":
             mech = adaptive_adversary_welfare(env, rule, dist, tie)
         elif order_kind == "all":
             mech = worst_order_expected_welfare(env, rule, dist, tie)
-        elif order_kind == "fixed":
-            mech = expected_posted_price_welfare(env, rule, dist, perm, tie)
         else:
-            raise SchemaError("exact ratio supports fixed, all, or adversary orders")
+            mech = expected_posted_price_welfare(env, rule, dist, perm, tie)
         est = RatioEstimate.of(mech, expected_opt(env, dist, args.cap_feasible), "exact")
     else:
-        mode = {"fixed": "fixed", "random": "random"}.get(order_kind)
-        if mode is None:
-            raise SchemaError("sampled ratio supports fixed or random orders")
         est = monte_carlo_ratio(
             env, rule, dist,
-            order_mode=mode, trials=args.trials, seed=args.seed,
+            order_mode=order_kind, trials=args.trials, seed=args.seed,
             tie=tie, fixed_order=perm,
         )
     est_dict = est.as_dict()

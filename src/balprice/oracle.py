@@ -155,17 +155,22 @@ class ExchangeFamily:
             raise ValueError(f"unknown exchange family kind {self.kind}")
 
     def members_key(self, x: Allocation):
-        """Canonical key such that equal keys give equal member lists; lets
-        callers deduplicate enumeration across conditioning allocations."""
+        """What the exchange set at x depends on, the one place a kind reads
+        x: the set is built from the key alone (``_members_of``), so equal
+        keys give equal member lists and callers may take one list per key."""
+        env = self.env
         if self.kind == "knapsack_threshold":
-            return sum(x) < 0.5
+            return sum(x) < 0.5  # strict; grid quantities are exact dyadics
         if self.kind == "pip_threshold":
-            return tuple(l <= 0.5 + TOL for l in _load(self.env, x))
+            # x's loads are read off the listed loads where the kept list holds x
+            k = fact(env, "positions").get(x) if "feasible" in env._facts else None
+            load = env.load(x) if k is None else fact(env, "loads")[k]
+            return tuple(l <= 0.5 + TOL for l in load)
         if self.kind == "item_disjoint":
-            # members depend on x only through the union of allocated items
+            if not isinstance(env, _UNION_ENVS):
+                raise TypeError(f"union merge undefined for environment kind {env.kind}")
             return allocated_items(x)
         if self.kind == "product":
-            env = self.env
             assert isinstance(env, ProductEnv)
             return tuple(
                 fam.members_key(env.project(x, ell))
@@ -174,27 +179,27 @@ class ExchangeFamily:
         return x
 
     def members(self, x: Allocation, cap: int = DEFAULT_CAP) -> list[Allocation]:
-        """The exchange set at x in the environment's list order: the feasible
+        """The exchange set at x in the environment's list order."""
+        return self._members_of(self.members_key(x), cap)
+
+    def _members_of(self, key, cap: int) -> list[Allocation]:
+        """The exchange set of ``members_key`` value ``key``: the feasible
         allocations meeting the kind's condition.  A product member is a
         listed allocation whose every market projection is a member of that
-        market's component family at x's projection.
-
-        Every kind's condition is downward closed, and the environment is, so
-        filtering the list gives exactly the allocations a DFS pruned by that
-        condition would."""
+        market's component family at the component's key.  Every kind's
+        condition is downward closed, and the environment is, so filtering
+        the list gives exactly the allocations a DFS pruned by it would."""
         # A closed exchange set is the singleton {all-null} rather than the
         # empty set: the residual optimum is 0 either way, the null member
         # is trivially exchange compatible, and products of per-market
         # families then decompose market by market.
         env = self.env
         if self.kind == "knapsack_threshold":
-            if sum(x) < 0.5:  # strict; grid quantities are exact dyadics
-                return list(enumerate_feasible(env, cap))
-            return [env.null_allocation()]
+            return list(enumerate_feasible(env, cap)) if key else [env.null_allocation()]
 
         if self.kind == "pip_threshold":
             feasible = enumerate_feasible(env, cap)
-            caps = tuple(1.0 if l <= 0.5 + TOL else 0.0 for l in _load(env, x))
+            caps = tuple(1.0 if open_ else 0.0 for open_ in key)
             return [
                 y
                 for y, load in zip(feasible, fact(env, "loads"))
@@ -204,43 +209,26 @@ class ExchangeFamily:
         if self.kind == "canonical_contraction":
             # x merged over a member is a listed z agreeing with x on
             # supp(x); clearing those slots gives the member back
-            supp = support(x)
+            supp = support(key)
             return [
-                tuple(NULL if xi != NULL else zi for xi, zi in zip(x, z))
+                tuple(NULL if xi != NULL else zi for xi, zi in zip(key, z))
                 for z in enumerate_feasible(env, cap)
-                if all(z[i] == x[i] for i in supp)
+                if all(z[i] == key[i] for i in supp)
             ]
 
         if self.kind == "item_disjoint":
-            if not isinstance(env, _UNION_ENVS):
-                raise TypeError(f"union merge undefined for environment kind {env.kind}")
             # the union of disjoint feasible x and y is feasible exactly when
             # its item set is some feasible allocation's item set
-            used = allocated_items(x)
             feasible = enumerate_feasible(env, cap)
             masks, unions = fact(env, "item_masks"), fact(env, "item_sets")
-            return [y for y, m in zip(feasible, masks) if not m & used and used | m in unions]
+            return [y for y, m in zip(feasible, masks) if not m & key and key | m in unions]
 
-        if self.kind == "product":
-            assert isinstance(env, ProductEnv)
-            per_market = [
-                set(fam.members(env.project(x, ell), cap))
-                for ell, fam in enumerate(self.components)
-            ]
-            return [
-                y
-                for y in enumerate_feasible(env, cap)
-                if all(env.project(y, ell) in ms for ell, ms in enumerate(per_market))
-            ]
-
-        raise AssertionError(self.kind)
-
-
-def _load(env: PipEnv, x: Allocation) -> tuple[float, ...]:
-    """x's packing loads, read off the listed loads where the environment's
-    kept list holds x."""
-    k = fact(env, "positions").get(x) if "feasible" in env._facts else None
-    return env.load(x) if k is None else fact(env, "loads")[k]
+        per_market = [set(fam._members_of(k, cap)) for fam, k in zip(self.components, key)]
+        return [
+            y
+            for y in enumerate_feasible(env, cap)
+            if all(env.project(y, ell) in ms for ell, ms in enumerate(per_market))
+        ]
 
 
 def default_family(env: Environment) -> ExchangeFamily:

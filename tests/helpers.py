@@ -18,9 +18,12 @@ from balprice.core import (
     TOL,
     UNAVAILABLE,
     CapExceeded,
+    CombinatorialAuctionEnv,
     KnapsackEnv,
     Matroid,
     MatroidEnv,
+    ProductEnv,
+    SingleItemEnv,
     TableValuation,
     enumerate_feasible,
     replace_at,
@@ -329,6 +332,18 @@ def _items(alloc) -> int:
     for a in alloc:
         mask |= a
     return mask
+
+
+def families(env):
+    """A family of every kind that applies to ``env``."""
+    out = [ExchangeFamily("canonical_contraction", env), default_family(env)]
+    if isinstance(env, (MatroidEnv, CombinatorialAuctionEnv, SingleItemEnv)):
+        out.append(ExchangeFamily("item_disjoint", env))
+    if isinstance(env, ProductEnv):
+        out.append(ExchangeFamily("product", env, components=tuple(
+            ExchangeFamily("canonical_contraction", m) for m in env.markets
+        )))
+    return out
 
 
 def filtered_members(family, x) -> list:

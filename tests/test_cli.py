@@ -511,6 +511,34 @@ class TestRatioErrors:
         assert code == 2
 
 
+class TestRefusedOrderKinds:
+    """An order kind a job does not accept is bad input, refused before the
+    parameters or the rule are worked out: uniform rank 4 on 8 elements lists
+    163 allocations, past a cap of 100, yet each job exits 2, not 3."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["balance", "--pricing", "matroid", "--order", "random"],
+             "balance supports --order all or a fixed permutation"),
+            (["ratio", "--pricing", "matroid", "--exact", "--order", "random"],
+             "exact ratio supports fixed, all, or adversary orders"),
+            (["ratio", "--pricing", "matroid", "--trials", "50", "--order", "adversary"],
+             "sampled ratio supports fixed or random orders"),
+        ],
+        ids=["balance-random", "exact-ratio-random", "sampled-ratio-adversary"],
+    )
+    def test_exit_2_before_any_work(self, tmp_path, capsys, argv, message):
+        inst = tmp_path / "u48.json"
+        assert run_cli(["catalog", "matroid", "--kind", "uniform", "--rank", "4",
+                        "--ground", "8", "-o", str(inst)]) == 0
+        capsys.readouterr()
+        code = run_cli([*argv, "--instance", str(inst), "--cap-feasible", "100",
+                        "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestRatioCap:
     """The ratio command enumerates OPT's feasible list within --cap-feasible,
     like balance does: uniform rank 3 on 6 elements has 42 allocations."""

@@ -56,6 +56,7 @@ from helpers import (
     brute_feasible,
     catalog_matroids,
     element_profile,
+    families,
     filtered_members,
     multi_element_matroid,
     uniform_matroid_env,
@@ -188,18 +189,6 @@ MEMBER_ENVS = st.one_of(
     st.just(gen_unit_demand_vs_bundle(d=3).env),
     st.just(gen_single_minded_triangle().env),
 )
-
-
-def families(env):
-    """A family of every kind that applies to ``env``."""
-    out = [ExchangeFamily("canonical_contraction", env), default_family(env)]
-    if isinstance(env, (MatroidEnv, CombinatorialAuctionEnv, SingleItemEnv)):
-        out.append(ExchangeFamily("item_disjoint", env))
-    if isinstance(env, ProductEnv):
-        out.append(ExchangeFamily("product", env, components=tuple(
-            ExchangeFamily("canonical_contraction", m) for m in env.markets
-        )))
-    return out
 
 
 class TestMemberEnumeration:

@@ -8,9 +8,10 @@ column for all profiles at once, are checked against
 prices memoise the residual optimum per sold mask; reference-allocation
 prices memoise their nested chain per partial allocation; ``expected_opt``
 and ``monte_carlo_ratio`` take every optimum over one feasible list per
-call.  Each twin below is the code these replaced, kept here as the
-reference: results must be equal, by ``repr`` for prices and under ``==``
-for ratio estimates.
+call.  Each price twin below is the code these replaced, kept here as the
+reference; the ratio twins are ``helpers.expected_opt_twin`` and
+``helpers.monte_carlo_twin``.  Results must be equal, by ``repr`` for prices
+and under ``==`` for ratio estimates.
 """
 
 import math
@@ -44,7 +45,7 @@ from balprice.core import (
     value,
     welfare,
 )
-from balprice.mechanism import OnlinePostedPriceRunner, expected_posted_price_welfare
+from balprice.mechanism import expected_posted_price_welfare
 from balprice.oracle import (
     OPT_RULE,
     AllocationRule,
@@ -66,16 +67,9 @@ from balprice.pricing import (
     single_item_prices,
     xos_item_prices,
 )
-from balprice.stochastic import (
-    ProductDistribution,
-    RatioEstimate,
-    _ratio_ci95,
-    expected_opt,
-    monte_carlo_ratio,
-    trial_rng,
-)
+from balprice.stochastic import ProductDistribution, expected_opt, monte_carlo_ratio
 
-from helpers import every_entry, two_point_matroid
+from helpers import every_entry, expected_opt_twin, monte_carlo_twin, two_point_matroid
 
 PARAMS = BalanceParams(alpha=1.0, beta=1.0)
 
@@ -334,38 +328,6 @@ class TestReferenceChainMemo:
 # ---------------------------------------------------------------------------
 # Expected optimum and Monte Carlo ratio
 # ---------------------------------------------------------------------------
-
-
-def expected_opt_twin(env, dist):
-    return math.fsum(prob * welfare(p, opt(env, p)) for p, prob in dist.profiles())
-
-
-def monte_carlo_twin(env, prices, dist, order_mode, trials, seed):
-    """``monte_carlo_ratio`` running ``opt`` on every trial's profile."""
-    base_order = tuple(range(env.n))
-    runners = {}
-    ws, os_ = [], []
-    for t in range(trials):
-        rng = trial_rng(seed, t)
-        profile = dist.sample(rng)
-        if order_mode == "fixed":
-            order = base_order
-        else:
-            order = tuple(int(i) for i in rng.permutation(env.n))
-        if order not in runners:
-            runners[order] = OnlinePostedPriceRunner(
-                env, prices, dist, order, "adversarial_min_welfare"
-            )
-        ws.append(runners[order].run(profile).welfare)
-        os_.append(welfare(profile, opt(env, profile)))
-    return RatioEstimate.of(
-        math.fsum(ws) / trials,
-        math.fsum(os_) / trials,
-        "monte_carlo",
-        trials=trials,
-        seed=seed,
-        ci95_halfwidth=_ratio_ci95(ws, os_),
-    )
 
 
 def ratio_case(kind, seed):

@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import io
 import math
+import operator
 import os
 import random
 import tempfile
@@ -48,9 +49,9 @@ from balprice.stochastic import ProductDistribution, expected_opt
 
 from helpers import (
     MATROID_PRICINGS, brute_feasible, dfs_feasible_twin, element_profile, every_entry,
-    expected_opt_twin, expected_scaled_twin, extremal_twin, gated_unavailable_case,
-    matroid_priced, multi_element_priced, per_x_static_check, report_fields, static_case,
-    two_point_matroid, uniform_matroid_env, witness_twin,
+    expected_opt_twin, expected_scaled_twin, extremal_twin, families, filtered_members,
+    gated_unavailable_case, matroid_priced, multi_element_priced, per_x_static_check,
+    report_fields, static_case, two_point_matroid, uniform_matroid_env, witness_twin,
 )
 
 
@@ -256,6 +257,45 @@ FEASIBLE = Twin(
 
 
 # ---------------------------------------------------------------------------
+# ExchangeFamily.members (built from the key, filtering the kept list)
+# against the filter over the whole cartesian product, for every family of
+# the environment and every listed x, compared by ``==``: a cleared slot of
+# a contraction member, and the closed knapsack set's null allocation, hold
+# the int NULL where a knapsack list holds 0.0.  A case names a
+# ``MEMBER_ENVS`` entry; the small side is
+# test_oracle.py::TestMemberEnumeration.
+# ---------------------------------------------------------------------------
+
+MEMBER_ENVS = {
+    "uniform rank 5 ground 10": lambda: uniform_matroid_env(5, 10),
+    "pip n = 10": lambda: gen_pip_random(n=10).env,
+    "knapsack n = 5": lambda: gen_knapsack_random(n=5).env,
+    "two uniform rank 2 ground 4 markets": lambda: ProductEnv(
+        markets=(uniform_matroid_env(2, 4), uniform_matroid_env(2, 4))
+    ),
+}
+
+
+def _members(case, twin=False):
+    """Each family's exchange set at each x, in list order."""
+    env = MEMBER_ENVS[case]()
+    if twin:
+        return [[filtered_members(fam, x) for x in brute_feasible(env)] for fam in families(env)]
+    return [[fam.members(x) for x in enumerate_feasible(env)] for fam in families(env)]
+
+
+MEMBERS = Twin(
+    name="exchange-members",
+    fast=_members,
+    twin=functools.partial(_members, twin=True),
+    small={},
+    large=tuple((label, label, None) for label in MEMBER_ENVS),
+    summary=lambda got: f"{len(got)} families, {sum(len(m) for fam in got for m in fam)} members",
+    compare=operator.eq,
+)
+
+
+# ---------------------------------------------------------------------------
 # The all-orders walk's memo (_OrderSums) against one full subset DP per
 # sum.  A case is (kind, *builder arguments, beta); see ``WALKS``.
 # ---------------------------------------------------------------------------
@@ -440,9 +480,10 @@ STATIC = Twin(
 # The support forms' price columns against each profile's own rule.  A small
 # case is ("exact", kind, seed, distinct profiles or None for a two-point
 # product) or ("sampled", kind, seed, draws): every price the mechanisms can
-# ask, against ``helpers.expected_scaled_twin``.  A large case is a CLI job,
-# ("cli", instance, pricing, command), run with the forms and with them set
-# to None: (exit code, stdout, output file).
+# ask, against ``helpers.expected_scaled_twin``.  A large case is the same on
+# a ``cli_instance``, ("entries", instance, pricing), or a CLI job, ("cli",
+# instance, pricing, command), run with the forms and with them set to None:
+# (exit code, stdout, output file).
 # ---------------------------------------------------------------------------
 
 PARAMS = BalanceParams(alpha=1.0, beta=1.0)
@@ -547,9 +588,13 @@ def _cli_job(instance, pricing, command, forms):
 def _columns(case, forms=True):
     if case[0] == "cli":
         return _cli_job(*case[1:], forms)
-    mode, kind, seed, count = case
-    env, dist, name = support_case(kind, seed, count if mode == "exact" else None)
-    sampled = {} if mode == "exact" else {"mode": "sampled", "count": count, "seed": seed}
+    if case[0] == "entries":
+        inst, name, sampled = cli_instance(*case[1]), case[2], {}
+        env, dist = inst.env, inst.distribution
+    else:
+        mode, kind, seed, count = case
+        env, dist, name = support_case(kind, seed, count if mode == "exact" else None)
+        sampled = {} if mode == "exact" else {"mode": "sampled", "count": count, "seed": seed}
 
     def construct(profile):
         return cli.CONSTRUCTIONS[name].rule(env, profile, DEFAULT_CAP)
@@ -593,11 +638,14 @@ COLUMNS = Twin(
         ),
     },
     large=tuple(
+        (f"{label}, every entry", ("entries", instance, pricing), None)
+        for label, instance, pricing, _ in (CLI_JOBS[3], CLI_JOBS[1])
+    ) + tuple(
         (f"{label}, {' '.join(command)}", ("cli", instance, pricing, command), "exit 0")
         for label, instance, pricing, commands in CLI_JOBS
         for command in commands
     ),
-    summary=lambda got: f"exit {got[0]}",
+    summary=lambda got: f"exit {got[0]}" if isinstance(got, tuple) else f"{len(got)} prices",
 )
 
 
@@ -708,4 +756,4 @@ EXPECTED_OPT = Twin(
 )
 
 
-TWINS = (FEASIBLE, WALK, STATIC, COLUMNS, EXPECTED_OPT)
+TWINS = (FEASIBLE, MEMBERS, WALK, STATIC, COLUMNS, EXPECTED_OPT)

@@ -3,7 +3,8 @@
 - exit codes: 0 on success, 2 for bad input (permeability on a non-binary
   environment, an unbounded grid entry, a seed outside [0, 2^64)) with a
   one-line error, and 1 for an all-orders FAIL, whose first witness holds a
-  full order;
+  full order, and for a declared-order FAIL, whose first witness holds the
+  declared order;
 - alg2-opt's default parameters on six interchangeable agents, which come
   from the permeability scan, one bid vector per orbit;
 - seed 2^64 - 1, the top of the Philox key range, runs, and two runs write
@@ -70,6 +71,18 @@ def exit_codes(tmp):
         order = json.load(fh)["result"]["witnesses"][0][5]
     if sorted(order) != list(range(6)):
         sys.exit(f"witness order {order} is not a permutation of range(6)")
+    # a declared-order FAIL exits 1 too, and its witnesses carry the declared order, 0-based
+    code = balprice(tmp, "balance", "--instance", "u6.json", "--pricing", "matroid", "--order",
+                    "6,5,4,3,2,1", "--beta", "0.25", "-o", "declared.json").returncode
+    if code != 1:
+        sys.exit(f"balance --order 6,5,4,3,2,1 --beta 0.25 exited {code}, expected 1")
+    with open(os.path.join(tmp, "declared.json")) as fh:
+        result = json.load(fh)["result"]
+    if result["order_mode"] != "declared":
+        sys.exit(f"declared order_mode {result['order_mode']!r}, expected 'declared'")
+    order = result["witnesses"][0][5]
+    if order != [5, 4, 3, 2, 1, 0]:
+        sys.exit(f"declared witness order {order}, expected [5, 4, 3, 2, 1, 0]")
 
 
 def alg2_opt_defaults(tmp):

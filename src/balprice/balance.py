@@ -194,31 +194,6 @@ class _OrderSums:
         return tuple(order)
 
 
-def _declared_prefixes(x: Allocation, order: Sequence[int]) -> list:
-    """x restricted to the agents before each agent of ``order``, in order."""
-    prefixes, y = [], [NULL] * len(x)
-    for i in order:
-        prefixes.append(tuple(y))
-        y[i] = x[i]
-    return prefixes
-
-
-def _declared_sum(prices: PricingRule, order: Sequence[int], prefixes: list, z: Allocation):
-    """Σ p_i(z_i | prefix) over ``order`` and its ``prefixes``:
-    (sum, saw_unavailable).  A null outcome adds 0.0 unpriced."""
-    total, unavailable = 0.0, False
-    for i, y in zip(order, prefixes):
-        z_i = z[i]
-        if z_i == NULL:
-            continue
-        p = prices.price(i, z_i, y)
-        if p is UNAVAILABLE:
-            unavailable = True
-        else:
-            total += p
-    return total, unavailable
-
-
 def _score_members(scored, rhs_b: float, residual_w: float):
     """Condition (b) over one exchange set, given as (member, lhs,
     unavailable?) triples: (min slack, max member-sum / residual ratio,
@@ -239,22 +214,25 @@ def _score_members(scored, rhs_b: float, residual_w: float):
     return min_slack, max_ratio, violations
 
 
-def _static_column(env: Environment, prices: PricingRule):
-    """A static rule's price sum and UNAVAILABLE flag for each allocation on
-    the environment's kept list, from one ``price`` call per distinct
-    non-null token of each agent at the null allocation.  Rows add from 0.0
-    in agent order, as ``_declared_sum`` does on null prefixes; an
-    UNAVAILABLE term adds 0.0, a no-op as such a sum is never -0.0."""
-    null, size = env.null_allocation(), len(fact(env, "feasible"))
-    col, flags = [0.0] * size, [False] * size
-    for i, toks in enumerate(fact(env, "tokens")):
-        terms = {tok: 0.0 if tok == NULL else prices.price(i, tok, null) for tok in dict.fromkeys(toks)}
+def _term_sums(prices: PricingRule, order: Sequence[int], x: Allocation, allocs: Sequence):
+    """Σ p_i(z_i | x restricted to i's predecessors in ``order``) for each z
+    of ``allocs``, with one ``price`` call per distinct non-null token of
+    each agent among them: (sums, flags), where a flag marks a row holding
+    an UNAVAILABLE term.  Rows add column by column from 0.0 in ``order``;
+    a null or UNAVAILABLE term adds 0.0, a no-op as such a sum is never
+    -0.0."""
+    sums, flags = [0.0] * len(allocs), [False] * len(allocs)
+    columns, y = list(zip(*allocs)), [NULL] * len(x)
+    for i in order:
+        toks, prefix = columns[i], tuple(y)
+        terms = {tok: 0.0 if tok == NULL else prices.price(i, tok, prefix) for tok in dict.fromkeys(toks)}
         for tok, p in terms.items():
             if p is UNAVAILABLE:
                 terms[tok] = 0.0
                 flags = [f or t == tok for f, t in zip(flags, toks)]
-        col = list(map(add, col, map(terms.__getitem__, toks)))
-    return col, flags
+        sums = list(map(add, sums, map(terms.__getitem__, toks)))
+        y[i] = x[i]
+    return sums, flags
 
 
 def _record(report: BalanceReport, x, lhs_a, bad, rhs_a, rhs_b, members, score, witness):
@@ -307,8 +285,9 @@ def _check(
     none is empty.
 
     A static rule's terms do not depend on the prefix, so its walk reads
-    each sum off one column (``_static_column``) and scores condition (b),
-    which then depends on x only through its exchange set, once per key.
+    each sum off one column, the term table of the whole list conditioned
+    on the null allocation in agent order, and scores condition (b), which
+    then depends on x only through its exchange set, once per key.
     Rounding is monotone for ``rhs_b - lhs`` and for ``lhs / residual_w``
     with ``residual_w`` positive, so the largest member sum gives the
     smallest slack and the largest ratio.  A key with a flagged member, or
@@ -317,8 +296,8 @@ def _check(
     family must belong to ``env`` and every environment is downward closed.
 
     A dynamic rule's all-orders sums share one ``_OrderSums`` memo across
-    the walk; its declared-order sums ask the rule for each term at x's
-    prefixes, built once per x."""
+    the walk; its declared-order sums come from one term table per x over
+    x and its exchange set."""
     if order_mode not in ORDER_MODES:
         raise ValueError(f"unknown order mode {order_mode}")
     if family.env != env:
@@ -355,7 +334,7 @@ def _check(
         return order
 
     if prices.static:
-        col, flags = _static_column(env, prices)
+        col, flags = _term_sums(prices, range(env.n), env.null_allocation(), feasible)
         positions = fact(env, "positions")
         for k, x in enumerate(feasible):
             members, residual_w, rhs_a, rhs_b, score = fam = exchange_set(x)
@@ -380,10 +359,8 @@ def _check(
     else:
         for x in feasible:
             members, residual_w, rhs_a, rhs_b, _ = exchange_set(x)
-            prefixes = _declared_prefixes(x, order)
-            lhs_a, bad = _declared_sum(prices, order, prefixes, x)
-            scored = ((z, *_declared_sum(prices, order, prefixes, z)) for z in members)
-            score = _score_members(scored, rhs_b, residual_w)
+            (lhs_a, *lhs_b), (bad, *bad_b) = _term_sums(prices, order, x, [x, *members])
+            score = _score_members(zip(members, lhs_b, bad_b), rhs_b, residual_w)
             _record(report, x, lhs_a, bad, rhs_a, rhs_b, members, score, declared)
     if report.condition_b_min_slack == math.inf:
         report.condition_b_min_slack = 0.0  # every member's slack was NaN

@@ -21,6 +21,7 @@ from typing import Callable, Optional, Union
 from .balance import check_balanced, check_weakly_balanced
 from .catalog import GENERATORS
 from .core import (
+    DEFAULT_CAP,
     AdditiveValuation,
     CapExceeded,
     CombinatorialAuctionEnv,
@@ -98,7 +99,7 @@ def _default_cap() -> int:
             return int(raw)
         except ValueError as exc:
             raise SchemaError(f"BALPRICE_CAP must be an integer, got {raw!r}") from exc
-    return 200_000
+    return DEFAULT_CAP
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,9 @@ from .pricing import BalanceParams, PricingRule, knapsack_prices
 
 TIE_POLICIES = ("prefer_null", "prefer_buy_lexmin", "adversarial_min_welfare")
 
+# Most evaluator memo states a recursion keeps by default.
+MEMO_CAP = 1_000_000
+
 
 @dataclass(frozen=True)
 class MechanismTrace:
@@ -124,7 +127,7 @@ class OnlinePostedPriceRunner:
     """
 
     def __init__(self, env, prices, dist, order: Optional[Sequence[int]],
-                 tie: str = "adversarial_min_welfare", cap: int = 1_000_000):
+                 tie: str = "adversarial_min_welfare", cap: int = MEMO_CAP):
         if tie not in TIE_POLICIES:
             raise ValueError(f"unknown tie policy {tie}")
         self.env = env
@@ -266,7 +269,7 @@ def worst_order_welfare(
     prices,
     profile,
     tie: str = "adversarial_min_welfare",
-    cap: int = 1_000_000,
+    cap: int = MEMO_CAP,
 ) -> tuple[float, tuple[int, ...]]:
     """Minimum trace welfare over all arrival permutations, with a witness:
     the lexicographically first order that reaches the minimum.
@@ -304,7 +307,7 @@ def expected_posted_price_welfare(
     dist,
     order: Sequence[int],
     tie: str = "adversarial_min_welfare",
-    cap: int = 1_000_000,
+    cap: int = MEMO_CAP,
 ) -> float:
     """Exact expected welfare of the posted-price mechanism under a fixed
     arrival order, with history-conditioned tie choices."""
@@ -312,7 +315,7 @@ def expected_posted_price_welfare(
 
 
 def adaptive_adversary_welfare(
-    env, prices, dist, tie: str = "adversarial_min_welfare", cap: int = 1_000_000
+    env, prices, dist, tie: str = "adversarial_min_welfare", cap: int = MEMO_CAP
 ) -> float:
     """Exact minimax expected welfare: the adversary picks the next agent
     after observing realized valuations and purchases; agents break ties by

@@ -192,10 +192,14 @@ class ExchangeFamily:
         # A closed exchange set is the singleton {all-null} rather than the
         # empty set: the residual optimum is 0 either way, the null member
         # is trivially exchange compatible, and products of per-market
-        # families then decompose market by market.
+        # families then decompose market by market.  Its member is the
+        # listed null allocation, each agent's grid quantity 0, built
+        # without enumerating.
         env = self.env
         if self.kind == "knapsack_threshold":
-            return list(enumerate_feasible(env, cap)) if key else [env.null_allocation()]
+            if key:
+                return list(enumerate_feasible(env, cap))
+            return [tuple(env.agent_outcomes(i)[0] for i in range(env.n))]
 
         if self.kind == "pip_threshold":
             feasible = enumerate_feasible(env, cap)
@@ -208,11 +212,14 @@ class ExchangeFamily:
 
         if self.kind == "canonical_contraction":
             # x merged over a member is a listed z agreeing with x on
-            # supp(x); clearing those slots gives the member back
+            # supp(x); clearing those slots gives the member back, read off
+            # the list so that a cleared slot holds the listed null token
             supp = support(key)
+            feasible = enumerate_feasible(env, cap)
+            positions = fact(env, "positions")
             return [
-                tuple(NULL if xi != NULL else zi for xi, zi in zip(key, z))
-                for z in enumerate_feasible(env, cap)
+                feasible[positions[tuple(NULL if xi != NULL else zi for xi, zi in zip(key, z))]]
+                for z in feasible
                 if all(z[i] == key[i] for i in supp)
             ]
 

@@ -629,22 +629,15 @@ def compose_add(product_env: ProductEnv, market_rules: Sequence[PricingRule]) ->
     def finite(i, x_i, y):
         total = 0.0
         for ell, rule in enumerate(market_rules):
-            y_ell = product_env.project(y, ell)
-            p = rule.price(i, x_i[ell], y_ell)
+            p = rule.price(i, x_i[ell], product_env.project(y, ell))
             if p is UNAVAILABLE:
-                return UNAVAILABLE
+                raise AssertionError("component unavailable on a feasible product entry")
             total += p
         return total
 
-    def guarded(i, x_i, y):
-        p = finite(i, x_i, y)
-        if p is UNAVAILABLE:
-            raise AssertionError("component unavailable on a feasible product entry")
-        return p
-
     return PricingRule(
         product_env,
-        guarded,
+        finite,
         static=all(r.static for r in market_rules),
         provenance={
             "construction": "compose-add",
@@ -722,6 +715,9 @@ SupportForm = Callable[[Environment, SupportTable], Optional[Callable]]
 # sold mask costs no more than each profile's own rule and greedy; at 24 the
 # per-profile rules were 4-14 % faster in three of the four settings.
 SUPPORT_FORM_MIN_PROFILES = 32
+
+# Most support profiles an exact expectation enumerates by default.
+EXACT_SUPPORT_CAP = 100_000
 
 
 def single_item_support_prices(env: SingleItemEnv, table: SupportTable):
@@ -825,7 +821,7 @@ def expected_scaled_prices(
     mode: str = "exact",
     count: int = 10_000,
     seed: int = 0,
-    cap: int = 100_000,
+    cap: int = EXACT_SUPPORT_CAP,
     support: Optional[SupportForm] = None,
 ) -> PricingRule:
     """Scaled expectation of per-profile pricing rules over a product

@@ -30,9 +30,7 @@ from .core import (
 )
 from .mechanism import OnlinePostedPriceRunner, expected_posted_price_welfare
 from .oracle import _welfare_column
-from .pricing import SUPPORT_FORM_MIN_PROFILES, SupportTable
-
-EXACT_SUPPORT_CAP = 100_000
+from .pricing import EXACT_SUPPORT_CAP, SUPPORT_FORM_MIN_PROFILES, SupportTable
 
 
 @dataclass(frozen=True)

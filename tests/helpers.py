@@ -882,35 +882,27 @@ def declared_sum_twin(rule, x, z, order):
     return total, unavailable
 
 
-def per_x_static_check(env, profile, prices, alg_alloc, family, params):
-    """Brute-force twin of the static path: for every feasible x, take x's
-    exchange set from the family's defining condition and price every member
-    afresh, each term conditioned on the null allocation and summed in agent
-    order."""
-    assert prices.static
-    n = env.n
-    order = tuple(range(n))
+def per_x_check(env, profile, prices, alg_alloc, family, params, order=None):
+    """Brute-force twin of the static and declared-order walks: for every
+    feasible x, take x's exchange set from the family's defining condition
+    and price every member afresh.  With no ``order`` the rule must be
+    static, and each term is conditioned on the null allocation and summed
+    in agent order; with one, each sum is ``declared_sum_twin`` along it."""
+    static = order is None
+    if static:
+        assert prices.static
+    order = tuple(range(env.n)) if static else tuple(order)
     alg_w = welfare(profile, alg_alloc)
     report = BalanceReport(
         passed=True,
         params=params,
         condition_a_min_slack=math.inf,
         condition_b_min_slack=math.inf,
-        order_mode="all",
+        order_mode="all" if static else "declared",
     )
-
-    def static_sum(z):
-        total, bad = 0.0, False
-        for i in range(n):
-            p = prices.price(i, z[i], restrict(z, ()))
-            if p is UNAVAILABLE:
-                bad = True
-            else:
-                total += p
-        return total, bad
-
     feasible = enumerate_feasible(env)
     for x in feasible:
+        y = env.null_allocation() if static else x
         report.checked_allocations += 1
         members = filtered_members(family, x)
         residual_w = welfare(profile, argmax_first_twin(members, profile)) if members else 0.0
@@ -919,7 +911,7 @@ def per_x_static_check(env, profile, prices, alg_alloc, family, params):
             rhs_b = params.beta1 * residual_w + params.beta2 * alg_w
         else:
             rhs_b = params.beta * residual_w
-        lhs_a, bad = static_sum(x)
+        lhs_a, bad = declared_sum_twin(prices, y, x, order)
         if bad:
             report.structural_violations.append(("a", x, order))
             report.passed = False
@@ -930,7 +922,7 @@ def per_x_static_check(env, profile, prices, alg_alloc, family, params):
             report.witnesses.append(("a", x, None, lhs_a, rhs_a, order))
         for member in members:
             report.checked_members += 1
-            lhs_b, bad = static_sum(member)
+            lhs_b, bad = declared_sum_twin(prices, y, member, order)
             if bad:
                 report.structural_violations.append(("b", x, member))
                 report.passed = False

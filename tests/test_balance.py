@@ -55,7 +55,7 @@ from helpers import (
     element_profile,
     gated_unavailable_case,
     matroid_priced,
-    per_x_static_check,
+    per_x_check,
     price_term,
     report_fields,
     static_case,
@@ -586,7 +586,7 @@ def _assert_matches_twin(kind, n, seed, params):
     family = default_family(env)
     check = check_weakly_balanced if params.weak else check_balanced
     fast = check(env, profile, rule, alloc, family, params)
-    twin = per_x_static_check(env, profile, rule, alloc, family, params)
+    twin = per_x_check(env, profile, rule, alloc, family, params)
     # by repr, so that a signed zero or an int in place of a float cannot slip through
     assert repr(report_fields(fast)) == repr(report_fields(twin))
     return fast
@@ -639,19 +639,19 @@ class TestStaticPerFamily:
         ``_OrderSums``."""
         env, profile, rule, alloc = static_case(kind, n, seed)
         columns, tables = [], []
-        static_column = balance._static_column
+        term_sums = balance._term_sums
         init = _OrderSums.__init__
 
         def counted_column(*args):
             columns.append(args)
-            return static_column(*args)
+            return term_sums(*args)
 
         def counted_init(sums, *args, **kwargs):
             init(sums, *args, **kwargs)
             tables.append(sums.prices)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(balance, "_static_column", counted_column)
+            mp.setattr(balance, "_term_sums", counted_column)
             mp.setattr(_OrderSums, "__init__", counted_init)
             check_balanced(
                 env, profile, rule, alloc, default_family(env), BalanceParams(alpha=2.0, beta=2.0)
@@ -697,10 +697,11 @@ class TestStaticPerFamily:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_OrderSums, "__init__", no_sums)
             report = check_balanced(env, profile, rule, alloc, default_family(env), params)
-        twin = per_x_static_check(env, profile, rule, alloc, default_family(env), params)
+        twin = per_x_check(env, profile, rule, alloc, default_family(env), params)
         assert repr(report_fields(report)) == repr(report_fields(twin))
-        _, flags = balance._static_column(env, rule)
-        positions = {y: k for k, y in enumerate(enumerate_feasible(env))}
+        feasible = enumerate_feasible(env)
+        _, flags = balance._term_sums(rule, range(env.n), env.null_allocation(), feasible)
+        positions = {y: k for k, y in enumerate(feasible)}
         flagged = [member for kind, _, member in report.structural_violations if kind == "b"]
         assert flagged and all(flags[positions[member]] for member in flagged)
 

@@ -147,6 +147,23 @@ class TestBalanceCommand:
              "--cap-feasible", "2"]
         ) == 3
 
+    def test_knapsack_members_print_as_listed(self, tmp_path):
+        """A contraction member's cleared slots hold the knapsack list's
+        null quantity 0.0, as its other slots do, not the int 0."""
+        inst, out = tmp_path / "k.json", tmp_path / "r.json"
+        assert run_cli(
+            ["catalog", "knapsack", "--n", "4", "--step", "0.5", "--seed", "0", "-o", str(inst)]
+        ) == 0
+        assert run_cli(
+            ["balance", "--instance", str(inst), "--pricing", "warmup", "--beta", "0.5",
+             "-o", str(out)]
+        ) == 1
+        witnesses = json.loads(out.read_text())["result"]["witnesses"]
+        members = [w[2] for w in witnesses if w[1] == [0.0, 0.0, 0.0, 0.5]]
+        assert [0.0, 0.0, 0.5, 0.0] in members
+        for member in members:
+            assert all(isinstance(t, float) for t in member)
+
 
 def _null_agent_count(doc):
     doc["environment"]["agents"] = None

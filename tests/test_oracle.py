@@ -230,6 +230,15 @@ class TestMemberEnumeration:
         ):
             family.members(product.null_allocation(), cap=cap)
 
+    def test_closed_knapsack_set_is_the_listed_null(self):
+        """The closed knapsack set's one member prints as the list's null
+        allocation, and is built without enumerating the list."""
+        env = KnapsackEnv(n=3, step=0.5)
+        family = default_family(env)
+        members = family.members((0.5, 0.5, 0.0), cap=0)
+        assert "feasible" not in env._facts
+        assert repr(members) == repr([enumerate_feasible(env)[0]]) == "[(0.0, 0.0, 0.0)]"
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_single_item_sets_are_item_disjoint(self, n):
         """On one item the default family is the item-disjoint one: only the

@@ -19,6 +19,7 @@ from balprice.core import (
     enumerate_feasible,
     welfare,
 )
+from balprice.mechanism import whole_unit_prices
 from balprice.oracle import OPT_RULE, fractional_opt_config_lp, opt
 from balprice.pricing import (
     BalanceParams,
@@ -356,6 +357,18 @@ class TestComposition:
         rule = compose_add(env, (single_item_prices(a, prof), single_item_prices(b, prof)))
         # market A's item already sold to agent 1
         assert rule.price(0, (1, 1), (NULL, (1, 0))) is UNAVAILABLE
+
+    def test_compose_add_component_unavailable_on_feasible_entry_raises(self):
+        """Whole-unit prices leave the half unit off the knapsack's menu, so
+        a feasible product entry holding it has no summed price."""
+        k, s = KnapsackEnv(n=2, step=0.5), SingleItemEnv(n=2)
+        env = ProductEnv(markets=(k, s))
+        prof = (ScalarValuation(1.0), ScalarValuation(2.0))
+        rule = compose_add(env, (whole_unit_prices(k, 1.0), single_item_prices(s, prof)))
+        y0 = env.null_allocation()
+        with pytest.raises(AssertionError, match="^component unavailable on a feasible product entry$"):
+            rule.price(0, (0.5, 1), y0)
+        assert rule.price(0, (1.0, 1), y0) == 3.0
 
     def test_compose_max_reproduces_xos_prices(self):
         env = CombinatorialAuctionEnv(n=2, items=2)

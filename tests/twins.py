@@ -21,7 +21,6 @@ import dataclasses
 import functools
 import io
 import math
-import operator
 import os
 import random
 import tempfile
@@ -50,7 +49,7 @@ from balprice.stochastic import ProductDistribution, expected_opt
 from helpers import (
     MATROID_PRICINGS, brute_feasible, dfs_feasible_twin, element_profile, every_entry,
     expected_opt_twin, expected_scaled_twin, extremal_twin, families, filtered_members,
-    gated_unavailable_case, matroid_priced, multi_element_priced, per_x_static_check,
+    gated_unavailable_case, matroid_priced, multi_element_priced, per_x_check,
     report_fields, static_case, two_point_matroid, uniform_matroid_env, witness_twin,
 )
 
@@ -259,11 +258,8 @@ FEASIBLE = Twin(
 # ---------------------------------------------------------------------------
 # ExchangeFamily.members (built from the key, filtering the kept list)
 # against the filter over the whole cartesian product, for every family of
-# the environment and every listed x, compared by ``==``: a cleared slot of
-# a contraction member, and the closed knapsack set's null allocation, hold
-# the int NULL where a knapsack list holds 0.0.  A case names a
-# ``MEMBER_ENVS`` entry; the small side is
-# test_oracle.py::TestMemberEnumeration.
+# the environment and every listed x.  A case names a ``MEMBER_ENVS``
+# entry; the small side is test_oracle.py::TestMemberEnumeration.
 # ---------------------------------------------------------------------------
 
 MEMBER_ENVS = {
@@ -291,7 +287,6 @@ MEMBERS = Twin(
     small={},
     large=tuple((label, label, None) for label in MEMBER_ENVS),
     summary=lambda got: f"{len(got)} families, {sum(len(m) for fam in got for m in fam)} members",
-    compare=operator.eq,
 )
 
 
@@ -319,11 +314,22 @@ def near_tie_unavailable_case():
     return env, element_profile(env, 1, 1), rule, default_family(env)
 
 
+def tenths_case():
+    """Three agents on a free matroid, priced 0.1, 0.2 and 0.3 whatever was
+    sold: 0.1 + 0.2 + 0.3 rounds above 0.3 + 0.2 + 0.1, so a sum depends on
+    the order of its additions.  The rule is declared dynamic, so that a
+    declared order takes the declared walk."""
+    env = uniform_matroid_env(3, 3)
+    rule = PricingRule(env, lambda i, x_i, y: (0.1, 0.2, 0.3)[i], static=False)
+    return env, element_profile(env, 1, 1, 1), rule, default_family(env)
+
+
 WALKS = {
     "catalog": matroid_priced,
     "multi-element": multi_element_priced,
     "gated": gated_unavailable_case,
     "near tie": near_tie_unavailable_case,
+    "tenths": tenths_case,
 }
 
 
@@ -392,6 +398,69 @@ WALK = Twin(
 
 
 # ---------------------------------------------------------------------------
+# The declared-order walk (one term table per x over x and its exchange
+# set) against pricing every member of every exchange set afresh along the
+# order (``helpers.per_x_check``).  A case is (walk case, order), the walk
+# case as in ``WALKS`` and the order "reversed" or a seed that shuffles the
+# agents.
+# ---------------------------------------------------------------------------
+
+
+def _declared_walk(case, twin=False):
+    (kind, *args, beta), order_key = case
+    env, profile, rule, family = WALKS[kind](*args)
+    order = list(range(env.n))
+    if order_key == "reversed":
+        order.reverse()
+    else:
+        random.Random(order_key).shuffle(order)
+    params, alloc = BalanceParams(alpha=1.0, beta=beta), opt(env, profile)
+    if twin:
+        return report_fields(per_x_check(env, profile, rule, alloc, family, params, order))
+    return report_fields(check_balanced(env, profile, rule, alloc, family, params, order, "declared"))
+
+
+ORDER_SEEDS = st.integers(0, 10_000)
+UNAVAILABLE_DECLARED = tuple((kind, beta) for kind in ("gated", "near tie") for beta in (1.0, 0.25))
+
+DECLARED = Twin(
+    name="declared-walk",
+    fast=_declared_walk,
+    twin=functools.partial(_declared_walk, twin=True),
+    small={
+        "catalog-matroids": Small(st.tuples(catalog_walks(), ORDER_SEEDS), 20),
+        "multi-element": Small(
+            st.tuples(
+                st.tuples(
+                    st.just("multi-element"),
+                    st.integers(0, 10_000).map(lambda seed: _uniform_values(6, seed)),
+                    BETAS,
+                ),
+                ORDER_SEEDS,
+            ),
+            15,
+        ),
+        "unavailable-entries": Small(
+            st.tuples(st.sampled_from(UNAVAILABLE_DECLARED), ORDER_SEEDS),
+            8,
+            tuple((case, "reversed") for case in UNAVAILABLE_DECLARED),
+        ),
+        # the catalog and multi-element sums come out the same added in any
+        # order; these depend on it, at the reversed order among others
+        "addition-order": Small(
+            st.tuples(st.tuples(st.just("tenths"), BETAS), ORDER_SEEDS),
+            4,
+            ((("tenths", 1.0), "reversed"), (("tenths", 0.25), "reversed")),
+        ),
+    },
+    large=tuple(
+        (f"{label}, reversed order", (case, "reversed"), None) for label, case, _ in WALK.large
+    ),
+    summary=verdict,
+)
+
+
+# ---------------------------------------------------------------------------
 # The static walk (one price-sum column, one max per exchange set) against
 # pricing every member of every exchange set afresh.  A case is (kind, n,
 # seed, generator sizes, params); see ``helpers.static_case``.
@@ -402,7 +471,7 @@ def _static(case, twin=False):
     kind, n, seed, sizes, params = case
     env, profile, rule, alloc = static_case(kind, n, seed, **sizes)
     if twin:
-        check = per_x_static_check
+        check = per_x_check
     else:
         check = check_weakly_balanced if params.weak else check_balanced
     return report_fields(check(env, profile, rule, alloc, default_family(env), params))
@@ -756,4 +825,4 @@ EXPECTED_OPT = Twin(
 )
 
 
-TWINS = (FEASIBLE, MEMBERS, WALK, STATIC, COLUMNS, EXPECTED_OPT)
+TWINS = (FEASIBLE, MEMBERS, WALK, DECLARED, STATIC, COLUMNS, EXPECTED_OPT)

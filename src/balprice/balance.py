@@ -108,14 +108,16 @@ class _OrderSums:
         self._values: tuple = ({}, {})
         self._flagged: tuple = (set(), set())
 
-    def _solve(self, py: int, pw: int, maximize: bool) -> float:
-        """The signed value min over orders of sign·Σ p of state (py, pw),
-        its missing sub-states solved first; the first candidate within TOL
-        of the minimum is kept, and the empty state is 0.0."""
+    def _solve(self, py: int, pw: int, maximize: bool) -> tuple:
+        """State (py, pw)'s signed value, min over orders of sign·Σ p, with
+        its missing sub-states solved first: (value, agent, sub-state key)
+        of the first candidate within TOL of the minimum, or (0.0, -1, -1)
+        when no agent is live.  Solving a state again writes the same value
+        and flag."""
         values, flagged = self._values[maximize], self._flagged[maximize]
         size, feasible, cleared, price = self.size, self.feasible, self.cleared, self.prices.price
         sign = -1.0 if maximize else 1.0
-        best, best_key, best_bad = math.inf, -1, False
+        best, best_a, best_key, best_bad = math.inf, -1, -1, False
         for a, (y_a, w_a) in enumerate(zip(feasible[py], feasible[pw])):
             if y_a != NULL:
                 cy = cleared[a][py]
@@ -127,22 +129,22 @@ class _OrderSums:
             sub = cy * size + cw
             src = values.get(sub)
             if src is None:
-                src = self._solve(cy, cw, maximize)
+                src = self._solve(cy, cw, maximize)[0]
             p = 0.0 if w_a == NULL else price(a, w_a, feasible[cy])
             if p is UNAVAILABLE:
                 if src < best - TOL:
-                    best, best_key, best_bad = src, sub, True
+                    best, best_a, best_key, best_bad = src, a, sub, True
             else:
                 cand = src + sign * p
                 if cand < best - TOL:
-                    best, best_key, best_bad = cand, sub, False
+                    best, best_a, best_key, best_bad = cand, a, sub, False
         if best_key < 0:
             best = 0.0
         key = py * size + pw
         values[key] = best
         if best_bad or best_key in flagged:
             flagged.add(key)
-        return best
+        return best, best_a, best_key
 
     def extremal(self, x: Allocation, z: Allocation, maximize: bool):
         """Min (or max) over all agent orders of the price sum for outcomes z
@@ -152,46 +154,27 @@ class _OrderSums:
         key = py * self.size + pw
         v = self._values[maximize].get(key)
         if v is None:
-            v = self._solve(py, pw, maximize)
+            v = self._solve(py, pw, maximize)[0]
         return (-v if maximize else v), key in self._flagged[maximize]
 
     def witness(self, x: Allocation, z: Allocation, maximize: bool) -> tuple:
-        """The n-agent order whose sum ``extremal`` returns: the DP's
-        first-within-TOL scan replayed along one path down from (x, z), last
-        arrival first.  An inert agent, null in both y and w, has the current
-        state's own value as its candidate, so it never moves the scan past
-        an equal live candidate."""
-        self.extremal(x, z, maximize)
-        values = self._values[maximize]
-        size, feasible, cleared, price = self.size, self.feasible, self.cleared, self.prices.price
-        sign = -1.0 if maximize else 1.0
+        """The n-agent order whose sum ``extremal`` returns, built last
+        arrival first along each state's own ``_solve`` choice down from
+        (x, z).  An inert agent, null in both x and z, is placed where the
+        first-within-TOL scan would keep it with the state's own value as
+        its candidate: the lowest one left goes while its index is below
+        the state's choice, and all the rest once no agent is live."""
+        inert = [a for a, (x_a, z_a) in enumerate(zip(x, z)) if x_a == NULL and z_a == NULL]
         py, pw = self.positions[x], self.positions[z]
         order = []
-        agents = list(range(len(x)))
-        while agents:
-            here = values[py * size + pw]
-            y, w = feasible[py], feasible[pw]
-            best, best_i, best_state = math.inf, -1, (py, pw)
-            for i in agents:
-                y_i, w_i = y[i], w[i]
-                if y_i != NULL:
-                    cy = cleared[i][py]
-                elif w_i != NULL:
-                    cy = py
-                else:
-                    if here < best - TOL:
-                        best, best_i, best_state = here, i, (py, pw)
-                    continue
-                cw = cleared[i][pw]
-                p = 0.0 if w_i == NULL else price(i, w_i, feasible[cy])
-                cand = values[cy * size + cw] + (0.0 if p is UNAVAILABLE else sign * p)
-                if cand < best - TOL:
-                    best, best_i, best_state = cand, i, (cy, cw)
-            order.append(best_i)
-            agents.remove(best_i)
-            py, pw = best_state
-        order.reverse()
-        return tuple(order)
+        while True:
+            _, a, sub = self._solve(py, pw, maximize)
+            while inert and (a < 0 or inert[0] < a):
+                order.append(inert.pop(0))
+            if a < 0:
+                return tuple(reversed(order))
+            order.append(a)
+            py, pw = divmod(sub, self.size)
 
 
 def _score_members(scored, rhs_b: float, residual_w: float):

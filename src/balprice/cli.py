@@ -539,7 +539,7 @@ def cmd_permeability(args) -> int:
             f"not a {instance.env.kind} environment"
         )
     rule = {"opt": OPT_RULE, "greedy": GREEDY_RULE}[args.rule]
-    if args.grid:
+    if args.grid is not None:
         # reported as scanned: the sorted distinct values
         grid = sorted({_bounded(tok, "--grid entry") for tok in args.grid.split(",")})
     else:
@@ -553,7 +553,7 @@ def cmd_permeability(args) -> int:
     shown = "UNBOUNDED" if math.isinf(gamma) else f"{gamma:.6g}"
     print(f"permeability({args.rule}) >= {shown} on grid {grid}")
     _emit_report(args, {"gamma": None if math.isinf(gamma) else gamma,
-                        "unbounded": math.isinf(gamma), "grid": grid})
+                        "unbounded": math.isinf(gamma), "grid": grid}, {"rule": args.rule})
     return 0
 
 

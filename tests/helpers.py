@@ -722,73 +722,15 @@ def price_term(rule, x, i, z_i, pred_mask):
 
 
 # The all-orders price sum as it was computed before witness orders were
-# replayed on demand: value, flag and full witness order from one call, the
-# order rebuilt eagerly for every sum.  ``self`` is a
-# ``balance._OrderSums``; the body reads only its pricing rule.
+# replayed on demand: value, flag and full witness order from one call.
+# ``self`` is a ``balance._OrderSums``; the twins read only its pricing rule.
 def eager_extremal(self, x, z, maximize: bool):
     """Min (or max) over all agent orders of the price sum for outcomes z
-    conditioned on x-prefixes.  Returns (value, witness order, saw_unavailable).
-
-    The subset DP runs over the live agents only, those with x_i or z_i
-    non-null.  An inert agent prices NULL at exactly 0.0 and conditions
-    no one, so dp[S] equals dp[S & live] in value and flag: a candidate
-    equal to the current optimum never moves the first-within-TOL scan.
-    The n-agent witness order replays that scan along one path down from
-    the full agent set.  UNAVAILABLE terms count 0 in the sum but are
-    flagged."""
-    rule = self.prices
-    live = [i for i, (x_i, z_i) in enumerate(zip(x, z)) if x_i != NULL or z_i != NULL]
-    # the DP indexes live agents by rank: bit j of a compressed mask is
-    # agent live[j], and subs[c] is compressed mask c as an agent mask
-    subs = _submasks(sum(1 << i for i in live))
-    sign = -1.0 if maximize else 1.0
-
-    def term(j: int, c: int):
-        """(signed price, unavailable?) of agent live[j] after the agents
-        of compressed mask c."""
-        i = live[j]
-        p = price_term(rule, x, i, z[i], subs[c])
-        return (0.0, True) if p is UNAVAILABLE else (sign * p, False)
-
-    full = len(subs) - 1
-    dp = [0.0] * (full + 1)
-    flag = [False] * (full + 1)
-    for mask in range(1, full + 1):
-        best, best_flag = math.inf, False
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            prev = mask ^ bit
-            t = term(bit.bit_length() - 1, prev)
-            cand = dp[prev] + t[0]
-            if cand < best - TOL:
-                best, best_flag = cand, t[1] or flag[prev]
-        dp[mask] = best
-        flag[mask] = best_flag
-
-    # replay the scan over all n agents, last arrival first; an inert
-    # agent's candidate is dp[c], the optimum over the live agents left
-    rank = {i: j for j, i in enumerate(live)}
-    order = []
-    agents, c = list(range(len(x))), full
-    while agents:
-        best, best_i = math.inf, -1
-        for i in agents:
-            j = rank.get(i)
-            if j is None:
-                cand = dp[c]
-            else:
-                prev = c ^ 1 << j
-                cand = dp[prev] + term(j, prev)[0]
-            if cand < best - TOL:
-                best, best_i = cand, i
-        order.append(best_i)
-        agents.remove(best_i)
-        if best_i in rank:
-            c ^= 1 << rank[best_i]
-    order.reverse()
-    return sign * dp[full], tuple(order), flag[full]
+    conditioned on x-prefixes, with an order that attains it: (value,
+    witness order, saw_unavailable), from ``extremal_twin`` and
+    ``witness_twin``, each a full ``subset_dp_twin`` run of its own."""
+    value, flag = extremal_twin(self, x, z, maximize)
+    return value, witness_twin(self, x, z, maximize), flag
 
 
 def subset_dp_twin(rule, x, z, maximize: bool):

@@ -559,6 +559,29 @@ class TestLazyWitness:
         assert len(report.witnesses) > 10
         assert 0 < replays[0] <= recorded
 
+    def test_witness_reads_only_solved_states(self, monkeypatch):
+        # the walk solves one state per checked sum (42 allocations, 233
+        # members); asking for each recorded order again gives it back and
+        # adds no state and no price miss
+        env, profile, rule, family = matroid_priced("uniform", 6, 1, "matroid")
+        made = []
+        init = _OrderSums.__init__
+
+        def kept(sums, *args):
+            init(sums, *args)
+            made.append(sums)
+
+        monkeypatch.setattr(_OrderSums, "__init__", kept)
+        report = _check_either(env, profile, rule, family, BalanceParams(alpha=1.0, beta=0.25))
+        (sums,) = made
+        solved = [len(values) for values in sums._values]
+        assert (len(report.witnesses), solved, len(rule._cache)) == (187, [42, 233], 96)
+        for cond, x, member, _lhs, _rhs, order in report.witnesses:
+            z, maximize = (x, False) if cond == "a" else (member, True)
+            assert sums.witness(x, z, maximize) == order
+        assert [len(values) for values in sums._values] == solved
+        assert len(rule._cache) == 96
+
     def test_passing_run_replays_nothing(self, monkeypatch):
         env, profile, rule, family = matroid_priced("uniform", 8, 0, "matroid")
         replays = count_replays(monkeypatch)

@@ -811,8 +811,8 @@ class TestPermeabilityCommand:
             '  "alpha": null,\n  "beta": null,\n  "beta1": null,\n  "beta2": null,\n'
             '  "cap_feasible": 200000,\n  "exact": null,\n'
             f'  "instance": {json.dumps(str(matroid_instance))},\n'
-            '  "order": null,\n  "output": null,\n  "pricing": null,\n  "seed": null,\n'
-            '  "subcommand": "permeability",\n  "tie": null,\n  "trials": null\n'
+            '  "order": null,\n  "output": null,\n  "pricing": null,\n  "rule": "greedy",\n'
+            '  "seed": null,\n  "subcommand": "permeability",\n  "tie": null,\n  "trials": null\n'
         )
         assert capsys.readouterr().out == (
             "permeability(greedy) >= 1 on grid [0.0, 0.5, 1.0]\n"
@@ -820,6 +820,22 @@ class TestPermeabilityCommand:
             ' "result": {\n  "gamma": 1.0,\n  "grid": [\n   0.0,\n   0.5,\n   1.0\n  ],\n'
             '  "unbounded": false\n },\n "schema": "balprice.report.v1"\n}\n'
         )
+
+    @pytest.mark.parametrize("rule", ["opt", "greedy"])
+    def test_report_config_names_the_rule(self, matroid_instance, tmp_path, rule):
+        report = tmp_path / "report.json"
+        argv = ["permeability", "--instance", str(matroid_instance), "--rule", rule]
+        assert run_cli([*argv, "--grid", "0,1", "-o", str(report)]) == 0
+        assert json.loads(report.read_text())["config"]["rule"] == rule
+
+    def test_empty_grid_exits_2(self, matroid_instance, capsys):
+        # an empty --grid once scanned the default grid and exited 0
+        capsys.readouterr()
+        argv = ["permeability", "--instance", str(matroid_instance), "--grid", ""]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --grid entry must be a number, got ''\n"
 
     @pytest.mark.parametrize("rule", ["opt", "greedy"])
     @pytest.mark.parametrize("grid", [[], ["--grid", "0,1"]], ids=["default-grid", "grid"])

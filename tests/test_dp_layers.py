@@ -5,8 +5,10 @@ outcomes) pairs and shares it across every sum of a walk.
 ``subset_dp_twin`` in helpers runs the whole subset DP over the live agents
 for each sum on its own, every term asked of the pricing rule.  Both scan
 candidates in agent order with the same additions and the same
-first-within-TOL rule, so values, flags and witness orders must agree to
-the bit.
+first-within-TOL rule, so values and flags must agree to the bit.  The
+memo's witness follows each state's own choice and places the inert agents
+by index; ``witness_twin`` replays the scan over all n agents, an inert
+one's candidate being the state's value.  Their orders must agree too.
 """
 
 import itertools

@@ -382,6 +382,11 @@ WALK = Twin(
             15,
         ),
         "unavailable-entries": Small(st.sampled_from(UNAVAILABLE_WALKS), 2, UNAVAILABLE_WALKS),
+        # the catalog and multi-element sums come out the same added in any
+        # order; these depend on the order the DP scans its candidates in
+        "addition-order": Small(
+            st.tuples(st.just("tenths"), BETAS), 2, (("tenths", 1.0), ("tenths", 0.25))
+        ),
     },
     large=tuple(
         (f"{label}, beta {beta}", (*recipe, beta), None)

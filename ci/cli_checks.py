@@ -1,8 +1,8 @@
 """The command-line contract, run on the source tree in a scratch directory:
 
 - exit codes: 0 on success, 2 for bad input (permeability on a non-binary
-  environment, an unbounded grid entry, a seed outside [0, 2^64)) with a
-  one-line error, and 1 for an all-orders FAIL, whose first witness holds a
+  environment, an unbounded grid entry, a seed outside [0, 2^64), a
+  directory as the instance or output path) with a one-line error, and 1 for an all-orders FAIL, whose first witness holds a
   full order, and for a declared-order FAIL, whose first witness holds the
   declared order;
 - alg2-opt's default parameters on six interchangeable agents, which come
@@ -60,6 +60,12 @@ def exit_codes(tmp):
                     "--seed", "-1")
     if done.returncode != 2 or len(done.stderr.splitlines()) != 1:
         sys.exit(f"ratio --seed -1 exited {done.returncode}, expected 2 with one line")
+    # a directory given as the instance or the output path is an input error too
+    os.mkdir(os.path.join(tmp, "dir"))
+    for flags in (("--instance", "dir"), ("--instance", "t.json", "-o", "dir")):
+        done = balprice(tmp, "balance", "--pricing", "single-item", *flags)
+        if done.returncode != 2 or not done.stderr.splitlines()[-1].startswith("error: "):
+            sys.exit(f"balance {' '.join(flags)} exited {done.returncode}, expected 2 with an error line")
     # an all-orders FAIL exits 1 and records a full witness order
     ok(tmp, "catalog", "matroid", "--kind", "uniform", "--rank", "3", "--ground", "6", "--seed", "1",
        "-o", "u6.json")

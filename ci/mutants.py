@@ -34,6 +34,7 @@ from collections import namedtuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 Mutant = namedtuple("Mutant", "name file old new selection")
 BALANCE = "src/balprice/balance.py"
+ORACLE = "src/balprice/oracle.py"
 # seconds a selection may run; none takes a tenth of this unmutated
 TIMEOUT = 300
 
@@ -93,6 +94,27 @@ MUTANTS = (
         "if rhs_b - top >= -TOL and not any(map(flags.__getitem__, at)):",
         "if rhs_b - top >= -TOL:",
         ("twins", "static-walk"),
+    ),
+    Mutant(
+        "static walk's recorded entries in group order, killed by static-walk",
+        BALANCE,
+        "        recorded.sort()  # back in walk order\n",
+        "",
+        ("twins", "static-walk"),
+    ),
+    Mutant(
+        "static walk's checked members counted once per key, killed by static-walk",
+        BALANCE,
+        "report.checked_members += count * len(members)",
+        "report.checked_members += len(members)",
+        ("twins", "static-walk"),
+    ),
+    Mutant(
+        "packing row closed at exactly 1/2 + TOL, killed by test_pip_row_open_at_half_plus_tol",
+        ORACLE,
+        "l <= 0.5 + TOL for l in",
+        "l < 0.5 + TOL for l in",
+        ("tests/test_oracle.py::TestResidualOpt::test_pip_row_open_at_half_plus_tol",),
     ),
     Mutant(
         "member sums in (0, TOL] count toward the ratio, killed by TestMinimalBetaFromCheck",

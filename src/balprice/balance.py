@@ -32,7 +32,7 @@ from .core import (
     enumerate_feasible,
     replace_at,
 )
-from .oracle import ExchangeFamily, _listed_welfare, fact
+from .oracle import ExchangeFamily, _listed_welfare, _positions_by, _welfare_column, fact
 from .pricing import BalanceParams, PricingRule
 
 ORDER_MODES = ("declared", "all")
@@ -218,11 +218,13 @@ def _term_sums(prices: PricingRule, order: Sequence[int], x: Allocation, allocs:
     return sums, flags
 
 
-def _record(report: BalanceReport, x, lhs_a, bad, rhs_a, rhs_b, members, score, witness):
+def _record(report: BalanceReport, x, lhs_a, bad, rhs_a, rhs_b, members, score, witness, count=1):
     """Add x's condition (a) and its exchange set's condition-(b) score to
     the report; ``witness(z, maximize)`` gives the order of each recorded
-    entry, replayed only for the entries the report records."""
-    report.checked_allocations += 1
+    entry, replayed only for the entries the report records.  ``count``
+    allocations of one exchange set that record nothing are added at once,
+    with lhs_a their least sum."""
+    report.checked_allocations += count
     slack_a = lhs_a - rhs_a
     if bad or slack_a < -TOL:
         wit_a = witness(x, False)
@@ -236,7 +238,7 @@ def _record(report: BalanceReport, x, lhs_a, bad, rhs_a, rhs_b, members, score, 
         report.witnesses.append(("a", x, None, lhs_a, rhs_a, wit_a))
 
     min_b, max_ratio, violations = score
-    report.checked_members += len(members)
+    report.checked_members += count * len(members)
     if min_b < report.condition_b_min_slack:
         report.condition_b_min_slack = min_b
     if max_ratio > report.max_b_ratio:
@@ -260,23 +262,27 @@ def _check(
     order_mode: str,
     cap: int,
 ) -> BalanceReport:
-    """One walk over the feasible allocations.  Exchange members, their
-    residual optimum and the condition bounds are taken once per
-    ``members_key``; the reference allocation's welfare and each residual
-    optimum are read off the environment's welfare column.  The feasible
-    list and every exchange set of a listed x hold the null allocation, so
-    none is empty.
+    """One walk over the feasible allocations by list position.  Each
+    listed x's ``members_key`` comes from one key pass over the DFS states
+    kept beside the list; exchange members (as list positions), their
+    residual optimum and the condition bounds are taken once per key, each
+    welfare read off the environment's welfare column.  The feasible list
+    and every exchange set of a listed x hold the null allocation, so none
+    is empty.
 
     A static rule's terms do not depend on the prefix, so its walk reads
     each sum off one column, the term table of the whole list conditioned
-    on the null allocation in agent order, and scores condition (b), which
-    then depends on x only through its exchange set, once per key.
-    Rounding is monotone for ``rhs_b - lhs`` and for ``lhs / residual_w``
-    with ``residual_w`` positive, so the largest member sum gives the
-    smallest slack and the largest ratio.  A key with a flagged member, or
-    whose bound breaks, is scored member by member from the column, which
-    lists the violations in member order; every member is listed, as the
-    family must belong to ``env`` and every environment is downward closed.
+    on the null allocation in agent order.  Neither side of condition (b)
+    depends on x beyond its exchange set, so the walk groups positions by
+    key and scores each group once; condition (a) is one pass over the
+    group's column entries.  Rounding is monotone for ``rhs_b - lhs`` and
+    for ``lhs / residual_w`` with ``residual_w`` positive, so the largest
+    member sum gives the smallest slack and the largest ratio.  A key with
+    a flagged member, or whose bound breaks, is scored member by member
+    from the column, which lists the violations in member order; every
+    member is listed, as the family must belong to ``env`` and every
+    environment is downward closed.  Only the entries that record a witness
+    or a structural violation are expanded, in walk order.
 
     A dynamic rule's all-orders sums share one ``_OrderSums`` memo across
     the walk; its declared-order sums come from one term table per x over
@@ -288,6 +294,7 @@ def _check(
     order = tuple(range(env.n)) if order is None else tuple(order)
     feasible = enumerate_feasible(env, cap)
     (alg_w,) = _listed_welfare(env, profile, [alg_alloc])
+    column = _welfare_column(env, profile)
     report = BalanceReport(
         passed=True,
         params=params,
@@ -295,56 +302,69 @@ def _check(
         condition_b_min_slack=math.inf,
         order_mode=order_mode,
     )
-    # members_key -> [members, residual optimum's welfare, rhs_a, rhs_b, static score]
-    families: dict = {}
-
-    def exchange_set(x):
-        fam_key = family.members_key(x)
-        fam = families.get(fam_key)
-        if fam is None:
-            members = family.members(x, cap)
-            ws = _listed_welfare(env, profile, members)
-            residual_w = ws[_first_max(ws)]
-            rhs_a = (alg_w - residual_w) / params.alpha
-            if params.weak:
-                rhs_b = params.beta1 * residual_w + params.beta2 * alg_w
-            else:
-                rhs_b = params.beta * residual_w
-            fam = families[fam_key] = [members, residual_w, rhs_a, rhs_b, None]
-        return fam
+    keys = family._keys(feasible, fact(env, "states"))
+    groups = _positions_by(keys)
+    # members_key -> (member positions, residual optimum's welfare, rhs_a, rhs_b)
+    sets = {}
+    for key in groups:
+        at = family._members_of(key, cap)
+        ws = list(map(column.__getitem__, at))
+        residual_w = ws[_first_max(ws)]
+        rhs_a = (alg_w - residual_w) / params.alpha
+        if params.weak:
+            rhs_b = params.beta1 * residual_w + params.beta2 * alg_w
+        else:
+            rhs_b = params.beta * residual_w
+        sets[key] = (at, residual_w, rhs_a, rhs_b)
 
     def declared(z, maximize):
         return order
 
     if prices.static:
         col, flags = _term_sums(prices, range(env.n), env.null_allocation(), feasible)
-        positions = fact(env, "positions")
-        for k, x in enumerate(feasible):
-            members, residual_w, rhs_a, rhs_b, score = fam = exchange_set(x)
-            if score is None:
-                at = list(map(positions.__getitem__, members))
-                top = max(map(col.__getitem__, at))
-                if rhs_b - top >= -TOL and not any(map(flags.__getitem__, at)):
-                    score = _score_members([(None, top, False)], rhs_b, residual_w)
-                else:
-                    scored = ((z, col[p], flags[p]) for z, p in zip(members, at))
-                    score = _score_members(scored, rhs_b, residual_w)
-                fam[4] = score
-            _record(report, x, col[k], flags[k], rhs_a, rhs_b, members, score, declared)
+        recorded = []  # (position, rhs_a, rhs_b, member positions, score) per expanded x
+        for key, ks in groups.items():
+            at, residual_w, rhs_a, rhs_b = sets[key]
+            top = max(map(col.__getitem__, at))
+            if rhs_b - top >= -TOL and not any(map(flags.__getitem__, at)):
+                score = _score_members([(None, top, False)], rhs_b, residual_w)
+            else:
+                scored = ((feasible[p], col[p], flags[p]) for p in at)
+                score = _score_members(scored, rhs_b, residual_w)
+            # merged in the order the keys first appear, as x by x, so that
+            # a signed zero lands alike; ``_record`` merges it again unchanged
+            min_b, max_ratio, violations = score
+            if min_b < report.condition_b_min_slack:
+                report.condition_b_min_slack = min_b
+            if max_ratio > report.max_b_ratio:
+                report.max_b_ratio = max_ratio
+            # condition (a): the least sum gives the least slack, unless a
+            # NaN hides from ``min``
+            lhs = list(map(col.__getitem__, ks))
+            low = min(lhs)
+            if (violations or any(map(flags.__getitem__, ks)) or not low - rhs_a >= -TOL
+                    or any(map(math.isnan, lhs))):
+                recorded += ((k, rhs_a, rhs_b, at, score) for k in ks)
+            else:
+                _record(report, None, low, False, rhs_a, rhs_b, at, score, declared, len(ks))
+        recorded.sort()  # back in walk order
+        for k, *entry in recorded:
+            _record(report, feasible[k], col[k], flags[k], *entry, declared)
     elif order_mode == "all":
         sums = _OrderSums(env, prices)
-        for x in feasible:
-            members, residual_w, rhs_a, rhs_b, _ = exchange_set(x)
+        for x, key in zip(feasible, keys):
+            at, residual_w, rhs_a, rhs_b = sets[key]
             lhs_a, bad = sums.extremal(x, x, False)
-            scored = ((z, *sums.extremal(x, z, True)) for z in members)
+            scored = ((z, *sums.extremal(x, z, True)) for z in map(feasible.__getitem__, at))
             score = _score_members(scored, rhs_b, residual_w)
-            _record(report, x, lhs_a, bad, rhs_a, rhs_b, members, score, partial(sums.witness, x))
+            _record(report, x, lhs_a, bad, rhs_a, rhs_b, at, score, partial(sums.witness, x))
     else:
-        for x in feasible:
-            members, residual_w, rhs_a, rhs_b, _ = exchange_set(x)
+        for x, key in zip(feasible, keys):
+            at, residual_w, rhs_a, rhs_b = sets[key]
+            members = list(map(feasible.__getitem__, at))
             (lhs_a, *lhs_b), (bad, *bad_b) = _term_sums(prices, order, x, [x, *members])
             score = _score_members(zip(members, lhs_b, bad_b), rhs_b, residual_w)
-            _record(report, x, lhs_a, bad, rhs_a, rhs_b, members, score, declared)
+            _record(report, x, lhs_a, bad, rhs_a, rhs_b, at, score, declared)
     if report.condition_b_min_slack == math.inf:
         report.condition_b_min_slack = 0.0  # every member's slack was NaN
     return report

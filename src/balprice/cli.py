@@ -587,13 +587,15 @@ def cmd_catalog(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+PARAM_FLAGS = ("alpha", "beta", "beta1", "beta2")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--instance", required=True, help="instance JSON path")
     p.add_argument("--pricing", required=True, choices=sorted(CONSTRUCTIONS))
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--beta1", type=float, default=None)
-    p.add_argument("--beta2", type=float, default=None)
+    # read through ``_bounded`` in ``main``, as --grid entries are
+    for flag in PARAM_FLAGS:
+        p.add_argument(f"--{flag}", default=None)
     p.add_argument("--order", default=None,
                    help="fixed:<perm> (1-based), a bare permutation, all, random, or adversary")
     p.add_argument("--tie", choices=sorted(TIE_BY_FLAG), default="adversarial")
@@ -656,8 +658,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if hasattr(args, "cap_feasible") and args.cap_feasible is None:
             args.cap_feasible = _default_cap()
+        for flag in PARAM_FLAGS:
+            if getattr(args, flag, None) is not None:
+                setattr(args, flag, _bounded(getattr(args, flag), f"--{flag}"))
         return args.fn(args)
-    except (SchemaError, PricingError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (SchemaError, PricingError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceeded as exc:

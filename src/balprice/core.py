@@ -107,7 +107,8 @@ class DerivedFacts:
     every attribute read), outside the dataclass fields, so ``==``, ``hash``
     and ``repr`` see only the fields, and dropped on pickle and copy.  An
     environment's store holds named tables of its feasible list, kept by
-    ``enumerate_feasible`` under ``"feasible"``; ``oracle.fact`` builds the
+    ``enumerate_feasible`` under ``"feasible"``, with each listed
+    allocation's DFS state under ``"states"``; ``oracle.fact`` builds the
     others.  A matroid's store is its one table, independence per mask, read
     in one lookup.  Each table's bound is the one README's memo table states."""
 
@@ -605,6 +606,12 @@ class PipEnv(EnvironmentBase):
             math.fsum(row[i] * float(alloc[i]) for i in range(self.n)) for row in self.matrix
         )
 
+    @staticmethod
+    def row_loads(rows) -> tuple[float, ...]:
+        """Each row's load from a DFS state's nonzero load terms: the floats
+        ``load`` gives, as ``fsum`` is exact and a zero term adds nothing."""
+        return tuple(map(math.fsum, rows))
+
     def column_sparsity(self, i: int) -> int:
         return sum(1 for row in self.matrix if row[i] > TOL)
 
@@ -746,6 +753,8 @@ def enumerate_feasible(env: Environment, cap: int = DEFAULT_CAP) -> tuple[Alloca
     The list is a property of the environment, so the first enumeration that
     finishes within its cap is kept in ``env``'s store and later calls return
     it; a call whose cap is below its length raises as the enumeration would.
+    Each listed allocation's DFS leaf state is kept beside it, under
+    ``"states"``.
     """
     feasible = env._facts.get("feasible")
     if feasible is not None:
@@ -756,11 +765,13 @@ def enumerate_feasible(env: Environment, cap: int = DEFAULT_CAP) -> tuple[Alloca
     extend = env.extend
     spaces = [sorted(env.agent_outcomes(i), key=_token_key) for i in range(n)]
     out: list[Allocation] = []
+    states: list = []
     cur: list = [NULL] * n
 
     def rec(i: int, state) -> None:
         if i == n:
             out.append(tuple(cur))
+            states.append(state)
             if len(out) > cap:
                 raise CapExceeded(len(out), cap, "feasible allocations")
             return
@@ -776,5 +787,6 @@ def enumerate_feasible(env: Environment, cap: int = DEFAULT_CAP) -> tuple[Alloca
         cur[i] = NULL
 
     rec(0, env.start_state)
+    env._facts["states"] = states
     feasible = env._facts["feasible"] = tuple(out)
     return feasible

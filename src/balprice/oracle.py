@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import le
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,9 +50,10 @@ from .core import (
 _FACTS = {
     "tokens": lambda env, feasible: tuple(zip(*feasible)),
     "positions": lambda env, feasible: {y: k for k, y in enumerate(feasible)},
-    "loads": lambda env, feasible: list(map(env.load, feasible)),
-    "item_masks": lambda env, feasible: list(map(allocated_items, feasible)),
-    "item_sets": lambda env, feasible: set(fact(env, "item_masks")),
+    # read off the DFS states ``enumerate_feasible`` keeps beside the list
+    "loads": lambda env, feasible: list(map(env.row_loads, fact(env, "states"))),
+    # each item mask (a union environment's state) -> its listed positions
+    "item_positions": lambda env, feasible: _positions_by(fact(env, "states")),
     "greedy": lambda env, feasible: {},
     # each agent's one non-null outcome; None where it has several or none
     "binary_tokens": lambda env, feasible: [
@@ -59,6 +61,15 @@ _FACTS = {
         for toks in ([t for t in env.agent_outcomes(i) if t != NULL] for i in range(env.n))
     ],
 }
+
+
+def _positions_by(values) -> dict:
+    """Each distinct value, in order of first appearance -> the positions
+    holding it, ascending."""
+    table = {v: [] for v in dict.fromkeys(values)}
+    for k, v in enumerate(values):
+        table[v].append(k)
+    return table
 
 
 def fact(env: Environment, name: str):
@@ -102,12 +113,11 @@ def _welfare_column(env: Environment, profile, tables=None) -> tuple[float, ...]
 
 def _listed_welfare(env: Environment, profile, allocs) -> list[float]:
     """The welfare of each of ``allocs``, read off the welfare column where it
-    is listed, as every feasible allocation is; ``welfare`` for any other."""
-    column = _welfare_column(env, profile)
-    positions = fact(env, "positions")
-    return [
-        welfare(profile, y) if (k := positions.get(y)) is None else column[k] for y in allocs
-    ]
+    is listed, as every feasible allocation is; ``welfare`` for any other.
+    Each is found by a scan of the list: the walk asks for one allocation,
+    and the positions table costs a tuple hash per listed allocation."""
+    column, feasible = _welfare_column(env, profile), env._facts["feasible"]
+    return [column[feasible.index(y)] if y in feasible else welfare(profile, y) for y in allocs]
 
 
 def opt(env: Environment, profile: Sequence[Valuation], cap: int = DEFAULT_CAP) -> Allocation:
@@ -117,15 +127,9 @@ def opt(env: Environment, profile: Sequence[Valuation], cap: int = DEFAULT_CAP) 
     return feasible[_first_max(_welfare_column(env, profile))]
 
 
-# environment kinds whose outcomes are item masks, merged agent-wise by union
+# environment kinds whose outcomes are item masks, merged agent-wise by
+# union; each one's DFS state is the union of an allocation's masks
 _UNION_ENVS = (CombinatorialAuctionEnv, MatroidEnv, SingleItemEnv)
-
-
-def allocated_items(x: Allocation) -> int:
-    mask = 0
-    for xi in x:
-        mask |= xi
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -155,86 +159,101 @@ class ExchangeFamily:
             raise ValueError(f"unknown exchange family kind {self.kind}")
 
     def members_key(self, x: Allocation):
-        """What the exchange set at x depends on, the one place a kind reads
-        x: the set is built from the key alone (``_members_of``), so equal
-        keys give equal member lists and callers may take one list per key."""
+        """What the exchange set at a feasible x depends on: ``_keys``
+        applied to x and its DFS state.  The set is built from the key alone
+        (``_members_of``), so equal keys give equal member lists and callers
+        may take one list per key.  An infeasible x has no exchange set."""
+        if not self.env.is_feasible(x):
+            raise ValueError(f"no exchange set at the infeasible allocation {x}")
+        return self._keys((x,))[0]
+
+    def _keys(self, allocs, states=None) -> list:
+        """The ``members_key`` of each of ``allocs``, the one place a kind
+        reads an allocation, from its DFS state (``states``, folded from
+        each allocation by ``_dfs_state`` when not given): a knapsack's
+        running sum, each packing row's nonzero load terms, or an item mask.
+        A contraction's key is the allocation itself, and a product's holds
+        each market's key of its projection."""
         env = self.env
+        if states is None:
+            states = (_dfs_state(env, y) for y in allocs)
         if self.kind == "knapsack_threshold":
-            return sum(x) < 0.5  # strict; grid quantities are exact dyadics
+            return [s < 0.5 for s in states]  # strict; grid quantities are exact dyadics
         if self.kind == "pip_threshold":
-            # x's loads are read off the listed loads where the kept list holds x
-            k = fact(env, "positions").get(x) if "feasible" in env._facts else None
-            load = env.load(x) if k is None else fact(env, "loads")[k]
-            return tuple(l <= 0.5 + TOL for l in load)
+            return [tuple(l <= 0.5 + TOL for l in env.row_loads(s)) for s in states]
         if self.kind == "item_disjoint":
             if not isinstance(env, _UNION_ENVS):
                 raise TypeError(f"union merge undefined for environment kind {env.kind}")
-            return allocated_items(x)
+            return list(states)
         if self.kind == "product":
             assert isinstance(env, ProductEnv)
-            return tuple(
-                fam.members_key(env.project(x, ell))
-                for ell, fam in enumerate(self.components)
-            )
-        return x
+            return [
+                tuple(fam.members_key(env.project(y, ell)) for ell, fam in enumerate(self.components))
+                for y in allocs
+            ]
+        return list(allocs)
 
     def members(self, x: Allocation, cap: int = DEFAULT_CAP) -> list[Allocation]:
-        """The exchange set at x in the environment's list order."""
-        return self._members_of(self.members_key(x), cap)
+        """The exchange set at x in the environment's list order.  A closed
+        knapsack set's one member, the listed null allocation (each agent's
+        grid quantity 0), is built without enumerating."""
+        key = self.members_key(x)
+        env = self.env
+        if self.kind == "knapsack_threshold" and not key:
+            return [tuple(env.agent_outcomes(i)[0] for i in range(env.n))]
+        return list(map(enumerate_feasible(env, cap).__getitem__, self._members_of(key, cap)))
 
-    def _members_of(self, key, cap: int) -> list[Allocation]:
-        """The exchange set of ``members_key`` value ``key``: the feasible
-        allocations meeting the kind's condition.  A product member is a
-        listed allocation whose every market projection is a member of that
-        market's component family at the component's key.  Every kind's
-        condition is downward closed, and the environment is, so filtering
-        the list gives exactly the allocations a DFS pruned by it would."""
+    def _members_of(self, key, cap: int) -> list[int]:
+        """The positions on the kept feasible list of the exchange set of
+        ``members_key`` value ``key``: the allocations meeting the kind's
+        condition.  A product member is a listed allocation whose every
+        market projection is a member of that market's component family at
+        the component's key.  Every kind's condition is downward closed, and
+        the environment is, so filtering the list gives exactly the
+        allocations a DFS pruned by it would."""
         # A closed exchange set is the singleton {all-null} rather than the
         # empty set: the residual optimum is 0 either way, the null member
         # is trivially exchange compatible, and products of per-market
-        # families then decompose market by market.  Its member is the
-        # listed null allocation, each agent's grid quantity 0, built
-        # without enumerating.
+        # families then decompose market by market.  The null allocation
+        # is listed first, as every null token sorts first.
         env = self.env
+        feasible = enumerate_feasible(env, cap)
         if self.kind == "knapsack_threshold":
-            if key:
-                return list(enumerate_feasible(env, cap))
-            return [tuple(env.agent_outcomes(i)[0] for i in range(env.n))]
+            return list(range(len(feasible) if key else 1))
 
         if self.kind == "pip_threshold":
-            feasible = enumerate_feasible(env, cap)
-            caps = tuple(1.0 if open_ else 0.0 for open_ in key)
-            return [
-                y
-                for y, load in zip(feasible, fact(env, "loads"))
-                if all(l <= c + TOL for l, c in zip(load, caps))
-            ]
+            bounds = [(1.0 if open_ else 0.0) + TOL for open_ in key]
+            return [k for k, load in enumerate(fact(env, "loads")) if all(map(le, load, bounds))]
 
         if self.kind == "canonical_contraction":
             # x merged over a member is a listed z agreeing with x on
             # supp(x); clearing those slots gives the member back, read off
             # the list so that a cleared slot holds the listed null token
             supp = support(key)
-            feasible = enumerate_feasible(env, cap)
             positions = fact(env, "positions")
             return [
-                feasible[positions[tuple(NULL if xi != NULL else zi for xi, zi in zip(key, z))]]
+                positions[tuple(NULL if xi != NULL else zi for xi, zi in zip(key, z))]
                 for z in feasible
                 if all(z[i] == key[i] for i in supp)
             ]
 
         if self.kind == "item_disjoint":
             # the union of disjoint feasible x and y is feasible exactly when
-            # its item set is some feasible allocation's item set
-            feasible = enumerate_feasible(env, cap)
-            masks, unions = fact(env, "item_masks"), fact(env, "item_sets")
-            return [y for y, m in zip(feasible, masks) if not m & key and key | m in unions]
+            # its item set is some feasible allocation's item set; members
+            # are taken per mask, then put back in list order
+            masks = fact(env, "item_positions")
+            return sorted(itertools.chain.from_iterable(
+                ks for m, ks in masks.items() if not m & key and key | m in masks
+            ))
 
-        per_market = [set(fam._members_of(k, cap)) for fam, k in zip(self.components, key)]
+        per_market = [
+            (set(fam._members_of(k, cap)), fact(fam.env, "positions"))
+            for fam, k in zip(self.components, key)
+        ]
         return [
-            y
-            for y in enumerate_feasible(env, cap)
-            if all(env.project(y, ell) in ms for ell, ms in enumerate(per_market))
+            k
+            for k, y in enumerate(feasible)
+            if all(positions[env.project(y, ell)] in ks for ell, (ks, positions) in enumerate(per_market))
         ]
 
 
@@ -262,14 +281,11 @@ def residual_opt(
     x: Allocation,
     cap: int = DEFAULT_CAP,
 ) -> Allocation:
-    """Welfare-maximizing member of the exchange set at x (all-null when the
-    set is empty)."""
-    members = family.members(x, cap)
-    if not members:
-        return env.null_allocation()
-    enumerate_feasible(env, cap)
-    ws = _listed_welfare(env, profile, members)
-    return members[_first_max(ws)]
+    """Welfare-maximizing member of the exchange set at x, which always
+    holds the null allocation; the first maximum within TOL in list order."""
+    at = family._members_of(family.members_key(x), cap)
+    column = _welfare_column(env, profile)
+    return enumerate_feasible(env, cap)[at[_first_max(map(column.__getitem__, at))]]
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,12 @@ class BalanceParams:
     beta2: Optional[float] = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise PricingError("alpha must be positive")
+        if not self.alpha > 0:
+            raise PricingError(f"alpha must be positive, got {self.alpha!r}")
+        for name in ("beta", "beta1", "beta2"):
+            b = getattr(self, name)
+            if b is not None and not b >= 0:
+                raise PricingError(f"{name} must not be negative, got {b!r}")
         strong = self.beta is not None
         weak = self.beta1 is not None or self.beta2 is not None
         if strong == weak:

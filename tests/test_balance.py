@@ -456,11 +456,11 @@ class TestLiveAgentDp:
                 bound += bin(_live_mask(x, z)).count("1") << supp
 
         member_calls = [0]
-        members = ExchangeFamily.members
+        members_of = ExchangeFamily._members_of
 
-        def counted_members(self, x, cap):
+        def counted_members(self, key, cap):
             member_calls[0] += 1
-            return members(self, x, cap)
+            return members_of(self, key, cap)
 
         price_calls = [0]
         price = rule.price
@@ -469,7 +469,7 @@ class TestLiveAgentDp:
             price_calls[0] += 1
             return price(i, x_i, y)
 
-        monkeypatch.setattr(ExchangeFamily, "members", counted_members)
+        monkeypatch.setattr(ExchangeFamily, "_members_of", counted_members)
         rule.price = counted_price
         report = check_balanced(
             env, profile, rule, opt(env, profile), family, BalanceParams(alpha=1.0, beta=1.0)
@@ -647,6 +647,24 @@ class TestStaticPerFamily:
         )
         assert report.checked_members > len(feasible)
         assert calls[0] <= len(pairs)
+
+    def test_keys_from_one_pass_and_each_set_built_once(self, monkeypatch):
+        """The walk reads every x's key off one pass over the kept DFS
+        states: on catalog knapsack n = 5 it builds the open and the closed
+        exchange set once each and calls ``members_key`` on no allocation."""
+        env, profile, rule, alloc = static_case("knapsack", 5, 0)
+        calls = {"members_key": 0, "_members_of": 0}
+        for name in calls:
+            def counted(family, *args, _name=name, _real=getattr(ExchangeFamily, name)):
+                calls[_name] += 1
+                return _real(family, *args)
+
+            monkeypatch.setattr(ExchangeFamily, name, counted)
+        report = check_balanced(
+            env, profile, rule, alloc, default_family(env), BalanceParams(alpha=2.0, beta=1.0)
+        )
+        assert report.checked_allocations == len(enumerate_feasible(env)) > 2
+        assert calls == {"members_key": 0, "_members_of": 2}
 
 
     @given(

@@ -614,6 +614,42 @@ class TestParamsFromFlags:
         assert "bid vectors exceeded cap: 64 > 10" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["balance", "simulate", "ratio"])
+    @pytest.mark.parametrize("flags", [
+        ("--alpha", "nan"), ("--alpha", "inf"), ("--beta", "nan"), ("--beta", "inf"),
+        ("--beta", "-1"), ("--beta1", "-1", "--beta2", "1"), ("--beta1", "0", "--beta2", "nan"),
+    ])
+    def test_unbounded_or_negative_parameter_exits_2(self, tight_instance, capsys, command, flags):
+        # a NaN alpha once passed the positivity test and certified a PASS,
+        # and a negative beta posted negative prices (exit 0 both)
+        argv = [command, "--instance", str(tight_instance), "--pricing", "single-item", *flags]
+        if command == "ratio":
+            argv.append("--exact")
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(("error: --alpha ", "error: --beta", "error: beta"))
+        assert captured.err.count("\n") == 1
+
+
+class TestPathErrors:
+    """A path that names a directory is an input error, exit 2 with one
+    line, never a traceback with exit 1 (which means a certificate failed)."""
+
+    def test_instance_directory_exits_2(self, tmp_path, capsys):
+        assert run_cli(["balance", "--instance", str(tmp_path), "--pricing", "single-item"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_output_directory_exits_2(self, tight_instance, tmp_path, capsys):
+        argv = ["balance", "--instance", str(tight_instance), "--pricing", "single-item",
+                "-o", str(tmp_path)]
+        capsys.readouterr()
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.endswith(f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
 # key -> (catalog arguments, environment kind): one small instance per kind
 MATRIX_INSTANCES = {
     "two-point": (["two-point", "--n", "3"], "single_item"),

@@ -52,6 +52,7 @@ from balprice.oracle import (
 )
 
 from helpers import (
+    _items,
     bit,
     brute_feasible,
     catalog_matroids,
@@ -163,6 +164,26 @@ class TestResidualOpt:
         # agent 0 at level 1 loads 0.5 -> still admissible
         assert (1, 0) in fam2.members((0, 1))
 
+    @pytest.mark.parametrize("env,x", [
+        (KnapsackEnv(n=2, step=0.5), (1.0, 1.0)),
+        (PipEnv(n=3, matrix=((0.5, 0.5, 0.5),), capacities=(1.0,)), (1, 1, 1)),
+        (uniform_matroid_env(1, 2), (bit(0), bit(1))),
+    ])
+    def test_infeasible_allocation_has_no_exchange_set(self, env, x):
+        """Keys are read off x's DFS state, which an infeasible x lacks."""
+        for family in families(env):
+            with pytest.raises(ValueError, match="no exchange set at the infeasible allocation"):
+                family.members(x)
+
+    def test_pip_row_open_at_half_plus_tol(self):
+        """A row loaded to exactly 1/2 + TOL, the largest coefficient a
+        packing environment takes, stays open."""
+        env = PipEnv(n=2, matrix=((0.5 + TOL, 0.5),), capacities=(1.0,))
+        fam = default_family(env)
+        assert env.load((1, 0)) == (0.5 + TOL,)
+        assert fam.members_key((1, 0)) == (True,)
+        assert (0, 1) in fam.members((1, 0))
+
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 AGENTS = st.integers(min_value=1, max_value=5)
@@ -191,6 +212,24 @@ MEMBER_ENVS = st.one_of(
 )
 
 
+def state_reading(env, state):
+    """A kept DFS state as what it stands for: a packing state's row loads,
+    any other state as it is."""
+    return env.row_loads(state) if isinstance(env, PipEnv) else state
+
+
+def state_twin(env, x):
+    """That value recomputed from x: its item mask, its total quantity, its
+    row loads, or x itself for the kinds whose state is the allocation."""
+    if isinstance(env, (MatroidEnv, CombinatorialAuctionEnv, SingleItemEnv)):
+        return _items(x)
+    if isinstance(env, KnapsackEnv):
+        return sum(x)
+    if isinstance(env, PipEnv):
+        return env.load(x)
+    return x
+
+
 class TestMemberEnumeration:
     """Family members are read off the environment's one feasible list; the
     filter is exact only because each kind's condition and the environment
@@ -205,9 +244,14 @@ class TestMemberEnumeration:
     @example(gen_common_outcome_instance(n=3, k=3).env)
     @settings(max_examples=100, deadline=None)
     def test_members_equal_filtered_enumeration(self, env):
-        assert list(enumerate_feasible(env)) == brute_feasible(env)
+        feasible = enumerate_feasible(env)
+        assert list(feasible) == brute_feasible(env)
+        # each kept DFS state reads as x's item mask, total, loads or x itself
+        states = env._facts["states"]
+        assert [repr(state_reading(env, s)) for s in states] == [repr(state_twin(env, x)) for x in feasible]
         for family in families(env):
-            for x in enumerate_feasible(env):
+            assert family._keys(feasible, states) == [family.members_key(x) for x in feasible]
+            for x in feasible:
                 assert family.members(x) == filtered_members(family, x)
 
     @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from balprice.oracle import ExchangeFamily, default_family, opt
 from balprice.pricing import BalanceParams
 
 from helpers import (
+    brute_feasible,
     count_dfs_runs,
     filtered_members,
     matroid_priced,
@@ -184,8 +185,16 @@ class TestCheckWithSharedList:
             return check(env, profile, rule, alloc, family, params, order_mode=order_mode)
 
         with_list = run()
+        brute = brute_feasible(env)
+
+        def twin_members(family, x, cap):
+            return [brute.index(y) for y in filtered_members(family, x)]
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ExchangeFamily, "members", lambda self, x, cap=None: filtered_members(self, x))
+            # every x is its own key, and its exchange set is the filter's,
+            # as positions on the brute-force list
+            mp.setattr(ExchangeFamily, "_keys", lambda family, allocs, states=None: list(allocs))
+            mp.setattr(ExchangeFamily, "_members_of", twin_members)
             assert with_list == run()
 
 

@@ -106,6 +106,12 @@ def listed_welfare_twin(env, profile, allocs):
     return [welfare(profile, y) for y in allocs]
 
 
+def welfare_column_twin(env, profile):
+    """Twin of ``oracle._welfare_column``, which the walk reads residual
+    optima off by position: each listed allocation's welfare on its own."""
+    return listed_welfare_twin(env, profile, enumerate_feasible(env))
+
+
 def assert_matches_twin(env, a, b, rule, params, dist):
     """Alternate ``a``, ``b``, ``a`` and an equal copy of ``a`` on one
     environment object; every result must equal the twin's by ``repr``."""
@@ -121,7 +127,8 @@ def assert_matches_twin(env, a, b, rule, params, dist):
             assert repr(got) == repr(argmax_first_twin(family.members(x), p))
         prices = rule(p)
         got = check(env, p, prices, alg, family, params, order_mode="declared")
-        with mock.patch.object(balance, "_listed_welfare", listed_welfare_twin):
+        with mock.patch.object(balance, "_listed_welfare", listed_welfare_twin), \
+                mock.patch.object(balance, "_welfare_column", welfare_column_twin):
             want = check(env, p, prices, alg, family, params, order_mode="declared")
         assert got == want
         assert repr(got) == repr(want)

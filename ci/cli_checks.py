@@ -2,9 +2,10 @@
 
 - exit codes: 0 on success, 2 for bad input (permeability on a non-binary
   environment, an unbounded grid entry, a seed outside [0, 2^64), a
-  directory as the instance or output path) with a one-line error, and 1 for an all-orders FAIL, whose first witness holds a
-  full order, and for a declared-order FAIL, whose first witness holds the
-  declared order;
+  directory as the instance or output path, refused before the job prints
+  anything) with a one-line error, and 1 for an all-orders FAIL, whose
+  first witness holds a full order, and for a declared-order FAIL, whose
+  first witness holds the declared order;
 - alg2-opt's default parameters on six interchangeable agents, which come
   from the permeability scan, one bid vector per orbit;
 - seed 2^64 - 1, the top of the Philox key range, runs, and two runs write
@@ -60,12 +61,14 @@ def exit_codes(tmp):
                     "--seed", "-1")
     if done.returncode != 2 or len(done.stderr.splitlines()) != 1:
         sys.exit(f"ratio --seed -1 exited {done.returncode}, expected 2 with one line")
-    # a directory given as the instance or the output path is an input error too
+    # a directory given as the instance or the output path is an input error
+    # too, refused before the job runs, so nothing reaches stdout
     os.mkdir(os.path.join(tmp, "dir"))
     for flags in (("--instance", "dir"), ("--instance", "t.json", "-o", "dir")):
         done = balprice(tmp, "balance", "--pricing", "single-item", *flags)
-        if done.returncode != 2 or not done.stderr.splitlines()[-1].startswith("error: "):
-            sys.exit(f"balance {' '.join(flags)} exited {done.returncode}, expected 2 with an error line")
+        if done.returncode != 2 or done.stdout or not done.stderr.splitlines()[-1].startswith("error: "):
+            sys.exit(f"balance {' '.join(flags)} exited {done.returncode}, expected 2 with an error line "
+                     f"and no output")
     # an all-orders FAIL exits 1 and records a full witness order
     ok(tmp, "catalog", "matroid", "--kind", "uniform", "--rank", "3", "--ground", "6", "--seed", "1",
        "-o", "u6.json")

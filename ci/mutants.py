@@ -34,6 +34,7 @@ from collections import namedtuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 Mutant = namedtuple("Mutant", "name file old new selection")
 BALANCE = "src/balprice/balance.py"
+CLI = "src/balprice/cli.py"
 ORACLE = "src/balprice/oracle.py"
 # seconds a selection may run; none takes a tenth of this unmutated
 TIMEOUT = 300
@@ -96,6 +97,13 @@ MUTANTS = (
         ("twins", "static-walk"),
     ),
     Mutant(
+        "static walk's condition-(b) bound check dropped, killed by static-walk",
+        BALANCE,
+        "if rhs_b - top >= -TOL and not any(map(flags.__getitem__, at)):",
+        "if not any(map(flags.__getitem__, at)):",
+        ("twins", "static-walk"),
+    ),
+    Mutant(
         "static walk's recorded entries in group order, killed by static-walk",
         BALANCE,
         "        recorded.sort()  # back in walk order\n",
@@ -115,6 +123,38 @@ MUTANTS = (
         "l <= 0.5 + TOL for l in",
         "l < 0.5 + TOL for l in",
         ("tests/test_oracle.py::TestResidualOpt::test_pip_row_open_at_half_plus_tol",),
+    ),
+    Mutant(
+        "greedy outcome memo always recomputes, killed by TestGreedyMemo",
+        ORACLE,
+        "    out = outcomes.get((fixed, ranking))\n",
+        "    out = None\n",
+        ("tests/test_critical_oracle.py::TestGreedyMemo",),
+    ),
+    Mutant(
+        "greedy outcome keyed by its first ranked agent, killed by TestGreedyMemo",
+        ORACLE,
+        "    out = outcomes.get((fixed, ranking))\n"
+        "    if out is None:\n"
+        "        out = outcomes[fixed, ranking] = _greedy_scan(env, ranking, fixed)\n",
+        "    out = outcomes.get((fixed, ranking[:1]))\n"
+        "    if out is None:\n"
+        "        out = outcomes[fixed, ranking[:1]] = _greedy_scan(env, ranking, fixed)\n",
+        ("tests/test_critical_oracle.py::TestGreedyMemo",),
+    ),
+    Mutant(
+        "permeability numerator keyed by its first critical value, killed by TestPermeabilityTwin",
+        ORACLE,
+        "        vec = tuple(taus)\n",
+        "        vec = tuple(taus[:1])\n",
+        ("tests/test_critical_oracle.py::TestPermeabilityTwin",),
+    ),
+    Mutant(
+        "-o not checked before the job, killed by TestPathErrors",
+        CLI,
+        "        if args.output:\n            _check_output(args.output)\n",
+        "",
+        ("tests/test_cli.py::TestPathErrors",),
     ),
     Mutant(
         "member sums in (0, TOL] count toward the ratio, killed by TestMinimalBetaFromCheck",

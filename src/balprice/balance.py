@@ -31,8 +31,9 @@ from .core import (
     _first_max,
     enumerate_feasible,
     replace_at,
+    welfare,
 )
-from .oracle import ExchangeFamily, _listed_welfare, _positions_by, _welfare_column, fact
+from .oracle import ExchangeFamily, _positions_by, _welfare_column, fact
 from .pricing import BalanceParams, PricingRule
 
 ORDER_MODES = ("declared", "all")
@@ -266,9 +267,9 @@ def _check(
     listed x's ``members_key`` comes from one key pass over the DFS states
     kept beside the list; exchange members (as list positions), their
     residual optimum and the condition bounds are taken once per key, each
-    welfare read off the environment's welfare column.  The feasible list
-    and every exchange set of a listed x hold the null allocation, so none
-    is empty.
+    residual welfare read off the environment's welfare column and ALG's
+    from ``welfare``, the same float.  The feasible list and every exchange
+    set of a listed x hold the null allocation, so none is empty.
 
     A static rule's terms do not depend on the prefix, so its walk reads
     each sum off one column, the term table of the whole list conditioned
@@ -293,7 +294,7 @@ def _check(
         raise ValueError("the exchange family belongs to another environment")
     order = tuple(range(env.n)) if order is None else tuple(order)
     feasible = enumerate_feasible(env, cap)
-    (alg_w,) = _listed_welfare(env, profile, [alg_alloc])
+    alg_w = welfare(profile, alg_alloc)
     column = _welfare_column(env, profile)
     report = BalanceReport(
         passed=True,
@@ -302,7 +303,7 @@ def _check(
         condition_b_min_slack=math.inf,
         order_mode=order_mode,
     )
-    keys = family._keys(feasible, fact(env, "states"))
+    keys = family._keys()
     groups = _positions_by(keys)
     # members_key -> (member positions, residual optimum's welfare, rhs_a, rhs_b)
     sets = {}

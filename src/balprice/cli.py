@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
+import io
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -79,7 +82,7 @@ from .pricing import (
     single_item_support_prices,
     xos_item_prices,
 )
-from .serialize import Instance, SchemaError, _bounded, dump_instance_file, load_instance_file
+from .serialize import Instance, SchemaError, _bounded, load_instance_file
 from .stochastic import (
     ProductDistribution,
     RatioEstimate,
@@ -330,46 +333,50 @@ TIE_BY_FLAG = {
 }
 
 
+# the flags every report's config echoes, None where a subcommand has none
+CONFIG_FIELDS = ("instance", "pricing", "alpha", "beta", "beta1", "beta2", "order", "tie",
+                 "trials", "seed", "exact", "cap_feasible", "output")
+
+
 def _run_config(args, extra: dict) -> dict:
-    config = {
-        "subcommand": args.command,
-        "instance": getattr(args, "instance", None),
-        "pricing": getattr(args, "pricing", None),
-        "alpha": getattr(args, "alpha", None),
-        "beta": getattr(args, "beta", None),
-        "beta1": getattr(args, "beta1", None),
-        "beta2": getattr(args, "beta2", None),
-        "order": getattr(args, "order", None),
-        "tie": getattr(args, "tie", None),
-        "trials": getattr(args, "trials", None),
-        "seed": getattr(args, "seed", None),
-        "exact": getattr(args, "exact", None),
-        "cap_feasible": getattr(args, "cap_feasible", None),
-        "output": getattr(args, "output", None),
-    }
-    config.update(extra)
-    return config
+    fields = {name: getattr(args, name, None) for name in CONFIG_FIELDS}
+    return {"subcommand": args.command, **fields, **extra}
+
+
+def _check_output(path: str) -> None:
+    """Refuse, before the job, an output path that ``open`` would refuse
+    after it: a directory, or a path whose directory is missing or is not
+    one.  The error is the one ``open`` raises."""
+    name = path.rstrip(os.sep)  # a trailing separator names a directory
+    try:
+        parent = os.stat(os.path.dirname(name) or ".").st_mode
+        code = errno.EISDIR if os.path.isdir(path) or name != path else 0
+        code = code if stat.S_ISDIR(parent) else errno.ENOTDIR
+    except OSError as exc:
+        code = exc.errno
+    if code:
+        raise OSError(code, os.strerror(code), path)
+
+
+def _write(args, text: str, header: str = "") -> None:
+    """Send ``text`` to ``-o`` or stdout.  A ``header`` (a ratio CSV's) heads
+    stdout, and makes the file appended to, headed only when new."""
+    if not args.output:
+        sys.stdout.write(header + text)
+        return
+    new = not os.path.exists(args.output)
+    with open(args.output, "a" if header else "w", newline="", encoding="utf-8") as fh:
+        fh.write(header * new + text)
 
 
 def _emit_report(args, payload: dict, extra_config: Optional[dict] = None) -> None:
-    doc = {
-        "schema": REPORT_SCHEMA,
-        "config": _run_config(args, extra_config or {}),
-        "result": payload,
-    }
-    text = json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
-    else:
-        print(text)
+    config = _run_config(args, extra_config or {})
+    doc = {"schema": REPORT_SCHEMA, "config": config, "result": payload}
+    _write(args, json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n")
 
 
 def _distribution(instance: Instance) -> ProductDistribution:
-    if instance.distribution is not None:
-        return instance.distribution
-    return ProductDistribution.deterministic(instance.profile)
+    return instance.distribution or ProductDistribution.deterministic(instance.profile)
 
 
 # ---------------------------------------------------------------------------
@@ -458,20 +465,19 @@ def cmd_simulate(args) -> int:
     tie = TIE_BY_FLAG[args.tie]
     if order_kind == "fixed":
         trace = run_posted_price(env, rule, profile, perm, tie)
-        print(
-            f"welfare={trace.welfare:g} revenue={trace.revenue:g} "
-            f"order={[i + 1 for i in trace.order]}"
-        )
-        _emit_report(args, {"trace": trace.as_dict()})
-        return 0
-    if order_kind == "all":
+        order = [i + 1 for i in trace.order]
+        line = f"welfare={trace.welfare:g} revenue={trace.revenue:g} order={order}"
+        payload = {"trace": trace.as_dict()}
+    elif order_kind == "all":
         w, order = worst_order_welfare(env, rule, profile, tie)
-        print(f"worst-order welfare={w:g} order={[i + 1 for i in order]}")
-        _emit_report(args, {"worst_order_welfare": w, "order": [i + 1 for i in order]})
-        return 0
-    w = adaptive_adversary_welfare(env, rule, _distribution(instance), tie)
-    print(f"adaptive-adversary expected welfare={w:g}")
-    _emit_report(args, {"adaptive_adversary_welfare": w})
+        payload = {"worst_order_welfare": w, "order": [i + 1 for i in order]}
+        line = f"worst-order welfare={w:g} order={payload['order']}"
+    else:
+        w = adaptive_adversary_welfare(env, rule, _distribution(instance), tie)
+        line = f"adaptive-adversary expected welfare={w:g}"
+        payload = {"adaptive_adversary_welfare": w}
+    print(line)
+    _emit_report(args, payload)
     return 0
 
 
@@ -495,16 +501,11 @@ def cmd_ratio(args) -> int:
             order_mode=order_kind, trials=args.trials, seed=args.seed,
             tie=tie, fixed_order=perm,
         )
-    est_dict = est.as_dict()
+    est = est.as_dict()
     print(
-        f"ratio={est_dict['ratio']:.6g} welfare={est_dict['expected_mechanism_welfare']:.6g} "
-        f"opt={est_dict['expected_opt']:.6g} mode={est_dict['mode']}"
+        f"ratio={est['ratio']:.6g} welfare={est['expected_mechanism_welfare']:.6g} "
+        f"opt={est['expected_opt']:.6g} mode={est['mode']}"
     )
-    _write_ratio_csv(args, est_dict)
-    return 0
-
-
-def _write_ratio_csv(args, est: dict) -> None:
     row = {
         "instance": args.instance,
         "pricing": args.pricing,
@@ -517,17 +518,11 @@ def _write_ratio_csv(args, est: dict) -> None:
         "ci95_halfwidth": est.get("ci95_halfwidth", 0.0),
         "schema": RATIO_SCHEMA,
     }
-    if args.output:
-        exists = os.path.exists(args.output)
-        with open(args.output, "a", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(row))
-            if not exists:
-                writer.writeheader()
-            writer.writerow(row)
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=list(row))
-        writer.writeheader()
-        writer.writerow(row)
+    header, line = io.StringIO(), io.StringIO()
+    csv.writer(header).writerow(row)
+    csv.writer(line).writerow(row.values())
+    _write(args, line.getvalue(), header.getvalue())
+    return 0
 
 
 def cmd_permeability(args) -> int:
@@ -557,28 +552,22 @@ def cmd_permeability(args) -> int:
     return 0
 
 
+# each catalog flag -> its type, in parser order; an unset flag keeps the generator's default
+CATALOG_PARAMS = {
+    "d": int, "n": int, "k": int, "m": int, "seed": int, "rank": int, "ground": int,
+    "clauses": int, "markets": int, "q": float, "step": float, "kind": str,
+}
+
+
 def cmd_catalog(args) -> int:
-    gen = GENERATORS[args.name]
-    kwargs = {}
-    for key in ("d", "n", "k", "m", "seed", "rank", "ground", "clauses", "markets"):
-        val = getattr(args, key, None)
-        if val is not None:
-            kwargs[key] = val
-    if args.q is not None:
-        kwargs["q"] = args.q
-    if args.step is not None:
-        kwargs["step"] = args.step
-    if args.kind is not None:
-        kwargs["kind"] = args.kind
+    kwargs = {key: getattr(args, key) for key in CATALOG_PARAMS if getattr(args, key) is not None}
     try:
-        instance = gen(**kwargs)
+        instance = GENERATORS[args.name](**kwargs)
     except TypeError as exc:
         raise SchemaError(f"bad parameters for {args.name}: {exc}") from exc
+    _write(args, instance.to_json() + "\n")
     if args.output:
-        dump_instance_file(instance, args.output)
         print(f"wrote {args.name} instance to {args.output}")
-    else:
-        print(instance.to_json())
     return 0
 
 
@@ -603,7 +592,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--cap-feasible", dest="cap_feasible", type=int, default=None)
-    p.add_argument("-o", "--output", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -613,11 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn in (
-        ("balance", cmd_balance),
-        ("simulate", cmd_simulate),
-        ("ratio", cmd_ratio),
-    ):
+    for name, fn in (("balance", cmd_balance), ("simulate", cmd_simulate), ("ratio", cmd_ratio)):
         p = sub.add_parser(name)
         _add_common(p)
         p.set_defaults(fn=fn)
@@ -627,25 +611,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", choices=("opt", "greedy"), default="opt")
     p.add_argument("--grid", default=None, help="comma-separated bid grid")
     p.add_argument("--cap-feasible", dest="cap_feasible", type=int, default=None)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_permeability)
 
     p = sub.add_parser("catalog")
     p.add_argument("name", choices=sorted(GENERATORS))
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--ground", type=int, default=None)
-    p.add_argument("--clauses", type=int, default=None)
-    p.add_argument("--markets", type=int, default=None)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--kind", default=None)
-    p.add_argument("-o", "--output", default=None)
+    for name, kind in CATALOG_PARAMS.items():
+        p.add_argument(f"--{name}", type=kind, default=None)
     p.set_defaults(fn=cmd_catalog)
+
+    for p in sub.choices.values():  # every job writes to -o, else stdout
+        p.add_argument("-o", "--output", default=None)
 
     return parser
 
@@ -661,6 +636,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         for flag in PARAM_FLAGS:
             if getattr(args, flag, None) is not None:
                 setattr(args, flag, _bounded(getattr(args, flag), f"--{flag}"))
+        if args.output:
+            _check_output(args.output)
         return args.fn(args)
     except (SchemaError, PricingError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,7 +37,6 @@ from .core import (
     replace_at,
     support,
     value,
-    welfare,
 )
 
 # ---------------------------------------------------------------------------
@@ -111,15 +110,6 @@ def _welfare_column(env: Environment, profile, tables=None) -> tuple[float, ...]
     return column
 
 
-def _listed_welfare(env: Environment, profile, allocs) -> list[float]:
-    """The welfare of each of ``allocs``, read off the welfare column where it
-    is listed, as every feasible allocation is; ``welfare`` for any other.
-    Each is found by a scan of the list: the walk asks for one allocation,
-    and the positions table costs a tuple hash per listed allocation."""
-    column, feasible = _welfare_column(env, profile), env._facts["feasible"]
-    return [column[feasible.index(y)] if y in feasible else welfare(profile, y) for y in allocs]
-
-
 def opt(env: Environment, profile: Sequence[Valuation], cap: int = DEFAULT_CAP) -> Allocation:
     """Welfare-maximizing feasible allocation; ties go to the first maximizer
     in lexicographic enumeration order."""
@@ -167,20 +157,23 @@ class ExchangeFamily:
             raise ValueError(f"no exchange set at the infeasible allocation {x}")
         return self._keys((x,))[0]
 
-    def _keys(self, allocs, states=None) -> list:
+    def _keys(self, allocs=None) -> list:
         """The ``members_key`` of each of ``allocs``, the one place a kind
-        reads an allocation, from its DFS state (``states``, folded from
-        each allocation by ``_dfs_state`` when not given): a knapsack's
-        running sum, each packing row's nonzero load terms, or an item mask.
-        A contraction's key is the allocation itself, and a product's holds
-        each market's key of its projection."""
-        env = self.env
-        if states is None:
-            states = (_dfs_state(env, y) for y in allocs)
+        reads an allocation, from its DFS state (folded from each allocation
+        by ``_dfs_state``): a knapsack's running sum, each packing row's
+        nonzero load terms, or an item mask.  Without ``allocs``, the keys
+        of the kept feasible list, from the states kept beside it and a
+        packing's kept ``"loads"``.  A contraction's key is the allocation
+        itself, and a product's holds each market's key of its projection."""
+        env, kept = self.env, allocs is None
+        if kept:
+            allocs = env._facts["feasible"]
+        states = fact(env, "states") if kept else (_dfs_state(env, y) for y in allocs)
         if self.kind == "knapsack_threshold":
             return [s < 0.5 for s in states]  # strict; grid quantities are exact dyadics
         if self.kind == "pip_threshold":
-            return [tuple(l <= 0.5 + TOL for l in env.row_loads(s)) for s in states]
+            loads = fact(env, "loads") if kept else map(env.row_loads, states)
+            return [tuple(l <= 0.5 + TOL for l in load) for load in loads]
         if self.kind == "item_disjoint":
             if not isinstance(env, _UNION_ENVS):
                 raise TypeError(f"union merge undefined for environment kind {env.kind}")

@@ -666,6 +666,23 @@ class TestStaticPerFamily:
         assert report.checked_allocations == len(enumerate_feasible(env)) > 2
         assert calls == {"members_key": 0, "_members_of": 2}
 
+    def test_pip_rows_summed_once_per_listed_allocation(self, monkeypatch):
+        """The packing key pass reads the kept ``"loads"`` table that the
+        exchange sets are filtered by: on catalog pip n = 6 the walk sums
+        each listed allocation's rows once."""
+        env, profile, rule, alloc = static_case("pip", 6, 1)
+        calls, row_loads = [], PipEnv.row_loads
+
+        def counted(rows):
+            calls.append(rows)
+            return row_loads(rows)
+
+        monkeypatch.setattr(PipEnv, "row_loads", staticmethod(counted))
+        report = check_weakly_balanced(
+            env, profile, rule, alloc, default_family(env), BalanceParams(alpha=2.0, beta1=0.0, beta2=2.0)
+        )
+        assert report.checked_allocations == len(calls) == len(enumerate_feasible(env)) > 2
+
 
     @given(
         st.sampled_from(["knapsack", "xos", "pip"]),

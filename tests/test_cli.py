@@ -649,6 +649,29 @@ class TestPathErrors:
         assert run_cli(argv) == 2
         assert capsys.readouterr().err.endswith(f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
 
+    @pytest.mark.parametrize("argv,name,message", [
+        (["balance", "--pricing", "single-item"], None, "[Errno 21] Is a directory"),
+        (["ratio", "--pricing", "single-item", "--exact"], None, "[Errno 21] Is a directory"),
+        (["permeability"], None, "[Errno 21] Is a directory"),
+        (["balance", "--pricing", "single-item"], "missing/out.json", "[Errno 2] No such file or directory"),
+        (["catalog", "tight-prophet"], "missing/out.json", "[Errno 2] No such file or directory"),
+    ], ids=["balance-dir", "ratio-dir", "permeability-dir", "balance-missing", "catalog-missing"])
+    def test_bad_output_refused_before_the_job(self, tight_instance, tmp_path, capsys, argv, name, message):
+        """``-o`` naming a directory, or a path under a missing one, exits 2
+        before the instance is loaded: nothing on stdout, the one error line
+        ``open`` gives, and no file made."""
+        out = tmp_path / "out"
+        out.mkdir()
+        target = str(out if name is None else out / name)
+        instance = [] if argv[0] == "catalog" else ["--instance", str(tight_instance)]
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert run_cli([*argv, *instance, "-o", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}: {target!r}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 # key -> (catalog arguments, environment kind): one small instance per kind
 MATRIX_INSTANCES = {

@@ -250,7 +250,7 @@ class TestMemberEnumeration:
         states = env._facts["states"]
         assert [repr(state_reading(env, s)) for s in states] == [repr(state_twin(env, x)) for x in feasible]
         for family in families(env):
-            assert family._keys(feasible, states) == [family.members_key(x) for x in feasible]
+            assert family._keys() == [family.members_key(x) for x in feasible]
             for x in feasible:
                 assert family.members(x) == filtered_members(family, x)
 

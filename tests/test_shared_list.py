@@ -190,10 +190,13 @@ class TestCheckWithSharedList:
         def twin_members(family, x, cap):
             return [brute.index(y) for y in filtered_members(family, x)]
 
+        def own_keys(family, allocs=None):
+            return list(family.env._facts["feasible"] if allocs is None else allocs)
+
         with pytest.MonkeyPatch.context() as mp:
             # every x is its own key, and its exchange set is the filter's,
             # as positions on the brute-force list
-            mp.setattr(ExchangeFamily, "_keys", lambda family, allocs, states=None: list(allocs))
+            mp.setattr(ExchangeFamily, "_keys", own_keys)
             mp.setattr(ExchangeFamily, "_members_of", twin_members)
             assert with_list == run()
 

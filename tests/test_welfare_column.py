@@ -101,15 +101,10 @@ def explicit_cases(draw):
     return env, a, b, rule, STRONG, mixed_dist([a, b])
 
 
-def listed_welfare_twin(env, profile, allocs):
-    """Twin of ``oracle._listed_welfare``: each welfare computed on its own."""
-    return [welfare(profile, y) for y in allocs]
-
-
 def welfare_column_twin(env, profile):
     """Twin of ``oracle._welfare_column``, which the walk reads residual
     optima off by position: each listed allocation's welfare on its own."""
-    return listed_welfare_twin(env, profile, enumerate_feasible(env))
+    return [welfare(profile, y) for y in enumerate_feasible(env)]
 
 
 def assert_matches_twin(env, a, b, rule, params, dist):
@@ -127,8 +122,7 @@ def assert_matches_twin(env, a, b, rule, params, dist):
             assert repr(got) == repr(argmax_first_twin(family.members(x), p))
         prices = rule(p)
         got = check(env, p, prices, alg, family, params, order_mode="declared")
-        with mock.patch.object(balance, "_listed_welfare", listed_welfare_twin), \
-                mock.patch.object(balance, "_welfare_column", welfare_column_twin):
+        with mock.patch.object(balance, "_welfare_column", welfare_column_twin):
             want = check(env, p, prices, alg, family, params, order_mode="declared")
         assert got == want
         assert repr(got) == repr(want)
@@ -153,14 +147,6 @@ class TestDifferential:
         with pytest.raises(ValueError):
             opt(env, a[:-1])
 
-    def test_unlisted_allocation_falls_back_to_welfare(self):
-        env, a, *_ = catalog_case("xos", 2)
-        feasible = enumerate_feasible(env)
-        clash = (1, 1, 0)  # two agents holding item 0 is not feasible
-        assert clash not in feasible
-        got = oracle._listed_welfare(env, a, [clash, feasible[-1]])
-        assert repr(got) == repr([welfare(a, clash), welfare(a, feasible[-1])])
-
 
 class _CountingMath:
     """``math`` with its ``fsum`` calls counted."""
@@ -177,10 +163,11 @@ class _CountingMath:
 
 
 class TestCounterGate:
-    """In a whole ``balance`` job, the rule's ``opt``, the reference ``opt``,
-    the reference welfare and every residual optimum share one column: one
-    ``value`` call per distinct (agent, token) pair of the list and one
-    welfare ``fsum`` per listed allocation."""
+    """In a whole ``balance`` job, the rule's ``opt``, the reference ``opt``
+    and every residual optimum share one column: one ``value`` call per
+    distinct (agent, token) pair of the list and one welfare ``fsum`` per
+    listed allocation.  The reference allocation's welfare is one
+    ``welfare`` call, with one ``value`` call per agent."""
 
     @pytest.mark.parametrize("pricing,catalog,cls", [
         ("xos", ["xos", "--n", "3", "--m", "4"], XosValuation),
@@ -212,9 +199,10 @@ class TestCounterGate:
 
         assert main(["balance", "--instance", str(path), "--pricing", pricing]) in (0, 1)
         capsys.readouterr()
-        assert 0 < calls["value"] <= len(pairs)
-        assert calls["welfare"] == 0
-        assert counting_math.fsums + calls["welfare"] <= len(feasible)
+        n = len(feasible[0])
+        assert 0 < calls["value"] <= len(pairs) + n
+        assert calls["welfare"] == 1
+        assert counting_math.fsums <= len(feasible)
 
 
 # one valuation of every kind

@@ -36,6 +36,7 @@ Mutant = namedtuple("Mutant", "name file old new selection")
 BALANCE = "src/balprice/balance.py"
 CLI = "src/balprice/cli.py"
 ORACLE = "src/balprice/oracle.py"
+STOCHASTIC = "src/balprice/stochastic.py"
 # seconds a selection may run; none takes a tenth of this unmutated
 TIMEOUT = 300
 
@@ -183,6 +184,29 @@ MUTANTS = (
         "(lhs_a, *lhs_b), _ = _term_sums(prices, order, x, [x, *members])\n"
         "            bad, bad_b = False, [False] * len(members)\n",
         ("tests/test_twins.py", "-k", "declared-walk"),
+    ),
+    Mutant(
+        "draw's last-atom fallback dropped, killed by TestDrawMatchesTwin",
+        STOCHASTIC,
+        "atoms = tuple([*(v for v, _ in a), a[-1][0]] for a in self.supports)",
+        "atoms = tuple([v for v, _ in a] for a in self.supports)",
+        ("tests/test_trial_draw.py::TestDrawMatchesTwin",),
+    ),
+    Mutant(
+        "Monte Carlo tie takes the first candidate without a runner, killed by TestTies",
+        STOCHASTIC,
+        "            runners[order] = OnlinePostedPriceRunner(env, prices, dist, order, tie)\n"
+        "        return runners[order]._tied(*at)\n",
+        "            pass\n"
+        "        return at[-1][0]\n",
+        ("tests/test_trial_draw.py::TestTies",),
+    ),
+    Mutant(
+        "realized welfare keyed without the order, killed by TestTies",
+        STOCHASTIC,
+        "        pair = order, key\n",
+        "        pair = key\n",
+        ("tests/test_trial_draw.py::TestTies",),
     ),
 )
 

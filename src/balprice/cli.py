@@ -360,13 +360,13 @@ def _check_output(path: str) -> None:
 
 def _write(args, text: str, header: str = "") -> None:
     """Send ``text`` to ``-o`` or stdout.  A ``header`` (a ratio CSV's) heads
-    stdout, and makes the file appended to, headed only when new."""
+    stdout, and makes the file appended to, headed only when missing or
+    empty."""
     if not args.output:
         sys.stdout.write(header + text)
         return
-    new = not os.path.exists(args.output)
     with open(args.output, "a" if header else "w", newline="", encoding="utf-8") as fh:
-        fh.write(header * new + text)
+        fh.write(header * (fh.tell() == 0) + text)
 
 
 def _emit_report(args, payload: dict, extra_config: Optional[dict] = None) -> None:

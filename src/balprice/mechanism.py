@@ -85,6 +85,34 @@ def _pick(cands, tie: str):
     raise ValueError(f"unknown tie policy {tie}")
 
 
+def _decide(prices, tie: str, left: int, i: int, v, y: Allocation, tied):
+    """Agent i's (token, payment) at history ``y`` with valuation ``v``, the
+    agents in bitmask ``left`` (i among them) yet to arrive: a named policy's
+    pick, or under ``adversarial_min_welfare`` the one utility-maximizing
+    entry, or ``tied(left, i, v, y, cands)`` when there are several."""
+    cands = prices.best_entries(i, v, y)
+    if tie != "adversarial_min_welfare":
+        return _pick(cands, tie)
+    if len(cands) == 1:
+        return cands[0]
+    return tied(left, i, v, y, cands)
+
+
+def realized_walk(env, prices, order: Sequence[int], tie: str, profile: Sequence[Valuation],
+                  tied) -> tuple[Allocation, tuple[float, ...]]:
+    """The final allocation and each agent's payment of one realized-profile
+    execution in ``order`` with the online tie policy, without building a
+    trace.  ``tied`` is an ``OnlinePostedPriceRunner._tied`` on ``order``,
+    asked only at an arrival with several candidates (``_decide``), so a
+    caller may build the runner only then."""
+    y, left = env.null_allocation(), (1 << env.n) - 1
+    payments = [0.0] * env.n
+    for i in order:
+        tok, payments[i] = _decide(prices, tie, left, i, profile[i], y, tied)
+        y, left = replace_at(y, i, tok), left & ~(1 << i)
+    return y, tuple(payments)
+
+
 def _members(left: int) -> list[int]:
     """Agents in bitmask ``left``, ascending."""
     return [i for i in range(left.bit_length()) if left >> i & 1]
@@ -146,14 +174,10 @@ class OnlinePostedPriceRunner:
             self._next[left] = (i,)
             left &= ~(1 << i)
 
-    def _choice(self, left: int, i: int, v, y: Allocation):
-        """Agent i's (token, payment) at history ``y`` with valuation ``v``,
-        the agents in bitmask ``left`` (i among them) yet to arrive."""
-        cands = self.prices.best_entries(i, v, y)
-        if self.tie != "adversarial_min_welfare":
-            return _pick(cands, self.tie)
-        if len(cands) == 1:
-            return cands[0]
+    def _tied(self, left: int, i: int, v, y: Allocation, cands):
+        """Under ``adversarial_min_welfare``, the entry of ``cands`` (more
+        than one) minimizing expected continuation welfare, lexmin token
+        unless another is lower by more than ``TOL``."""
         rest = left & ~(1 << i)
         best, best_cand = math.inf, cands[0]
         for tok, p in cands:
@@ -197,12 +221,13 @@ class OnlinePostedPriceRunner:
             agents = _members(left)
         else:
             agents = self._next[left]
+        prices, tie, tied = self.prices, self.tie, self._tied
         worst = math.inf
         for i in agents:
             rest = left & ~(1 << i)
             total = 0.0
             for v, prob in self.dist.atoms(i):
-                tok, _p = self._choice(left, i, v, y)
+                tok, _p = _decide(prices, tie, left, i, v, y, tied)
                 total += prob * (value(v, tok) + self._value(rest, replace_at(y, i, tok)))
             worst = min(worst, total)
         self._memo[key] = worst
@@ -212,17 +237,11 @@ class OnlinePostedPriceRunner:
         return self._value(self._everyone, self.env.null_allocation())
 
     def walk(self, profile: Sequence[Valuation]) -> tuple[Allocation, tuple[float, ...]]:
-        """The final allocation and each agent's payment of one
-        realized-profile execution in the fixed order with the online tie
-        policy, without building a trace."""
+        """``realized_walk`` in the fixed order, ties decided by this
+        runner's memo."""
         if self.order is None:
             raise ValueError("a realized run needs a fixed arrival order")
-        y, left = self.env.null_allocation(), self._everyone
-        payments = [0.0] * self.env.n
-        for i in self.order:
-            tok, payments[i] = self._choice(left, i, profile[i], y)
-            y, left = replace_at(y, i, tok), left & ~(1 << i)
-        return y, tuple(payments)
+        return realized_walk(self.env, self.prices, self.order, self.tie, profile, self._tied)
 
     def run(self, profile: Sequence[Valuation]) -> MechanismTrace:
         """One realized-profile execution in the fixed order with the online

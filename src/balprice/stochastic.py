@@ -13,7 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import getitem
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -28,7 +32,12 @@ from .core import (
     value,
     welfare,
 )
-from .mechanism import OnlinePostedPriceRunner, expected_posted_price_welfare
+from .mechanism import (
+    OnlinePostedPriceRunner,
+    _check_order,
+    expected_posted_price_welfare,
+    realized_walk,
+)
 from .oracle import _welfare_column
 from .pricing import EXACT_SUPPORT_CAP, SUPPORT_FORM_MIN_PROFILES, SupportTable
 
@@ -78,6 +87,30 @@ class ProductDistribution:
         probs = [[p for _, p in atoms] for atoms in self.supports]
         yield from zip(itertools.product(*values), map(math.prod, itertools.product(*probs)))
 
+    @cached_property
+    def _distinct(self) -> tuple[tuple, tuple]:
+        """(values, index): ``values[i]`` agent i's distinct valuations
+        (compared by equality, first appearance first), ``index[i]`` each of
+        its atoms' index into them."""
+        values, index = [], []
+        for atoms in self.supports:
+            at: dict = {}
+            index.append(tuple(at.setdefault(v, len(at)) for v, _ in atoms))
+            values.append(tuple(at))
+        return tuple(values), tuple(index)
+
+    @cached_property
+    def _draw_tables(self) -> tuple[tuple, tuple, tuple]:
+        """(sums, atoms, keys), per agent: the running sums of the atoms'
+        probabilities, added left to right as ``sample`` adds them; the atoms'
+        valuations; and their ``_distinct`` indices.  ``atoms`` and ``keys``
+        repeat the last atom at the end, the position a float past the last
+        sum draws."""
+        sums = tuple(list(accumulate(p for _, p in atoms)) for atoms in self.supports)
+        atoms = tuple([*(v for v, _ in a), a[-1][0]] for a in self.supports)
+        keys = tuple([*at, at[-1]] for at in self._distinct[1])
+        return sums, atoms, keys
+
     def support_table(self, cap: int = EXACT_SUPPORT_CAP):
         """The product support by atom index, without a profile tuple built
         or hashed: (table, index, probs).  ``table`` is the ``SupportTable``
@@ -87,28 +120,22 @@ class ProductDistribution:
         profiles' probabilities in ``profiles`` order, each multiplied left
         to right as ``math.prod`` does."""
         self._capped_size(cap)
-        values, index = [], []
+        values, index = self._distinct
         probs = np.ones(1)
         for atoms in self.supports:
-            at: dict = {}
-            index.append([at.setdefault(v, len(at)) for v, _ in atoms])
-            values.append(tuple(at))
             probs = np.multiply.outer(probs, [p for _, p in atoms]).ravel()
-        return SupportTable(tuple(values)), index, probs
+        return SupportTable(values), index, probs
+
+    def draw(self, rng: np.random.Generator) -> list[int]:
+        """Each agent's atom position for one trial, from one
+        ``rng.random(n)`` call: the same floats as n single draws.  Agent i
+        takes its first atom whose running sum of probabilities passes its
+        float, or position ``len(atoms)`` past the last sum, which the
+        ``_draw_tables`` read as the last atom."""
+        return list(map(bisect_right, self._draw_tables[0], rng.random(self.n).tolist()))
 
     def sample(self, rng: np.random.Generator) -> tuple[Valuation, ...]:
-        out = []
-        for atoms in self.supports:
-            u = rng.random()
-            acc = 0.0
-            pick = atoms[-1][0]
-            for v, p in atoms:
-                acc += p
-                if u < acc:
-                    pick = v
-                    break
-            out.append(pick)
-        return tuple(out)
+        return tuple(map(getitem, self._draw_tables[1], self.draw(rng)))
 
     def sample_profiles(self, count: int, seed: int) -> list[tuple[Valuation, ...]]:
         return [self.sample(rng) for rng in trial_rngs(seed, count)]
@@ -314,42 +341,52 @@ def monte_carlo_ratio(
     """Sampled competitive ratio: per trial, draw a profile from its Philox
     stream, run the mechanism under the requested order mode, and accumulate
     welfare against the per-trial optimum.  Tie choices are
-    history-conditioned (runners share their continuation memo across
-    trials)."""
+    history-conditioned: an order's runner is built at its first arrival
+    with several candidates, and shares its continuation memo across
+    trials.  A fixed order is checked once, before the first trial, and
+    each random order as it is drawn."""
     if trials < 1:
         raise ValueError("at least one trial required")
     if order_mode not in ("fixed", "random"):
         raise ValueError(f"unknown order mode {order_mode}")
-    base_order = tuple(fixed_order) if fixed_order is not None else tuple(range(env.n))
+    n = env.n
+    if order_mode == "fixed":
+        order = _check_order(n, range(n) if fixed_order is None else fixed_order)
 
     runners: dict[tuple, OnlinePostedPriceRunner] = {}
+
+    def tied(*at):
+        """``_tied`` of the trial's order's runner, built at its first tie."""
+        if order not in runners:
+            runners[order] = OnlinePostedPriceRunner(env, prices, dist, order, tie)
+        return runners[order]._tied(*at)
+
     best = _optimum_welfare(env)
+    _, atoms, keys = dist._draw_tables
     # the optimum per distinct profile drawn, and the mechanism's welfare per
     # distinct (order, profile) pair drawn, which a fixed-order run is a
-    # function of; at most ``trials`` entries each
+    # function of; a profile is keyed by its agents' ``_distinct`` indices,
+    # and each memo holds at most ``trials`` entries
     optimum: dict[tuple, float] = {}
     realized: dict[tuple, float] = {}
-
-    def run(order, profile) -> float:
-        key = (order, profile)
-        if key not in realized:
-            if order not in runners:
-                runners[order] = OnlinePostedPriceRunner(env, prices, dist, order, tie)
-            realized[key] = welfare(profile, runners[order].walk(profile)[0])
-        return realized[key]
 
     ws: list[float] = []
     os_: list[float] = []
     for rng in trial_rngs(seed, trials):
-        profile = dist.sample(rng)
-        if order_mode == "fixed":
-            w = run(base_order, profile)
-        else:
-            w = run(tuple(int(i) for i in rng.permutation(env.n)), profile)
+        drawn = dist.draw(rng)
+        key = tuple(map(getitem, keys, drawn))
+        if order_mode == "random":
+            order = _check_order(n, rng.permutation(n).tolist())
+        pair = order, key
+        w = realized.get(pair)
+        if w is None:
+            profile = tuple(map(getitem, atoms, drawn))
+            y, _ = realized_walk(env, prices, order, tie, profile, tied)
+            w = realized[pair] = welfare(profile, y)
+            if key not in optimum:
+                optimum[key] = best(profile)
         ws.append(w)
-        if profile not in optimum:
-            optimum[profile] = best(profile)
-        os_.append(optimum[profile])
+        os_.append(optimum[key])
 
     return RatioEstimate.of(
         math.fsum(ws) / trials,

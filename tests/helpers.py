@@ -42,7 +42,7 @@ from balprice.catalog import (
     gen_two_point_single_item,
     gen_xos_random,
 )
-from balprice.mechanism import OnlinePostedPriceRunner, _members, whole_unit_prices
+from balprice.mechanism import OnlinePostedPriceRunner, _decide, _members, whole_unit_prices
 from balprice.oracle import (
     OPT_RULE,
     ExchangeFamily,
@@ -439,7 +439,7 @@ class UnprunedRunner(OnlinePostedPriceRunner):
             rest = left & ~(1 << i)
             total = 0.0
             for v, prob in self.dist.atoms(i):
-                tok, _p = self._choice(left, i, v, y)
+                tok, _p = _decide(self.prices, self.tie, left, i, v, y, self._tied)
                 total += prob * (value(v, tok) + self._value(rest, replace_at(y, i, tok)))
             worst = min(worst, total)
         self._memo[key] = worst
@@ -557,16 +557,34 @@ def independent_twin(matroid, mask) -> bool:
     return True
 
 
+def sample_twin(dist, rng) -> tuple:
+    """Twin of ``ProductDistribution.sample``: one ``rng.random()`` call per
+    agent, which takes its first atom whose running sum of probabilities
+    passes the float, else its last atom."""
+    out = []
+    for atoms in dist.supports:
+        u = rng.random()
+        acc = 0.0
+        pick = atoms[-1][0]
+        for v, p in atoms:
+            acc += p
+            if u < acc:
+                pick = v
+                break
+        out.append(pick)
+    return tuple(out)
+
+
 def monte_carlo_twin(env, prices, dist, order_mode, trials, seed, tie="adversarial_min_welfare"):
     """Twin of ``monte_carlo_ratio`` as a plain loop over trials: each trial
-    draws its profile (then, in random order, its permutation) from its own
-    stream, runs a runner of its own, and takes ``argmax_first_twin`` over the
-    feasible list for its optimum."""
+    draws its profile by ``sample_twin`` (then, in random order, its
+    permutation) from its own stream, runs a runner of its own, and takes
+    ``argmax_first_twin`` over the feasible list for its optimum."""
     feasible = enumerate_feasible(env)
     ws, os_ = [], []
     for t in range(trials):
         rng = trial_rng(seed, t)
-        profile = dist.sample(rng)
+        profile = sample_twin(dist, rng)
         if order_mode == "fixed":
             order = tuple(range(env.n))
         else:

@@ -413,6 +413,18 @@ class TestRatioCommand:
             ) == 0
         assert out1.read_text() == out2.read_text()
 
+    def test_empty_output_file_gets_the_header(self, tight_instance, tmp_path):
+        """An existing empty ``-o`` file is headed like a missing one, and a
+        second run appends its row under the same header."""
+        out = tmp_path / "touched.csv"
+        out.touch()
+        argv = ["ratio", "--instance", str(tight_instance), "--pricing", "single-item",
+                "--exact", "-o", str(out)]
+        assert run_cli(argv) == 0 and run_cli(argv) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 3 and lines[0].startswith("instance,pricing,")
+        assert lines[1] == lines[2] and not lines[1].startswith("instance,")
+
 
 class TestSimulateCommand:
     def test_high_agent_first(self, tmp_path):

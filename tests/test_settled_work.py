@@ -4,7 +4,8 @@
   agent still to arrive buys only null under every atom; such a state is
   worth exactly 0.0.
 - ``monte_carlo_ratio`` realizes each drawn (order, profile) pair once,
-  through the runner's trace-free ``walk``.
+  through the trace-free ``realized_walk``, and builds an order's runner
+  only at an arrival with several candidates.
 - ``Matroid.independent`` answers each in-range mask once per matroid.
 
 Each fast path is compared against its twin in ``helpers``; results must be
@@ -27,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import balprice.mechanism
+from balprice import stochastic
 from balprice.catalog import (
     gen_knapsack_random,
     gen_matroid,
@@ -173,13 +175,13 @@ class TestMonteCarloMemo:
         rule = scaled(env, dist, lambda p: matroid_dynamic_prices(env, p))
         trials, seed = 200, 5
         walks = []
-        real = OnlinePostedPriceRunner.walk
+        real = stochastic.realized_walk
 
-        def counted(self, profile):
-            walks.append((self.order, profile))
-            return real(self, profile)
+        def counted(env, prices, order, tie, profile, tied):
+            walks.append((order, profile))
+            return real(env, prices, order, tie, profile, tied)
 
-        monkeypatch.setattr(OnlinePostedPriceRunner, "walk", counted)
+        monkeypatch.setattr(stochastic, "realized_walk", counted)
         monte_carlo_ratio(env, rule, dist, order_mode=order_mode, trials=trials, seed=seed)
         drawn = set()
         for t in range(trials):

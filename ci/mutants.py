@@ -35,7 +35,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 Mutant = namedtuple("Mutant", "name file old new selection")
 BALANCE = "src/balprice/balance.py"
 CLI = "src/balprice/cli.py"
+MECHANISM = "src/balprice/mechanism.py"
 ORACLE = "src/balprice/oracle.py"
+PRICING = "src/balprice/pricing.py"
 STOCHASTIC = "src/balprice/stochastic.py"
 # seconds a selection may run; none takes a tenth of this unmutated
 TIMEOUT = 300
@@ -195,7 +197,7 @@ MUTANTS = (
     Mutant(
         "Monte Carlo tie takes the first candidate without a runner, killed by TestTies",
         STOCHASTIC,
-        "            runners[order] = OnlinePostedPriceRunner(env, prices, dist, order, tie)\n"
+        "            runners[order] = OnlinePostedPriceRunner(env, prices, dist.supports, order, tie)\n"
         "        return runners[order]._tied(*at)\n",
         "            pass\n"
         "        return at[-1][0]\n",
@@ -207,6 +209,29 @@ MUTANTS = (
         "        pair = order, key\n",
         "        pair = key\n",
         ("tests/test_trial_draw.py::TestTies",),
+    ),
+    Mutant(
+        "per-profile UNAVAILABLE check dropped, killed by the whole-unit knapsack refusal",
+        PRICING,
+        "        if UNAVAILABLE in prices:\n"
+        "            raise AssertionError(\"per-profile price unavailable on a feasible entry\")\n",
+        "",
+        ("tests/test_ratio_path.py::TestExpectedScaledPricesTwin"
+         "::test_whole_unit_rule_is_refused_at_a_partial_quantity",),
+    ),
+    Mutant(
+        "realized walk keeps the arrived agent to come, killed by TestTies",
+        MECHANISM,
+        "        y, left = replace_at(y, i, tok), left & ~(1 << i)\n",
+        "        y = replace_at(y, i, tok)\n",
+        ("tests/test_trial_draw.py::TestTies",),
+    ),
+    Mutant(
+        "profiles take the probabilities reversed, killed by TestProfiles::test_matches_twin",
+        STOCHASTIC,
+        "        yield from zip(itertools.product(*values), probs)\n",
+        "        yield from zip(itertools.product(*values), reversed(probs))\n",
+        ("tests/test_once_per_key.py::TestProfiles::test_matches_twin",),
     ),
 )
 

@@ -118,16 +118,6 @@ def _members(left: int) -> list[int]:
     return [i for i in range(left.bit_length()) if left >> i & 1]
 
 
-class _PointMass:
-    """The one-atom distribution of a realized profile."""
-
-    def __init__(self, profile: Sequence[Valuation]):
-        self._atoms = tuple(((v, 1.0),) for v in profile)
-
-    def atoms(self, i: int):
-        return self._atoms[i]
-
-
 class OnlinePostedPriceRunner:
     """The posted-price game tree, evaluated by one memoized recursion.
 
@@ -137,7 +127,8 @@ class OnlinePostedPriceRunner:
     - arrival: the next agent of ``order``, or with ``order=None`` the
       adversary's minimum over the agents still to arrive, chosen after
       seeing realized valuations and purchases;
-    - nature: the arriving agent's atoms ``dist.atoms(i)``;
+    - nature: the arriving agent's atoms ``atoms[i]``, its
+      (valuation, probability) pairs (a distribution's ``supports``);
     - tie: a named policy, or under ``adversarial_min_welfare`` the entry
       minimizing expected continuation welfare (lexmin token unless another
       is lower by more than ``TOL``).  A forced choice, with one
@@ -147,20 +138,20 @@ class OnlinePostedPriceRunner:
     on unrealized future values.  (Resolving ties against the realized
     future values instead is strictly stronger than any utility-maximizing
     behaviour and genuinely breaks the welfare guarantees, because early
-    choices would leak later agents' values.)  On a one-atom distribution
-    the two coincide.  The memo is shared between the exact expectation and
+    choices would leak later agents' values.)  On one atom per agent the
+    two coincide.  The memo is shared between the exact expectation and
     sampled runs; ``cap`` bounds its states.  The entries an arrival may buy
     come from the pricing rule's own memo (``PricingRule.best_entries``), so
     every runner on one rule decides each (agent, valuation, history) once.
     """
 
-    def __init__(self, env, prices, dist, order: Optional[Sequence[int]],
+    def __init__(self, env, prices, atoms, order: Optional[Sequence[int]],
                  tie: str = "adversarial_min_welfare", cap: int = MEMO_CAP):
         if tie not in TIE_POLICIES:
             raise ValueError(f"unknown tie policy {tie}")
         self.env = env
         self.prices = prices
-        self.dist = dist
+        self.atoms = atoms
         self.order = None if order is None else _check_order(env.n, order)
         self.tie = tie
         self.cap = cap
@@ -196,7 +187,7 @@ class OnlinePostedPriceRunner:
         if left & known[1]:
             return False
         for i in _members(left & ~known[0]):
-            for v, _prob in self.dist.atoms(i):
+            for v, _prob in self.atoms[i]:
                 entries = self.prices.best_entries(i, v, y)
                 if len(entries) > 1 or entries[0][0] != NULL:
                     known[1] |= 1 << i
@@ -226,7 +217,7 @@ class OnlinePostedPriceRunner:
         for i in agents:
             rest = left & ~(1 << i)
             total = 0.0
-            for v, prob in self.dist.atoms(i):
+            for v, prob in self.atoms[i]:
                 tok, _p = _decide(prices, tie, left, i, v, y, tied)
                 total += prob * (value(v, tok) + self._value(rest, replace_at(y, i, tok)))
             worst = min(worst, total)
@@ -236,17 +227,14 @@ class OnlinePostedPriceRunner:
     def expected_welfare(self) -> float:
         return self._value(self._everyone, self.env.null_allocation())
 
-    def walk(self, profile: Sequence[Valuation]) -> tuple[Allocation, tuple[float, ...]]:
-        """``realized_walk`` in the fixed order, ties decided by this
-        runner's memo."""
-        if self.order is None:
-            raise ValueError("a realized run needs a fixed arrival order")
-        return realized_walk(self.env, self.prices, self.order, self.tie, profile, self._tied)
-
     def run(self, profile: Sequence[Valuation]) -> MechanismTrace:
         """One realized-profile execution in the fixed order with the online
-        tie policy."""
-        outcomes, payments = self.walk(profile)
+        tie policy: ``realized_walk``, ties decided by this runner's memo."""
+        if self.order is None:
+            raise ValueError("a realized run needs a fixed arrival order")
+        outcomes, payments = realized_walk(
+            self.env, self.prices, self.order, self.tie, profile, self._tied
+        )
         utilities = tuple(
             value(profile[i], outcomes[i]) - payments[i] for i in range(self.env.n)
         )
@@ -271,7 +259,7 @@ def run_posted_price(
     """Approach agents in ``order``; each buys a utility-maximizing entry from
     the menu of finitely-priced outcomes given prior purchases.
 
-    The evaluator runs on the profile's one-atom distribution, so under
+    The evaluator runs on the profile's point masses, so under
     ``adversarial_min_welfare`` each tie takes the branch minimizing the
     final total welfare (lexmin token on exact ties).  This is
     full-information tie resolution over the given realized profile — the
@@ -280,7 +268,8 @@ def run_posted_price(
     that distribution instead, whose tie choices cannot see unrealized
     future values.
     """
-    return OnlinePostedPriceRunner(env, prices, _PointMass(profile), order, tie).run(profile)
+    point_masses = tuple(((v, 1.0),) for v in profile)
+    return OnlinePostedPriceRunner(env, prices, point_masses, order, tie).run(profile)
 
 
 def worst_order_welfare(
@@ -301,7 +290,8 @@ def worst_order_welfare(
     single tie choice can rule out the first minimizing order.  The reported
     welfare is the witness trace's own.
     """
-    runner = OnlinePostedPriceRunner(env, prices, _PointMass(profile), None, tie, cap)
+    point_masses = tuple(((v, 1.0),) for v in profile)
+    runner = OnlinePostedPriceRunner(env, prices, point_masses, None, tie, cap)
     target = runner.expected_welfare()
     left, witness = runner._everyone, []
     frontier = {env.null_allocation()}
@@ -330,7 +320,7 @@ def expected_posted_price_welfare(
 ) -> float:
     """Exact expected welfare of the posted-price mechanism under a fixed
     arrival order, with history-conditioned tie choices."""
-    return OnlinePostedPriceRunner(env, prices, dist, order, tie, cap).expected_welfare()
+    return OnlinePostedPriceRunner(env, prices, dist.supports, order, tie, cap).expected_welfare()
 
 
 def adaptive_adversary_welfare(
@@ -339,7 +329,7 @@ def adaptive_adversary_welfare(
     """Exact minimax expected welfare: the adversary picks the next agent
     after observing realized valuations and purchases; agents break ties by
     ``tie`` (by default also adversarially)."""
-    return OnlinePostedPriceRunner(env, prices, dist, None, tie, cap).expected_welfare()
+    return OnlinePostedPriceRunner(env, prices, dist.supports, None, tie, cap).expected_welfare()
 
 
 # ---------------------------------------------------------------------------

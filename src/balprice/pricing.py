@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from operator import getitem, itemgetter, mul
 from typing import Callable, Optional, Sequence
@@ -422,12 +423,9 @@ def matroid_dynamic_prices(env: MatroidEnv, profile) -> PricingRule:
         if element_vals[e] > TOL
     ]
     # R(mask) per sold element mask: at most 2^ground entries, held by this rule
-    residual: dict[int, float] = {}
-
+    @cache
     def residual_value(mask: int) -> float:
-        if mask not in residual:
-            residual[mask] = _matroid_residual_value(env, element_vals, order, mask)
-        return residual[mask]
+        return _matroid_residual_value(env, element_vals, order, mask)
 
     def finite(i, x_i, y):
         taken = env.union_mask(y)
@@ -474,14 +472,13 @@ def monotone_critical_prices(
     (1, (mu + 1 + lam) / lam)-balanced against the contraction family."""
     if not is_binary_env(env):
         raise PricingError("critical-value prices require a binary environment")
-    tau_cache: dict = {}
+
+    @cache
+    def cleared_tau(i: int, y: Allocation):
+        return critical_value(rule, env, profile, i, y, cap)
 
     def tau(i: int, y: Allocation):
-        y = replace_at(y, i, NULL)
-        key = (i, y)
-        if key not in tau_cache:
-            tau_cache[key] = critical_value(rule, env, profile, i, y, cap)
-        return tau_cache[key]
+        return cleared_tau(i, replace_at(y, i, NULL))
 
     feasible = enumerate_feasible(env, cap)
     for y in feasible:
@@ -544,17 +541,14 @@ def _reference_prices(
 
     # the nested reference chain per partial allocation y: one entry per y
     # this rule prices, held by this rule
-    chains: dict = {}
-
+    @cache
     def reference_chain(y: Allocation):
-        if y not in chains:
-            ref = alg_alloc
+        ref = alg_alloc
+        vals = _zero_outside(env, profile, ref)
+        for j in range(1, env.n + 1):
+            ref = rule.run(env, vals, prefix(y, j), cap)
             vals = _zero_outside(env, profile, ref)
-            for j in range(1, env.n + 1):
-                ref = rule.run(env, vals, prefix(y, j), cap)
-                vals = _zero_outside(env, profile, ref)
-            chains[y] = ref, vals
-        return chains[y]
+        return ref, vals
 
     def finite(i, x_i, y):
         ref, vals = reference_chain(y)
@@ -869,35 +863,28 @@ def expected_scaled_prices(
         raise PricingError(f"unknown mode {mode}")
     # with ``slot_of`` None each support entry is its own slot, as slots are
     # numbered in order of first appearance
-    distinct: list = []  # the profiles, listed once their own rules are needed
-    finites: list = [None] * len(table)
+    finites: list = []  # each distinct profile's finite price, in slot order
     source = None  # the column source, chosen at the first miss
     # the last miss's column and its price: the single-item form returns one
     # column object for every entry, so it is averaged once
     last_column = last_price = None
 
-    def build(profile):
-        rule = constructor(profile)
-        if rule.env != env:
-            raise PricingError("per-profile rule is built on a different environment")
-        return rule._finite_price
-
     def per_profile_column(i, x_i, y):
         # the outer price() has priced null, cleared slot i and checked
         # feasibility on env, which every per-profile rule shares
-        if not distinct:
-            distinct.extend(table.profiles())
-        prices = []
-        for k, profile in enumerate(distinct):
-            f = finites[k]
-            if f is None:
-                f = finites[k] = build(profile)
-            p = f(i, x_i, y)
-            if p is UNAVAILABLE:
-                raise AssertionError(
-                    "per-profile price unavailable on a feasible entry"
-                )
-            prices.append(p)
+        if not finites:
+            built = []
+            for profile in table.profiles():
+                rule = constructor(profile)
+                if rule.env != env:
+                    raise PricingError("per-profile rule is built on a different environment")
+                built.append(rule._finite_price)
+            # kept only once every rule is built, so a failed construction
+            # raises again at the next miss
+            finites.extend(built)
+        prices = [f(i, x_i, y) for f in finites]
+        if UNAVAILABLE in prices:
+            raise AssertionError("per-profile price unavailable on a feasible entry")
         return prices
 
     def finite(i, x_i, y):

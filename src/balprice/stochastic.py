@@ -74,18 +74,13 @@ class ProductDistribution:
             size *= len(atoms)
         return size
 
-    def _capped_size(self, cap: int) -> int:
-        size = self.support_size()
-        if size > cap:
-            raise CapExceeded(size, cap, "distribution support profiles")
-        return size
-
     def profiles(self, cap: int = EXACT_SUPPORT_CAP):
-        """All (profile, probability) pairs of the product support."""
-        self._capped_size(cap)
+        """All (profile, probability) pairs of the product support, each
+        profile of its atoms' own valuations, each probability from
+        ``support_table``."""
+        probs = self.support_table(cap)[2].tolist()
         values = [[v for v, _ in atoms] for atoms in self.supports]
-        probs = [[p for _, p in atoms] for atoms in self.supports]
-        yield from zip(itertools.product(*values), map(math.prod, itertools.product(*probs)))
+        yield from zip(itertools.product(*values), probs)
 
     @cached_property
     def _distinct(self) -> tuple[tuple, tuple]:
@@ -118,8 +113,11 @@ class ProductDistribution:
         appearance first), ``index[i]`` each of agent i's atoms' index into
         its valuations, and ``probs`` the numpy vector of the support
         profiles' probabilities in ``profiles`` order, each multiplied left
-        to right as ``math.prod`` does."""
-        self._capped_size(cap)
+        to right as ``math.prod`` does.  More than ``cap`` support profiles
+        raise ``CapExceeded``."""
+        size = self.support_size()
+        if size > cap:
+            raise CapExceeded(size, cap, "distribution support profiles")
         values, index = self._distinct
         probs = np.ones(1)
         for atoms in self.supports:
@@ -358,7 +356,7 @@ def monte_carlo_ratio(
     def tied(*at):
         """``_tied`` of the trial's order's runner, built at its first tie."""
         if order not in runners:
-            runners[order] = OnlinePostedPriceRunner(env, prices, dist, order, tie)
+            runners[order] = OnlinePostedPriceRunner(env, prices, dist.supports, order, tie)
         return runners[order]._tied(*at)
 
     best = _optimum_welfare(env)

@@ -438,7 +438,7 @@ class UnprunedRunner(OnlinePostedPriceRunner):
         for i in self._next[left] if self.order is not None else _members(left):
             rest = left & ~(1 << i)
             total = 0.0
-            for v, prob in self.dist.atoms(i):
+            for v, prob in self.atoms[i]:
                 tok, _p = _decide(self.prices, self.tie, left, i, v, y, self._tied)
                 total += prob * (value(v, tok) + self._value(rest, replace_at(y, i, tok)))
             worst = min(worst, total)
@@ -453,7 +453,7 @@ class ScanningRunner(OnlinePostedPriceRunner):
 
     def _closed(self, left, y):
         for i in _members(left):
-            for v, _prob in self.dist.atoms(i):
+            for v, _prob in self.atoms[i]:
                 entries = self.prices.best_entries(i, v, y)
                 if len(entries) > 1 or entries[0][0] != NULL:
                     return False
@@ -589,7 +589,8 @@ def monte_carlo_twin(env, prices, dist, order_mode, trials, seed, tie="adversari
             order = tuple(range(env.n))
         else:
             order = tuple(int(i) for i in rng.permutation(env.n))
-        ws.append(OnlinePostedPriceRunner(env, prices, dist, order, tie).run(profile).welfare)
+        runner = OnlinePostedPriceRunner(env, prices, dist.supports, order, tie)
+        ws.append(runner.run(profile).welfare)
         os_.append(welfare(profile, argmax_first_twin(feasible, profile)))
     return RatioEstimate.of(
         math.fsum(ws) / trials,

@@ -152,7 +152,7 @@ class TestForcedChoices:
         )
         dist = ProductDistribution.deterministic(profile)
         order = (0, 1, 2, 3)
-        runner = OnlinePostedPriceRunner(env, rule, dist, order)
+        runner = OnlinePostedPriceRunner(env, rule, dist.supports, order)
         trace = runner.run(profile)
         y = env.null_allocation()
         for i in order:

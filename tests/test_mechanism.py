@@ -305,7 +305,7 @@ class TestEvaluatorAgainstBruteForce:
     @settings(max_examples=30, deadline=None)
     def test_expectation_is_the_mean_of_realized_runs(self, seed, order, tie):
         env, rule, _, dist = catalog_case("two-point", seed, len(order))
-        runner = OnlinePostedPriceRunner(env, rule, dist, order, tie)
+        runner = OnlinePostedPriceRunner(env, rule, dist.supports, order, tie)
         mean = math.fsum(prob * runner.run(p).welfare for p, prob in dist.profiles())
         assert runner.expected_welfare() == pytest.approx(mean, abs=1e-9)
 

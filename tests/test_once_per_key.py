@@ -241,9 +241,9 @@ class TestClosureBits:
     def test_matches_per_state_scan(self, kind, seed, tie, shuffle):
         env, dist, constructor = case(kind, seed)
         rules = [scaled(env, dist, constructor) for _ in range(3)]
-        runner = OnlinePostedPriceRunner(env, rules[0], dist, None, tie)
-        scan = ScanningRunner(env, rules[1], dist, None, tie)
-        unpruned = UnprunedRunner(env, rules[2], dist, None, tie)
+        runner = OnlinePostedPriceRunner(env, rules[0], dist.supports, None, tie)
+        scan = ScanningRunner(env, rules[1], dist.supports, None, tie)
+        unpruned = UnprunedRunner(env, rules[2], dist.supports, None, tie)
         values = [repr(r.expected_welfare()) for r in (runner, scan, unpruned)]
         assert values[0] == values[1] == values[2]
         assert repr(list(runner._memo.items())) == repr(list(scan._memo.items()))
@@ -254,7 +254,7 @@ class TestClosureBits:
         # empty bitmasks and from the ones the run left
         states = list(unpruned._memo)
         shuffle.shuffle(states)
-        fresh = OnlinePostedPriceRunner(env, rules[0], dist, None, tie)
+        fresh = OnlinePostedPriceRunner(env, rules[0], dist.supports, None, tie)
         for left, y in states:
             want = scan._closed(left, y)
             assert fresh._closed(left, y) == want == runner._closed(left, y), (left, y)

@@ -36,16 +36,18 @@ from balprice.core import (
     TOL,
     UNAVAILABLE,
     AdditiveValuation,
+    KnapsackEnv,
     Matroid,
     MatroidEnv,
     ScalarValuation,
     SingleItemEnv,
+    ThresholdValuation,
     prefix,
     replace_at,
     value,
     welfare,
 )
-from balprice.mechanism import expected_posted_price_welfare
+from balprice.mechanism import expected_posted_price_welfare, whole_unit_prices
 from balprice.oracle import (
     OPT_RULE,
     AllocationRule,
@@ -198,6 +200,24 @@ class TestExpectedScaledPricesTwin:
         )
         with pytest.raises(PricingError, match="different environment"):
             rule.price(0, 1, (0, 0))
+
+    def test_whole_unit_rule_is_refused_at_a_partial_quantity(self):
+        # the whole-unit rule keeps partial quantities off its menu, though
+        # the knapsack holds them
+        env = KnapsackEnv(n=2, step=0.5)
+        dist = ProductDistribution((
+            ((ThresholdValuation(1.0, 0.5), 0.5), (ThresholdValuation(2.0, 1.0), 0.5)),
+            ((ThresholdValuation(3.0, 0.5), 1.0),),
+        ))
+        rule = pricing.expected_scaled_prices(
+            env, dist, lambda p: whole_unit_prices(env, 1.0), PARAMS
+        )
+        y = env.null_allocation()
+        assert rule.price(0, 1.0, y) == PARAMS.scale_factor()
+        with pytest.raises(
+            AssertionError, match="^per-profile price unavailable on a feasible entry$"
+        ):
+            rule.price(0, 0.5, y)
 
     def test_unavailable_per_profile_price_is_an_error(self):
         env = SingleItemEnv(n=2)

@@ -42,6 +42,7 @@ from balprice.core import Matroid
 from balprice.mechanism import (
     OnlinePostedPriceRunner,
     adaptive_adversary_welfare,
+    realized_walk,
     worst_order_welfare,
 )
 from balprice.pricing import matroid_dynamic_prices, single_item_prices
@@ -97,8 +98,8 @@ class TestClosedHistoryCut:
         inst = gen_two_point_single_item(n=n, seed=n)
         env, dist = inst.env, inst.distribution
         rule = scaled(env, dist, lambda p: single_item_prices(env, p))
-        runner = OnlinePostedPriceRunner(env, rule, dist, None)
-        twin = UnprunedRunner(env, rule, dist, None)
+        runner = OnlinePostedPriceRunner(env, rule, dist.supports, None)
+        twin = UnprunedRunner(env, rule, dist.supports, None)
         assert repr(runner.expected_welfare()) == repr(twin.expected_welfare())
         assert len(runner._memo) < len(twin._memo)
         assert runner._memo.keys() <= twin._memo.keys()
@@ -109,8 +110,8 @@ class TestClosedHistoryCut:
         env, dist = inst.env, inst.distribution
         rule = scaled(env, dist, lambda p: single_item_prices(env, p))
         order = (5, 0, 3, 1, 4, 2)
-        runner = OnlinePostedPriceRunner(env, rule, dist, order)
-        twin = UnprunedRunner(env, rule, dist, order)
+        runner = OnlinePostedPriceRunner(env, rule, dist.supports, order)
+        twin = UnprunedRunner(env, rule, dist.supports, order)
         assert repr(runner.expected_welfare()) == repr(twin.expected_welfare())
         assert runner._memo == twin._memo
 
@@ -201,10 +202,10 @@ class TestMonteCarloMemo:
         env, dist, constructor = case(kind, seed)
         rule = scaled(env, dist, constructor)
         order = tuple(reversed(range(env.n)))
-        runner = OnlinePostedPriceRunner(env, rule, dist, order)
+        runner = OnlinePostedPriceRunner(env, rule, dist.supports, order)
         for t in range(4):
             profile = dist.sample(trial_rng(seed, t))
-            outcomes, payments = runner.walk(profile)
+            outcomes, payments = realized_walk(env, rule, order, runner.tie, profile, runner._tied)
             trace = runner.run(profile)
             assert outcomes == trace.outcomes and payments == trace.payments
 

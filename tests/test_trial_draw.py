@@ -119,9 +119,9 @@ def counting_runners(monkeypatch):
     built = []
 
     class Counted(OnlinePostedPriceRunner):
-        def __init__(self, env, prices, dist, order, *args):
+        def __init__(self, env, prices, atoms, order, *args):
             built.append(tuple(order))
-            super().__init__(env, prices, dist, order, *args)
+            super().__init__(env, prices, atoms, order, *args)
 
     monkeypatch.setattr(stochastic, "OnlinePostedPriceRunner", Counted)
     return built
@@ -135,7 +135,7 @@ def arrivals(env, prices, dist, order_mode, trials, seed):
         rng = trial_rng(seed, t)
         profile = sample_twin(dist, rng)
         order = tuple(range(env.n)) if order_mode == "fixed" else tuple(rng.permutation(env.n).tolist())
-        final = OnlinePostedPriceRunner(env, prices, dist, order).walk(profile)[0]
+        final = OnlinePostedPriceRunner(env, prices, dist.supports, order).run(profile).outcomes
         y, ties = env.null_allocation(), 0
         for i in order:
             ties += len(prices.best_entries(i, profile[i], y)) > 1

@@ -197,17 +197,12 @@ MUTANTS = (
     Mutant(
         "Monte Carlo tie takes the first candidate without a runner, killed by TestTies",
         STOCHASTIC,
-        "            runners[order] = OnlinePostedPriceRunner(env, prices, dist.supports, order, tie)\n"
+        "            runners[order] = OnlinePostedPriceRunner(\n"
+        "                env, prices, dist.supports, order, tie, steps=steps\n"
+        "            )\n"
         "        return runners[order]._tied(*at)\n",
         "            pass\n"
         "        return at[-1][0]\n",
-        ("tests/test_trial_draw.py::TestTies",),
-    ),
-    Mutant(
-        "realized welfare keyed without the order, killed by TestTies",
-        STOCHASTIC,
-        "        pair = order, key\n",
-        "        pair = key\n",
         ("tests/test_trial_draw.py::TestTies",),
     ),
     Mutant(
@@ -222,9 +217,24 @@ MUTANTS = (
     Mutant(
         "realized walk keeps the arrived agent to come, killed by TestTies",
         MECHANISM,
-        "        y, left = replace_at(y, i, tok), left & ~(1 << i)\n",
-        "        y = replace_at(y, i, tok)\n",
+        "        outcomes[i], payments[i], gains[i], h = step[0] if len(step) == 1 else tied(left, i, step)\n"
+        "        left &= ~(1 << i)\n",
+        "        outcomes[i], payments[i], gains[i], h = step[0] if len(step) == 1 else tied(left, i, step)\n",
         ("tests/test_trial_draw.py::TestTies",),
+    ),
+    Mutant(
+        "a tied arrival cached as a forced step, killed by posted-price-steps",
+        MECHANISM,
+        "        step = self[key] = []\n        for tok, p in cands:\n",
+        "        step = self[key] = []\n        for tok, p in cands[:1]:\n",
+        ("tests/test_twins.py", "-k", "posted-price-steps"),
+    ),
+    Mutant(
+        "a step key without the atom index, killed by posted-price-steps",
+        MECHANISM,
+        "                step = steps[i, a, h]\n",
+        "                step = steps[i, 0, h]\n",
+        ("twins", "posted-price-steps"),
     ),
     Mutant(
         "profiles take the probabilities reversed, killed by TestProfiles::test_matches_twin",

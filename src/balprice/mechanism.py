@@ -5,7 +5,8 @@ Agents arrive in an order fixed in advance or chosen by an adaptive
 adversary, nature draws each arriving agent's valuation, and the agent buys
 a utility-maximizing menu entry, ties resolved by a named policy or
 adversarially.  ``OnlinePostedPriceRunner`` evaluates this game tree with one
-recursion memoized on (agents still to arrive, purchases so far).
+recursion memoized on (agents still to arrive, purchase history id), each
+arrival read from one step table entry per (agent, atom, history).
 ``run_posted_price``, ``expected_posted_price_welfare``,
 ``adaptive_adversary_welfare`` and ``worst_order_welfare`` are configurations
 of it; on every one of them ``cap`` bounds the memo states.
@@ -85,32 +86,88 @@ def _pick(cands, tie: str):
     raise ValueError(f"unknown tie policy {tie}")
 
 
-def _decide(prices, tie: str, left: int, i: int, v, y: Allocation, tied):
-    """Agent i's (token, payment) at history ``y`` with valuation ``v``, the
-    agents in bitmask ``left`` (i among them) yet to arrive: a named policy's
-    pick, or under ``adversarial_min_welfare`` the one utility-maximizing
-    entry, or ``tied(left, i, v, y, cands)`` when there are several."""
-    cands = prices.best_entries(i, v, y)
-    if tie != "adversarial_min_welfare":
-        return _pick(cands, tie)
-    if len(cands) == 1:
-        return cands[0]
-    return tied(left, i, v, y, cands)
+def distinct_atoms(supports) -> tuple[list[dict], tuple]:
+    """(at, index): ``at[i]`` maps agent i's distinct valuations (compared
+    by equality, first appearance first) to their indices, and ``index[i]``
+    holds each of agent i's atoms' index among them."""
+    at, index = [], []
+    for atoms in supports:
+        d: dict = {}
+        row = []
+        for v, _prob in atoms:
+            row.append(d.setdefault(v, len(d)))
+        at.append(d)
+        index.append(tuple(row))
+    return at, tuple(index)
 
 
-def realized_walk(env, prices, order: Sequence[int], tie: str, profile: Sequence[Valuation],
-                  tied) -> tuple[Allocation, tuple[float, ...]]:
-    """The final allocation and each agent's payment of one realized-profile
-    execution in ``order`` with the online tie policy, without building a
-    trace.  ``tied`` is an ``OnlinePostedPriceRunner._tied`` on ``order``,
-    asked only at an arrival with several candidates (``_decide``), so a
-    caller may build the runner only then."""
-    y, left = env.null_allocation(), (1 << env.n) - 1
-    payments = [0.0] * env.n
+class _Steps(dict):
+    """The arrivals of the posted-price game on one pricing rule, tie policy
+    and atom tuple, one entry per (agent, atom, history).
+
+    A purchase history is an allocation numbered in order of first
+    appearance (``ids``; the null allocation is 0, and ``histories`` maps
+    numbers back).  An atom is an index among agent i's distinct valuations
+    ``values[i]``; ``index[i]`` numbers agent i's atoms.  Entry (i, a, h)
+    holds agent i's candidates on arriving with valuation ``values[i][a]``
+    at history h: per utility-maximizing entry, lexmin token first (or the
+    one a named tie policy picks), its (token, payment, value gained, next
+    history).  One candidate is a forced step; several go to the
+    evaluator's ``_tied``.  A miss is the only place ``best_entries``,
+    ``value`` and ``replace_at`` are called.
+    """
+
+    def __init__(self, env, prices, tie: str, atoms):
+        self.prices, self.tie = prices, tie
+        self.at, self.index = distinct_atoms(atoms)
+        self.values = [list(d) for d in self.at]
+        null = env.null_allocation()
+        self.histories = [null]
+        self.ids = {null: 0}
+
+    def atom(self, i: int, v: Valuation) -> int:
+        """``v``'s index among agent i's distinct valuations, added if new."""
+        a = self.at[i].setdefault(v, len(self.values[i]))
+        if a == len(self.values[i]):
+            self.values[i].append(v)
+        return a
+
+    def __missing__(self, key):
+        i, a, h = key
+        y, v = self.histories[h], self.values[i][a]
+        cands = self.prices.best_entries(i, v, y)
+        if self.tie != "adversarial_min_welfare":
+            cands = (_pick(cands, self.tie),)
+        step = self[key] = []
+        for tok, p in cands:
+            if tok == NULL:
+                # agent i has not arrived at y, so a null purchase gains 0.0
+                # and leaves y as it is
+                step.append((tok, p, 0.0, h))
+                continue
+            z = replace_at(y, i, tok)
+            nxt = self.ids.setdefault(z, len(self.histories))
+            if nxt == len(self.histories):
+                self.histories.append(z)
+            step.append((tok, p, value(v, tok), nxt))
+        return step
+
+
+def realized_walk(steps: _Steps, order: Sequence[int], atoms: Sequence[int], tied):
+    """One realized execution in ``order``, agent i arriving with atom
+    ``atoms[i]`` of ``steps``, without building a trace: each agent's
+    outcome, payment and value gained.  ``tied`` is an
+    ``OnlinePostedPriceRunner._tied`` on ``order`` sharing ``steps``, asked
+    only at an arrival with several candidates, so a caller may build the
+    runner only then."""
+    n = len(order)
+    h, left = 0, (1 << n) - 1
+    outcomes, payments, gains = [NULL] * n, [0.0] * n, [0.0] * n
     for i in order:
-        tok, payments[i] = _decide(prices, tie, left, i, profile[i], y, tied)
-        y, left = replace_at(y, i, tok), left & ~(1 << i)
-    return y, tuple(payments)
+        step = steps[i, atoms[i], h]
+        outcomes[i], payments[i], gains[i], h = step[0] if len(step) == 1 else tied(left, i, step)
+        left &= ~(1 << i)
+    return outcomes, payments, gains
 
 
 def _members(left: int) -> list[int]:
@@ -139,14 +196,17 @@ class OnlinePostedPriceRunner:
     future values instead is strictly stronger than any utility-maximizing
     behaviour and genuinely breaks the welfare guarantees, because early
     choices would leak later agents' values.)  On one atom per agent the
-    two coincide.  The memo is shared between the exact expectation and
-    sampled runs; ``cap`` bounds its states.  The entries an arrival may buy
-    come from the pricing rule's own memo (``PricingRule.best_entries``), so
-    every runner on one rule decides each (agent, valuation, history) once.
+    two coincide.  The memo is keyed by (agents still to arrive, history
+    id) and shared between the exact expectation and sampled runs; ``cap``
+    bounds its states.  Each arrival reads its step table entry
+    (``_Steps``), built once per (agent, atom, history) from the pricing
+    rule's own memo (``PricingRule.best_entries``); ``steps`` shares one
+    table, built on the same atoms and tie policy, between runners.
     """
 
     def __init__(self, env, prices, atoms, order: Optional[Sequence[int]],
-                 tie: str = "adversarial_min_welfare", cap: int = MEMO_CAP):
+                 tie: str = "adversarial_min_welfare", cap: int = MEMO_CAP,
+                 steps: Optional[_Steps] = None):
         if tie not in TIE_POLICIES:
             raise ValueError(f"unknown tie policy {tie}")
         self.env = env
@@ -155,6 +215,7 @@ class OnlinePostedPriceRunner:
         self.order = None if order is None else _check_order(env.n, order)
         self.tie = tie
         self.cap = cap
+        self._steps = _Steps(env, prices, tie, atoms) if steps is None else steps
         self._memo: dict = {}
         # per history, the agents known closed and known open there (bitmasks)
         self._closure: dict[Allocation, list[int]] = {}
@@ -165,16 +226,16 @@ class OnlinePostedPriceRunner:
             self._next[left] = (i,)
             left &= ~(1 << i)
 
-    def _tied(self, left: int, i: int, v, y: Allocation, cands):
-        """Under ``adversarial_min_welfare``, the entry of ``cands`` (more
-        than one) minimizing expected continuation welfare, lexmin token
-        unless another is lower by more than ``TOL``."""
+    def _tied(self, left: int, i: int, cands):
+        """Under ``adversarial_min_welfare``, the candidate of ``cands`` (a
+        step table entry of more than one) minimizing expected continuation
+        welfare, lexmin token unless another is lower by more than ``TOL``."""
         rest = left & ~(1 << i)
         best, best_cand = math.inf, cands[0]
-        for tok, p in cands:
-            w = value(v, tok) + self._value(rest, replace_at(y, i, tok))
+        for cand in cands:
+            w = cand[2] + self._value(rest, cand[3])
             if w < best - TOL:
-                best, best_cand = w, (tok, p)
+                best, best_cand = w, cand
         return best_cand
 
     def _closed(self, left: int, y: Allocation) -> bool:
@@ -195,53 +256,59 @@ class OnlinePostedPriceRunner:
             known[0] |= 1 << i
         return True
 
-    def _value(self, left: int, y: Allocation) -> float:
+    def _value(self, left: int, h: int) -> float:
         """Expected welfare still to come when the agents in bitmask ``left``
-        are yet to arrive and ``y`` holds the purchases so far."""
+        are yet to arrive and history ``h`` holds the purchases so far."""
         if not left:
             return 0.0
-        key = (left, y)
+        key = (left, h)
         if key in self._memo:
             return self._memo[key]
         if len(self._memo) > self.cap:
             raise CapExceeded(len(self._memo), self.cap, "evaluator memo states")
+        steps = self._steps
         if self.order is None:
-            if self._closed(left, y):
+            if self._closed(left, steps.histories[h]):
                 self._memo[key] = 0.0
                 return 0.0
             agents = _members(left)
         else:
             agents = self._next[left]
-        prices, tie, tied = self.prices, self.tie, self._tied
         worst = math.inf
         for i in agents:
             rest = left & ~(1 << i)
             total = 0.0
-            for v, prob in self.atoms[i]:
-                tok, _p = _decide(prices, tie, left, i, v, y, tied)
-                total += prob * (value(v, tok) + self._value(rest, replace_at(y, i, tok)))
+            for a, (_v, prob) in zip(steps.index[i], self.atoms[i]):
+                step = steps[i, a, h]
+                _tok, _p, gain, nxt = step[0] if len(step) == 1 else self._tied(left, i, step)
+                total += prob * (gain + self._value(rest, nxt))
             worst = min(worst, total)
         self._memo[key] = worst
         return worst
 
     def expected_welfare(self) -> float:
-        return self._value(self._everyone, self.env.null_allocation())
+        return self._value(self._everyone, 0)
+
+    def _walk(self, profile: Sequence[Valuation]) -> tuple[Allocation, Sequence[float]]:
+        """The final allocation and each agent's payment of ``run``."""
+        steps = self._steps
+        atoms = [steps.atom(i, profile[i]) for i in range(self.env.n)]
+        outcomes, payments, _gains = realized_walk(steps, self.order, atoms, self._tied)
+        return tuple(outcomes), payments
 
     def run(self, profile: Sequence[Valuation]) -> MechanismTrace:
         """One realized-profile execution in the fixed order with the online
         tie policy: ``realized_walk``, ties decided by this runner's memo."""
         if self.order is None:
             raise ValueError("a realized run needs a fixed arrival order")
-        outcomes, payments = realized_walk(
-            self.env, self.prices, self.order, self.tie, profile, self._tied
-        )
+        outcomes, payments = self._walk(profile)
         utilities = tuple(
             value(profile[i], outcomes[i]) - payments[i] for i in range(self.env.n)
         )
         return MechanismTrace(
             order=self.order,
             outcomes=outcomes,
-            payments=payments,
+            payments=tuple(payments),
             utilities=utilities,
             welfare=welfare(profile, outcomes),
             revenue=math.fsum(payments),
@@ -293,17 +360,18 @@ def worst_order_welfare(
     point_masses = tuple(((v, 1.0),) for v in profile)
     runner = OnlinePostedPriceRunner(env, prices, point_masses, None, tie, cap)
     target = runner.expected_welfare()
-    left, witness = runner._everyone, []
-    frontier = {env.null_allocation()}
+    steps = runner._steps
+    # each agent's one atom is index 0; a step holds every history a tie
+    # choice reaches, or the one a named policy picks
+    left, witness, frontier = runner._everyone, [], {0}
     while left:
         for i in _members(left):
-            rest, reached = left & ~(1 << i), set()
-            for y in frontier:
-                cands = prices.best_entries(i, profile[i], y)
-                if tie != "adversarial_min_welfare":
-                    cands = [_pick(cands, tie)]
-                reached.update(replace_at(y, i, tok) for tok, _p in cands)
-            if any(welfare(profile, y) + runner._value(rest, y) <= target + TOL for y in reached):
+            rest = left & ~(1 << i)
+            reached = {cand[3] for h in frontier for cand in steps[i, 0, h]}
+            if any(
+                welfare(profile, steps.histories[h]) + runner._value(rest, h) <= target + TOL
+                for h in reached
+            ):
                 break
         witness.append(i)
         left, frontier = rest, reached

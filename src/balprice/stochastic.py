@@ -30,11 +30,12 @@ from .core import (
     _first_max,
     enumerate_feasible,
     value,
-    welfare,
 )
 from .mechanism import (
     OnlinePostedPriceRunner,
     _check_order,
+    _Steps,
+    distinct_atoms,
     expected_posted_price_welfare,
     realized_walk,
 )
@@ -86,13 +87,9 @@ class ProductDistribution:
     def _distinct(self) -> tuple[tuple, tuple]:
         """(values, index): ``values[i]`` agent i's distinct valuations
         (compared by equality, first appearance first), ``index[i]`` each of
-        its atoms' index into them."""
-        values, index = [], []
-        for atoms in self.supports:
-            at: dict = {}
-            index.append(tuple(at.setdefault(v, len(at)) for v, _ in atoms))
-            values.append(tuple(at))
-        return tuple(values), tuple(index)
+        its atoms' index into them, as ``distinct_atoms`` numbers them."""
+        at, index = distinct_atoms(self.supports)
+        return tuple(map(tuple, at)), index
 
     @cached_property
     def _draw_tables(self) -> tuple[tuple, tuple, tuple]:
@@ -338,11 +335,14 @@ def monte_carlo_ratio(
 ) -> RatioEstimate:
     """Sampled competitive ratio: per trial, draw a profile from its Philox
     stream, run the mechanism under the requested order mode, and accumulate
-    welfare against the per-trial optimum.  Tie choices are
-    history-conditioned: an order's runner is built at its first arrival
-    with several candidates, and shares its continuation memo across
-    trials.  A fixed order is checked once, before the first trial, and
-    each random order as it is drawn."""
+    welfare against the per-trial optimum.  Each trial walks one step table
+    (``mechanism._Steps``) by its atoms' ``_distinct`` indices, and its
+    welfare is the ``fsum`` of the steps' value gains in agent order, the
+    float ``welfare`` gives on its final allocation.  Tie choices are
+    history-conditioned: an order's runner is built, on the same step table,
+    at its first arrival with several candidates, and shares its
+    continuation memo across trials.  A fixed order is checked once, before
+    the first trial, and each random order as it is drawn."""
     if trials < 1:
         raise ValueError("at least one trial required")
     if order_mode not in ("fixed", "random"):
@@ -351,22 +351,22 @@ def monte_carlo_ratio(
     if order_mode == "fixed":
         order = _check_order(n, range(n) if fixed_order is None else fixed_order)
 
+    steps = _Steps(env, prices, tie, dist.supports)
     runners: dict[tuple, OnlinePostedPriceRunner] = {}
 
     def tied(*at):
         """``_tied`` of the trial's order's runner, built at its first tie."""
         if order not in runners:
-            runners[order] = OnlinePostedPriceRunner(env, prices, dist.supports, order, tie)
+            runners[order] = OnlinePostedPriceRunner(
+                env, prices, dist.supports, order, tie, steps=steps
+            )
         return runners[order]._tied(*at)
 
     best = _optimum_welfare(env)
     _, atoms, keys = dist._draw_tables
-    # the optimum per distinct profile drawn, and the mechanism's welfare per
-    # distinct (order, profile) pair drawn, which a fixed-order run is a
-    # function of; a profile is keyed by its agents' ``_distinct`` indices,
-    # and each memo holds at most ``trials`` entries
+    # the optimum per distinct profile drawn, keyed by its agents'
+    # ``_distinct`` indices; at most ``trials`` entries
     optimum: dict[tuple, float] = {}
-    realized: dict[tuple, float] = {}
 
     ws: list[float] = []
     os_: list[float] = []
@@ -375,16 +375,11 @@ def monte_carlo_ratio(
         key = tuple(map(getitem, keys, drawn))
         if order_mode == "random":
             order = _check_order(n, rng.permutation(n).tolist())
-        pair = order, key
-        w = realized.get(pair)
-        if w is None:
-            profile = tuple(map(getitem, atoms, drawn))
-            y, _ = realized_walk(env, prices, order, tie, profile, tied)
-            w = realized[pair] = welfare(profile, y)
-            if key not in optimum:
-                optimum[key] = best(profile)
-        ws.append(w)
-        os_.append(optimum[key])
+        ws.append(math.fsum(realized_walk(steps, order, key, tied)[2]))
+        opt_w = optimum.get(key)
+        if opt_w is None:
+            opt_w = optimum[key] = best(tuple(map(getitem, atoms, drawn)))
+        os_.append(opt_w)
 
     return RatioEstimate.of(
         math.fsum(ws) / trials,
@@ -402,11 +397,14 @@ def worst_order_expected_welfare(
 ) -> float:
     """Minimum over fixed arrival orders of the exact expected welfare.  The
     loop stays over all n! orders, because unlike on a realized profile this
-    minimum is not the adaptive adversary's value; ``cap`` bounds n!."""
+    minimum is not the adaptive adversary's value; ``cap`` bounds n!.  The
+    orders' evaluators share one step table."""
     count = math.factorial(env.n)
     if count > cap:
         raise CapExceeded(count, cap, "agent orders")
+    steps = _Steps(env, prices, tie, dist.supports)
     worst = math.inf
     for order in itertools.permutations(range(env.n)):
-        worst = min(worst, expected_posted_price_welfare(env, prices, dist, order, tie))
+        runner = OnlinePostedPriceRunner(env, prices, dist.supports, order, tie, steps=steps)
+        worst = min(worst, runner.expected_welfare())
     return worst

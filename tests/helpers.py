@@ -42,7 +42,12 @@ from balprice.catalog import (
     gen_two_point_single_item,
     gen_xos_random,
 )
-from balprice.mechanism import OnlinePostedPriceRunner, _decide, _members, whole_unit_prices
+from balprice.mechanism import (
+    OnlinePostedPriceRunner,
+    _members,
+    _pick,
+    whole_unit_prices,
+)
 from balprice.oracle import (
     OPT_RULE,
     ExchangeFamily,
@@ -422,9 +427,34 @@ def expected_opt_twin(env, dist, cap=EXACT_SUPPORT_CAP) -> float:
     )
 
 
+def decide_twin(prices, tie, left, i, v, y, tied):
+    """Agent i's (token, payment) at history ``y`` with valuation ``v``, the
+    agents in bitmask ``left`` (i among them) yet to arrive, asked afresh:
+    a named policy's pick, the one utility-maximizing entry, or
+    ``tied(left, i, v, y, cands)`` when there are several."""
+    cands = prices.best_entries(i, v, y)
+    if tie != "adversarial_min_welfare":
+        return _pick(cands, tie)
+    if len(cands) == 1:
+        return cands[0]
+    return tied(left, i, v, y, cands)
+
+
 class UnprunedRunner(OnlinePostedPriceRunner):
-    """Twin of the evaluator without the closed-history cut: every state
-    below a history no later arrival can change is still visited."""
+    """Twin of the evaluator without the closed-history cut and without step
+    tables: every state below a history no later arrival can change is still
+    visited, each state is keyed by its history tuple, and every arrival
+    decides afresh (``decide_twin``), so the twin shares no step table with
+    the fast path."""
+
+    def _tied(self, left, i, v, y, cands):
+        rest = left & ~(1 << i)
+        best, best_cand = math.inf, cands[0]
+        for tok, p in cands:
+            w = value(v, tok) + self._value(rest, replace_at(y, i, tok))
+            if w < best - TOL:
+                best, best_cand = w, (tok, p)
+        return best_cand
 
     def _value(self, left, y):
         if not left:
@@ -439,11 +469,46 @@ class UnprunedRunner(OnlinePostedPriceRunner):
             rest = left & ~(1 << i)
             total = 0.0
             for v, prob in self.atoms[i]:
-                tok, _p = _decide(self.prices, self.tie, left, i, v, y, self._tied)
+                tok, _p = decide_twin(self.prices, self.tie, left, i, v, y, self._tied)
                 total += prob * (value(v, tok) + self._value(rest, replace_at(y, i, tok)))
             worst = min(worst, total)
         self._memo[key] = worst
         return worst
+
+    def expected_welfare(self):
+        return self._value(self._everyone, self.env.null_allocation())
+
+    def _walk(self, profile):
+        y, left = self.env.null_allocation(), self._everyone
+        payments = [0.0] * self.env.n
+        for i in self.order:
+            tok, payments[i] = decide_twin(self.prices, self.tie, left, i, profile[i], y, self._tied)
+            y, left = replace_at(y, i, tok), left & ~(1 << i)
+        return y, payments
+
+
+def worst_order_twin(env, prices, profile, tie="adversarial_min_welfare"):
+    """Twin of ``worst_order_welfare`` on ``UnprunedRunner``: the same
+    witness walk over history tuples, each arrival's reachable histories
+    taken from a fresh decision, and the witness run by the twin."""
+    point_masses = tuple(((v, 1.0),) for v in profile)
+    runner = UnprunedRunner(env, prices, point_masses, None, tie)
+    target = runner.expected_welfare()
+    left, witness, frontier = runner._everyone, [], {env.null_allocation()}
+    while left:
+        for i in _members(left):
+            rest, reached = left & ~(1 << i), set()
+            for y in frontier:
+                cands = prices.best_entries(i, profile[i], y)
+                if tie != "adversarial_min_welfare":
+                    cands = [_pick(cands, tie)]
+                reached.update(replace_at(y, i, tok) for tok, _p in cands)
+            if any(welfare(profile, y) + runner._value(rest, y) <= target + TOL for y in reached):
+                break
+        witness.append(i)
+        left, frontier = rest, reached
+    trace = UnprunedRunner(env, prices, point_masses, witness, tie).run(profile)
+    return trace.welfare, tuple(witness)
 
 
 class ScanningRunner(OnlinePostedPriceRunner):
@@ -575,21 +640,23 @@ def sample_twin(dist, rng) -> tuple:
     return tuple(out)
 
 
-def monte_carlo_twin(env, prices, dist, order_mode, trials, seed, tie="adversarial_min_welfare"):
+def monte_carlo_twin(env, prices, dist, order_mode, trials, seed, tie="adversarial_min_welfare",
+                     fixed_order=None):
     """Twin of ``monte_carlo_ratio`` as a plain loop over trials: each trial
     draws its profile by ``sample_twin`` (then, in random order, its
-    permutation) from its own stream, runs a runner of its own, and takes
-    ``argmax_first_twin`` over the feasible list for its optimum."""
+    permutation) from its own stream, runs an ``UnprunedRunner`` of its own,
+    and takes ``argmax_first_twin`` over the feasible list for its
+    optimum."""
     feasible = enumerate_feasible(env)
     ws, os_ = [], []
     for t in range(trials):
         rng = trial_rng(seed, t)
         profile = sample_twin(dist, rng)
         if order_mode == "fixed":
-            order = tuple(range(env.n))
+            order = tuple(range(env.n)) if fixed_order is None else tuple(fixed_order)
         else:
             order = tuple(int(i) for i in rng.permutation(env.n))
-        runner = OnlinePostedPriceRunner(env, prices, dist.supports, order, tie)
+        runner = UnprunedRunner(env, prices, dist.supports, order, tie)
         ws.append(runner.run(profile).welfare)
         os_.append(welfare(profile, argmax_first_twin(feasible, profile)))
     return RatioEstimate.of(

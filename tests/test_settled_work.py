@@ -3,9 +3,11 @@
 - The adaptive adversary's recursion stops at a closed history, where every
   agent still to arrive buys only null under every atom; such a state is
   worth exactly 0.0.
-- ``monte_carlo_ratio`` realizes each drawn (order, profile) pair once,
-  through the trace-free ``realized_walk``, and builds an order's runner
-  only at an arrival with several candidates.
+- The evaluator and ``monte_carlo_ratio`` read each arrival from one step
+  table per (agent, atom, history id), so ``best_entries`` is asked once
+  per step; ``monte_carlo_ratio`` walks each trial through the trace-free
+  ``realized_walk`` and builds an order's runner only at an arrival with
+  several candidates.
 - ``Matroid.independent`` answers each in-range mask once per matroid.
 
 Each fast path is compared against its twin in ``helpers``; results must be
@@ -28,7 +30,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import balprice.mechanism
-from balprice import stochastic
 from balprice.catalog import (
     gen_knapsack_random,
     gen_matroid,
@@ -38,7 +39,7 @@ from balprice.catalog import (
     gen_xos_random,
 )
 from balprice.cli import main
-from balprice.core import Matroid
+from balprice.core import Matroid, replace_at
 from balprice.mechanism import (
     OnlinePostedPriceRunner,
     adaptive_adversary_welfare,
@@ -55,6 +56,7 @@ from helpers import (
     monte_carlo_twin,
     multi_element_matroid,
     two_point_matroid,
+    worst_order_twin,
 )
 from test_decisions import KINDS, case, scaled
 
@@ -65,6 +67,11 @@ def _twin_runner():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(balprice.mechanism, "OnlinePostedPriceRunner", UnprunedRunner)
         yield
+
+
+def _by_history(runner) -> dict:
+    """The runner's memo with each history id replaced by its allocation."""
+    return {(left, runner._steps.histories[h]): w for (left, h), w in runner._memo.items()}
 
 
 class TestClosedHistoryCut:
@@ -87,8 +94,7 @@ class TestClosedHistoryCut:
         profile = dist.sample(trial_rng(seed, 0))
         rule, twin_rule = scaled(env, dist, constructor), scaled(env, dist, constructor)
         got = worst_order_welfare(env, rule, profile)
-        with _twin_runner():
-            want = worst_order_welfare(env, twin_rule, profile)
+        want = worst_order_twin(env, twin_rule, profile)
         assert repr(got) == repr(want)
         assert rule._cache.keys() == twin_rule._cache.keys()
         assert rule._entries.keys() == twin_rule._entries.keys()
@@ -101,8 +107,10 @@ class TestClosedHistoryCut:
         runner = OnlinePostedPriceRunner(env, rule, dist.supports, None)
         twin = UnprunedRunner(env, rule, dist.supports, None)
         assert repr(runner.expected_welfare()) == repr(twin.expected_welfare())
-        assert len(runner._memo) < len(twin._memo)
-        assert runner._memo.keys() <= twin._memo.keys()
+        # the runner keys a state by history id, the twin by history tuple
+        states = _by_history(runner)
+        assert len(states) == len(runner._memo) < len(twin._memo)
+        assert states.keys() <= twin._memo.keys()
 
     def test_fixed_order_is_not_cut(self):
         # a fixed-order state asks only its next agent, so nothing is closed
@@ -113,7 +121,7 @@ class TestClosedHistoryCut:
         runner = OnlinePostedPriceRunner(env, rule, dist.supports, order)
         twin = UnprunedRunner(env, rule, dist.supports, order)
         assert repr(runner.expected_welfare()) == repr(twin.expected_welfare())
-        assert runner._memo == twin._memo
+        assert _by_history(runner) == twin._memo
 
 
 def _matroids():
@@ -172,19 +180,26 @@ class TestMonteCarloMemo:
 
     @pytest.mark.parametrize("order_mode", ["fixed", "random"])
     def test_walks_at_most_distinct_pairs(self, order_mode, monkeypatch):
+        # every trial walks the step table, which asks best_entries once per
+        # distinct (agent, atom index, history) the trials reach
         env, dist = two_point_matroid("uniform", seed=2, ground=4, rank=2)
         rule = scaled(env, dist, lambda p: matroid_dynamic_prices(env, p))
+        twin_rule = scaled(env, dist, lambda p: matroid_dynamic_prices(env, p))
         trials, seed = 200, 5
-        walks = []
-        real = stochastic.realized_walk
+        values = dist._distinct[0]
+        asked = []
+        real = rule.best_entries
 
-        def counted(env, prices, order, tie, profile, tied):
-            walks.append((order, profile))
-            return real(env, prices, order, tie, profile, tied)
+        def counted(i, v, y):
+            asked.append((i, values[i].index(v), y))
+            return real(i, v, y)
 
-        monkeypatch.setattr(stochastic, "realized_walk", counted)
-        monte_carlo_ratio(env, rule, dist, order_mode=order_mode, trials=trials, seed=seed)
-        drawn = set()
+        monkeypatch.setattr(rule, "best_entries", counted)
+        got = monte_carlo_ratio(env, rule, dist, order_mode=order_mode, trials=trials, seed=seed)
+        assert repr(got) == repr(
+            monte_carlo_twin(env, twin_rule, dist, order_mode, trials, seed)
+        )
+        walked = set()
         for t in range(trials):
             rng = trial_rng(seed, t)
             profile = dist.sample(rng)
@@ -192,9 +207,13 @@ class TestMonteCarloMemo:
                 tuple(range(env.n)) if order_mode == "fixed"
                 else tuple(int(i) for i in rng.permutation(env.n))
             )
-            drawn.add((order, profile))
-        assert len(walks) == len(set(walks)) == len(drawn) < trials
-        assert set(walks) == drawn
+            final = UnprunedRunner(env, twin_rule, dist.supports, order).run(profile).outcomes
+            y = env.null_allocation()
+            for i in order:
+                walked.add((i, values[i].index(profile[i]), y))
+                y = replace_at(y, i, final[i])
+        assert len(asked) == len(set(asked)) == len(walked) < trials * env.n
+        assert set(asked) == walked
 
     @given(st.sampled_from(KINDS), st.integers(min_value=0, max_value=31))
     @settings(max_examples=20, deadline=None)
@@ -203,11 +222,15 @@ class TestMonteCarloMemo:
         rule = scaled(env, dist, constructor)
         order = tuple(reversed(range(env.n)))
         runner = OnlinePostedPriceRunner(env, rule, dist.supports, order)
+        twin = UnprunedRunner(env, scaled(env, dist, constructor), dist.supports, order)
+        steps = runner._steps
         for t in range(4):
             profile = dist.sample(trial_rng(seed, t))
-            outcomes, payments = realized_walk(env, rule, order, runner.tie, profile, runner._tied)
-            trace = runner.run(profile)
-            assert outcomes == trace.outcomes and payments == trace.payments
+            atoms = [steps.atom(i, v) for i, v in enumerate(profile)]
+            outcomes, payments, gains = realized_walk(steps, order, atoms, runner._tied)
+            trace = twin.run(profile)
+            assert repr((tuple(outcomes), tuple(payments))) == repr((trace.outcomes, trace.payments))
+            assert repr(math.fsum(gains)) == repr(trace.welfare)
 
 
 class TestSeedRange:

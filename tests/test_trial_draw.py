@@ -119,9 +119,9 @@ def counting_runners(monkeypatch):
     built = []
 
     class Counted(OnlinePostedPriceRunner):
-        def __init__(self, env, prices, atoms, order, *args):
+        def __init__(self, env, prices, atoms, order, *args, **kwargs):
             built.append(tuple(order))
-            super().__init__(env, prices, atoms, order, *args)
+            super().__init__(env, prices, atoms, order, *args, **kwargs)
 
     monkeypatch.setattr(stochastic, "OnlinePostedPriceRunner", Counted)
     return built

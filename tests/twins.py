@@ -20,6 +20,7 @@ import contextlib
 import dataclasses
 import functools
 import io
+import itertools
 import math
 import os
 import random
@@ -39,18 +40,27 @@ from balprice.core import (
     ScalarValuation, SingleItemEnv, ThresholdValuation, XosValuation, enumerate_feasible,
     replace_at, support,
 )
+from balprice.mechanism import (
+    TIE_POLICIES, OnlinePostedPriceRunner, adaptive_adversary_welfare,
+    expected_posted_price_welfare, worst_order_welfare,
+)
 from balprice.oracle import default_family, opt
 from balprice.pricing import (
     SUPPORT_FORM_MIN_PROFILES, BalanceParams, PricingRule, expected_scaled_prices,
+    matroid_dynamic_prices, single_item_prices, xos_item_prices,
 )
 from balprice.serialize import Instance, dump_instance_file
-from balprice.stochastic import ProductDistribution, expected_opt
+from balprice.stochastic import (
+    ProductDistribution, UndefinedRatio, expected_opt, monte_carlo_ratio, trial_rng,
+    worst_order_expected_welfare,
+)
 
 from helpers import (
     MATROID_PRICINGS, brute_feasible, dfs_feasible_twin, element_profile, every_entry,
     expected_opt_twin, expected_scaled_twin, extremal_twin, families, filtered_members,
     gated_unavailable_case, matroid_priced, multi_element_priced, per_x_check,
     report_fields, static_case, two_point_matroid, uniform_matroid_env, witness_twin,
+    UnprunedRunner, monte_carlo_twin, worst_order_twin,
 )
 
 
@@ -830,4 +840,131 @@ EXPECTED_OPT = Twin(
 )
 
 
-TWINS = (FEASIBLE, MEMBERS, WALK, DECLARED, STATIC, COLUMNS, EXPECTED_OPT)
+# ---------------------------------------------------------------------------
+# The posted-price game on step tables (history ids, one entry per (agent,
+# atom, history)) against ``UnprunedRunner``, which keys states by history
+# tuple, decides every arrival afresh and has no closed-history cut, and
+# against ``monte_carlo_twin`` and ``worst_order_twin`` built on it.  A case
+# is (env, dist, pricing, order, seed, trials, parts): ``pricing`` is
+# ("scaled",), the kind's per-profile construction scaled over ``dist``, or
+# ("flat", c), every item at c; ``parts`` names what is compared, each
+# under every tie policy, and a fixed order (``order``, or 0 to n - 1 when
+# None) serves the fixed parts.
+# ---------------------------------------------------------------------------
+
+PARTS = ("fixed", "adversary", "all-orders", "witness", "traces", "mc-fixed", "mc-random")
+
+
+def _posted_price_rule(env, dist, pricing):
+    if pricing[0] == "flat":
+        c = pricing[1]
+        # a knapsack quantity pro rata, else per item of the outcome's mask
+        size = float if isinstance(env, KnapsackEnv) else lambda x: bin(x).count("1")
+        return PricingRule(env, lambda i, x, y: c * size(x), static=True)
+    if isinstance(env, SingleItemEnv):
+        build = lambda p: single_item_prices(env, p)
+    elif isinstance(env, MatroidEnv):
+        build = lambda p: matroid_dynamic_prices(env, p)
+    else:
+        build = lambda p: xos_item_prices(env, p, opt(env, p))
+    return expected_scaled_prices(env, dist, build, BalanceParams(alpha=1.0, beta=1.0))
+
+
+def _posted_price_part(env, dist, rule, tie, order, seed, trials, part, twin):
+    runner = UnprunedRunner if twin else OnlinePostedPriceRunner
+    if part == "fixed":
+        if twin:
+            return runner(env, rule, dist.supports, order, tie).expected_welfare()
+        return expected_posted_price_welfare(env, rule, dist, order, tie)
+    if part == "adversary":
+        if twin:
+            return runner(env, rule, dist.supports, None, tie).expected_welfare()
+        return adaptive_adversary_welfare(env, rule, dist, tie)
+    if part == "all-orders":
+        if twin:
+            return min(
+                runner(env, rule, dist.supports, perm, tie).expected_welfare()
+                for perm in itertools.permutations(range(env.n))
+            )
+        return worst_order_expected_welfare(env, rule, dist, tie)
+    if part == "witness":
+        profile = dist.sample(trial_rng(seed, 0))
+        return (worst_order_twin if twin else worst_order_welfare)(env, rule, profile, tie)
+    if part == "traces":
+        # one runner for every profile, so later runs read its memo
+        fixed = runner(env, rule, dist.supports, order, tie)
+        return [fixed.run(dist.sample(trial_rng(seed, t))) for t in range(4)]
+    mc = monte_carlo_twin if twin else monte_carlo_ratio
+    try:
+        return mc(env, rule, dist, part[3:], trials, seed, tie, order)
+    except UndefinedRatio as exc:  # every drawn optimum is zero
+        return exc
+
+
+def _posted_price(case, twin=False):
+    """Each (part, tie policy)'s result on one rule built for this side."""
+    env, dist, pricing, order, seed, trials, parts = case
+    if order is None:
+        order = tuple(range(env.n))
+    rule = _posted_price_rule(env, dist, pricing)
+    return [
+        (part, tie, _posted_price_part(env, dist, rule, tie, order, seed, trials, part, twin))
+        for part in parts
+        for tie in TIE_POLICIES
+    ]
+
+
+@st.composite
+def posted_price_case(draw):
+    """A single-item, uniform rank-2 matroid, two-item XOS or knapsack
+    instance on 2 to 5 agents (XOS and knapsack 2 to 3), one or
+    two atoms per agent from ``NEAR_TIES``, mostly priced flat at a value of
+    that pool (a knapsack quantity pro rata, and only flat), so utilities
+    and continuations tie within ``TOL``.  A knapsack agent's null entry is
+    the float 0.0, where the null allocation holds the int 0."""
+    kind = draw(st.sampled_from(("single-item", "matroid", "xos", "knapsack")))
+    n = draw(st.integers(min_value=2, max_value=5 if kind in ("single-item", "matroid") else 3))
+    env = environment(kind, n)
+    supports = []
+    for i in range(n):
+        atoms = draw(st.lists(atom_maker(kind, env, NEAR_TIES), min_size=1, max_size=2))
+        if kind == "matroid":
+            atoms = [AdditiveValuation(tuple(x if e == i else 0.0 for e in range(n))) for x in atoms]
+        weight = draw(st.sampled_from((0.25, 0.5, 0.75)))
+        probs = (1.0,) if len(atoms) == 1 else (weight, 1.0 - weight)
+        supports.append(tuple(zip(atoms, probs)))
+    flat = st.sampled_from(NEAR_TIES).map(lambda c: ("flat", c))
+    pricing = draw(flat if kind == "knapsack" else st.one_of(st.just(("scaled",)), flat, flat))
+    order = tuple(draw(st.permutations(range(n))))
+    seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    return env, ProductDistribution(tuple(supports)), pricing, order, seed, 20, PARTS
+
+
+def _steps_large(label, env, dist, c, part, trials=0):
+    """The large case ``part`` on scaled prices and on every item at ``c``,
+    an atom value several agents hold, so that they tie."""
+    return tuple(
+        (f"{label}, {part}, {pricing[0]} prices", (env, dist, pricing, None, 1, trials, (part,)), None)
+        for pricing in (("scaled",), ("flat", c))
+    )
+
+
+STEPS = Twin(
+    name="posted-price-steps",
+    fast=_posted_price,
+    twin=functools.partial(_posted_price, twin=True),
+    small={"near-ties": Small(posted_price_case(), 60)},
+    large=(
+        _steps_large("two-point n = 8", *_two_point(8, 1), 0.75, "adversary")
+        + _steps_large(
+            "partition ground 7", *two_point_matroid("partition", 1, ground=7), 0.375, "adversary"
+        )
+        + _steps_large("two-point n = 7", *_two_point(7, 1), 0.75, "mc-random", 200)
+        + _steps_large("two-point n = 7", *_two_point(7, 1), 0.75, "all-orders")
+    ),
+    summary=lambda got: "; ".join(
+        f"{tie} {getattr(result, 'ratio', result)!r}" for _part, tie, result in got
+    ),
+)
+
+TWINS = (FEASIBLE, MEMBERS, WALK, DECLARED, STATIC, COLUMNS, EXPECTED_OPT, STEPS)

@@ -128,6 +128,29 @@ MUTANTS = (
         ("tests/test_oracle.py::TestResidualOpt::test_pip_row_open_at_half_plus_tol",),
     ),
     Mutant(
+        "knapsack key open at a load within TOL below 1/2, killed by test_knapsack_load_within_tol_of_half_is_closed",
+        ORACLE,
+        "[s < 0.5 - TOL for s in states]",
+        "[s < 0.5 for s in states]",
+        ("tests/test_oracle.py::TestMemberEnumeration::test_knapsack_load_within_tol_of_half_is_closed",),
+    ),
+    Mutant(
+        "knapsack demand at the second admissible quantity, killed by TestKnapsackDp",
+        ORACLE,
+        "        demand = next((q for q in grid if value(v, q) and env.extend(start, i, q) is not None), None)\n",
+        "        demand = next(itertools.islice(\n"
+        "            (q for q in grid if value(v, q) and env.extend(start, i, q) is not None), 1, None\n"
+        "        ), None)\n",
+        ("tests/test_oracle.py::TestKnapsackDp",),
+    ),
+    Mutant(
+        "knapsack DP state kept on a gain within TOL, killed by test_near_tie_keeps_the_first_listed_best",
+        ORACLE,
+        "cand > nxt[state][0] + TOL",
+        "cand > nxt[state][0]",
+        ("tests/test_oracle.py::TestKnapsackDp::test_near_tie_keeps_the_first_listed_best",),
+    ),
+    Mutant(
         "greedy outcome memo always recomputes, killed by TestGreedyMemo",
         ORACLE,
         "    out = outcomes.get((fixed, ranking))\n",
@@ -256,6 +279,20 @@ EQUIVALENT = (
         ),
         "PricingRule.price clears agent i's own slot of the conditioning "
         "allocation before it reads its cache or the rule",
+    ),
+    (
+        Mutant(
+            "knapsack demand without its extend admission",
+            ORACLE,
+            " and env.extend(start, i, q) is not None), None)",
+            "), None)",
+            None,
+        ),
+        "a threshold valuation pays for every quantity from its first valued "
+        "one on, and extend from the empty total refuses every quantity from "
+        "its first refused one on, so the first valued quantity is admitted "
+        "or none is; the DP step then refuses an unadmitted demand from every "
+        "total, as totals are never negative",
     ),
 )
 

@@ -200,8 +200,8 @@ class OnlinePostedPriceRunner:
     id) and shared between the exact expectation and sampled runs; ``cap``
     bounds its states.  Each arrival reads its step table entry
     (``_Steps``), built once per (agent, atom, history) from the pricing
-    rule's own memo (``PricingRule.best_entries``); ``steps`` shares one
-    table, built on the same atoms and tie policy, between runners.
+    rule's ``best_entries``; ``steps`` shares one table, built on the same
+    atoms and tie policy, between runners.
     """
 
     def __init__(self, env, prices, atoms, order: Optional[Sequence[int]],
@@ -217,8 +217,8 @@ class OnlinePostedPriceRunner:
         self.cap = cap
         self._steps = _Steps(env, prices, tie, atoms) if steps is None else steps
         self._memo: dict = {}
-        # per history, the agents known closed and known open there (bitmasks)
-        self._closure: dict[Allocation, list[int]] = {}
+        # per history id, the agents known closed and known open there (bitmasks)
+        self._closure: dict[int, list[int]] = {}
         # a fixed order's next arrival, keyed by the agents still to arrive
         self._next: dict[int, tuple[int]] = {}
         left = self._everyone = (1 << env.n) - 1
@@ -238,19 +238,20 @@ class OnlinePostedPriceRunner:
                 best, best_cand = w, cand
         return best_cand
 
-    def _closed(self, left: int, y: Allocation) -> bool:
-        """Whether each agent in bitmask ``left`` buys only null at ``y``
-        under every atom.  Then no later arrival changes ``y``, so what is
-        still to come is worth exactly 0.0.  Only agents not yet known closed
-        or open at ``y`` are scanned, so it asks ``best_entries`` only for
-        keys the full recursion at this state asks too."""
-        known = self._closure.setdefault(y, [0, 0])
+    def _closed(self, left: int, h: int) -> bool:
+        """Whether each agent in bitmask ``left`` buys only null at history
+        ``h`` under every atom.  Then no later arrival changes the history,
+        so what is still to come is worth exactly 0.0.  Only agents not yet
+        known closed or open at ``h`` are scanned, so it reads only step
+        entries the full recursion at this state reads too."""
+        known = self._closure.setdefault(h, [0, 0])
         if left & known[1]:
             return False
+        steps = self._steps
         for i in _members(left & ~known[0]):
-            for v, _prob in self.atoms[i]:
-                entries = self.prices.best_entries(i, v, y)
-                if len(entries) > 1 or entries[0][0] != NULL:
+            for a in steps.index[i]:
+                cands = steps[i, a, h]
+                if len(cands) > 1 or cands[0][0] != NULL:
                     known[1] |= 1 << i
                     return False
             known[0] |= 1 << i
@@ -268,7 +269,7 @@ class OnlinePostedPriceRunner:
             raise CapExceeded(len(self._memo), self.cap, "evaluator memo states")
         steps = self._steps
         if self.order is None:
-            if self._closed(left, steps.histories[h]):
+            if self._closed(left, h):
                 self._memo[key] = 0.0
                 return 0.0
             agents = _members(left)
@@ -355,7 +356,7 @@ def worst_order_welfare(
     whose arrival the minimum is still reachable.  It keeps every purchase
     history the committed prefix reaches under some tie choice: following a
     single tie choice can rule out the first minimizing order.  The reported
-    welfare is the witness trace's own.
+    welfare is the witness trace's own, replayed on the same step table.
     """
     point_masses = tuple(((v, 1.0),) for v in profile)
     runner = OnlinePostedPriceRunner(env, prices, point_masses, None, tie, cap)
@@ -375,7 +376,8 @@ def worst_order_welfare(
                 break
         witness.append(i)
         left, frontier = rest, reached
-    return run_posted_price(env, prices, profile, witness, tie).welfare, tuple(witness)
+    replay = OnlinePostedPriceRunner(env, prices, point_masses, witness, tie, cap, steps)
+    return replay.run(profile).welfare, tuple(witness)
 
 
 def expected_posted_price_welfare(
@@ -431,16 +433,12 @@ def whole_unit_prices(env: KnapsackEnv, price: float) -> PricingRule:
 
 
 def _restricted_expected_reference_welfare(env: KnapsackEnv, dist, cap: int) -> float:
-    """E[v(ALG(v))] where the reference rule serves only demands at most half
-    the capacity (larger demands are zeroed out of the instance)."""
+    """E[v(ALG(v))] where the reference rule is the optimum of the same
+    knapsack with each agent's share capped at half the capacity."""
+    half = KnapsackEnv(env.n, env.step, max_share=min(env.max_share, 0.5))
     total = 0.0
     for profile, prob in dist.profiles(cap):
-        clipped = tuple(
-            v if isinstance(v, ThresholdValuation) and v.size <= 0.5 + TOL
-            else ThresholdValuation(0.0, getattr(v, "size", 1.0))
-            for v in profile
-        )
-        total += prob * welfare(clipped, knapsack_dp(env, clipped))
+        total += prob * welfare(profile, knapsack_dp(half, profile))
     return total
 
 

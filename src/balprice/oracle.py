@@ -170,7 +170,7 @@ class ExchangeFamily:
             allocs = env._facts["feasible"]
         states = fact(env, "states") if kept else (_dfs_state(env, y) for y in allocs)
         if self.kind == "knapsack_threshold":
-            return [s < 0.5 for s in states]  # strict; grid quantities are exact dyadics
+            return [s < 0.5 - TOL for s in states]  # a load within TOL of 1/2 is closed
         if self.kind == "pip_threshold":
             loads = fact(env, "loads") if kept else map(env.row_loads, states)
             return [tuple(l <= 0.5 + TOL for l in load) for load in loads]
@@ -578,43 +578,34 @@ def permeability(
 
 
 def knapsack_dp(env: KnapsackEnv, profile: Sequence[Valuation]) -> Allocation:
-    """Exact optimum for threshold valuations: pick the value-maximal agent
-    subset with total demanded size at most 1, by units of the grid step; a
-    demand above ``max_share`` is never served."""
+    """Exact optimum for threshold valuations, by a DP over the
+    environment's DFS state, the running total, one agent at a time.  An
+    agent is served at its demand, the first grid quantity its valuation
+    pays for that ``extend`` admits, or not at all.  Each reachable total
+    keeps the first (value, allocation) best within TOL, and the result is
+    the first best allocation."""
     if not isinstance(env, KnapsackEnv):
         raise TypeError("knapsack_dp requires a knapsack environment")
-    # whole steps that fit in the capacity; a step that does not divide 1
-    # leaves the remainder unused
-    units = math.floor(1.0 / env.step + TOL)
-    # whole steps one agent may hold
-    most = min(units, math.floor(env.max_share / env.step + TOL))
-    sizes = []
-    vals = []
-    for v in profile:
+    null, *grid = env.agent_outcomes(0)  # the grid every agent shares
+    start = env.start_state
+    # each reachable running total -> its first (value, allocation) best within TOL
+    dp = {start: (0.0, ())}
+    for i, v in enumerate(profile):
         if not isinstance(v, ThresholdValuation):
             raise TypeError("knapsack_dp requires threshold valuations")
-        # a demand above the capacity never fits, and its ceil may overflow
-        if v.size > 1.0 + TOL:
-            sizes.append(units + 1)
-        else:
-            sizes.append(max(0, math.ceil(v.size / env.step - TOL)))
-        vals.append(v.value_at_size)
-    # dp[c] = (best value, chosen agent set) using capacity c
-    dp: list[tuple[float, tuple[int, ...]]] = [(0.0, ())] * (units + 1)
-    for i in range(env.n):
-        if vals[i] <= TOL or sizes[i] > most:
-            continue
-        nxt = dp[:]
-        for c in range(sizes[i], units + 1):
-            cand_v = dp[c - sizes[i]][0] + vals[i]
-            if cand_v > nxt[c][0] + TOL:
-                nxt[c] = (cand_v, dp[c - sizes[i]][1] + (i,))
+        demand = next((q for q in grid if value(v, q) and env.extend(start, i, q) is not None), None)
+        moves = ((0.0, null),) if demand is None else ((0.0, null), (value(v, demand), demand))
+        nxt: dict = {}
+        for total, (w, alloc) in dp.items():
+            for gain, q in moves:
+                # a null outcome keeps the total, as the DFS keeps its state
+                state = total if q == null else env.extend(total, i, q)
+                cand = w + gain
+                if state is not None and (state not in nxt or cand > nxt[state][0] + TOL):
+                    nxt[state] = (cand, alloc + (q,))
         dp = nxt
-    best_v, chosen = max(dp, key=lambda t: t[0])
-    alloc = [0.0] * env.n
-    for i in chosen:
-        alloc[i] = sizes[i] * env.step
-    return tuple(alloc)
+    kept = list(dp.values())
+    return kept[_first_max(w for w, _alloc in kept)][1]
 
 
 # ---------------------------------------------------------------------------

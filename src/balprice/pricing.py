@@ -114,8 +114,7 @@ class PricingRule:
     ``finite_price`` is only consulted on entries feasible given the partial
     allocation y (with the agent's own slot cleared); infeasible entries are
     UNAVAILABLE and the null outcome is free.  ``_cache`` gains exactly one
-    entry per price miss; ``_entries`` holds the utility-maximizing entries
-    per (agent, valuation, partial allocation).
+    entry per price miss.
     """
 
     def __init__(
@@ -131,7 +130,6 @@ class PricingRule:
         self.static = static
         self.provenance = provenance or {}
         self._cache: dict = {}
-        self._entries: dict = {}
 
     def price(self, i: int, x_i, y: Allocation):
         if x_i == NULL:
@@ -160,18 +158,13 @@ class PricingRule:
 
     def best_entries(self, i: int, v: Valuation, y: Allocation) -> tuple[tuple[object, float], ...]:
         """Agent i's utility-maximizing menu entries at ``y`` under valuation
-        ``v``, lexmin token first, computed once per (i, v, y); valuations are
-        compared by equality.  The null outcome is always purchasable at zero,
-        so the best utility is non-negative."""
-        key = (i, v, y)
-        entries = self._entries.get(key)
-        if entries is None:
-            scored = [(tok, p, value(v, tok) - p) for tok, p in self.menu(i, y)]
-            best = max(u for _tok, _p, u in scored)
-            tied = [(tok, p) for tok, p, u in scored if u >= best - TOL]
-            tied.sort(key=lambda tp: _token_key(tp[0]))
-            entries = self._entries[key] = tuple(tied)
-        return entries
+        ``v``, lexmin token first.  The null outcome is always purchasable at
+        zero, so the best utility is non-negative."""
+        scored = [(tok, p, value(v, tok) - p) for tok, p in self.menu(i, y)]
+        best = max(u for _tok, _p, u in scored)
+        tied = [(tok, p) for tok, p, u in scored if u >= best - TOL]
+        tied.sort(key=lambda tp: _token_key(tp[0]))
+        return tuple(tied)
 
 
 def scaled_prices(rule: PricingRule, factor: float) -> PricingRule:

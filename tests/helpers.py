@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 
 import balprice.core
 from balprice.core import (
@@ -516,13 +517,27 @@ class ScanningRunner(OnlinePostedPriceRunner):
     bitmasks: every agent still to arrive is scanned at each state, in
     ascending order, until one buys something under some atom."""
 
-    def _closed(self, left, y):
+    def _closed(self, left, h):
+        steps = self._steps
         for i in _members(left):
-            for v, _prob in self.atoms[i]:
-                entries = self.prices.best_entries(i, v, y)
-                if len(entries) > 1 or entries[0][0] != NULL:
+            for a in steps.index[i]:
+                cands = steps[i, a, h]
+                if len(cands) > 1 or cands[0][0] != NULL:
                     return False
         return True
+
+
+def asked_entries(rule) -> Counter:
+    """Count the (agent, valuation, history) keys ``rule.best_entries`` is
+    asked from now on, by wrapping it on the rule."""
+    asked, real = Counter(), rule.best_entries
+
+    def counted(i, v, y):
+        asked[i, v, y] += 1
+        return real(i, v, y)
+
+    rule.best_entries = counted
+    return asked
 
 
 def profiles_twin(dist, cap=EXACT_SUPPORT_CAP):

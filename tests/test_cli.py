@@ -482,6 +482,24 @@ class TestSimulateCommand:
                                        result.get("adaptive_adversary_welfare"))
         assert values == {"all": 2.0, "adversary": 2.0}
 
+    def test_knapsack_sizes_just_above_the_grid_price_alike(self, tmp_path):
+        # a size 5e-10 above a grid point is served at it, so the reference
+        # welfare, and with it each posted price, is the on-grid document's
+        payments = []
+        for size in (0.25, 0.25 + 5e-10):
+            inst = tmp_path / "k.json"
+            inst.write_text(json.dumps({
+                "environment": {"kind": "knapsack", "agents": 4, "step": 0.125},
+                "agents": [{"kind": "knapsack_threshold", "size": size, "value": 1.0}] * 4,
+            }))
+            report = tmp_path / "trace.json"
+            code = run_cli(
+                ["simulate", "--instance", str(inst), "--pricing", "knapsack", "-o", str(report)]
+            )
+            assert code == 0
+            payments.append(json.loads(report.read_text())["result"]["trace"]["payments"])
+        assert payments[1] == payments[0] == [2 / 3] * 4
+
     def test_all_orders_past_eight_agents(self, tmp_path):
         inst = tmp_path / "tp9.json"
         run_cli(["catalog", "two-point", "--n", "9", "--seed", "0", "-o", str(inst)])

@@ -1,9 +1,9 @@
 """Each arrival's decision made once, and the expected optimum from value
 tables.
 
-``PricingRule.best_entries`` memoizes an arriving agent's utility-maximizing
-menu entries per (agent, valuation, history); every runner on the rule reads
-it.  A forced choice (one maximizer) evaluates no continuation.  The expected
+``PricingRule.best_entries`` computes an arriving agent's utility-maximizing
+menu entries; a runner's step table asks it once per (agent, valuation,
+history).  A forced choice (one maximizer) evaluates no continuation.  The expected
 optimum sums per-valuation value columns over the feasible list.  Counter
 gates bound the work; differential tests compare against the twins in
 ``helpers``: results must be equal by ``repr``.
@@ -174,8 +174,8 @@ class TestBestEntriesTwin:
                 for v, _ in dist.atoms(i):
                     got = prices.best_entries(i, v, y)
                     assert repr(list(got)) == repr(tied_candidates_twin(fresh, v, i, y))
-                    # an equal valuation that is another object reads the memo
-                    assert prices.best_entries(i, copy.deepcopy(v), y) is got
+                    # an equal valuation that is another object decides alike
+                    assert repr(prices.best_entries(i, copy.deepcopy(v), y)) == repr(got)
 
 
 class TestExpectedOptTwin:

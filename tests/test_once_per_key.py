@@ -37,6 +37,7 @@ from balprice.stochastic import ProductDistribution, trial_rng, trial_rngs
 from helpers import (
     ScanningRunner,
     UnprunedRunner,
+    asked_entries,
     matroid_element_values_twin,
     multi_element_matroid,
     profiles_twin,
@@ -241,20 +242,27 @@ class TestClosureBits:
     def test_matches_per_state_scan(self, kind, seed, tie, shuffle):
         env, dist, constructor = case(kind, seed)
         rules = [scaled(env, dist, constructor) for _ in range(3)]
+        asked = list(map(asked_entries, rules))
         runner = OnlinePostedPriceRunner(env, rules[0], dist.supports, None, tie)
         scan = ScanningRunner(env, rules[1], dist.supports, None, tie)
         unpruned = UnprunedRunner(env, rules[2], dist.supports, None, tie)
         values = [repr(r.expected_welfare()) for r in (runner, scan, unpruned)]
         assert values[0] == values[1] == values[2]
         assert repr(list(runner._memo.items())) == repr(list(scan._memo.items()))
-        for rule in rules[1:]:
+        for rule, keys in zip(rules[1:], asked[1:]):
             assert rules[0]._cache.keys() == rule._cache.keys()
-            assert rules[0]._entries.keys() == rule._entries.keys()
+            assert asked[0].keys() == keys.keys()
+        # the step table asks each decision once
+        assert max(asked[0].values()) == 1
         # every state the unpruned recursion visits, in a drawn order, from
-        # empty bitmasks and from the ones the run left
+        # empty bitmasks and from the ones the run left; each history is
+        # given by its id in the runner's table, which reached them all
         states = list(unpruned._memo)
         shuffle.shuffle(states)
-        fresh = OnlinePostedPriceRunner(env, rules[0], dist.supports, None, tie)
+        steps = runner._steps
+        fresh = OnlinePostedPriceRunner(env, rules[0], dist.supports, None, tie, steps=steps)
+        scanning = ScanningRunner(env, rules[0], dist.supports, None, tie, steps=steps)
         for left, y in states:
-            want = scan._closed(left, y)
-            assert fresh._closed(left, y) == want == runner._closed(left, y), (left, y)
+            h = steps.ids[y]
+            want = scanning._closed(left, h)
+            assert fresh._closed(left, h) == want == runner._closed(left, h), (left, y)

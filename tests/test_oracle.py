@@ -283,6 +283,14 @@ class TestMemberEnumeration:
         assert "feasible" not in env._facts
         assert repr(members) == repr([enumerate_feasible(env)[0]]) == "[(0.0, 0.0, 0.0)]"
 
+    def test_knapsack_load_within_tol_of_half_is_closed(self):
+        """Ten steps of 0.05 are a load of one half, though they sum to
+        0.49999999999999994: the set is closed, as at exactly one half."""
+        env = KnapsackEnv(n=4, step=0.05)
+        x = (0.1, 0.25, 0.1, 0.05)
+        assert set(x) <= set(env.agent_outcomes(0)) and sum(x) < 0.5
+        assert default_family(env).members(x) == [(0.0, 0.0, 0.0, 0.0)]
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_single_item_sets_are_item_disjoint(self, n):
         """On one item the default family is the item-disjoint one: only the
@@ -396,6 +404,10 @@ class TestPermeability:
         assert 1.0 <= gamma <= 2.0 + 1e-9
 
 
+# moves off a grid point: within TOL of it, or beyond
+NEAR_GRID = (0.0, 5e-10, -5e-10, 2e-9, -2e-9)
+
+
 class TestKnapsackDp:
     def test_small(self):
         env = KnapsackEnv(n=3, step=0.125)
@@ -477,6 +489,41 @@ class TestKnapsackDp:
         alloc = knapsack_dp(env, profile)
         assert env.is_feasible(alloc)
         assert welfare(profile, alloc) == pytest.approx(welfare(profile, opt(env, profile)), abs=TOL)
+
+    @given(
+        st.sampled_from((0.125, 0.25, 0.375, 0.2, 1 / 3)),
+        st.sampled_from((1.0, 0.75, 0.5)),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=16), st.integers(min_value=0, max_value=16)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.sampled_from(NEAR_GRID), min_size=6, max_size=6),
+    )
+    @example(0.125, 1.0, [(8, 4)] * 4, [0.0, 0.0, 5e-10, 5e-10, 5e-10, 5e-10])
+    @example(0.125, 0.5, [(8, 8)] * 2, [0.0, 0.0, 5e-10, 0.0, 0.0, 0.0])
+    @example(0.25, 1.0, [(8, 4)] * 4, [1e-10, 0.0, 0.0, 0.0, 0.0, 0.0])
+    @example(0.125, 1.0, [(8, 0)] * 2, [0.0] * 6)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_opt_near_grid_points(self, step, share, demands, moves):
+        """Steps, shares and sizes moved by about TOL off a grid point, and
+        zero sizes: the DP serves each agent where ``opt``'s grid does.  The
+        examples are a size just above a grid point, a size just above the
+        share, a capacity just short of four steps and sizes of zero."""
+        env = KnapsackEnv(n=len(demands), step=step + moves[0], max_share=share + moves[1])
+        profile = tuple(
+            ThresholdValuation(v / 8, max(0.0, s / 16 + d)) for (v, s), d in zip(demands, moves[2:])
+        )
+        alloc = knapsack_dp(env, profile)
+        assert env.is_feasible(alloc)
+        assert welfare(profile, alloc) == pytest.approx(welfare(profile, opt(env, profile)), abs=TOL)
+
+    def test_near_tie_keeps_the_first_listed_best(self):
+        """Two values within TOL compete for one slot: the DP keeps the
+        allocation ``opt`` lists first, not the larger value."""
+        env = KnapsackEnv(n=2, step=1.0)
+        profile = (ThresholdValuation(1.0 + 5e-10, 1.0), ThresholdValuation(1.0, 1.0))
+        assert knapsack_dp(env, profile) == opt(env, profile) == (0.0, 1.0)
 
 
 class TestConfigLp:

@@ -81,8 +81,8 @@ MUTANTS = (
     Mutant(
         "DP agents scanned in descending order, killed by all-orders-walk-addition-order",
         BALANCE,
-        "        for a, (y_a, w_a) in enumerate(zip(feasible[py], feasible[pw])):\n",
-        "        for a, (y_a, w_a) in reversed(list(enumerate(zip(feasible[py], feasible[pw])))):\n",
+        "        for a in agents:\n",
+        "        for a in reversed(agents):\n",
         ("tests/test_twins.py", "-k", "all-orders-walk-addition-order"),
     ),
     Mutant(
@@ -119,6 +119,22 @@ MUTANTS = (
         "report.checked_members += count * len(members)",
         "report.checked_members += len(members)",
         ("twins", "static-walk"),
+    ),
+    Mutant(
+        "item-disjoint submask walk keeps a mask whose union with the key is unlisted, "
+        "killed by TestMemberEnumeration",
+        ORACLE,
+        "                if key | s in masks:\n",
+        "                if s in masks:\n",
+        ("tests/test_oracle.py::TestMemberEnumeration",),
+    ),
+    Mutant(
+        "item-disjoint scan keeps a mask whose union with the key is unlisted, "
+        "killed by TestMemberEnumeration",
+        ORACLE,
+        "ks for m, ks in masks.items() if not m & key and key | m in masks",
+        "ks for m, ks in masks.items() if not m & key",
+        ("tests/test_oracle.py::TestMemberEnumeration",),
     ),
     Mutant(
         "packing row closed at exactly 1/2 + TOL, killed by test_pip_row_open_at_half_plus_tol",

@@ -83,28 +83,39 @@ class _OrderSums:
     far, w the outcomes priced so far.  Its value, its UNAVAILABLE flag and
     its first-within-TOL choice depend on nothing else, so the state recurs
     under every x extending y.  Its candidates, in agent order, are each
-    placed agent a with y_a non-null, which steps to (y - a, w - a) and adds
-    p_a(w_a | y - a), and each placed agent a with y_a null and w_a non-null,
-    which steps to (y, w - a) and adds p_a(w_a | y).  A null outcome adds
-    0.0 unpriced.  UNAVAILABLE terms count 0 in the sum but are flagged.
+    placed agent a with y_a or w_a non-null (a live agent), which steps to
+    (y - a, w - a) and adds p_a(w_a | y - a); y - a is y itself where y_a is
+    null.  A null outcome adds 0.0 unpriced.  UNAVAILABLE terms count 0 in
+    the sum but are flagged.
 
     States are keyed by the positions of y and w on the environment's kept
     list, and ``cleared[a][k]`` is the position of entry k with agent a's
-    outcome cleared: environments are downward closed and every member of
-    an exchange set is listed, so every state is."""
+    outcome cleared, k itself where that outcome is null: environments are
+    downward closed and every member of an exchange set is listed, so every
+    state is.  ``live[k]`` is the bitmask of entry k's non-null agents, and
+    ``_agents`` maps each mask ``live[py] | live[pw]`` a solved state met to
+    its agents in ascending order, so it holds at most one entry per state
+    solved."""
 
     def __init__(self, env: Environment, prices: PricingRule):
         self.prices = prices
         self.feasible = feasible = fact(env, "feasible")
         self.positions = positions = fact(env, "positions")
         self.size = len(feasible)
+        tokens = fact(env, "tokens")
         self.cleared = [
             [
                 k if t == NULL else positions[replace_at(y, a, NULL)]
                 for k, (y, t) in enumerate(zip(feasible, toks))
             ]
-            for a, toks in enumerate(fact(env, "tokens"))
+            for a, toks in enumerate(tokens)
         ]
+        live = [0] * self.size
+        for a, toks in enumerate(tokens):
+            bit = 1 << a
+            live = [m if t == NULL else m | bit for m, t in zip(live, toks)]
+        self.live = live
+        self._agents: dict = {}
         # per sign (min, max): state key -> signed value, and the flagged keys
         self._values: tuple = ({}, {})
         self._flagged: tuple = (set(), set())
@@ -118,19 +129,20 @@ class _OrderSums:
         values, flagged = self._values[maximize], self._flagged[maximize]
         size, feasible, cleared, price = self.size, self.feasible, self.cleared, self.prices.price
         sign = -1.0 if maximize else 1.0
+        mask = self.live[py] | self.live[pw]
+        agents = self._agents.get(mask)
+        if agents is None:
+            agents = self._agents[mask] = tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
+        w = feasible[pw]
         best, best_a, best_key, best_bad = math.inf, -1, -1, False
-        for a, (y_a, w_a) in enumerate(zip(feasible[py], feasible[pw])):
-            if y_a != NULL:
-                cy = cleared[a][py]
-            elif w_a != NULL:
-                cy = py
-            else:
-                continue
-            cw = cleared[a][pw]
+        for a in agents:
+            row = cleared[a]
+            cy, cw = row[py], row[pw]
             sub = cy * size + cw
             src = values.get(sub)
             if src is None:
                 src = self._solve(cy, cw, maximize)[0]
+            w_a = w[a]
             p = 0.0 if w_a == NULL else price(a, w_a, feasible[cy])
             if p is UNAVAILABLE:
                 if src < best - TOL:
@@ -147,16 +159,25 @@ class _OrderSums:
             flagged.add(key)
         return best, best_a, best_key
 
+    def extremal_at(self, py: int, at: Sequence[int], maximize: bool) -> list:
+        """``extremal`` of the allocation listed at position py against each
+        one listed at the positions ``at``, in that order, as the walk asks
+        them."""
+        values, flagged, size = self._values[maximize], self._flagged[maximize], self.size
+        out = []
+        for pw in at:
+            key = py * size + pw
+            v = values.get(key)
+            if v is None:
+                v = self._solve(py, pw, maximize)[0]
+            out.append(((-v if maximize else v), key in flagged))
+        return out
+
     def extremal(self, x: Allocation, z: Allocation, maximize: bool):
         """Min (or max) over all agent orders of the price sum for outcomes z
         conditioned on x-prefixes: (value, saw_unavailable).  ``witness``
         gives an order that attains it."""
-        py, pw = self.positions[x], self.positions[z]
-        key = py * self.size + pw
-        v = self._values[maximize].get(key)
-        if v is None:
-            v = self._solve(py, pw, maximize)[0]
-        return (-v if maximize else v), key in self._flagged[maximize]
+        return self.extremal_at(self.positions[x], (self.positions[z],), maximize)[0]
 
     def witness(self, x: Allocation, z: Allocation, maximize: bool) -> tuple:
         """The n-agent order whose sum ``extremal`` returns, built last
@@ -353,10 +374,10 @@ def _check(
             _record(report, feasible[k], col[k], flags[k], *entry, declared)
     elif order_mode == "all":
         sums = _OrderSums(env, prices)
-        for x, key in zip(feasible, keys):
+        for k, (x, key) in enumerate(zip(feasible, keys)):
             at, residual_w, rhs_a, rhs_b = sets[key]
-            lhs_a, bad = sums.extremal(x, x, False)
-            scored = ((z, *sums.extremal(x, z, True)) for z in map(feasible.__getitem__, at))
+            ((lhs_a, bad),) = sums.extremal_at(k, (k,), False)
+            scored = zip(map(feasible.__getitem__, at), *zip(*sums.extremal_at(k, at, True)))
             score = _score_members(scored, rhs_b, residual_w)
             _record(report, x, lhs_a, bad, rhs_a, rhs_b, at, score, partial(sums.witness, x))
     else:

@@ -559,8 +559,12 @@ class KnapsackEnv(EnvironmentBase):
             )
 
     def agent_outcomes(self, i: int) -> tuple:
+        """The grid quantities up to the share, which ``extend`` admits from
+        the empty total; a step that does not divide the share stops below
+        it."""
         levels = round(self.max_share / self.step)
-        return tuple(k * self.step for k in range(levels + 1))
+        grid = (k * self.step for k in range(levels + 1))
+        return tuple(q for q in grid if q <= self.max_share + TOL)
 
     def is_feasible(self, alloc: Allocation) -> bool:
         if any(q > self.max_share + TOL for q in alloc):

@@ -8,10 +8,11 @@ tie-breaking, so downstream pricing rules are reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import le
+from operator import le, or_
 from typing import Optional, Sequence
 
 import numpy as np
@@ -53,6 +54,8 @@ _FACTS = {
     "loads": lambda env, feasible: list(map(env.row_loads, fact(env, "states"))),
     # each item mask (a union environment's state) -> its listed positions
     "item_positions": lambda env, feasible: _positions_by(fact(env, "states")),
+    # the union of the listed item masks
+    "item_union": lambda env, feasible: functools.reduce(or_, fact(env, "item_positions"), 0),
     "greedy": lambda env, feasible: {},
     # each agent's one non-null outcome; None where it has several or none
     "binary_tokens": lambda env, feasible: [
@@ -203,7 +206,13 @@ class ExchangeFamily:
         market projection is a member of that market's component family at
         the component's key.  Every kind's condition is downward closed, and
         the environment is, so filtering the list gives exactly the
-        allocations a DFS pruned by it would."""
+        allocations a DFS pruned by it would.
+
+        An item-disjoint member's mask s lies inside the listed items
+        outside the key, and both s and key | s are listed, so the set is
+        read off ``"item_positions"`` at each such submask, walked from the
+        largest down.  When those submasks outnumber the listed masks, each
+        listed mask is tested instead; both give the same positions."""
         # A closed exchange set is the singleton {all-null} rather than the
         # empty set: the residual optimum is 0 either way, the null member
         # is trivially exchange compatible, and products of per-market
@@ -235,9 +244,20 @@ class ExchangeFamily:
             # its item set is some feasible allocation's item set; members
             # are taken per mask, then put back in list order
             masks = fact(env, "item_positions")
-            return sorted(itertools.chain.from_iterable(
-                ks for m, ks in masks.items() if not m & key and key | m in masks
-            ))
+            comp = fact(env, "item_union") & ~key
+            if 1 << comp.bit_count() > len(masks):
+                return sorted(itertools.chain.from_iterable(
+                    ks for m, ks in masks.items() if not m & key and key | m in masks
+                ))
+            found, s = [], comp
+            while True:
+                if key | s in masks:
+                    ks = masks.get(s)
+                    if ks is not None:
+                        found += ks
+                if not s:
+                    return sorted(found)
+                s = (s - 1) & comp
 
         per_market = [
             (set(fam._members_of(k, cap)), fact(fam.env, "positions"))

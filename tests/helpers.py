@@ -880,6 +880,14 @@ def extremal_twin(sums, x, z, maximize: bool):
     return (-dp[-1] if maximize else dp[-1]), flag[-1]
 
 
+def extremal_at_twin(sums, py: int, at, maximize: bool) -> list:
+    """Twin of ``_OrderSums.extremal_at``, the walk's entry: ``extremal_twin``
+    of the allocation listed at position py against each one listed at the
+    positions ``at``."""
+    x = sums.feasible[py]
+    return [extremal_twin(sums, x, sums.feasible[pw], maximize) for pw in at]
+
+
 def witness_twin(sums, x, z, maximize: bool) -> tuple:
     """Twin of ``_OrderSums.witness``: the first-within-TOL scan of
     ``subset_dp_twin`` replayed over all n agents, last arrival first; an

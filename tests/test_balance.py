@@ -29,6 +29,7 @@ from balprice.core import (
     welfare,
 )
 from balprice.catalog import gen_knapsack_random
+from balprice.cli import main
 from balprice.mechanism import whole_unit_prices
 from balprice.oracle import (
     ExchangeFamily,
@@ -323,13 +324,16 @@ def full_width_extremal(sums, x, z, maximize):
 
 def walk_through(monkeypatch, twin):
     """Send every all-orders sum the walk takes, and every witness order it
-    records, through ``twin(sums, x, z, maximize) -> (value, order, flag)``."""
+    records, through ``twin(sums, x, z, maximize) -> (value, order, flag)``.
+    The walk asks sums by list position (``extremal_at``), which ``extremal``
+    calls too."""
 
-    def value(sums, x, z, maximize):
-        v, _order, bad = twin(sums, x, z, maximize)
-        return v, bad
+    def value(sums, py, at, maximize):
+        x = sums.feasible[py]
+        results = (twin(sums, x, sums.feasible[pw], maximize) for pw in at)
+        return [(v, bad) for v, _order, bad in results]
 
-    monkeypatch.setattr(_OrderSums, "extremal", value)
+    monkeypatch.setattr(_OrderSums, "extremal_at", value)
     monkeypatch.setattr(
         _OrderSums, "witness", lambda sums, x, z, maximize: twin(sums, x, z, maximize)[1]
     )
@@ -477,6 +481,29 @@ class TestLiveAgentDp:
         assert report.passed
         assert member_calls[0] == len(keys)
         assert price_calls[0] <= bound
+
+
+class TestLiveAgentMap:
+    def test_wide_walk_holds_one_mask_per_state_at_most(self, tmp_path, monkeypatch):
+        """24 agents and a 25-entry list: the walk keys each state's live
+        agents by mask as it meets them, never tabulating the 2^24 masks."""
+        inst = tmp_path / "tp24.json"
+        assert main(["catalog", "two-point", "--n", "24", "--seed", "0", "-o", str(inst)]) == 0
+        made = []
+        init = _OrderSums.__init__
+
+        def kept(sums, *args):
+            init(sums, *args)
+            made.append(sums)
+
+        monkeypatch.setattr(_OrderSums, "__init__", kept)
+        code = main(["balance", "--instance", str(inst), "--pricing", "warmup", "--order", "all",
+                     "-o", str(tmp_path / "report.json")])
+        assert code in (0, 1)
+        (sums,) = made
+        assert sums.size == 25
+        solved = sum(len(values) for values in sums._values)
+        assert 0 < len(sums._agents) <= solved
 
 
 def count_replays(monkeypatch) -> list:

@@ -270,6 +270,17 @@ class TestEnumeration:
         env = KnapsackEnv(n=1, step=0.25)
         assert env.agent_outcomes(0) == (0.0, 0.25, 0.5, 0.75, 1.0)
 
+    @pytest.mark.parametrize(
+        "step,share,levels",
+        [(0.3, 0.5, (0.0, 0.3)), (0.375, 1.0, (0.0, 0.375, 0.75))],
+    )
+    def test_knapsack_grid_stops_at_the_share(self, step, share, levels):
+        # a step that does not divide the share lists no quantity above it:
+        # every listed level is one some feasible allocation holds
+        env = KnapsackEnv(n=2, step=step, max_share=share)
+        assert env.agent_outcomes(0) == levels
+        assert {x[0] for x in enumerate_feasible(env)} == set(levels)
+
     def test_knapsack_grid_past_the_bound_is_rejected(self):
         # checked when the environment is built, before any grid exists
         KnapsackEnv(n=1, step=1.0 / MAX_GRID_UNITS)

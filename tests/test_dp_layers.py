@@ -29,7 +29,7 @@ from balprice.core import (
 from balprice.oracle import default_family, opt
 from balprice.pricing import BalanceParams, PricingRule, matroid_dynamic_prices
 
-from helpers import extremal_twin, matroid_priced, multi_element_priced, witness_twin
+from helpers import extremal_at_twin, extremal_twin, matroid_priced, multi_element_priced, witness_twin
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -164,7 +164,7 @@ def _walk(monkeypatch, twin: bool):
     with monkeypatch.context() as mp:
         mp.setattr(_OrderSums, "_solve", counted_solve)
         if twin:
-            mp.setattr(_OrderSums, "extremal", extremal_twin)
+            mp.setattr(_OrderSums, "extremal_at", extremal_at_twin)
             mp.setattr(_OrderSums, "witness", witness_twin)
         report = check_balanced(
             env, profile, rule, opt(env, profile), default_family(env),

@@ -57,7 +57,7 @@ from balprice.stochastic import (
 
 from helpers import (
     MATROID_PRICINGS, brute_feasible, dfs_feasible_twin, element_profile, every_entry,
-    expected_opt_twin, expected_scaled_twin, extremal_twin, families, filtered_members,
+    expected_opt_twin, expected_scaled_twin, extremal_at_twin, families, filtered_members,
     gated_unavailable_case, matroid_priced, multi_element_priced, per_x_check,
     report_fields, static_case, two_point_matroid, uniform_matroid_env, witness_twin,
     UnprunedRunner, monte_carlo_twin, worst_order_twin,
@@ -274,6 +274,12 @@ FEASIBLE = Twin(
 
 MEMBER_ENVS = {
     "uniform rank 5 ground 10": lambda: uniform_matroid_env(5, 10),
+    # item-disjoint sets: every key tests each listed mask, as 2^15 or more
+    # submasks outnumber the 17 listed masks
+    "uniform rank 1 ground 16": lambda: uniform_matroid_env(1, 16),
+    # the null key tests each listed mask (2^6 submasks, 42 listed masks),
+    # and every other key walks its submasks
+    "uniform rank 3 ground 6": lambda: uniform_matroid_env(3, 6),
     "pip n = 10": lambda: gen_pip_random(n=10).env,
     "knapsack n = 5": lambda: gen_knapsack_random(n=5).env,
     "two uniform rank 2 ground 4 markets": lambda: ProductEnv(
@@ -351,7 +357,7 @@ def _walk(case):
 
 
 def _walk_twin(case):
-    with patched(_OrderSums, {"extremal": extremal_twin, "witness": witness_twin}):
+    with patched(_OrderSums, {"extremal_at": extremal_at_twin, "witness": witness_twin}):
         return _walk(case)
 
 

@@ -234,6 +234,13 @@ MUTANTS = (
         ("tests/test_trial_draw.py::TestDrawMatchesTwin",),
     ),
     Mutant(
+        "exact_ratio routes the worst fixed order to the adversary, killed by TestExactRatioRows",
+        STOCHASTIC,
+        '    if order == "adversary":\n',
+        '    if order in ("adversary", "all"):\n',
+        ("tests/test_cli.py::TestExactRatioRows",),
+    ),
+    Mutant(
         "Monte Carlo tie takes the first candidate without a runner, killed by TestTies",
         STOCHASTIC,
         "            runners[order] = OnlinePostedPriceRunner(\n"

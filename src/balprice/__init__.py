@@ -70,7 +70,6 @@ from .serialize import Instance, SchemaError, load_instance, load_instance_file
 from .stochastic import (
     ProductDistribution,
     RatioEstimate,
-    exact_expectation,
     exact_ratio,
     expected_opt,
     monte_carlo_ratio,

@@ -39,12 +39,7 @@ from .core import (
     enumerate_feasible,
     welfare,
 )
-from .mechanism import (
-    adaptive_adversary_welfare,
-    expected_posted_price_welfare,
-    run_posted_price,
-    worst_order_welfare,
-)
+from .mechanism import adaptive_adversary_welfare, run_posted_price, worst_order_welfare
 from .oracle import (
     ExchangeFamily,
     GREEDY_RULE,
@@ -83,13 +78,7 @@ from .pricing import (
     xos_item_prices,
 )
 from .serialize import Instance, SchemaError, _bounded, load_instance_file
-from .stochastic import (
-    ProductDistribution,
-    RatioEstimate,
-    expected_opt,
-    monte_carlo_ratio,
-    worst_order_expected_welfare,
-)
+from .stochastic import ProductDistribution, exact_ratio, monte_carlo_ratio
 
 RATIO_SCHEMA = "balprice.ratio.v1"
 REPORT_SCHEMA = "balprice.report.v1"
@@ -488,13 +477,8 @@ def cmd_ratio(args) -> int:
     # OPT's feasible list is kept on env, so this counts it against the job's cap
     enumerate_feasible(env, args.cap_feasible)
     if _exact_ratio(args):
-        if order_kind == "adversary":
-            mech = adaptive_adversary_welfare(env, rule, dist, tie)
-        elif order_kind == "all":
-            mech = worst_order_expected_welfare(env, rule, dist, tie)
-        else:
-            mech = expected_posted_price_welfare(env, rule, dist, perm, tie)
-        est = RatioEstimate.of(mech, expected_opt(env, dist, args.cap_feasible), "exact")
+        order = perm if order_kind == "fixed" else order_kind
+        est = exact_ratio(env, rule, dist, order, tie, args.cap_feasible)
     else:
         est = monte_carlo_ratio(
             env, rule, dist,

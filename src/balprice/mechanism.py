@@ -456,8 +456,8 @@ def two_mechanism_selector(
     atoms = sorted(
         {
             v.value_at_size
-            for i in range(env.n)
-            for v, _ in dist.atoms(i)
+            for atoms in dist.supports
+            for v, _ in atoms
             if isinstance(v, ThresholdValuation)
         }
     )

@@ -2,7 +2,10 @@
 fractional bundle weights, per-unit capacity prices, dynamic residual-value
 prices, critical-value prices, reference-allocation prices for binary
 single-parameter problems, composition across markets and over maxima, and
-the scaled expected-price transform for stochastic instances.
+the scaled expected-price transform for stochastic instances: the scaled
+exact expectation of the per-profile prices over the product support, read
+by atom index (``SupportTable``), with support forms that price a miss for
+every support profile at once.
 
 Every rule prices the null outcome at zero and is UNAVAILABLE exactly on
 entries infeasible given the current partial allocation.
@@ -14,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from operator import getitem, itemgetter, mul
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .core import (
@@ -643,43 +646,28 @@ def compose_add(product_env: ProductEnv, market_rules: Sequence[PricingRule]) ->
 
 
 class SupportTable:
-    """Distinct valuation profiles by atom index.  ``values[i]`` holds agent
-    i's distinct valuations in order of first appearance, and ``rows`` each
-    profile's index into them per agent.  Without ``rows`` the profiles are
-    every combination of the values, in ``itertools.product`` order (last
-    agent fastest).  Either way the first profile's indices are all 0."""
+    """Distinct valuation profiles by atom index: ``values[i]`` holds agent
+    i's distinct valuations in order of first appearance, and the profiles
+    are every combination of them, in ``itertools.product`` order (last
+    agent fastest), so the first profile's indices are all 0."""
 
-    def __init__(self, values: tuple, rows: Optional[list] = None):
+    def __init__(self, values: tuple):
         self.values = values
-        self.rows = rows
-
-    @classmethod
-    def listing(cls, profiles: Sequence[tuple]) -> "SupportTable":
-        """The table of the distinct ``profiles``, in their order."""
-        index: list[dict] = [{} for _ in profiles[0]]
-        rows = [
-            tuple(at.setdefault(v, len(at)) for at, v in zip(index, profile)) for profile in profiles
-        ]
-        return cls(tuple(map(tuple, index)), rows)
 
     def __len__(self) -> int:
-        return math.prod(map(len, self.values)) if self.rows is None else len(self.rows)
+        return math.prod(map(len, self.values))
 
     def profiles(self):
         """The profiles, as valuation tuples."""
-        if self.rows is None:
-            return product(*self.values)
-        return (tuple(map(getitem, self.values, row)) for row in self.rows)
+        return product(*self.values)
 
     def column(self, i: int):
         """Agent i's index in each profile, as a numpy array."""
         import numpy as np
 
-        if self.rows is None:
-            sizes = list(map(len, self.values))
-            inner = np.repeat(np.arange(sizes[i]), math.prod(sizes[i + 1:]))
-            return np.tile(inner, math.prod(sizes[:i]))
-        return np.fromiter(map(itemgetter(i), self.rows), dtype=np.intp, count=len(self.rows))
+        sizes = list(map(len, self.values))
+        inner = np.repeat(np.arange(sizes[i]), math.prod(sizes[i + 1:]))
+        return np.tile(inner, math.prod(sizes[:i]))
 
     def slots(self, index: Sequence[Sequence[int]]) -> list[int]:
         """Each profile's position in a product table, for the combinations
@@ -723,10 +711,7 @@ def single_item_support_prices(env: SingleItemEnv, table: SupportTable):
     worth = [[w, *(value(v, 1) for v in vals[1:])] for w, vals in zip(first, table.values)]
     # max over the agents in order, as the rule's own max: the same float,
     # signed zeros included
-    if table.rows is None:
-        tops = list(map(max, product(*worth)))
-    else:
-        tops = [max(map(getitem, worth, row)) for row in table.rows]
+    tops = list(map(max, product(*worth)))
     return lambda i, x_i, y: tops
 
 
@@ -809,21 +794,16 @@ def expected_scaled_prices(
     dist,
     constructor: Callable[[tuple], PricingRule],
     params: BalanceParams,
-    mode: str = "exact",
-    count: int = 10_000,
-    seed: int = 0,
     cap: int = EXACT_SUPPORT_CAP,
     support: Optional[SupportForm] = None,
 ) -> PricingRule:
-    """Scaled expectation of per-profile pricing rules over a product
-    distribution.
+    """Scaled expectation of per-profile pricing rules over the product
+    support of a distribution.
 
     ``constructor`` maps a realized valuation profile to its pricing rule.
-    Exact mode enumerates the product support; sampled mode pre-materializes
-    ``count`` seeded draws so evaluation stays deterministic.  Entries are
-    unavailable only by current feasibility; the per-profile rules in scope
-    are finite exactly on feasible entries, so averaging never mixes finite
-    and unavailable prices.
+    Entries are unavailable only by current feasibility; the per-profile
+    rules in scope are finite exactly on feasible entries, so averaging never
+    mixes finite and unavailable prices.
 
     A miss is priced from one column over the distinct support profiles.
     With ``support``, a support form of ``constructor``, and at least
@@ -831,31 +811,17 @@ def expected_scaled_prices(
     column; otherwise (or where the form does not apply) each profile's own
     rule does.
 
-    Exact mode reads the support by atom index: the distinct profiles are
-    every combination of the agents' distinct valuations, and a support
-    profile's slot is the mixed-radix number of its atoms' indices, so no
-    profile is hashed.  Sampled mode hashes each draw to its slot.
+    The support is read by atom index: the distinct profiles are every
+    combination of the agents' distinct valuations, and a support profile's
+    slot is the mixed-radix number of its atoms' indices, so no profile is
+    hashed.
     """
     delta = params.scale_factor()
-    if mode == "exact":
-        table, index, probs = dist.support_table(cap)
-        probs = probs.tolist()
-        slot_of = table.slots(index) if len(table) < len(probs) else None
-    elif mode == "sampled":
-        if count < 1:
-            raise PricingError(f"sampled mode needs at least one draw, got count {count}")
-        draws = dist.sample_profiles(count, seed)
-        # each distinct profile once, in order of first appearance
-        slots: dict = {}
-        slot_of = [slots.setdefault(profile, len(slots)) for profile in draws]
-        probs = [1.0 / count] * count
-        table = SupportTable.listing(list(slots))
-        if len(slots) == count:
-            slot_of = None
-    else:
-        raise PricingError(f"unknown mode {mode}")
-    # with ``slot_of`` None each support entry is its own slot, as slots are
-    # numbered in order of first appearance
+    table, index, probs = dist.support_table(cap)
+    probs = probs.tolist()
+    slot_of = table.slots(index) if len(table) < len(probs) else None
+    # with ``slot_of`` None each support entry is its own slot: no agent
+    # repeats a valuation among its atoms
     finites: list = []  # each distinct profile's finite price, in slot order
     source = None  # the column source, chosen at the first miss
     # the last miss's column and its price: the single-item form returns one
@@ -904,9 +870,6 @@ def expected_scaled_prices(
         provenance={
             "construction": "expected-scaled",
             "delta": delta,
-            "mode": mode,
-            "count": count if mode == "sampled" else None,
-            "seed": seed if mode == "sampled" else None,
             "guarantee": params.welfare_guarantee(),
         },
     )

@@ -1,5 +1,8 @@
-"""Product distributions over valuations, exact expectation and Monte Carlo
-estimation of optimum and mechanism welfare, and competitive-ratio reports.
+"""Product distributions over valuations, the exact expected optimum and
+mechanism welfare over the product support, Monte Carlo estimates of both,
+and competitive-ratio reports.  ``exact_ratio`` decides the exact ratio
+under each order kind: a fixed order, the adaptive adversary, or the worst
+fixed order.
 
 Monte Carlo trials draw from counter-based Philox streams keyed by
 (seed, trial index), so estimates are bit-for-bit reproducible and
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import getitem
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .mechanism import (
     OnlinePostedPriceRunner,
     _check_order,
     _Steps,
+    adaptive_adversary_welfare,
     distinct_atoms,
     expected_posted_price_welfare,
     realized_walk,
@@ -66,9 +70,6 @@ class ProductDistribution:
     def n(self) -> int:
         return len(self.supports)
 
-    def atoms(self, i: int):
-        return self.supports[i]
-
     def support_size(self) -> int:
         size = 1
         for atoms in self.supports:
@@ -94,10 +95,10 @@ class ProductDistribution:
     @cached_property
     def _draw_tables(self) -> tuple[tuple, tuple, tuple]:
         """(sums, atoms, keys), per agent: the running sums of the atoms'
-        probabilities, added left to right as ``sample`` adds them; the atoms'
-        valuations; and their ``_distinct`` indices.  ``atoms`` and ``keys``
-        repeat the last atom at the end, the position a float past the last
-        sum draws."""
+        probabilities, added left to right; the atoms' valuations, which
+        ``monte_carlo_ratio`` reads for each trial's optimum; and their
+        ``_distinct`` indices.  ``atoms`` and ``keys`` repeat the last atom
+        at the end, the position a float past the last sum draws."""
         sums = tuple(list(accumulate(p for _, p in atoms)) for atoms in self.supports)
         atoms = tuple([*(v for v, _ in a), a[-1][0]] for a in self.supports)
         keys = tuple([*at, at[-1]] for at in self._distinct[1])
@@ -129,12 +130,6 @@ class ProductDistribution:
         ``_draw_tables`` read as the last atom."""
         return list(map(bisect_right, self._draw_tables[0], rng.random(self.n).tolist()))
 
-    def sample(self, rng: np.random.Generator) -> tuple[Valuation, ...]:
-        return tuple(map(getitem, self._draw_tables[1], self.draw(rng)))
-
-    def sample_profiles(self, count: int, seed: int) -> list[tuple[Valuation, ...]]:
-        return [self.sample(rng) for rng in trial_rngs(seed, count)]
-
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Counter-based stream for one trial; streams never overlap across
@@ -160,15 +155,6 @@ def trial_rngs(seed: int, count: int):
             state["state"]["key"][1] = t
             bits.state = state
             yield rng
-
-
-def exact_expectation(
-    dist: ProductDistribution,
-    f: Callable[[tuple], float],
-    cap: int = EXACT_SUPPORT_CAP,
-) -> float:
-    """Sum of prob * f(profile) over the full product support."""
-    return math.fsum(prob * f(profile) for profile, prob in dist.profiles(cap))
 
 
 def _optimum_welfare(env: Environment) -> Callable[[tuple], float]:
@@ -292,16 +278,24 @@ def exact_ratio(
     env: Environment,
     prices,
     dist: ProductDistribution,
-    order: Optional[Sequence[int]] = None,
+    order: Union[Sequence[int], str, None] = None,
     tie: str = "adversarial_min_welfare",
     cap: int = EXACT_SUPPORT_CAP,
 ) -> RatioEstimate:
     """Exact expected mechanism welfare over the product support divided by
-    the exact expected optimum.  Tie choices condition on realized history
-    only (see expected_posted_price_welfare)."""
-    if order is None:
-        order = tuple(range(env.n))
-    mech = expected_posted_price_welfare(env, prices, dist, order, tie)
+    the exact expected optimum.  ``order`` is a fixed arrival order (a
+    permutation of the agents, the identity when None), ``"adversary"`` for
+    the adaptive adversary, or ``"all"`` for the worst of the n! fixed
+    orders, at most ``EXACT_SUPPORT_CAP`` of them.  ``cap`` bounds the
+    support profiles the expected optimum enumerates.  Tie choices condition
+    on realized history only (see expected_posted_price_welfare)."""
+    if order == "adversary":
+        mech = adaptive_adversary_welfare(env, prices, dist, tie)
+    elif order == "all":
+        mech = worst_order_expected_welfare(env, prices, dist, tie)
+    else:
+        order = tuple(range(env.n)) if order is None else order
+        mech = expected_posted_price_welfare(env, prices, dist, order, tie)
     return RatioEstimate.of(mech, expected_opt(env, dist, cap), "exact")
 
 

@@ -11,6 +11,7 @@ import math
 import random
 import sys
 from collections import Counter
+from operator import getitem
 
 import balprice.core
 from balprice.core import (
@@ -575,8 +576,7 @@ def every_entry(env):
                 yield i, x_i, y
 
 
-def expected_scaled_twin(env, dist, constructor, params, mode="exact", count=10_000, seed=0,
-                         cap=EXACT_SUPPORT_CAP) -> PricingRule:
+def expected_scaled_twin(env, dist, constructor, params, cap=EXACT_SUPPORT_CAP) -> PricingRule:
     """Twin of ``expected_scaled_prices`` without support forms or atom
     indices: each support profile is hashed to its slot, one per distinct
     profile in order of first appearance; every miss calls each distinct
@@ -584,10 +584,7 @@ def expected_scaled_twin(env, dist, constructor, params, mode="exact", count=10_
     order, and takes the scaled ``fsum`` of probability times price in
     support order."""
     delta = params.scale_factor()
-    if mode == "exact":
-        weighted = list(dist.profiles(cap))
-    else:
-        weighted = [(p, 1.0 / count) for p in dist.sample_profiles(count, seed)]
+    weighted = list(dist.profiles(cap))
     slots: dict = {}
     terms = [(slots.setdefault(profile, len(slots)), prob) for profile, prob in weighted]
     distinct = list(slots)
@@ -637,10 +634,17 @@ def independent_twin(matroid, mask) -> bool:
     return True
 
 
+def drawn_profile(dist, rng) -> tuple:
+    """The profile one trial of ``monte_carlo_ratio`` draws: each agent's
+    atom at its ``ProductDistribution.draw`` position, read off the
+    ``_draw_tables`` valuations."""
+    return tuple(map(getitem, dist._draw_tables[1], dist.draw(rng)))
+
+
 def sample_twin(dist, rng) -> tuple:
-    """Twin of ``ProductDistribution.sample``: one ``rng.random()`` call per
-    agent, which takes its first atom whose running sum of probabilities
-    passes the float, else its last atom."""
+    """Twin of ``drawn_profile``: one ``rng.random()`` call per agent, which
+    takes its first atom whose running sum of probabilities passes the
+    float, else its last atom."""
     out = []
     for atoms in dist.supports:
         u = rng.random()

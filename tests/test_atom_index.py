@@ -34,7 +34,6 @@ from balprice.core import (
 from balprice.pricing import (
     SUPPORT_FORM_MIN_PROFILES,
     BalanceParams,
-    SupportTable,
     expected_scaled_prices,
 )
 from balprice.stochastic import ProductDistribution, _fixed_point_welfare, expected_opt
@@ -65,14 +64,6 @@ class TestSupportTable:
         assert list(map(repr, probs.tolist())) == [repr(prob) for _, prob in listed]
         for i in range(dist.n):
             assert table.column(i).tolist() == [table.values[i].index(p[i]) for p in distinct]
-
-    def test_listing_keeps_the_profiles(self):
-        a, b, c = (ScalarValuation(x) for x in (1.0, 2.0, 3.0))
-        profiles = [(a, b), (c, b), (a, a)]
-        table = SupportTable.listing(profiles)
-        assert table.values == ((a, c), (b, a)) and table.rows == [(0, 0), (1, 0), (0, 1)]
-        assert list(table.profiles()) == profiles and len(table) == 3
-        assert table.column(1).tolist() == [0, 0, 1]
 
     def test_cap_as_profiles(self):
         dist = gen_two_point_single_item(n=6, seed=0).distribution

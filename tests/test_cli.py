@@ -7,7 +7,9 @@ import sys
 import pytest
 
 from balprice.cli import CONSTRUCTIONS, main, parse_order
-from balprice.serialize import SchemaError
+from balprice.serialize import Instance, SchemaError
+
+from helpers import two_point_matroid
 
 
 def run_cli(argv):
@@ -607,16 +609,16 @@ class TestRatioCap:
     def test_exact_expected_optimum_takes_the_job_cap(self, tmp_path, monkeypatch):
         """The expected optimum enumerates the support under --cap-feasible,
         as the scaled prices do, not under a cap of its own."""
-        import balprice.cli
+        import balprice.stochastic
 
         caps = []
-        real = balprice.cli.expected_opt
+        real = balprice.stochastic.expected_opt
 
         def recording(env, dist, cap):
             caps.append(cap)
             return real(env, dist, cap)
 
-        monkeypatch.setattr(balprice.cli, "expected_opt", recording)
+        monkeypatch.setattr(balprice.stochastic, "expected_opt", recording)
         inst = tmp_path / "tp3.json"
         assert run_cli(["catalog", "two-point", "--n", "3", "-o", str(inst)]) == 0
         argv = ["ratio", "--instance", str(inst), "--pricing", "single-item", "--exact",
@@ -625,6 +627,80 @@ class TestRatioCap:
         monkeypatch.setenv("BALPRICE_CAP", "8")
         assert run_cli(argv) == 0
         assert caps == [150000, 8]
+
+
+class TestExactRatioRows:
+    """``ratio --exact`` decides each order kind through ``exact_ratio``: the
+    CSV rows below were recorded before it did, when the command composed
+    the fixed, adversary and all-orders ratios itself.  On the two catalog
+    documents the adversary's welfare equals the worst fixed order's; on the
+    two-point matroid (``helpers.two_point_matroid``, uniform rank 3 on 5
+    elements, seed 1) the three order kinds give three welfares."""
+
+    ROWS = {
+        ("two-point", ()): "tp.json,single-item,fixed,0,0,1.63623046875,"
+                           "1.6900634765625,0.9681473456121343,0.0,balprice.ratio.v1",
+        ("two-point", ("--order", "adversary")): "tp.json,single-item,adversary,0,0,"
+                                                 "1.59423828125,1.6900634765625,"
+                                                 "0.9433008306247743,0.0,balprice.ratio.v1",
+        ("two-point", ("--order", "all")): "tp.json,single-item,all,0,0,1.59423828125,"
+                                           "1.6900634765625,0.9433008306247743,0.0,"
+                                           "balprice.ratio.v1",
+        ("tight-prophet", ()): "tp.json,single-item,fixed,0,0,1.0,1.99,0.5025125628140703,"
+                               "0.0,balprice.ratio.v1",
+        ("tight-prophet", ("--order", "adversary")): "tp.json,single-item,adversary,0,0,1.0,"
+                                                     "1.99,0.5025125628140703,0.0,"
+                                                     "balprice.ratio.v1",
+        ("tight-prophet", ("--order", "all")): "tp.json,single-item,all,0,0,1.0,1.99,"
+                                               "0.5025125628140703,0.0,balprice.ratio.v1",
+        ("tight-prophet", ("--order", "2,1")): 'tp.json,single-item,"2,1",0,0,1.99,1.99,1.0,'
+                                               "0.0,balprice.ratio.v1",
+        ("two-point-matroid", ()): "tp.json,matroid,fixed,0,0,2.8253936767578125,"
+                                   "3.1218719482421875,0.9050318922749823,0.0,balprice.ratio.v1",
+        ("two-point-matroid", ("--order", "adversary")): "tp.json,matroid,adversary,0,0,"
+                                                         "2.7787933349609375,3.1218719482421875,"
+                                                         "0.8901048412717808,0.0,"
+                                                         "balprice.ratio.v1",
+        ("two-point-matroid", ("--order", "all")): "tp.json,matroid,all,0,0,2.7943115234375,"
+                                                   "3.1218719482421875,0.8950756372345365,0.0,"
+                                                   "balprice.ratio.v1",
+    }
+    CATALOG = {"two-point": ["--n", "5", "--seed", "1"], "tight-prophet": []}
+
+    def _write_instance(self, name) -> str:
+        """Write ``name``'s document to tp.json; return its pricing flag."""
+        if name == "two-point-matroid":
+            env, dist = two_point_matroid("uniform", 1, ground=5, rank=3)
+            profile = tuple(atoms[0][0] for atoms in dist.supports)
+            with open("tp.json", "w", encoding="utf-8") as fh:
+                fh.write(Instance(env, profile, dist).to_json())
+            return "matroid"
+        assert run_cli(["catalog", name, *self.CATALOG[name], "-o", "tp.json"]) == 0
+        return "single-item"
+
+    @pytest.mark.parametrize("name, order", list(ROWS), ids=[
+        f"{name}-{' '.join(order) or 'fixed'}" for name, order in ROWS
+    ])
+    def test_row(self, tmp_path, monkeypatch, name, order):
+        monkeypatch.chdir(tmp_path)
+        pricing = self._write_instance(name)
+        argv = ["ratio", "--instance", "tp.json", "--pricing", pricing, "--exact", *order]
+        assert run_cli([*argv, "-o", "out.csv"]) == 0
+        row = (tmp_path / "out.csv").read_text().splitlines()[1]
+        assert repr(row) == repr(self.ROWS[name, order])
+
+    def test_support_profiles_count_against_the_cap(self, tmp_path, monkeypatch, capsys):
+        """Two-point n = 5 lists 6 allocations over 32 support profiles."""
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(["catalog", "two-point", "--n", "5", "--seed", "1", "-o", "tp.json"]) == 0
+        argv = ["ratio", "--instance", "tp.json", "--pricing", "single-item", "--exact",
+                "--order", "all", "-o", "out.csv"]
+        capsys.readouterr()
+        assert run_cli([*argv, "--cap-feasible", "20"]) == 3
+        assert capsys.readouterr().err == (
+            "resource cap exceeded: distribution support profiles exceeded cap: 32 > 20\n"
+        )
+        assert run_cli([*argv, "--cap-feasible", "32"]) == 0
 
 
 class TestParamsFromFlags:

@@ -100,7 +100,7 @@ def assert_once_per_valuation(menus, dist):
     valuation of that agent: the candidate computation ran at most once per
     (agent, valuation, history)."""
     assert menus
-    distinct = [len({v for v, _ in dist.atoms(i)}) for i in range(dist.n)]
+    distinct = [len({v for v, _ in atoms}) for atoms in dist.supports]
     over = {key: k for key, k in menus.items() if k > distinct[key[0]]}
     assert over == {}
 
@@ -171,7 +171,7 @@ class TestBestEntriesTwin:
         fresh = scaled(env, dist, constructor)
         for y in enumerate_feasible(env):
             for i in range(env.n):
-                for v, _ in dist.atoms(i):
+                for v, _ in dist.supports[i]:
                     got = prices.best_entries(i, v, y)
                     assert repr(list(got)) == repr(tied_candidates_twin(fresh, v, i, y))
                     # an equal valuation that is another object decides alike

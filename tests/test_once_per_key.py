@@ -13,7 +13,6 @@ Each fast path is compared against its twin in ``helpers`` by ``repr``.
 
 import copy
 import json
-import math
 import random
 
 import numpy as np
@@ -24,13 +23,7 @@ from hypothesis import strategies as st
 from balprice.catalog import gen_matroid, gen_two_point_single_item
 from balprice.core import AdditiveValuation, CapExceeded, ScalarValuation, XosValuation
 from balprice.mechanism import TIE_POLICIES, OnlinePostedPriceRunner
-from balprice.pricing import (
-    BalanceParams,
-    PricingError,
-    expected_scaled_prices,
-    matroid_dynamic_prices,
-    single_item_prices,
-)
+from balprice.pricing import PricingError, matroid_dynamic_prices
 from balprice.serialize import encode_environment
 from balprice.stochastic import ProductDistribution, trial_rng, trial_rngs
 
@@ -87,58 +80,6 @@ class TestTrialRngs:
         assert list(trial_rngs(5, 0)) == []
 
 
-PARAMS = BalanceParams(alpha=1.0, beta=1.0)
-
-
-class TestSampledMode:
-    @pytest.mark.parametrize("count", [0, -1])
-    def test_counts_below_one_refused(self, count):
-        # an average over no draws would price every entry at 0.0
-        inst = gen_two_point_single_item(n=4, seed=3)
-        env, dist = inst.env, inst.distribution
-        with pytest.raises(PricingError, match=f"got count {count}"):
-            expected_scaled_prices(
-                env, dist, lambda p: single_item_prices(env, p), PARAMS, mode="sampled", count=count
-            )
-
-    @pytest.mark.parametrize("count", [1, 1000])
-    def test_draws_match_one_stream_per_draw(self, count, monkeypatch):
-        inst = gen_two_point_single_item(n=4, seed=3)
-        env, dist, seed = inst.env, inst.distribution, 11
-        drawn, built = [], []
-        sample = ProductDistribution.sample
-
-        def recorded(self, rng):
-            drawn.append(sample(self, rng))
-            return drawn[-1]
-
-        def constructor(profile):
-            built.append(profile)
-            return single_item_prices(env, profile)
-
-        monkeypatch.setattr(ProductDistribution, "sample", recorded)
-        rule = expected_scaled_prices(
-            env, dist, constructor, PARAMS, mode="sampled", count=count, seed=seed
-        )
-        monkeypatch.undo()
-        want = [dist.sample(trial_rng(seed, k)) for k in range(count)]
-        assert repr(drawn) == repr(want)
-        y = (0,) * env.n
-        price = PARAMS.scale_factor() * math.fsum(
-            single_item_prices(env, p).price(1, 1, y) / count for p in want
-        )
-        assert repr(rule.price(1, 1, y)) == repr(price)
-        assert repr(built) == repr(list(dict.fromkeys(want)))
-
-    def test_profiles_over_cap_raise_on_first_next(self):
-        dist = gen_two_point_single_item(n=4, seed=3).distribution
-        assert dist.support_size() == 16
-        assert len(list(dist.profiles(16))) == 16
-        profiles = dist.profiles(15)
-        with pytest.raises(CapExceeded, match="16 > 15"):
-            next(profiles)
-
-
 @st.composite
 def distributions(draw):
     """Up to four agents of one to three scalar atoms each, some of them of
@@ -170,6 +111,14 @@ class TestProfiles:
         got = list(dist.profiles())
         assert repr(got) == repr(list(profiles_twin(dist)))
         assert [p for _, p in got[:2]] == [0.0, 0.0] and len(got) == 6
+
+    def test_profiles_over_cap_raise_on_first_next(self):
+        dist = gen_two_point_single_item(n=4, seed=3).distribution
+        assert dist.support_size() == 16
+        assert len(list(dist.profiles(16))) == 16
+        profiles = dist.profiles(15)
+        with pytest.raises(CapExceeded, match="16 > 15"):
+            next(profiles)
 
 
 def _element_cases():

@@ -396,20 +396,3 @@ class TestExpectedScaledPrices:
         rule = expected_scaled_prices(env, dist, lambda p: single_item_prices(env, p), params)
         assert rule.price(0, 1, (0, 0)) == pytest.approx(1.0)  # 0.5 * 2
         assert rule.provenance["delta"] == pytest.approx(0.5)
-
-    def test_sampled_equals_exact_for_deterministic(self):
-        env = SingleItemEnv(n=2)
-        profile = (ScalarValuation(1.0), ScalarValuation(2.0))
-        params = BalanceParams(alpha=1.0, beta=1.0)
-        dist = ProductDistribution.deterministic(profile)
-        exact = expected_scaled_prices(env, dist, lambda p: single_item_prices(env, p), params)
-        sampled = expected_scaled_prices(
-            env,
-            dist,
-            lambda p: single_item_prices(env, p),
-            params,
-            mode="sampled",
-            count=32,
-            seed=7,
-        )
-        assert sampled.price(1, 1, (0, 0)) == pytest.approx(exact.price(1, 1, (0, 0)))

@@ -1,5 +1,5 @@
-"""Cross-module invariants: availability law, price-scaling behaviour,
-sampled-price convergence, and estimator guarantees on certified supports."""
+"""Cross-module invariants: availability law, price-scaling behaviour, and
+estimator guarantees on certified supports."""
 
 import itertools
 
@@ -88,45 +88,6 @@ class TestStaticFlag:
                         base = rule.price(i, tok, null)
                         assert base is not UNAVAILABLE
                         assert abs(p - base) <= 1e-12
-
-
-class TestSampledPriceConvergence:
-    def test_ten_thousand_samples_within_tolerance(self):
-        inst = gen_tight_prophet(0.25)
-        params = BalanceParams(alpha=1.0, beta=1.0)
-        exact = expected_scaled_prices(
-            inst.env, inst.distribution,
-            lambda p: single_item_prices(inst.env, p), params,
-        )
-        sampled = expected_scaled_prices(
-            inst.env, inst.distribution,
-            lambda p: single_item_prices(inst.env, p), params,
-            mode="sampled", count=10_000, seed=5,
-        )
-        worst = 0.0
-        for y in enumerate_feasible(inst.env):
-            for i in range(inst.env.n):
-                for tok in (0, 1):
-                    a, b = exact.price(i, tok, y), sampled.price(i, tok, y)
-                    if a is UNAVAILABLE or b is UNAVAILABLE:
-                        assert a is b
-                        continue
-                    worst = max(worst, abs(a - b))
-        assert worst <= 0.05
-
-    def test_sampled_menus_are_deterministic(self):
-        inst = gen_two_point_single_item(seed=31)
-        params = BalanceParams(alpha=1.0, beta=1.0)
-        rules = [
-            expected_scaled_prices(
-                inst.env, inst.distribution,
-                lambda p: single_item_prices(inst.env, p), params,
-                mode="sampled", count=64, seed=12,
-            )
-            for _ in range(2)
-        ]
-        y0 = inst.env.null_allocation()
-        assert rules[0].price(0, 1, y0) == rules[1].price(0, 1, y0)
 
 
 class TestEstimatorGuarantees:

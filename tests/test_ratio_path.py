@@ -160,19 +160,12 @@ class TestExpectedScaledPricesTwin:
     @given(
         st.sampled_from(("uniform", "partition", "k4", "single-item", "compose-add")),
         st.integers(min_value=0, max_value=31),
-        st.sampled_from(("exact", "sampled")),
     )
     @settings(max_examples=25, deadline=None)
-    def test_every_entry_matches_per_profile_average(self, kind, seed, mode):
+    def test_every_entry_matches_per_profile_average(self, kind, seed):
         env, dist, constructor = stochastic_case(kind, seed)
-        count = 40
-        rule = pricing.expected_scaled_prices(
-            env, dist, constructor, PARAMS, mode=mode, count=count, seed=seed
-        )
-        if mode == "exact":
-            weighted = list(dist.profiles())
-        else:
-            weighted = [(p, 1.0 / count) for p in dist.sample_profiles(count, seed)]
+        rule = pricing.expected_scaled_prices(env, dist, constructor, PARAMS)
+        weighted = list(dist.profiles())
         rules = {p: constructor(p) for p, _ in weighted}
         delta = PARAMS.scale_factor()
         for i, x_i, y in every_entry(env):
@@ -429,20 +422,3 @@ class TestWorkCounters:
         assert len(masks) == self.dist.support_size()
         for evaluated in masks.values():
             assert len(evaluated) == len(set(evaluated))
-
-    def test_sampled_constructor_once_per_distinct_profile(self):
-        env, count, seed = self.env, 200, 5
-        built = []
-
-        def constructor(profile):
-            built.append(profile)
-            return matroid_dynamic_prices(env, profile)
-
-        prices = pricing.expected_scaled_prices(
-            env, self.dist, constructor, PARAMS, mode="sampled", count=count, seed=seed
-        )
-        draws = self.dist.sample_profiles(count, seed)
-        prices.price(0, 1, (NULL,) * env.n)
-        prices.price(1, 2, (1,) + (NULL,) * (env.n - 1))
-        assert len(set(draws)) < count  # duplicate draws exist to share
-        assert sorted(map(repr, built)) == sorted(map(repr, set(draws)))

@@ -53,6 +53,7 @@ from balprice.stochastic import monte_carlo_ratio, trial_rng
 from helpers import (
     UnprunedRunner,
     asked_entries,
+    drawn_profile,
     independent_twin,
     monte_carlo_twin,
     multi_element_matroid,
@@ -93,7 +94,7 @@ class TestClosedHistoryCut:
     @settings(max_examples=25, deadline=None)
     def test_worst_order_matches_unpruned_twin(self, kind, seed):
         env, dist, constructor = case(kind, seed)
-        profile = dist.sample(trial_rng(seed, 0))
+        profile = drawn_profile(dist, trial_rng(seed, 0))
         rule, twin_rule = scaled(env, dist, constructor), scaled(env, dist, constructor)
         asked, twin_asked = asked_entries(rule), asked_entries(twin_rule)
         got = worst_order_welfare(env, rule, profile)
@@ -205,7 +206,7 @@ class TestMonteCarloMemo:
         walked = set()
         for t in range(trials):
             rng = trial_rng(seed, t)
-            profile = dist.sample(rng)
+            profile = drawn_profile(dist, rng)
             order = (
                 tuple(range(env.n)) if order_mode == "fixed"
                 else tuple(int(i) for i in rng.permutation(env.n))
@@ -228,7 +229,7 @@ class TestMonteCarloMemo:
         twin = UnprunedRunner(env, scaled(env, dist, constructor), dist.supports, order)
         steps = runner._steps
         for t in range(4):
-            profile = dist.sample(trial_rng(seed, t))
+            profile = drawn_profile(dist, trial_rng(seed, t))
             atoms = [steps.atom(i, v) for i, v in enumerate(profile)]
             outcomes, payments, gains = realized_walk(steps, order, atoms, runner._tied)
             trace = twin.run(profile)
@@ -322,9 +323,10 @@ replacements = st.one_of(
 
 
 @st.composite
-def mutated(draw):
-    name = draw(st.sampled_from(sorted(DOCS)))
-    doc = DOCS[name]
+def mutated(draw, docs=DOCS):
+    """One document of ``docs`` with one or two leaves replaced: (name, doc)."""
+    name = draw(st.sampled_from(sorted(docs)))
+    doc = docs[name]
     for _ in range(draw(st.integers(min_value=1, max_value=2))):
         path = draw(st.sampled_from(_leaves(doc)))
         doc = _set(doc, path, draw(replacements))
@@ -398,6 +400,24 @@ def _certify_runs(n: int):
     )
 
 
+def _check_certify_exit(argv, out) -> None:
+    """``main(argv)`` prints no traceback and exits 0, 2 or 3, or exits 1
+    with a balance report at ``out`` that says FAIL; ``out`` is then
+    removed."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert argv[0] == "balance", argv
+        with open(out, encoding="utf-8") as fh:
+            assert json.load(fh)["result"]["passed"] is False, argv
+    else:
+        assert code in (0, 2, 3), argv
+    if os.path.exists(out):
+        os.remove(out)
+
+
 class TestCertifyExitCodeFuzz:
     @given(st.sampled_from(sorted(CERTIFY_DOCS)), st.integers(min_value=-100, max_value=99))
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -413,16 +433,25 @@ class TestCertifyExitCodeFuzz:
                 argv = [run[0], "--instance", path, *run[1:], "-o", out]
                 if run[0] == "balance":
                     argv += ["--pricing", pricing]
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                    code = main(argv)
-                assert "Traceback" not in err.getvalue(), argv
-                if code == 1:
-                    # exit 1 only from a balance report that says FAIL
-                    assert run[0] == "balance", argv
-                    with open(out, encoding="utf-8") as fh:
-                        assert json.load(fh)["result"]["passed"] is False, argv
-                else:
-                    assert code in (0, 2, 3), argv
-                if os.path.exists(out):
-                    os.remove(out)
+                _check_certify_exit(argv, out)
+
+
+# the catalog knapsack, pip, xos and matroid documents, for leaf mutations
+CERTIFY_FUZZ = {name: doc for name, (doc, _) in CERTIFY_DOCS.items() if name != "mph"}
+
+
+class TestCertifyDocumentFuzz:
+    @given(mutated(CERTIFY_FUZZ))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_balance_exits_0_1_2_or_3(self, case):
+        name, doc = case
+        unmutated, pricing = CERTIFY_DOCS[name]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "instance.json")
+            out = os.path.join(tmp, "report.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for run in _certify_runs(unmutated["environment"]["agents"]):
+                if run[0] == "balance":
+                    argv = [*run, "--instance", path, "--pricing", pricing, "-o", out]
+                    _check_certify_exit(argv, out)

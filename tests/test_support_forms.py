@@ -6,8 +6,8 @@ distinct support profiles.  With a construction's support form and at least
 otherwise each profile's own rule does.  ``helpers.expected_scaled_twin`` is
 the per-profile average the forms replaced: every price must equal it by
 ``repr``, on every entry the mechanisms can ask.  The ``support-columns``
-entry of ``twins.TWINS`` makes that comparison on drawn exact and sampled
-cases; the tests here check when a form is taken and the work it saves.
+entry of ``twins.TWINS`` makes that comparison on drawn cases; the tests
+here check when a form is taken and the work it saves.
 """
 
 import random
@@ -66,25 +66,6 @@ class TestColumnsMatchPerProfileRules:
         distinct = len(set(p for p, _ in dist.profiles()))
         # the form prices every miss from the crossover on, and only from there
         assert (built == []) == (distinct >= CROSSOVER)
-
-    @given(
-        SUPPORT_KINDS,
-        st.integers(min_value=0, max_value=31),
-        st.sampled_from((CROSSOVER - 1, CROSSOVER + 20, 120)),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_sampled_mode_with_repeated_draws(self, kind, seed, count):
-        env, dist, name = support_case(kind, seed, None)
-        draws = dist.sample_profiles(count, seed)
-        assert len(set(draws)) < count  # draws repeat, so slots are shared
-        built: list = []
-        rule = expected_scaled_prices(
-            env, dist, counted_constructor(env, name, built), PARAMS,
-            mode="sampled", count=count, seed=seed, support=CONSTRUCTIONS[name].support,
-        )
-        for i, x_i, y in every_entry(env):
-            rule.price(i, x_i, y)
-        assert (built == []) == (len(set(draws)) >= CROSSOVER)
 
     @pytest.mark.parametrize("seed", [1, 2, 4, 5])  # ground 6 or 7
     def test_non_additive_atom_takes_each_profiles_rule(self, seed):

@@ -3,8 +3,9 @@
 ``ProductDistribution.draw`` takes each trial's atoms from one
 ``rng.random(n)`` call and a ``bisect_right`` over each agent's running sums
 of probabilities, the last atom kept for a float past the last sum.
-``sample``, ``sample_profiles`` and ``monte_carlo_ratio`` all read it; the
-twin is ``helpers.sample_twin``, one ``rng.random()`` per agent and a scan.
+``monte_carlo_ratio`` reads each trial's profile off the ``_draw_tables``
+at those positions (``helpers.drawn_profile``); the twin is
+``helpers.sample_twin``, one ``rng.random()`` per agent and a scan.
 ``monte_carlo_ratio`` keys its memos by each agent's index among its
 distinct valuations and builds an order's runner only at an arrival with
 several candidates; its twin is ``helpers.monte_carlo_twin``, a runner per
@@ -21,9 +22,9 @@ from balprice.catalog import gen_two_point_single_item
 from balprice.core import ScalarValuation, SingleItemEnv, replace_at
 from balprice.mechanism import TIE_POLICIES, OnlinePostedPriceRunner
 from balprice.pricing import PricingRule, single_item_prices
-from balprice.stochastic import ProductDistribution, monte_carlo_ratio, trial_rng
+from balprice.stochastic import ProductDistribution, monte_carlo_ratio, trial_rng, trial_rngs
 
-from helpers import monte_carlo_twin, sample_twin
+from helpers import drawn_profile, monte_carlo_twin, sample_twin
 
 # a handful of values, so that an agent's atoms repeat one
 VALUES = [ScalarValuation(x) for x in (0.0, 0.5, 1.0, 2.0)]
@@ -75,8 +76,9 @@ class TestDrawMatchesTwin:
     @settings(max_examples=60, deadline=None)
     def test_philox_streams(self, dist, seed, count):
         want = [sample_twin(dist, trial_rng(seed, t)) for t in range(count)]
-        assert repr(dist.sample_profiles(count, seed)) == repr(want)
-        assert repr(dist.sample(trial_rng(seed, 0))) == repr(want[0])
+        got = [drawn_profile(dist, rng) for rng in trial_rngs(seed, count)]
+        assert repr(got) == repr(want)
+        assert repr(drawn_profile(dist, trial_rng(seed, 0))) == repr(want[0])
 
     @given(distributions(), st.data())
     @settings(max_examples=100, deadline=None)
@@ -84,19 +86,20 @@ class TestDrawMatchesTwin:
         """Floats on a running sum go to the next atom, and floats past the
         last sum to the last atom."""
         floats = data.draw(st.lists(FLOATS, min_size=dist.n, max_size=dist.n))
-        assert repr(dist.sample(FixedFloats(floats))) == repr(sample_twin(dist, FixedFloats(floats)))
+        got = drawn_profile(dist, FixedFloats(floats))
+        assert repr(got) == repr(sample_twin(dist, FixedFloats(floats)))
 
     def test_fallback_past_a_short_sum(self):
         a, b = VALUES[1], VALUES[2]
         dist = ProductDistribution((((a, 0.5), (b, 0.5 - 5e-10), (a, 0.0)),))
-        assert dist.sample(FixedFloats([1.0 - 2.0**-53])) == (a,)
+        assert drawn_profile(dist, FixedFloats([1.0 - 2.0**-53])) == (a,)
         assert dist.draw(FixedFloats([1.0 - 2.0**-53])) == [3]
 
     def test_later_permutation_is_unchanged(self):
         dist = gen_two_point_single_item(n=5, seed=2).distribution
         for t in range(30):
             ours, theirs = trial_rng(7, t), trial_rng(7, t)
-            dist.sample(ours)
+            drawn_profile(dist, ours)
             sample_twin(dist, theirs)
             assert ours.permutation(5).tolist() == theirs.permutation(5).tolist()
 

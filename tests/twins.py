@@ -56,9 +56,9 @@ from balprice.stochastic import (
 )
 
 from helpers import (
-    MATROID_PRICINGS, brute_feasible, dfs_feasible_twin, element_profile, every_entry,
-    expected_opt_twin, expected_scaled_twin, extremal_at_twin, families, filtered_members,
-    gated_unavailable_case, matroid_priced, multi_element_priced, per_x_check,
+    MATROID_PRICINGS, brute_feasible, dfs_feasible_twin, drawn_profile, element_profile,
+    every_entry, expected_opt_twin, expected_scaled_twin, extremal_at_twin, families,
+    filtered_members, gated_unavailable_case, matroid_priced, multi_element_priced, per_x_check,
     report_fields, static_case, two_point_matroid, uniform_matroid_env, witness_twin,
     UnprunedRunner, monte_carlo_twin, worst_order_twin,
 )
@@ -569,9 +569,9 @@ STATIC = Twin(
 # ---------------------------------------------------------------------------
 # The support forms' price columns against each profile's own rule.  A small
 # case is ("exact", kind, seed, distinct profiles or None for a two-point
-# product) or ("sampled", kind, seed, draws): every price the mechanisms can
-# ask, against ``helpers.expected_scaled_twin``.  A large case is the same on
-# a ``cli_instance``, ("entries", instance, pricing), or a CLI job, ("cli",
+# product): every price the mechanisms can ask, against
+# ``helpers.expected_scaled_twin``.  A large case is the same on a
+# ``cli_instance``, ("entries", instance, pricing), or a CLI job, ("cli",
 # instance, pricing, command), run with the forms and with them set to None:
 # (exit code, stdout, output file).
 # ---------------------------------------------------------------------------
@@ -679,21 +679,20 @@ def _columns(case, forms=True):
     if case[0] == "cli":
         return _cli_job(*case[1:], forms)
     if case[0] == "entries":
-        inst, name, sampled = cli_instance(*case[1]), case[2], {}
+        inst, name = cli_instance(*case[1]), case[2]
         env, dist = inst.env, inst.distribution
     else:
-        mode, kind, seed, count = case
-        env, dist, name = support_case(kind, seed, count if mode == "exact" else None)
-        sampled = {} if mode == "exact" else {"mode": "sampled", "count": count, "seed": seed}
+        _, kind, seed, count = case
+        env, dist, name = support_case(kind, seed, count)
 
     def construct(profile):
         return cli.CONSTRUCTIONS[name].rule(env, profile, DEFAULT_CAP)
 
     if forms:
         support_form = cli.CONSTRUCTIONS[name].support
-        rule = expected_scaled_prices(env, dist, construct, PARAMS, support=support_form, **sampled)
+        rule = expected_scaled_prices(env, dist, construct, PARAMS, support=support_form)
     else:
-        rule = expected_scaled_twin(env, dist, construct, PARAMS, **sampled)
+        rule = expected_scaled_twin(env, dist, construct, PARAMS)
     return [rule.price(i, x_i, y) for i, x_i, y in every_entry(env)]
 
 
@@ -718,13 +717,6 @@ COLUMNS = Twin(
                 st.sampled_from((CROSSOVER - 1, CROSSOVER, None)),
             ),
             40,
-        ),
-        "sampled": Small(
-            st.tuples(
-                st.just("sampled"), SUPPORT_KINDS, st.integers(0, 31),
-                st.sampled_from((CROSSOVER - 1, CROSSOVER + 20, 120)),
-            ),
-            30,
         ),
     },
     large=tuple(
@@ -894,12 +886,12 @@ def _posted_price_part(env, dist, rule, tie, order, seed, trials, part, twin):
             )
         return worst_order_expected_welfare(env, rule, dist, tie)
     if part == "witness":
-        profile = dist.sample(trial_rng(seed, 0))
+        profile = drawn_profile(dist, trial_rng(seed, 0))
         return (worst_order_twin if twin else worst_order_welfare)(env, rule, profile, tie)
     if part == "traces":
         # one runner for every profile, so later runs read its memo
         fixed = runner(env, rule, dist.supports, order, tie)
-        return [fixed.run(dist.sample(trial_rng(seed, t))) for t in range(4)]
+        return [fixed.run(drawn_profile(dist, trial_rng(seed, t))) for t in range(4)]
     mc = monte_carlo_twin if twin else monte_carlo_ratio
     try:
         return mc(env, rule, dist, part[3:], trials, seed, tie, order)

@@ -13,12 +13,13 @@ mutant makes it a survivor.
 ``EQUIVALENT`` lists mutants that change no result, each with the reason.
 They are not run, but their old text must still occur exactly once.
 
-Prints one line per mutant: ``killed``, ``SURVIVED``, or ``BROKEN`` when the
-old text does not occur exactly once or the selection neither passes nor
-fails (a pytest ``-k`` that selects nothing, an unknown twin entry, a run
-past ``TIMEOUT``).  Exits 1 unless every mutant is killed.  Each distinct
-selection first runs on an unmutated copy, where it must pass, so that a
-test that already fails cannot count as a kill.
+Prints one line per mutant, in table order: ``killed``, ``SURVIVED``, or
+``BROKEN`` when the old text does not occur exactly once or the selection
+neither passes nor fails (a pytest ``-k`` that selects nothing, an unknown
+twin entry, a run past ``TIMEOUT``).  Exits 1 unless every mutant is
+killed.  Each distinct selection first runs on an unmutated copy, where it
+must pass, so that a test that already fails cannot count as a kill.  Copies
+run ``WORKERS`` at a time, the unmutated ones before any mutant.
 
 Run from anywhere:  python3 ci/mutants.py
 """
@@ -30,6 +31,7 @@ import sys
 import tempfile
 import time
 from collections import namedtuple
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 Mutant = namedtuple("Mutant", "name file old new selection")
@@ -41,6 +43,8 @@ PRICING = "src/balprice/pricing.py"
 STOCHASTIC = "src/balprice/stochastic.py"
 # seconds a selection may run; none takes a tenth of this unmutated
 TIMEOUT = 300
+# copies run at once, each selection in its own process
+WORKERS = min(2, os.cpu_count() or 1)
 
 MUTANTS = (
     Mutant(
@@ -283,6 +287,14 @@ MUTANTS = (
         ("twins", "posted-price-steps"),
     ),
     Mutant(
+        "a residual pass's rows paired with its masks reversed, "
+        "killed by TestColumnsMatchPerProfileRules",
+        PRICING,
+        "            for mask, column in zip(masks, self._residuals(masks)):\n",
+        "            for mask, column in zip(masks[::-1], self._residuals(masks)):\n",
+        ("tests/test_support_forms.py::TestColumnsMatchPerProfileRules",),
+    ),
+    Mutant(
         "profiles take the probabilities reversed, killed by TestProfiles::test_matches_twin",
         STOCHASTIC,
         "        yield from zip(itertools.product(*values), probs)\n",
@@ -364,18 +376,21 @@ def run(selection, mutant=None):
 
 
 def verdict(mutant):
-    """(killed, SURVIVED or BROKEN; what the selection printed)"""
+    """(killed, SURVIVED or BROKEN; what the selection printed; seconds)"""
+    start = time.perf_counter()
     found = occurrences(mutant)
     if found != 1:
-        return "BROKEN", f"the old text occurs {found} times in {mutant.file}"
+        return "BROKEN", f"the old text occurs {found} times in {mutant.file}", 0.0
     code, shown = run(mutant.selection, mutant)
+    seconds = time.perf_counter() - start
     if code == 0:
-        return "SURVIVED", shown
+        return "SURVIVED", shown, seconds
     # pytest exits 1 on a failed test and 2 on a collection error; ci/twins.py
     # exits 1 on a failed case
     if code == 1 or (code == 2 and mutant.selection[0] != "twins"):
-        return "killed", shown
-    return "BROKEN", f"the selection exited {code}: {shown}" if code is not None else shown
+        return "killed", shown, seconds
+    shown = f"the selection exited {code}: {shown}" if code is not None else shown
+    return "BROKEN", shown, seconds
 
 
 def main() -> int:
@@ -385,18 +400,18 @@ def main() -> int:
         failed += found != 1
         shown = "equivalent" if found == 1 else f"BROKEN (the old text occurs {found} times)"
         print(f"{shown}  {mutant.name}: {reason}", flush=True)
-    # a selection that fails unmutated would count every mutant as killed
-    for selection in dict.fromkeys(m.selection for m in MUTANTS):
-        code, shown = run(selection)
-        if code:
-            failed += 1
-            print(f"BROKEN  {' '.join(selection)} fails without a mutant: {shown}", flush=True)
-    for mutant in MUTANTS:
-        start = time.perf_counter()
-        word, shown = verdict(mutant)
-        failed += word != "killed"
-        seconds = time.perf_counter() - start
-        print(f"{word}  {mutant.name}  ({seconds:.1f} s): {shown}", flush=True)
+    selections = list(dict.fromkeys(m.selection for m in MUTANTS))
+    with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+        # a selection that fails unmutated would count every mutant as killed
+        for selection, (code, shown) in zip(selections, pool.map(run, selections)):
+            if code:
+                failed += 1
+                print(f"BROKEN  {' '.join(selection)} fails without a mutant: {shown}", flush=True)
+        # map yields in table order, each verdict as soon as it and those
+        # before it are done
+        for mutant, (word, shown, seconds) in zip(MUTANTS, pool.map(verdict, MUTANTS)):
+            failed += word != "killed"
+            print(f"{word}  {mutant.name}  ({seconds:.1f} s): {shown}", flush=True)
     return 1 if failed else 0
 
 

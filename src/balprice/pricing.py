@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from operator import mul
 from typing import Callable, Optional, Sequence
 
@@ -689,14 +689,21 @@ class SupportTable:
 SupportForm = Callable[[Environment, SupportTable], Optional[Callable]]
 
 # Fewest distinct support profiles at which a support form prices the misses:
-# the matroid form's crossover, measured on uniform matroids of ground 6 and
-# 7 under fixed and adversary orders.  From 32 profiles one numpy pass per
-# sold mask costs no more than each profile's own rule and greedy; at 24 the
-# per-profile rules were 4-14 % faster in three of the four settings.
+# the matroid form's crossover on uniform matroids of ground 6 and 7 under
+# fixed and adversary orders, measured when each miss ran its own numpy
+# pass.  With batched passes the matroid form is faster than the per-profile
+# rules from 16 profiles on; the constant also gates the single-item form and
+# the fixed-point kernel of ``expected_opt``, so it is kept.
 SUPPORT_FORM_MIN_PROFILES = 32
 
 # Most support profiles an exact expectation enumerates by default.
 EXACT_SUPPORT_CAP = 100_000
+
+# Entries (rows times distinct profiles) up to which a matroid residual pass
+# takes the next sold masks that no miss has asked yet, besides the asked
+# ones.  A pass's fixed numpy cost is about 30 us; filling the whole table at
+# the first miss made large Monte Carlo jobs several times slower.
+RESIDUAL_PASS_ENTRIES = 4096
 
 
 def single_item_support_prices(env: SingleItemEnv, table: SupportTable):
@@ -722,7 +729,12 @@ class _MatroidColumns:
     ``_matroid_residual_value`` runs by position over each profile's order
     (positive elements by decreasing value, ties by index), so each profile
     adds the same floats in the same order and every price is the float its
-    own rule gives."""
+    own rule gives.
+
+    A miss's pass also computes the next sold masks not yet computed, in
+    ascending order, up to ``RESIDUAL_PASS_ENTRIES`` entries: 64 rows at 64
+    profiles, and from 4 096 profiles only the asked masks.  Each row's
+    greedy is its own, so the batch changes no float."""
 
     def __init__(self, env: MatroidEnv, table: SupportTable):
         import numpy as np
@@ -756,6 +768,11 @@ class _MatroidColumns:
             self._extends[e << ground:(e + 1) << ground] = fresh & independent[masks | 1 << e]
         # R(T) per sold element mask T: at most 2^ground columns
         self._residual: dict = {}
+        # the sold masks, independent sets of the agents' own elements, in
+        # ascending order for the passes to fill from
+        owned = env.union_mask(map(env.agent_mask, range(env.n)))
+        self._unfilled = iter(np.flatnonzero(independent & (masks & ~owned == 0)).tolist())
+        self._rows = RESIDUAL_PASS_ENTRIES // len(table)
 
     def _residuals(self, masks: list):
         """R(T) for each T in ``masks``, one row each, in one greedy pass."""
@@ -773,9 +790,11 @@ class _MatroidColumns:
     def __call__(self, i, x_i, y):
         taken = self._env.union_mask(y)
         residual = self._residual
-        missing = [m for m in (taken, taken | x_i) if m not in residual]
-        if missing:
-            for mask, column in zip(missing, self._residuals(missing)):
+        asked = [m for m in (taken, taken | x_i) if m not in residual]
+        if asked:
+            fresh = (m for m in self._unfilled if m not in residual and m not in asked)
+            masks = asked + list(islice(fresh, max(0, self._rows - len(asked))))
+            for mask, column in zip(masks, self._residuals(masks)):
                 residual[mask] = column
         return (residual[taken] - residual[taken | x_i]).tolist()
 

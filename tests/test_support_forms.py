@@ -12,6 +12,7 @@ here check when a form is taken and the work it saves.
 
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -20,18 +21,20 @@ from hypothesis import strategies as st
 from balprice import pricing
 from balprice.catalog import gen_matroid, gen_two_point_single_item
 from balprice.cli import CONSTRUCTIONS
-from balprice.core import DEFAULT_CAP, XosValuation, enumerate_feasible
+from balprice.core import DEFAULT_CAP, NULL, XosValuation, enumerate_feasible, replace_at
 from balprice.mechanism import adaptive_adversary_welfare, expected_posted_price_welfare
-from balprice.pricing import expected_scaled_prices
+from balprice.pricing import RESIDUAL_PASS_ENTRIES, expected_scaled_prices, matroid_dynamic_prices
 from balprice.stochastic import ProductDistribution
 
 from helpers import every_entry, expected_scaled_twin
 from twins import (
     CROSSOVER,
     PARAMS,
+    PASS_KINDS,
     SUPPORT_KINDS,
     additive_atom,
     matroid_env,
+    passes_case,
     support_case,
     two_point_dist,
 )
@@ -96,44 +99,127 @@ class TestColumnsMatchPerProfileRules:
             assert repr(rule.price(i, x_i, y)) == repr(twin.price(i, x_i, y)), (i, x_i, y)
         assert len(built) == dist.support_size()
 
+    @pytest.mark.parametrize("kind", PASS_KINDS)
+    @pytest.mark.parametrize("backwards", [False, True])
+    def test_columns_over_several_passes(self, kind, backwards):
+        """With more profiles than a residual pass holds rows for, each
+        entry's column is every profile's own price, float for float, asked
+        in either order of the entries."""
+        env, dist = passes_case(kind, 0)
+        table = dist.support_table()[0]
+        columns = pricing.matroid_support_prices(env, table)
+        finites = [matroid_dynamic_prices(env, p)._finite_price for p in table.profiles()]
+        asked = [
+            (i, x_i, y)
+            for y in enumerate_feasible(env)
+            for i in range(env.n) if y[i] == NULL
+            for x_i in env.agent_outcomes(i)
+            if x_i != NULL and env.is_feasible(replace_at(y, i, x_i))
+        ]
+        for i, x_i, y in reversed(asked) if backwards else asked:
+            want = [f(i, x_i, y) for f in finites]
+            assert repr(columns(i, x_i, y)) == repr(want), (i, x_i, y)
+
+
+def two_point_uniform(ground, rank):
+    env = gen_matroid("uniform", seed=3, rank=rank, ground=ground).env
+    return env, two_point_dist(env, additive_atom, random.Random(3))
+
+
+def priced_by_order(env, dist, order, built=None):
+    """The fixed-order or adversary welfare under the scaled matroid rule,
+    each per-profile rule built appended to ``built``."""
+    rule = expected_scaled_prices(
+        env, dist, counted_constructor(env, "matroid", [] if built is None else built), PARAMS,
+        support=CONSTRUCTIONS["matroid"].support,
+    )
+    if order == "fixed":
+        expected_posted_price_welfare(env, rule, dist, tuple(range(env.n)))
+    else:
+        adaptive_adversary_welfare(env, rule, dist)
+
+
+def counted_passes(monkeypatch) -> list:
+    """Record each residual pass as (the masks the entry asked, the masks
+    the pass computed)."""
+    passes: list = []
+    asked: list = []
+    call, residuals = pricing._MatroidColumns.__call__, pricing._MatroidColumns._residuals
+
+    def entry(self, i, x_i, y):
+        taken = self._env.union_mask(y)
+        asked[:] = [taken, taken | x_i]
+        return call(self, i, x_i, y)
+
+    def counting(self, masks):
+        passes.append((list(asked), list(masks)))
+        return residuals(self, masks)
+
+    monkeypatch.setattr(pricing._MatroidColumns, "__call__", entry)
+    monkeypatch.setattr(pricing._MatroidColumns, "_residuals", counting)
+    return passes
+
 
 class TestWorkCounters:
-    """A two-point uniform matroid of ground 6: 64 support profiles."""
+    """Two-point uniform matroids: 64 support profiles at ground 6, 256 at
+    ground 8."""
 
     @pytest.mark.parametrize("order", ["fixed", "adversary"])
     def test_one_residual_column_per_sold_mask(self, monkeypatch, order):
-        rng = random.Random(3)
-        env = gen_matroid("uniform", seed=3, rank=3, ground=6).env
-        dist = two_point_dist(env, additive_atom, rng)
+        env, dist = two_point_uniform(6, 3)
         assert dist.support_size() == 64
 
         per_profile = []
         monkeypatch.setattr(
             pricing, "_matroid_residual_value", lambda *args: per_profile.append(args)
         )
-        computed = []
-        real = pricing._MatroidColumns._residuals
-
-        def counting(self, masks):
-            computed.extend(masks)
-            return real(self, masks)
-
-        monkeypatch.setattr(pricing._MatroidColumns, "_residuals", counting)
+        passes = counted_passes(monkeypatch)
         built: list = []
-        rule = expected_scaled_prices(
-            env, dist, counted_constructor(env, "matroid", built), PARAMS,
-            support=CONSTRUCTIONS["matroid"].support,
-        )
-        if order == "fixed":
-            expected_posted_price_welfare(env, rule, dist, tuple(range(env.n)))
-        else:
-            adaptive_adversary_welfare(env, rule, dist)
+        priced_by_order(env, dist, order, built)
         # no rule, and so no finite price, for any single profile
         assert built == [] and per_profile == []
         # each sold mask's column once, and only sold masks
+        computed = [m for _, masks in passes for m in masks]
         assert computed and max(Counter(computed).values()) == 1
         sold = {env.union_mask(y) for y in enumerate_feasible(env)}
         assert set(computed) <= sold
+        # at 64 profiles the first pass fills the whole table
+        assert len(passes) == 1 and set(computed) == sold
+
+    @pytest.mark.parametrize("ground", [6, 8, 11, 12])
+    def test_passes_keep_to_the_entry_budget(self, monkeypatch, ground):
+        """A pass holds at most ``RESIDUAL_PASS_ENTRIES`` entries unless its
+        asked masks alone take more: from 4 096 profiles on it holds only
+        those."""
+        env, dist = two_point_uniform(ground, ground // 2)
+        passes = counted_passes(monkeypatch)
+        rule = expected_scaled_prices(
+            env, dist, counted_constructor(env, "matroid", []), PARAMS,
+            support=CONSTRUCTIONS["matroid"].support,
+        )
+        for i, x_i, y in islice(every_entry(env), 300):
+            rule.price(i, x_i, y)
+        profiles = dist.support_size()
+        assert passes
+        for asked, masks in passes:
+            assert len(masks) * profiles <= RESIDUAL_PASS_ENTRIES or set(masks) <= set(asked)
+        if profiles >= RESIDUAL_PASS_ENTRIES:
+            assert all(set(masks) <= set(asked) for asked, masks in passes)
+
+    @pytest.mark.parametrize("order", ["fixed", "adversary"])
+    def test_fewer_passes_than_one_per_miss(self, monkeypatch, order):
+        """At 256 profiles a pass holds 16 rows: the table takes several
+        passes, and fewer than the misses that ask for a mask."""
+        env, dist = two_point_uniform(8, 4)
+        assert dist.support_size() == 256
+        passes = counted_passes(monkeypatch)
+        priced_by_order(env, dist, order)
+        batched = len(passes)
+        # a budget of 0 entries leaves each pass its asked masks only
+        passes.clear()
+        monkeypatch.setattr(pricing, "RESIDUAL_PASS_ENTRIES", 0)
+        priced_by_order(env, dist, order)
+        assert 1 < batched < len(passes)
 
 
 class TestOneAveragePerColumn:

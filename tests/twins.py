@@ -570,7 +570,10 @@ STATIC = Twin(
 # The support forms' price columns against each profile's own rule.  A small
 # case is ("exact", kind, seed, distinct profiles or None for a two-point
 # product): every price the mechanisms can ask, against
-# ``helpers.expected_scaled_twin``.  A large case is the same on a
+# ``helpers.expected_scaled_twin``.  A ("passes", kind, seed, order) case
+# has so many profiles that a matroid residual pass holds only part of the
+# table; the fast side first runs the mechanism of ``order``, so its passes
+# form in the order that mechanism asks.  A large case is the same on a
 # ``cli_instance``, ("entries", instance, pricing), or a CLI job, ("cli",
 # instance, pricing, command), run with the forms and with them set to None:
 # (exit code, stdout, output file).
@@ -646,6 +649,22 @@ def support_case(kind, seed, size):
     return env, sized_dist(env, additive_atom, size, rng), "matroid"
 
 
+PASS_KINDS = ("uniform-7", "uniform-8", "multi-element")
+
+
+def passes_case(kind, seed):
+    """(env, dist) with more profiles than one residual pass holds rows for:
+    a two-point product on a uniform matroid of ground 7 or 8 (128 or 256
+    profiles), or 256 atoms of agent 0 on the multi-element environment."""
+    rng = random.Random(seed)
+    if kind == "multi-element":
+        env = matroid_env(kind, seed)
+        return env, sized_dist(env, additive_atom, 256, rng)
+    ground = int(kind.rpartition("-")[2])
+    env = gen_matroid("uniform", seed=seed, rank=3 + seed % 3, ground=ground).env
+    return env, two_point_dist(env, additive_atom, rng)
+
+
 def cli_instance(kind, *sizes):
     """Catalog two-point single-item (n), or a two-point matroid of kind
     ``kind`` (ground, rank) whose profile is every agent's first atom."""
@@ -678,9 +697,13 @@ def _cli_job(instance, pricing, command, forms):
 def _columns(case, forms=True):
     if case[0] == "cli":
         return _cli_job(*case[1:], forms)
+    order = None
     if case[0] == "entries":
         inst, name = cli_instance(*case[1]), case[2]
         env, dist = inst.env, inst.distribution
+    elif case[0] == "passes":
+        _, kind, seed, order = case
+        (env, dist), name = passes_case(kind, seed), "matroid"
     else:
         _, kind, seed, count = case
         env, dist, name = support_case(kind, seed, count)
@@ -691,6 +714,10 @@ def _columns(case, forms=True):
     if forms:
         support_form = cli.CONSTRUCTIONS[name].support
         rule = expected_scaled_prices(env, dist, construct, PARAMS, support=support_form)
+        if order == "fixed":
+            expected_posted_price_welfare(env, rule, dist, tuple(range(env.n)))
+        elif order == "adversary":
+            adaptive_adversary_welfare(env, rule, dist)
     else:
         rule = expected_scaled_twin(env, dist, construct, PARAMS)
     return [rule.price(i, x_i, y) for i, x_i, y in every_entry(env)]
@@ -717,6 +744,15 @@ COLUMNS = Twin(
                 st.sampled_from((CROSSOVER - 1, CROSSOVER, None)),
             ),
             40,
+        ),
+        "passes": Small(
+            st.tuples(
+                st.just("passes"), st.sampled_from(PASS_KINDS), st.integers(0, 31),
+                st.sampled_from(("fixed", "adversary")),
+            ),
+            20,
+            tuple(("passes", kind, 0, order) for kind in PASS_KINDS
+                  for order in ("fixed", "adversary")),
         ),
     },
     large=tuple(

@@ -288,11 +288,11 @@ MUTANTS = (
     ),
     Mutant(
         "a residual pass's rows paired with its masks reversed, "
-        "killed by TestColumnsMatchPerProfileRules",
+        "killed by the support-columns twin's passes cases",
         PRICING,
         "            for mask, column in zip(masks, self._residuals(masks)):\n",
         "            for mask, column in zip(masks[::-1], self._residuals(masks)):\n",
-        ("tests/test_support_forms.py::TestColumnsMatchPerProfileRules",),
+        ("tests/test_twins.py::test_small_cases[support-columns-passes]",),
     ),
     Mutant(
         "profiles take the probabilities reversed, killed by TestProfiles::test_matches_twin",

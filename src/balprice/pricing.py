@@ -701,9 +701,13 @@ EXACT_SUPPORT_CAP = 100_000
 
 # Entries (rows times distinct profiles) up to which a matroid residual pass
 # takes the next sold masks that no miss has asked yet, besides the asked
-# ones.  A pass's fixed numpy cost is about 30 us; filling the whole table at
-# the first miss made large Monte Carlo jobs several times slower.
+# ones, and the most distinct profiles at which it takes any.  A pass's fixed
+# numpy cost is 30-45 us, and one row's element work about 17 us at 512
+# profiles but 50 us at 1 024, where a filled row costs more than the pass it
+# may save; filling the whole table at the first miss made large Monte Carlo
+# jobs several times slower.
 RESIDUAL_PASS_ENTRIES = 4096
+RESIDUAL_FILL_MAX_PROFILES = 512
 
 
 def single_item_support_prices(env: SingleItemEnv, table: SupportTable):
@@ -731,10 +735,11 @@ class _MatroidColumns:
     adds the same floats in the same order and every price is the float its
     own rule gives.
 
-    A miss's pass also computes the next sold masks not yet computed, in
-    ascending order, up to ``RESIDUAL_PASS_ENTRIES`` entries: 64 rows at 64
-    profiles, and from 4 096 profiles only the asked masks.  Each row's
-    greedy is its own, so the batch changes no float."""
+    Up to ``RESIDUAL_FILL_MAX_PROFILES`` profiles, a miss's pass also
+    computes the next sold masks not yet computed, in ascending order, up to
+    ``RESIDUAL_PASS_ENTRIES`` entries: 64 rows at 64 profiles, 8 at 512.
+    Above that a pass holds only the asked masks.  Each row's greedy is its
+    own, so the batch changes no float."""
 
     def __init__(self, env: MatroidEnv, table: SupportTable):
         import numpy as np
@@ -772,7 +777,8 @@ class _MatroidColumns:
         # ascending order for the passes to fill from
         owned = env.union_mask(map(env.agent_mask, range(env.n)))
         self._unfilled = iter(np.flatnonzero(independent & (masks & ~owned == 0)).tolist())
-        self._rows = RESIDUAL_PASS_ENTRIES // len(table)
+        fills = len(table) <= RESIDUAL_FILL_MAX_PROFILES
+        self._rows = RESIDUAL_PASS_ENTRIES // len(table) if fills else 0
 
     def _residuals(self, masks: list):
         """R(T) for each T in ``masks``, one row each, in one greedy pass."""
@@ -792,8 +798,10 @@ class _MatroidColumns:
         residual = self._residual
         asked = [m for m in (taken, taken | x_i) if m not in residual]
         if asked:
-            fresh = (m for m in self._unfilled if m not in residual and m not in asked)
-            masks = asked + list(islice(fresh, max(0, self._rows - len(asked))))
+            masks = asked
+            if self._rows > len(asked):
+                fresh = (m for m in self._unfilled if m not in residual and m not in asked)
+                masks = asked + list(islice(fresh, self._rows - len(asked)))
             for mask, column in zip(masks, self._residuals(masks)):
                 residual[mask] = column
         return (residual[taken] - residual[taken | x_i]).tolist()

@@ -572,8 +572,9 @@ STATIC = Twin(
 # product): every price the mechanisms can ask, against
 # ``helpers.expected_scaled_twin``.  A ("passes", kind, seed, order) case
 # has so many profiles that a matroid residual pass holds only part of the
-# table; the fast side first runs the mechanism of ``order``, so its passes
-# form in the order that mechanism asks.  A large case is the same on a
+# table; the fast side first runs the mechanism of ``order``, or asks every
+# entry in reverse for "reversed", so its passes form in that order.  A
+# large case is the same on a
 # ``cli_instance``, ("entries", instance, pricing), or a CLI job, ("cli",
 # instance, pricing, command), run with the forms and with them set to None:
 # (exit code, stdout, output file).
@@ -650,6 +651,7 @@ def support_case(kind, seed, size):
 
 
 PASS_KINDS = ("uniform-7", "uniform-8", "multi-element")
+PASS_ORDERS = ("fixed", "adversary", "reversed")
 
 
 def passes_case(kind, seed):
@@ -718,6 +720,9 @@ def _columns(case, forms=True):
             expected_posted_price_welfare(env, rule, dist, tuple(range(env.n)))
         elif order == "adversary":
             adaptive_adversary_welfare(env, rule, dist)
+        elif order == "reversed":
+            for i, x_i, y in reversed(list(every_entry(env))):
+                rule.price(i, x_i, y)
     else:
         rule = expected_scaled_twin(env, dist, construct, PARAMS)
     return [rule.price(i, x_i, y) for i, x_i, y in every_entry(env)]
@@ -748,11 +753,10 @@ COLUMNS = Twin(
         "passes": Small(
             st.tuples(
                 st.just("passes"), st.sampled_from(PASS_KINDS), st.integers(0, 31),
-                st.sampled_from(("fixed", "adversary")),
+                st.sampled_from(PASS_ORDERS),
             ),
             20,
-            tuple(("passes", kind, 0, order) for kind in PASS_KINDS
-                  for order in ("fixed", "adversary")),
+            tuple(("passes", kind, 0, order) for kind in PASS_KINDS for order in PASS_ORDERS),
         ),
     },
     large=tuple(

@@ -40,9 +40,12 @@ CLI = "src/balprice/cli.py"
 MECHANISM = "src/balprice/mechanism.py"
 ORACLE = "src/balprice/oracle.py"
 PRICING = "src/balprice/pricing.py"
+SERIALIZE = "src/balprice/serialize.py"
 STOCHASTIC = "src/balprice/stochastic.py"
 # seconds a selection may run; none takes a tenth of this unmutated
 TIMEOUT = 300
+# seconds the whole run should take, reported beside its time
+BUDGET = 180
 # copies run at once, each selection in its own process
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -301,6 +304,28 @@ MUTANTS = (
         "        yield from zip(itertools.product(*values), reversed(probs))\n",
         ("tests/test_once_per_key.py::TestProfiles::test_matches_twin",),
     ),
+    Mutant(
+        "exchange-set memo keyed without the family kind, killed by TestStoredTables",
+        ORACLE,
+        "(self.kind, self.components, key)",
+        "(self.components, key)",
+        ("tests/test_load_table.py::TestStoredTables",),
+    ),
+    Mutant(
+        "load table keyed by the environment's kind and agent count, killed by TestKeys",
+        SERIALIZE,
+        "    text = json.dumps(block, sort_keys=True)\n",
+        "    text = json.dumps([block.get(\"kind\"), block.get(\"agents\")])\n",
+        ("tests/test_load_table.py::TestKeys",),
+    ),
+    Mutant(
+        "negative counts decoded, killed by test_negative_matroid_count_rejected",
+        SERIALIZE,
+        "    if k < 0:\n"
+        "        raise SchemaError(f\"{what} must not be negative, got {value!r}\")\n",
+        "",
+        ("tests/test_serialize.py", "-k", "test_negative_matroid_count_rejected"),
+    ),
 )
 
 EQUIVALENT = (
@@ -394,6 +419,7 @@ def verdict(mutant):
 
 
 def main() -> int:
+    start = time.perf_counter()
     failed = 0
     for mutant, reason in EQUIVALENT:
         found = occurrences(mutant)
@@ -412,6 +438,8 @@ def main() -> int:
         for mutant, (word, shown, seconds) in zip(MUTANTS, pool.map(verdict, MUTANTS)):
             failed += word != "killed"
             print(f"{word}  {mutant.name}  ({seconds:.1f} s): {shown}", flush=True)
+    print(f"{len(MUTANTS)} mutants in {time.perf_counter() - start:.1f} s, "
+          f"against a budget of {BUDGET} s")
     return 1 if failed else 0
 
 

@@ -181,6 +181,8 @@ JOBS = [(code, tuple(line.split())) for code, line in (
     (0, "balance --instance u13.json --pricing alg1-greedy"),
     (0, "balance --instance u24.json --pricing warmup --order all"),
     (0, "balance --instance u24.json --pricing matroid --order all"),
+    # u24.json a third time: the load table gives back its environment and store
+    (0, "balance --instance u24.json --pricing alg2-opt --order all"),
     (0, "balance --instance partition.json --pricing matroid"),
     (0, "balance --instance xos-matroid.json --pricing matroid"),
     (0, "balance --instance knapsack.json --pricing knapsack"),

@@ -30,7 +30,6 @@ from .core import (
     Valuation,
     _first_max,
     enumerate_feasible,
-    replace_at,
     welfare,
 )
 from .oracle import ExchangeFamily, _positions_by, _welfare_column, fact
@@ -95,27 +94,16 @@ class _OrderSums:
     state is.  ``live[k]`` is the bitmask of entry k's non-null agents, and
     ``_agents`` maps each mask ``live[py] | live[pw]`` a solved state met to
     its agents in ascending order, so it holds at most one entry per state
-    solved."""
+    solved.  These three depend on the environment alone and are kept in
+    its store, for every walk on it; the values are the rule's, per walk."""
 
     def __init__(self, env: Environment, prices: PricingRule):
         self.prices = prices
-        self.feasible = feasible = fact(env, "feasible")
-        self.positions = positions = fact(env, "positions")
-        self.size = len(feasible)
-        tokens = fact(env, "tokens")
-        self.cleared = [
-            [
-                k if t == NULL else positions[replace_at(y, a, NULL)]
-                for k, (y, t) in enumerate(zip(feasible, toks))
-            ]
-            for a, toks in enumerate(tokens)
-        ]
-        live = [0] * self.size
-        for a, toks in enumerate(tokens):
-            bit = 1 << a
-            live = [m if t == NULL else m | bit for m, t in zip(live, toks)]
-        self.live = live
-        self._agents: dict = {}
+        self.feasible = fact(env, "feasible")
+        self.positions = fact(env, "positions")
+        self.size = len(self.feasible)
+        self.cleared, self.live = fact(env, "cleared"), fact(env, "live")
+        self._agents = fact(env, "live_agents")
         # per sign (min, max): state key -> signed value, and the flagged keys
         self._values: tuple = ({}, {})
         self._flagged: tuple = (set(), set())

@@ -110,7 +110,9 @@ class DerivedFacts:
     ``enumerate_feasible`` under ``"feasible"``, with each listed
     allocation's DFS state under ``"states"``; ``oracle.fact`` builds the
     others.  A matroid's store is its one table, independence per mask, read
-    in one lookup.  Each table's bound is the one README's memo table states."""
+    in one lookup.  Each table's bound is the one README's memo table states.
+    An environment ``serialize.load_instance`` keeps in its load table brings
+    its store to every later load of an equal environment block."""
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls)

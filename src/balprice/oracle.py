@@ -45,6 +45,19 @@ from .core import (
 # ---------------------------------------------------------------------------
 
 
+def _cleared(env: Environment, feasible) -> list:
+    """Per agent, each listed position with that agent's outcome cleared:
+    the position itself where the outcome is null."""
+    positions = fact(env, "positions")
+    return [
+        [
+            k if t == NULL else positions[replace_at(y, a, NULL)]
+            for k, (y, t) in enumerate(zip(feasible, toks))
+        ]
+        for a, toks in enumerate(fact(env, "tokens"))
+    ]
+
+
 # builders of the tables ``fact`` keeps in an environment's store, given the
 # environment and its kept feasible list
 _FACTS = {
@@ -62,6 +75,16 @@ _FACTS = {
         toks[0] if len(toks) == 1 else None
         for toks in ([t for t in env.agent_outcomes(i) if t != NULL] for i in range(env.n))
     ],
+    # (family kind, components, key) -> the exchange set's listed positions
+    "members": lambda env, feasible: {},
+    # the all-orders DP's tables (``balance._OrderSums``)
+    "cleared": _cleared,
+    # each listed position's non-null agents as a bitmask
+    "live": lambda env, feasible: [
+        sum(1 << a for a, t in enumerate(y) if t != NULL) for y in feasible
+    ],
+    # each agent mask a solved DP state met -> its agents in ascending order
+    "live_agents": lambda env, feasible: {},
 }
 
 
@@ -201,12 +224,24 @@ class ExchangeFamily:
 
     def _members_of(self, key, cap: int) -> list[int]:
         """The positions on the kept feasible list of the exchange set of
-        ``members_key`` value ``key``: the allocations meeting the kind's
-        condition.  A product member is a listed allocation whose every
-        market projection is a member of that market's component family at
-        the component's key.  Every kind's condition is downward closed, and
-        the environment is, so filtering the list gives exactly the
-        allocations a DFS pruned by it would.
+        ``members_key`` value ``key``, filtered once (``_filter``) and kept
+        in the environment's store per (kind, components, key): the set is
+        a function of those and of the environment's fields alone.  The
+        list is enumerated first, so the cap is checked as on a miss."""
+        feasible = enumerate_feasible(self.env, cap)
+        memo, memo_key = fact(self.env, "members"), (self.kind, self.components, key)
+        at = memo.get(memo_key)
+        if at is None:
+            at = memo[memo_key] = self._filter(key, feasible, cap)
+        return at
+
+    def _filter(self, key, feasible, cap: int) -> list[int]:
+        """The allocations of the kept ``feasible`` list meeting the kind's
+        condition at ``key``, as positions.  A product member is a listed
+        allocation whose every market projection is a member of that
+        market's component family at the component's key.  Every kind's
+        condition is downward closed, and the environment is, so filtering
+        the list gives exactly the allocations a DFS pruned by it would.
 
         An item-disjoint member's mask s lies inside the listed items
         outside the key, and both s and key | s are listed, so the set is
@@ -219,7 +254,6 @@ class ExchangeFamily:
         # families then decompose market by market.  The null allocation
         # is listed first, as every null token sorts first.
         env = self.env
-        feasible = enumerate_feasible(env, cap)
         if self.kind == "knapsack_threshold":
             return list(range(len(feasible) if key else 1))
 

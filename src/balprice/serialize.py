@@ -8,6 +8,7 @@ fixed separators), so generated instances round-trip byte-for-byte.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -400,13 +401,49 @@ def _check_width(v: Valuation, env: Environment) -> None:
                     )
 
 
+# The environments ``load_instance`` decoded in this process, keyed by their
+# block's canonical JSON text, least recently loaded first.  A load of an
+# equal text returns the kept environment, and with it the derived facts its
+# earlier jobs built.  The key is the text, not the decoded environment's
+# ``==``, because 0.0 == -0.0: two blocks share an environment only if they
+# decode alike.  The bound holds the 48 distinct environments of the largest
+# benchmark batch with room to spare.
+LOADED_BOUND = 64
+_LOADED: "OrderedDict[str, Environment]" = OrderedDict()
+
+
+def _forget_profile(env: Environment) -> None:
+    """Drop the store's one profile-dependent entry, the last welfare column
+    (``oracle._welfare_column``), from ``env`` and its markets, so that a
+    reused environment starts a job as a fresh one would."""
+    env._facts.pop("welfare", None)
+    for market in getattr(env, "markets", ()):
+        _forget_profile(market)
+
+
+def _load_environment(block) -> Environment:
+    """The environment of an instance's ``environment`` block: the one kept
+    for an equal canonical text, else a new one, kept as the most recent."""
+    text = json.dumps(block, sort_keys=True)
+    env = _LOADED.get(text)
+    if env is None:
+        env = decode_environment(block)
+    else:
+        _LOADED.move_to_end(text)
+        _forget_profile(env)
+    _LOADED[text] = env
+    if len(_LOADED) > LOADED_BOUND:
+        _LOADED.popitem(last=False)
+    return env
+
+
 def load_instance(text: str) -> Instance:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     _expect_keys(doc, {"environment", "agents"}, {"distribution"}, "instance")
-    env = decode_environment(doc["environment"])
+    env = _load_environment(doc["environment"])
     profile = tuple(decode_valuation(v) for v in _array(doc["agents"], "agents"))
     if len(profile) != env.n:
         raise SchemaError(f"{len(profile)} agent records for {env.n} agents")

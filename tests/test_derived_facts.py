@@ -13,7 +13,7 @@ import pickle
 
 import pytest
 
-from balprice import cli
+from balprice import cli, serialize
 from balprice.balance import check_balanced
 from balprice.catalog import gen_matroid, gen_pip_random
 from balprice.core import MatroidEnv, PipEnv, enumerate_feasible
@@ -63,7 +63,9 @@ def test_store_is_the_only_extra_state_and_pickles_to_nothing(tmp_path, monkeypa
     dump_instance_file(_catalog(kind), str(path))
     instance = load_instance_file(str(path))
     got, families = _run(monkeypatch, path, instance, argv)
+    serialize._LOADED.clear()  # else the load gives back the used environment
     env, fresh = instance.env, load_instance_file(str(path)).env
+    assert fresh is not env
     kept = {"_facts", "_agent_masks"} if isinstance(env, MatroidEnv) else {"_facts"}
     pairs = [(env, fresh)]
     if isinstance(env, MatroidEnv):

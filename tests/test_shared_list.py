@@ -211,16 +211,16 @@ def _matroid(rank, ground, seed):
             "--seed", str(seed)]
 
 
-@pytest.mark.parametrize(
-    "catalog,pricing",
-    [
-        (["xos", "--n", "3", "--m", "4"], "xos"),
-        (_matroid(3, 6, 2), "matroid"),
-        (_matroid(2, 5, 3), "warmup"),
-        (_matroid(2, 4, 0), "alg1-greedy"),
-        (_matroid(2, 4, 0), "alg2-opt"),
-    ],
-)
+BALANCE_JOBS = [
+    (["xos", "--n", "3", "--m", "4"], "xos"),
+    (_matroid(3, 6, 2), "matroid"),
+    (_matroid(2, 5, 3), "warmup"),
+    (_matroid(2, 4, 0), "alg1-greedy"),
+    (_matroid(2, 4, 0), "alg2-opt"),
+]
+
+
+@pytest.mark.parametrize("catalog,pricing", BALANCE_JOBS)
 def test_balance_enumerates_once(tmp_path, monkeypatch, catalog, pricing):
     """The construction, its parameters, the reference OPT, contracted OPT,
     critical values and the walk all read one enumeration."""
@@ -229,6 +229,32 @@ def test_balance_enumerates_once(tmp_path, monkeypatch, catalog, pricing):
     runs = count_dfs_runs(monkeypatch)
     assert main(["balance", "--instance", str(path), "--pricing", pricing]) in (0, 1)
     assert runs[0] == 1
+
+
+@pytest.mark.parametrize("catalog,pricing", BALANCE_JOBS)
+def test_second_job_reads_the_first_jobs_store(tmp_path, monkeypatch, catalog, pricing):
+    """A second job on the same file loads the environment the first one
+    decoded, with its store: it runs no DFS and filters no exchange set,
+    and writes a byte-identical report."""
+    path = tmp_path / "inst.json"
+    assert main(["catalog", *catalog, "-o", str(path)]) == 0
+    report = tmp_path / "report.json"
+    argv = ["balance", "--instance", str(path), "--pricing", pricing, "-o", str(report)]
+    code = main(argv)
+    assert code in (0, 1)
+    first = report.read_bytes()
+    report.unlink()
+    runs, filters = count_dfs_runs(monkeypatch), [0]
+    real = ExchangeFamily._filter
+
+    def counted(family, *args):
+        filters[0] += 1
+        return real(family, *args)
+
+    monkeypatch.setattr(ExchangeFamily, "_filter", counted)
+    assert main(argv) == code
+    assert runs[0] == 0 and filters[0] == 0
+    assert report.read_bytes() == first
 
 
 def test_exact_ratio_enumerates_once(tmp_path, monkeypatch):

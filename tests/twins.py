@@ -29,7 +29,7 @@ from typing import Callable
 
 from hypothesis import strategies as st
 
-from balprice import cli
+from balprice import cli, serialize
 from balprice.balance import _OrderSums, check_balanced, check_weakly_balanced
 from balprice.catalog import (
     gen_knapsack_random, gen_matroid, gen_pip_random, gen_two_point_single_item,
@@ -687,6 +687,7 @@ def _cli_job(instance, pricing, command, forms):
         # the output names the instance by the path it was given
         os.chdir(tmp)
         try:
+            serialize._LOADED.clear()  # no environment kept from the other side
             dump_instance_file(cli_instance(*instance), "support.json")
             with patched(cli.CONSTRUCTIONS, swap), contextlib.redirect_stdout(stdout):
                 code = cli.main([*argv, "-o", "support.out"])
@@ -1005,4 +1006,108 @@ STEPS = Twin(
     ),
 )
 
-TWINS = (FEASIBLE, MEMBERS, WALK, DECLARED, STATIC, COLUMNS, EXPECTED_OPT, STEPS)
+# ---------------------------------------------------------------------------
+# The load table (``serialize._LOADED``): a shuffled list of CLI jobs run one
+# after another in one process, each job that loads an equal environment
+# block reading the store the earlier ones filled, against each job run
+# with the table emptied first.  A case is (shuffle seed, Monte Carlo
+# trials); a job's result is its exit code, stdout, stderr and output file.
+# ---------------------------------------------------------------------------
+
+STORE_INSTANCES = {
+    "u24.json": "matroid --kind uniform --rank 2 --ground 4 --seed 1",
+    "u48.json": "matroid --kind uniform --rank 4 --ground 8 --seed 1",
+    "xos.json": "xos --n 3 --m 3 --seed 1",
+    # two packings of one kind and size, with different matrices
+    "pip-1.json": "pip --n 5 --seed 1",
+    "pip-2.json": "pip --n 5 --seed 2",
+    "knapsack.json": "knapsack --n 4 --seed 1",
+    "tp.json": "two-point --n 6 --seed 1",
+}
+# the matroid rule certifies against item-disjoint sets, warmup and alg2-opt
+# against contractions: two family kinds in one store
+STORE_JOBS = (
+    "balance --instance u24.json --pricing matroid",
+    "balance --instance u24.json --pricing alg2-opt",
+    "balance --instance u24.json --pricing warmup",
+    "balance --instance xos.json --pricing xos",
+    "balance --instance pip-1.json --pricing pip",
+    "balance --instance pip-2.json --pricing pip",
+    "balance --instance knapsack.json --pricing knapsack",
+    "ratio --instance tp.json --pricing single-item --exact",
+    "ratio --instance tp.json --pricing single-item --seed 3 --trials",
+)
+# 163 listed allocations against a cap of 100, before and after a job
+# that lists them all
+CAPPED = "balance --instance u48.json --pricing matroid --cap-feasible 100"
+CAPPED_RUN = (CAPPED, "balance --instance u48.json --pricing matroid", CAPPED)
+CAP_MESSAGE = "resource cap exceeded: feasible allocations exceeded cap: 101 > 100\n"
+
+
+def _store_jobs(seed, trials) -> list:
+    """``STORE_JOBS`` shuffled by ``seed``, with ``CAPPED_RUN`` in its order
+    at positions the seed draws."""
+    rng = random.Random(seed)
+    jobs = list(STORE_JOBS)
+    jobs[-1] += f" {trials}"
+    rng.shuffle(jobs)
+    for k, job in zip(sorted(rng.sample(range(len(jobs) + 3), 3)), CAPPED_RUN):
+        jobs.insert(k, job)
+    return jobs
+
+
+def _shared_store(case, twin=False):
+    """(job, exit code, stdout, stderr, output file or None) per job, in
+    run order."""
+    out, home = [], os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                for name, line in STORE_INSTANCES.items():
+                    assert cli.main(["catalog", *line.split(), "-o", name]) == 0
+            serialize._LOADED.clear()
+            for k, job in enumerate(_store_jobs(*case)):
+                if twin:
+                    serialize._LOADED.clear()
+                stdout, stderr, path = io.StringIO(), io.StringIO(), f"out-{k}"
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.main([*job.split(), "-o", path])
+                written = None
+                if os.path.exists(path):
+                    with open(path, "rb") as fh:
+                        written = fh.read()
+                out.append((job, code, stdout.getvalue(), stderr.getvalue(), written))
+        finally:
+            os.chdir(home)
+    return out
+
+
+def _store_summary(got) -> str:
+    capped = sorted({(code, err) for job, code, _, err, _ in got if job == CAPPED})
+    return f"capped jobs {capped}; {sum(code == 0 for _, code, *_ in got)} of {len(got)} jobs exit 0"
+
+
+def _same_store_runs(got, want) -> bool:
+    """Equal runs, in which each capped job exits 3 with ``CAP_MESSAGE``
+    and every other job exits 0."""
+    return same_repr(got, want) and all(
+        (code, err) == (3, CAP_MESSAGE) if job == CAPPED else code == 0
+        for job, code, _, err, _ in got
+    )
+
+
+SHARED_STORE = Twin(
+    name="shared-store",
+    fast=_shared_store,
+    twin=functools.partial(_shared_store, twin=True),
+    small={"shuffled-jobs": Small(st.tuples(st.integers(0, 2**32), st.just(20)), 3)},
+    large=tuple(
+        (f"shuffle {seed}", (seed, 200), f"capped jobs {[(3, CAP_MESSAGE)]};")
+        for seed in range(4)
+    ),
+    summary=_store_summary,
+    compare=_same_store_runs,
+)
+
+TWINS = (FEASIBLE, MEMBERS, WALK, DECLARED, STATIC, COLUMNS, EXPECTED_OPT, STEPS, SHARED_STORE)

@@ -319,6 +319,20 @@ MUTANTS = (
         ("tests/test_load_table.py::TestKeys",),
     ),
     Mutant(
+        "certifier's permutation check dropped, killed by test_refused",
+        BALANCE,
+        "    order = _check_order(env.n, order, (\"all\",))\n",
+        "    order = order if order == \"all\" else tuple(range(env.n) if order is None else order)\n",
+        ("tests/test_order_argument.py", "-k", "test_refused and check_balanced"),
+    ),
+    Mutant(
+        "monte_carlo_ratio accepts \"all\", killed by test_refused",
+        STOCHASTIC,
+        "    order = _check_order(env.n, order, (\"random\",))\n",
+        "    order = _check_order(env.n, order, (\"random\", \"all\"))\n",
+        ("tests/test_order_argument.py", "-k", "test_refused and monte_carlo_ratio"),
+    ),
+    Mutant(
         "negative counts decoded, killed by test_negative_matroid_count_rejected",
         SERIALIZE,
         "    if k < 0:\n"

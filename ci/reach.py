@@ -230,9 +230,6 @@ ALLOW = {
                                  "report holds it",
     "core._fields_state": "pickling or copying an environment or matroid drops its derived "
                           "facts and hash, which may differ in another process; no job pickles",
-    "oracle.FractionalSolution.integral_allocation": "the fractional_lp allocation rule reads "
-                                                     "an integral LP optimum; no construction "
-                                                     "builds that rule",
     "pricing.MonotonicityError.__init__": "raised when a rule's critical values fall along a "
                                           "chain; the warmup construction's rule is OPT, "
                                           "which is monotone",

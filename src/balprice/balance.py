@@ -18,7 +18,7 @@ import math
 from functools import partial
 from operator import add
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     DEFAULT_CAP,
@@ -28,14 +28,13 @@ from .core import (
     Allocation,
     Environment,
     Valuation,
+    _check_order,
     _first_max,
     enumerate_feasible,
     welfare,
 )
 from .oracle import ExchangeFamily, _positions_by, _welfare_column, fact
 from .pricing import BalanceParams, PricingRule
-
-ORDER_MODES = ("declared", "all")
 
 
 @dataclass
@@ -268,8 +267,7 @@ def _check(
     alg_alloc: Allocation,
     family: ExchangeFamily,
     params: BalanceParams,
-    order: Optional[Sequence[int]],
-    order_mode: str,
+    order,
     cap: int,
 ) -> BalanceReport:
     """One walk over the feasible allocations by list position.  Each
@@ -294,14 +292,13 @@ def _check(
     environment is downward closed.  Only the entries that record a witness
     or a structural violation are expanded, in walk order.
 
-    A dynamic rule's all-orders sums share one ``_OrderSums`` memo across
-    the walk; its declared-order sums come from one term table per x over
-    x and its exchange set."""
-    if order_mode not in ORDER_MODES:
-        raise ValueError(f"unknown order mode {order_mode}")
+    ``order`` is ``"all"`` for every agent indexing, or a declared one: a
+    permutation, the identity for None.  A dynamic rule's all-orders sums
+    share one ``_OrderSums`` memo across the walk; its declared-order sums
+    come from one term table per x over x and its exchange set."""
+    order = _check_order(env.n, order, ("all",))
     if family.env != env:
         raise ValueError("the exchange family belongs to another environment")
-    order = tuple(range(env.n)) if order is None else tuple(order)
     feasible = enumerate_feasible(env, cap)
     alg_w = welfare(profile, alg_alloc)
     column = _welfare_column(env, profile)
@@ -310,7 +307,7 @@ def _check(
         params=params,
         condition_a_min_slack=math.inf,
         condition_b_min_slack=math.inf,
-        order_mode=order_mode,
+        order_mode="all" if order == "all" else "declared",
     )
     keys = family._keys()
     groups = _positions_by(keys)
@@ -328,7 +325,7 @@ def _check(
         sets[key] = (at, residual_w, rhs_a, rhs_b)
 
     def declared(z, maximize):
-        return order
+        return tuple(range(env.n)) if order == "all" else order
 
     if prices.static:
         col, flags = _term_sums(prices, range(env.n), env.null_allocation(), feasible)
@@ -360,7 +357,7 @@ def _check(
         recorded.sort()  # back in walk order
         for k, *entry in recorded:
             _record(report, feasible[k], col[k], flags[k], *entry, declared)
-    elif order_mode == "all":
+    elif order == "all":
         sums = _OrderSums(env, prices)
         for k, (x, key) in enumerate(zip(feasible, keys)):
             at, residual_w, rhs_a, rhs_b = sets[key]
@@ -387,14 +384,15 @@ def check_balanced(
     alg_alloc,
     family,
     params: BalanceParams,
-    order: Optional[Sequence[int]] = None,
-    order_mode: str = "all",
+    order="all",
     cap: int = DEFAULT_CAP,
 ) -> BalanceReport:
-    """Certify the strong-form conditions at (alpha, beta)."""
+    """Certify the strong-form conditions at (alpha, beta) under ``order``:
+    ``"all"`` for every agent indexing, or a declared permutation (the
+    identity for None)."""
     if params.weak:
         raise ValueError("strong-form check requires beta, not beta1/beta2")
-    return _check(env, profile, prices, alg_alloc, family, params, order, order_mode, cap)
+    return _check(env, profile, prices, alg_alloc, family, params, order, cap)
 
 
 def check_weakly_balanced(
@@ -404,14 +402,14 @@ def check_weakly_balanced(
     alg_alloc,
     family,
     params: BalanceParams,
-    order: Optional[Sequence[int]] = None,
-    order_mode: str = "all",
+    order="all",
     cap: int = DEFAULT_CAP,
 ) -> BalanceReport:
-    """Certify the weak-form conditions at (alpha, beta1, beta2)."""
+    """Certify the weak-form conditions at (alpha, beta1, beta2) under
+    ``order``, as ``check_balanced`` takes it."""
     if not params.weak:
         raise ValueError("weak-form check requires beta1 and beta2")
-    return _check(env, profile, prices, alg_alloc, family, params, order, order_mode, cap)
+    return _check(env, profile, prices, alg_alloc, family, params, order, cap)
 
 
 def minimal_beta(
@@ -421,8 +419,7 @@ def minimal_beta(
     alg_alloc,
     family,
     alpha: float,
-    order: Optional[Sequence[int]] = None,
-    order_mode: str = "all",
+    order="all",
     cap: int = DEFAULT_CAP,
 ) -> float:
     """Smallest beta for which the strong upper-bound condition holds, given
@@ -431,7 +428,7 @@ def minimal_beta(
     satisfied; positive/0 is unbounded)."""
     report = _check(
         env, profile, prices, alg_alloc, family, BalanceParams(alpha=alpha, beta=1.0),
-        order, order_mode, cap,
+        order, cap,
     )
     if any(v[0] == "b" for v in report.structural_violations):
         raise ValueError("unavailable entry in a condition sum")

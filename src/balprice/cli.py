@@ -36,6 +36,7 @@ from .core import (
     PipEnv,
     ProductEnv,
     SingleItemEnv,
+    _check_order,
     enumerate_feasible,
     welfare,
 )
@@ -286,20 +287,22 @@ def resolve_params(args, construction: Construction, instance: Instance, cap: in
 
 
 def parse_order(raw: Optional[str], n: int):
-    """Returns ("fixed", perm) | ("all", None) | ("random", None) |
-    ("adversary", None); permutations are written 1-based on the CLI."""
+    """The order value every layer takes: a permutation (written 1-based on
+    the CLI), None for the identity, or the order kind "all", "random" or
+    "adversary"."""
     if raw is None or raw == "fixed":
-        return "fixed", tuple(range(n))
+        return None
     if raw in ("all", "random", "adversary"):
-        return raw, None
+        return raw
     body = raw[len("fixed:"):] if raw.startswith("fixed:") else raw
     try:
-        perm = tuple(int(tok) - 1 for tok in body.split(","))
+        perm = [int(tok) - 1 for tok in body.split(",")]
     except ValueError as exc:
         raise SchemaError(f"cannot parse order {raw!r}") from exc
-    if sorted(perm) != list(range(n)):
-        raise SchemaError(f"order {raw!r} is not a permutation of 1..{n}")
-    return "fixed", perm
+    try:
+        return _check_order(n, perm)
+    except ValueError as exc:
+        raise SchemaError(f"order {raw!r} is not a permutation of 1..{n}") from exc
 
 
 # per job: the order kinds it accepts, and how its refusal names them
@@ -386,12 +389,12 @@ def _job(args, scaled: bool):
     env = instance.env
     if not construction.applies_to(env):
         raise PricingError(f"--pricing {args.pricing} does not apply to a {env.kind} environment")
-    order_kind, perm = parse_order(args.order, env.n)
+    order = parse_order(args.order, env.n)
     job = args.command
     if job == "ratio":
         job = "exact ratio" if _exact_ratio(args) else "sampled ratio"
     accepted, named = ORDER_KINDS[job]
-    if order_kind not in accepted:
+    if (order if isinstance(order, str) else "fixed") not in accepted:
         raise SchemaError(f"{job} supports {named}")
     params = resolve_params(args, construction, instance, cap)
 
@@ -405,28 +408,24 @@ def _job(args, scaled: bool):
         )
     else:
         rule = constructor(instance.profile)
-    return instance, construction, params, rule, order_kind, perm
+    return instance, construction, params, rule, order
 
 
 def cmd_balance(args) -> int:
     cap = args.cap_feasible
-    instance, construction, params, rule, order_kind, perm = _job(args, scaled=False)
+    instance, construction, params, rule, order = _job(args, scaled=False)
     env, profile = instance.env, instance.profile
     reference = construction.reference(env, profile, cap)
     family = construction.family(env)
     if args.order is None:
         # default: quantify over every indexing at desk scale
         n = env.n
-        order_mode = "all" if n <= 6 else "declared"
+        order = "all" if n <= 6 else None
         why = "n <= 6" if n <= 6 else "n > 6; pass --order all for every agent order"
-        print(f"order quantifier: {order_mode} (default for {n} agents, {why})", file=sys.stderr)
-    else:
-        order_mode = "all" if order_kind == "all" else "declared"
+        print(f"order quantifier: {order or 'declared'} (default for {n} agents, {why})",
+              file=sys.stderr)
     check = check_weakly_balanced if params.weak else check_balanced
-    report = check(
-        env, profile, rule, reference, family, params,
-        order=perm, order_mode=order_mode, cap=cap,
-    )
+    report = check(env, profile, rule, reference, family, params, order=order, cap=cap)
     verdict = "PASS" if report.passed else "FAIL"
     label = (
         f"({params.alpha:g},{params.beta1:g},{params.beta2:g})"
@@ -449,42 +448,37 @@ def cmd_balance(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    instance, _, _, rule, order_kind, perm = _job(args, scaled=True)
+    instance, _, _, rule, order = _job(args, scaled=True)
     env, profile = instance.env, instance.profile
     tie = TIE_BY_FLAG[args.tie]
-    if order_kind == "fixed":
-        trace = run_posted_price(env, rule, profile, perm, tie)
-        order = [i + 1 for i in trace.order]
-        line = f"welfare={trace.welfare:g} revenue={trace.revenue:g} order={order}"
-        payload = {"trace": trace.as_dict()}
-    elif order_kind == "all":
+    if order == "all":
         w, order = worst_order_welfare(env, rule, profile, tie)
         payload = {"worst_order_welfare": w, "order": [i + 1 for i in order]}
         line = f"worst-order welfare={w:g} order={payload['order']}"
-    else:
+    elif order == "adversary":
         w = adaptive_adversary_welfare(env, rule, _distribution(instance), tie)
         line = f"adaptive-adversary expected welfare={w:g}"
         payload = {"adaptive_adversary_welfare": w}
+    else:
+        trace = run_posted_price(env, rule, profile, order, tie)
+        order = [i + 1 for i in trace.order]
+        line = f"welfare={trace.welfare:g} revenue={trace.revenue:g} order={order}"
+        payload = {"trace": trace.as_dict()}
     print(line)
     _emit_report(args, payload)
     return 0
 
 
 def cmd_ratio(args) -> int:
-    instance, _, _, rule, order_kind, perm = _job(args, scaled=True)
+    instance, _, _, rule, order = _job(args, scaled=True)
     env, dist = instance.env, _distribution(instance)
     tie = TIE_BY_FLAG[args.tie]
     # OPT's feasible list is kept on env, so this counts it against the job's cap
     enumerate_feasible(env, args.cap_feasible)
     if _exact_ratio(args):
-        order = perm if order_kind == "fixed" else order_kind
         est = exact_ratio(env, rule, dist, order, tie, args.cap_feasible)
     else:
-        est = monte_carlo_ratio(
-            env, rule, dist,
-            order_mode=order_kind, trials=args.trials, seed=args.seed,
-            tie=tie, fixed_order=perm,
-        )
+        est = monte_carlo_ratio(env, rule, dist, order, args.trials, args.seed, tie)
     est = est.as_dict()
     print(
         f"ratio={est['ratio']:.6g} welfare={est['expected_mechanism_welfare']:.6g} "

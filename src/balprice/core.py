@@ -56,6 +56,22 @@ def _first_max(ws: Iterable[float]) -> int:
     return best
 
 
+def _check_order(n: int, order, kinds: tuple = ()):
+    """The arrival order ``order`` names for n agents: a permutation of
+    them as a tuple, the identity for None, or one of the caller's order
+    kinds ``kinds`` ("all", "adversary", "random") as it is.  Anything else
+    raises ValueError."""
+    if isinstance(order, str):
+        if order not in kinds:
+            takes = ", ".join(("a permutation", "None", *map(repr, kinds)))
+            raise ValueError(f"order {order!r} is not taken here; this takes {takes}")
+        return order
+    order = tuple(range(n)) if order is None else tuple(order)
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"order {order} is not a permutation of {n} agents")
+    return order
+
+
 class CapExceeded(Exception):
     """Enumeration or search exceeded the configured resource cap; ``what``
     names the things counted (feasible allocations, memo states, ...)."""

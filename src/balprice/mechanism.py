@@ -29,6 +29,7 @@ from .core import (
     KnapsackEnv,
     ThresholdValuation,
     Valuation,
+    _check_order,
     _first_max,
     replace_at,
     value,
@@ -63,13 +64,6 @@ class MechanismTrace:
             "revenue": self.revenue,
             "utility_sum": self.utility_sum,
         }
-
-
-def _check_order(n: int, order: Sequence[int]) -> tuple[int, ...]:
-    order = tuple(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} is not a permutation of {n} agents")
-    return order
 
 
 def _pick(cands, tie: str):
@@ -181,9 +175,10 @@ class OnlinePostedPriceRunner:
     Each state is (agents still to arrive, purchases so far), with three
     kinds of node below it:
 
-    - arrival: the next agent of ``order``, or with ``order=None`` the
-      adversary's minimum over the agents still to arrive, chosen after
-      seeing realized valuations and purchases;
+    - arrival: the next agent of ``order`` (a permutation, the identity
+      for None), or with ``order="adversary"`` the adversary's minimum
+      over the agents still to arrive, chosen after seeing realized
+      valuations and purchases;
     - nature: the arriving agent's atoms ``atoms[i]``, its
       (valuation, probability) pairs (a distribution's ``supports``);
     - tie: a named policy, or under ``adversarial_min_welfare`` the entry
@@ -204,15 +199,14 @@ class OnlinePostedPriceRunner:
     atoms and tie policy, between runners.
     """
 
-    def __init__(self, env, prices, atoms, order: Optional[Sequence[int]],
-                 tie: str = "adversarial_min_welfare", cap: int = MEMO_CAP,
-                 steps: Optional[_Steps] = None):
+    def __init__(self, env, prices, atoms, order, tie: str = "adversarial_min_welfare",
+                 cap: int = MEMO_CAP, steps: Optional[_Steps] = None):
         if tie not in TIE_POLICIES:
             raise ValueError(f"unknown tie policy {tie}")
         self.env = env
         self.prices = prices
         self.atoms = atoms
-        self.order = None if order is None else _check_order(env.n, order)
+        self.order = _check_order(env.n, order, ("adversary",))
         self.tie = tie
         self.cap = cap
         self._steps = _Steps(env, prices, tie, atoms) if steps is None else steps
@@ -222,7 +216,7 @@ class OnlinePostedPriceRunner:
         # a fixed order's next arrival, keyed by the agents still to arrive
         self._next: dict[int, tuple[int]] = {}
         left = self._everyone = (1 << env.n) - 1
-        for i in self.order or ():
+        for i in () if self.order == "adversary" else self.order:
             self._next[left] = (i,)
             left &= ~(1 << i)
 
@@ -268,7 +262,7 @@ class OnlinePostedPriceRunner:
         if len(self._memo) > self.cap:
             raise CapExceeded(len(self._memo), self.cap, "evaluator memo states")
         steps = self._steps
-        if self.order is None:
+        if self.order == "adversary":
             if self._closed(left, h):
                 self._memo[key] = 0.0
                 return 0.0
@@ -300,7 +294,7 @@ class OnlinePostedPriceRunner:
     def run(self, profile: Sequence[Valuation]) -> MechanismTrace:
         """One realized-profile execution in the fixed order with the online
         tie policy: ``realized_walk``, ties decided by this runner's memo."""
-        if self.order is None:
+        if self.order == "adversary":
             raise ValueError("a realized run needs a fixed arrival order")
         outcomes, payments = self._walk(profile)
         utilities = tuple(
@@ -321,11 +315,12 @@ def run_posted_price(
     env: Environment,
     prices: PricingRule,
     profile: Sequence[Valuation],
-    order: Sequence[int],
+    order=None,
     tie: str = "adversarial_min_welfare",
 ) -> MechanismTrace:
-    """Approach agents in ``order``; each buys a utility-maximizing entry from
-    the menu of finitely-priced outcomes given prior purchases.
+    """Approach agents in ``order`` (a permutation, the identity for None);
+    each buys a utility-maximizing entry from the menu of finitely-priced
+    outcomes given prior purchases.
 
     The evaluator runs on the profile's point masses, so under
     ``adversarial_min_welfare`` each tie takes the branch minimizing the
@@ -337,6 +332,7 @@ def run_posted_price(
     future values.
     """
     point_masses = tuple(((v, 1.0),) for v in profile)
+    order = _check_order(env.n, order)
     return OnlinePostedPriceRunner(env, prices, point_masses, order, tie).run(profile)
 
 
@@ -351,7 +347,7 @@ def worst_order_welfare(
     the lexicographically first order that reaches the minimum.
 
     On a realized profile the worst fixed order is the adaptive adversary's
-    value, so the minimum comes from the ``order=None`` evaluator.  The
+    value, so the minimum comes from the ``"adversary"`` evaluator.  The
     witness walk then commits, position by position, the first agent from
     whose arrival the minimum is still reachable.  It keeps every purchase
     history the committed prefix reaches under some tie choice: following a
@@ -359,7 +355,7 @@ def worst_order_welfare(
     welfare is the witness trace's own, replayed on the same step table.
     """
     point_masses = tuple(((v, 1.0),) for v in profile)
-    runner = OnlinePostedPriceRunner(env, prices, point_masses, None, tie, cap)
+    runner = OnlinePostedPriceRunner(env, prices, point_masses, "adversary", tie, cap)
     target = runner.expected_welfare()
     steps = runner._steps
     # each agent's one atom is index 0; a step holds every history a tie
@@ -384,12 +380,13 @@ def expected_posted_price_welfare(
     env,
     prices,
     dist,
-    order: Sequence[int],
+    order=None,
     tie: str = "adversarial_min_welfare",
     cap: int = MEMO_CAP,
 ) -> float:
-    """Exact expected welfare of the posted-price mechanism under a fixed
-    arrival order, with history-conditioned tie choices."""
+    """Exact expected welfare of the posted-price mechanism under ``order``
+    as ``OnlinePostedPriceRunner`` takes it, with history-conditioned tie
+    choices."""
     return OnlinePostedPriceRunner(env, prices, dist.supports, order, tie, cap).expected_welfare()
 
 
@@ -399,7 +396,7 @@ def adaptive_adversary_welfare(
     """Exact minimax expected welfare: the adversary picks the next agent
     after observing realized valuations and purchases; agents break ties by
     ``tie`` (by default also adversarially)."""
-    return OnlinePostedPriceRunner(env, prices, dist.supports, None, tie, cap).expected_welfare()
+    return expected_posted_price_welfare(env, prices, dist, "adversary", tie, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -442,24 +442,21 @@ def _greedy_matroid_elements(env: MatroidEnv, profile, fixed: Allocation) -> All
 
 @dataclass(frozen=True)
 class AllocationRule:
-    """Named allocation rule; ``run`` maps (env, profile) to an allocation."""
+    """Named allocation rule; ``run`` maps (env, profile) to an allocation.
+    Both kinds have critical values."""
 
-    kind: str  # opt_bruteforce | greedy_by_value | fractional_lp
+    kind: str  # opt_bruteforce | greedy_by_value
+
+    def __post_init__(self):
+        if self.kind not in ("opt_bruteforce", "greedy_by_value"):
+            raise ValueError(f"unknown allocation rule kind {self.kind}")
 
     def run(self, env, profile, fixed: Optional[Allocation] = None, cap: int = DEFAULT_CAP):
-        if self.kind == "opt_bruteforce":
-            if fixed is None:
-                return opt(env, profile, cap)
-            return contracted_opt(env, profile, fixed, cap)
         if self.kind == "greedy_by_value":
             return greedy(env, profile, fixed)
-        if self.kind == "fractional_lp":
-            sol = fractional_opt_config_lp(env, profile)
-            integral = sol.integral_allocation()
-            if integral is None:
-                raise ValueError("fractional LP optimum is not integral")
-            return integral
-        raise ValueError(f"unknown allocation rule kind {self.kind}")
+        if fixed is None:
+            return opt(env, profile, cap)
+        return contracted_opt(env, profile, fixed, cap)
 
 
 OPT_RULE = AllocationRule("opt_bruteforce")
@@ -473,11 +470,6 @@ def contracted_opt(env, profile, fixed: Allocation, cap: int = DEFAULT_CAP) -> A
     return residual_opt(env, profile, fam, fixed, cap)
 
 
-def _check_critical_rule(rule: AllocationRule) -> None:
-    if rule.kind not in (OPT_RULE.kind, GREEDY_RULE.kind):
-        raise ValueError(f"critical values undefined for rule {rule.kind}")
-
-
 def critical_value(
     rule: AllocationRule,
     env: Environment,
@@ -489,7 +481,6 @@ def critical_value(
     """Exact infimum bid at which ``agent`` wins under the rule in the
     subinstance holding ``fixed`` allocated; UNAVAILABLE when no bid wins."""
     tok = _binary_token(env, agent)
-    _check_critical_rule(rule)
     if fixed[agent] != NULL or not env.is_feasible(replace_at(fixed, agent, tok)):
         return UNAVAILABLE
     vals = [0.0 if j == agent else agent_value(env, profile_others, j) for j in range(env.n)]
@@ -584,7 +575,6 @@ def permeability(
     an ``fsum`` of the same multiset, which is correctly rounded alike."""
     if not is_binary_env(env):
         raise TypeError("permeability requires a binary single-parameter environment")
-    _check_critical_rule(rule)
     grid = sorted(set(float(g) for g in value_grid))
     supports = [support(x) for x in enumerate_feasible(env, cap)]
     classes = agent_classes(env, rule, cap)
@@ -674,16 +664,6 @@ class FractionalSolution:
     env: CombinatorialAuctionEnv
     weights: tuple[tuple[int, int, float], ...]  # (agent, bundle mask, weight)
     objective: float
-
-    def integral_allocation(self) -> Optional[Allocation]:
-        alloc = [NULL] * self.env.n
-        for a, m, w in self.weights:
-            if w > 1.0 - 1e-6:
-                alloc[a] = m
-            elif w > 1e-6:
-                return None
-        out = tuple(alloc)
-        return out if self.env.is_feasible(out) else None
 
 
 def fractional_opt_config_lp(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import getitem
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,13 +30,13 @@ from .core import (
     CapExceeded,
     Environment,
     Valuation,
+    _check_order,
     _first_max,
     enumerate_feasible,
     value,
 )
 from .mechanism import (
     OnlinePostedPriceRunner,
-    _check_order,
     _Steps,
     adaptive_adversary_welfare,
     distinct_atoms,
@@ -278,7 +278,7 @@ def exact_ratio(
     env: Environment,
     prices,
     dist: ProductDistribution,
-    order: Union[Sequence[int], str, None] = None,
+    order=None,
     tie: str = "adversarial_min_welfare",
     cap: int = EXACT_SUPPORT_CAP,
 ) -> RatioEstimate:
@@ -289,12 +289,12 @@ def exact_ratio(
     orders, at most ``EXACT_SUPPORT_CAP`` of them.  ``cap`` bounds the
     support profiles the expected optimum enumerates.  Tie choices condition
     on realized history only (see expected_posted_price_welfare)."""
+    order = _check_order(env.n, order, ("adversary", "all"))
     if order == "adversary":
         mech = adaptive_adversary_welfare(env, prices, dist, tie)
     elif order == "all":
         mech = worst_order_expected_welfare(env, prices, dist, tie)
     else:
-        order = tuple(range(env.n)) if order is None else order
         mech = expected_posted_price_welfare(env, prices, dist, order, tie)
     return RatioEstimate.of(mech, expected_opt(env, dist, cap), "exact")
 
@@ -321,29 +321,27 @@ def monte_carlo_ratio(
     env: Environment,
     prices,
     dist: ProductDistribution,
-    order_mode: str = "fixed",
+    order=None,
     trials: int = 1000,
     seed: int = 0,
     tie: str = "adversarial_min_welfare",
-    fixed_order: Optional[Sequence[int]] = None,
 ) -> RatioEstimate:
     """Sampled competitive ratio: per trial, draw a profile from its Philox
-    stream, run the mechanism under the requested order mode, and accumulate
-    welfare against the per-trial optimum.  Each trial walks one step table
-    (``mechanism._Steps``) by its atoms' ``_distinct`` indices, and its
-    welfare is the ``fsum`` of the steps' value gains in agent order, the
-    float ``welfare`` gives on its final allocation.  Tie choices are
-    history-conditioned: an order's runner is built, on the same step table,
-    at its first arrival with several candidates, and shares its
-    continuation memo across trials.  A fixed order is checked once, before
-    the first trial, and each random order as it is drawn."""
+    stream, run the mechanism in ``order``, and accumulate welfare against
+    the per-trial optimum.  ``order`` is a fixed arrival order (a
+    permutation, the identity for None), or ``"random"`` for a fresh
+    uniform order per trial, drawn from the trial's stream after its
+    profile; it is checked once, before the first trial.  Each trial walks
+    one step table (``mechanism._Steps``) by its atoms' ``_distinct``
+    indices, and its welfare is the ``fsum`` of the steps' value gains in
+    agent order, the float ``welfare`` gives on its final allocation.  Tie
+    choices are history-conditioned: an order's runner is built, on the
+    same step table, at its first arrival with several candidates, and
+    shares its continuation memo across trials."""
     if trials < 1:
         raise ValueError("at least one trial required")
-    if order_mode not in ("fixed", "random"):
-        raise ValueError(f"unknown order mode {order_mode}")
-    n = env.n
-    if order_mode == "fixed":
-        order = _check_order(n, range(n) if fixed_order is None else fixed_order)
+    order = _check_order(env.n, order, ("random",))
+    random = order == "random"
 
     steps = _Steps(env, prices, tie, dist.supports)
     runners: dict[tuple, OnlinePostedPriceRunner] = {}
@@ -367,8 +365,8 @@ def monte_carlo_ratio(
     for rng in trial_rngs(seed, trials):
         drawn = dist.draw(rng)
         key = tuple(map(getitem, keys, drawn))
-        if order_mode == "random":
-            order = _check_order(n, rng.permutation(n).tolist())
+        if random:
+            order = tuple(rng.permutation(env.n).tolist())
         ws.append(math.fsum(realized_walk(steps, order, key, tied)[2]))
         opt_w = optimum.get(key)
         if opt_w is None:

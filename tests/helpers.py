@@ -467,7 +467,7 @@ class UnprunedRunner(OnlinePostedPriceRunner):
         if len(self._memo) > self.cap:
             raise CapExceeded(len(self._memo), self.cap, "evaluator memo states")
         worst = math.inf
-        for i in self._next[left] if self.order is not None else _members(left):
+        for i in _members(left) if self.order == "adversary" else self._next[left]:
             rest = left & ~(1 << i)
             total = 0.0
             for v, prob in self.atoms[i]:
@@ -494,7 +494,7 @@ def worst_order_twin(env, prices, profile, tie="adversarial_min_welfare"):
     witness walk over history tuples, each arrival's reachable histories
     taken from a fresh decision, and the witness run by the twin."""
     point_masses = tuple(((v, 1.0),) for v in profile)
-    runner = UnprunedRunner(env, prices, point_masses, None, tie)
+    runner = UnprunedRunner(env, prices, point_masses, "adversary", tie)
     target = runner.expected_welfare()
     left, witness, frontier = runner._everyone, [], {env.null_allocation()}
     while left:
@@ -659,10 +659,9 @@ def sample_twin(dist, rng) -> tuple:
     return tuple(out)
 
 
-def monte_carlo_twin(env, prices, dist, order_mode, trials, seed, tie="adversarial_min_welfare",
-                     fixed_order=None):
+def monte_carlo_twin(env, prices, dist, order, trials, seed, tie="adversarial_min_welfare"):
     """Twin of ``monte_carlo_ratio`` as a plain loop over trials: each trial
-    draws its profile by ``sample_twin`` (then, in random order, its
+    draws its profile by ``sample_twin`` (then, for ``order="random"``, its
     permutation) from its own stream, runs an ``UnprunedRunner`` of its own,
     and takes ``argmax_first_twin`` over the feasible list for its
     optimum."""
@@ -671,11 +670,11 @@ def monte_carlo_twin(env, prices, dist, order_mode, trials, seed, tie="adversari
     for t in range(trials):
         rng = trial_rng(seed, t)
         profile = sample_twin(dist, rng)
-        if order_mode == "fixed":
-            order = tuple(range(env.n)) if fixed_order is None else tuple(fixed_order)
+        if order == "random":
+            trial_order = tuple(int(i) for i in rng.permutation(env.n))
         else:
-            order = tuple(int(i) for i in rng.permutation(env.n))
-        runner = UnprunedRunner(env, prices, dist.supports, order, tie)
+            trial_order = tuple(range(env.n)) if order is None else tuple(order)
+        runner = UnprunedRunner(env, prices, dist.supports, trial_order, tie)
         ws.append(runner.run(profile).welfare)
         os_.append(welfare(profile, argmax_first_twin(feasible, profile)))
     return RatioEstimate.of(

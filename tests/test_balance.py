@@ -259,10 +259,7 @@ class TestOrderDp:
         all_orders = check_balanced(env, profile, rule, alloc, fam, params)
         assert all_orders.passed
         for order in itertools.permutations(range(env.n)):
-            declared = check_balanced(
-                env, profile, rule, alloc, fam, params,
-                order=order, order_mode="declared",
-            )
+            declared = check_balanced(env, profile, rule, alloc, fam, params, order=order)
             assert declared.passed
 
 

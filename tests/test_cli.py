@@ -35,12 +35,13 @@ def matroid_instance(tmp_path):
 
 class TestParseOrder:
     def test_fixed_one_based(self):
-        assert parse_order("2,1", 2) == ("fixed", (1, 0))
-        assert parse_order("fixed:1,2", 2) == ("fixed", (0, 1))
+        assert parse_order("2,1", 2) == (1, 0)
+        assert parse_order("fixed:1,2", 2) == (0, 1)
 
     def test_modes(self):
-        assert parse_order("all", 3)[0] == "all"
-        assert parse_order(None, 2) == ("fixed", (0, 1))
+        assert parse_order("all", 3) == "all"
+        assert parse_order(None, 2) is None
+        assert parse_order("fixed", 2) is None
 
     def test_rejects_non_permutation(self):
         with pytest.raises(SchemaError):

@@ -213,19 +213,23 @@ class TestOracleCount:
 
 
 class TestRulesWithoutCriticalValues:
-    LP_RULE = AllocationRule("fractional_lp")
-
+    # every rule that can be built has critical values, so neither
+    # critical_value nor permeability checks the kind: a rule without them
+    # is refused when built, before either is entered
     def test_critical_value_refuses(self):
         env, profile = catalog_case("uniform", 1)
-        with pytest.raises(ValueError, match="^critical values undefined for rule fractional_lp$"):
-            critical_value(self.LP_RULE, env, profile, 0, env.null_allocation())
+        with pytest.raises(ValueError, match="^unknown allocation rule kind fractional_lp$"):
+            critical_value(AllocationRule("fractional_lp"), env, profile, 0, env.null_allocation())
 
-    def test_permeability_refuses_before_grid_work(self):
+    def test_permeability_refuses_before_grid_work(self, monkeypatch):
         # the feasible list alone (11 allocations) would exceed this cap
         env, _ = catalog_case("uniform", 1)
         assert len(enumerate_feasible(env)) > 10
-        with pytest.raises(ValueError, match="^critical values undefined for rule fractional_lp$"):
-            permeability(env, self.LP_RULE, range(10), cap=10)
+        calls = []
+        monkeypatch.setattr(balprice.oracle, "enumerate_feasible", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="^unknown allocation rule kind fractional_lp$"):
+            permeability(env, AllocationRule("fractional_lp"), range(10), cap=10)
+        assert calls == []
 
 
 class TestAgentClasses:

@@ -118,7 +118,7 @@ class TestCandidatesOncePerDecision:
         env, dist = inst.env, inst.distribution
         prices = scaled(env, dist, lambda p: single_item_prices(env, p))
         menus = count_menus(monkeypatch, prices)
-        monte_carlo_ratio(env, prices, dist, order_mode="random", trials=200, seed=4)
+        monte_carlo_ratio(env, prices, dist, order="random", trials=200, seed=4)
         assert_once_per_valuation(menus, dist)
 
     def test_worst_order_expected(self, monkeypatch):
@@ -188,15 +188,15 @@ class TestExpectedOptTwin:
     @given(
         st.sampled_from(KINDS),
         st.integers(min_value=0, max_value=31),
-        st.sampled_from(("fixed", "random")),
+        st.sampled_from((None, "random")),
     )
     @settings(max_examples=20, deadline=None)
-    def test_monte_carlo_matches_per_trial_loop(self, kind, seed, order_mode):
+    def test_monte_carlo_matches_per_trial_loop(self, kind, seed, order):
         env, dist, constructor = case(kind, seed)
         got = monte_carlo_ratio(
-            env, scaled(env, dist, constructor), dist, order_mode=order_mode, trials=40, seed=seed
+            env, scaled(env, dist, constructor), dist, order=order, trials=40, seed=seed
         )
-        want = monte_carlo_twin(env, scaled(env, dist, constructor), dist, order_mode, 40, seed)
+        want = monte_carlo_twin(env, scaled(env, dist, constructor), dist, order, 40, seed)
         assert repr(got.expected_opt) == repr(want.expected_opt)
         assert repr(got.ci95_halfwidth) == repr(want.ci95_halfwidth)
         assert repr(got.expected_mechanism_welfare) == repr(want.expected_mechanism_welfare)

@@ -192,9 +192,9 @@ class TestClosureBits:
         env, dist, constructor = case(kind, seed)
         rules = [scaled(env, dist, constructor) for _ in range(3)]
         asked = list(map(asked_entries, rules))
-        runner = OnlinePostedPriceRunner(env, rules[0], dist.supports, None, tie)
-        scan = ScanningRunner(env, rules[1], dist.supports, None, tie)
-        unpruned = UnprunedRunner(env, rules[2], dist.supports, None, tie)
+        runner = OnlinePostedPriceRunner(env, rules[0], dist.supports, "adversary", tie)
+        scan = ScanningRunner(env, rules[1], dist.supports, "adversary", tie)
+        unpruned = UnprunedRunner(env, rules[2], dist.supports, "adversary", tie)
         values = [repr(r.expected_welfare()) for r in (runner, scan, unpruned)]
         assert values[0] == values[1] == values[2]
         assert repr(list(runner._memo.items())) == repr(list(scan._memo.items()))
@@ -209,8 +209,8 @@ class TestClosureBits:
         states = list(unpruned._memo)
         shuffle.shuffle(states)
         steps = runner._steps
-        fresh = OnlinePostedPriceRunner(env, rules[0], dist.supports, None, tie, steps=steps)
-        scanning = ScanningRunner(env, rules[0], dist.supports, None, tie, steps=steps)
+        fresh = OnlinePostedPriceRunner(env, rules[0], dist.supports, "adversary", tie, steps=steps)
+        scanning = ScanningRunner(env, rules[0], dist.supports, "adversary", tie, steps=steps)
         for left, y in states:
             h = steps.ids[y]
             want = scanning._closed(left, h)

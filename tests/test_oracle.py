@@ -39,7 +39,6 @@ from balprice.core import (
 from balprice.oracle import (
     GREEDY_RULE,
     OPT_RULE,
-    AllocationRule,
     ExchangeFamily,
     critical_value,
     default_family,
@@ -532,7 +531,6 @@ class TestConfigLp:
         profile = (AdditiveValuation((3.0, 1.0)), AdditiveValuation((1.0, 2.0)))
         sol = fractional_opt_config_lp(env, profile)
         assert sol.objective == pytest.approx(5.0)
-        assert sol.integral_allocation() == (bit(0), bit(1))
 
     def test_triangle_objective(self):
         env, profile = triangle_instance()
@@ -565,9 +563,3 @@ class TestConfigLp:
         profile = tuple(AdditiveValuation((1.0,) * items) for _ in range(n))
         with pytest.raises(CapExceeded, match=message):
             fractional_opt_config_lp(env, profile)
-
-    def test_fractional_lp_rule(self):
-        env = CombinatorialAuctionEnv(n=2, items=2)
-        profile = (AdditiveValuation((3.0, 1.0)), AdditiveValuation((1.0, 2.0)))
-        rule = AllocationRule("fractional_lp")
-        assert rule.run(env, profile) == (bit(0), bit(1))

@@ -367,14 +367,14 @@ class TestOptOverOneFeasibleList:
     @given(
         st.sampled_from(("uniform", "k4", "single-item", "xos", "knapsack", "deterministic")),
         st.integers(min_value=0, max_value=31),
-        st.sampled_from(("fixed", "random")),
+        st.sampled_from((None, "random")),
     )
     @settings(max_examples=20, deadline=None)
-    def test_monte_carlo_matches_per_trial_opt(self, kind, seed, order_mode):
+    def test_monte_carlo_matches_per_trial_opt(self, kind, seed, order):
         env, dist, constructor = ratio_case(kind, seed)
         prices = pricing.expected_scaled_prices(env, dist, constructor, PARAMS)
-        got = monte_carlo_ratio(env, prices, dist, order_mode=order_mode, trials=30, seed=seed)
-        assert got == monte_carlo_twin(env, prices, dist, order_mode, 30, seed)
+        got = monte_carlo_ratio(env, prices, dist, order=order, trials=30, seed=seed)
+        assert got == monte_carlo_twin(env, prices, dist, order, 30, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,8 @@ class TestClosedHistoryCut:
         inst = gen_two_point_single_item(n=n, seed=n)
         env, dist = inst.env, inst.distribution
         rule = scaled(env, dist, lambda p: single_item_prices(env, p))
-        runner = OnlinePostedPriceRunner(env, rule, dist.supports, None)
-        twin = UnprunedRunner(env, rule, dist.supports, None)
+        runner = OnlinePostedPriceRunner(env, rule, dist.supports, "adversary")
+        twin = UnprunedRunner(env, rule, dist.supports, "adversary")
         assert repr(runner.expected_welfare()) == repr(twin.expected_welfare())
         # the runner keys a state by history id, the twin by history tuple
         states = _by_history(runner)
@@ -171,19 +171,19 @@ class TestIndependenceMemo:
 
 
 class TestMonteCarloMemo:
-    @pytest.mark.parametrize("order_mode", ["fixed", "random"])
+    @pytest.mark.parametrize("order", [pytest.param(None, id="fixed"), "random"])
     @pytest.mark.parametrize("kind,seed", [("two-point", 1), ("uniform", 3), ("tight-prophet", 4)])
-    def test_matches_per_trial_twin(self, kind, seed, order_mode):
+    def test_matches_per_trial_twin(self, kind, seed, order):
         env, dist, constructor = case(kind, seed)
         trials = 3 * dist.support_size() + 7
         got = monte_carlo_ratio(
-            env, scaled(env, dist, constructor), dist, order_mode=order_mode, trials=trials, seed=seed
+            env, scaled(env, dist, constructor), dist, order=order, trials=trials, seed=seed
         )
-        want = monte_carlo_twin(env, scaled(env, dist, constructor), dist, order_mode, trials, seed)
+        want = monte_carlo_twin(env, scaled(env, dist, constructor), dist, order, trials, seed)
         assert repr(got) == repr(want)
 
-    @pytest.mark.parametrize("order_mode", ["fixed", "random"])
-    def test_walks_at_most_distinct_pairs(self, order_mode, monkeypatch):
+    @pytest.mark.parametrize("order", [pytest.param(None, id="fixed"), "random"])
+    def test_walks_at_most_distinct_pairs(self, order, monkeypatch):
         # every trial walks the step table, which asks best_entries once per
         # distinct (agent, atom index, history) the trials reach
         env, dist = two_point_matroid("uniform", seed=2, ground=4, rank=2)
@@ -199,21 +199,21 @@ class TestMonteCarloMemo:
             return real(i, v, y)
 
         monkeypatch.setattr(rule, "best_entries", counted)
-        got = monte_carlo_ratio(env, rule, dist, order_mode=order_mode, trials=trials, seed=seed)
+        got = monte_carlo_ratio(env, rule, dist, order=order, trials=trials, seed=seed)
         assert repr(got) == repr(
-            monte_carlo_twin(env, twin_rule, dist, order_mode, trials, seed)
+            monte_carlo_twin(env, twin_rule, dist, order, trials, seed)
         )
         walked = set()
         for t in range(trials):
             rng = trial_rng(seed, t)
             profile = drawn_profile(dist, rng)
-            order = (
-                tuple(range(env.n)) if order_mode == "fixed"
+            trial_order = (
+                tuple(range(env.n)) if order is None
                 else tuple(int(i) for i in rng.permutation(env.n))
             )
-            final = UnprunedRunner(env, twin_rule, dist.supports, order).run(profile).outcomes
+            final = UnprunedRunner(env, twin_rule, dist.supports, trial_order).run(profile).outcomes
             y = env.null_allocation()
-            for i in order:
+            for i in trial_order:
                 walked.add((i, values[i].index(profile[i]), y))
                 y = replace_at(y, i, final[i])
         assert len(asked) == len(set(asked)) == len(walked) < trials * env.n

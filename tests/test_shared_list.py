@@ -139,19 +139,19 @@ class TestBoundMembers:
 # ---------------------------------------------------------------------------
 
 
-# (balance parameters, order mode) each kind is certified with
+# (balance parameters, order) each kind is certified with; None declares the identity
 CERTIFIED = {
     "matroid": (BalanceParams(alpha=1.0, beta=1.0), "all"),
     "knapsack": (BalanceParams(alpha=2.0, beta=1.0), "all"),
     "single-item": (BalanceParams(alpha=1.0, beta=1.0), "all"),
-    "xos": (BalanceParams(alpha=1.0, beta=1.0), "declared"),
-    "mph": (BalanceParams(alpha=1.0, beta1=1.0, beta2=1.0), "declared"),
-    "pip": (BalanceParams(alpha=2.0, beta1=0.0, beta2=2.0), "declared"),
+    "xos": (BalanceParams(alpha=1.0, beta=1.0), None),
+    "mph": (BalanceParams(alpha=1.0, beta1=1.0, beta2=1.0), None),
+    "pip": (BalanceParams(alpha=2.0, beta1=0.0, beta2=2.0), None),
 }
 
 
 def _case(kind, n, seed):
-    """(env, profile, rule, reference allocation, params, order mode) for a
+    """(env, profile, rule, reference allocation, params, order) for a
     catalog instance under the construction the CLI certifies it with."""
     if kind == "matroid":
         env, profile, rule, _ = matroid_priced("uniform", n, seed, "matroid")
@@ -177,12 +177,12 @@ class TestCheckWithSharedList:
         every exchange set from the brute-force filter, with no shared list,
         and must give an equal report."""
         kind, n, seed, contraction = case
-        env, profile, rule, alloc, params, order_mode = _case(kind, n, seed)
+        env, profile, rule, alloc, params, order = _case(kind, n, seed)
         family = ExchangeFamily("canonical_contraction", env) if contraction else default_family(env)
         check = check_weakly_balanced if params.weak else check_balanced
 
         def run():
-            return check(env, profile, rule, alloc, family, params, order_mode=order_mode)
+            return check(env, profile, rule, alloc, family, params, order=order)
 
         with_list = run()
         brute = brute_feasible(env)

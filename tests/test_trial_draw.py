@@ -130,39 +130,43 @@ def counting_runners(monkeypatch):
     return built
 
 
-def arrivals(env, prices, dist, order_mode, trials, seed):
+# the identity order and a fresh order per trial, as monte_carlo_ratio takes them
+ORDERS = [pytest.param(None, id="fixed"), "random"]
+
+
+def arrivals(env, prices, dist, order, trials, seed):
     """Each trial's (order, number of arrivals with several candidates),
     walked along the twin's own draws."""
     out = []
     for t in range(trials):
         rng = trial_rng(seed, t)
         profile = sample_twin(dist, rng)
-        order = tuple(range(env.n)) if order_mode == "fixed" else tuple(rng.permutation(env.n).tolist())
-        final = OnlinePostedPriceRunner(env, prices, dist.supports, order).run(profile).outcomes
+        trial_order = tuple(range(env.n)) if order is None else tuple(rng.permutation(env.n).tolist())
+        final = OnlinePostedPriceRunner(env, prices, dist.supports, trial_order).run(profile).outcomes
         y, ties = env.null_allocation(), 0
-        for i in order:
+        for i in trial_order:
             ties += len(prices.best_entries(i, profile[i], y)) > 1
             y = replace_at(y, i, final[i])
-        out.append((order, ties))
+        out.append((trial_order, ties))
     return out
 
 
 class TestTies:
-    @pytest.mark.parametrize("order_mode", ["fixed", "random"])
+    @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("tie", TIE_POLICIES)
-    def test_matches_twin(self, tie, order_mode):
+    def test_matches_twin(self, tie, order):
         env, dist, prices = tie_case()
-        assert any(ties for _, ties in arrivals(env, prices, dist, order_mode, 60, 3))
-        got = monte_carlo_ratio(env, prices, dist, order_mode=order_mode, trials=60, seed=3, tie=tie)
-        want = monte_carlo_twin(env, prices, dist, order_mode, 60, 3, tie)
+        assert any(ties for _, ties in arrivals(env, prices, dist, order, 60, 3))
+        got = monte_carlo_ratio(env, prices, dist, order=order, trials=60, seed=3, tie=tie)
+        want = monte_carlo_twin(env, prices, dist, order, 60, 3, tie)
         assert repr(got) == repr(want)
 
-    @pytest.mark.parametrize("order_mode", ["fixed", "random"])
-    def test_runner_only_for_orders_that_tie(self, order_mode, monkeypatch):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_runner_only_for_orders_that_tie(self, order, monkeypatch):
         env, dist, prices = tie_case()
         built = counting_runners(monkeypatch)
-        monte_carlo_ratio(env, prices, dist, order_mode=order_mode, trials=60, seed=3)
-        tied = {order for order, ties in arrivals(env, prices, dist, order_mode, 60, 3) if ties}
+        monte_carlo_ratio(env, prices, dist, order=order, trials=60, seed=3)
+        tied = {drawn for drawn, ties in arrivals(env, prices, dist, order, 60, 3) if ties}
         assert len(built) == len(set(built)) == len(tied) > 0
         assert set(built) == tied
 
@@ -170,21 +174,21 @@ class TestTies:
     def test_named_policies_build_no_runner(self, tie, monkeypatch):
         env, dist, prices = tie_case()
         built = counting_runners(monkeypatch)
-        monte_carlo_ratio(env, prices, dist, order_mode="random", trials=60, seed=3, tie=tie)
+        monte_carlo_ratio(env, prices, dist, order="random", trials=60, seed=3, tie=tie)
         assert built == []
 
 
 class TestTieFree:
-    @pytest.mark.parametrize("order_mode", ["fixed", "random"])
-    def test_builds_no_runner(self, order_mode, monkeypatch):
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_builds_no_runner(self, order, monkeypatch):
         inst = gen_two_point_single_item(n=5, seed=1)
         env, dist = inst.env, inst.distribution
         prices = single_item_prices(env, [ScalarValuation(1.3)] * env.n)
-        assert not any(ties for _, ties in arrivals(env, prices, dist, order_mode, 80, 4))
+        assert not any(ties for _, ties in arrivals(env, prices, dist, order, 80, 4))
         built = counting_runners(monkeypatch)
-        got = monte_carlo_ratio(env, prices, dist, order_mode=order_mode, trials=80, seed=4)
+        got = monte_carlo_ratio(env, prices, dist, order=order, trials=80, seed=4)
         assert built == []
-        assert repr(got) == repr(monte_carlo_twin(env, prices, dist, order_mode, 80, 4))
+        assert repr(got) == repr(monte_carlo_twin(env, prices, dist, order, 80, 4))
 
 
 class TestFixedOrderCheck:
@@ -193,4 +197,4 @@ class TestFixedOrderCheck:
         env, dist, prices = tie_case()
         monkeypatch.setattr(ProductDistribution, "draw", pytest.fail)
         with pytest.raises(ValueError, match="is not a permutation"):
-            monte_carlo_ratio(env, prices, dist, trials=5, fixed_order=order, tie="prefer_null")
+            monte_carlo_ratio(env, prices, dist, order, trials=5, tie="prefer_null")

@@ -121,9 +121,9 @@ def assert_matches_twin(env, a, b, rule, params, dist):
             got = residual_opt(env, p, family, x)
             assert repr(got) == repr(argmax_first_twin(family.members(x), p))
         prices = rule(p)
-        got = check(env, p, prices, alg, family, params, order_mode="declared")
+        got = check(env, p, prices, alg, family, params, order=None)
         with mock.patch.object(balance, "_welfare_column", welfare_column_twin):
-            want = check(env, p, prices, alg, family, params, order_mode="declared")
+            want = check(env, p, prices, alg, family, params, order=None)
         assert got == want
         assert repr(got) == repr(want)
         # the expected optimum leaves the column of its last profile behind

@@ -438,7 +438,7 @@ def _declared_walk(case, twin=False):
     params, alloc = BalanceParams(alpha=1.0, beta=beta), opt(env, profile)
     if twin:
         return report_fields(per_x_check(env, profile, rule, alloc, family, params, order))
-    return report_fields(check_balanced(env, profile, rule, alloc, family, params, order, "declared"))
+    return report_fields(check_balanced(env, profile, rule, alloc, family, params, order))
 
 
 ORDER_SEEDS = st.integers(0, 10_000)
@@ -917,7 +917,7 @@ def _posted_price_part(env, dist, rule, tie, order, seed, trials, part, twin):
         return expected_posted_price_welfare(env, rule, dist, order, tie)
     if part == "adversary":
         if twin:
-            return runner(env, rule, dist.supports, None, tie).expected_welfare()
+            return runner(env, rule, dist.supports, "adversary", tie).expected_welfare()
         return adaptive_adversary_welfare(env, rule, dist, tie)
     if part == "all-orders":
         if twin:
@@ -935,7 +935,7 @@ def _posted_price_part(env, dist, rule, tie, order, seed, trials, part, twin):
         return [fixed.run(drawn_profile(dist, trial_rng(seed, t))) for t in range(4)]
     mc = monte_carlo_twin if twin else monte_carlo_ratio
     try:
-        return mc(env, rule, dist, part[3:], trials, seed, tie, order)
+        return mc(env, rule, dist, order if part == "mc-fixed" else "random", trials, seed, tie)
     except UndefinedRatio as exc:  # every drawn optimum is zero
         return exc
 
@@ -943,8 +943,6 @@ def _posted_price_part(env, dist, rule, tie, order, seed, trials, part, twin):
 def _posted_price(case, twin=False):
     """Each (part, tie policy)'s result on one rule built for this side."""
     env, dist, pricing, order, seed, trials, parts = case
-    if order is None:
-        order = tuple(range(env.n))
     rule = _posted_price_rule(env, dist, pricing)
     return [
         (part, tie, _posted_price_part(env, dist, rule, tie, order, seed, trials, part, twin))

@@ -298,6 +298,13 @@ MUTANTS = (
         ("tests/test_twins.py::test_small_cases[support-columns-passes]",),
     ),
     Mutant(
+        "an XOS winner's item priced at the next item's clause value, killed by xos-prices",
+        PRICING,
+        "clause = tuple((1 << j, vals[j]) for j in bitmask_items(mask))",
+        "clause = tuple((1 << j, vals[(j + 1) % len(vals)]) for j in bitmask_items(mask))",
+        ("twins", "xos-prices"),
+    ),
+    Mutant(
         "profiles take the probabilities reversed, killed by TestProfiles::test_matches_twin",
         STOCHASTIC,
         "        yield from zip(itertools.product(*values), probs)\n",
@@ -321,15 +328,15 @@ MUTANTS = (
     Mutant(
         "certifier's permutation check dropped, killed by test_refused",
         BALANCE,
-        "    order = _check_order(env.n, order, (\"all\",))\n",
+        "    order = _check_order(env.n, order, CHECK_ORDER_KINDS)\n",
         "    order = order if order == \"all\" else tuple(range(env.n) if order is None else order)\n",
         ("tests/test_order_argument.py", "-k", "test_refused and check_balanced"),
     ),
     Mutant(
         "monte_carlo_ratio accepts \"all\", killed by test_refused",
         STOCHASTIC,
-        "    order = _check_order(env.n, order, (\"random\",))\n",
-        "    order = _check_order(env.n, order, (\"random\", \"all\"))\n",
+        "MONTE_CARLO_ORDER_KINDS = (\"random\",)\n",
+        "MONTE_CARLO_ORDER_KINDS = (\"random\", \"all\")\n",
         ("tests/test_order_argument.py", "-k", "test_refused and monte_carlo_ratio"),
     ),
     Mutant(

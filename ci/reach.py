@@ -222,8 +222,6 @@ ALLOW = {
     "pricing.scaled_prices.finite": _TRACED,
     "balance.minimal_beta": "the tightest beta a walk certifies; ROADMAP item 15 gives it a job",
     "serialize.dump_instance_file": "bench/workloads.py writes its pool instances with it",
-    "balance._OrderSums.extremal": "the DP's value by allocation, which the DP tests and twins "
-                                   "read; the certifier walk calls extremal_at by position",
     "core.EnvironmentBase.agent_outcomes": "the environment interface; every kind overrides it",
     "core.EnvironmentBase.is_feasible": "the environment interface; every kind overrides it",
     "core.Unavailable.__repr__": "names the sentinel in a failed comparison's message; no "

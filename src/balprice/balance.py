@@ -36,6 +36,9 @@ from .core import (
 from .oracle import ExchangeFamily, _positions_by, _welfare_column, fact
 from .pricing import BalanceParams, PricingRule
 
+# the order kinds the certifier takes besides a permutation
+CHECK_ORDER_KINDS = ("all",)
+
 
 @dataclass
 class BalanceReport:
@@ -147,9 +150,11 @@ class _OrderSums:
         return best, best_a, best_key
 
     def extremal_at(self, py: int, at: Sequence[int], maximize: bool) -> list:
-        """``extremal`` of the allocation listed at position py against each
-        one listed at the positions ``at``, in that order, as the walk asks
-        them."""
+        """Min (or max) over all agent orders of the price sum for the
+        outcomes listed at each position of ``at``, in that order, each
+        conditioned on prefixes of the allocation listed at position py:
+        (value, saw_unavailable) pairs.  ``witness`` gives an order that
+        attains one."""
         values, flagged, size = self._values[maximize], self._flagged[maximize], self.size
         out = []
         for pw in at:
@@ -160,19 +165,13 @@ class _OrderSums:
             out.append(((-v if maximize else v), key in flagged))
         return out
 
-    def extremal(self, x: Allocation, z: Allocation, maximize: bool):
-        """Min (or max) over all agent orders of the price sum for outcomes z
-        conditioned on x-prefixes: (value, saw_unavailable).  ``witness``
-        gives an order that attains it."""
-        return self.extremal_at(self.positions[x], (self.positions[z],), maximize)[0]
-
     def witness(self, x: Allocation, z: Allocation, maximize: bool) -> tuple:
-        """The n-agent order whose sum ``extremal`` returns, built last
-        arrival first along each state's own ``_solve`` choice down from
-        (x, z).  An inert agent, null in both x and z, is placed where the
-        first-within-TOL scan would keep it with the state's own value as
-        its candidate: the lowest one left goes while its index is below
-        the state's choice, and all the rest once no agent is live."""
+        """The n-agent order whose sum ``extremal_at`` returns for x against
+        z, built last arrival first along each state's own ``_solve`` choice
+        down from (x, z).  An inert agent, null in both x and z, is placed
+        where the first-within-TOL scan would keep it with the state's own
+        value as its candidate: the lowest one left goes while its index is
+        below the state's choice, and all the rest once no agent is live."""
         inert = [a for a, (x_a, z_a) in enumerate(zip(x, z)) if x_a == NULL and z_a == NULL]
         py, pw = self.positions[x], self.positions[z]
         order = []
@@ -296,7 +295,7 @@ def _check(
     permutation, the identity for None.  A dynamic rule's all-orders sums
     share one ``_OrderSums`` memo across the walk; its declared-order sums
     come from one term table per x over x and its exchange set."""
-    order = _check_order(env.n, order, ("all",))
+    order = _check_order(env.n, order, CHECK_ORDER_KINDS)
     if family.env != env:
         raise ValueError("the exchange family belongs to another environment")
     feasible = enumerate_feasible(env, cap)

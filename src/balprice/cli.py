@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
-from .balance import check_balanced, check_weakly_balanced
+from .balance import CHECK_ORDER_KINDS, check_balanced, check_weakly_balanced
 from .catalog import GENERATORS
 from .core import (
     DEFAULT_CAP,
@@ -79,7 +79,8 @@ from .pricing import (
     xos_item_prices,
 )
 from .serialize import Instance, SchemaError, _bounded, load_instance_file
-from .stochastic import ProductDistribution, exact_ratio, monte_carlo_ratio
+from .stochastic import (EXACT_ORDER_KINDS, MONTE_CARLO_ORDER_KINDS, ProductDistribution,
+                         exact_ratio, monte_carlo_ratio)
 
 RATIO_SCHEMA = "balprice.ratio.v1"
 REPORT_SCHEMA = "balprice.report.v1"
@@ -286,13 +287,23 @@ def resolve_params(args, construction: Construction, instance: Instance, cap: in
 # ---------------------------------------------------------------------------
 
 
+# per job: the order kinds its library entry point takes besides a
+# permutation, and how its refusal names them
+ORDER_KINDS = {
+    "balance": (CHECK_ORDER_KINDS, "--order all or a fixed permutation"),
+    "simulate": (EXACT_ORDER_KINDS, "fixed, all, or adversary orders"),
+    "exact ratio": (EXACT_ORDER_KINDS, "fixed, all, or adversary orders"),
+    "sampled ratio": (MONTE_CARLO_ORDER_KINDS, "fixed or random orders"),
+}
+
+
 def parse_order(raw: Optional[str], n: int):
     """The order value every layer takes: a permutation (written 1-based on
-    the CLI), None for the identity, or the order kind "all", "random" or
-    "adversary"."""
+    the CLI), None for the identity, or an order kind some job takes
+    (``ORDER_KINDS``)."""
     if raw is None or raw == "fixed":
         return None
-    if raw in ("all", "random", "adversary"):
+    if any(raw in kinds for kinds, _ in ORDER_KINDS.values()):
         return raw
     body = raw[len("fixed:"):] if raw.startswith("fixed:") else raw
     try:
@@ -303,15 +314,6 @@ def parse_order(raw: Optional[str], n: int):
         return _check_order(n, perm)
     except ValueError as exc:
         raise SchemaError(f"order {raw!r} is not a permutation of 1..{n}") from exc
-
-
-# per job: the order kinds it accepts, and how its refusal names them
-ORDER_KINDS = {
-    "balance": (("fixed", "all"), "--order all or a fixed permutation"),
-    "simulate": (("fixed", "all", "adversary"), "fixed, all, or adversary orders"),
-    "exact ratio": (("fixed", "all", "adversary"), "fixed, all, or adversary orders"),
-    "sampled ratio": (("fixed", "random"), "fixed or random orders"),
-}
 
 
 def _exact_ratio(args) -> bool:
@@ -394,7 +396,7 @@ def _job(args, scaled: bool):
     if job == "ratio":
         job = "exact ratio" if _exact_ratio(args) else "sampled ratio"
     accepted, named = ORDER_KINDS[job]
-    if (order if isinstance(order, str) else "fixed") not in accepted:
+    if isinstance(order, str) and order not in accepted:
         raise SchemaError(f"{job} supports {named}")
     params = resolve_params(args, construction, instance, cap)
 

@@ -250,25 +250,19 @@ def supporting_valuation(v: Valuation, x, items: int) -> Valuation:
 
 
 def xos_item_prices(env, profile, alloc: Allocation) -> PricingRule:
-    """Price each allocated item at its winner's supporting additive clause."""
+    """Price each allocated item at its winner's supporting additive clause:
+    the MPH-1 prices, an XOS clause being a hypergraph clause of singleton
+    edges (Feige et al., AAAI 2015), for additive and XOS winners only."""
     if not isinstance(env, CombinatorialAuctionEnv):
         raise PricingError("xos item prices require a combinatorial auction")
-    per_item = [0.0] * env.items
     for i, mask in enumerate(alloc):
-        if mask == NULL:
+        v = profile[i]
+        if mask == NULL or isinstance(v, (AdditiveValuation, XosValuation)):
             continue
-        sup = supporting_valuation(profile[i], mask, env.items)
-        if isinstance(sup, AdditiveValuation):
-            clause = sup.values
-        elif isinstance(sup, ScalarValuation):
+        if isinstance(v, ScalarValuation):
             raise PricingError("xos item prices need additive or xos valuations")
-        else:
-            raise PricingError(f"unsupported valuation kind {sup.kind} for xos prices")
-        for j in bitmask_items(mask):
-            per_item[j] = clause[j]
-    return _item_price_rule(
-        env, per_item, {"construction": "xos", "base_allocation": list(alloc)}
-    )
+        raise PricingError(f"unsupported valuation kind {v.kind} for xos prices")
+    return mphk_item_prices(env, profile, alloc)
 
 
 def mphk_item_prices(env, profile, alg_alloc: Allocation) -> PricingRule:
@@ -285,9 +279,8 @@ def mphk_item_prices(env, profile, alg_alloc: Allocation) -> PricingRule:
             sup = supporting_valuation(v, mask, env.items)
             clause = sup.clauses[0] if sup.clauses else ()
         elif isinstance(v, (XosValuation, AdditiveValuation)):
-            sup = supporting_valuation(v, mask, env.items)
-            vals = sup.values if isinstance(sup, AdditiveValuation) else ()
-            clause = tuple((1 << j, vals[j]) for j in range(env.items))
+            vals = supporting_valuation(v, mask, env.items).values
+            clause = tuple((1 << j, vals[j]) for j in bitmask_items(mask))
         else:
             raise PricingError(f"unsupported valuation kind {v.kind} for hypergraph prices")
         for j in bitmask_items(mask):

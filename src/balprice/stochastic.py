@@ -46,6 +46,10 @@ from .mechanism import (
 from .oracle import _welfare_column
 from .pricing import EXACT_SUPPORT_CAP, SUPPORT_FORM_MIN_PROFILES, SupportTable
 
+# the order kinds each ratio takes besides a permutation
+EXACT_ORDER_KINDS = ("adversary", "all")
+MONTE_CARLO_ORDER_KINDS = ("random",)
+
 
 @dataclass(frozen=True)
 class ProductDistribution:
@@ -289,7 +293,7 @@ def exact_ratio(
     orders, at most ``EXACT_SUPPORT_CAP`` of them.  ``cap`` bounds the
     support profiles the expected optimum enumerates.  Tie choices condition
     on realized history only (see expected_posted_price_welfare)."""
-    order = _check_order(env.n, order, ("adversary", "all"))
+    order = _check_order(env.n, order, EXACT_ORDER_KINDS)
     if order == "adversary":
         mech = adaptive_adversary_welfare(env, prices, dist, tie)
     elif order == "all":
@@ -340,7 +344,7 @@ def monte_carlo_ratio(
     shares its continuation memo across trials."""
     if trials < 1:
         raise ValueError("at least one trial required")
-    order = _check_order(env.n, order, ("random",))
+    order = _check_order(env.n, order, MONTE_CARLO_ORDER_KINDS)
     random = order == "random"
 
     steps = _Steps(env, prices, tie, dist.supports)

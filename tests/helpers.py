@@ -25,8 +25,10 @@ from balprice.core import (
     Matroid,
     MatroidEnv,
     ProductEnv,
+    ScalarValuation,
     SingleItemEnv,
     TableValuation,
+    bitmask_items,
     enumerate_feasible,
     replace_at,
     support,
@@ -73,7 +75,9 @@ from balprice.pricing import (
     opt_derived_prices,
     pip_prices,
     single_item_prices,
+    supporting_valuation,
     xos_item_prices,
+    _item_price_rule,
 )
 from balprice.stochastic import (
     EXACT_SUPPORT_CAP,
@@ -238,6 +242,28 @@ def gated_unavailable_case():
         env, lambda i, x_i, y: UNAVAILABLE if i == 2 and not y[0] else 1.0, static=False,
     )
     return env, element_profile(env, 3, 2, 1, 1), rule, default_family(env)
+
+
+def xos_item_prices_twin(env, profile, alloc) -> PricingRule:
+    """Twin of ``xos_item_prices``, which prices on the MPH-1 path: each
+    allocated item at its winner's supporting additive clause, stored item
+    by item."""
+    if not isinstance(env, CombinatorialAuctionEnv):
+        raise PricingError("xos item prices require a combinatorial auction")
+    per_item = [0.0] * env.items
+    for i, mask in enumerate(alloc):
+        if mask == NULL:
+            continue
+        sup = supporting_valuation(profile[i], mask, env.items)
+        if isinstance(sup, AdditiveValuation):
+            clause = sup.values
+        elif isinstance(sup, ScalarValuation):
+            raise PricingError("xos item prices need additive or xos valuations")
+        else:
+            raise PricingError(f"unsupported valuation kind {sup.kind} for xos prices")
+        for j in bitmask_items(mask):
+            per_item[j] = clause[j]
+    return _item_price_rule(env, per_item, {"construction": "xos", "base_allocation": list(alloc)})
 
 
 def added_single_item_prices(env, profile, alloc):
@@ -876,9 +902,17 @@ def subset_dp_twin(rule, x, z, maximize: bool):
     return dp, flag, term, live
 
 
+def extremal(sums, x, z, maximize: bool):
+    """Min (or max) over all agent orders of the price sum for outcomes z
+    conditioned on x-prefixes, asked of the walk's memo ``sums``, a
+    ``balance._OrderSums``, by the positions of x and z: (value,
+    saw_unavailable).  ``sums.witness`` gives an order that attains it."""
+    return sums.extremal_at(sums.positions[x], (sums.positions[z],), maximize)[0]
+
+
 def extremal_twin(sums, x, z, maximize: bool):
-    """Twin of ``_OrderSums.extremal`` on ``subset_dp_twin``, reading only
-    the pricing rule of ``sums``."""
+    """Twin of ``extremal`` on ``subset_dp_twin``, reading only the pricing
+    rule of ``sums``."""
     dp, flag, _, _ = subset_dp_twin(sums.prices, x, z, maximize)
     return (-dp[-1] if maximize else dp[-1]), flag[-1]
 

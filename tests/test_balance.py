@@ -53,6 +53,7 @@ from helpers import (
     bit,
     declared_sum_twin,
     eager_extremal,
+    extremal,
     element_profile,
     gated_unavailable_case,
     matroid_priced,
@@ -240,8 +241,8 @@ class TestOrderDp:
         feasible = enumerate_feasible(env)
         sums = _OrderSums(env, rule)
         for x in feasible:
-            lo_dp, _ = sums.extremal(x, x, maximize=False)
-            hi_dp, _ = sums.extremal(x, x, maximize=True)
+            lo_dp, _ = extremal(sums, x, x, maximize=False)
+            hi_dp, _ = extremal(sums, x, x, maximize=True)
             per_order = [
                 declared_sum_twin(rule, x, x, order)[0]
                 for order in itertools.permutations(range(env.n))
@@ -270,7 +271,7 @@ class TestOrderDp:
 
 def all_orders(sums, x, z, maximize):
     """(value, witness order, flag) from the value path and the replay."""
-    value, bad = sums.extremal(x, z, maximize)
+    value, bad = extremal(sums, x, z, maximize)
     return value, sums.witness(x, z, maximize), bad
 
 
@@ -322,8 +323,8 @@ def full_width_extremal(sums, x, z, maximize):
 def walk_through(monkeypatch, twin):
     """Send every all-orders sum the walk takes, and every witness order it
     records, through ``twin(sums, x, z, maximize) -> (value, order, flag)``.
-    The walk asks sums by list position (``extremal_at``), which ``extremal``
-    calls too."""
+    The walk asks sums by list position (``extremal_at``), which
+    ``helpers.extremal`` calls too."""
 
     def value(sums, py, at, maximize):
         x = sums.feasible[py]

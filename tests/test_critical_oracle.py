@@ -389,6 +389,9 @@ class TestGreedyMemo:
 
     @given(tied_grids())
     @example((explicit_env(3, (0b110, 0b001)), [0.0, 1e-10, 0.1]))  # gamma 2
+    # OPT's classes are (0, 3) and (1, 2), and greedy's welfare differs
+    # within an orbit: 1.0 on bids (1, 1, 1, 0), 2.0 on (0, 1, 1, 1)
+    @example((explicit_env(4, (0b0110, 0b1001)), [0.0, 1.0]))
     @settings(max_examples=40, deadline=None)
     def test_matches_twin(self, case):
         env, grid = case

@@ -29,7 +29,9 @@ from balprice.core import (
 from balprice.oracle import default_family, opt
 from balprice.pricing import BalanceParams, PricingRule, matroid_dynamic_prices
 
-from helpers import extremal_at_twin, extremal_twin, matroid_priced, multi_element_priced, witness_twin
+from helpers import (
+    extremal, extremal_at_twin, extremal_twin, matroid_priced, multi_element_priced, witness_twin,
+)
 
 SEEDS = st.integers(min_value=0, max_value=10_000)
 
@@ -41,7 +43,7 @@ def _assert_memo_matches_twin(sums, x, zs, rnd):
     rnd.shuffle(asked)
     for z in asked + asked:
         for maximize in (False, True):
-            got = (sums.extremal(x, z, maximize), sums.witness(x, z, maximize))
+            got = (extremal(sums, x, z, maximize), sums.witness(x, z, maximize))
             want = (extremal_twin(sums, x, z, maximize), witness_twin(sums, x, z, maximize))
             assert repr(got) == repr(want), (x, z, maximize)
 
@@ -120,7 +122,7 @@ class TestLayerMemo:
         x = next(a for a in feasible if sum(1 for t in a if t) == 1)
         z = next(z for z in family.members(x) if sum(1 for t in z if t) >= 2)
         sums = _OrderSums(env, rule)
-        sums.extremal(x, z, maximize=True)
+        extremal(sums, x, z, maximize=True)
         memo = sums._values[True]
         positions = {y: k for k, y in enumerate(feasible)}
         supp = [i for i, t in enumerate(x) if t != NULL]

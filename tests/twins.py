@@ -32,13 +32,13 @@ from hypothesis import strategies as st
 from balprice import cli, serialize
 from balprice.balance import _OrderSums, check_balanced, check_weakly_balanced
 from balprice.catalog import (
-    gen_knapsack_random, gen_matroid, gen_pip_random, gen_two_point_single_item,
+    gen_knapsack_random, gen_matroid, gen_pip_random, gen_two_point_single_item, gen_xos_random,
 )
 from balprice.core import (
     DEFAULT_CAP, NULL, TOL, UNAVAILABLE, AdditiveValuation, CapExceeded,
-    CombinatorialAuctionEnv, ExplicitEnv, KnapsackEnv, Matroid, MatroidEnv, PipEnv, ProductEnv,
-    ScalarValuation, SingleItemEnv, ThresholdValuation, XosValuation, enumerate_feasible,
-    replace_at, support,
+    CombinatorialAuctionEnv, ExplicitEnv, KnapsackEnv, Matroid, MatroidEnv, MphValuation, PipEnv,
+    ProductEnv, ScalarValuation, SingleItemEnv, ThresholdValuation, XosValuation,
+    enumerate_feasible, replace_at, support,
 )
 from balprice.mechanism import (
     TIE_POLICIES, OnlinePostedPriceRunner, adaptive_adversary_welfare,
@@ -46,7 +46,7 @@ from balprice.mechanism import (
 )
 from balprice.oracle import default_family, opt
 from balprice.pricing import (
-    SUPPORT_FORM_MIN_PROFILES, BalanceParams, PricingRule, expected_scaled_prices,
+    SUPPORT_FORM_MIN_PROFILES, BalanceParams, PricingError, PricingRule, expected_scaled_prices,
     matroid_dynamic_prices, single_item_prices, xos_item_prices,
 )
 from balprice.serialize import Instance, dump_instance_file
@@ -60,7 +60,7 @@ from helpers import (
     every_entry, expected_opt_twin, expected_scaled_twin, extremal_at_twin, families,
     filtered_members, gated_unavailable_case, matroid_priced, multi_element_priced, per_x_check,
     report_fields, static_case, two_point_matroid, uniform_matroid_env, witness_twin,
-    UnprunedRunner, monte_carlo_twin, worst_order_twin,
+    UnprunedRunner, monte_carlo_twin, worst_order_twin, xos_item_prices_twin,
 )
 
 
@@ -563,6 +563,101 @@ STATIC = Twin(
         for params, expected in runs
     ),
     summary=verdict,
+)
+
+
+# ---------------------------------------------------------------------------
+# xos_item_prices, which prices on the MPH-1 path, against the per-item
+# clause loop it replaced (``helpers.xos_item_prices_twin``).  A case is a
+# tuple of (env, profile) markets; each side prices every allocation listed
+# for each market's environment.
+# ---------------------------------------------------------------------------
+
+
+def _xos_prices(markets, build=xos_item_prices):
+    """Per market and listed allocation: every (agent, bundle) price on the
+    null allocation with the provenance's item prices, or the refusal's
+    text with None."""
+    out = []
+    for env, profile in markets:
+        for alloc in enumerate_feasible(env):
+            try:
+                rule = build(env, profile, alloc)
+            except PricingError as exc:
+                out.append((str(exc), None))
+                continue
+            null, bundles = env.null_allocation(), range(1, 1 << env.items)
+            prices = tuple(rule.price(i, b, null) for i in range(env.n) for b in bundles)
+            out.append((prices, rule.provenance["item_prices"]))
+    return out
+
+
+def _same_xos_prices(got, want) -> bool:
+    """Prices and refusals equal by ``repr``, item prices by ``==``: the
+    loop stores a -0.0 clause entry as it is and the MPH-1 path sums it to
+    0.0, which only the provenance shows."""
+    return same_repr([p for p, _ in got], [p for p, _ in want]) and got == want
+
+
+XOS_SIZES = ((2, 3, 2), (3, 3, 2), (3, 4, 3), (4, 4, 2))  # (n, m, clauses)
+
+
+def xos_catalog(n, m, clauses, seeds):
+    return tuple((x.env, x.profile) for x in (gen_xos_random(n, m, clauses, s) for s in seeds))
+
+
+@st.composite
+def xos_markets(draw):
+    """One market of 1-3 additive or XOS agents on 1-3 items, with up to
+    three clauses from a pool that holds -0.0 and negative entries and
+    makes supporting clauses tie."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    clause = st.tuples(*[st.sampled_from((-0.0, 0.0, -1.0, 0.5, 1.0, 2.0))] * m)
+    agent = st.one_of(clause.map(AdditiveValuation),
+                      st.lists(clause, max_size=3).map(lambda cs: XosValuation(tuple(cs))))
+    return ((CombinatorialAuctionEnv(n=n, items=m), tuple(draw(agent) for _ in range(n))),)
+
+
+def _auction(*profile):
+    return ((CombinatorialAuctionEnv(n=len(profile), items=2), profile),)
+
+
+XOS_HAND_BUILT = (
+    _auction(XosValuation(((-0.0, 1.0), (0.5, -0.0))), AdditiveValuation((-0.0, -0.0))),
+    _auction(XosValuation(()), XosValuation(((-1.0, 2.0), (2.0, -1.0)))),
+    # on both items the three clauses tie at 1.0, and the first supports
+    _auction(XosValuation(((1.0, 0.0), (0.0, 1.0), (0.5, 0.5))), AdditiveValuation((1.0, 1.0))),
+)
+MPH_EDGE = MphValuation((((0b11, 1.0),),))
+XOS_REFUSALS = (
+    _auction(ScalarValuation(1.0), XosValuation(((1.0, 1.0),))),
+    _auction(MPH_EDGE, AdditiveValuation((1.0, 1.0))),
+    _auction(ThresholdValuation(1.0, 1.0), XosValuation(())),
+    # the first winner in agent order is refused
+    _auction(MPH_EDGE, ScalarValuation(1.0)),
+    ((SingleItemEnv(n=2), (ScalarValuation(1.0), ScalarValuation(2.0))),),
+)
+
+XOS_PRICES = Twin(
+    name="xos-prices",
+    fast=_xos_prices,
+    twin=functools.partial(_xos_prices, build=xos_item_prices_twin),
+    small={
+        "catalog": Small(
+            st.tuples(st.sampled_from(XOS_SIZES), st.integers(0, 9)).map(
+                lambda c: xos_catalog(*c[0], (c[1],))
+            ),
+            8,
+        ),
+        "hand-built": Small(xos_markets(), 60, XOS_HAND_BUILT),
+        "refusals": Small(st.sampled_from(XOS_REFUSALS), 1, XOS_REFUSALS),
+    },
+    large=tuple(
+        (f"xos n = {n}, m = {m}, {c} clauses, seeds 0-9", xos_catalog(n, m, c, range(10)), None)
+        for n, m, c in XOS_SIZES
+    ),
+    summary=lambda got: f"{len(got)} allocations, {sum(p is None for _, p in got)} refused",
+    compare=_same_xos_prices,
 )
 
 
@@ -1108,4 +1203,5 @@ SHARED_STORE = Twin(
     compare=_same_store_runs,
 )
 
-TWINS = (FEASIBLE, MEMBERS, WALK, DECLARED, STATIC, COLUMNS, EXPECTED_OPT, STEPS, SHARED_STORE)
+TWINS = (FEASIBLE, MEMBERS, WALK, DECLARED, STATIC, XOS_PRICES, COLUMNS, EXPECTED_OPT, STEPS,
+         SHARED_STORE)
